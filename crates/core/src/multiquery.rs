@@ -19,10 +19,20 @@ use crate::metrics::OpStats;
 use crate::sampler::{BstSampler, SamplerConfig};
 use crate::tree::SampleTree;
 
+/// The RNG seed of batch slot `slot` under batch seed `seed`. Each slot
+/// draws from its own generator, so a slot's sample depends only on
+/// `(seed, slot)` and its filter — never on how slots are split across
+/// worker threads. The sharded engine mixes its shard index into the
+/// same seed for its per-(shard, slot) cells.
+pub fn slot_seed(seed: u64, slot: u64) -> u64 {
+    seed ^ slot.wrapping_add(1).wrapping_mul(0xD1B5_4A32_D192_ED03)
+}
+
 /// Draws one sample per query filter, in parallel over `threads` workers
 /// (0 = one per CPU). Returns per-query results (aligned with `queries`,
 /// each carrying its own typed failure reason) plus aggregated operation
-/// counts. Deterministic for a fixed `seed` and query order.
+/// counts. Deterministic for a fixed `seed` and query order, whatever
+/// the thread count.
 pub fn sample_each<T: SampleTree + Sync>(
     tree: &T,
     queries: &[BloomFilter],
@@ -51,11 +61,11 @@ pub fn sample_each<T: SampleTree + Sync>(
             scope.spawn(move |_| {
                 let sampler = BstSampler::with_config(tree, cfg);
                 let root_filter = tree.root().map(|r| tree.filter(r));
-                // Worker-local rng: deterministic per (seed, worker).
-                let mut rng = StdRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0x9E3779B9));
+                let base = w * chunk;
                 let mut stats = OpStats::new();
                 let mut local = Vec::with_capacity(qchunk.len());
-                for q in qchunk {
+                for (i, q) in qchunk.iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(slot_seed(seed, (base + i) as u64));
                     // Same guard the single-query handle enforces: a filter
                     // from a different hash family is a config bug, not an
                     // empty set.
@@ -64,7 +74,6 @@ pub fn sample_each<T: SampleTree + Sync>(
                         _ => sampler.try_sample(q, &mut rng, &mut stats),
                     });
                 }
-                let base = w * chunk;
                 let mut res = results.lock();
                 res[base..base + local.len()].copy_from_slice(&local);
                 *total.lock() += stats;
@@ -119,12 +128,15 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_for_fixed_seed_and_threads() {
+    fn deterministic_for_fixed_seed_whatever_the_thread_count() {
         let t = tree();
         let qs = queries(&t, 32);
-        let (a, _) = sample_each(&t, &qs, SamplerConfig::default(), 9, 4);
-        let (b, _) = sample_each(&t, &qs, SamplerConfig::default(), 9, 4);
-        assert_eq!(a, b);
+        let (a, sa) = sample_each(&t, &qs, SamplerConfig::default(), 9, 4);
+        for threads in [0, 1, 3, 4, 32] {
+            let (b, sb) = sample_each(&t, &qs, SamplerConfig::default(), 9, threads);
+            assert_eq!(a, b, "threads = {threads}");
+            assert_eq!(sa, sb, "threads = {threads}");
+        }
     }
 
     #[test]

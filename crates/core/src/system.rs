@@ -483,7 +483,9 @@ impl BstSystem {
     /// Draws one sample per query filter, in parallel over `threads`
     /// worker threads (0 = one per CPU). Results align with `filters`;
     /// each entry carries its own typed failure reason. Deterministic for
-    /// a fixed `seed`, thread count and filter order.
+    /// a fixed `seed` and filter order: every slot draws from its own
+    /// seeded generator, so neither `threads` nor the host's CPU count
+    /// changes the draws.
     pub fn query_batch(
         &self,
         filters: &[BloomFilter],
@@ -1032,5 +1034,22 @@ mod tests {
             assert!(f.contains(s));
         }
         assert!(stats.total_ops() > 0);
+    }
+
+    /// Batch draws are a function of `(seed, slot, filter)` alone: one
+    /// worker, three workers, and one per host CPU answer identically
+    /// (and so do hosts with different CPU counts).
+    #[test]
+    fn query_batch_draws_do_not_depend_on_thread_count() {
+        let sys = BstSystem::builder(20_000).build();
+        let filters: Vec<_> = (0..17)
+            .map(|i| sys.store((0..60u64).map(|j| (i * 331 + j * 7) % 20_000)))
+            .collect();
+        let (one, one_stats) = sys.query_batch(&filters, 21, 1);
+        for threads in [3, 0] {
+            let (many, many_stats) = sys.query_batch(&filters, 21, threads);
+            assert_eq!(one, many, "threads = {threads}");
+            assert_eq!(one_stats, many_stats, "threads = {threads}");
+        }
     }
 }

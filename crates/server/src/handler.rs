@@ -1,7 +1,8 @@
 //! Request dispatch: one decoded [`Request`] in, one typed reply out.
 //!
-//! The handler owns the mapping from wire commands onto the
-//! `ShardedBstSystem` facade and the session's warm-handle caches.
+//! The handler owns the mapping from wire commands onto the server's
+//! one engine owner — the `DurableBstSystem` store, with or without a
+//! WAL — and the session's warm-handle caches. Each opcode has one arm.
 //! Determinism contract: every sampling command carries a client
 //! `seed`, and the server draws from a fresh `StdRng::seed_from_u64`
 //! per request — so the same request against the same engine state
@@ -55,74 +56,50 @@ fn wire_durable(e: DurableError) -> WireError {
 pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outcome {
     let engine = state.engine.read();
     session.sync(engine.epoch);
-    let sys = &engine.system;
+    let store = &state.store;
+    // Taken under the epoch read guard, so the engine matches the epoch
+    // the session just synced to: a LOAD cannot swap in between.
+    let sys = store.system();
     match req {
         Request::Ping => Outcome::reply(Ok(Response::Pong)),
-        // Mutations: with a durability layer present they route through
-        // it — applied *and* logged before the reply frame is written,
-        // so every acked mutation survives a crash. The durable engine
-        // slot and `sys` are clones of the same shared system, so the
-        // effect is visible to queries either way.
-        Request::Create { keys } => Outcome::reply(match &state.durable {
-            Some(d) => d
+        // Mutations go through the store: applied (and, with a WAL,
+        // logged) before the reply frame is written, so with a log every
+        // acked mutation survives a crash.
+        Request::Create { keys } => Outcome::reply(
+            store
                 .create(keys)
                 .map(|id| Response::Created { id: id.raw() })
                 .map_err(wire_durable),
-            None => sys
-                .create(keys)
-                .map(|id| Response::Created { id: id.raw() })
-                .map_err(WireError::from),
-        }),
-        Request::InsertKeys { id, keys } => Outcome::reply(match &state.durable {
-            Some(d) => d
+        ),
+        Request::InsertKeys { id, keys } => Outcome::reply(
+            store
                 .insert_keys(FilterId::from_raw(id), keys)
                 .map(|()| Response::Ok)
                 .map_err(wire_durable),
-            None => sys
-                .insert_keys(FilterId::from_raw(id), keys)
-                .map(|()| Response::Ok)
-                .map_err(WireError::from),
-        }),
-        Request::RemoveKeys { id, keys } => Outcome::reply(match &state.durable {
-            Some(d) => d
+        ),
+        Request::RemoveKeys { id, keys } => Outcome::reply(
+            store
                 .remove_keys(FilterId::from_raw(id), keys)
                 .map(|()| Response::Ok)
                 .map_err(wire_durable),
-            None => sys
-                .remove_keys(FilterId::from_raw(id), keys)
-                .map(|()| Response::Ok)
-                .map_err(WireError::from),
-        }),
+        ),
         Request::DropSet { id } => {
-            let out = match &state.durable {
-                Some(d) => d.drop_set(FilterId::from_raw(id)).map_err(wire_durable),
-                None => sys
-                    .drop_set(FilterId::from_raw(id))
-                    .map_err(WireError::from),
-            };
+            let out = store.drop_set(FilterId::from_raw(id));
             session.evict_stored(id);
-            Outcome::reply(out.map(|()| Response::Ok))
+            Outcome::reply(out.map(|()| Response::Ok).map_err(wire_durable))
         }
-        Request::OccInsert { key } => Outcome::reply(match &state.durable {
-            Some(d) => d
+        Request::OccInsert { key } => Outcome::reply(
+            store
                 .insert_occupied(key)
                 .map(|generation| Response::Generation { generation })
                 .map_err(wire_durable),
-            None => sys
-                .insert_occupied(key)
-                .map(|generation| Response::Generation { generation })
-                .map_err(WireError::from),
-        }),
-        Request::OccRemove { key } => Outcome::reply(match &state.durable {
-            Some(d) => d
+        ),
+        Request::OccRemove { key } => Outcome::reply(
+            store
                 .remove_occupied(key)
                 .map(|generation| Response::Generation { generation })
                 .map_err(wire_durable),
-            None => sys
-                .remove_occupied(key)
-                .map(|generation| Response::Generation { generation })
-                .map_err(WireError::from),
-        }),
+        ),
         Request::Get { id } => Outcome::reply(
             sys.get(FilterId::from_raw(id))
                 .map(|f| Response::Filter {
@@ -138,95 +115,46 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
         Request::Sample { target, seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
             Outcome::reply(
-                with_handle(state, session, sys, &target, |q| q.sample(&mut rng))
+                with_handle(state, session, &sys, &target, |q| q.sample(&mut rng))
                     .map(|key| Response::Sampled { key }),
             )
         }
         Request::SampleMany { target, r, seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
             Outcome::reply(
-                with_handle(state, session, sys, &target, |q| {
+                with_handle(state, session, &sys, &target, |q| {
                     q.sample_many(r as usize, &mut rng)
                 })
                 .map(|keys| Response::Keys { keys }),
             )
         }
         Request::Reconstruct { target } => Outcome::reply(
-            with_handle(state, session, sys, &target, |q| q.reconstruct())
+            with_handle(state, session, &sys, &target, |q| q.reconstruct())
                 .map(|keys| Response::Keys { keys }),
         ),
         Request::ReconstructRange { target, start, end } => Outcome::reply(
-            with_handle(state, session, sys, &target, |q| {
+            with_handle(state, session, &sys, &target, |q| {
                 q.reconstruct_range(start..end)
             })
             .map(|keys| Response::Keys { keys }),
         ),
-        Request::Batch { targets, seed } => Outcome::reply(batch(state, sys, &targets, seed)),
-        Request::Save => {
-            // With a durability layer, SAVE is "checkpoint + truncate":
-            // the snapshot is published atomically on disk and the log's
-            // covered tail drops. The reply still carries the snapshot
-            // bytes, so clients work identically in both modes.
-            if let Some(d) = &state.durable {
-                if let Err(e) = d.checkpoint() {
-                    return Outcome::reply(Err(wire_durable(e)));
-                }
-            }
-            Outcome::reply(Ok(Response::Snapshot {
-                bytes: sys.to_bytes(),
-            }))
-        }
+        Request::Batch { targets, seed } => Outcome::reply(batch(state, &sys, &targets, seed)),
+        // With a WAL, SAVE is "checkpoint + truncate": the snapshot is
+        // published atomically on disk and the log's covered tail drops.
+        // Without one the checkpoint is a no-op. The reply carries the
+        // snapshot bytes either way.
+        Request::Save => Outcome::reply(
+            store
+                .checkpoint()
+                .map(|()| Response::Snapshot {
+                    bytes: sys.to_bytes(),
+                })
+                .map_err(wire_durable),
+        ),
         Request::Load { bytes } => {
-            // Decode outside any lock, swap under the write lock; the
-            // epoch bump tells every session its handles are orphans.
+            // Release the epoch read lock: `load` takes it for write.
             drop(engine);
-            if let Some(d) = &state.durable {
-                // Durable LOAD: an empty body recovers from disk
-                // (newest checkpoint + log-tail replay); a snapshot
-                // body is adopted as the new durable state. The write
-                // lock is taken *before* the durable swap: every other
-                // handler (mutations included) runs under the read
-                // lock, so nothing can ack against the swapped-in
-                // durable engine while `state.engine` still serves the
-                // old one — that window lost acked creates.
-                let decoded = if bytes.is_empty() {
-                    None
-                } else {
-                    match ShardedBstSystem::from_bytes(&bytes) {
-                        Ok(system) => Some(system),
-                        Err(e) => return Outcome::reply(Err(WireError::from(e))),
-                    }
-                };
-                let mut engine = state.engine.write();
-                let recovered = match decoded {
-                    None => d.recover_from_disk().map_err(wire_durable),
-                    Some(system) => d
-                        .adopt(system.clone())
-                        .map_err(wire_durable)
-                        .map(|()| system),
-                };
-                return match recovered {
-                    Ok(system) => {
-                        state.instrument_engine(&system);
-                        engine.system = system;
-                        engine.epoch += 1;
-                        Outcome::reply(Ok(Response::Ok))
-                    }
-                    Err(e) => Outcome::reply(Err(e)),
-                };
-            }
-            match ShardedBstSystem::from_bytes(&bytes) {
-                Ok(system) => {
-                    // The replacement engine reports into the same trace
-                    // ring and batch histograms as the one it replaces.
-                    state.instrument_engine(&system);
-                    let mut engine = state.engine.write();
-                    engine.system = system;
-                    engine.epoch += 1;
-                    Outcome::reply(Ok(Response::Ok))
-                }
-                Err(e) => Outcome::reply(Err(WireError::from(e))),
-            }
+            Outcome::reply(load(state, &bytes))
         }
         Request::Stats => {
             let (ops, total) = state.stats.rows();
@@ -253,8 +181,8 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
             })))
         }
         Request::Metrics => {
-            // Release the engine read lock first: scrape-time callbacks
-            // re-enter it to read the live engine shape.
+            // Release the epoch read lock first: scrape-time callbacks
+            // re-enter it to read the epoch.
             drop(engine);
             Outcome::reply(Ok(Response::Metrics {
                 text: bst_obs::expo::render(&state.metrics),
@@ -265,6 +193,32 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
             shutdown_after: true,
         },
     }
+}
+
+/// Swaps the served engine: an empty body recovers from disk (newest
+/// checkpoint + log-tail replay; a typed `Persist` error without a WAL),
+/// a snapshot body is adopted (and, with a WAL, checkpointed). The body
+/// decodes outside any lock; the swap runs under the epoch write lock,
+/// so no request — mutations included — runs against either engine
+/// while it happens, and the epoch bump tells every session its handles
+/// are orphans.
+fn load(state: &ServerState, bytes: &[u8]) -> Result<Response, WireError> {
+    let decoded = if bytes.is_empty() {
+        None
+    } else {
+        Some(ShardedBstSystem::from_bytes(bytes)?)
+    };
+    let mut engine = state.engine.write();
+    let system = match decoded {
+        None => state.store.recover_from_disk(),
+        Some(system) => state.store.adopt(system.clone()).map(|()| system),
+    }
+    .map_err(wire_durable)?;
+    // The replacement engine reports into the same trace ring and batch
+    // histograms as the one it replaces.
+    state.instrument_engine(&system);
+    engine.epoch += 1;
+    Ok(Response::Ok)
 }
 
 /// Resolves a target to a (possibly cached) handle and runs `f` on it,
@@ -309,7 +263,7 @@ fn with_handle<T>(
 /// Serves a mixed batch: id-addressed slots ride the engine's
 /// `query_batch_ids` scatter (persistent weight cache), ad-hoc slots
 /// ride `query_batch`, both with the same client seed, and the answers
-/// are reassembled into request order. A slot whose filter bytes fail
+/// are put back in request order by slot. A slot whose filter bytes fail
 /// to decode fails alone — the rest of the batch still runs. Batch
 /// OpStats feed the server's cumulative engine totals.
 fn batch(
@@ -318,11 +272,9 @@ fn batch(
     targets: &[Target],
     seed: u64,
 ) -> Result<Response, WireError> {
-    let mut results: Vec<Option<Result<u64, WireError>>> = vec![None; targets.len()];
-    let mut id_slots = Vec::new();
-    let mut ids = Vec::new();
-    let mut filter_slots = Vec::new();
-    let mut filters = Vec::new();
+    let mut answered: Vec<(usize, Result<u64, WireError>)> = Vec::new();
+    let (mut id_slots, mut ids) = (Vec::new(), Vec::new());
+    let (mut filter_slots, mut filters) = (Vec::new(), Vec::new());
     for (slot, target) in targets.iter().enumerate() {
         match target {
             Target::Stored(raw) => {
@@ -334,41 +286,32 @@ fn batch(
                     filter_slots.push(slot);
                     filters.push(f);
                 }
-                Err(e) => {
-                    results[slot] = Some(Err(WireError::Malformed {
+                Err(e) => answered.push((
+                    slot,
+                    Err(WireError::Malformed {
                         context: format!("ad-hoc filter in batch slot {slot}: {e}"),
-                    }))
-                }
+                    }),
+                )),
             },
         }
     }
     if !ids.is_empty() {
         let (answers, stats) = sys.query_batch_ids(&ids, seed, 0);
         state.note_engine_stats(stats);
-        for (slot, ans) in id_slots.into_iter().zip(answers) {
-            results[slot] = Some(ans.map_err(WireError::from));
-        }
+        answered.extend(id_slots.into_iter().zip(answers.into_iter().map(wire)));
     }
     if !filters.is_empty() {
         let (answers, stats) = sys.query_batch(&filters, seed, 0);
         state.note_engine_stats(stats);
-        for (slot, ans) in filter_slots.into_iter().zip(answers) {
-            results[slot] = Some(ans.map_err(WireError::from));
-        }
+        answered.extend(filter_slots.into_iter().zip(answers.into_iter().map(wire)));
     }
+    answered.sort_unstable_by_key(|(slot, _)| *slot);
     Ok(Response::Batch {
-        results: results
-            .into_iter()
-            .enumerate()
-            .map(|(slot, r)| match r {
-                Some(a) => a,
-                // Every slot is an id, an ad-hoc filter, or a decode
-                // error, so this arm is dead; answer it in-protocol
-                // rather than panicking the connection worker.
-                None => Err(WireError::Malformed {
-                    context: format!("batch slot {slot} produced no answer"),
-                }),
-            })
-            .collect(),
+        results: answered.into_iter().map(|(_, answer)| answer).collect(),
     })
+}
+
+/// One engine answer in wire terms.
+fn wire(answer: Result<u64, BstError>) -> Result<u64, WireError> {
+    answer.map_err(WireError::from)
 }

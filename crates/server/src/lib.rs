@@ -3,10 +3,11 @@
 //!
 //! `bst-shard` gives one process a mutable, sharded BloomSampleTree
 //! engine; this crate puts that engine behind a socket. A `bst-server`
-//! process owns one [`bst_shard::ShardedBstSystem`] and serves the full
-//! facade over a small framed binary protocol: set lifecycle
-//! (CREATE / INSERT_KEYS / REMOVE_KEYS / DROP_SET), occupancy churn
-//! (OCC_INSERT / OCC_REMOVE), the query surface (SAMPLE, SAMPLE_MANY,
+//! process owns one [`bst_shard::ShardedBstSystem`] through one
+//! [`bst_shard::DurableBstSystem`] (with a write-ahead log or in memory)
+//! and serves the full facade over a small framed binary protocol: set
+//! lifecycle (CREATE / INSERT_KEYS / REMOVE_KEYS / DROP_SET), occupancy
+//! churn (OCC_INSERT / OCC_REMOVE), the query surface (SAMPLE, SAMPLE_MANY,
 //! RECONSTRUCT, RECONSTRUCT_RANGE, BATCH — stored ids and ad-hoc
 //! filters both), whole-engine snapshots (SAVE / LOAD), a live STATS
 //! surface (engine shape, weight-cache effectiveness, cumulative

@@ -38,7 +38,7 @@ use std::process::ExitCode;
 
 use bst_core::wal::FsyncPolicy;
 use bst_server::client::Client;
-use bst_server::server::{serve, serve_durable, ServerConfig};
+use bst_server::server::{serve_durable, ServerConfig};
 use bst_server::stats::OpClass;
 use bst_shard::{DurableBstSystem, DurableConfig, ShardedBstSystem};
 
@@ -149,22 +149,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .seed(seed)
             .build()
     };
-    let handle = match &wal_dir {
-        Some(dir) => {
-            let durable = DurableBstSystem::open(
-                std::path::Path::new(dir),
-                DurableConfig {
-                    fsync,
-                    checkpoint_every,
-                },
-                build,
-            )
-            .map_err(|e| format!("open wal dir {dir}: {e}"))?;
-            serve_durable(durable, &addr, cfg)
-        }
-        None => serve(build(), &addr, cfg),
-    }
-    .map_err(|e| format!("bind {addr}: {e}"))?;
+    let store = match &wal_dir {
+        Some(dir) => DurableBstSystem::open(
+            std::path::Path::new(dir),
+            DurableConfig {
+                fsync,
+                checkpoint_every,
+            },
+            build,
+        )
+        .map_err(|e| format!("open wal dir {dir}: {e}"))?,
+        None => DurableBstSystem::in_memory(build()),
+    };
+    let handle = serve_durable(store, &addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
         "bst-server listening on {} ({} ids, {} shards, max {} conns{})",
         handle.addr(),

@@ -81,12 +81,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// The engine behind the service, swap-able as a unit by wire `LOAD`.
+/// The engine epoch, and the swap barrier around the engine: requests
+/// hold it for read, only wire `LOAD` holds it for write while it swaps
+/// the engine inside [`ServerState`]'s store.
 pub struct Engine {
     /// Bumped on every engine swap; sessions compare-and-flush.
     pub epoch: u64,
-    /// The sharded system itself.
-    pub system: ShardedBstSystem,
 }
 
 /// Cumulative engine-side [`OpStats`] totals, drained from every served
@@ -114,10 +114,17 @@ impl EngineOpTotals {
 }
 
 /// State shared by the accept loop and every worker.
+///
+/// Lock order: the epoch lock ([`Self::engine`]) first, then the
+/// store's log mutex, then its engine slot.
 pub struct ServerState {
-    /// The served engine, behind a read-write lock: requests take read,
+    /// The engine epoch behind a read-write lock: requests take read,
     /// only `LOAD` takes write.
     pub engine: RwLock<Engine>,
+    /// The one owner of the served engine, with or without a WAL: every
+    /// mutation goes through it (logged before the ack when a log
+    /// backs it), `SAVE` checkpoints it, and `LOAD` swaps its engine.
+    pub(crate) store: DurableBstSystem,
     /// Per-op latency histograms.
     pub stats: StatsRegistry,
     /// The unified metrics registry behind the `METRICS` opcode and the
@@ -138,17 +145,13 @@ pub struct ServerState {
     pub(crate) engine_ops: EngineOpTotals,
     pub(crate) trace: Arc<RingRecorder>,
     pub(crate) batch_obs: Arc<BatchObs>,
-    /// The durability layer, when serving with a WAL directory: every
-    /// mutation routes through it (logged before the ack), `SAVE` maps
-    /// to checkpoint + log truncation, and `LOAD` with an empty body
-    /// maps to recovery from disk.
-    pub(crate) durable: Option<DurableBstSystem>,
 }
 
 impl ServerState {
-    fn new(system: ShardedBstSystem, cfg: ServerConfig, durable: Option<DurableBstSystem>) -> Self {
+    fn new(store: DurableBstSystem, cfg: ServerConfig) -> Self {
         ServerState {
-            engine: RwLock::new(Engine { epoch: 0, system }),
+            engine: RwLock::new(Engine { epoch: 0 }),
+            store,
             stats: StatsRegistry::new(),
             metrics: MetricsRegistry::new(),
             cfg,
@@ -162,14 +165,14 @@ impl ServerState {
             engine_ops: EngineOpTotals::default(),
             trace: Arc::new(RingRecorder::new(TRACE_RING_CAP)),
             batch_obs: Arc::new(BatchObs::unregistered()),
-            durable,
         }
     }
 
-    /// The durability layer, if this server was started with one
-    /// ([`serve_durable`]) — test and embedding visibility.
+    /// The durability layer, if this server's store has a write-ahead
+    /// log ([`serve_durable`] over [`DurableBstSystem::open`]) — test
+    /// and embedding visibility.
     pub fn durable(&self) -> Option<&DurableBstSystem> {
-        self.durable.as_ref()
+        self.store.is_logged().then_some(&self.store)
     }
 
     /// Whether shutdown has been requested.
@@ -314,17 +317,16 @@ fn install_metrics(state: &Arc<ServerState>) {
         (
             "bst_engine_namespace",
             "Namespace size M",
-            (|s: &ServerState| s.engine.read().system.namespace() as f64)
-                as fn(&ServerState) -> f64,
+            (|s: &ServerState| s.store.system().namespace() as f64) as fn(&ServerState) -> f64,
         ),
         ("bst_engine_shards", "Shard count S", |s| {
-            s.engine.read().system.shard_count() as f64
+            s.store.system().shard_count() as f64
         }),
         ("bst_engine_sets", "Registered stored sets", |s| {
-            s.engine.read().system.len() as f64
+            s.store.system().len() as f64
         }),
         ("bst_engine_occupied", "Occupied namespace ids", |s| {
-            s.engine.read().system.occupied_count() as f64
+            s.store.system().occupied_count() as f64
         }),
         (
             "bst_engine_epoch",
@@ -337,15 +339,11 @@ fn install_metrics(state: &Arc<ServerState>) {
     for (kind, read) in [
         (
             "hits",
-            (|s: &ServerState| s.engine.read().system.weight_cache_stats().hits)
+            (|s: &ServerState| s.store.system().weight_cache_stats().hits)
                 as fn(&ServerState) -> u64,
         ),
-        ("misses", |s| {
-            s.engine.read().system.weight_cache_stats().misses
-        }),
-        ("repairs", |s| {
-            s.engine.read().system.weight_cache_stats().repairs
-        }),
+        ("misses", |s| s.store.system().weight_cache_stats().misses),
+        ("repairs", |s| s.store.system().weight_cache_stats().repairs),
     ] {
         let w = std::sync::Arc::downgrade(state);
         m.counter_fn(
@@ -399,42 +397,34 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` and starts serving `system` on a background accept
-/// thread. Returns once the listener is bound and accepting.
+/// thread, in memory: [`serve_durable`] over
+/// [`DurableBstSystem::in_memory`]. Returns once the listener is bound
+/// and accepting.
 pub fn serve<A: ToSocketAddrs>(
     system: ShardedBstSystem,
     addr: A,
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
-    serve_inner(system, None, addr, cfg)
+    serve_durable(DurableBstSystem::in_memory(system), addr, cfg)
 }
 
-/// Like [`serve`], but crash-safe: serves the engine recovered inside
-/// `durable` and routes every mutation through its write-ahead log.
-/// `SAVE` becomes "checkpoint + truncate the log" and `LOAD` with an
-/// empty body becomes "recover from disk"; the WAL metrics bundle joins
-/// the `METRICS` exposition page.
+/// Serves the engine inside `store`, routing every mutation through it.
+/// With a write-ahead log behind the store ([`DurableBstSystem::open`])
+/// every mutation is logged before its ack, `SAVE` checkpoints and
+/// truncates the log, `LOAD` with an empty body recovers from disk, and
+/// the WAL metrics bundle joins the `METRICS` exposition page.
 pub fn serve_durable<A: ToSocketAddrs>(
-    durable: DurableBstSystem,
-    addr: A,
-    cfg: ServerConfig,
-) -> io::Result<ServerHandle> {
-    let system = durable.system();
-    serve_inner(system, Some(durable), addr, cfg)
-}
-
-fn serve_inner<A: ToSocketAddrs>(
-    system: ShardedBstSystem,
-    durable: Option<DurableBstSystem>,
+    store: DurableBstSystem,
     addr: A,
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let state = Arc::new(ServerState::new(system, cfg, durable));
-    state.instrument_engine(&state.engine.read().system);
+    let state = Arc::new(ServerState::new(store, cfg));
+    state.instrument_engine(&state.store.system());
     install_metrics(&state);
-    if let Some(durable) = &state.durable {
+    if let Some(durable) = state.durable() {
         // WAL series are owned by the durability layer, not the engine,
         // so plain handle registration survives LOAD engine swaps.
         durable.obs().register(&state.metrics);

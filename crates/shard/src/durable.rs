@@ -12,6 +12,11 @@
 //! prior state, so replay re-derives every id and the recovered engine
 //! answers queries bit-identically to the uncrashed one.
 //!
+//! The log is optional: [`DurableBstSystem::in_memory`] builds the same
+//! facade with no log behind it, so a server owns its engine through one
+//! type whether or not it persists. Mutations still serialize on the log
+//! mutex; their append step, checkpoints and the compactor do nothing.
+//!
 //! ## Lock order and the read path
 //!
 //! Two locks exist here, acquired in a fixed order: the **log mutex**
@@ -21,7 +26,9 @@
 //! — which holds the log mutex while encoding the engine through
 //! per-shard *read* locks (copy-on-read of locked tree state) — never
 //! blocks the read path. Writers stall for the duration of a
-//! checkpoint's encode; readers do not.
+//! checkpoint's encode; readers do not. A caller that must keep its own
+//! state consistent with engine swaps (the server's epoch) takes its
+//! lock outside both.
 //!
 //! ## Checkpoints
 //!
@@ -120,8 +127,9 @@ impl Default for DurableConfig {
 }
 
 /// Failures of the durable layer: disk IO, the wrapped engine's own
-/// typed errors, a replay that diverged from the recorded history, or
-/// a wedged facade awaiting its reconciling checkpoint.
+/// typed errors, a replay that diverged from the recorded history, a
+/// wedged facade awaiting its reconciling checkpoint, or a disk
+/// operation asked of a facade without a log.
 #[derive(Debug)]
 pub enum DurableError {
     /// The log or checkpoint file could not be read or written.
@@ -145,6 +153,9 @@ pub enum DurableError {
         /// The append failure that wedged the facade.
         reason: String,
     },
+    /// [`DurableBstSystem::recover_from_disk`] on an in-memory facade:
+    /// there is no checkpoint or log to recover from.
+    NoLog,
 }
 
 impl std::fmt::Display for DurableError {
@@ -160,6 +171,7 @@ impl std::fmt::Display for DurableError {
                 f,
                 "durable engine wedged until a checkpoint reconciles an unlogged mutation: {reason}"
             ),
+            DurableError::NoLog => write!(f, "no write-ahead log to recover from"),
         }
     }
 }
@@ -180,6 +192,9 @@ impl From<BstError> for DurableError {
 
 /// The open log plus its checkpoint bookkeeping, all behind one mutex.
 struct LogState {
+    /// The directory holding the checkpoint and log segments.
+    dir: PathBuf,
+    cfg: DurableConfig,
     wal: Wal,
     /// Sequence number of the active segment `wal` appends into.
     seq: u64,
@@ -203,15 +218,14 @@ enum Signal {
 }
 
 struct DurableShared {
-    dir: PathBuf,
-    cfg: DurableConfig,
     /// The engine slot. Mutations and queries *read* it (cloning the
     /// `Arc`-backed handle); only engine swaps (recovery, adoption)
     /// write it. Always acquired after the log mutex, never before.
     engine: RwLock<ShardedBstSystem>,
     /// The log mutex: held across apply + append so log order equals
-    /// application order, and across a whole checkpoint.
-    log: Mutex<LogState>,
+    /// application order, and across a whole checkpoint. `None` for an
+    /// in-memory facade, whose mutations still serialize on it.
+    log: Mutex<Option<LogState>>,
     obs: WalObs,
     /// Wake-up channel into the compactor thread (None when the
     /// compactor is disabled). `mpsc::Sender` predates `Sync` on some
@@ -230,7 +244,8 @@ struct DurableShared {
 
 /// A [`ShardedBstSystem`] with crash-safe persistence: write-ahead
 /// logging before every ack, background checkpoint compaction, and
-/// recovery = newest checkpoint + uncovered-segment replay.
+/// recovery = newest checkpoint + uncovered-segment replay — or, built
+/// with [`Self::in_memory`], the same facade with no log at all.
 ///
 /// Not `Clone`: the value owns the compactor thread and the log file
 /// handle. Share the wrapped engine for read-side work via
@@ -242,11 +257,10 @@ pub struct DurableBstSystem {
 
 impl std::fmt::Debug for DurableBstSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "DurableBstSystem({:?}, {:?})",
-            self.inner.dir, self.inner.cfg
-        )
+        match self.inner.log.lock().as_ref() {
+            Some(log) => write!(f, "DurableBstSystem({:?}, {:?})", log.dir, log.cfg),
+            None => write!(f, "DurableBstSystem(in memory)"),
+        }
     }
 }
 
@@ -414,42 +428,50 @@ impl DurableBstSystem {
                 let _ = std::fs::remove_file(path);
             }
         }
-        let obs = WalObs::new();
+        // The log-less facade, with the recovered log installed.
+        let mut durable = DurableBstSystem::in_memory(system);
+        let obs = &durable.inner.obs;
         obs.replayed.set(rec.replayed as i64);
         obs.torn_bytes.set(rec.torn_bytes as i64);
         obs.log_bytes
             .set((rec.prior_uncovered + rec.tail_valid_len) as i64);
-        let shared = Arc::new(DurableShared {
+        *durable.inner.log.lock() = Some(LogState {
             dir: dir.to_path_buf(),
             cfg,
-            engine: RwLock::new(system),
-            log: Mutex::new(LogState {
-                wal,
-                seq: rec.tail_seq,
-                prior_uncovered: rec.prior_uncovered,
-                since_checkpoint: rec.replayed,
-            }),
-            obs,
-            signal: Mutex::new(None),
-            checkpoint_error: Mutex::new(None),
-            wedged: Mutex::new(None),
+            wal,
+            seq: rec.tail_seq,
+            prior_uncovered: rec.prior_uncovered,
+            since_checkpoint: rec.replayed,
         });
-        let compactor = if cfg.checkpoint_every > 0 {
+        if cfg.checkpoint_every > 0 {
             let (tx, rx) = std::sync::mpsc::channel();
-            *shared.signal.lock() = Some(tx);
-            let worker = Arc::clone(&shared);
+            *durable.inner.signal.lock() = Some(tx);
+            let worker = Arc::clone(&durable.inner);
             let handle = std::thread::Builder::new()
                 .name("bst-wal-compactor".into())
                 .spawn(move || compactor_loop(&worker, &rx))
                 .map_err(DurableError::Io)?;
-            Some(handle)
-        } else {
-            None
-        };
-        Ok(DurableBstSystem {
-            inner: shared,
-            compactor,
-        })
+            durable.compactor = Some(handle);
+        }
+        Ok(durable)
+    }
+
+    /// The facade with no log behind it: mutations serialize on the log
+    /// mutex but append nothing, [`Self::checkpoint`] is a no-op,
+    /// [`Self::adopt`] only swaps the engine, [`Self::recover_from_disk`]
+    /// fails with [`DurableError::NoLog`], and no compactor runs.
+    pub fn in_memory(system: ShardedBstSystem) -> DurableBstSystem {
+        DurableBstSystem {
+            inner: Arc::new(DurableShared {
+                engine: RwLock::new(system),
+                log: Mutex::new(None),
+                obs: WalObs::new(),
+                signal: Mutex::new(None),
+                checkpoint_error: Mutex::new(None),
+                wedged: Mutex::new(None),
+            }),
+            compactor: None,
+        }
     }
 
     /// A handle to the wrapped engine for read-side work (queries,
@@ -459,19 +481,15 @@ impl DurableBstSystem {
         self.inner.engine.read().clone()
     }
 
+    /// Whether a write-ahead log backs this facade (false exactly for
+    /// [`Self::in_memory`]).
+    pub fn is_logged(&self) -> bool {
+        self.inner.log.lock().is_some()
+    }
+
     /// The WAL instrumentation bundle (cloned handles share atomics).
     pub fn obs(&self) -> WalObs {
         self.inner.obs.clone()
-    }
-
-    /// The durability configuration this engine was opened with.
-    pub fn config(&self) -> DurableConfig {
-        self.inner.cfg
-    }
-
-    /// The directory holding the checkpoint and log segments.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
     }
 
     /// The last background-checkpoint failure, if any.
@@ -491,15 +509,30 @@ impl DurableBstSystem {
         }
     }
 
-    /// Registers a set durably: applies, logs, then acks with the id.
-    pub fn create<I: IntoIterator<Item = u64>>(&self, keys: I) -> Result<FilterId, DurableError> {
-        let keys: Vec<u64> = keys.into_iter().collect();
+    /// The one mutation path: under the log mutex, applies `apply` to
+    /// the engine and — with a log — appends the record it returns
+    /// before the caller acks.
+    fn mutate<T>(
+        &self,
+        apply: impl FnOnce(&ShardedBstSystem) -> Result<(T, WalRecord), BstError>,
+    ) -> Result<T, DurableError> {
         let mut log = self.inner.log.lock();
         self.ensure_unwedged()?;
         let engine = self.inner.engine.read().clone();
-        let id = engine.create(keys.iter().copied())?;
-        self.append(&mut log, WalRecord::Create { id: id.raw(), keys })?;
-        Ok(id)
+        let (out, record) = apply(&engine)?;
+        if let Some(log) = log.as_mut() {
+            self.append(log, record)?;
+        }
+        Ok(out)
+    }
+
+    /// Registers a set durably: applies, logs, then acks with the id.
+    pub fn create<I: IntoIterator<Item = u64>>(&self, keys: I) -> Result<FilterId, DurableError> {
+        let keys: Vec<u64> = keys.into_iter().collect();
+        self.mutate(|engine| {
+            let id = engine.create(keys.iter().copied())?;
+            Ok((id, WalRecord::Create { id: id.raw(), keys }))
+        })
     }
 
     /// Durable [`ShardedBstSystem::insert_keys`].
@@ -509,11 +542,10 @@ impl DurableBstSystem {
         keys: I,
     ) -> Result<(), DurableError> {
         let keys: Vec<u64> = keys.into_iter().collect();
-        let mut log = self.inner.log.lock();
-        self.ensure_unwedged()?;
-        let engine = self.inner.engine.read().clone();
-        engine.insert_keys(id, keys.iter().copied())?;
-        self.append(&mut log, WalRecord::InsertKeys { id: id.raw(), keys })
+        self.mutate(|engine| {
+            engine.insert_keys(id, keys.iter().copied())?;
+            Ok(((), WalRecord::InsertKeys { id: id.raw(), keys }))
+        })
     }
 
     /// Durable [`ShardedBstSystem::remove_keys`].
@@ -523,41 +555,35 @@ impl DurableBstSystem {
         keys: I,
     ) -> Result<(), DurableError> {
         let keys: Vec<u64> = keys.into_iter().collect();
-        let mut log = self.inner.log.lock();
-        self.ensure_unwedged()?;
-        let engine = self.inner.engine.read().clone();
-        engine.remove_keys(id, keys.iter().copied())?;
-        self.append(&mut log, WalRecord::RemoveKeys { id: id.raw(), keys })
+        self.mutate(|engine| {
+            engine.remove_keys(id, keys.iter().copied())?;
+            Ok(((), WalRecord::RemoveKeys { id: id.raw(), keys }))
+        })
     }
 
     /// Durable [`ShardedBstSystem::drop_set`].
     pub fn drop_set(&self, id: FilterId) -> Result<(), DurableError> {
-        let mut log = self.inner.log.lock();
-        self.ensure_unwedged()?;
-        let engine = self.inner.engine.read().clone();
-        engine.drop_set(id)?;
-        self.append(&mut log, WalRecord::DropSet { id: id.raw() })
+        self.mutate(|engine| {
+            engine.drop_set(id)?;
+            Ok(((), WalRecord::DropSet { id: id.raw() }))
+        })
     }
 
     /// Durable [`ShardedBstSystem::insert_occupied`]. Returns the
     /// resulting tree generation of the owning shard.
     pub fn insert_occupied(&self, key: u64) -> Result<u64, DurableError> {
-        let mut log = self.inner.log.lock();
-        self.ensure_unwedged()?;
-        let engine = self.inner.engine.read().clone();
-        let generation = engine.insert_occupied(key)?;
-        self.append(&mut log, WalRecord::OccInsert { id: key })?;
-        Ok(generation)
+        self.mutate(|engine| {
+            let generation = engine.insert_occupied(key)?;
+            Ok((generation, WalRecord::OccInsert { id: key }))
+        })
     }
 
     /// Durable [`ShardedBstSystem::remove_occupied`].
     pub fn remove_occupied(&self, key: u64) -> Result<u64, DurableError> {
-        let mut log = self.inner.log.lock();
-        self.ensure_unwedged()?;
-        let engine = self.inner.engine.read().clone();
-        let generation = engine.remove_occupied(key)?;
-        self.append(&mut log, WalRecord::OccRemove { id: key })?;
-        Ok(generation)
+        self.mutate(|engine| {
+            let generation = engine.remove_occupied(key)?;
+            Ok((generation, WalRecord::OccRemove { id: key }))
+        })
     }
 
     /// Logs `record` under the held log mutex and updates the metrics
@@ -578,9 +604,7 @@ impl DurableBstSystem {
         obs.fsyncs.add(log.wal.fsyncs() - fsyncs_before);
         obs.log_bytes
             .set((log.prior_uncovered + log.wal.len()) as i64);
-        if self.inner.cfg.checkpoint_every > 0
-            && log.since_checkpoint >= self.inner.cfg.checkpoint_every
-        {
+        if log.cfg.checkpoint_every > 0 && log.since_checkpoint >= log.cfg.checkpoint_every {
             self.kick_compactor();
         }
         Ok(())
@@ -596,15 +620,19 @@ impl DurableBstSystem {
 
     /// Checkpoints now: encodes the engine (per-shard read locks only —
     /// concurrent queries proceed), rotates the log, and publishes the
-    /// snapshot atomically. SAVE-over-the-wire maps here.
+    /// snapshot atomically. SAVE-over-the-wire maps here. Without a log
+    /// there is nothing to publish, and this returns `Ok`.
     pub fn checkpoint(&self) -> Result<(), DurableError> {
-        let mut log = self.inner.log.lock();
-        checkpoint_locked(&self.inner, &mut log)
+        match self.inner.log.lock().as_mut() {
+            Some(log) => checkpoint_locked(&self.inner, log),
+            None => Ok(()),
+        }
     }
 
     /// Replaces the engine with `system`, making it the new durable
     /// state: the adopted engine is checkpointed and prior log segments
     /// retired (wire `LOAD` with an explicit snapshot maps here).
+    /// Without a log this is the engine swap alone.
     pub fn adopt(&self, system: ShardedBstSystem) -> Result<(), DurableError> {
         let mut log = self.inner.log.lock();
         // Swap first: if the publish then fails partway, the rename may
@@ -612,7 +640,10 @@ impl DurableBstSystem {
         // wedge, and the next successful checkpoint (which snapshots
         // the adopted in-memory engine) republishes either way.
         *self.inner.engine.write() = system.clone();
-        if let Err(e) = publish_and_rotate(&self.inner, &mut log, &system.to_bytes()) {
+        let Some(log) = log.as_mut() else {
+            return Ok(());
+        };
+        if let Err(e) = publish_and_rotate(&self.inner, log, &system.to_bytes()) {
             *self.inner.wedged.lock() =
                 Some(format!("adopt could not publish its checkpoint: {e}"));
             self.kick_compactor();
@@ -626,12 +657,14 @@ impl DurableBstSystem {
     /// with an empty body maps here). The log keeps its acked tail:
     /// recovery is read-only on disk state. Clears a wedge, if any: the
     /// swapped-in engine equals checkpoint + every logged record, so an
-    /// unlogged (never acked) mutation is rolled back here.
+    /// unlogged (never acked) mutation is rolled back here. Without a
+    /// log this fails with [`DurableError::NoLog`].
     pub fn recover_from_disk(&self) -> Result<ShardedBstSystem, DurableError> {
-        let mut log = self.inner.log.lock();
+        let mut guard = self.inner.log.lock();
+        let log = guard.as_mut().ok_or(DurableError::NoLog)?;
         // No fallback: open() guarantees a checkpoint exists from the
         // moment the directory is created, so a missing one is an error.
-        let (system, rec) = recover_state(&self.inner.dir, None)?;
+        let (system, rec) = recover_state(&log.dir, None)?;
         self.inner.obs.replayed.set(rec.replayed as i64);
         self.inner.obs.torn_bytes.set(rec.torn_bytes as i64);
         log.since_checkpoint = rec.replayed;
@@ -679,15 +712,15 @@ fn publish_and_rotate(
     snapshot: &[u8],
 ) -> Result<(), DurableError> {
     let covered = log.seq;
-    let next_wal = Wal::open(&segment_path(&shared.dir, covered + 1), shared.cfg.fsync, 0)?;
+    let next_wal = Wal::open(&segment_path(&log.dir, covered + 1), log.cfg.fsync, 0)?;
     log.prior_uncovered += log.wal.len();
     log.wal = next_wal;
     log.seq = covered + 1;
-    publish_checkpoint(&shared.dir, &wal::encode_checkpoint(covered, snapshot))?;
+    publish_checkpoint(&log.dir, &wal::encode_checkpoint(covered, snapshot))?;
     log.prior_uncovered = 0;
     log.since_checkpoint = 0;
     *shared.wedged.lock() = None;
-    if let Ok(segments) = list_segments(&shared.dir) {
+    if let Ok(segments) = list_segments(&log.dir) {
         for (seq, path) in segments {
             if seq <= covered {
                 let _ = std::fs::remove_file(path);
@@ -710,14 +743,18 @@ fn compactor_loop(shared: &DurableShared, rx: &std::sync::mpsc::Receiver<Signal>
             // Stop, or every sender dropped: either way, shut down.
             Ok(Signal::Stop) | Err(_) => return,
         }
-        let mut log = shared.log.lock();
+        let mut guard = shared.log.lock();
+        // Only a logged facade starts a compactor; stay total anyway.
+        let Some(log) = guard.as_mut() else {
+            return;
+        };
         // A manual checkpoint may have raced ahead of this kick — but a
         // wedged facade needs its reconciling checkpoint regardless.
         if log.since_checkpoint == 0 && shared.wedged.lock().is_none() {
             continue;
         }
-        let outcome = checkpoint_locked(shared, &mut log);
-        drop(log);
+        let outcome = checkpoint_locked(shared, log);
+        drop(guard);
         *shared.checkpoint_error.lock() = outcome.err().map(|e| e.to_string());
     }
 }
@@ -835,5 +872,81 @@ mod tests {
         durable.insert_keys(id, [9u64]).unwrap();
         drop(durable);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Checkpoint and segment files directly inside `dir`.
+    fn wal_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("checkpoint.") || segment_seq(n).is_some())
+            .collect()
+    }
+
+    #[test]
+    fn in_memory_checkpoint_is_ok_and_writes_nothing() {
+        let dirs = [std::env::current_dir().unwrap(), std::env::temp_dir()];
+        let before: Vec<_> = dirs.iter().map(|d| wal_files(d)).collect();
+        let durable = DurableBstSystem::in_memory(base());
+        assert!(!durable.is_logged());
+        durable.create([1u64, 2]).unwrap();
+        durable.checkpoint().unwrap();
+        let after: Vec<_> = dirs.iter().map(|d| wal_files(d)).collect();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn in_memory_recover_from_disk_is_a_typed_error() {
+        let durable = DurableBstSystem::in_memory(base());
+        let id = durable.create([4u64]).unwrap();
+        assert!(matches!(
+            durable.recover_from_disk(),
+            Err(DurableError::NoLog)
+        ));
+        // The engine is untouched by the refused recovery.
+        assert_eq!(durable.system().ids(), vec![id]);
+    }
+
+    #[test]
+    fn in_memory_adopt_swaps_the_engine() {
+        let durable = DurableBstSystem::in_memory(base());
+        durable.create([1u64, 2, 3]).unwrap();
+        let fresh = base();
+        let fresh_bytes = fresh.to_bytes();
+        durable.adopt(fresh).unwrap();
+        assert_eq!(durable.system().len(), 0);
+        assert_eq!(durable.system().to_bytes(), fresh_bytes);
+        // Mutations land in the adopted engine.
+        let id = durable.create([9u64]).unwrap();
+        assert_eq!(durable.system().ids(), vec![id]);
+    }
+
+    #[test]
+    fn in_memory_mutations_never_wedge_and_obs_stays_zero() {
+        let durable = DurableBstSystem::in_memory(base());
+        let id = durable.create([1u64, 2]).unwrap();
+        durable.insert_keys(id, [7u64]).unwrap();
+        durable.remove_keys(id, [1u64]).unwrap();
+        durable.remove_occupied(5).unwrap();
+        durable.insert_occupied(5).unwrap();
+        // An engine rejection stays an engine error and leaves the
+        // facade serving mutations.
+        let gone = FilterId::from_raw(999);
+        assert!(matches!(
+            durable.drop_set(gone),
+            Err(DurableError::Engine(BstError::UnknownFilterId(_)))
+        ));
+        durable.drop_set(id).unwrap();
+        durable.create([3u64]).unwrap();
+        durable.checkpoint().unwrap();
+        assert!(durable.inner.wedged.lock().is_none());
+        let obs = durable.obs();
+        assert_eq!(obs.appended.get(), 0);
+        assert_eq!(obs.fsyncs.get(), 0);
+        assert_eq!(obs.checkpoints.get(), 0);
+        assert_eq!(obs.replayed.get(), 0);
+        assert_eq!(obs.torn_bytes.get(), 0);
+        assert_eq!(obs.last_checkpoint_us.get(), 0);
+        assert_eq!(obs.log_bytes.get(), 0);
     }
 }

@@ -7,6 +7,7 @@ use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::HashKind;
 use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
+use bst_core::multiquery;
 use bst_core::persistence::{self, PersistError, ShardManifest};
 use bst_core::store::FilterId;
 use bst_core::system::{BstConfig, BstSystem};
@@ -44,10 +45,10 @@ pub fn shard_boundaries(namespace: u64, shards: usize) -> Vec<u64> {
 }
 
 /// Mixes a batch seed with per-(shard, filter) coordinates so worker
-/// scheduling cannot change which RNG stream serves which cell.
+/// scheduling cannot change which RNG stream serves which cell: the
+/// core per-slot seed with the shard index folded in.
 fn cell_seed(seed: u64, shard: u64, slot: u64) -> u64 {
-    seed ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ slot.wrapping_add(1).wrapping_mul(0xD1B5_4A32_D192_ED03)
+    multiquery::slot_seed(seed, slot) ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Builder for a [`ShardedBstSystem`] — the same knobs as
