@@ -4,7 +4,8 @@
 //! scratch), and a single-tree cold `live_weight` over a fresh handle.
 //! The blocked layout answers each leaf membership probe with one or
 //! two masked word loads instead of k scattered bit reads, which is
-//! where the cold weighing time goes.
+//! where the cold weighing time goes. A third group weighs on the
+//! service benchmark's engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -88,9 +89,64 @@ fn bench_single_cold_weigh(c: &mut Criterion) {
     group.finish();
 }
 
+/// Cold weighing on the service benchmark's engine (M = 2^20, S = 4,
+/// a quarter of the namespace occupied, accuracy 0.9): 16 fresh
+/// 200-key filters weighed on every shard through fresh handles, on
+/// one thread — phase 1 of a `cold-batch` request without the wire or
+/// the engine weight cache. `results/cold_weighing.md` splits it.
+fn bench_service_cold_weigh(c: &mut Criterion) {
+    let namespace = 1u64 << 20;
+    // A seeded quarter of the namespace: every id kept with odds 1/4.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let occ: Vec<u64> = (0..namespace)
+        .filter(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state & 3 == 0
+        })
+        .collect();
+    let mut group = c.benchmark_group("cold-weighing");
+    group.sample_size(10);
+    for kind in layouts() {
+        let engine = ShardedBstSystem::builder(namespace)
+            .shards(4)
+            .accuracy(0.9)
+            .expected_set_size(1000)
+            .hash_kind(kind)
+            .occupied(occ.iter().copied())
+            .build();
+        let shards = engine.shard_systems();
+        let filters: Vec<_> = (0..16u64)
+            .map(|i| {
+                shards[0].store((0..200u64).map(|j| {
+                    let at = (i * 7_919 + j) * 2_654_435_761;
+                    occ[(at % occ.len() as u64) as usize]
+                }))
+            })
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("16x4-live-weight", kind.name()),
+            &filters,
+            |b, filters| {
+                b.iter(|| {
+                    let mut total = 0u64;
+                    for f in filters {
+                        for shard in shards {
+                            total += shard.query(f).live_weight().expect("weight");
+                        }
+                    }
+                    total
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_batch_phase1, bench_single_cold_weigh
+    targets = bench_batch_phase1, bench_single_cold_weigh, bench_service_cold_weigh
 }
 criterion_main!(benches);

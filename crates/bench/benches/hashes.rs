@@ -95,6 +95,49 @@ fn bench_hashes(c: &mut Criterion) {
     }
     group.finish();
 
+    // Leaf scan: the brute-force phase of cold weighing over one pruned
+    // leaf's occupied ids, hashing each id (`for_each_member`) against
+    // reading its stored probe row (`for_each_member_in_table`). The
+    // plan matches the service benchmark's shards (m = 61,865, k = 3);
+    // the query is a fresh 200-key filter behind its own `Arc`, as a
+    // decoded wire filter is, so the table path pays its equality check.
+    let mut group = c.benchmark_group("leaf-scan");
+    for kind in [HashKind::Murmur3, HashKind::DeltaBlocked] {
+        let hasher = Arc::new(BloomHasher::new(kind, 3, 61_865, 1 << 18, 1));
+        let leaf: Vec<u64> = (0..256u64).map(|i| 40_000 + i * 4).collect();
+        let mut table = Vec::new();
+        for &x in &leaf {
+            assert!(hasher.push_probe_row(x, &mut table), "m fits u32");
+        }
+        let query = BloomFilter::from_keys(
+            Arc::new(BloomHasher::clone(&hasher)),
+            (0..200u64).map(|i| i.wrapping_mul(0x9E37_79B9) % (1 << 18)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("hashing-256", kind.name()),
+            &query,
+            |b, q| {
+                b.iter(|| {
+                    let mut found = 0u64;
+                    q.for_each_member(leaf.iter().copied(), |_| found += 1);
+                    found
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("table-256", kind.name()),
+            &query,
+            |b, q| {
+                b.iter(|| {
+                    let mut found = 0u64;
+                    q.for_each_member_in_table(&hasher, &leaf, &table, |_| found += 1);
+                    found
+                })
+            },
+        );
+    }
+    group.finish();
+
     let mut group = c.benchmark_group("inversion");
     let hasher = BloomHasher::new(HashKind::Simple, 3, 60_000, 1 << 20, 1);
     group.bench_function("affine-invert-one-bit", |b| {

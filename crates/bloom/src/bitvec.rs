@@ -239,6 +239,27 @@ impl BitVec {
             .sum()
     }
 
+    /// Whether `self & other` has at least `threshold` set bits: the
+    /// count of [`Self::and_count`], stopped as soon as it reaches the
+    /// threshold. Counts a block of words between checks, so the inner
+    /// loop stays as tight as `and_count`'s.
+    pub fn and_count_reaches(&self, other: &BitVec, threshold: usize) -> bool {
+        self.check_same_len(other);
+        const BLOCK: usize = 16;
+        let mut seen = 0usize;
+        for (a, b) in self.words.chunks(BLOCK).zip(other.words.chunks(BLOCK)) {
+            if seen >= threshold {
+                return true;
+            }
+            seen += a
+                .iter()
+                .zip(b)
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum::<usize>();
+        }
+        seen >= threshold
+    }
+
     /// Popcount of `self | other`.
     pub fn or_count(&self, other: &BitVec) -> usize {
         self.check_same_len(other);

@@ -151,6 +151,44 @@ impl BloomFilter {
         probed
     }
 
+    /// The table twin of [`Self::for_each_member`]: `table` holds the
+    /// probe positions of `ids` under `hasher`, `k` per id in order
+    /// ([`BloomHasher::push_probe_row`]). When `hasher` is this filter's
+    /// family (the same `Arc` or an equal one) each membership test is
+    /// `k` bit loads with no hashing; otherwise the ids are hashed
+    /// through [`Self::for_each_member`]. Either way the matches, their
+    /// order and the returned probed count equal
+    /// `for_each_member(ids)`'s.
+    pub fn for_each_member_in_table<F: FnMut(u64)>(
+        &self,
+        hasher: &BloomHasher,
+        ids: &[u64],
+        table: &[u32],
+        mut visit: F,
+    ) -> u64 {
+        let k = self.k();
+        let same_family = std::ptr::eq(self.hasher.as_ref(), hasher) || *self.hasher == *hasher;
+        if !same_family || table.len() != ids.len() * k {
+            return self.for_each_member(ids.iter().copied(), visit);
+        }
+        for (&x, row) in ids.iter().zip(table.chunks_exact(k)) {
+            if row.iter().all(|&p| self.bits.get(p as usize)) {
+                visit(x);
+            }
+        }
+        ids.len() as u64
+    }
+
+    /// Sets the bits of stored probe rows (see
+    /// [`Self::for_each_member_in_table`]): inserting a table computed
+    /// under this filter's family equals inserting its ids, without
+    /// hashing them again.
+    pub fn insert_probes(&mut self, table: &[u32]) {
+        for &p in table {
+            self.bits.set(p as usize);
+        }
+    }
+
     /// True when no bit is set (the empty-set filter).
     pub fn is_empty(&self) -> bool {
         self.bits.all_zero()
@@ -239,6 +277,13 @@ impl BloomFilter {
     pub fn and_count(&self, other: &BloomFilter) -> usize {
         self.assert_compatible(other);
         self.bits.and_count(&other.bits)
+    }
+
+    /// Whether `self & other` has at least `threshold` set bits — the
+    /// `t∧ ≥ k` liveness test without counting past the threshold.
+    pub fn and_count_reaches(&self, other: &BloomFilter, threshold: usize) -> bool {
+        self.assert_compatible(other);
+        self.bits.and_count_reaches(&other.bits, threshold)
     }
 
     /// True when `self & other` has no set bit.
@@ -460,6 +505,30 @@ mod tests {
                 .filter(|&x| f.contains(x))
                 .collect();
             assert_eq!(kernel, naive, "kernel diverged under {kind}");
+        }
+    }
+
+    #[test]
+    fn table_kernel_and_probe_insert_match_hashing() {
+        for kind in HashKind::ALL {
+            let h = hasher(kind);
+            let ids: Vec<u64> = (0..2000).map(|i| i * 7 + 1).collect();
+            let mut table = Vec::new();
+            for &x in &ids {
+                assert!(h.push_probe_row(x, &mut table));
+            }
+            let mut from_table = BloomFilter::new(h.clone());
+            from_table.insert_probes(&table[..300 * h.k()]);
+            let hashed = BloomFilter::from_keys(h.clone(), ids[..300].iter().copied());
+            assert_eq!(
+                from_table.bits(),
+                hashed.bits(),
+                "insert_probes under {kind}"
+            );
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let pa = hashed.for_each_member_in_table(&h, &ids, &table, |x| a.push(x));
+            let pb = hashed.for_each_member(ids.iter().copied(), |x| b.push(x));
+            assert_eq!((pa, a), (pb, b), "kernel diverged under {kind}");
         }
     }
 

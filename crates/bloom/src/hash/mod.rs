@@ -21,6 +21,10 @@ pub mod prime;
 pub use affine::{AffineFamily, Preimages};
 pub use blocked::{BlockProbe, BlockedFamily, BLOCK_WORDS, MIN_BLOCKED_BITS};
 
+/// Largest filter size `m` whose bit positions all fit the `u32` entries
+/// of a probe table ([`BloomHasher::push_probe_row`]).
+pub const MAX_PROBE_TABLE_BITS: u64 = 1 << 32;
+
 /// Which base hash a family uses. Runtime-selectable because the experiments
 /// sweep over families.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -260,6 +264,34 @@ impl BloomHasher {
             pos.sort_unstable();
             pos.windows(2).all(|w| w[0] != w[1])
         }
+    }
+
+    /// Whether every bit position fits a `u32` probe-table entry, i.e.
+    /// `m ≤ 2³²` ([`MAX_PROBE_TABLE_BITS`]). Plans that fail this are
+    /// refused where they are validated or decoded.
+    #[inline]
+    pub fn fits_probe_table(&self) -> bool {
+        self.m() as u64 <= MAX_PROBE_TABLE_BITS
+    }
+
+    /// Appends the `k` positions of `x`, in [`Self::positions`] order, to
+    /// `table` as `u32` entries: one row of a probe table (see
+    /// [`crate::filter::BloomFilter::for_each_member_in_table`]). Returns
+    /// `false` and leaves `table` unchanged when a position does not fit
+    /// `u32`, which happens only when [`Self::fits_probe_table`] is false.
+    pub fn push_probe_row(&self, x: u64, table: &mut Vec<u32>) -> bool {
+        let k = self.k();
+        let mut pos = [0usize; crate::filter::MAX_K];
+        self.positions(x, &mut pos[..k]);
+        let mut row = [0u32; crate::filter::MAX_K];
+        for (entry, &p) in row.iter_mut().zip(&pos[..k]) {
+            match u32::try_from(p) {
+                Ok(p) => *entry = p,
+                Err(_) => return false,
+            }
+        }
+        table.extend_from_slice(&row[..k]);
+        true
     }
 
     /// The seed the family was derived from.

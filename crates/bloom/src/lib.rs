@@ -42,5 +42,7 @@ pub mod params;
 pub use bitvec::BitVec;
 pub use counting::CountingBloomFilter;
 pub use filter::BloomFilter;
-pub use hash::{BlockProbe, BlockedFamily, BloomHasher, HashKind, MIN_BLOCKED_BITS};
+pub use hash::{
+    BlockProbe, BlockedFamily, BloomHasher, HashKind, MAX_PROBE_TABLE_BITS, MIN_BLOCKED_BITS,
+};
 pub use params::TreePlan;

@@ -243,6 +243,109 @@ proptest! {
     }
 
     #[test]
+    fn and_count_reaches_agrees_with_and_count(
+        len in 1usize..5000,
+        a_seed in any::<u64>(),
+        b_seed in any::<u64>(),
+        sparsity in 1u32..12,
+    ) {
+        // Sparse fills so the threshold is often met late or never,
+        // across many 16-word blocks and unaligned tails.
+        let fill = |seed: u64| {
+            let mut bv = BitVec::new(len);
+            let mut s = seed | 1;
+            for i in 0..len {
+                s = s.wrapping_mul(0x2545F4914F6CDD1D);
+                if (s >> 40) & ((1 << sparsity) - 1) == 0 {
+                    bv.set(i);
+                }
+            }
+            bv
+        };
+        let a = fill(a_seed);
+        let b = fill(b_seed);
+        let count = a.and_count(&b);
+        for threshold in [0, 1, 3, count.saturating_sub(1), count, count + 1] {
+            prop_assert_eq!(a.and_count_reaches(&b, threshold), count >= threshold);
+        }
+    }
+
+    // ---------------- Probe-table kernel ----------------
+
+    /// The table kernel answers exactly like hashing the ids, for every
+    /// hash family: same matches, same order, same probed count.
+    #[test]
+    fn table_kernel_equals_hashing_kernel(
+        kind in prop_oneof![
+            Just(HashKind::Simple),
+            Just(HashKind::Murmur3),
+            Just(HashKind::Md5),
+            Just(HashKind::DeltaBlocked),
+        ],
+        k in 1usize..8,
+        m in 512usize..8192,
+        keys in prop::collection::vec(0u64..50_000, 0..150),
+        ids in prop::collection::vec(0u64..50_000, 0..300),
+        seed in any::<u64>(),
+    ) {
+        let hasher = Arc::new(BloomHasher::new(kind, k, m, 50_000, seed));
+        let f = BloomFilter::from_keys(Arc::clone(&hasher), keys.iter().copied());
+        // Probe the stored keys too, so matches are not all false positives.
+        let ids: Vec<u64> = ids.iter().chain(&keys).copied().collect();
+        let mut table = Vec::new();
+        for &x in &ids {
+            prop_assert!(hasher.push_probe_row(x, &mut table));
+        }
+        prop_assert_eq!(table.len(), ids.len() * k);
+        let (mut hashed, mut tabled) = (Vec::new(), Vec::new());
+        let p_hashed = f.for_each_member(ids.iter().copied(), |x| hashed.push(x));
+        let p_tabled = f.for_each_member_in_table(&hasher, &ids, &table, |x| tabled.push(x));
+        prop_assert_eq!(&tabled, &hashed);
+        prop_assert_eq!(p_tabled, p_hashed);
+        // Inserting the stored keys' rows rebuilds the filter bit for bit.
+        let mut rebuilt = BloomFilter::new(Arc::clone(&hasher));
+        rebuilt.insert_probes(&table[(ids.len() - keys.len()) * k..]);
+        prop_assert_eq!(rebuilt.bits(), f.bits());
+    }
+
+    /// An equal hasher behind another `Arc` (a decoded query filter's)
+    /// still takes the table path; an unequal one falls back to hashing.
+    #[test]
+    fn table_kernel_path_follows_hasher_equality(
+        kind in prop_oneof![
+            Just(HashKind::Simple),
+            Just(HashKind::Murmur3),
+            Just(HashKind::Md5),
+            Just(HashKind::DeltaBlocked),
+        ],
+        seed in any::<u64>(),
+    ) {
+        let hasher = Arc::new(BloomHasher::new(kind, 3, 4096, 50_000, seed));
+        let f = BloomFilter::from_keys(Arc::clone(&hasher), [7u64]);
+        let ids: Vec<u64> = (1000..1400).collect();
+        let non_member = ids.iter().copied().find(|&x| !f.contains(x));
+        prop_assume!(non_member.is_some());
+        let non_member = non_member.unwrap_or_default();
+        // A doctored table: every row is the stored key's row, so only
+        // the table path can report every id as a member.
+        let mut row = Vec::new();
+        prop_assert!(hasher.push_probe_row(7, &mut row));
+        let table: Vec<u32> = row.iter().copied().cycle().take(ids.len() * 3).collect();
+        let equal = BloomHasher::clone(&hasher);
+        let mut seen = Vec::new();
+        let probed = f.for_each_member_in_table(&equal, &ids, &table, |x| seen.push(x));
+        prop_assert_eq!(probed, ids.len() as u64);
+        prop_assert_eq!(&seen, &ids, "equal hasher must take the table path");
+        let other = BloomHasher::new(kind, 3, 4096, 50_000, seed ^ 1);
+        let mut fallback = Vec::new();
+        f.for_each_member_in_table(&other, &ids, &table, |x| fallback.push(x));
+        prop_assert!(!fallback.contains(&non_member), "unequal hasher must hash the ids");
+        let mut hashed = Vec::new();
+        f.for_each_member(ids.iter().copied(), |x| hashed.push(x));
+        prop_assert_eq!(fallback, hashed);
+    }
+
+    #[test]
     fn blocked_codec_roundtrip(
         keys in prop::collection::vec(0u64..20_000, 0..100),
         m in 512usize..4096,

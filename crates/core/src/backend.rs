@@ -37,7 +37,7 @@ use parking_lot::RwLock;
 use crate::error::BstError;
 use crate::persistence::PersistError;
 use crate::pruned::PrunedBloomSampleTree;
-use crate::tree::{BloomSampleTree, LeafCandidates, NodeId, SampleTree};
+use crate::tree::{BloomSampleTree, NodeId, SampleTree};
 
 /// Snapshot tag for a dense backend.
 const TAG_DENSE: u8 = 0;
@@ -492,10 +492,16 @@ impl SampleTree for TreeView<'_> {
         }
     }
 
-    fn leaf_candidates(&self, node: NodeId) -> LeafCandidates<'_> {
+    fn scan_leaf<F: FnMut(u64)>(
+        &self,
+        node: NodeId,
+        query: &BloomFilter,
+        window: &Range<u64>,
+        visit: F,
+    ) -> u64 {
         match self {
-            TreeView::Dense(t) => t.leaf_candidates(node),
-            TreeView::Pruned { guard, .. } => guard.leaf_candidates(node),
+            TreeView::Dense(t) => t.scan_leaf(node, query, window, visit),
+            TreeView::Pruned { guard, .. } => guard.scan_leaf(node, query, window, visit),
         }
     }
 

@@ -36,6 +36,20 @@
 //! cached per-node state along just the mutated paths (`O(depth)` per
 //! mutation) instead of discarding it wholesale; when the journal no
 //! longer reaches back to `v` the caller falls back to a full reset.
+//!
+//! ## Leaf probe tables
+//!
+//! Every filter in the tree shares one `(m, H)`, so an id's `k` bit
+//! positions are the same for every query. Each leaf therefore keeps a
+//! **probe table** beside its sorted ids: the `k` positions of every
+//! id, as `u32`s, in id order. Leaf scans test a query against the table
+//! (`k` bit loads per id, no hashing), mutations hash the mutated id
+//! once for its whole root-to-leaf path, a removal rebuilds the leaf
+//! filter from the survivors' rows, and the collision census is read off
+//! the rows. Like the maintained weights, the table is derived state:
+//! `build` and `from_bytes` fill it, mutations keep it in step, and
+//! snapshots never carry it. Positions must fit `u32`, so every
+//! constructor refuses plans with `m > 2³²`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -45,7 +59,7 @@ use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
 use bst_bloom::params::TreePlan;
 
-use crate::tree::{LeafCandidates, NodeId, SampleTree};
+use crate::tree::{NodeId, SampleTree};
 
 struct PrunedNode {
     range: Range<u64>,
@@ -54,6 +68,9 @@ struct PrunedNode {
     right: Option<NodeId>,
     /// Sorted occupied ids — populated for leaves only.
     occupied: Vec<u64>,
+    /// The probe table: `k` bit positions per occupied id, parallel to
+    /// `occupied` (see module docs).
+    probes: Vec<u32>,
     level: u32,
     /// Maintained weight: occupied ids in this subtree (see module docs).
     weight: u64,
@@ -108,13 +125,33 @@ fn split(r: &Range<u64>) -> (Range<u64>, Range<u64>) {
     (r.start..mid, mid..r.end)
 }
 
+/// The probe table of `ids`: their `k` positions each, in id order.
+/// Every constructor refuses `m > 2³²`, so each row fits; a row that did
+/// not would be left out (the debug assertion flags it), never truncated.
+fn probe_table(hasher: &BloomHasher, ids: &[u64]) -> Vec<u32> {
+    let mut table = Vec::with_capacity(ids.len() * hasher.k());
+    for &x in ids {
+        let fits = hasher.push_probe_row(x, &mut table);
+        debug_assert!(fits, "probe position beyond u32");
+    }
+    table
+}
+
+/// Whether a probe row names `k` distinct bits; an id whose row does not
+/// belongs to the collision census (see
+/// [`BloomHasher::probes_distinct_bits`]).
+fn probes_distinct(row: &[u32]) -> bool {
+    (1..row.len()).all(|i| !row[..i].contains(&row[i]))
+}
+
 impl PrunedBloomSampleTree {
     /// Builds the pruned tree over `occupied` (sorted, distinct ids within
     /// `[0, plan.namespace)`).
     ///
     /// # Panics
     /// Panics if `occupied` is unsorted, holds duplicates, or contains ids
-    /// outside the namespace.
+    /// outside the namespace, or if `plan.m` exceeds 2³² (probe positions
+    /// would not fit the leaf tables).
     pub fn build(plan: &TreePlan, occupied: &[u64]) -> Self {
         for w in occupied.windows(2) {
             assert!(w[0] < w[1], "occupied ids must be sorted and distinct");
@@ -123,11 +160,11 @@ impl PrunedBloomSampleTree {
             assert!(last < plan.namespace, "occupied id outside namespace");
         }
         let hasher = Arc::new(plan.build_hasher());
-        let colliding = occupied
-            .iter()
-            .copied()
-            .filter(|&x| !hasher.probes_distinct_bits(x))
-            .collect();
+        assert!(
+            hasher.fits_probe_table(),
+            "m = {} exceeds the 2^32-bit probe-table limit",
+            plan.m
+        );
         let mut tree = PrunedBloomSampleTree {
             plan: plan.clone(),
             hasher,
@@ -136,9 +173,10 @@ impl PrunedBloomSampleTree {
             version: 0,
             journal: VecDeque::new(),
             journal_cap: DEFAULT_JOURNAL_CAP,
-            colliding,
+            colliding: Vec::new(),
         };
         tree.root = tree.build_node(0..plan.namespace, occupied, 0);
+        tree.colliding = tree.census_from_tables();
         tree
     }
 
@@ -152,8 +190,11 @@ impl PrunedBloomSampleTree {
             return None;
         }
         if level == self.plan.depth {
-            // Leaf: filter over exactly the occupied ids in range.
-            let filter = BloomFilter::from_keys(Arc::clone(&self.hasher), occ.iter().copied());
+            // Leaf: filter over exactly the occupied ids in range, set
+            // from their probe rows (each id hashed once).
+            let probes = probe_table(&self.hasher, occ);
+            let mut filter = BloomFilter::new(Arc::clone(&self.hasher));
+            filter.insert_probes(&probes);
             let id = self.nodes.len() as NodeId;
             self.nodes.push(PrunedNode {
                 range,
@@ -161,6 +202,7 @@ impl PrunedBloomSampleTree {
                 left: None,
                 right: None,
                 occupied: occ.to_vec(),
+                probes,
                 level,
                 weight: occ.len() as u64,
             });
@@ -189,6 +231,7 @@ impl PrunedBloomSampleTree {
             left,
             right,
             occupied: Vec::new(),
+            probes: Vec::new(),
             level,
             weight: occ.len() as u64,
         });
@@ -207,6 +250,8 @@ impl PrunedBloomSampleTree {
         if self.contains_occupied(id) {
             return false;
         }
+        // One hash for the whole path: every filter on it gets this row.
+        let row = probe_table(&self.hasher, &[id]);
         let root = match self.root {
             Some(r) => r,
             None => {
@@ -220,12 +265,18 @@ impl PrunedBloomSampleTree {
             // Presence was ruled out above, so the insertion definitely
             // lands: the O(depth) weight delta applies along the path.
             let node = &mut self.nodes[cur as usize];
-            node.filter.insert(id);
+            node.filter.insert_probes(&row);
             node.weight += 1;
             let level = node.level;
             if level == self.plan.depth {
                 let pos = node.occupied.partition_point(|&x| x < id);
                 node.occupied.insert(pos, id);
+                let at = pos * row.len();
+                node.probes.splice(at..at, row.iter().copied());
+                if !probes_distinct(&row) {
+                    let pos = self.colliding.partition_point(|&x| x < id);
+                    self.colliding.insert(pos, id);
+                }
                 self.log_mutation(id, true);
                 return true;
             }
@@ -268,6 +319,9 @@ impl PrunedBloomSampleTree {
         };
         let (removed, now_empty) = self.remove_rec(root, id);
         if removed {
+            if let Ok(pos) = self.colliding.binary_search(&id) {
+                self.colliding.remove(pos);
+            }
             self.log_mutation(id, false);
             if now_empty {
                 self.root = None;
@@ -285,14 +339,13 @@ impl PrunedBloomSampleTree {
                 return (false, false);
             };
             n.occupied.remove(pos);
+            let k = self.plan.k;
+            n.probes.drain(pos * k..(pos + 1) * k);
             n.weight -= 1;
-            // Rebuild the leaf filter exactly from the survivors, in
-            // place (clearing beats reallocating `m` bits per removal).
+            // Rebuild the leaf filter exactly from the survivors' rows,
+            // in place (clearing beats reallocating `m` bits per removal).
             n.filter.clear();
-            for i in 0..n.occupied.len() {
-                let x = n.occupied[i];
-                n.filter.insert(x);
-            }
+            n.filter.insert_probes(&n.probes);
             let empty = n.occupied.is_empty();
             return (true, empty);
         }
@@ -371,6 +424,7 @@ impl PrunedBloomSampleTree {
             left: None,
             right: None,
             occupied: Vec::new(),
+            probes: Vec::new(),
             level,
             // Materialised mid-insert: the insert loop applies the +1
             // delta when it steps onto this node.
@@ -379,23 +433,43 @@ impl PrunedBloomSampleTree {
         id
     }
 
-    /// Records a successful mutation: bumps the version, remembers the
-    /// mutated id and direction for bounded-history cache repair, and
-    /// keeps the collision census in step with the occupancy.
+    /// Records a successful mutation: bumps the version and remembers
+    /// the mutated id and direction for bounded-history cache repair.
     fn log_mutation(&mut self, id: u64, inserted: bool) {
         self.version += 1;
         while self.journal.len() >= self.journal_cap {
             self.journal.pop_front();
         }
         self.journal.push_back((id, inserted));
-        if !self.hasher.probes_distinct_bits(id) {
-            if inserted {
-                let pos = self.colliding.partition_point(|&x| x < id);
-                self.colliding.insert(pos, id);
-            } else if let Ok(pos) = self.colliding.binary_search(&id) {
-                self.colliding.remove(pos);
+    }
+
+    /// Calls `f` on every reachable leaf, left to right (so ids come
+    /// out ascending).
+    fn for_each_leaf(&self, mut f: impl FnMut(&PrunedNode)) {
+        let mut stack: Vec<NodeId> = self.root.into_iter().collect();
+        while let Some(node) = stack.pop() {
+            let n = &self.nodes[node as usize];
+            if n.level == self.plan.depth {
+                f(n);
+                continue;
             }
+            // Right first, so the left subtree pops first.
+            stack.extend([n.right, n.left].into_iter().flatten());
         }
+    }
+
+    /// The collision census read off the leaves' probe rows, ascending.
+    fn census_from_tables(&self) -> Vec<u64> {
+        let k = self.plan.k;
+        let mut out = Vec::new();
+        self.for_each_leaf(|n| {
+            let rows = n.occupied.iter().zip(n.probes.chunks_exact(k));
+            out.extend(
+                rows.filter(|(_, row)| !probes_distinct(row))
+                    .map(|(&x, _)| x),
+            );
+        });
+        out
     }
 
     /// The collision census: occupied ids probing fewer than `k`
@@ -518,14 +592,27 @@ impl PrunedBloomSampleTree {
         self.nodes.iter().map(|n| n.filter.heap_bytes()).sum()
     }
 
-    /// Heap bytes including the leaves' occupied-id lists.
+    /// Heap bytes including the leaves' occupied-id lists and probe
+    /// tables: `ids × (8 + 4k)` bytes on top of the filters.
     pub fn memory_bytes_with_ids(&self) -> usize {
         self.memory_bytes()
             + self
                 .nodes
                 .iter()
-                .map(|n| n.occupied.len() * std::mem::size_of::<u64>())
+                .map(|n| {
+                    n.occupied.len() * std::mem::size_of::<u64>()
+                        + n.probes.len() * std::mem::size_of::<u32>()
+                })
                 .sum::<usize>()
+    }
+
+    /// Recomputes every reachable leaf's probe table by hashing its ids
+    /// and compares it with the maintained one (the test suites' ground
+    /// truth, like [`Self::verify_weights`]).
+    pub fn verify_probe_tables(&self) -> bool {
+        let mut ok = true;
+        self.for_each_leaf(|n| ok &= n.probes == probe_table(&self.hasher, &n.occupied));
+        ok
     }
 
     /// Serializes the pruned tree (plan, structure, occupied ids, node bit
@@ -610,6 +697,11 @@ impl PrunedBloomSampleTree {
             return Err(PersistError::Truncated);
         }
         let version = input.get_u64_le();
+        if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
+            return Err(PersistError::Corrupt(
+                "m exceeds the 2^32-bit probe-table limit",
+            ));
+        }
         let hasher = Arc::new(plan.build_hasher());
         let words_per_node = plan.m.div_ceil(64);
         let mut nodes = Vec::with_capacity(node_count);
@@ -644,12 +736,15 @@ impl PrunedBloomSampleTree {
             }
             let words = get_words(&mut input, words_per_node)?;
             let bits = bst_bloom::bitvec::BitVec::from_words(words, plan.m);
+            // m <= 2^32 was checked above, so every position fits a row.
+            let probes = probe_table(&hasher, &occupied);
             nodes.push(PrunedNode {
                 range: start..end,
                 filter: BloomFilter::from_parts(bits, Arc::clone(&hasher)),
                 left,
                 right,
                 occupied,
+                probes,
                 level,
                 weight: 0, // rebuilt below once the links are in place
             });
@@ -675,20 +770,16 @@ impl PrunedBloomSampleTree {
             journal_cap: DEFAULT_JOURNAL_CAP,
             colliding: Vec::new(),
         };
-        // Maintained weights and the collision census are derivable
-        // state (leaf = its id count, internal = sum of children;
-        // census = occupied ids with degenerate probes), so the
-        // snapshot format omits them and the decoder reconstructs them
-        // here — by construction they match a from-scratch recount.
+        // Maintained weights, probe tables and the collision census are
+        // derivable state (leaf = its id count, internal = sum of
+        // children; table = its ids' positions; census = occupied ids
+        // with degenerate rows), so the snapshot format omits them and
+        // the decoder reconstructs them — by construction they match a
+        // from-scratch recount.
         if let Some(root) = tree.root {
             tree.rebuild_weights(root)?;
         }
-        let hasher = Arc::clone(&tree.hasher);
-        tree.colliding = tree
-            .occupied_ids()
-            .into_iter()
-            .filter(|&x| !hasher.probes_distinct_bits(x))
-            .collect();
+        tree.colliding = tree.census_from_tables();
         Ok(tree)
     }
 
@@ -736,21 +827,8 @@ impl PrunedBloomSampleTree {
     /// All occupied ids, ascending (walks the leaves).
     pub fn occupied_ids(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.occupied_count() as usize);
-        if let Some(root) = self.root {
-            self.collect_ids(root, &mut out);
-        }
+        self.for_each_leaf(|n| out.extend_from_slice(&n.occupied));
         out
-    }
-
-    fn collect_ids(&self, node: NodeId, out: &mut Vec<u64>) {
-        let n = &self.nodes[node as usize];
-        if n.level == self.plan.depth {
-            out.extend_from_slice(&n.occupied);
-            return;
-        }
-        for child in [n.left, n.right].into_iter().flatten() {
-            self.collect_ids(child, out);
-        }
     }
 }
 
@@ -776,9 +854,24 @@ impl SampleTree for PrunedBloomSampleTree {
         self.nodes[node as usize].range.clone()
     }
 
-    fn leaf_candidates(&self, node: NodeId) -> LeafCandidates<'_> {
+    fn scan_leaf<F: FnMut(u64)>(
+        &self,
+        node: NodeId,
+        query: &BloomFilter,
+        window: &Range<u64>,
+        visit: F,
+    ) -> u64 {
         debug_assert!(self.is_leaf(node));
-        LeafCandidates::Slice(self.nodes[node as usize].occupied.iter())
+        let n = &self.nodes[node as usize];
+        let lo = n.occupied.partition_point(|&x| x < window.start);
+        let hi = lo + n.occupied[lo..].partition_point(|&x| x < window.end);
+        let k = self.plan.k;
+        query.for_each_member_in_table(
+            &self.hasher,
+            &n.occupied[lo..hi],
+            &n.probes[lo * k..hi * k],
+            visit,
+        )
     }
 
     fn hasher(&self) -> &Arc<BloomHasher> {
@@ -1207,6 +1300,21 @@ mod removal_tests {
             PrunedBloomSampleTree::from_bytes(&bytes).err(),
             Some(crate::persistence::PersistError::Corrupt(
                 "node links revisit a node"
+            ))
+        );
+    }
+
+    #[test]
+    fn snapshot_with_m_beyond_u32_probe_positions_is_refused() {
+        // Layout: "BSTP" v(1) | plan: namespace u64, m u64, ... — patch
+        // m past 2^32; decode must refuse it before sizing any filter.
+        let tree = PrunedBloomSampleTree::build(&plan(), &[1, 2, 3]);
+        let mut bytes = tree.to_bytes();
+        bytes[13..21].copy_from_slice(&((1u64 << 32) + 64).to_le_bytes());
+        assert_eq!(
+            PrunedBloomSampleTree::from_bytes(&bytes).err(),
+            Some(crate::persistence::PersistError::Corrupt(
+                "m exceeds the 2^32-bit probe-table limit"
             ))
         );
     }

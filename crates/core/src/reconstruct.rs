@@ -248,10 +248,11 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         }
         stats.intersections += 1;
         let f = self.tree.filter(child);
-        let t_and = f.and_count(carried);
         let live = match self.cfg.liveness {
-            Liveness::BitOverlap => t_and >= f.k(),
+            // Only the threshold matters, so the count stops at `k`.
+            Liveness::BitOverlap => f.and_count_reaches(carried, f.k()),
             Liveness::EstimateThreshold(tau) => {
+                let t_and = f.and_count(carried);
                 intersection_estimate(f.m(), f.k(), f.count_ones(), carried.count_ones(), t_and)
                     > tau
             }
@@ -280,11 +281,8 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
                 }
                 return cached.len();
             }
-            // Bulk-membership kernel: layout dispatch hoisted out of the
-            // candidate loop (word probes for blocked layouts, a plain
-            // `contains` loop — identical order and results — otherwise).
             let mut matches = Vec::new();
-            stats.memberships += query.for_each_member(self.tree.leaf_candidates(node), |x| {
+            stats.memberships += self.tree.scan_leaf(node, query, &leaf_range, |x| {
                 visit(x);
                 matches.push(x);
             });
@@ -293,15 +291,10 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             return found;
         }
         let mut found = 0usize;
-        stats.memberships += query.for_each_member(
-            self.tree
-                .leaf_candidates(node)
-                .filter(|x| window.contains(x)),
-            |x| {
-                visit(x);
-                found += 1;
-            },
-        );
+        stats.memberships += self.tree.scan_leaf(node, query, window, |x| {
+            visit(x);
+            found += 1;
+        });
         found
     }
 

@@ -482,10 +482,8 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         let n_hat = query.estimate_cardinality().max(1.0);
         let leaves = match self.tree.root() {
             Some(root) => {
-                let total = self.tree.range(root);
-                let width = (total.end - total.start).max(1);
-                // Leaves ≈ namespace / leaf width; derive from any leaf by
-                // walking left. Cheap: depth steps.
+                // Leaves = 2^depth; the depth is the length of any
+                // root-to-leaf path. Cheap: depth steps.
                 let mut node = root;
                 let mut depth = 0u32;
                 while !self.tree.is_leaf(node) {
@@ -499,7 +497,6 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
                     }
                     depth += 1;
                 }
-                let _ = width;
                 (1u64 << depth.min(40)) as f64
             }
             None => 1.0,
@@ -788,10 +785,10 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             return Arc::clone(cached);
         }
         let mut out = Vec::new();
-        // Bulk-membership kernel (layout dispatch hoisted out of the
-        // loop); identical candidate order to a naive `contains` scan.
-        stats.memberships +=
-            query.for_each_member(self.tree.leaf_candidates(node), |x| out.push(x));
+        let whole_leaf = self.tree.range(node);
+        stats.memberships += self
+            .tree
+            .scan_leaf(node, query, &whole_leaf, |x| out.push(x));
         let out = Arc::new(out);
         memo.leaves.insert(node, Arc::clone(&out));
         out

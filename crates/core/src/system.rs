@@ -302,6 +302,11 @@ impl BstSystemBuilder {
                 if occ.last().is_some_and(|&last| last >= self.namespace) {
                     return Err(BstError::InvalidConfig("occupied id outside the namespace"));
                 }
+                if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
+                    return Err(BstError::InvalidConfig(
+                        "pruned trees need m <= 2^32 bits (u32 probe tables); lower accuracy or set size",
+                    ));
+                }
                 let mut pruned = PrunedBloomSampleTree::build(&plan, &occ);
                 pruned.set_journal_cap(self.cfg.journal_cap);
                 TreeBackend::pruned(pruned)
@@ -775,6 +780,22 @@ mod tests {
                 .expected_set_size(1)
                 .accuracy(0.5)
                 .try_build(),
+            Err(crate::error::BstError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn pruned_backend_rejects_filters_beyond_u32_probe_positions() {
+        // Billions of expected keys size m past 2^32 bits; the pruned
+        // tree's u32 probe tables cannot address it, so the plan is
+        // refused before any tree or filter is allocated.
+        let oversized = || {
+            BstSystem::builder(1 << 40)
+                .expected_set_size(1 << 31)
+                .accuracy(0.99)
+        };
+        assert!(matches!(
+            oversized().pruned(Vec::new()).try_build(),
             Err(crate::error::BstError::InvalidConfig(_))
         ));
     }

@@ -19,26 +19,6 @@ use bst_bloom::params::TreePlan;
 /// Node handle within a tree (index into the tree's arena).
 pub type NodeId = u32;
 
-/// Candidate elements stored at a leaf, enumerated during the brute-force
-/// membership phase of sampling/reconstruction.
-pub enum LeafCandidates<'a> {
-    /// A full namespace range (complete trees).
-    Range(Range<u64>),
-    /// Only the occupied ids (pruned trees).
-    Slice(std::slice::Iter<'a, u64>),
-}
-
-impl Iterator for LeafCandidates<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        match self {
-            LeafCandidates::Range(r) => r.next(),
-            LeafCandidates::Slice(it) => it.next().copied(),
-        }
-    }
-}
-
 /// The navigation interface shared by the complete [`BloomSampleTree`] and
 /// the occupancy-aware [`crate::pruned::PrunedBloomSampleTree`]; the
 /// sampling and reconstruction algorithms are generic over it.
@@ -53,8 +33,19 @@ pub trait SampleTree {
     fn filter(&self, node: NodeId) -> &BloomFilter;
     /// The namespace range `node` covers.
     fn range(&self, node: NodeId) -> Range<u64>;
-    /// Candidate elements to test at a leaf.
-    fn leaf_candidates(&self, node: NodeId) -> LeafCandidates<'_>;
+    /// The brute-force membership phase at a leaf: tests the leaf's
+    /// candidates inside `window` against `query` in ascending order,
+    /// calls `visit` for each member, and returns the number of
+    /// candidates probed (what `OpStats::memberships` counts). A complete
+    /// tree's candidates are its whole range; a pruned tree's are its
+    /// occupied ids.
+    fn scan_leaf<F: FnMut(u64)>(
+        &self,
+        node: NodeId,
+        query: &BloomFilter,
+        window: &Range<u64>,
+        visit: F,
+    ) -> u64;
     /// The shared hash family.
     fn hasher(&self) -> &Arc<BloomHasher>;
 
@@ -311,9 +302,18 @@ impl SampleTree for BloomSampleTree {
         self.ranges[node as usize].clone()
     }
 
-    fn leaf_candidates(&self, node: NodeId) -> LeafCandidates<'_> {
+    fn scan_leaf<F: FnMut(u64)>(
+        &self,
+        node: NodeId,
+        query: &BloomFilter,
+        window: &Range<u64>,
+        visit: F,
+    ) -> u64 {
         debug_assert!(self.is_leaf(node));
-        LeafCandidates::Range(self.ranges[node as usize].clone())
+        let range = &self.ranges[node as usize];
+        let lo = range.start.max(window.start);
+        let hi = range.end.min(window.end);
+        query.for_each_member(lo..hi, visit)
     }
 
     fn hasher(&self) -> &Arc<BloomHasher> {
@@ -418,7 +418,14 @@ mod tests {
         let t = BloomSampleTree::build(&plan);
         assert_eq!(t.node_count(), 1);
         assert!(t.is_leaf(0));
-        assert_eq!(t.leaf_candidates(0).count(), 1000);
+        let q = t.query_filter([3u64, 500]);
+        let mut members = Vec::new();
+        assert_eq!(
+            t.scan_leaf(0, &q, &(0..u64::MAX), |x| members.push(x)),
+            1000
+        );
+        assert!(members.contains(&3) && members.contains(&500));
+        assert_eq!(t.scan_leaf(0, &q, &(400..600), |_| {}), 200);
     }
 
     #[test]

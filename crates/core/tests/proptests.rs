@@ -163,6 +163,58 @@ proptest! {
         prop_assert_eq!(tree.version(), mutations);
     }
 
+    /// The leaf probe tables and the collision census stay exactly what
+    /// hashing the occupied ids gives, through arbitrary mutation
+    /// schedules and a snapshot round trip; windowed reconstructions
+    /// (which scan sub-slices of the tables) equal the full
+    /// reconstruction cut to the window.
+    #[test]
+    fn probe_tables_and_census_track_churn_and_snapshots(
+        kind in prop_oneof![
+            Just(HashKind::Simple),
+            Just(HashKind::Murmur3),
+            Just(HashKind::DeltaBlocked),
+        ],
+        initial in prop::collection::btree_set(0u64..4096, 0..200),
+        ops in prop::collection::vec((any::<bool>(), 0u64..4096), 1..120),
+        members in prop::collection::vec(0u64..4096, 1..80),
+        windows in prop::collection::vec((0u64..4200, 0u64..600), 1..6),
+    ) {
+        // m = 512 makes within-key probe collisions (census members)
+        // common for the classic families.
+        let p = plan(4096, 512, 5, kind);
+        let occ: Vec<u64> = initial.iter().copied().collect();
+        let mut tree = PrunedBloomSampleTree::build(&p, &occ);
+        let census = |t: &PrunedBloomSampleTree| -> Vec<u64> {
+            t.occupied_ids()
+                .into_iter()
+                .filter(|&x| !t.hasher().probes_distinct_bits(x))
+                .collect()
+        };
+        prop_assert!(tree.verify_probe_tables(), "build tables drifted");
+        prop_assert_eq!(tree.colliding_ids(), census(&tree).as_slice());
+        for (insert, id) in ops {
+            if insert { tree.insert(id); } else { tree.remove(id); }
+            prop_assert!(tree.verify_probe_tables(), "tables drifted after mutation");
+            prop_assert_eq!(tree.colliding_ids(), census(&tree).as_slice());
+        }
+        let bytes = tree.to_bytes();
+        let back = PrunedBloomSampleTree::from_bytes(&bytes).expect("decode");
+        prop_assert!(back.verify_probe_tables(), "decoded tables drifted");
+        prop_assert_eq!(back.colliding_ids(), census(&tree).as_slice());
+        prop_assert_eq!(back.to_bytes(), bytes);
+        let q = tree.query_filter(members.iter().copied());
+        for t in [&tree, &back] {
+            let r = BstReconstructor::new(t);
+            let full = r.reconstruct(&q, &mut OpStats::new());
+            for &(start, len) in &windows {
+                let window = start..start + len;
+                let cut: Vec<u64> = full.iter().copied().filter(|x| window.contains(x)).collect();
+                prop_assert_eq!(r.reconstruct_range(&q, window, &mut OpStats::new()), cut);
+            }
+        }
+    }
+
     /// A warm `Query` handle repaired through the mutation journal
     /// reports exactly the live weight (and reconstruction) a cold
     /// handle computes, under arbitrary interleaved occupancy churn.

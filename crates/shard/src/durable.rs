@@ -732,9 +732,12 @@ fn publish_and_rotate(
 }
 
 /// Background compactor: waits for kicks from the append path and
-/// checkpoints once per kick (queued duplicate kicks find
-/// `since_checkpoint == 0` and skip cheaply). Failures leave the
-/// previous checkpoint valid and are surfaced through
+/// checkpoints when a kick finds the cadence due. Every append past
+/// `checkpoint_every` queues a kick, so after a checkpoint the queue
+/// can still hold several; they find `since_checkpoint` below the
+/// cadence and skip cheaply instead of checkpointing again over the few
+/// records that landed since. Failures leave the previous checkpoint
+/// valid and are surfaced through
 /// [`DurableBstSystem::last_checkpoint_error`].
 fn compactor_loop(shared: &DurableShared, rx: &std::sync::mpsc::Receiver<Signal>) {
     loop {
@@ -748,9 +751,10 @@ fn compactor_loop(shared: &DurableShared, rx: &std::sync::mpsc::Receiver<Signal>
         let Some(log) = guard.as_mut() else {
             return;
         };
-        // A manual checkpoint may have raced ahead of this kick — but a
-        // wedged facade needs its reconciling checkpoint regardless.
-        if log.since_checkpoint == 0 && shared.wedged.lock().is_none() {
+        // A checkpoint (an earlier kick's, or a manual one) may have
+        // run since this kick was sent — but a wedged facade needs its
+        // reconciling checkpoint regardless.
+        if log.since_checkpoint < log.cfg.checkpoint_every && shared.wedged.lock().is_none() {
             continue;
         }
         let outcome = checkpoint_locked(shared, log);
@@ -881,6 +885,72 @@ mod tests {
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
             .filter(|n| n.starts_with("checkpoint.") || segment_seq(n).is_some())
             .collect()
+    }
+
+    /// Every append past the cadence queues a kick; the queued kicks
+    /// left over after a checkpoint must not checkpoint again over the
+    /// handful of records that landed since.
+    #[test]
+    fn compactor_checkpoints_once_per_cadence_not_once_per_queued_kick() {
+        let dir = scratch("compactor-cadence");
+        let every = 16u64;
+        let cfg = DurableConfig {
+            fsync: FsyncPolicy::Never,
+            checkpoint_every: every,
+        };
+        let durable = DurableBstSystem::open(&dir, cfg, base).unwrap();
+        let id = durable.create([1u64]).unwrap();
+        for key in 2..=3 * every {
+            durable.insert_keys(id, [key]).unwrap();
+        }
+        let obs = durable.obs();
+        assert_eq!(obs.appended.get(), 3 * every);
+        let acked = durable.system().to_bytes();
+        // Dropping stops the compactor after it drained every queued kick.
+        drop(durable);
+        let checkpoints = obs.checkpoints.get();
+        assert!(
+            checkpoints <= 3,
+            "{checkpoints} checkpoints for {} records at cadence {every}",
+            3 * every
+        );
+        let reopened = DurableBstSystem::open(&dir, cfg, || panic!("must recover")).unwrap();
+        assert_eq!(reopened.system().to_bytes(), acked);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The same bug, made deterministic: kicks the append path queued
+    /// during a checkpoint arrive after it, with one record landed since.
+    #[test]
+    fn stale_kicks_after_a_checkpoint_do_not_checkpoint_again() {
+        let dir = scratch("compactor-stale-kicks");
+        let every = 4u64;
+        let cfg = DurableConfig {
+            fsync: FsyncPolicy::Never,
+            checkpoint_every: every,
+        };
+        let durable = DurableBstSystem::open(&dir, cfg, base).unwrap();
+        let id = durable.create([1u64]).unwrap();
+        for key in 2..=every {
+            durable.insert_keys(id, [key]).unwrap();
+        }
+        let obs = durable.obs();
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while obs.checkpoints.get() == 0 && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(obs.checkpoints.get(), 1, "the cadence checkpoint ran");
+        durable.insert_keys(id, [100u64]).unwrap();
+        durable.kick_compactor();
+        durable.kick_compactor();
+        let acked = durable.system().to_bytes();
+        drop(durable);
+        assert_eq!(obs.checkpoints.get(), 1, "stale kicks checkpointed again");
+        let reopened = DurableBstSystem::open(&dir, cfg, || panic!("must recover")).unwrap();
+        assert_eq!(reopened.system().to_bytes(), acked);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
