@@ -615,6 +615,31 @@ impl PrunedBloomSampleTree {
         ok
     }
 
+    /// Checks the laminarity invariant the sampling and reconstruction
+    /// walks rely on: every reachable internal node's filter equals the
+    /// OR of its children's filters, so each child's filter is a subset
+    /// of its parent's and `query ∧ n₁ ∧ … ∧ n_d = query ∧ n_d` along any
+    /// root path (the test suites' ground truth, like
+    /// [`Self::verify_weights`]; `O(nodes · m/64)`).
+    pub fn verify_laminar(&self) -> bool {
+        let mut ok = true;
+        let mut stack: Vec<NodeId> = self.root.into_iter().collect();
+        while let Some(node) = stack.pop() {
+            let n = &self.nodes[node as usize];
+            if n.level == self.plan.depth {
+                continue;
+            }
+            let mut union = n.filter.bits().clone();
+            union.clear();
+            for child in [n.left, n.right].into_iter().flatten() {
+                union.union_with(self.nodes[child as usize].filter.bits());
+                stack.push(child);
+            }
+            ok &= union == *n.filter.bits();
+        }
+        ok
+    }
+
     /// Serializes the pruned tree (plan, structure, occupied ids, node bit
     /// arrays) into a compact binary buffer.
     ///

@@ -8,21 +8,26 @@
 //! Two pruning disciplines are offered (see `sampler` module docs for the
 //! full rationale):
 //!
-//! * **Sound** (default): a branch is pruned only when the carried
-//!   intersection has fewer than `k` set bits — provably no element of
-//!   `S ∪ S(B)` can be lost, so the result is exactly the filter's positive
-//!   set (what a DictionaryAttack scan returns), at the cost of weaker
-//!   pruning when `m` is tight.
+//! * **Sound** (default): a branch is pruned only when its filter's
+//!   intersection with the query has fewer than `k` set bits — provably
+//!   no element of `S ∪ S(B)` can be lost, so the result is exactly the
+//!   filter's positive set (what a DictionaryAttack scan returns), at the
+//!   cost of weaker pruning when `m` is tight.
 //! * **Paper (§5.6)**: estimate-threshold pruning — the operation counts of
 //!   Figures 8–12, but with a small per-element probability of dropping
 //!   true elements when estimates are noisy.
+//!
+//! Every test ANDs a child's filter with the query itself, never with a
+//! filter carried down the path: node filters are laminar, so the two
+//! give the same count (see [`BstReconstructor`]'s walk). The walk
+//! carries only the estimate's `t₂` input.
 
 use bst_bloom::estimate::intersection_estimate;
 use bst_bloom::filter::BloomFilter;
 
 use crate::error::BstError;
 use crate::metrics::OpStats;
-use crate::sampler::{Liveness, QueryMemo, DEFAULT_THRESHOLD};
+use crate::sampler::{Carried, Liveness, QueryMemo, DEFAULT_THRESHOLD};
 use crate::tree::{NodeId, SampleTree};
 
 /// Reconstruction configuration.
@@ -30,7 +35,12 @@ use crate::tree::{NodeId, SampleTree};
 pub struct ReconstructConfig {
     /// Branch-emptiness rule.
     pub liveness: Liveness,
-    /// Intersect the query with node filters on the way down.
+    /// Which `t₂` the threshold estimate reads: the popcount of
+    /// `query ∧ filter(node)` (on: the paper's carried filter) or of the
+    /// query (off). Sound liveness reads no `t₂`, and no filter is ever
+    /// built: a node's `t∧` comes from its parent's evaluation, so on
+    /// costs one extra intersection only at the root and at nodes whose
+    /// liveness came from the memo.
     pub carry_intersection: bool,
 }
 
@@ -44,7 +54,8 @@ impl Default for ReconstructConfig {
 }
 
 impl ReconstructConfig {
-    /// The paper's §5.6 pruning: estimate threshold, no carried filter.
+    /// The paper's §5.6 pruning: estimate threshold, `t₂` from the
+    /// query itself.
     pub fn paper() -> Self {
         ReconstructConfig {
             liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
@@ -82,10 +93,11 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
     }
 
     /// Creates a reconstructor with explicit configuration.
+    ///
+    /// # Panics
+    /// Panics when [`ReconstructConfig::validate`] rejects `cfg`.
     pub fn with_config(tree: &'t T, cfg: ReconstructConfig) -> Self {
-        if let Liveness::EstimateThreshold(tau) = cfg.liveness {
-            assert!(tau >= 0.0, "threshold must be non-negative");
-        }
+        assert_eq!(cfg.validate(), Ok(()), "reconstruct config");
         BstReconstructor { tree, cfg }
     }
 
@@ -229,36 +241,41 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         if window.start >= window.end {
             return 0;
         }
-        self.walk(root, query, &window, memo, stats, visit)
+        let carried = Carried::into_child(self.cfg.carry_intersection, root, None);
+        self.walk(root, carried, query, &window, memo, stats, visit)
     }
 
-    /// Liveness of one child under the reconstruction pruning rule:
-    /// one intersection op on a memo miss, a hash lookup on a hit (sound
-    /// because each node is reached by exactly one root path, so the
-    /// carried filter at a node is determined by its id).
+    /// Liveness of one child under the reconstruction pruning rule, on
+    /// a memo miss: one intersection op, tested against the query itself
+    /// (plus one if `carried` must resolve a node's `t∧`). Returns the
+    /// liveness and what the walk carries into the child.
     fn child_live(
         &self,
         child: NodeId,
-        carried: &BloomFilter,
+        carried: &mut Carried,
+        query: &BloomFilter,
         memo: &mut QueryMemo,
         stats: &mut OpStats,
-    ) -> bool {
-        if let Some(&live) = memo.recon_live.get(&child) {
-            return live;
-        }
-        stats.intersections += 1;
-        let f = self.tree.filter(child);
-        let live = match self.cfg.liveness {
+    ) -> (bool, Carried) {
+        let (live, t_and) = match self.cfg.liveness {
             // Only the threshold matters, so the count stops at `k`.
-            Liveness::BitOverlap => f.and_count_reaches(carried, f.k()),
+            Liveness::BitOverlap => {
+                stats.intersections += 1;
+                let f = self.tree.filter(child);
+                (f.and_count_reaches(query, f.k()), None)
+            }
             Liveness::EstimateThreshold(tau) => {
-                let t_and = f.and_count(carried);
-                intersection_estimate(f.m(), f.k(), f.count_ones(), carried.count_ones(), t_and)
-                    > tau
+                let t2 = carried.ones(self.tree, query, memo, stats);
+                stats.intersections += 1;
+                let f = self.tree.filter(child);
+                let t_and = f.and_count(query);
+                let est = intersection_estimate(f.m(), f.k(), f.count_ones(), t2, t_and);
+                (est > tau, Some(t_and))
             }
         };
         memo.recon_live.insert(child, live);
-        live
+        let into = Carried::into_child(self.cfg.carry_intersection, child, t_and);
+        (live, into)
     }
 
     /// Scans a leaf. Leaves fully inside the window go through the shared
@@ -298,15 +315,20 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         found
     }
 
-    /// Recursive traversal. The carried filter a node would receive on the
-    /// old eager descent equals `query ∧ filter(node)` bit-for-bit,
-    /// because tree node filters are laminar (each child is a subset of
-    /// its parent, so ancestor ANDs are absorbed); it is therefore
-    /// materialised *lazily*, only when some child's liveness is not yet
-    /// memoized — a fully-warm walk performs no filter operations at all.
+    /// Recursive traversal. Every liveness test ANDs a child's filter
+    /// with the query itself: node filters are laminar (each child ⊆ its
+    /// parent), so the paper's carried `query ∧ n₁ ∧ … ∧ n_d` equals
+    /// `query ∧ n_d` bit-for-bit and carrying it cannot change an AND
+    /// count. What the walk carries instead is `t₂`, the carried
+    /// filter's popcount, which only the threshold estimate reads: the
+    /// node's own `t∧` when its parent's evaluation counted it, resolved
+    /// by one AND count when the node's liveness came from the memo.
+    /// A fully-warm walk performs no filter operations at all.
+    #[allow(clippy::too_many_arguments)]
     fn walk<F: FnMut(u64)>(
         &self,
         node: NodeId,
+        mut carried: Carried,
         query: &BloomFilter,
         window: &std::ops::Range<u64>,
         memo: &mut QueryMemo,
@@ -318,29 +340,21 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             return self.scan_leaf(node, query, window, memo, stats, visit);
         }
         let (lc, rc) = self.tree.children(node);
-        let mut carried_here: Option<BloomFilter> = None;
         let mut found = 0usize;
         for child in [lc, rc].into_iter().flatten() {
             let r = self.tree.range(child);
             if r.end <= window.start || r.start >= window.end {
                 continue; // disjoint from the window: free pruning
             }
-            let live = match memo.recon_live.get(&child) {
-                Some(&l) => l,
-                None => {
-                    let carried = carried_here.get_or_insert_with(|| {
-                        if self.cfg.carry_intersection {
-                            stats.intersections += 1;
-                            BloomFilter::intersection(query, self.tree.filter(node))
-                        } else {
-                            query.clone()
-                        }
-                    });
-                    self.child_live(child, carried, memo, stats)
-                }
+            let (live, into) = match memo.recon_live.get(&child) {
+                Some(&live) => (
+                    live,
+                    Carried::into_child(self.cfg.carry_intersection, child, None),
+                ),
+                None => self.child_live(child, &mut carried, query, memo, stats),
             };
             if live {
-                found += self.walk(child, query, window, memo, stats, visit);
+                found += self.walk(child, into, query, window, memo, stats, visit);
             }
         }
         found
@@ -491,5 +505,107 @@ mod tests {
         )
         .reconstruct(&q, &mut stats);
         assert!(rec.is_empty());
+    }
+
+    /// The tree, query and cold-walk counts of the op-count tests: a
+    /// cluster plus two strays, so some subtrees are pruned.
+    fn op_count_fixture() -> (BloomSampleTree, BloomFilter) {
+        let t = tree(1 << 15, 2048, 4);
+        let keys: Vec<u64> = (0..40u64)
+            .map(|i| 300 + i * 11)
+            .chain([1500, 1777])
+            .collect();
+        let q = t.query_filter(keys.iter().copied());
+        (t, q)
+    }
+
+    #[test]
+    fn cold_walk_counts_only_child_tests() {
+        // Captured when every expanded internal node also built a carried
+        // filter (one more intersection each): results, memberships and
+        // nodes are unchanged; intersections fall by exactly the expanded
+        // internal nodes, except that the threshold estimate with a
+        // carried intersection still counts the root's own t∧ once.
+        let (t, q) = op_count_fixture();
+        let carry_threshold = ReconstructConfig {
+            liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
+            carry_intersection: true,
+        };
+        // (config, len, memberships, nodes, leaves, intersections before, root t∧ counted)
+        for (cfg, len, memberships, nodes, leaves, before, root) in [
+            (ReconstructConfig::default(), 42, 1280, 24, 10, 42, 0),
+            (ReconstructConfig::paper(), 41, 1024, 20, 8, 24, 0),
+            (carry_threshold, 42, 1408, 25, 11, 42, 1),
+        ] {
+            let mut memo = QueryMemo::new();
+            let mut stats = OpStats::new();
+            let rec = BstReconstructor::with_config(&t, cfg)
+                .try_reconstruct_memo(&q, &mut memo, &mut stats)
+                .unwrap();
+            assert_eq!(rec.len(), len, "{cfg:?}");
+            assert_eq!(stats.memberships, memberships, "{cfg:?}");
+            assert_eq!(stats.nodes_visited, nodes, "{cfg:?}");
+            assert_eq!(memo.cached_leaves() as u64, leaves, "{cfg:?}");
+            let expanded = nodes - leaves;
+            let carried_before = if cfg.carry_intersection { expanded } else { 0 };
+            assert_eq!(
+                stats.intersections,
+                before - carried_before + root,
+                "{cfg:?}"
+            );
+            // A fully-warm walk does no filter work at all.
+            let mut warm = OpStats::new();
+            let again = BstReconstructor::with_config(&t, cfg)
+                .try_reconstruct_memo(&q, &mut memo, &mut warm)
+                .unwrap();
+            assert_eq!(again, rec);
+            assert_eq!(warm.intersections + warm.memberships, 0, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn memoized_liveness_resolves_carried_count_lazily() {
+        // A windowed walk memoizes liveness above the window without
+        // evaluating the siblings' subtrees; the full walk that follows
+        // must resolve those nodes' own t∧ from the query and reproduce
+        // a cold walk exactly.
+        // Small filters keep the estimates near the threshold, where a
+        // wrong t₂ flips liveness decisions.
+        for (m, n) in [(1 << 11, 20u64), (1 << 9, 150)] {
+            let t = tree(m, 2048, 4);
+            let keys: Vec<u64> = (0..n).map(|i| 300 + i * 11).chain([1500, 1777]).collect();
+            let q = t.query_filter(keys.iter().copied());
+            for carry_intersection in [false, true] {
+                let cfg = ReconstructConfig {
+                    liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
+                    carry_intersection,
+                };
+                let r = BstReconstructor::with_config(&t, cfg);
+                let cold = r
+                    .try_reconstruct_memo(&q, &mut QueryMemo::new(), &mut OpStats::new())
+                    .unwrap();
+                for window in [0..400, 350..1600, 1700..2048] {
+                    let mut memo = QueryMemo::new();
+                    let mut stats = OpStats::new();
+                    r.try_reconstruct_range_memo(&q, window, &mut memo, &mut stats)
+                        .unwrap();
+                    let warm = r.try_reconstruct_memo(&q, &mut memo, &mut stats).unwrap();
+                    assert_eq!(warm, cold, "m = {m}, {cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "liveness threshold must be finite")]
+    fn with_config_rejects_infinite_threshold() {
+        let t = tree(1 << 12, 2048, 4);
+        let _ = BstReconstructor::with_config(
+            &t,
+            ReconstructConfig {
+                liveness: Liveness::EstimateThreshold(f64::INFINITY),
+                carry_intersection: false,
+            },
+        );
     }
 }

@@ -28,9 +28,16 @@
 //!   (the §5.3 display formula) is mean-corrected but *amplifies* frozen
 //!   chance noise at exactly the levels where counts are small.
 //!
-//! Additionally, `carry_intersection` intersects the query filter with each
-//! node on the way down, so chance bits decay geometrically with depth —
-//! a large quality win for one extra AND per visited node.
+//! Additionally, `carry_intersection` picks the estimators' `t₂` input
+//! (read by the threshold estimate, Papapetrou ratios and the
+//! mean-corrected chance term). On, `t₂` is the popcount of
+//! `query ∧ filter(node)` — the filter the paper's descent carries,
+//! whose chance bits decay geometrically with depth; off, it is the
+//! query's own popcount. The walks never build that filter: node
+//! filters are laminar (each child ⊆ its parent), so every AND count is
+//! taken against the query itself and the descent carries only the
+//! count — the node's own `t∧`, which its parent's evaluation already
+//! computed.
 //!
 //! ## Exact uniformity: rejection correction
 //!
@@ -128,8 +135,13 @@ pub struct SamplerConfig {
     pub liveness: Liveness,
     /// Descent-ratio estimator.
     pub ratio: RatioEstimator,
-    /// Intersect the query with each node's filter on the way down
-    /// (chance-noise decay; one extra intersection op per visited node).
+    /// Which `t₂` the estimators read: the popcount of
+    /// `query ∧ filter(node)` (on: the paper's carried filter, whose
+    /// chance bits decay with depth) or of the query (off). No AND count
+    /// depends on it, and no filter is built: a node's `t∧` comes from
+    /// its parent's evaluation, so on costs an extra intersection only
+    /// where that evaluation was skipped (the descent's root, a memoized
+    /// or frontier-cached node).
     pub carry_intersection: bool,
     /// `false` splits 50/50 between live children (ablation lever).
     pub proportional_descent: bool,
@@ -141,11 +153,11 @@ impl Default for SamplerConfig {
     /// Sound and fast: bit-overlap liveness, mean-corrected bit-overlap
     /// descent ratios, no correction.
     ///
-    /// `carry_intersection` defaults to off because tree node filters are
+    /// `carry_intersection` defaults to off. Tree node filters are
     /// nested (a parent is the union of its children), so
-    /// `q ∧ n₁ ∧ … ∧ n_d = q ∧ n_d` bit-for-bit: carrying cannot change
-    /// any AND count and only costs an extra intersection per node. It
-    /// *does* change the `t₂` input of Papapetrou-based rules, which is
+    /// `q ∧ n₁ ∧ … ∧ n_d = q ∧ n_d` bit-for-bit and carrying cannot
+    /// change any AND count; it only picks the estimators' `t₂` input
+    /// (the carried filter's popcount rather than the query's), which is
     /// why it remains available as an option.
     fn default() -> Self {
         SamplerConfig {
@@ -207,6 +219,78 @@ impl SamplerConfig {
 struct ChildEval {
     live: bool,
     ratio_weight: f64,
+    /// The child's own `t∧ = popcount(query ∧ filter(child))`, the `t₂`
+    /// its children's evaluations read when `carry_intersection` is on;
+    /// [`ChildEval::UNKNOWN`] when it does not fit (filters of 2³² bits
+    /// or more), in which case a descent counts it again. As a `u32` it
+    /// fits beside `live` in the entry's padding, so keeping `t∧` does
+    /// not grow the memo a warm handle holds per evaluated node.
+    t_and: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<ChildEval>() == 16);
+
+impl ChildEval {
+    /// An absent child.
+    const ABSENT: ChildEval = ChildEval {
+        live: false,
+        ratio_weight: 0.0,
+        t_and: 0,
+    };
+
+    /// The `t_and` of a count too large to keep.
+    const UNKNOWN: u32 = u32::MAX;
+}
+
+/// The `t₂` input at one node: the popcount of the filter the paper's
+/// descent would carry there. Node filters are laminar (each child ⊆
+/// its parent), so a carried `query ∧ n₁ ∧ … ∧ n_d` equals
+/// `query ∧ n_d` bit-for-bit: every AND count can be taken against the
+/// query itself, and the walk carries only this count.
+#[derive(Clone, Copy)]
+pub(crate) enum Carried {
+    /// The query itself (`carry_intersection` off, or the top of a
+    /// descent that starts from the bare query).
+    Query,
+    /// `query ∧ filter(node)` whose popcount is not known yet: resolved
+    /// by one AND count, on first need.
+    Node(NodeId),
+    /// A resolved popcount.
+    Ones(usize),
+}
+
+impl Carried {
+    /// What an eager descent would carry into `child`: the query when
+    /// `carry` is off, else `query ∧ filter(child)`, whose popcount is
+    /// `t_and` when the parent's evaluation computed it in full.
+    pub(crate) fn into_child(carry: bool, child: NodeId, t_and: Option<usize>) -> Carried {
+        match (carry, t_and) {
+            (false, _) => Carried::Query,
+            (true, Some(t)) => Carried::Ones(t),
+            (true, None) => Carried::Node(child),
+        }
+    }
+
+    /// The popcount `t₂`, resolving it on first use: the query's is
+    /// kept in the memo, a node's costs one intersection.
+    pub(crate) fn ones<T: SampleTree>(
+        &mut self,
+        tree: &T,
+        query: &BloomFilter,
+        memo: &mut QueryMemo,
+        stats: &mut OpStats,
+    ) -> usize {
+        let ones = match *self {
+            Carried::Ones(t) => return t,
+            Carried::Query => *memo.query_ones.get_or_insert_with(|| query.count_ones()),
+            Carried::Node(node) => {
+                stats.intersections += 1;
+                tree.filter(node).and_count(query)
+            }
+        };
+        *self = Carried::Ones(ones);
+        ones
+    }
 }
 
 /// Frontier/correction state shared by all corrected samples of one query.
@@ -222,7 +306,7 @@ struct PreparedState {
 /// Memoized per-query evaluation state.
 ///
 /// Every entry is a pure function of `(tree, query filter, config)` —
-/// each node has exactly one root path, so the carried filter reaching it
+/// each node has exactly one root path, so the `t₂` count reaching it
 /// is determined by its id — which makes node-keyed caching sound even
 /// with `carry_intersection` enabled. A memo must only ever be reused
 /// with the *same* tree, filter and config it was first used with; the
@@ -244,6 +328,9 @@ pub struct QueryMemo {
     /// walk — the maintained per-filter weight: repeated `live_weight`
     /// calls are O(1) until a mutation invalidates it.
     pub(crate) cached_count: Option<u64>,
+    /// The query's popcount: the estimators' `t₂` with
+    /// `carry_intersection` off, counted once per memo.
+    query_ones: Option<usize>,
     prepared: Option<PreparedState>,
 }
 
@@ -293,12 +380,12 @@ impl QueryMemo {
     /// Node filters are laminar (each child ⊆ its parent), so a
     /// non-path node's liveness/weight — a function of `query ∧ own
     /// filter` — is untouched; the only cross-contamination is through
-    /// the *carried* filter, which (again by laminarity) equals
-    /// `query ∧ filter(parent)`: it changes exactly for children of path
-    /// nodes. Dropping each path node's entry **and its children's**
-    /// therefore restores cold-walk equivalence bit-for-bit. The
-    /// corrected sampler's frontier cache aggregates weights across the
-    /// whole upper tree, so it is rebuilt wholesale.
+    /// the *carried count* `t₂`, the popcount of `query ∧ filter(parent)`
+    /// with `carry_intersection` on: it changes exactly for children of
+    /// path nodes. Dropping each path node's entry **and its
+    /// children's** therefore restores cold-walk equivalence
+    /// bit-for-bit. The corrected sampler's frontier cache aggregates
+    /// weights across the whole upper tree, so it is rebuilt wholesale.
     ///
     /// Nodes unlinked by removals keep stale entries, but they are
     /// unreachable (their parent's entry is dropped and recomputed
@@ -351,13 +438,11 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     }
 
     /// Creates a sampler with explicit configuration.
+    ///
+    /// # Panics
+    /// Panics when [`SamplerConfig::validate`] rejects `cfg`.
     pub fn with_config(tree: &'t T, cfg: SamplerConfig) -> Self {
-        if let Liveness::EstimateThreshold(tau) = cfg.liveness {
-            assert!(tau >= 0.0, "threshold must be non-negative");
-        }
-        if let Correction::Rejection { gamma } = cfg.correction {
-            assert!(gamma >= 1.0, "gamma must be at least 1");
-        }
+        assert_eq!(cfg.validate(), Ok(()), "sampler config");
         BstSampler { tree, cfg }
     }
 
@@ -367,65 +452,61 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     }
 
     /// Evaluates one child: liveness + descent weight. One intersection op
-    /// on a memo miss, a hash lookup on a hit.
+    /// on a memo miss (plus one if `carried` must resolve a node's `t∧`),
+    /// a hash lookup on a hit.
     fn eval_child(
         &self,
         child: Option<NodeId>,
-        carried: &BloomFilter,
+        carried: &mut Carried,
+        query: &BloomFilter,
         memo: &mut QueryMemo,
         stats: &mut OpStats,
     ) -> ChildEval {
         let Some(c) = child else {
-            return ChildEval {
-                live: false,
-                ratio_weight: 0.0,
-            };
+            return ChildEval::ABSENT;
         };
         if let Some(&e) = memo.evals.get(&c) {
             return e;
         }
+        // Only bit-overlap liveness with AND-cardinality ratios ignores t₂.
+        let t2 = match (self.cfg.liveness, self.cfg.ratio) {
+            (Liveness::BitOverlap, RatioEstimator::AndCardinality) => 0,
+            _ => carried.ones(self.tree, query, memo, stats),
+        };
         stats.intersections += 1;
         let f = self.tree.filter(c);
         let k = f.k();
         let m = f.m();
-        let t_and = f.and_count(carried);
+        let t_and = f.and_count(query);
         let live = match self.cfg.liveness {
             Liveness::BitOverlap => t_and >= k,
             Liveness::EstimateThreshold(tau) => {
-                let est = intersection_estimate(m, k, f.count_ones(), carried.count_ones(), t_and);
-                est > tau
+                intersection_estimate(m, k, f.count_ones(), t2, t_and) > tau
             }
         };
         let ratio_weight = match self.cfg.ratio {
             RatioEstimator::MeanCorrectedBits => {
-                let chance = f.count_ones() as f64 * carried.count_ones() as f64 / m as f64;
+                let chance = f.count_ones() as f64 * t2 as f64 / m as f64;
                 let floor = chance.sqrt().max(k as f64);
                 (t_and as f64 - chance).max(floor)
             }
             RatioEstimator::AndCardinality => cardinality_from_ones(m, k, t_and),
-            RatioEstimator::Papapetrou => {
-                intersection_estimate(m, k, f.count_ones(), carried.count_ones(), t_and)
-            }
+            RatioEstimator::Papapetrou => intersection_estimate(m, k, f.count_ones(), t2, t_and),
         }
         .max(1e-12);
-        let e = ChildEval { live, ratio_weight };
+        let e = ChildEval {
+            live,
+            ratio_weight,
+            t_and: u32::try_from(t_and).unwrap_or(ChildEval::UNKNOWN),
+        };
         memo.evals.insert(c, e);
         e
     }
 
-    /// The filter to carry into `child`.
-    fn descend_filter(
-        &self,
-        child: NodeId,
-        carried: &BloomFilter,
-        stats: &mut OpStats,
-    ) -> BloomFilter {
-        if self.cfg.carry_intersection {
-            stats.intersections += 1;
-            BloomFilter::intersection(carried, self.tree.filter(child))
-        } else {
-            carried.clone()
-        }
+    /// What the descent carries into `child`, evaluated as `e`.
+    fn carried_into(&self, child: NodeId, e: &ChildEval) -> Carried {
+        let t_and = (e.t_and != ChildEval::UNKNOWN).then_some(e.t_and as usize);
+        Carried::into_child(self.cfg.carry_intersection, child, t_and)
     }
 
     /// Draws one sample from the set stored in `query`, or `None` when the
@@ -467,7 +548,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         }
         match self.cfg.correction {
             Correction::None => self
-                .sample_at(root, query, query, memo, rng, stats)
+                .sample_at(root, Carried::Query, query, memo, rng, stats)
                 .ok_or(BstError::NoLiveLeaf),
             Correction::Rejection { gamma } => {
                 self.sample_corrected(query, Some(gamma), memo, rng, stats)
@@ -597,7 +678,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         stats: &mut OpStats,
     ) -> HashMap<NodeId, f64> {
         let mut cache = HashMap::new();
-        self.blind_weight(root, query, &mut cache, stats);
+        self.blind_weight(root, query, query.count_ones(), &mut cache, stats);
         cache
     }
 
@@ -605,6 +686,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         &self,
         node: NodeId,
         query: &BloomFilter,
+        query_ones: usize,
         cache: &mut HashMap<NodeId, f64>,
         stats: &mut OpStats,
     ) -> f64 {
@@ -614,14 +696,14 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             let (lc, rc) = self.tree.children(node);
             let mut sum = 0.0;
             for child in [lc, rc].into_iter().flatten() {
-                sum += self.blind_weight(child, query, cache, stats);
+                sum += self.blind_weight(child, query, query_ones, cache, stats);
             }
             sum
         } else {
             stats.intersections += 1;
             let m = f.m();
             let t_and = f.and_count(query);
-            let chance = f.count_ones() as f64 * query.count_ones() as f64 / m as f64;
+            let chance = f.count_ones() as f64 * query_ones as f64 / m as f64;
             let floor = chance.sqrt().max(f.k() as f64);
             (t_and as f64 - chance).max(floor)
         };
@@ -643,12 +725,8 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         stats: &mut OpStats,
     ) -> Option<(NodeId, f64)> {
         let mut node = root;
-        let mut carried = if self.cfg.carry_intersection {
-            stats.intersections += 1;
-            BloomFilter::intersection(query, self.tree.filter(root))
-        } else {
-            query.clone()
-        };
+        // The proposal walk carries `query ∧ filter(root)` from the top.
+        let mut carried = Carried::into_child(self.cfg.carry_intersection, root, None);
         let mut p_path = 1.0f64;
         loop {
             stats.nodes_visited += 1;
@@ -657,30 +735,34 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             }
             let (lc, rc) = self.tree.children(node);
             // Cached (blind-region) weights take priority; otherwise
-            // evaluate the child estimators through the memo.
-            let weight_of = |child: Option<NodeId>,
-                             memo: &mut QueryMemo,
-                             carried: &BloomFilter,
-                             stats: &mut OpStats| match child {
-                None => (false, 0.0),
-                Some(c) => match blind.get(&c) {
-                    Some(&w) => (w > 0.0, w),
-                    None => {
-                        let e = self.eval_child(Some(c), carried, memo, stats);
-                        (e.live, e.ratio_weight)
-                    }
-                },
-            };
-            let (l_live, lw) = weight_of(lc, memo, &carried, stats);
-            let (r_live, rw) = weight_of(rc, memo, &carried, stats);
+            // evaluate the child estimators through the memo. A blind
+            // child's own t∧ was never counted, so it is carried
+            // unresolved.
+            let mut weight_of =
+                |child: Option<NodeId>, memo: &mut QueryMemo, stats: &mut OpStats| match child {
+                    None => (false, 0.0, Carried::Query),
+                    Some(c) => match blind.get(&c) {
+                        Some(&w) => (
+                            w > 0.0,
+                            w,
+                            Carried::into_child(self.cfg.carry_intersection, c, None),
+                        ),
+                        None => {
+                            let e = self.eval_child(Some(c), &mut carried, query, memo, stats);
+                            (e.live, e.ratio_weight, self.carried_into(c, &e))
+                        }
+                    },
+                };
+            let (l_live, lw, l_carried) = weight_of(lc, memo, stats);
+            let (r_live, rw, r_carried) = weight_of(rc, memo, stats);
             // Mask dead children out so the match below carries the
             // liveness proof in the type.
             let lc = if l_live { lc } else { None };
             let rc = if r_live { rc } else { None };
-            let (next, prob) = match (lc, rc) {
+            let (next, prob, next_carried) = match (lc, rc) {
                 (None, None) => return None,
-                (Some(c), None) => (c, 1.0),
-                (None, Some(c)) => (c, 1.0),
+                (Some(c), None) => (c, 1.0, l_carried),
+                (None, Some(c)) => (c, 1.0, r_carried),
                 (Some(cl), Some(cr)) => {
                     let p_left = if self.cfg.proportional_descent {
                         lw / (lw + rw)
@@ -688,17 +770,14 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
                         0.5
                     };
                     if rng.gen::<f64>() < p_left {
-                        (cl, p_left)
+                        (cl, p_left, l_carried)
                     } else {
-                        (cr, 1.0 - p_left)
+                        (cr, 1.0 - p_left, r_carried)
                     }
                 }
             };
             p_path *= prob;
-            if self.cfg.carry_intersection {
-                stats.intersections += 1;
-                carried.intersect_with(self.tree.filter(next));
-            }
+            carried = next_carried;
             node = next;
         }
     }
@@ -706,7 +785,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     fn sample_at<R: Rng + ?Sized>(
         &self,
         node: NodeId,
-        carried: &BloomFilter,
+        mut carried: Carried,
         query: &BloomFilter,
         memo: &mut QueryMemo,
         rng: &mut R,
@@ -717,17 +796,19 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             return self.sample_leaf(node, query, memo, rng, stats);
         }
         let (lc, rc) = self.tree.children(node);
-        let le = self.eval_child(lc, carried, memo, stats);
-        let re = self.eval_child(rc, carried, memo, stats);
+        let le = self.eval_child(lc, &mut carried, query, memo, stats);
+        let re = self.eval_child(rc, &mut carried, query, memo, stats);
         // Mask dead children out so the match below carries the
         // liveness proof in the type.
         let lc = if le.live { lc } else { None };
         let rc = if re.live { rc } else { None };
         match (lc, rc) {
             (None, None) => None,
-            (Some(c), None) | (None, Some(c)) => {
-                let carried = self.descend_filter(c, carried, stats);
-                self.sample_at(c, &carried, query, memo, rng, stats)
+            (Some(c), None) => {
+                self.sample_at(c, self.carried_into(c, &le), query, memo, rng, stats)
+            }
+            (None, Some(c)) => {
+                self.sample_at(c, self.carried_into(c, &re), query, memo, rng, stats)
             }
             (Some(cl), Some(cr)) => {
                 let p_left = if self.cfg.proportional_descent {
@@ -735,20 +816,19 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
                 } else {
                     0.5
                 };
-                let (c1, c2) = if rng.gen::<f64>() < p_left {
-                    (cl, cr)
+                let ((c1, e1), (c2, e2)) = if rng.gen::<f64>() < p_left {
+                    ((cl, le), (cr, re))
                 } else {
-                    (cr, cl)
+                    ((cr, re), (cl, le))
                 };
-                let carried1 = self.descend_filter(c1, carried, stats);
-                let picked = self.sample_at(c1, &carried1, query, memo, rng, stats);
+                let picked =
+                    self.sample_at(c1, self.carried_into(c1, &e1), query, memo, rng, stats);
                 if picked.is_some() {
                     picked
                 } else {
                     // False-positive path: backtrack into the sibling.
                     stats.backtracks += 1;
-                    let carried2 = self.descend_filter(c2, carried, stats);
-                    self.sample_at(c2, &carried2, query, memo, rng, stats)
+                    self.sample_at(c2, self.carried_into(c2, &e2), query, memo, rng, stats)
                 }
             }
         }
@@ -831,7 +911,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         if r == 0 {
             return Ok(out);
         }
-        self.many_at(root, query, query, r, memo, rng, stats, &mut out);
+        self.many_at(root, Carried::Query, query, r, memo, rng, stats, &mut out);
         Ok(out)
     }
 
@@ -839,7 +919,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     fn many_at<R: Rng + ?Sized>(
         &self,
         node: NodeId,
-        carried: &BloomFilter,
+        mut carried: Carried,
         query: &BloomFilter,
         r: usize,
         memo: &mut QueryMemo,
@@ -862,18 +942,34 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             return r;
         }
         let (lc, rc) = self.tree.children(node);
-        let le = self.eval_child(lc, carried, memo, stats);
-        let re = self.eval_child(rc, carried, memo, stats);
+        let le = self.eval_child(lc, &mut carried, query, memo, stats);
+        let re = self.eval_child(rc, &mut carried, query, memo, stats);
         // Mask dead children out so the match below carries the
         // liveness proof in the type.
         let lc = if le.live { lc } else { None };
         let rc = if re.live { rc } else { None };
         match (lc, rc) {
             (None, None) => 0,
-            (Some(c), None) | (None, Some(c)) => {
-                let carried = self.descend_filter(c, carried, stats);
-                self.many_at(c, &carried, query, r, memo, rng, stats, out)
-            }
+            (Some(c), None) => self.many_at(
+                c,
+                self.carried_into(c, &le),
+                query,
+                r,
+                memo,
+                rng,
+                stats,
+                out,
+            ),
+            (None, Some(c)) => self.many_at(
+                c,
+                self.carried_into(c, &re),
+                query,
+                r,
+                memo,
+                rng,
+                stats,
+                out,
+            ),
             (Some(cl), Some(cr)) => {
                 let p_left = if self.cfg.proportional_descent {
                     le.ratio_weight / (le.ratio_weight + re.ratio_weight)
@@ -881,10 +977,10 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
                     0.5
                 };
                 let r_left = bst_stats::binomial::sample_binomial(rng, r as u64, p_left) as usize;
-                let carried_l = self.descend_filter(cl, carried, stats);
-                let carried_r = self.descend_filter(cr, carried, stats);
-                let mut got = self.many_at(cl, &carried_l, query, r_left, memo, rng, stats, out);
-                got += self.many_at(cr, &carried_r, query, r - r_left, memo, rng, stats, out);
+                let carried_l = self.carried_into(cl, &le);
+                let carried_r = self.carried_into(cr, &re);
+                let mut got = self.many_at(cl, carried_l, query, r_left, memo, rng, stats, out);
+                got += self.many_at(cr, carried_r, query, r - r_left, memo, rng, stats, out);
                 // Deficit rounds: paths that died on false-positive routes
                 // are re-split until resolved or no further progress (the
                 // multi-path analogue of single-sample backtracking).
@@ -896,10 +992,10 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
                     let r_left =
                         bst_stats::binomial::sample_binomial(rng, deficit as u64, p_left) as usize;
                     let mut extra =
-                        self.many_at(cl, &carried_l, query, r_left, memo, rng, stats, out);
+                        self.many_at(cl, carried_l, query, r_left, memo, rng, stats, out);
                     extra += self.many_at(
                         cr,
-                        &carried_r,
+                        carried_r,
                         query,
                         deficit - r_left,
                         memo,
@@ -1288,5 +1384,88 @@ mod tests {
                 assert_eq!(warm, cold, "cfg {cfg:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "liveness threshold must be finite")]
+    fn with_config_rejects_infinite_threshold() {
+        let t = tree(1 << 12);
+        let _ = BstSampler::with_config(
+            &t,
+            SamplerConfig {
+                liveness: Liveness::EstimateThreshold(f64::INFINITY),
+                ..SamplerConfig::paper()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rejection gamma must be finite")]
+    fn with_config_rejects_infinite_gamma() {
+        let t = tree(1 << 12);
+        let _ = BstSampler::with_config(
+            &t,
+            SamplerConfig {
+                correction: Correction::Rejection {
+                    gamma: f64::INFINITY,
+                },
+                ..SamplerConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn carried_count_drops_one_intersection_per_descent() {
+        // Captured when each descent step ANDed the query into a carried
+        // filter (one intersection per step): the draws, memberships,
+        // nodes and backtracks are unchanged, and the carried-intersection
+        // descent now counts only child evaluations — the top of a
+        // descent carries the bare query, whose popcount is no AND.
+        let t = BloomSampleTree::build(&TreePlan {
+            namespace: 4096,
+            m: 1 << 12,
+            k: 3,
+            kind: HashKind::Murmur3,
+            seed: 3,
+            depth: 5,
+            leaf_capacity: 128,
+            target_accuracy: 0.9,
+        });
+        let keys: Vec<u64> = (0..60u64).map(|i| i * 67).collect();
+        let q = t.query_filter(keys.iter().copied());
+        let cfg = SamplerConfig {
+            carry_intersection: true,
+            ..SamplerConfig::paper()
+        };
+        let sampler = BstSampler::with_config(&t, cfg);
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut stats = OpStats::new();
+        let draws: Vec<u64> = (0..8)
+            .map(|_| sampler.sample(&q, &mut rng, &mut stats).unwrap())
+            .collect();
+        assert_eq!(draws, [1675, 1474, 938, 268, 1139, 134, 335, 938]);
+        assert_eq!(
+            (stats.memberships, stats.nodes_visited, stats.backtracks),
+            (1024, 48, 0)
+        );
+        // Before: 120 intersections, one per visited non-root node more.
+        assert_eq!(stats.intersections, 120 - (48 - 8));
+        let mut stats = OpStats::new();
+        let many = sampler.sample_many(&q, 24, &mut rng, &mut stats);
+        assert_eq!(
+            many,
+            [
+                335, 335, 737, 1005, 1407, 1474, 1474, 1541, 1541, 1742, 1876, 1876, 1943, 2144,
+                2546, 2546, 2747, 2881, 2881, 3283, 3618, 3819, 3752, 3886
+            ]
+        );
+        assert_eq!(
+            (stats.memberships, stats.nodes_visited, stats.backtracks),
+            (2176, 45, 0)
+        );
+        // Before: 112, with a carried filter built for each live child of
+        // a split whether or not any path went there. Now: the two child
+        // evaluations at each of the 28 expanded internal nodes.
+        assert_eq!(stats.intersections, 2 * 28, "{stats}");
     }
 }

@@ -139,7 +139,8 @@ proptest! {
 
     /// Under arbitrary interleaved `insert`/`remove` sequences, the
     /// maintained subtree weights exactly equal a from-scratch recount
-    /// at every node, and the root weight equals the surviving id count.
+    /// at every node, every internal filter stays the OR of its
+    /// children's, and the root weight equals the surviving id count.
     #[test]
     fn maintained_weights_equal_recount(
         initial in prop::collection::btree_set(0u64..4096, 0..120),
@@ -148,6 +149,7 @@ proptest! {
         let p = plan(4096, 2048, 5, HashKind::Murmur3);
         let occ: Vec<u64> = initial.iter().copied().collect();
         let mut tree = PrunedBloomSampleTree::build(&p, &occ);
+        prop_assert!(tree.verify_laminar(), "build broke laminarity");
         let mut live = initial.clone();
         let mut mutations = 0u64;
         for (insert, id) in ops {
@@ -156,6 +158,7 @@ proptest! {
             prop_assert_eq!(changed, expected);
             mutations += u64::from(changed);
             prop_assert!(tree.verify_weights(), "weights drifted after mutation");
+            prop_assert!(tree.verify_laminar(), "mutation broke laminarity");
         }
         prop_assert_eq!(tree.occupied_count(), live.len() as u64);
         prop_assert_eq!(tree.occupied_ids(), live.into_iter().collect::<Vec<u64>>());
@@ -164,8 +167,9 @@ proptest! {
     }
 
     /// The leaf probe tables and the collision census stay exactly what
-    /// hashing the occupied ids gives, through arbitrary mutation
-    /// schedules and a snapshot round trip; windowed reconstructions
+    /// hashing the occupied ids gives, and every internal filter stays
+    /// the OR of its children's, through arbitrary mutation schedules
+    /// and a snapshot round trip; windowed reconstructions
     /// (which scan sub-slices of the tables) equal the full
     /// reconstruction cut to the window.
     #[test]
@@ -192,15 +196,18 @@ proptest! {
                 .collect()
         };
         prop_assert!(tree.verify_probe_tables(), "build tables drifted");
+        prop_assert!(tree.verify_laminar(), "build broke laminarity");
         prop_assert_eq!(tree.colliding_ids(), census(&tree).as_slice());
         for (insert, id) in ops {
             if insert { tree.insert(id); } else { tree.remove(id); }
             prop_assert!(tree.verify_probe_tables(), "tables drifted after mutation");
+            prop_assert!(tree.verify_laminar(), "mutation broke laminarity");
             prop_assert_eq!(tree.colliding_ids(), census(&tree).as_slice());
         }
         let bytes = tree.to_bytes();
         let back = PrunedBloomSampleTree::from_bytes(&bytes).expect("decode");
         prop_assert!(back.verify_probe_tables(), "decoded tables drifted");
+        prop_assert!(back.verify_laminar(), "decoded tree is not laminar");
         prop_assert_eq!(back.colliding_ids(), census(&tree).as_slice());
         prop_assert_eq!(back.to_bytes(), bytes);
         let q = tree.query_filter(members.iter().copied());

@@ -1,0 +1,439 @@
+//! Golden captures for the configurations whose estimators read the
+//! `t₂` input (the popcount of the filter the paper's descent carries
+//! into a node): `BstConfig::paper()`, `BstConfig::corrected()`, and the
+//! carried-intersection Papapetrou + threshold configuration the
+//! estimator ablation runs (`exp_ablations`), alone and under rejection
+//! correction. The default configuration is pinned by `e2e_layout`.
+//!
+//! For each configuration, two filter sizings and both backends (pruned
+//! and complete tree) the suite pins a windowed reconstruction run
+//! first on the cold handle, the live weight, a fixed-seed draw
+//! sequence, a fixed-seed `sample_many` draw, the reconstruction length
+//! and prefix, and the membership / node / backtrack counts of that
+//! exact call sequence. The values were captured before the sampling and
+//! reconstruction walks stopped carrying a Bloom filter per node; any
+//! change to the walks must leave every one of them bit-identical.
+
+use bloomsampletree::core::reconstruct::ReconstructConfig;
+use bloomsampletree::core::sampler::{Correction, Liveness, RatioEstimator, DEFAULT_THRESHOLD};
+use bloomsampletree::{BstConfig, BstSystem, HashKind, SamplerConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// What one configuration is pinned to.
+#[derive(Debug, PartialEq)]
+struct Capture {
+    /// Length of a windowed reconstruction run first, on the cold handle.
+    window_len: usize,
+    live_weight: u64,
+    draws: Vec<u64>,
+    many: Vec<u64>,
+    recon_len: usize,
+    recon_prefix: Vec<u64>,
+    /// `(memberships, nodes_visited, backtracks)` of the whole sequence.
+    ops: (u64, u64, u64),
+}
+
+/// The carried-intersection Papapetrou + threshold configuration of the
+/// estimator ablation, for both algorithms.
+fn papapetrou_carry() -> BstConfig {
+    BstConfig::default()
+        .with_sampler(SamplerConfig {
+            liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
+            ratio: RatioEstimator::Papapetrou,
+            carry_intersection: true,
+            proportional_descent: true,
+            correction: Correction::None,
+        })
+        .with_reconstruct(ReconstructConfig {
+            liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
+            carry_intersection: true,
+        })
+}
+
+/// [`papapetrou_carry`] under rejection correction: the proposal walk
+/// with a carried intersection.
+fn papapetrou_carry_corrected() -> BstConfig {
+    let mut cfg = papapetrou_carry();
+    cfg.sampler.correction = Correction::RejectionAuto;
+    cfg
+}
+
+/// Filter sizing of one capture.
+#[derive(Clone, Copy)]
+struct Scenario {
+    accuracy: f64,
+    expected: u64,
+}
+
+/// A small `m` (accuracy 0.2 at 300 expected elements against 586
+/// stored): chance bits swamp the signal, so every estimator input —
+/// `t₂` included — moves the draws. Upper node filters saturate, so the
+/// corrected sampler routes through its frontier cache here.
+const NOISY: Scenario = Scenario {
+    accuracy: 0.2,
+    expected: 300,
+};
+
+/// The `e2e_layout` golden sizing: unsaturated node filters, so the
+/// corrected sampler's proposal walk evaluates children itself.
+const LAYOUT: Scenario = Scenario {
+    accuracy: 0.9,
+    expected: 600,
+};
+
+/// The `e2e_layout` golden scenario at `scenario`'s sizing: namespace
+/// 4096, two thirds occupied (pruned backend) or the complete tree,
+/// every seventh id stored, tree seed 99.
+fn capture(scenario: Scenario, cfg: BstConfig, pruned: bool) -> Capture {
+    let namespace = 4096u64;
+    let builder = BstSystem::builder(namespace)
+        .expected_set_size(scenario.expected)
+        .accuracy(scenario.accuracy)
+        .seed(99)
+        .config(cfg)
+        .hash_kind(HashKind::Murmur3);
+    let sys = if pruned {
+        builder
+            .pruned((0..namespace).filter(|x| x % 3 != 0))
+            .build()
+    } else {
+        builder.build()
+    };
+    let f = sys.store((0..namespace).filter(|x| x % 7 == 0));
+    let q = sys.query(&f);
+    // The windowed walk memoizes liveness above the window only, so the
+    // full walks after it resolve some nodes' `t₂` lazily.
+    let window_len = q.reconstruct_range(1000..1400).unwrap().len();
+    let live_weight = q.live_weight().unwrap();
+    let mut rng = StdRng::seed_from_u64(4242);
+    let draws = (0..16).map(|_| q.sample(&mut rng).unwrap()).collect();
+    let mut rng = StdRng::seed_from_u64(77);
+    let many = q.sample_many(16, &mut rng).unwrap();
+    let recon = q.reconstruct().unwrap();
+    let stats = q.stats();
+    Capture {
+        window_len,
+        live_weight,
+        draws,
+        many,
+        recon_len: recon.len(),
+        recon_prefix: recon[..8].to_vec(),
+        ops: (stats.memberships, stats.nodes_visited, stats.backtracks),
+    }
+}
+
+/// `BstConfig::paper()`: threshold liveness and Papapetrou ratios with
+/// `t₂` = the query's popcount, for both walks.
+#[test]
+fn paper_outputs_match_capture() {
+    let cfg = BstConfig::paper();
+    assert_eq!(
+        capture(NOISY, cfg, true),
+        Capture {
+            window_len: 191,
+            live_weight: 1080,
+            draws: vec![
+                1178, 3271, 1345, 3841, 1412, 3658, 3199, 1562, 4003, 3353, 1366, 1840, 1874, 3178,
+                1483, 1111
+            ],
+            many: vec![
+                1841, 1327, 1936, 1400, 1229, 1924, 1316, 1666, 1516, 3779, 3379, 3395, 3887, 3521,
+                3670, 3932
+            ],
+            recon_len: 1080,
+            recon_prefix: vec![1024, 1027, 1031, 1036, 1037, 1042, 1043, 1045],
+            ops: (1616, 66, 0),
+        }
+    );
+    assert_eq!(
+        capture(NOISY, cfg, false),
+        Capture {
+            window_len: 306,
+            live_weight: 3230,
+            draws: vec![
+                736, 311, 3426, 1594, 2136, 4003, 3261, 1838, 1980, 465, 489, 1282, 1350, 2355,
+                3557, 3716
+            ],
+            many: vec![
+                657, 1513, 1724, 1334, 1353, 1831, 1481, 2331, 3902, 3301, 3560, 3148, 3971, 3857,
+                3687, 3927
+            ],
+            recon_len: 3230,
+            recon_prefix: vec![0, 1, 2, 3, 4, 5, 6, 7],
+            ops: (4496, 73, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, true),
+        Capture {
+            window_len: 45,
+            live_weight: 440,
+            draws: vec![
+                707, 301, 3416, 1582, 2156, 3997, 2254, 812, 1967, 448, 476, 245, 1337, 2387, 2569,
+                3724
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1459, 1603, 1855, 2875, 2303, 2569, 2128, 2933, 3850,
+                3689, 3907
+            ],
+            recon_len: 440,
+            recon_prefix: vec![7, 14, 28, 35, 49, 56, 70, 77],
+            ops: (2997, 73, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, false),
+        Capture {
+            window_len: 66,
+            live_weight: 656,
+            draws: vec![
+                713, 308, 3423, 1575, 2149, 3997, 2233, 807, 1967, 448, 476, 252, 1337, 2373, 2555,
+                3717
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1464, 1596, 1855, 2875, 2282, 2555, 2128, 2940, 3843,
+                3689, 3906
+            ],
+            recon_len: 656,
+            recon_prefix: vec![0, 7, 14, 21, 28, 35, 42, 49],
+            ops: (4496, 73, 0),
+        }
+    );
+}
+
+/// `BstConfig::corrected()`: the rejection-corrected proposal walk with
+/// the default estimators; reconstruction carries the intersection.
+#[test]
+fn corrected_outputs_match_capture() {
+    let cfg = BstConfig::corrected();
+    assert_eq!(
+        capture(NOISY, cfg, true),
+        Capture {
+            window_len: 203,
+            live_weight: 2149,
+            draws: vec![
+                739, 1006, 2132, 3899, 1978, 412, 301, 896, 3116, 2450, 1772, 1964, 2410, 724,
+                1759, 2930
+            ],
+            many: vec![
+                721, 301, 323, 823, 463, 1613, 1874, 1948, 1885, 2269, 2534, 2114, 2927, 3859,
+                3692, 3929
+            ],
+            recon_len: 2149,
+            recon_prefix: vec![1, 2, 4, 5, 7, 10, 13, 14],
+            ops: (2997, 88, 0),
+        }
+    );
+    assert_eq!(
+        capture(NOISY, cfg, false),
+        Capture {
+            window_len: 306,
+            live_weight: 3230,
+            draws: vec![
+                736, 701, 1008, 2136, 3892, 368, 1980, 413, 306, 893, 1593, 3116, 2452, 1764, 1966,
+                2416
+            ],
+            many: vec![
+                657, 498, 719, 306, 1353, 1831, 1481, 2331, 2871, 3301, 3560, 3148, 3971, 3857,
+                3687, 3927
+            ],
+            recon_len: 3230,
+            recon_prefix: vec![0, 1, 2, 3, 4, 5, 6, 7],
+            ops: (4496, 76, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, true),
+        Capture {
+            window_len: 45,
+            live_weight: 440,
+            draws: vec![
+                1967, 1421, 2485, 1757, 1736, 2765, 1246, 665, 2198, 364, 1211, 329, 2219, 1484,
+                658, 3094
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1459, 1603, 1855, 2875, 2303, 2569, 2128, 2933, 3850,
+                3689, 3907
+            ],
+            recon_len: 440,
+            recon_prefix: vec![7, 14, 28, 35, 49, 56, 70, 77],
+            ops: (2997, 280, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, false),
+        Capture {
+            window_len: 66,
+            live_weight: 656,
+            draws: vec![
+                713, 1967, 406, 3115, 2474, 1750, 1949, 2443, 1736, 2940, 2765, 1232, 665, 3087,
+                2030, 2187
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1464, 1596, 1855, 2875, 2282, 2555, 2128, 2940, 3843,
+                3689, 3906
+            ],
+            recon_len: 656,
+            recon_prefix: vec![0, 7, 14, 21, 28, 35, 42, 49],
+            ops: (4496, 139, 0),
+        }
+    );
+}
+
+/// The estimator ablation's carried-intersection configuration:
+/// `t₂` = the popcount of `query ∧ filter(node)`, for both walks.
+#[test]
+fn papapetrou_carry_outputs_match_capture() {
+    let cfg = papapetrou_carry();
+    assert_eq!(
+        capture(NOISY, cfg, true),
+        Capture {
+            window_len: 203,
+            live_weight: 2149,
+            draws: vec![
+                739, 305, 3431, 1600, 2132, 4003, 2221, 829, 1978, 466, 491, 250, 1354, 2351, 3557,
+                3722
+            ],
+            many: vec![
+                721, 301, 323, 823, 1481, 1613, 1874, 1948, 1885, 2269, 2534, 3151, 3970, 3859,
+                3692, 3929
+            ],
+            recon_len: 2149,
+            recon_prefix: vec![1, 2, 4, 5, 7, 10, 13, 14],
+            ops: (2997, 73, 0),
+        }
+    );
+    assert_eq!(
+        capture(NOISY, cfg, false),
+        Capture {
+            window_len: 306,
+            live_weight: 2412,
+            draws: vec![
+                736, 311, 2807, 2031, 2876, 546, 2976, 2313, 1399, 2511, 2999, 465, 489, 1282,
+                1350, 2118
+            ],
+            many: vec![
+                657, 1513, 1724, 1334, 1353, 1831, 1481, 2639, 2896, 2971, 2907, 2936, 2388, 2899,
+                2566, 2112
+            ],
+            recon_len: 2412,
+            recon_prefix: vec![0, 1, 2, 3, 4, 5, 6, 7],
+            ops: (3472, 70, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, true),
+        Capture {
+            window_len: 45,
+            live_weight: 440,
+            draws: vec![
+                707, 301, 3416, 1582, 2156, 3997, 2254, 812, 1967, 448, 476, 245, 1337, 2387, 2569,
+                3724
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1459, 1603, 1855, 2875, 2303, 2569, 2128, 2933, 3850,
+                3689, 3907
+            ],
+            recon_len: 440,
+            recon_prefix: vec![7, 14, 28, 35, 49, 56, 70, 77],
+            ops: (2997, 73, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, false),
+        Capture {
+            window_len: 66,
+            live_weight: 656,
+            draws: vec![
+                713, 308, 3423, 1575, 2149, 3997, 2233, 807, 1967, 448, 476, 252, 1337, 2373, 2555,
+                3717
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1464, 1596, 1855, 2875, 2282, 2555, 2128, 2940, 3843,
+                3689, 3906
+            ],
+            recon_len: 656,
+            recon_prefix: vec![0, 7, 14, 21, 28, 35, 42, 49],
+            ops: (4496, 73, 0),
+        }
+    );
+}
+
+/// The carried-intersection configuration under rejection correction.
+#[test]
+fn papapetrou_carry_corrected_outputs_match_capture() {
+    let cfg = papapetrou_carry_corrected();
+    assert_eq!(
+        capture(NOISY, cfg, true),
+        Capture {
+            window_len: 203,
+            live_weight: 2149,
+            draws: vec![
+                739, 1006, 2132, 3899, 1978, 412, 301, 896, 3116, 2450, 1772, 1964, 2410, 724,
+                1759, 2930
+            ],
+            many: vec![
+                721, 301, 323, 823, 1481, 1613, 1874, 1948, 1885, 2269, 2534, 3151, 3970, 3859,
+                3692, 3929
+            ],
+            recon_len: 2149,
+            recon_prefix: vec![1, 2, 4, 5, 7, 10, 13, 14],
+            ops: (2997, 88, 0),
+        }
+    );
+    assert_eq!(
+        capture(NOISY, cfg, false),
+        Capture {
+            window_len: 306,
+            live_weight: 2412,
+            draws: vec![
+                736, 701, 1008, 2136, 3892, 368, 1980, 413, 306, 893, 1593, 3116, 2452, 1764, 1966,
+                2416
+            ],
+            many: vec![
+                657, 1513, 1724, 1334, 1353, 1831, 1481, 2639, 2896, 2971, 2907, 2936, 2388, 2899,
+                2566, 2112
+            ],
+            recon_len: 2412,
+            recon_prefix: vec![0, 1, 2, 3, 4, 5, 6, 7],
+            ops: (4496, 73, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, true),
+        Capture {
+            window_len: 45,
+            live_weight: 440,
+            draws: vec![
+                1967, 406, 2485, 1757, 1736, 2765, 1246, 665, 2198, 364, 1211, 329, 2219, 1484,
+                658, 3094
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1459, 1603, 1855, 2875, 2303, 2569, 2128, 2933, 3850,
+                3689, 3907
+            ],
+            recon_len: 440,
+            recon_prefix: vec![7, 14, 28, 35, 49, 56, 70, 77],
+            ops: (2997, 280, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, false),
+        Capture {
+            window_len: 66,
+            live_weight: 656,
+            draws: vec![
+                713, 1967, 406, 3115, 2474, 1750, 1949, 2443, 1736, 2940, 2765, 1232, 665, 3087,
+                2030, 2187
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1464, 1596, 1855, 2875, 2282, 2555, 2128, 2940, 3843,
+                3689, 3906
+            ],
+            recon_len: 656,
+            recon_prefix: vec![0, 7, 14, 21, 28, 35, 42, 49],
+            ops: (4496, 139, 0),
+        }
+    );
+}
