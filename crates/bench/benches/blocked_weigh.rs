@@ -1,7 +1,7 @@
 //! Classic vs blocked filter layout on the weighing-heavy paths: cold
 //! phase-1 weighing of a 32-slot batch through the sharded engine (the
-//! weight cache is bypassed so every batch re-runs phase 1 from
-//! scratch), and a single-tree cold `live_weight` over a fresh handle.
+//! weight cache is cleared before every batch so it re-runs phase 1
+//! from scratch), and a single-tree cold `live_weight` over a fresh handle.
 //! The blocked layout answers each leaf membership probe with one or
 //! two masked word loads instead of k scattered bit reads, which is
 //! where the cold weighing time goes. A third group weighs on the
@@ -27,8 +27,8 @@ fn layouts() -> [HashKind; 2] {
 }
 
 /// Cold phase-1 weighing of a 32-slot batch: the engine's weight cache
-/// is disabled, so each `query_batch` call re-weighs every (slot,
-/// shard) cell before sampling.
+/// is cleared before each `query_batch` call, so it re-weighs every
+/// (slot, shard) cell before sampling.
 fn bench_batch_phase1(c: &mut Criterion) {
     let occ = occupancy();
     let mut group = c.benchmark_group("blocked-weigh");
@@ -40,7 +40,6 @@ fn bench_batch_phase1(c: &mut Criterion) {
             .expected_set_size(1000)
             .seed(1)
             .hash_kind(kind)
-            .weight_cache(false)
             .occupied(occ.iter().copied())
             .build();
         let filters: Vec<_> = (0..BATCH_SLOTS)
@@ -57,6 +56,7 @@ fn bench_batch_phase1(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed = seed.wrapping_add(1);
+                    engine.clear_weight_cache();
                     engine.query_batch(&filters, seed, 1)
                 })
             },

@@ -5,7 +5,7 @@
 //! re-weight), the weight-delta refresh vs the PR 3 full-recount
 //! behaviour, the two-phase batch scatter vs a one-phase emulation, and
 //! warm repeated batches against the engine's persistent weight cache vs
-//! the cold (cache-bypassed) two-phase path.
+//! the cold (cache-cleared) two-phase path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -100,8 +100,8 @@ fn bench_reconstruct_scaling(c: &mut Criterion) {
 }
 
 /// Batch fan-out across the crossbeam worker pool (weight cache
-/// bypassed: this group tracks the cold scatter cost itself — the
-/// cached path has its own `batch-warm-cache` group).
+/// cleared before every batch: this group tracks the cold scatter cost
+/// itself — the cached path has its own `batch-warm-cache` group).
 fn bench_batch_fanout(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(9);
@@ -109,7 +109,6 @@ fn bench_batch_fanout(c: &mut Criterion) {
     group.sample_size(10);
     for shards in SHARD_COUNTS {
         let engine = build_sharded(shards);
-        engine.set_weight_cache(false);
         let filters: Vec<_> = (0..32)
             .map(|_| {
                 let keys = uniform_set(&mut rng, occ.len() as u64, 200);
@@ -117,7 +116,10 @@ fn bench_batch_fanout(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, _| {
-            b.iter(|| engine.query_batch(&filters, 17, 0))
+            b.iter(|| {
+                engine.clear_weight_cache();
+                engine.query_batch(&filters, 17, 0)
+            })
         });
     }
     group.finish();
@@ -295,9 +297,10 @@ fn one_phase_batch(
 }
 
 /// Two-phase batch scatter (weights first, sample only chosen cells,
-/// cell-grid chunking) vs the PR 3 one-phase emulation above. Weight
-/// cache bypassed on both arms: this group compares the scatter
-/// *structures* at equal (cold) weighing cost.
+/// cell-grid chunking) vs the PR 3 one-phase emulation above. The
+/// two-phase arm clears the weight cache before every batch and the
+/// one-phase emulation never consults it: this group compares the
+/// scatter *structures* at equal (cold) weighing cost.
 fn bench_batch_two_phase(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(19);
@@ -305,7 +308,6 @@ fn bench_batch_two_phase(c: &mut Criterion) {
     group.sample_size(10);
     for shards in SHARD_COUNTS {
         let engine = build_sharded(shards);
-        engine.set_weight_cache(false);
         let filters: Vec<_> = (0..32)
             .map(|_| {
                 let keys = uniform_set(&mut rng, occ.len() as u64, 200);
@@ -313,7 +315,10 @@ fn bench_batch_two_phase(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("two-phase", shards), &shards, |b, _| {
-            b.iter(|| engine.query_batch(&filters, 17, 0))
+            b.iter(|| {
+                engine.clear_weight_cache();
+                engine.query_batch(&filters, 17, 0)
+            })
         });
         group.bench_with_input(BenchmarkId::new("one-phase", shards), &shards, |b, _| {
             b.iter(|| one_phase_batch(&engine, &filters, 17))
@@ -323,7 +328,8 @@ fn bench_batch_two_phase(c: &mut Criterion) {
 }
 
 /// Repeated 32-slot batches against the engine-level persistent weight
-/// cache vs the PR 4 cold two-phase path (cache bypassed): a warm batch
+/// cache vs the PR 4 cold two-phase path (cache cleared before every
+/// batch): a warm batch
 /// revalidates `S × 32` stamp pairs and samples the 32 chosen cells,
 /// instead of re-walking every (shard, slot) weighing from scratch —
 /// the near-pure-phase-2 floor. A third variant mutates the occupancy
@@ -342,16 +348,20 @@ fn bench_batch_warm_cache(c: &mut Criterion) {
                 engine.store(keys.into_iter().map(|i| occ[i as usize]))
             })
             .collect();
-        // Cold: exactly the PR 4 two-phase path (cache bypassed).
-        engine.set_weight_cache(false);
+        // Cold: the PR 4 two-phase path (cache cleared before every
+        // batch).
         group.bench_with_input(
             BenchmarkId::new("cold-two-phase", shards),
             &shards,
-            |b, _| b.iter(|| engine.query_batch(&filters, 17, 0)),
+            |b, _| {
+                b.iter(|| {
+                    engine.clear_weight_cache();
+                    engine.query_batch(&filters, 17, 0)
+                })
+            },
         );
-        // Warm: cache enabled and primed — repeated identical batches
-        // skip phase 1 entirely.
-        engine.set_weight_cache(true);
+        // Warm: cache primed — repeated identical batches skip phase 1
+        // entirely.
         engine.query_batch(&filters, 17, 0);
         group.bench_with_input(BenchmarkId::new("warm-cached", shards), &shards, |b, _| {
             b.iter(|| engine.query_batch(&filters, 17, 0))

@@ -341,13 +341,14 @@ impl TreeView<'_> {
     /// when the journal no longer reaches back to `since` — the caller
     /// must discard the memo wholesale instead.
     ///
-    /// The cached live-leaf weight is **delta-maintained** when
-    /// `exact_count` holds (sound `BitOverlap` reconstruction, where the
-    /// weight is exactly `|{x occupied : filter(x)}|`): inserting an
-    /// occupied id adds `filter.contains(id)`, removing one subtracts
-    /// it — O(k) per mutation, no counting walk. Under estimate-
-    /// threshold pruning the weight is walk-dependent, so the cache is
-    /// dropped and recounted lazily instead.
+    /// The cached live-leaf weight is **delta-maintained** through
+    /// [`Self::replay_count`] when `exact_count` holds (sound
+    /// `BitOverlap` reconstruction, where the weight is exactly
+    /// `|{x occupied : filter(x)}|`): inserting an occupied id adds
+    /// `filter.contains(id)`, removing one subtracts it — O(k) per
+    /// mutation, no counting walk. Under estimate-threshold pruning the
+    /// weight is walk-dependent, so the cache is dropped and recounted
+    /// lazily instead.
     ///
     /// The delta is *provably* exact only when the sound walk's
     /// positives-equal-count identity holds, and the one way that
@@ -375,44 +376,22 @@ impl TreeView<'_> {
                 let Some(mutations) = guard.mutations_since(since) else {
                     return false;
                 };
-                // Delta exactness precondition (see the method docs): no
-                // degenerate-probe resident may be a filter positive.
-                // Checked once per sync against the census — which is
-                // empty in the common case.
-                let deltas_exact = exact_count
-                    && memo.cached_count().is_some()
-                    && guard.colliding_ids().iter().all(|&c| !filter.contains(c));
-                let mut count = memo.cached_count();
-                for (id, inserted) in mutations {
+                for (id, _) in mutations {
                     memo.repair_after_mutation(self, id);
-                    count = match count {
-                        // An inserted id was not occupied before (so not
-                        // counted); a removed id was, and was counted
-                        // iff the filter holds it. The mutated id's own
-                        // probes are checked directly (a degenerate
-                        // removal is not in the post-removal census);
-                        // checked arithmetic is belt-and-braces against
-                        // wrap.
-                        Some(c) if deltas_exact && filter.probes_distinct_bits(id) => {
-                            let delta = u64::from(filter.contains(id));
-                            if inserted {
-                                c.checked_add(delta)
-                            } else {
-                                c.checked_sub(delta)
-                            }
-                        }
-                        _ => None,
-                    };
                 }
-                memo.cached_count = count;
+                memo.cached_count = memo
+                    .cached_count
+                    .filter(|_| exact_count)
+                    .and_then(|count| self.replay_count(since, filter, count));
                 true
             }
         }
     }
 
-    /// Journal-replay hook for **external** weight memos — live-leaf
-    /// weights cached outside any [`crate::query::Query`] handle, such as
-    /// the sharded engine's persistent batch weight cache. Brings an
+    /// The one copy of the journal-delta rule for live-leaf weights,
+    /// serving both a handle's memo ([`Self::repair_memo`]) and weights
+    /// cached outside any [`crate::query::Query`] handle, such as the
+    /// sharded engine's persistent batch weight cache. Brings an
     /// exact weight computed at tree generation `since` up to this view's
     /// generation by replaying the mutation journal with the O(k) delta
     /// `±filter.contains(id)` per mutation, instead of a counting walk.
@@ -433,13 +412,20 @@ impl TreeView<'_> {
             TreeView::Dense(_) => (since == 0).then_some(count),
             TreeView::Pruned { guard, .. } => {
                 let mutations = guard.mutations_since(since)?;
-                // Same exactness precondition as `repair_memo`: no
+                // Exactness precondition (see `repair_memo`): no
                 // degenerate-probe resident may be a filter positive.
+                // The census is empty in the common case.
                 if guard.colliding_ids().iter().any(|&c| filter.contains(c)) {
                     return None;
                 }
                 let mut count = count;
                 for (id, inserted) in mutations {
+                    // An inserted id was not occupied before (so not
+                    // counted); a removed id was, and was counted iff the
+                    // filter holds it. The mutated id's own probes are
+                    // checked directly (a degenerate removal is not in the
+                    // post-removal census); checked arithmetic is
+                    // belt-and-braces against wrap.
                     if !filter.probes_distinct_bits(id) {
                         return None;
                     }

@@ -202,8 +202,7 @@ impl Query {
     /// generation)` stamps plus whether anything has moved past them,
     /// with a single state-lock acquisition — the hot-path form of
     /// [`Self::generation`] + [`Self::tree_generation`] +
-    /// [`Self::is_stale`] (the sharded engine's per-sample weight-cache
-    /// check). Errors if the backing set was dropped.
+    /// [`Self::is_stale`]. Errors if the backing set was dropped.
     pub fn staleness(&self) -> Result<(u64, u64, bool), BstError> {
         let (seen_set, seen_tree) = {
             let state = self.state.lock();
@@ -409,13 +408,19 @@ impl Query {
         if let Err(e) = synced {
             return (Err(e), set_gen, tree_gen);
         }
+        // A weight served from the memo does no filter work, so it
+        // records no stats and no span: a sharded sample reads one per
+        // shard, which would otherwise flood the trace ring.
+        let walks = guard.memo.cached_count().is_none();
         let recon = BstReconstructor::with_config(&view, self.system.config().reconstruct);
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = recon.try_count_memo(&state.filter, &mut state.memo, &mut local);
         drop(guard);
-        *self.stats.lock() += local;
-        self.record_span("bst.core.live_weight", span, &local);
+        if walks {
+            *self.stats.lock() += local;
+            self.record_span("bst.core.live_weight", span, &local);
+        }
         (out, set_gen, tree_gen)
     }
 
@@ -588,10 +593,23 @@ mod tests {
         q.reconstruct().expect("reconstruct");
         let names: Vec<&str> = ring.recent().iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["bst.core.sample", "bst.core.reconstruct"]);
+        // A live weight served from the memo (the reconstruction above
+        // cached it) emits nothing; a cold one walks and emits its span.
+        q.live_weight().expect("warm weight");
+        sys.query(&f).live_weight().expect("cold weight");
+        let names: Vec<&str> = ring.recent().iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            vec![
+                "bst.core.sample",
+                "bst.core.reconstruct",
+                "bst.core.live_weight"
+            ]
+        );
         // Removing the recorder stops emission entirely.
         sys.set_recorder(None);
         q.sample(&mut rng).expect("sample");
-        assert_eq!(ring.recorded_total(), 2);
+        assert_eq!(ring.recorded_total(), 3);
     }
 
     #[test]

@@ -54,11 +54,10 @@ use crate::multiquery;
 use crate::persistence::{self, PersistError};
 use crate::pruned::PrunedBloomSampleTree;
 use crate::query::Query;
-use crate::reconstruct::{BstReconstructor, ReconstructConfig};
-use crate::sampler::{Liveness, QueryMemo, SamplerConfig};
+use crate::reconstruct::ReconstructConfig;
+use crate::sampler::{Liveness, SamplerConfig};
 use crate::store::{BstStore, FilterId};
 use crate::tree::BloomSampleTree;
-use crate::tree::SampleTree;
 
 /// Magic bytes of a whole-system snapshot.
 const SYSTEM_MAGIC: &[u8; 4] = b"BSTS";
@@ -418,43 +417,10 @@ impl BstSystem {
         Query::new(self.clone(), filter)
     }
 
-    /// The live-leaf weight of `filter` — exactly the count
-    /// [`Query::live_weight`] reports, i.e. the number of elements
-    /// [`Query::reconstruct`] would return — computed in one shot,
-    /// without opening (and paying for) a full handle. Useful for
-    /// weighing many filters whose descent state is not worth keeping,
-    /// e.g. when filling an external weight cache such as the sharded
-    /// engine's.
-    pub fn live_weight(&self, filter: &BloomFilter) -> Result<u64, BstError> {
-        self.live_weight_stamped(filter).0
-    }
-
-    /// [`Self::live_weight`] plus the tree generation it was computed at,
-    /// read under the same tree view as the walk — so a caller caching
-    /// the weight can key it to exactly the occupancy state it reflects.
-    /// On hard errors the generation is still the view's and should not
-    /// be used for caching.
-    pub fn live_weight_stamped(&self, filter: &BloomFilter) -> (Result<u64, BstError>, u64) {
-        let view = self.shared.tree.read();
-        let generation = view.generation();
-        if let Some(root) = view.root() {
-            if !filter.compatible_with(view.filter(root)) {
-                return (Err(BstError::IncompatibleFilter), generation);
-            }
-        }
-        let recon = BstReconstructor::with_config(&view, self.shared.cfg.reconstruct);
-        let mut memo = QueryMemo::new();
-        let mut stats = OpStats::new();
-        (
-            recon.try_count_memo(filter, &mut memo, &mut stats),
-            generation,
-        )
-    }
-
     /// Journal-replay hook for **external** weight memos: brings a
     /// live-leaf `weight` for `filter`, computed at tree generation
-    /// `since` (by [`Self::live_weight_stamped`] or a handle's
-    /// [`Query::live_weight`]), up to the current generation by replaying
+    /// `since` (by a handle's [`Query::live_weight_stamped`]), up to the
+    /// current generation by replaying
     /// the tree's bounded mutation journal — an O(k) delta per mutation
     /// instead of a counting walk. Returns the repaired weight and the
     /// generation it is now valid at.

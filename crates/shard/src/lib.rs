@@ -40,7 +40,9 @@
 //!   occupancy churn repairs cached weights through the mutation
 //!   journal instead of discarding them. Per-(shard, filter) RNG
 //!   seeding keeps results deterministic for a fixed seed regardless of
-//!   thread count — and bit-identical with the cache on or bypassed.
+//!   thread count — and bit-identical whether the cache is warm or
+//!   just cleared. The handle and batch paths share one soft-error
+//!   merge and one weighted shard pick.
 //!
 //! ## Mutability
 //!

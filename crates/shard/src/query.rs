@@ -6,18 +6,7 @@ use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
 use bst_core::query::Query;
 use bst_core::store::FilterId;
-use parking_lot::Mutex;
 use rand::Rng;
-
-/// One shard's cached live-leaf weight, stamped with the generations it
-/// was computed at: valid while the shard handle still carries the same
-/// stamps *and* the store/tree have not moved past them.
-#[derive(Clone, Copy)]
-struct CachedWeight {
-    outcome: Result<u64, BstError>,
-    set_generation: u64,
-    tree_generation: u64,
-}
 
 /// A query handle spanning every shard of a
 /// [`crate::system::ShardedBstSystem`]: one per-shard
@@ -44,9 +33,6 @@ pub struct ShardQuery {
     boundaries: Vec<u64>,
     /// One core handle per shard, shard order.
     handles: Vec<Query>,
-    /// Per-shard weight cache: a warm sample costs a staleness check per
-    /// shard instead of a per-shard counting walk.
-    weight_cache: Mutex<Vec<Option<CachedWeight>>>,
 }
 
 impl std::fmt::Debug for ShardQuery {
@@ -62,12 +48,10 @@ impl std::fmt::Debug for ShardQuery {
 
 impl ShardQuery {
     pub(crate) fn new(id: Option<FilterId>, boundaries: Vec<u64>, handles: Vec<Query>) -> Self {
-        let weight_cache = Mutex::new(vec![None; handles.len()]);
         ShardQuery {
             id,
             boundaries,
             handles,
-            weight_cache,
         }
     }
 
@@ -84,119 +68,40 @@ impl ShardQuery {
     }
 
     /// Per-shard live-leaf weights for the current filter/tree state,
-    /// with empty per-shard projections and empty shard trees counted as
-    /// 0. The second value is `Some(error)` when **no** shard produced a
-    /// usable evaluation, classified the way a single-tree system would:
-    /// `EmptyTree` only when **every** shard's tree is empty (the engine
-    /// holds no occupancy at all — a single tree would have no root),
-    /// `EmptyFilter` otherwise (some tree exists, so the filter side is
-    /// what failed). This is the one copy of the soft-error merge
-    /// policy: `reconstruct`/`reconstruct_range` delegate to it, and the
-    /// batch gather's `row_error` mirrors it cell-wise.
-    fn weights(&self) -> Result<(Vec<u64>, Option<BstError>), BstError> {
-        let mut cache = self.weight_cache.lock();
-        let mut weights = Vec::with_capacity(self.handles.len());
-        let mut saw_ok = false;
-        let mut empty_trees = 0usize;
-        for (slot, handle) in cache.iter_mut().zip(&self.handles) {
-            // A cached weight is reusable only while the handle still
-            // carries the stamps it was computed at AND nothing has moved
-            // past them (staleness re-checks the store and the tree in
-            // one lock acquisition).
-            let cached = match slot {
-                Some(c) => {
-                    let (set_gen, tree_gen, stale) = handle.staleness()?;
-                    (c.set_generation == set_gen && c.tree_generation == tree_gen && !stale)
-                        .then_some(c.outcome)
-                }
-                None => None,
-            };
-            let outcome = match cached {
-                Some(outcome) => outcome,
-                None => {
-                    // The stamps come from live_weight's own state lock,
-                    // not re-read afterwards: a concurrent operation on
-                    // this handle can advance its stamps between the
-                    // computation and this point, and caching an old
-                    // weight under new stamps would pin it forever.
-                    let (outcome, set_generation, tree_generation) = handle.live_weight_stamped();
-                    match outcome {
-                        Ok(_) | Err(BstError::EmptyFilter) | Err(BstError::EmptyTree) => {
-                            *slot = Some(CachedWeight {
-                                outcome,
-                                set_generation,
-                                tree_generation,
-                            });
-                        }
-                        // Hard errors propagate below and are never
-                        // cached (their stamps are not meaningful).
-                        Err(_) => {}
-                    }
-                    outcome
-                }
-            };
-            match outcome {
-                Ok(w) => {
-                    saw_ok = true;
-                    weights.push(w);
-                }
-                Err(BstError::EmptyFilter) => weights.push(0),
-                Err(BstError::EmptyTree) => {
-                    empty_trees += 1;
-                    weights.push(0);
-                }
-                Err(e) => return Err(e),
-            }
+    /// merged by [`merge_weights`]. Each weight is the shard handle's
+    /// memo-maintained [`Query::live_weight`], so a warm call costs one
+    /// O(1) memo read per shard.
+    fn weights(&self) -> Result<Vec<u64>, BstError> {
+        merge_weights(self.handles.iter().map(Query::live_weight))
+    }
+
+    /// The classification of a reconstruction no shard contributed to:
+    /// `Ok(vec![])` when some shard evaluated the filter (including the
+    /// transient case where a mutation landed between the two loops),
+    /// the merged soft error or first hard error otherwise.
+    fn empty_reconstruction(&self) -> Result<Vec<u64>, BstError> {
+        match self.weights() {
+            Ok(_) | Err(BstError::NoLiveLeaf) => Ok(Vec::new()),
+            Err(e) => Err(e),
         }
-        let merged_error = if saw_ok {
-            None
-        } else if empty_trees == self.handles.len() {
-            Some(BstError::EmptyTree)
-        } else {
-            Some(BstError::EmptyFilter)
-        };
-        Ok((weights, merged_error))
     }
 
     /// The total live-leaf weight across shards: exactly the number of
     /// elements [`Self::reconstruct`] would return.
     pub fn live_weight(&self) -> Result<u64, BstError> {
-        let (weights, merged_error) = self.weights()?;
-        if let Some(e) = merged_error {
-            return Err(e);
+        match self.weights() {
+            Ok(weights) => Ok(weights.iter().sum()),
+            Err(BstError::NoLiveLeaf) => Ok(0),
+            Err(e) => Err(e),
         }
-        Ok(weights.iter().sum())
     }
 
     /// Draws one near-uniform sample from the stored span: a shard
     /// proportional to its live-leaf weight, then a sample within it.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<u64, BstError> {
-        let (weights, merged_error) = self.weights()?;
-        if let Some(e) = merged_error {
-            return Err(e);
-        }
-        let total: u64 = weights.iter().sum();
-        if total == 0 {
-            return Err(BstError::NoLiveLeaf);
-        }
-        let mut pick = rng.gen_range(0..total);
-        let mut fallback = None;
-        for (handle, &w) in self.handles.iter().zip(&weights) {
-            if pick < w {
-                return handle.sample(rng);
-            }
-            if w > 0 {
-                fallback = Some(handle);
-            }
-            pick -= w;
-        }
-        // pick < total guarantees some shard matched above; if weights
-        // were raced to zero mid-iteration, fall back to the last live
-        // shard rather than panicking on the serving path.
-        match fallback {
-            Some(handle) => handle.sample(rng),
-            None => Err(BstError::NoLiveLeaf),
-        }
+        let weights = self.weights()?;
+        let shard = pick_shard(&weights, rng).ok_or(BstError::NoLiveLeaf)?;
+        self.handles[shard].sample(rng)
     }
 
     /// Draws `r` samples, splitting the request across shards with
@@ -210,14 +115,8 @@ impl ShardQuery {
         r: usize,
         rng: &mut R,
     ) -> Result<Vec<u64>, BstError> {
-        let (weights, merged_error) = self.weights()?;
-        if let Some(e) = merged_error {
-            return Err(e);
-        }
+        let weights = self.weights()?;
         let total: u64 = weights.iter().sum();
-        if total == 0 {
-            return Err(BstError::NoLiveLeaf);
-        }
         let mut out = Vec::with_capacity(r);
         let mut remaining = r;
         let mut weight_left = total;
@@ -260,12 +159,7 @@ impl ShardQuery {
             }
         }
         if !saw_ok {
-            // No shard contributed: classify through the one merge
-            // policy in `weights` (which also covers the transient case
-            // where a mutation landed between the loops).
-            if let (_, Some(e)) = self.weights()? {
-                return Err(e);
-            }
+            return self.empty_reconstruction();
         }
         Ok(out)
     }
@@ -294,13 +188,10 @@ impl ShardQuery {
             }
         }
         if !saw_ok {
-            // No consulted shard contributed; classify over the WHOLE
-            // engine via the one merge policy (a window over empty
+            // Classified over the WHOLE engine: a window over empty
             // shards on a live engine is Ok(vec![]), exactly like a
-            // single tree whose root exists elsewhere).
-            if let (_, Some(e)) = self.weights()? {
-                return Err(e);
-            }
+            // single tree whose root exists elsewhere.
+            return self.empty_reconstruction();
         }
         Ok(out)
     }
@@ -332,5 +223,164 @@ impl ShardQuery {
             total += handle.take_stats();
         }
         total
+    }
+}
+
+/// Merges one row of per-shard weight outcomes, in shard order, into the
+/// shard weights — the one soft-error merge policy of the handle path
+/// ([`ShardQuery`]) and the batch gather step. Empty per-shard
+/// projections (`EmptyFilter`) and empty shard trees (`EmptyTree`) weigh
+/// 0. Any other error is hard and the first one in shard order is
+/// returned; the row is consumed lazily, so later shards are not
+/// evaluated. When **no** shard produced a usable evaluation the error is
+/// classified the way a single-tree system would: `EmptyTree` only when
+/// **every** shard's tree is empty (the engine holds no occupancy at all
+/// — a single tree would have no root), `EmptyFilter` otherwise. A row
+/// whose weights total 0 is `NoLiveLeaf`, so `Ok` weights always have a
+/// positive total.
+pub(crate) fn merge_weights(
+    row: impl IntoIterator<Item = Result<u64, BstError>>,
+) -> Result<Vec<u64>, BstError> {
+    let mut weights = Vec::new();
+    let mut saw_ok = false;
+    let mut all_empty_trees = true;
+    for outcome in row {
+        match outcome {
+            Ok(w) => {
+                saw_ok = true;
+                all_empty_trees = false;
+                weights.push(w);
+            }
+            Err(BstError::EmptyFilter) => {
+                all_empty_trees = false;
+                weights.push(0);
+            }
+            Err(BstError::EmptyTree) => weights.push(0),
+            Err(e) => return Err(e),
+        }
+    }
+    if !saw_ok {
+        return Err(if all_empty_trees {
+            BstError::EmptyTree
+        } else {
+            BstError::EmptyFilter
+        });
+    }
+    if weights.iter().sum::<u64>() == 0 {
+        return Err(BstError::NoLiveLeaf);
+    }
+    Ok(weights)
+}
+
+/// Picks a shard with probability proportional to its weight, with a
+/// single `rng.gen_range(0..total)` — the one weighted shard pick of the
+/// handle path and the batch gather step. `None` when the weights total
+/// 0 (no RNG call is made then).
+pub(crate) fn pick_shard<R: Rng + ?Sized>(weights: &[u64], rng: &mut R) -> Option<usize> {
+    let total: u64 = weights.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let mut pick = rng.gen_range(0..total);
+    for (shard, &w) in weights.iter().enumerate() {
+        if pick < w {
+            return Some(shard);
+        }
+        pick -= w;
+    }
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn merge_weights_classifies_outcome_rows() {
+        use BstError::{EmptyFilter, EmptyTree, IncompatibleFilter, NoLiveLeaf};
+        let unknown = BstError::UnknownFilterId(FilterId::from_raw(3));
+        /// An outcome row and the merge it must produce.
+        type Row<'a> = (&'a [Result<u64, BstError>], Result<Vec<u64>, BstError>);
+        let rows: [Row<'_>; 9] = [
+            (&[Err(EmptyTree), Err(EmptyTree)], Err(EmptyTree)),
+            (&[Err(EmptyTree), Err(EmptyFilter)], Err(EmptyFilter)),
+            (&[Err(EmptyFilter), Err(EmptyTree)], Err(EmptyFilter)),
+            (&[Ok(0), Ok(0)], Err(NoLiveLeaf)),
+            (&[Ok(0), Err(EmptyTree)], Err(NoLiveLeaf)),
+            (&[Err(EmptyFilter), Err(unknown)], Err(unknown)),
+            (
+                &[Err(EmptyTree), Err(IncompatibleFilter), Ok(5)],
+                Err(IncompatibleFilter),
+            ),
+            (
+                &[Err(IncompatibleFilter), Err(unknown)],
+                Err(IncompatibleFilter),
+            ),
+            (
+                &[Ok(2), Err(EmptyFilter), Err(EmptyTree), Ok(3)],
+                Ok(vec![2, 0, 0, 3]),
+            ),
+        ];
+        for (row, expect) in rows {
+            assert_eq!(merge_weights(row.iter().copied()), expect, "row {row:?}");
+        }
+    }
+
+    #[test]
+    fn merge_weights_stops_at_the_first_hard_error() {
+        let mut consumed = 0;
+        let row = [Ok(1), Err(BstError::IncompatibleFilter), Ok(2)]
+            .into_iter()
+            .inspect(|_| consumed += 1);
+        assert_eq!(merge_weights(row), Err(BstError::IncompatibleFilter));
+        assert_eq!(consumed, 2, "shards after a hard error are not evaluated");
+    }
+
+    /// The linear scan the handle and batch paths each carried before
+    /// they shared [`pick_shard`].
+    fn reference_pick(weights: &[u64], rng: &mut StdRng) -> Option<usize> {
+        let total: u64 = weights.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let mut pick = rng.gen_range(0..total);
+        let mut fallback = None;
+        for (shard, &w) in weights.iter().enumerate() {
+            if pick < w {
+                return Some(shard);
+            }
+            if w > 0 {
+                fallback = Some(shard);
+            }
+            pick -= w;
+        }
+        fallback
+    }
+
+    #[test]
+    fn pick_shard_matches_the_linear_scan() {
+        let rows: [&[u64]; 5] = [
+            &[7],
+            &[0, 3, 0, 1],
+            &[5, 5, 5, 5],
+            &[0, 0, 9],
+            &[1, 1000, 0, 2],
+        ];
+        for seed in 0..64u64 {
+            for weights in rows {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                assert_eq!(
+                    pick_shard(weights, &mut a),
+                    reference_pick(weights, &mut b),
+                    "seed {seed}, weights {weights:?}"
+                );
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same RNG consumption");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(pick_shard(&[0, 0], &mut rng), None);
     }
 }

@@ -15,9 +15,9 @@ use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
 use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::query::ShardQuery;
+use crate::query::{merge_weights, pick_shard, ShardQuery};
 use crate::weight_cache::{
     filter_content_hash, CachedWeight, SlotKey, WeightCache, WeightCacheStats,
 };
@@ -66,7 +66,6 @@ pub struct ShardedBstSystemBuilder {
     cfg: BstConfig,
     depth_override: Option<u32>,
     occupied: Option<Vec<u64>>,
-    weight_cache: bool,
 }
 
 impl ShardedBstSystemBuilder {
@@ -82,7 +81,6 @@ impl ShardedBstSystemBuilder {
             cfg: BstConfig::default(),
             depth_override: None,
             occupied: None,
-            weight_cache: true,
         }
     }
 
@@ -131,16 +129,6 @@ impl ShardedBstSystemBuilder {
     /// Pins the tree depth instead of deriving it from the cost model.
     pub fn depth(mut self, depth: u32) -> Self {
         self.depth_override = Some(depth);
-        self
-    }
-
-    /// Enables or bypasses the engine-level persistent weight cache the
-    /// batch entry points consult (default: enabled). Bypass exists for
-    /// A/B measurement and for pinning cached ≡ uncached outputs in
-    /// tests; it can also be toggled later with
-    /// [`ShardedBstSystem::set_weight_cache`].
-    pub fn weight_cache(mut self, enabled: bool) -> Self {
-        self.weight_cache = enabled;
         self
     }
 
@@ -221,7 +209,7 @@ impl ShardedBstSystemBuilder {
                     next_id: 0,
                     map: BTreeMap::new(),
                 }),
-                weight_cache: WeightCache::new(shard_count, self.weight_cache),
+                weight_cache: WeightCache::new(shard_count),
                 tracer: Tracer::disabled(),
                 batch_obs: RwLock::new(None),
             }),
@@ -521,26 +509,12 @@ impl ShardedBstSystem {
     // The persistent weight cache (batch phase-1 amortization).
     // ------------------------------------------------------------------
 
-    /// Whether the engine-level persistent weight cache is enabled (the
-    /// builder default; see
-    /// [`ShardedBstSystemBuilder::weight_cache`]).
-    pub fn weight_cache_enabled(&self) -> bool {
-        self.shared.weight_cache.enabled()
-    }
-
-    /// Enables or bypasses the persistent weight cache at runtime.
-    /// Disabling also clears it, so batches after a later re-enable
-    /// start cold — and bypassed batches always produce exactly what
-    /// cached ones would, since cached weights equal recomputed ones
-    /// (pinned in `tests/e2e_shard.rs`).
-    pub fn set_weight_cache(&self, enabled: bool) {
-        self.shared.weight_cache.set_enabled(enabled);
-    }
-
     /// Drops every cached weight and resets the effectiveness counters;
-    /// the next batch re-weighs all its cells. Never required for
-    /// correctness (staleness is stamp-checked on every probe) — this
-    /// exists for measurement and tests.
+    /// the next batch re-weighs all its cells, producing exactly what a
+    /// warm batch would, since cached weights equal recomputed ones
+    /// (pinned in `tests/e2e_shard.rs`). Never required for correctness
+    /// (staleness is stamp-checked on every probe) — this exists for
+    /// measurement and tests.
     pub fn clear_weight_cache(&self) {
         self.shared.weight_cache.clear();
     }
@@ -777,7 +751,7 @@ impl ShardedBstSystem {
         let cache = &self.shared.weight_cache;
         let shards = &self.shared.shards;
         let mut grid: Vec<WeighedCell> = (0..cells)
-            .map(|_| WeighedCell::dead(BstError::NoLiveLeaf))
+            .map(|_| WeighedCell::without_handle(Err(BstError::NoLiveLeaf)))
             .collect();
         let mut missing: Vec<usize> = Vec::new();
         for (slot, key) in keys.iter().enumerate() {
@@ -785,7 +759,7 @@ impl ShardedBstSystem {
             for shard in 0..shard_count {
                 let cell = shard * slots + slot;
                 match served.as_ref().and_then(|row| row[shard]) {
-                    Some(outcome) => grid[cell] = WeighedCell::cached(outcome),
+                    Some(outcome) => grid[cell] = WeighedCell::without_handle(outcome),
                     None => missing.push(cell),
                 }
             }
@@ -842,73 +816,26 @@ impl ShardedBstSystem {
             obs.weigh_us.record(t0.elapsed().as_secs_f64() * 1e6);
         }
 
-        // Gather: per slot, merge verdicts, total the weights and pick a
-        // shard. Chosen cells surrender their warm handle to phase 2
-        // (cache-hit cells have none; phase 2 opens one on demand).
+        // Gather: per slot, merge the outcomes and pick a shard, through
+        // the same two helpers as the ShardQuery handle path. Chosen cells
+        // surrender their warm handle to phase 2 (cache-hit cells have
+        // none; phase 2 opens one on demand).
         let mut results: Vec<Result<u64, BstError>> = Vec::with_capacity(slots);
         let mut chosen: Vec<(usize, usize, Option<bst_core::query::Query>)> = Vec::new();
-        'slots: for slot in 0..slots {
-            let mut total = 0u64;
-            let mut any_filter = false;
-            for shard in 0..shard_count {
-                let cell = &grid[shard * slots + slot];
-                // A weightless cell's verdict is its *evaluation*
-                // verdict. Hard verdicts (incompatible filter, dropped
-                // backing set, ...) propagate exactly like the
-                // ShardQuery handle path; Empty*/NoLiveLeaf are soft
-                // and merge below.
-                if cell.weight == 0 {
-                    match cell.verdict {
-                        Ok(())
-                        | Err(BstError::EmptyFilter)
-                        | Err(BstError::EmptyTree)
-                        | Err(BstError::NoLiveLeaf) => {}
-                        Err(e) => {
-                            results.push(Err(e));
-                            continue 'slots;
-                        }
-                    }
-                }
-                match cell.verdict {
-                    Err(BstError::EmptyFilter) | Err(BstError::EmptyTree) => {}
-                    _ => any_filter = true,
-                }
-                total += cell.weight;
-            }
-            if !any_filter {
-                results.push(column_error(&grid, slots, shard_count, slot));
-                continue;
-            }
-            if total == 0 {
-                results.push(Err(BstError::NoLiveLeaf));
-                continue;
-            }
-            let mut rng = StdRng::seed_from_u64(cell_seed(seed, u64::MAX, slot as u64));
-            let mut pick = rng.gen_range(0..total);
-            let mut fallback = None;
-            let mut hit = None;
-            for shard in 0..shard_count {
-                let cell = &grid[shard * slots + slot];
-                if pick < cell.weight {
-                    hit = Some(shard);
-                    break;
-                }
-                if cell.weight > 0 {
-                    fallback = Some(shard);
-                }
-                pick -= cell.weight;
-            }
-            // pick < total guarantees a hit; the fallback to the last
-            // positive-weight shard keeps the serving path panic-free
-            // even if that invariant were ever violated.
-            match hit.or(fallback) {
-                Some(shard) => {
+        for slot in 0..slots {
+            let row = (0..shard_count).map(|shard| grid[shard * slots + slot].outcome);
+            let picked = merge_weights(row).and_then(|weights| {
+                let mut rng = StdRng::seed_from_u64(cell_seed(seed, u64::MAX, slot as u64));
+                pick_shard(&weights, &mut rng).ok_or(BstError::NoLiveLeaf)
+            });
+            match picked {
+                Ok(shard) => {
                     let cell = &mut grid[shard * slots + slot];
                     chosen.push((slot, shard, cell.handle.take()));
                     // Placeholder; phase 2 overwrites it.
                     results.push(Err(BstError::NoLiveLeaf));
                 }
-                None => results.push(Err(BstError::NoLiveLeaf)),
+                Err(e) => results.push(Err(e)),
             }
         }
         drop(grid); // non-chosen handles are done after weighing
@@ -1158,8 +1085,8 @@ impl ShardedBstSystem {
                     map,
                 }),
                 // The cache is derived state and never persisted; a
-                // restored engine starts cold with the default policy.
-                weight_cache: WeightCache::new(shard_count, true),
+                // restored engine starts cold.
+                weight_cache: WeightCache::new(shard_count),
                 // Observability wiring is process state, not snapshot
                 // state: the installer re-attaches after a restore.
                 tracer: Tracer::disabled(),
@@ -1172,58 +1099,41 @@ impl ShardedBstSystem {
 /// One phase-2 outcome: `(slot, sample, stats drained from the handle)`.
 type SampledSlot = (usize, Result<u64, BstError>, OpStats);
 
-/// One phase-1 (shard, slot) evaluation: the shard's live-leaf weight
-/// for the slot, the evaluation verdict, and — for freshly weighed
-/// cells — the warmed handle phase 2 samples from (cache-hit cells
-/// carry none and open one lazily if chosen).
+/// One (shard, slot) cell of the batch grid: the shard's weight outcome
+/// for the slot — the same value the persistent weight cache stores —
+/// and, for freshly weighed cells with a positive weight, the warmed
+/// handle phase 2 samples from (cache-hit cells carry none and open one
+/// lazily if chosen).
 struct WeighedCell {
-    weight: u64,
-    verdict: Result<(), BstError>,
+    outcome: Result<u64, BstError>,
     handle: Option<bst_core::query::Query>,
 }
 
 impl WeighedCell {
-    fn dead(err: BstError) -> Self {
+    fn without_handle(outcome: Result<u64, BstError>) -> Self {
         WeighedCell {
-            weight: 0,
-            verdict: Err(err),
+            outcome,
             handle: None,
-        }
-    }
-
-    /// A cell served from the persistent weight cache: the same
-    /// weight/verdict classification as a fresh weigh, minus the handle.
-    fn cached(outcome: Result<u64, BstError>) -> Self {
-        match outcome {
-            Ok(0) => WeighedCell::dead(BstError::NoLiveLeaf),
-            Ok(weight) => WeighedCell {
-                weight,
-                verdict: Ok(()),
-                handle: None,
-            },
-            Err(e) => WeighedCell::dead(e),
         }
     }
 }
 
-/// Weighs one (shard, slot) cell — phase 1 does **no** sampling.
-/// Weightless shards carry `NoLiveLeaf` (never chosen by the gather
-/// step); empty per-shard projections and empty shard trees count as
-/// weight 0. The second value is the stamped outcome for the weight
-/// cache: soft outcomes only (hard errors carry no meaningful stamps),
-/// read under the computation's own state lock so the stamps name
-/// exactly the state the weight reflects.
+/// Weighs one (shard, slot) cell — phase 1 does **no** sampling. A dead
+/// slot (`Ok(None)`: slot-level errors are patched in by the caller,
+/// e.g. unknown sharded ids) weighs `NoLiveLeaf`; a hard open failure is
+/// the cell's outcome, which the gather step propagates. The second
+/// value is the stamped outcome for the weight cache: soft outcomes only
+/// (hard errors carry no meaningful stamps), read under the
+/// computation's own state lock so the stamps name exactly the state
+/// the weight reflects.
 fn weigh_cell(
     handle: Result<Option<bst_core::query::Query>, BstError>,
     stats: &mut OpStats,
 ) -> (WeighedCell, Option<CachedWeight>) {
     let handle = match handle {
-        // A hard per-shard open failure: the gather step propagates it.
-        Err(e) => return (WeighedCell::dead(e), None),
-        // Dead slot on this shard; slot-level errors are patched in by
-        // the caller (e.g. unknown sharded ids).
-        Ok(None) => return (WeighedCell::dead(BstError::NoLiveLeaf), None),
         Ok(Some(handle)) => handle,
+        Ok(None) => return (WeighedCell::without_handle(Err(BstError::NoLiveLeaf)), None),
+        Err(e) => return (WeighedCell::without_handle(Err(e)), None),
     };
     let (outcome, set_generation, tree_generation) = handle.live_weight_stamped();
     *stats += handle.take_stats();
@@ -1235,39 +1145,12 @@ fn weigh_cell(
         }),
         Err(_) => None,
     };
-    let cell = match outcome {
-        Ok(0) => WeighedCell::dead(BstError::NoLiveLeaf),
-        Ok(weight) => WeighedCell {
-            weight,
-            verdict: Ok(()),
-            handle: Some(handle),
-        },
-        // EmptyTree/EmptyFilter stay as the cell's verdict (weight 0):
-        // the gather step classifies them exactly like
-        // ShardQuery::weights, so batch slots and handle calls report
-        // the same typed error.
-        Err(e) => WeighedCell::dead(e),
+    let cell = WeighedCell {
+        outcome,
+        // Only a positive-weight cell can be chosen in the gather step.
+        handle: matches!(outcome, Ok(w) if w > 0).then_some(handle),
     };
     (cell, stamped)
-}
-
-/// The slot error when no shard saw a usable filter — the same merge
-/// policy as `ShardQuery::weights`: `EmptyTree` only when **every**
-/// shard's tree is empty (the engine holds no occupancy, like a rootless
-/// single tree), `EmptyFilter` otherwise.
-fn column_error(
-    grid: &[WeighedCell],
-    slots: usize,
-    shard_count: usize,
-    slot: usize,
-) -> Result<u64, BstError> {
-    let all_empty_trees = (0..shard_count)
-        .all(|shard| matches!(grid[shard * slots + slot].verdict, Err(BstError::EmptyTree)));
-    Err(if all_empty_trees {
-        BstError::EmptyTree
-    } else {
-        BstError::EmptyFilter
-    })
 }
 
 #[cfg(test)]
@@ -1710,7 +1593,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_results_identical_with_cache_bypassed() {
+    fn batch_results_identical_warm_and_cleared() {
         let sys = engine(4);
         let ids: Vec<FilterId> = (0..5)
             .map(|i| {
@@ -1721,21 +1604,20 @@ mod tests {
         let filters: Vec<BloomFilter> = (0..6)
             .map(|i| sys.store((0..40u64).map(|j| (i * 389 + j * 23) % 8_192)))
             .collect();
-        // Warm the cache, then compare against the bypass path on the
-        // same engine — outputs must be bit-identical.
+        // Warm the cache, then compare against batches that weigh every
+        // cell fresh on the same engine — outputs must be bit-identical.
         let (warm_f, _) = sys.query_batch(&filters, 7, 2);
         let (warm_f2, _) = sys.query_batch(&filters, 7, 2);
         let (warm_i, _) = sys.query_batch_ids(&ids, 9, 2);
         let (warm_i2, _) = sys.query_batch_ids(&ids, 9, 2);
-        sys.set_weight_cache(false);
-        assert!(!sys.weight_cache_enabled());
-        let (bypass_f, _) = sys.query_batch(&filters, 7, 2);
-        let (bypass_i, _) = sys.query_batch_ids(&ids, 9, 2);
-        assert_eq!(warm_f, bypass_f);
-        assert_eq!(warm_f2, bypass_f);
-        assert_eq!(warm_i, bypass_i);
-        assert_eq!(warm_i2, bypass_i);
-        sys.set_weight_cache(true);
+        sys.clear_weight_cache();
+        let (cold_f, _) = sys.query_batch(&filters, 7, 2);
+        let (cold_i, _) = sys.query_batch_ids(&ids, 9, 2);
+        assert_eq!(sys.weight_cache_stats().hits, 0, "every cell weighed");
+        assert_eq!(warm_f, cold_f);
+        assert_eq!(warm_f2, cold_f);
+        assert_eq!(warm_i, cold_i);
+        assert_eq!(warm_i2, cold_i);
     }
 
     #[test]
@@ -1809,9 +1691,9 @@ mod tests {
             "the mutated shard's cells repair through the journal"
         );
         // Repaired weights must equal recomputed ones.
-        sys.set_weight_cache(false);
-        let (bypass, _) = sys.query_batch(&filters, 13, 2);
-        assert_eq!(r, bypass);
+        sys.clear_weight_cache();
+        let (cold, _) = sys.query_batch(&filters, 13, 2);
+        assert_eq!(r, cold);
     }
 
     #[test]
@@ -1839,7 +1721,7 @@ mod tests {
             let cell = cell.expect("every shard weighed");
             assert_eq!(
                 cell.outcome,
-                sys.shard_systems()[shard].live_weight_stamped(&filter).0,
+                sys.shard_systems()[shard].query(&filter).live_weight(),
                 "shard {shard}"
             );
             assert_eq!(cell.set_generation, 0, "ad-hoc filters have no set");

@@ -23,8 +23,8 @@
 //!
 //! Each cell carries the weight outcome plus the `(store set-generation,
 //! tree generation)` stamp pair it was computed at — the same two stamp
-//! kinds that invalidate a [`crate::query::ShardQuery`]'s handle-level
-//! cache. **Mutations never touch the cache** (no write-path cost beyond
+//! kinds a [`bst_core::query::Query`] handle keeps for its memo.
+//! **Mutations never touch the cache** (no write-path cost beyond
 //! the generation bumps that already happen); staleness is discovered
 //! lazily at probe time by comparing stamps against the live generations:
 //!
@@ -44,12 +44,11 @@
 //!
 //! Cached weights are pure functions of `(tree, filter)` and equal what a
 //! fresh weighing would produce, so batch *outputs* are bit-identical
-//! with the cache enabled or bypassed (pinned in `tests/e2e_shard.rs`
-//! and the crate proptests); only `OpStats` differ, since cache hits
-//! perform no filter operations.
+//! whether a batch runs warm or against a just-cleared cache (pinned in
+//! `tests/e2e_shard.rs` and the crate proptests); only `OpStats` differ,
+//! since cache hits perform no filter operations.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use bst_bloom::filter::BloomFilter;
 use bst_core::error::BstError;
@@ -125,8 +124,7 @@ impl CachedWeight {
 }
 
 /// Effectiveness counters since construction or the last clear
-/// (clearing — including the one `set_enabled(false)` performs — resets
-/// them; a bypassed cache counts nothing at all).
+/// (clearing resets them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WeightCacheStats {
     /// Cells served straight from the cache (stamps current).
@@ -175,7 +173,6 @@ struct AdhocSide {
 /// protocol; all methods are engine-internal.
 pub(crate) struct WeightCache {
     shards: usize,
-    enabled: AtomicBool,
     stored: RwLock<StoredSide>,
     adhoc: RwLock<AdhocSide>,
     /// Effectiveness counters as `bst-obs` handles, so a serving layer
@@ -188,10 +185,9 @@ pub(crate) struct WeightCache {
 }
 
 impl WeightCache {
-    pub(crate) fn new(shards: usize, enabled: bool) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         WeightCache {
             shards,
-            enabled: AtomicBool::new(enabled),
             stored: RwLock::new(StoredSide::default()),
             adhoc: RwLock::new(AdhocSide {
                 map: HashMap::new(),
@@ -200,19 +196,6 @@ impl WeightCache {
             hits: Counter::new(),
             misses: Counter::new(),
             repairs: Counter::new(),
-        }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    /// Runtime toggle; disabling also clears (a bypassed cache must not
-    /// serve pre-toggle state when re-enabled later).
-    pub(crate) fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Release);
-        if !enabled {
-            self.clear();
         }
     }
 
@@ -292,9 +275,6 @@ impl WeightCache {
         key: &SlotKey<'_>,
     ) -> Vec<Option<Result<u64, BstError>>> {
         let mut out = vec![None; shards.len()];
-        if !self.enabled() {
-            return out;
-        }
         let cells: Option<Vec<Option<CachedWeight>>> = match key {
             SlotKey::Adhoc { hash, filter } => {
                 let adhoc = self.adhoc.read();
@@ -386,15 +366,12 @@ impl WeightCache {
     /// Records a freshly weighed (or just-repaired) cell. Only soft
     /// outcomes are cacheable; the weighing caller filters hard errors
     /// out. Overwrites are stamp-monotonic
-    /// ([`CachedWeight::supersedes`]). The enabled flag is re-checked
-    /// under the write lock: `set_enabled(false)` clears under that same
-    /// lock, so an in-flight write-back can never repopulate a cache the
-    /// toggle just emptied.
+    /// ([`CachedWeight::supersedes`]).
     pub(crate) fn fill(&self, shard: usize, key: &SlotKey<'_>, cell: CachedWeight) {
         match key {
             SlotKey::Stored { raw, .. } => {
                 let mut stored = self.stored.write();
-                if !self.enabled() || stored.retired.contains(raw) {
+                if stored.retired.contains(raw) {
                     return;
                 }
                 let entry = stored.map.entry(*raw).or_insert_with(|| StoredEntry {
@@ -404,9 +381,6 @@ impl WeightCache {
             }
             SlotKey::Adhoc { hash, filter } => {
                 let mut adhoc = self.adhoc.write();
-                if !self.enabled() {
-                    return;
-                }
                 match adhoc.map.get_mut(hash) {
                     Some(entry)
                         if entry.filter.bits() == filter.bits()
@@ -487,14 +461,14 @@ mod tests {
     #[test]
     fn probe_miss_fill_hit_roundtrip() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let filter = sys.store((0..100u64).map(|i| i * 2 % 4_096));
         let key = SlotKey::Adhoc {
             hash: filter_content_hash(&filter),
             filter: &filter,
         };
         assert_eq!(probe(&cache, &sys, &key), None, "cold probe misses");
-        let (outcome, tree_generation) = sys.live_weight_stamped(&filter);
+        let (outcome, _, tree_generation) = sys.query(&filter).live_weight_stamped();
         cache.fill(
             0,
             &key,
@@ -512,14 +486,14 @@ mod tests {
     #[test]
     fn tree_mutation_repairs_instead_of_missing() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let keys: Vec<u64> = (0..100u64).map(|i| i * 2 % 4_096).collect();
         let filter = sys.store(keys.iter().copied().chain([1u64]));
         let key = SlotKey::Adhoc {
             hash: filter_content_hash(&filter),
             filter: &filter,
         };
-        let (outcome, tree_generation) = sys.live_weight_stamped(&filter);
+        let (outcome, _, tree_generation) = sys.query(&filter).live_weight_stamped();
         let w0 = outcome.expect("weight");
         cache.fill(
             0,
@@ -535,7 +509,7 @@ mod tests {
         sys.insert_occupied(1).expect("insert");
         let served = probe(&cache, &sys, &key).expect("repairable");
         assert_eq!(served, Ok(w0 + 1), "repair applies the +contains delta");
-        assert_eq!(served, Ok(sys.live_weight(&filter).expect("recount")));
+        assert_eq!(served, sys.query(&filter).live_weight(), "recount");
         assert_eq!(cache.stats().repairs, 1);
         // The repaired cell is now current: the next probe is a pure hit.
         assert_eq!(probe(&cache, &sys, &key), Some(Ok(w0 + 1)));
@@ -543,15 +517,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_never_serves() {
+    fn cleared_cache_never_serves() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let filter = sys.store([2u64, 4, 6]);
         let key = SlotKey::Adhoc {
             hash: filter_content_hash(&filter),
             filter: &filter,
         };
-        let (outcome, tree_generation) = sys.live_weight_stamped(&filter);
+        let (outcome, _, tree_generation) = sys.query(&filter).live_weight_stamped();
         cache.fill(
             0,
             &key,
@@ -561,19 +535,15 @@ mod tests {
                 tree_generation,
             },
         );
-        cache.set_enabled(false);
-        assert_eq!(probe(&cache, &sys, &key), None, "bypassed");
-        cache.set_enabled(true);
-        assert_eq!(
-            probe(&cache, &sys, &key),
-            None,
-            "disabling cleared the state"
-        );
+        assert_eq!(probe(&cache, &sys, &key), Some(outcome), "warm");
+        cache.clear();
+        assert_eq!(probe(&cache, &sys, &key), None, "clearing drops the cell");
+        assert_eq!(cache.stats().misses, 1, "clearing resets the counters");
     }
 
     #[test]
     fn late_fill_cannot_resurrect_a_retired_stored_entry() {
-        let cache = WeightCache::new(2, true);
+        let cache = WeightCache::new(2);
         let fids = [FilterId::from_raw(0), FilterId::from_raw(1)];
         let key = SlotKey::Stored {
             raw: 9,
@@ -602,7 +572,7 @@ mod tests {
     #[test]
     fn adhoc_interning_is_bounded_fifo() {
         let sys = system();
-        let cache = WeightCache::new(1, true);
+        let cache = WeightCache::new(1);
         let cell = CachedWeight {
             outcome: Ok(1),
             set_generation: 0,

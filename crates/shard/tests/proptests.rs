@@ -134,13 +134,13 @@ proptest! {
 
     /// The engine-level persistent weight cache never changes batch
     /// output: under arbitrary interleaved store churn, occupancy churn
-    /// and repeated batches, a cache-enabled engine and a cache-bypassed
-    /// twin driven identically produce bit-identical `query_batch` and
+    /// and repeated batches, a warm engine and a twin that clears its
+    /// cache before every batch, driven identically, produce bit-identical `query_batch` and
     /// `query_batch_ids` results — and every *fresh* cached cell equals
     /// a from-scratch recomputation of that shard's live weight. Runs
     /// under both filter layouts (classic and cache-line blocked).
     #[test]
-    fn cached_batches_equal_bypassed_batches_under_churn(
+    fn cached_batches_equal_cleared_batches_under_churn(
         occupied in prop::collection::btree_set(0u64..2_048, 20..200),
         shards in 1usize..5,
         ops in prop::collection::vec((0u8..4, 0u64..2_048), 1..40),
@@ -148,18 +148,17 @@ proptest! {
         kind in prop_oneof![Just(HashKind::Murmur3), Just(HashKind::DeltaBlocked)],
     ) {
         let occ: Vec<u64> = occupied.iter().copied().collect();
-        let build = |cache: bool| {
+        let build = || {
             ShardedBstSystem::builder(2_048)
                 .shards(shards)
                 .expected_set_size(64)
                 .seed(27)
                 .hash_kind(kind)
                 .occupied(occ.iter().copied())
-                .weight_cache(cache)
                 .build()
         };
-        let cached = build(true);
-        let bypass = build(false);
+        let cached = build();
+        let cold = build();
         let keysets: Vec<Vec<u64>> = (0..3u64)
             .map(|i| (0..40u64).map(|j| (i * 709 + j * 31) % 2_048).collect())
             .collect();
@@ -167,45 +166,47 @@ proptest! {
             .iter()
             .map(|k| cached.create(k.iter().copied()).unwrap())
             .collect();
-        let ids_bypass: Vec<_> = keysets
+        let ids_cold: Vec<_> = keysets
             .iter()
-            .map(|k| bypass.create(k.iter().copied()).unwrap())
+            .map(|k| cold.create(k.iter().copied()).unwrap())
             .collect();
         let filters: Vec<_> = (0..3u64)
             .map(|i| cached.store((0..30u64).map(|j| (i * 523 + j * 41) % 2_048)))
             .collect();
-        // Prime both engines, then interleave mutations with batches.
+        // Prime the cached engine, then interleave mutations with
+        // batches; the cold twin clears its cache before every batch, so
+        // it weighs every cell fresh.
         cached.query_batch(&filters, seed, 2);
         cached.query_batch_ids(&ids_cached, seed, 2);
-        bypass.query_batch(&filters, seed, 2);
-        bypass.query_batch_ids(&ids_bypass, seed, 2);
         for (round, (op, id)) in ops.into_iter().enumerate() {
             match op {
                 0 => {
                     cached.insert_occupied(id).unwrap();
-                    bypass.insert_occupied(id).unwrap();
+                    cold.insert_occupied(id).unwrap();
                 }
                 1 => {
                     cached.remove_occupied(id).unwrap();
-                    bypass.remove_occupied(id).unwrap();
+                    cold.remove_occupied(id).unwrap();
                 }
                 2 => {
                     let set = (id % 3) as usize;
                     cached.insert_keys(ids_cached[set], [id]).unwrap();
-                    bypass.insert_keys(ids_bypass[set], [id]).unwrap();
+                    cold.insert_keys(ids_cold[set], [id]).unwrap();
                 }
                 _ => {
                     let set = (id % 3) as usize;
                     cached.remove_keys(ids_cached[set], [id]).unwrap();
-                    bypass.remove_keys(ids_bypass[set], [id]).unwrap();
+                    cold.remove_keys(ids_cold[set], [id]).unwrap();
                 }
             }
             let batch_seed = seed.wrapping_add(round as u64);
             let (rc, _) = cached.query_batch(&filters, batch_seed, 2);
-            let (rb, _) = bypass.query_batch(&filters, batch_seed, 2);
+            cold.clear_weight_cache();
+            let (rb, _) = cold.query_batch(&filters, batch_seed, 2);
             prop_assert_eq!(rc, rb, "detached batch diverged at round {}", round);
             let (rc, _) = cached.query_batch_ids(&ids_cached, batch_seed, 2);
-            let (rb, _) = bypass.query_batch_ids(&ids_bypass, batch_seed, 2);
+            cold.clear_weight_cache();
+            let (rb, _) = cold.query_batch_ids(&ids_cold, batch_seed, 2);
             prop_assert_eq!(rc, rb, "stored batch diverged at round {}", round);
         }
         // Every cached cell that claims freshness equals a recount.
@@ -221,7 +222,7 @@ proptest! {
                 if fresh {
                     prop_assert_eq!(
                         cell.outcome,
-                        sys.live_weight_stamped(&sys.get(fid).unwrap()).0,
+                        sys.query_id(fid).unwrap().live_weight_stamped().0,
                         "stale weight served as fresh: set {} shard {}", slot, shard
                     );
                 }

@@ -529,11 +529,12 @@ fn sharded_batches_fan_out_with_typed_errors() {
 
 /// The engine-level persistent weight cache is invisible in batch
 /// output: across a schedule of store churn and occupancy churn, every
-/// `query_batch` / `query_batch_ids` result on a cache-enabled engine is
-/// byte-identical to the cache-bypass path — warm (repeated), repaired
-/// (post-churn) and cold alike — while the cache measurably serves hits.
+/// `query_batch` / `query_batch_ids` result on a warm engine is
+/// byte-identical to a twin that clears its cache before every batch —
+/// warm (repeated), repaired (post-churn) and cold alike — while the
+/// cache measurably serves hits.
 #[test]
-fn batch_outputs_identical_with_weight_cache_on_and_off() {
+fn batch_outputs_identical_warm_and_cleared() {
     let namespace = 20_000u64;
     let build = || {
         ShardedBstSystem::builder(namespace)
@@ -544,8 +545,7 @@ fn batch_outputs_identical_with_weight_cache_on_and_off() {
             .build()
     };
     let cached = build();
-    let bypass = build();
-    bypass.set_weight_cache(false);
+    let cold = build();
 
     let filters: Vec<_> = (0..12)
         .map(|i| cached.store((0..80u64).map(|j| (i * 1_213 + j * 37) % namespace)))
@@ -557,9 +557,9 @@ fn batch_outputs_identical_with_weight_cache_on_and_off() {
         .iter()
         .map(|k| cached.create(k.iter().copied()).expect("create"))
         .collect();
-    let ids_bypass: Vec<_> = keysets
+    let ids_cold: Vec<_> = keysets
         .iter()
-        .map(|k| bypass.create(k.iter().copied()).expect("create"))
+        .map(|k| cold.create(k.iter().copied()).expect("create"))
         .collect();
 
     // Mutation schedule: (occupancy toggle, set churn) between batches.
@@ -575,20 +575,22 @@ fn batch_outputs_identical_with_weight_cache_on_and_off() {
         if let Some(id) = occ {
             cached.insert_occupied(*id).expect("insert");
             cached.remove_occupied(*id).expect("remove");
-            bypass.insert_occupied(*id).expect("insert");
-            bypass.remove_occupied(*id).expect("remove");
+            cold.insert_occupied(*id).expect("insert");
+            cold.remove_occupied(*id).expect("remove");
         }
         if let Some((set, key)) = churn {
             cached.insert_keys(ids_cached[*set], [*key]).expect("keys");
-            bypass.insert_keys(ids_bypass[*set], [*key]).expect("keys");
+            cold.insert_keys(ids_cold[*set], [*key]).expect("keys");
         }
         for threads in [1, 3] {
             let seed = 31 + round as u64;
             let (rc, _) = cached.query_batch(&filters, seed, threads);
-            let (rb, _) = bypass.query_batch(&filters, seed, threads);
+            cold.clear_weight_cache();
+            let (rb, _) = cold.query_batch(&filters, seed, threads);
             assert_eq!(rc, rb, "detached batch, round {round}, threads {threads}");
             let (rc, _) = cached.query_batch_ids(&ids_cached, seed, threads);
-            let (rb, _) = bypass.query_batch_ids(&ids_bypass, seed, threads);
+            cold.clear_weight_cache();
+            let (rb, _) = cold.query_batch_ids(&ids_cold, seed, threads);
             assert_eq!(rc, rb, "stored batch, round {round}, threads {threads}");
         }
     }
@@ -599,8 +601,8 @@ fn batch_outputs_identical_with_weight_cache_on_and_off() {
         "the schedule must exercise journal repair"
     );
     assert_eq!(
-        bypass.weight_cache_stats(),
-        Default::default(),
-        "the bypass engine never touches its cache"
+        cold.weight_cache_stats().hits,
+        0,
+        "the cleared twin weighs every cell"
     );
 }

@@ -231,7 +231,7 @@ fn engine_weight_cache_never_serves_superseded_weights_with(kind: HashKind) {
     });
 
     // Quiescent: every fresh cached cell agrees exactly with a cold
-    // recount, and cached batches equal bypassed batches.
+    // recount, and cached batches equal batches that weigh every cell.
     let (with_cache_f, _) = engine.query_batch(&filters, 99, 2);
     let (with_cache_i, _) = engine.query_batch_ids(&ids, 99, 2);
     for id in &ids {
@@ -246,17 +246,18 @@ fn engine_weight_cache_never_serves_superseded_weights_with(kind: HashKind) {
             {
                 assert_eq!(
                     cell.outcome,
-                    sys.live_weight_stamped(&sys.get(fid).expect("project")).0,
+                    sys.query_id(fid).expect("open").live_weight_stamped().0,
                     "fresh cached cell disagrees with recount (shard {shard})"
                 );
             }
         }
     }
-    engine.set_weight_cache(false);
-    let (bypass_f, _) = engine.query_batch(&filters, 99, 2);
-    let (bypass_i, _) = engine.query_batch_ids(&ids, 99, 2);
-    assert_eq!(with_cache_f, bypass_f);
-    assert_eq!(with_cache_i, bypass_i);
+    engine.clear_weight_cache();
+    let (cold_f, _) = engine.query_batch(&filters, 99, 2);
+    let (cold_i, _) = engine.query_batch_ids(&ids, 99, 2);
+    assert_eq!(engine.weight_cache_stats().hits, 0, "every cell weighed");
+    assert_eq!(with_cache_f, cold_f);
+    assert_eq!(with_cache_i, cold_i);
 }
 
 macro_rules! both_layouts {
