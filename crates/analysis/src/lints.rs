@@ -173,7 +173,7 @@ pub struct LockClass {
 }
 
 /// The workspace lock-order manifest, outermost first:
-/// store set-lock → tree RwLock → query/session state.
+/// store set-lock → tree RwLock → query state → handle pool (a leaf).
 ///
 /// A function body may acquire locks of ascending class only; seeing a
 /// lower class after a higher one is a potential deadlock with any
@@ -196,8 +196,12 @@ pub const LOCK_ORDER: &[LockClass] = &[
         patterns: &["tree.read(", "tree.write(", "tree().read(", "tree().write("],
     },
     LockClass {
-        name: "query/session state",
+        name: "query state",
         patterns: &["state.lock(", "stats.lock(", "cache.lock("],
+    },
+    LockClass {
+        name: "handle pool",
+        patterns: &["entries.lock("],
     },
 ];
 

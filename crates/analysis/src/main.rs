@@ -102,7 +102,7 @@ fn lint_table() -> String {
         "      (crates/core/src/persistence.rs, crates/bloom/src/codec.rs,",
         "       crates/server/src/{frame,protocol}.rs)",
         "L003  lock discipline: parking_lot only in library crates; acquisitions follow",
-        "      the manifest: store set-lock -> tree lock -> query/session state",
+        "      the manifest: store set-lock -> tree lock -> query state -> handle pool",
         "L004  protocol drift: every opcode decoded + handled + documented in DESIGN.md,",
         "      every BstError variant mapped to WireError, PROTO_VERSION agrees",
         "L005  unsafe hygiene: #![forbid(unsafe_code)] on every first-party crate root,",

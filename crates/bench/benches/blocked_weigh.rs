@@ -1,6 +1,6 @@
 //! Classic vs blocked filter layout on the weighing-heavy paths: cold
 //! phase-1 weighing of a 32-slot batch through the sharded engine (the
-//! weight cache is cleared before every batch so it re-runs phase 1
+//! handle pool is cleared before every batch so it re-runs phase 1
 //! from scratch), and a single-tree cold `live_weight` over a fresh handle.
 //! The blocked layout answers each leaf membership probe with one or
 //! two masked word loads instead of k scattered bit reads, which is
@@ -26,7 +26,7 @@ fn layouts() -> [HashKind; 2] {
     [HashKind::Murmur3, HashKind::DeltaBlocked]
 }
 
-/// Cold phase-1 weighing of a 32-slot batch: the engine's weight cache
+/// Cold phase-1 weighing of a 32-slot batch: the engine's handle pool
 /// is cleared before each `query_batch` call, so it re-weighs every
 /// (slot, shard) cell before sampling.
 fn bench_batch_phase1(c: &mut Criterion) {
@@ -56,7 +56,7 @@ fn bench_batch_phase1(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed = seed.wrapping_add(1);
-                    engine.clear_weight_cache();
+                    engine.clear_handle_pool();
                     engine.query_batch(&filters, seed, 1)
                 })
             },
@@ -93,7 +93,7 @@ fn bench_single_cold_weigh(c: &mut Criterion) {
 /// a quarter of the namespace occupied, accuracy 0.9): 16 fresh
 /// 200-key filters weighed on every shard through fresh handles, on
 /// one thread — phase 1 of a `cold-batch` request without the wire or
-/// the engine weight cache. `results/cold_weighing.md` splits it.
+/// the engine's handle pool. `results/cold_weighing.md` splits it.
 fn bench_service_cold_weigh(c: &mut Criterion) {
     let namespace = 1u64 << 20;
     // A seeded quarter of the namespace: every id kept with odds 1/4.

@@ -107,14 +107,15 @@ fn bench_warm_sample(c: &mut Criterion) {
     sys.set_batch_obs(None);
 }
 
-/// Warm 32-slot batches: the persistent weight cache is hot, so every
-/// iteration is the phase-2 scatter plus per-batch span/histograms.
+/// Warm 32-slot batches: the pooled handles are warm, so every
+/// iteration is memoized weights, the phase-2 scatter, and the per-batch
+/// span/histograms.
 fn bench_warm_batch(c: &mut Criterion) {
     let sys = build_engine();
     let ids: Vec<FilterId> = (0..BATCH_SLOTS as u64)
         .map(|slot| sys.create(stored_keys(100 + slot)).unwrap())
         .collect();
-    // Warm the engine-level weight cache before any timing.
+    // Warm the engine's pooled handles before any timing.
     let (answers, _) = sys.query_batch_ids(&ids, 7, 0);
     assert!(answers.iter().all(Result::is_ok));
 

@@ -4,8 +4,8 @@
 //! round-trip (insert_occupied → stale sharded handle → journal-repaired
 //! re-weight), the weight-delta refresh vs the PR 3 full-recount
 //! behaviour, the two-phase batch scatter vs a one-phase emulation, and
-//! warm repeated batches against the engine's persistent weight cache vs
-//! the cold (cache-cleared) two-phase path.
+//! warm repeated batches on the engine's pooled handles vs the cold
+//! (pool-cleared) two-phase path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -99,9 +99,9 @@ fn bench_reconstruct_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch fan-out across the crossbeam worker pool (weight cache
-/// cleared before every batch: this group tracks the cold scatter cost
-/// itself — the cached path has its own `batch-warm-cache` group).
+/// Batch fan-out across the crossbeam worker pool (handle pool cleared
+/// before every batch: this group tracks the cold scatter cost itself —
+/// the warm path has its own `batch-warm-cache` group).
 fn bench_batch_fanout(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(9);
@@ -117,7 +117,7 @@ fn bench_batch_fanout(c: &mut Criterion) {
             .collect();
         group.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, _| {
             b.iter(|| {
-                engine.clear_weight_cache();
+                engine.clear_handle_pool();
                 engine.query_batch(&filters, 17, 0)
             })
         });
@@ -298,8 +298,8 @@ fn one_phase_batch(
 
 /// Two-phase batch scatter (weights first, sample only chosen cells,
 /// cell-grid chunking) vs the PR 3 one-phase emulation above. The
-/// two-phase arm clears the weight cache before every batch and the
-/// one-phase emulation never consults it: this group compares the
+/// two-phase arm clears the handle pool before every batch and the
+/// one-phase emulation opens fresh handles: this group compares the
 /// scatter *structures* at equal (cold) weighing cost.
 fn bench_batch_two_phase(c: &mut Criterion) {
     let occ = occupancy();
@@ -316,7 +316,7 @@ fn bench_batch_two_phase(c: &mut Criterion) {
             .collect();
         group.bench_with_input(BenchmarkId::new("two-phase", shards), &shards, |b, _| {
             b.iter(|| {
-                engine.clear_weight_cache();
+                engine.clear_handle_pool();
                 engine.query_batch(&filters, 17, 0)
             })
         });
@@ -327,14 +327,13 @@ fn bench_batch_two_phase(c: &mut Criterion) {
     group.finish();
 }
 
-/// Repeated 32-slot batches against the engine-level persistent weight
-/// cache vs the PR 4 cold two-phase path (cache cleared before every
-/// batch): a warm batch
-/// revalidates `S × 32` stamp pairs and samples the 32 chosen cells,
-/// instead of re-walking every (shard, slot) weighing from scratch —
-/// the near-pure-phase-2 floor. A third variant mutates the occupancy
-/// between batches, so every warm entry must repair through the
-/// mutation journal before serving (the stale-repair path).
+/// Repeated 32-slot batches on the engine's pooled handles vs the cold
+/// two-phase path (pool cleared before every batch): a warm batch
+/// reads `S × 32` memoized weights and samples the 32 chosen cells on
+/// warm descent memos, instead of re-walking every (shard, slot)
+/// weighing from scratch. A third variant mutates the occupancy between
+/// batches, so the mutated shard's 32 handles repair their memos
+/// through the mutation journal before serving (the stale-repair path).
 fn bench_batch_warm_cache(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(23);
@@ -348,20 +347,20 @@ fn bench_batch_warm_cache(c: &mut Criterion) {
                 engine.store(keys.into_iter().map(|i| occ[i as usize]))
             })
             .collect();
-        // Cold: the PR 4 two-phase path (cache cleared before every
-        // batch).
+        // Cold: the two-phase path on fresh handles (pool cleared before
+        // every batch).
         group.bench_with_input(
             BenchmarkId::new("cold-two-phase", shards),
             &shards,
             |b, _| {
                 b.iter(|| {
-                    engine.clear_weight_cache();
+                    engine.clear_handle_pool();
                     engine.query_batch(&filters, 17, 0)
                 })
             },
         );
-        // Warm: cache primed — repeated identical batches skip phase 1
-        // entirely.
+        // Warm: pool primed — repeated identical batches weigh from the
+        // handle memos.
         engine.query_batch(&filters, 17, 0);
         group.bench_with_input(BenchmarkId::new("warm-cached", shards), &shards, |b, _| {
             b.iter(|| engine.query_batch(&filters, 17, 0))

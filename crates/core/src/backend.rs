@@ -389,9 +389,7 @@ impl TreeView<'_> {
     }
 
     /// The one copy of the journal-delta rule for live-leaf weights,
-    /// serving both a handle's memo ([`Self::repair_memo`]) and weights
-    /// cached outside any [`crate::query::Query`] handle, such as the
-    /// sharded engine's persistent batch weight cache. Brings an
+    /// serving a handle's memo ([`Self::repair_memo`]). Brings an
     /// exact weight computed at tree generation `since` up to this view's
     /// generation by replaying the mutation journal with the O(k) delta
     /// `±filter.contains(id)` per mutation, instead of a counting walk.
@@ -404,7 +402,7 @@ impl TreeView<'_> {
     /// cached weight and recount. The delta is sound only when the
     /// weight is the exact positives count, i.e. under `BitOverlap`
     /// reconstruction; callers gate on the configuration, as
-    /// [`crate::system::BstSystem::repair_live_weight`] does.
+    /// [`Self::repair_memo`] does through its `exact_count` flag.
     pub fn replay_count(&self, since: u64, filter: &BloomFilter, count: u64) -> Option<u64> {
         match self {
             // Dense generation is constant 0: a zero gap is a no-op and

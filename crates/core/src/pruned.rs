@@ -673,8 +673,8 @@ impl PrunedBloomSampleTree {
         buf.put_u32_le(live);
         buf.put_u32_le(link(self.root));
         // Generation continuity: the mutation counter rides along so a
-        // restored tree keeps stamping monotonically (warm handles and
-        // weight-cache cells never see a reused generation).
+        // restored tree keeps stamping monotonically (warm handles never
+        // see a reused generation).
         buf.put_u64_le(self.version);
         for (node, _) in self
             .nodes

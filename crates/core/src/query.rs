@@ -16,7 +16,7 @@
 //! operations on the same handle turn `O(m/64)`-word Bloom intersections
 //! into hash-map hits. The handle holds an `Arc` of the system, so it is
 //! `'static`, `Send + Sync`, and can be shared across worker threads or
-//! kept in a per-client session cache.
+//! kept in a pool of warm handles.
 //!
 //! ## Mutation safety: two generation stamps
 //!
@@ -168,6 +168,14 @@ impl Query {
     /// refresh).
     pub fn filter(&self) -> BloomFilter {
         self.state.lock().filter.clone()
+    }
+
+    /// Whether the handle currently holds exactly `filter` (same
+    /// parameters, same bits), without cloning it — the guard for
+    /// callers that key handles by a filter hash.
+    pub fn holds(&self, filter: &BloomFilter) -> bool {
+        let state = self.state.lock();
+        state.filter.compatible_with(filter) && state.filter.bits() == filter.bits()
     }
 
     /// The store id this handle reads, for handles opened with

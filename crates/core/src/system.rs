@@ -55,7 +55,7 @@ use crate::persistence::{self, PersistError};
 use crate::pruned::PrunedBloomSampleTree;
 use crate::query::Query;
 use crate::reconstruct::ReconstructConfig;
-use crate::sampler::{Liveness, SamplerConfig};
+use crate::sampler::SamplerConfig;
 use crate::store::{BstStore, FilterId};
 use crate::tree::BloomSampleTree;
 
@@ -415,40 +415,6 @@ impl BstSystem {
     /// [`Self::query`] taking ownership of the filter (no clone).
     pub fn query_owned(&self, filter: BloomFilter) -> Query {
         Query::new(self.clone(), filter)
-    }
-
-    /// Journal-replay hook for **external** weight memos: brings a
-    /// live-leaf `weight` for `filter`, computed at tree generation
-    /// `since` (by a handle's [`Query::live_weight_stamped`]), up to the
-    /// current generation by replaying
-    /// the tree's bounded mutation journal — an O(k) delta per mutation
-    /// instead of a counting walk. Returns the repaired weight and the
-    /// generation it is now valid at.
-    ///
-    /// Returns `None` whenever the delta is not provably exact: the
-    /// reconstruction liveness is not the sound `BitOverlap` rule, the
-    /// journal no longer covers the generation gap, or the collision
-    /// census blocks the positives-equal-count identity (see
-    /// [`crate::backend::TreeView::replay_count`]) — the caller must
-    /// then recompute. Set churn is *not* covered: this hook repairs
-    /// across occupancy mutations only, so callers tracking a stored set
-    /// must separately discard on set-generation movement.
-    pub fn repair_live_weight(
-        &self,
-        filter: &BloomFilter,
-        since: u64,
-        weight: u64,
-    ) -> Option<(u64, u64)> {
-        if self.shared.cfg.reconstruct.liveness != Liveness::BitOverlap {
-            return None;
-        }
-        let view = self.shared.tree.read();
-        let generation = view.generation();
-        if generation == since {
-            return Some((weight, generation));
-        }
-        view.replay_count(since, filter, weight)
-            .map(|w| (w, generation))
     }
 
     /// Draws one sample per query filter, in parallel over `threads`

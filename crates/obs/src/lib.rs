@@ -4,7 +4,7 @@
 //! Every layer of the BloomSampleTree stack produces numbers worth
 //! watching: the paper's own evaluation units (§7.1 — intersections and
 //! memberships, threaded through `bst_core::metrics::OpStats`), the
-//! sharded engine's weight-cache hit/repair/miss outcomes and two-phase
+//! sharded engine's handle-pool hit/miss outcomes and two-phase
 //! batch timings, and the server's per-op latency histograms and
 //! connection gauges. Before this crate each of those was its own silo;
 //! `bst-obs` gives them one registry and one tracing facade.

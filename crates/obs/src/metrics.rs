@@ -19,8 +19,7 @@ use std::sync::Arc;
 use bst_stats::histogram::Histogram;
 use parking_lot::RwLock;
 
-/// A monotonically increasing counter (resettable only explicitly, for
-/// cache-clear style lifecycle events).
+/// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
@@ -45,12 +44,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero — for owners whose semantics include wholesale
-    /// invalidation (e.g. the weight cache's `clear`).
-    pub fn reset(&self) {
-        self.cell.store(0, Ordering::Relaxed);
     }
 }
 
@@ -298,7 +291,7 @@ impl MetricsRegistry {
     }
 
     /// Registers an existing counter handle (one the owning subsystem
-    /// already holds, e.g. the weight cache's hit counter).
+    /// already holds, e.g. a batch-phase counter).
     pub fn register_counter(
         &self,
         family: &str,
@@ -431,8 +424,6 @@ mod tests {
         let c2 = c.clone();
         c2.inc();
         assert_eq!(c.get(), 6, "clones share the cell");
-        c.reset();
-        assert_eq!(c2.get(), 0);
 
         let g = Gauge::new();
         g.set(7);

@@ -11,7 +11,8 @@
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 
 /// Instrumentation handles for one write-ahead log: appended records,
-/// fsyncs, replay length, checkpoint activity, and current log size.
+/// fsyncs, replay length, checkpoint activity, current log size, and
+/// whether the durable facade is wedged.
 ///
 /// Cloning shares the underlying atomics, so the durable engine and the
 /// metrics page observe the same counters.
@@ -31,6 +32,10 @@ pub struct WalObs {
     pub last_checkpoint_us: Gauge,
     /// Current byte length of the log file.
     pub log_bytes: Gauge,
+    /// 1 while the durable facade is wedged — an append failed after its
+    /// mutation applied, so mutations are refused until a checkpoint or
+    /// disk recovery reconciles log and engine — else 0.
+    pub wedged: Gauge,
 }
 
 impl WalObs {
@@ -85,6 +90,12 @@ impl WalObs {
             &[],
             self.log_bytes.clone(),
         );
+        registry.register_gauge(
+            "bst_wal_wedged",
+            "1 while mutations are refused until a checkpoint reconciles log and engine",
+            &[],
+            self.wedged.clone(),
+        );
     }
 }
 
@@ -101,6 +112,7 @@ mod tests {
         obs.fsyncs.inc();
         obs.replayed.set(7);
         obs.log_bytes.set(4096);
+        obs.wedged.set(1);
         let page = crate::expo::render(&registry);
         crate::expo::validate(&page).expect("well-formed page");
         for series in [
@@ -111,6 +123,7 @@ mod tests {
             "bst_wal_checkpoints_total 0",
             "bst_wal_last_checkpoint_us 0",
             "bst_wal_log_bytes 4096",
+            "bst_wal_wedged 1",
         ] {
             assert!(page.contains(series), "missing `{series}` in:\n{page}");
         }

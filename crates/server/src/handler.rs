@@ -2,7 +2,8 @@
 //!
 //! The handler owns the mapping from wire commands onto the server's
 //! one engine owner — the `DurableBstSystem` store, with or without a
-//! WAL — and the session's warm-handle caches. Each opcode has one arm.
+//! WAL — whose engine also owns the warm-handle pool every query arm
+//! draws from. Each opcode has one arm.
 //! Determinism contract: every sampling command carries a client
 //! `seed`, and the server draws from a fresh `StdRng::seed_from_u64`
 //! per request — so the same request against the same engine state
@@ -50,15 +51,15 @@ fn wire_durable(e: DurableError) -> WireError {
     }
 }
 
-/// Serves one request against the shared state and this connection's
-/// session. Never panics on adversarial input: decode failures arrive
-/// pre-typed, and engine errors map through `WireError::from`.
-pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outcome {
+/// Serves one request against the shared state. The session is the
+/// connection's (stateless) slot in the call. Never panics on
+/// adversarial input: decode failures arrive pre-typed, and engine
+/// errors map through `WireError::from`.
+pub fn handle(state: &ServerState, _session: &mut Session, req: Request) -> Outcome {
     let engine = state.engine.read();
-    session.sync(engine.epoch);
     let store = &state.store;
-    // Taken under the epoch read guard, so the engine matches the epoch
-    // the session just synced to: a LOAD cannot swap in between.
+    // Taken under the epoch read guard: a LOAD cannot swap the engine
+    // while this request runs.
     let sys = store.system();
     match req {
         Request::Ping => Outcome::reply(Ok(Response::Pong)),
@@ -83,11 +84,12 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
                 .map(|()| Response::Ok)
                 .map_err(wire_durable),
         ),
-        Request::DropSet { id } => {
-            let out = store.drop_set(FilterId::from_raw(id));
-            session.evict_stored(id);
-            Outcome::reply(out.map(|()| Response::Ok).map_err(wire_durable))
-        }
+        Request::DropSet { id } => Outcome::reply(
+            store
+                .drop_set(FilterId::from_raw(id))
+                .map(|()| Response::Ok)
+                .map_err(wire_durable),
+        ),
         Request::OccInsert { key } => Outcome::reply(
             store
                 .insert_occupied(key)
@@ -115,28 +117,26 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
         Request::Sample { target, seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
             Outcome::reply(
-                with_handle(state, session, &sys, &target, |q| q.sample(&mut rng))
+                with_handle(state, &sys, &target, |q| q.sample(&mut rng))
                     .map(|key| Response::Sampled { key }),
             )
         }
         Request::SampleMany { target, r, seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
             Outcome::reply(
-                with_handle(state, session, &sys, &target, |q| {
+                with_handle(state, &sys, &target, |q| {
                     q.sample_many(r as usize, &mut rng)
                 })
                 .map(|keys| Response::Keys { keys }),
             )
         }
         Request::Reconstruct { target } => Outcome::reply(
-            with_handle(state, session, &sys, &target, |q| q.reconstruct())
+            with_handle(state, &sys, &target, |q| q.reconstruct())
                 .map(|keys| Response::Keys { keys }),
         ),
         Request::ReconstructRange { target, start, end } => Outcome::reply(
-            with_handle(state, session, &sys, &target, |q| {
-                q.reconstruct_range(start..end)
-            })
-            .map(|keys| Response::Keys { keys }),
+            with_handle(state, &sys, &target, |q| q.reconstruct_range(start..end))
+                .map(|keys| Response::Keys { keys }),
         ),
         Request::Batch { targets, seed } => Outcome::reply(batch(state, &sys, &targets, seed)),
         // With a WAL, SAVE is "checkpoint + truncate": the snapshot is
@@ -158,7 +158,9 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
         }
         Request::Stats => {
             let (ops, total) = state.stats.rows();
-            let cache = sys.weight_cache_stats();
+            // The three weight-cache fields keep their wire layout: hits
+            // and misses count handle-pool lookups, repairs reads 0.
+            let pool = sys.handle_pool_stats();
             Outcome::reply(Ok(Response::Stats(StatsReply {
                 namespace: sys.namespace(),
                 shards: sys.shard_count() as u32,
@@ -169,9 +171,9 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
                 sessions_served: state.sessions_served(),
                 sessions_refused: state.sessions_refused(),
                 frames_served: state.frames_served(),
-                weight_cache_hits: cache.hits,
-                weight_cache_misses: cache.misses,
-                weight_cache_repairs: cache.repairs,
+                weight_cache_hits: pool.hits,
+                weight_cache_misses: pool.misses,
+                weight_cache_repairs: 0,
                 engine_intersections: state.engine_ops.intersections.get(),
                 engine_memberships: state.engine_ops.memberships.get(),
                 engine_nodes_visited: state.engine_ops.nodes_visited.get(),
@@ -200,8 +202,7 @@ pub fn handle(state: &ServerState, session: &mut Session, req: Request) -> Outco
 /// a snapshot body is adopted (and, with a WAL, checkpointed). The body
 /// decodes outside any lock; the swap runs under the epoch write lock,
 /// so no request — mutations included — runs against either engine
-/// while it happens, and the epoch bump tells every session its handles
-/// are orphans.
+/// while it happens. The old engine's handle pool goes with it.
 fn load(state: &ServerState, bytes: &[u8]) -> Result<Response, WireError> {
     let decoded = if bytes.is_empty() {
         None
@@ -221,48 +222,40 @@ fn load(state: &ServerState, bytes: &[u8]) -> Result<Response, WireError> {
     Ok(Response::Ok)
 }
 
-/// Resolves a target to a (possibly cached) handle and runs `f` on it,
-/// then drains the handle's per-call [`bst_core::OpStats`] into the
-/// server's cumulative engine totals. A stored handle that reports
-/// `UnknownFilterId` is evicted so the session does not pin a handle
-/// onto a dropped set.
+/// Resolves a target to its pooled handle and runs `f` on it, then
+/// drains the handle's per-call [`bst_core::OpStats`] into the server's
+/// cumulative engine totals. A stored handle that answers
+/// `UnknownFilterId` (its set was dropped while it was being opened) is
+/// evicted from the pool.
 fn with_handle<T>(
     state: &ServerState,
-    session: &mut Session,
     sys: &ShardedBstSystem,
     target: &Target,
     f: impl FnOnce(&bst_shard::ShardQuery) -> Result<T, BstError>,
 ) -> Result<T, WireError> {
-    match target {
-        Target::Stored(raw) => {
-            let out = match session.stored_handle(sys, *raw) {
-                Ok(q) => {
-                    let out = f(q);
-                    state.note_engine_stats(q.take_stats());
-                    out
-                }
-                Err(e) => Err(e),
-            };
-            if matches!(out, Err(BstError::UnknownFilterId(_))) {
-                session.evict_stored(*raw);
-            }
-            out.map_err(WireError::from)
-        }
+    let handle = match target {
+        Target::Stored(raw) => sys.pooled_query_id(FilterId::from_raw(*raw)),
         Target::Adhoc(bytes) => {
             let filter = bst_bloom::codec::decode(bytes).map_err(|e| WireError::Malformed {
                 context: format!("ad-hoc filter: {e}"),
             })?;
-            let q = session.adhoc_handle(sys, bytes, &filter);
-            let out = f(q);
-            state.note_engine_stats(q.take_stats());
-            out.map_err(WireError::from)
+            Ok(sys.pooled_query(&filter))
         }
+    };
+    let out = handle.and_then(|q| {
+        let out = f(&q);
+        state.note_engine_stats(q.take_stats());
+        out
+    });
+    if let (Target::Stored(raw), Err(BstError::UnknownFilterId(_))) = (target, &out) {
+        sys.evict_pooled(FilterId::from_raw(*raw));
     }
+    out.map_err(WireError::from)
 }
 
 /// Serves a mixed batch: id-addressed slots ride the engine's
-/// `query_batch_ids` scatter (persistent weight cache), ad-hoc slots
-/// ride `query_batch`, both with the same client seed, and the answers
+/// `query_batch_ids` scatter, ad-hoc slots ride `query_batch` (both on
+/// pooled handles), both with the same client seed, and the answers
 /// are put back in request order by slot. A slot whose filter bytes fail
 /// to decode fails alone — the rest of the batch still runs. Batch
 /// OpStats feed the server's cumulative engine totals.

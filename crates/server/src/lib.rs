@@ -10,7 +10,7 @@
 //! churn (OCC_INSERT / OCC_REMOVE), the query surface (SAMPLE, SAMPLE_MANY,
 //! RECONSTRUCT, RECONSTRUCT_RANGE, BATCH — stored ids and ad-hoc
 //! filters both), whole-engine snapshots (SAVE / LOAD), a live STATS
-//! surface (engine shape, weight-cache effectiveness, cumulative
+//! surface (engine shape, handle-pool effectiveness, cumulative
 //! engine OpStats, per-op latency percentiles), and a METRICS scrape
 //! (the full [`bst_obs::MetricsRegistry`] as a Prometheus text page).
 //!
@@ -20,11 +20,11 @@
 //! * [`protocol`] — typed [`protocol::Request`] / [`protocol::Response`]
 //!   / [`protocol::WireError`] enums and their deterministic codec,
 //!   following the `bst_core::persistence` conventions.
-//! * [`session`] — per-connection caches of open
-//!   [`bst_shard::ShardQuery`] handles, so repeat queries ride the
-//!   engine's warm path across the wire; epoch-flushed when a wire
-//!   `LOAD` swaps the engine.
-//! * [`handler`] — request dispatch onto the engine facade.
+//! * [`session`] — the (stateless) per-connection session type.
+//! * [`handler`] — request dispatch onto the engine facade. Query arms
+//!   take their handle from the engine's warm-handle pool
+//!   ([`bst_shard::pool`]), which every connection shares, so repeat
+//!   queries ride the engine's warm path across the wire.
 //! * [`server`] — the accept loop, worker threads, backpressure
 //!   (max-connections → typed `Busy`, max-frame-size → drain +
 //!   `FrameTooLarge`), and clean shutdown.
@@ -37,7 +37,7 @@
 //! ## Observability
 //!
 //! Every server owns one [`bst_obs::MetricsRegistry`] (server counters,
-//! engine shape, weight-cache outcomes, batch-phase timings, request
+//! engine shape, handle-pool outcomes, batch-phase timings, request
 //! latency summaries) and one [`bst_obs::RingRecorder`] installed as
 //! the engine's tracer, so core query spans and shard batch spans are
 //! inspectable in-process via `ServerState::trace_dump`. Engine-shape

@@ -244,8 +244,8 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         stats.frames_served
     );
     println!(
-        "weight cache: {} hits / {} misses / {} repairs",
-        stats.weight_cache_hits, stats.weight_cache_misses, stats.weight_cache_repairs
+        "handle pool: {} hits / {} misses",
+        stats.weight_cache_hits, stats.weight_cache_misses
     );
     println!(
         "engine ops: {} intersections / {} memberships / {} nodes visited / {} backtracks",

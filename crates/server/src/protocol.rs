@@ -249,8 +249,7 @@ pub struct OpLatencyRow {
 }
 
 /// The body of [`Response::Stats`]: engine shape, serving counters, the
-/// persistent weight cache's effectiveness, and per-op latency
-/// percentiles.
+/// engine handle pool's effectiveness, and per-op latency percentiles.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatsReply {
     /// Namespace size `M`.
@@ -261,8 +260,7 @@ pub struct StatsReply {
     pub sets: u64,
     /// Occupied namespace ids.
     pub occupied: u64,
-    /// Engine epoch: bumps on every wire `LOAD` (sessions drop their
-    /// cached handles when it moves).
+    /// Engine epoch: bumps on every wire `LOAD`.
     pub epoch: u64,
     /// Connections currently being served.
     pub active_connections: u32,
@@ -272,11 +270,14 @@ pub struct StatsReply {
     pub sessions_refused: u64,
     /// Frames processed since startup.
     pub frames_served: u64,
-    /// Weight-cache hits (see `bst_shard::WeightCacheStats`).
+    /// Engine handle-pool hits (see `bst_shard::HandlePoolStats`). The
+    /// field keeps its name and wire slot from the weight cache the pool
+    /// replaced.
     pub weight_cache_hits: u64,
-    /// Weight-cache misses.
+    /// Engine handle-pool misses (lookups that opened a handle).
     pub weight_cache_misses: u64,
-    /// Weight-cache journal repairs.
+    /// Always 0: the pool repairs weights inside its handles and counts
+    /// no repairs. Kept so the reply layout is unchanged.
     pub weight_cache_repairs: u64,
     /// Cumulative Bloom probe intersections drained from every served
     /// query (paper §7.1 units; survives engine swaps).

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use bst_core::OpStats;
-use bst_obs::{Counter, Gauge, MetricsRegistry, Recorder, RingRecorder, SpanEvent};
+use bst_obs::{Counter, MetricsRegistry, Recorder, RingRecorder, SpanEvent};
 use bst_shard::{BatchObs, DurableBstSystem, ShardedBstSystem};
 
 use crate::frame::write_frame;
@@ -85,7 +85,7 @@ impl Default for ServerConfig {
 /// hold it for read, only wire `LOAD` holds it for write while it swaps
 /// the engine inside [`ServerState`]'s store.
 pub struct Engine {
-    /// Bumped on every engine swap; sessions compare-and-flush.
+    /// Bumped on every engine swap (reported by STATS and METRICS).
     pub epoch: u64,
 }
 
@@ -139,9 +139,6 @@ pub struct ServerState {
     /// Frames refused before dispatch: zero-length, over-limit, or
     /// undecodable payloads.
     frame_errors: Counter,
-    /// Warm [`Session`] handle slots currently held across all live
-    /// connections (stored + ad-hoc caches).
-    session_slots: Gauge,
     pub(crate) engine_ops: EngineOpTotals,
     pub(crate) trace: Arc<RingRecorder>,
     pub(crate) batch_obs: Arc<BatchObs>,
@@ -161,7 +158,6 @@ impl ServerState {
             sessions_refused: AtomicU64::new(0),
             frames_served: AtomicU64::new(0),
             frame_errors: Counter::new(),
-            session_slots: Gauge::new(),
             engine_ops: EngineOpTotals::default(),
             trace: Arc::new(RingRecorder::new(TRACE_RING_CAP)),
             batch_obs: Arc::new(BatchObs::unregistered()),
@@ -228,7 +224,7 @@ impl ServerState {
 }
 
 /// Registers every server- and engine-level series on `state.metrics`.
-/// Engine-shape and weight-cache series read through a [`Weak`] back
+/// Engine-shape and handle-pool series read through a [`Weak`] back
 /// into the state at scrape time, so they follow the engine across wire
 /// `LOAD` swaps instead of pinning a dead engine's counters.
 fn install_metrics(state: &Arc<ServerState>) {
@@ -267,12 +263,6 @@ fn install_metrics(state: &Arc<ServerState>) {
         "Frames refused before dispatch (zero-length, over-limit, or undecodable)",
         &[],
         state.frame_errors.clone(),
-    );
-    m.register_gauge(
-        "bst_server_session_slots",
-        "Warm query-handle slots held across all live sessions",
-        &[],
-        state.session_slots.clone(),
     );
     for class in OpClass::ALL {
         m.register_histogram(
@@ -333,22 +323,26 @@ fn install_metrics(state: &Arc<ServerState>) {
             "Engine epoch (bumps on every wire LOAD)",
             |s| s.engine.read().epoch as f64,
         ),
+        (
+            "bst_engine_handle_pool_handles",
+            "Warm query handles held in the engine's handle pool",
+            |s| s.store.system().handle_pool_stats().handles as f64,
+        ),
     ] {
         m.gauge_fn(name, help, &[], weak(read));
     }
     for (kind, read) in [
         (
             "hits",
-            (|s: &ServerState| s.store.system().weight_cache_stats().hits)
+            (|s: &ServerState| s.store.system().handle_pool_stats().hits)
                 as fn(&ServerState) -> u64,
         ),
-        ("misses", |s| s.store.system().weight_cache_stats().misses),
-        ("repairs", |s| s.store.system().weight_cache_stats().repairs),
+        ("misses", |s| s.store.system().handle_pool_stats().misses),
     ] {
         let w = std::sync::Arc::downgrade(state);
         m.counter_fn(
-            "bst_engine_weight_cache_total",
-            "Persistent weight-cache probe outcomes (follows the engine across LOAD)",
+            "bst_engine_handle_pool_total",
+            "Handle-pool lookup outcomes (follows the engine across LOAD)",
             &[("kind", kind)],
             move || w.upgrade().map_or(0, |s| read(&s)),
         );
@@ -571,38 +565,11 @@ fn drain(stream: &mut TcpStream, state: &ServerState, mut len: u64) -> io::Resul
     Ok(())
 }
 
-/// Keeps the shared session-slot gauge honest for one connection: holds
-/// the slots this session last reported and gives them back when the
-/// connection ends on any path (EOF, shutdown, socket error).
-struct SlotGuard<'a> {
-    gauge: &'a Gauge,
-    held: i64,
-}
-
-impl SlotGuard<'_> {
-    fn update(&mut self, session: &Session) {
-        let (stored, adhoc) = session.cached();
-        let now = (stored + adhoc) as i64;
-        self.gauge.add(now - self.held);
-        self.held = now;
-    }
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.gauge.add(-self.held);
-    }
-}
-
 /// Serves one connection until EOF, shutdown, or a fatal socket error.
 fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let mut session = Session::new(state.engine.read().epoch);
-    let mut slots = SlotGuard {
-        gauge: &state.session_slots,
-        held: 0,
-    };
     loop {
         // Frame header.
         let mut header = [0u8; 4];
@@ -657,7 +624,6 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()>
                 state
                     .stats
                     .record(class, started.elapsed().as_secs_f64() * 1e6);
-                slots.update(&session);
                 let bytes = match &outcome.reply {
                     Ok(resp) => protocol::encode_response(resp),
                     Err(e) => protocol::encode_error(e),

@@ -1,223 +1,22 @@
-//! Per-connection session state: caches of open [`ShardQuery`] handles.
+//! Per-connection session state — none, today.
 //!
-//! The engine's warm path — memoized live-leaf weights with
-//! generation-stamped staleness — lives in the `ShardQuery` handle. A
-//! stateless request loop would open a cold handle per request and pay
-//! the full scatter-weigh every time; the session instead keeps handles
-//! open across frames, so a client hammering the same stored set or the
-//! same ad-hoc filter gets warm-path sampling across the wire.
-//!
-//! Two caches, both bounded and FIFO-evicted:
-//!
-//! * **stored**: keyed by raw filter id. Dropping the set server-side
-//!   surfaces as `UnknownFilterId` on next use, which evicts the entry.
-//! * **ad-hoc**: keyed by `bst_shard::filter_content_hash` over the
-//!   decoded filter, with the exact encoded bytes kept alongside as a
-//!   collision guard (the hash is 64-bit FNV, not cryptographic; the
-//!   guard makes a collision a miss, never a wrong answer).
-//!
-//! Sessions are epoch-stamped: a wire `LOAD` replaces the whole engine
-//! and bumps the server epoch, and [`Session::sync`] drops every cached
-//! handle from the old engine the next time the session serves a frame.
+//! Warm per-filter state (open [`bst_shard::ShardQuery`] handles with
+//! their memoized weights and descent state) has one owner: the
+//! engine's handle pool ([`bst_shard::pool`]), which every connection
+//! and both batch entry points share. So a warm handle is reused across
+//! connections, warm-state memory does not grow with the connection
+//! count, and a wire `LOAD` needs no flush: the pool dies with the
+//! engine it belongs to.
 
-use std::collections::VecDeque;
-
-use bst_bloom::filter::BloomFilter;
-use bst_shard::{filter_content_hash, ShardQuery, ShardedBstSystem};
-
-/// Open stored-set handles kept per session.
-const STORED_CAP: usize = 64;
-/// Open ad-hoc handles kept per session (each pins its filter bytes).
-const ADHOC_CAP: usize = 16;
-
-struct AdhocEntry {
-    hash: u64,
-    /// Exact encoded filter bytes — collision guard for `hash`.
-    bytes: Vec<u8>,
-    handle: ShardQuery,
-}
-
-/// One connection's handle caches, epoch-stamped against engine swaps.
-pub struct Session {
-    epoch: u64,
-    stored: VecDeque<(u64, ShardQuery)>,
-    adhoc: VecDeque<AdhocEntry>,
-}
+/// One connection's session: the per-connection argument of
+/// [`crate::handler::handle`]. It carries no state.
+#[derive(Debug)]
+pub struct Session;
 
 impl Session {
-    /// A fresh session against the engine at `epoch`.
-    pub fn new(epoch: u64) -> Self {
-        Session {
-            epoch,
-            stored: VecDeque::new(),
-            adhoc: VecDeque::new(),
-        }
-    }
-
-    /// Reconciles the session with the current engine epoch: if a LOAD
-    /// swapped the engine since the last frame, every cached handle
-    /// belongs to a dead engine and is dropped.
-    pub fn sync(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.stored.clear();
-            self.adhoc.clear();
-            self.epoch = epoch;
-        }
-    }
-
-    /// The handle for stored set `raw`, opened (and cached) on miss.
-    /// Staleness is the handle's own business: `ShardQuery` re-weighs
-    /// itself when set or tree generations move, so a cache hit is
-    /// always as correct as a cold open — just cheaper when nothing
-    /// changed.
-    pub fn stored_handle(
-        &mut self,
-        engine: &ShardedBstSystem,
-        raw: u64,
-    ) -> Result<&ShardQuery, bst_core::error::BstError> {
-        if let Some(pos) = self.stored.iter().position(|(id, _)| *id == raw) {
-            return Ok(&self.stored[pos].1);
-        }
-        let handle = engine.query_id(bst_core::store::FilterId::from_raw(raw))?;
-        if self.stored.len() == STORED_CAP {
-            self.stored.pop_front();
-        }
-        self.stored.push_back((raw, handle));
-        // bst-lint: allow(L001) — reads back the element pushed on the previous line
-        Ok(&self.stored.back().expect("just pushed").1)
-    }
-
-    /// Forgets the handle for stored set `raw` (after the engine
-    /// reported `UnknownFilterId`, i.e. the set was dropped).
-    pub fn evict_stored(&mut self, raw: u64) {
-        self.stored.retain(|(id, _)| *id != raw);
-    }
-
-    /// The handle for an ad-hoc filter, keyed by content hash with the
-    /// encoded bytes as collision guard; opened (and cached) on miss.
-    pub fn adhoc_handle(
-        &mut self,
-        engine: &ShardedBstSystem,
-        bytes: &[u8],
-        filter: &BloomFilter,
-    ) -> &ShardQuery {
-        let hash = filter_content_hash(filter);
-        if let Some(pos) = self
-            .adhoc
-            .iter()
-            .position(|e| e.hash == hash && e.bytes == bytes)
-        {
-            return &self.adhoc[pos].handle;
-        }
-        let handle = engine.query(filter);
-        if self.adhoc.len() == ADHOC_CAP {
-            self.adhoc.pop_front();
-        }
-        self.adhoc.push_back(AdhocEntry {
-            hash,
-            bytes: bytes.to_vec(),
-            handle,
-        });
-        // bst-lint: allow(L001) — reads back the element pushed on the previous line
-        &self.adhoc.back().expect("just pushed").handle
-    }
-
-    /// Cached handle counts `(stored, adhoc)` — test visibility.
-    pub fn cached(&self) -> (usize, usize) {
-        (self.stored.len(), self.adhoc.len())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn engine() -> ShardedBstSystem {
-        ShardedBstSystem::builder(4_096).shards(4).build()
-    }
-
-    #[test]
-    fn stored_handles_are_cached_and_warm() {
-        let sys = engine();
-        let id = sys.create(0..64u64).unwrap();
-        let mut session = Session::new(0);
-        let raw = id.raw();
-        {
-            let h = session.stored_handle(&sys, raw).unwrap();
-            let w = h.live_weight().unwrap();
-            assert!(w >= 64);
-        }
-        assert_eq!(session.cached(), (1, 0));
-        // Second lookup hits the cache: same handle, no re-open.
-        let h = session.stored_handle(&sys, raw).unwrap() as *const ShardQuery;
-        let h2 = session.stored_handle(&sys, raw).unwrap() as *const ShardQuery;
-        assert_eq!(h, h2);
-        assert_eq!(session.cached(), (1, 0));
-    }
-
-    #[test]
-    fn unknown_id_is_an_error_not_a_cache_entry() {
-        let sys = engine();
-        let mut session = Session::new(0);
-        assert!(session.stored_handle(&sys, 999).is_err());
-        assert_eq!(session.cached(), (0, 0));
-    }
-
-    #[test]
-    fn adhoc_cache_keys_by_content_with_byte_guard() {
-        let sys = engine();
-        let filter = sys.store([3u64, 5, 7]);
-        let bytes = bst_bloom::codec::encode(&filter).to_vec();
-        let mut session = Session::new(0);
-        let p1 = session.adhoc_handle(&sys, &bytes, &filter) as *const ShardQuery;
-        let p2 = session.adhoc_handle(&sys, &bytes, &filter) as *const ShardQuery;
-        assert_eq!(p1, p2);
-        assert_eq!(session.cached(), (0, 1));
-        // A different filter is a different entry.
-        let other = sys.store([11u64]);
-        let other_bytes = bst_bloom::codec::encode(&other).to_vec();
-        session.adhoc_handle(&sys, &other_bytes, &other);
-        assert_eq!(session.cached(), (0, 2));
-    }
-
-    #[test]
-    fn caches_are_bounded_fifo() {
-        let sys = engine();
-        let mut session = Session::new(0);
-        let ids: Vec<u64> = (0..STORED_CAP as u64 + 8)
-            .map(|i| sys.create([i * 3, i * 3 + 1, i * 3 + 2]).unwrap().raw())
-            .collect();
-        for &raw in &ids {
-            session.stored_handle(&sys, raw).unwrap();
-        }
-        assert_eq!(session.cached().0, STORED_CAP);
-        // The oldest entries were evicted, the newest survive.
-        assert!(session.stored.iter().all(|(id, _)| *id != ids[0]));
-        assert!(session
-            .stored
-            .iter()
-            .any(|(id, _)| *id == *ids.last().unwrap()));
-    }
-
-    #[test]
-    fn epoch_sync_drops_everything() {
-        let sys = engine();
-        let id = sys.create(0..32u64).unwrap();
-        let mut session = Session::new(0);
-        session.stored_handle(&sys, id.raw()).unwrap();
-        session.sync(0);
-        assert_eq!(session.cached(), (1, 0));
-        session.sync(1);
-        assert_eq!(session.cached(), (0, 0));
-    }
-
-    #[test]
-    fn evict_stored_forgets_dropped_sets() {
-        let sys = engine();
-        let id = sys.create(0..32u64).unwrap();
-        let mut session = Session::new(0);
-        session.stored_handle(&sys, id.raw()).unwrap();
-        session.evict_stored(id.raw());
-        assert_eq!(session.cached(), (0, 0));
+    /// A session against the engine at `epoch`. The epoch is not kept:
+    /// nothing in a session depends on which engine is served.
+    pub fn new(_epoch: u64) -> Self {
+        Session
     }
 }

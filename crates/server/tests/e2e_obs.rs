@@ -1,5 +1,5 @@
 //! End-to-end observability tests: every number the server exposes —
-//! StatsReply engine totals, weight-cache counters, latency-row counts,
+//! StatsReply engine totals, handle-pool counters, latency-row counts,
 //! and the METRICS text page — must equal ground truth computed by
 //! replaying the same wire workload on an independent in-process
 //! replica of the engine.
@@ -52,8 +52,8 @@ fn every_exposed_metric_equals_ground_truth_replay() {
     let set = reference.create(set_keys.iter().copied()).unwrap().raw();
 
     // Snapshot *before* any query: the replica starts from the same
-    // state the server's first query sees, with an equally cold weight
-    // cache — so replayed OpStats and cache outcomes match exactly.
+    // state the server's first query sees, with an equally empty handle
+    // pool — so replayed OpStats and pool outcomes match exactly.
     let replica = ShardedBstSystem::from_bytes(&reference.to_bytes()).unwrap();
 
     let mut client = Client::connect(handle.addr()).expect("connect");
@@ -64,12 +64,12 @@ fn every_exposed_metric_equals_ground_truth_replay() {
         .batch(vec![Target::Stored(set); BATCH_SLOTS], 99)
         .expect("batch");
 
-    // Ground truth: mirror the workload on the replica. One handle for
-    // all draws, exactly like the server's per-connection session cache
-    // (fresh on the first request, warm after).
+    // Ground truth: mirror the workload on the replica, through its
+    // handle pool exactly as the server's SAMPLE arm does (opened on the
+    // first request, warm after — and still warm for the batch).
     let mut expect = OpStats::new();
-    let local = replica.query_id(FilterId::from_raw(set)).unwrap();
     for (seed, &wire_key) in wire_samples.iter().enumerate() {
+        let local = replica.pooled_query_id(FilterId::from_raw(set)).unwrap();
         let mut rng = StdRng::seed_from_u64(seed as u64);
         assert_eq!(local.sample(&mut rng).unwrap(), wire_key, "draw {seed}");
         add(&mut expect, local.take_stats());
@@ -84,18 +84,22 @@ fn every_exposed_metric_equals_ground_truth_replay() {
             "batch slot {slot} diverged"
         );
     }
-    let cache = replica.weight_cache_stats();
+    let pool = replica.handle_pool_stats();
+    assert_eq!(
+        (pool.hits, pool.misses),
+        (SAMPLES - 1 + BATCH_SLOTS as u64, 1)
+    );
 
-    // STATS surface: cumulative engine OpStats and weight-cache
-    // outcomes must equal the replayed ground truth exactly.
+    // STATS surface: cumulative engine OpStats and handle-pool outcomes
+    // (in the weight-cache fields) must equal the ground truth exactly.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.engine_intersections, expect.intersections);
     assert_eq!(stats.engine_memberships, expect.memberships);
     assert_eq!(stats.engine_nodes_visited, expect.nodes_visited);
     assert_eq!(stats.engine_backtracks, expect.backtracks);
-    assert_eq!(stats.weight_cache_hits, cache.hits);
-    assert_eq!(stats.weight_cache_misses, cache.misses);
-    assert_eq!(stats.weight_cache_repairs, cache.repairs);
+    assert_eq!(stats.weight_cache_hits, pool.hits);
+    assert_eq!(stats.weight_cache_misses, pool.misses);
+    assert_eq!(stats.weight_cache_repairs, 0);
     let sample_row = stats
         .ops
         .iter()
@@ -127,17 +131,14 @@ fn every_exposed_metric_equals_ground_truth_replay() {
             expect.backtracks
         ),
         format!(
-            "bst_engine_weight_cache_total{{kind=\"hits\"}} {}",
-            cache.hits
+            "bst_engine_handle_pool_total{{kind=\"hits\"}} {}",
+            pool.hits
         ),
         format!(
-            "bst_engine_weight_cache_total{{kind=\"misses\"}} {}",
-            cache.misses
+            "bst_engine_handle_pool_total{{kind=\"misses\"}} {}",
+            pool.misses
         ),
-        format!(
-            "bst_engine_weight_cache_total{{kind=\"repairs\"}} {}",
-            cache.repairs
-        ),
+        "bst_engine_handle_pool_handles 1".to_string(),
         "bst_engine_batches_total 1".to_string(),
         "bst_engine_namespace 4096".to_string(),
         "bst_engine_sets 1".to_string(),
@@ -200,9 +201,10 @@ fn observability_follows_engine_across_wire_load() {
         after.engine_nodes_visited > before.engine_nodes_visited,
         "engine totals must accumulate across LOAD"
     );
-    // Weight-cache counters read through the *current* engine, which is
-    // freshly loaded: the post-load batch re-weighs every cell.
-    assert!(after.weight_cache_misses > 0);
+    // Pool counters read through the *current* engine, which is freshly
+    // loaded: the post-load batch opens a cold handle, the sample reuses
+    // it.
+    assert_eq!((after.weight_cache_hits, after.weight_cache_misses), (4, 1));
 
     let text = client.metrics().expect("metrics");
     bst_obs::expo::validate(&text).expect("page must validate");

@@ -242,6 +242,16 @@ struct DurableShared {
     wedged: Mutex<Option<String>>,
 }
 
+impl DurableShared {
+    /// Sets (`Some(reason)`) or clears the fail-stop latch, mirrored on
+    /// the `bst_wal_wedged` gauge.
+    fn set_wedged(&self, reason: Option<String>) {
+        let mut wedged = self.wedged.lock();
+        self.obs.wedged.set(i64::from(reason.is_some()));
+        *wedged = reason;
+    }
+}
+
 /// A [`ShardedBstSystem`] with crash-safe persistence: write-ahead
 /// logging before every ack, background checkpoint compaction, and
 /// recovery = newest checkpoint + uncovered-segment replay — or, built
@@ -594,7 +604,7 @@ impl DurableBstSystem {
     fn append(&self, log: &mut LogState, record: WalRecord) -> Result<(), DurableError> {
         let fsyncs_before = log.wal.fsyncs();
         if let Err(e) = log.wal.append(&record) {
-            *self.inner.wedged.lock() = Some(e.to_string());
+            self.inner.set_wedged(Some(e.to_string()));
             self.kick_compactor();
             return Err(DurableError::Io(e));
         }
@@ -644,8 +654,8 @@ impl DurableBstSystem {
             return Ok(());
         };
         if let Err(e) = publish_and_rotate(&self.inner, log, &system.to_bytes()) {
-            *self.inner.wedged.lock() =
-                Some(format!("adopt could not publish its checkpoint: {e}"));
+            self.inner
+                .set_wedged(Some(format!("adopt could not publish its checkpoint: {e}")));
             self.kick_compactor();
             return Err(e);
         }
@@ -668,7 +678,7 @@ impl DurableBstSystem {
         self.inner.obs.replayed.set(rec.replayed as i64);
         self.inner.obs.torn_bytes.set(rec.torn_bytes as i64);
         log.since_checkpoint = rec.replayed;
-        *self.inner.wedged.lock() = None;
+        self.inner.set_wedged(None);
         *self.inner.engine.write() = system.clone();
         Ok(system)
     }
@@ -719,7 +729,7 @@ fn publish_and_rotate(
     publish_checkpoint(&log.dir, &wal::encode_checkpoint(covered, snapshot))?;
     log.prior_uncovered = 0;
     log.since_checkpoint = 0;
-    *shared.wedged.lock() = None;
+    shared.set_wedged(None);
     if let Ok(segments) = list_segments(&log.dir) {
         for (seq, path) in segments {
             if seq <= covered {
@@ -828,7 +838,10 @@ mod tests {
         // Engine-ahead-of-log, exactly what a failed append leaves
         // behind: the mutation is in memory, no record was written.
         durable.system().insert_keys(id, [7u64]).unwrap();
-        *durable.inner.wedged.lock() = Some("injected: append failed".into());
+        durable
+            .inner
+            .set_wedged(Some("injected: append failed".into()));
+        assert_eq!(durable.obs().wedged.get(), 1, "METRICS shows the wedge");
 
         assert!(matches!(
             durable.insert_keys(id, [9u64]),
@@ -847,6 +860,7 @@ mod tests {
 
         durable.checkpoint().unwrap();
         assert!(durable.inner.wedged.lock().is_none());
+        assert_eq!(durable.obs().wedged.get(), 0, "the checkpoint clears it");
         durable.insert_keys(id, [9u64]).unwrap();
 
         // Recovery lands on the reconciled state, unlogged key included.
@@ -868,11 +882,14 @@ mod tests {
         let id = durable.create([1u64, 2]).unwrap();
         let acked = durable.system().to_bytes();
         durable.system().insert_keys(id, [7u64]).unwrap();
-        *durable.inner.wedged.lock() = Some("injected: append failed".into());
+        durable
+            .inner
+            .set_wedged(Some("injected: append failed".into()));
 
         let recovered = durable.recover_from_disk().unwrap();
         assert_eq!(recovered.to_bytes(), acked, "unlogged mutation rolled back");
         assert!(durable.inner.wedged.lock().is_none());
+        assert_eq!(durable.obs().wedged.get(), 0);
         durable.insert_keys(id, [9u64]).unwrap();
         drop(durable);
         let _ = std::fs::remove_dir_all(&dir);

@@ -34,15 +34,18 @@
 //! * **Batches** ([`ShardedBstSystem::query_batch`]): a two-phase
 //!   scatter over a crossbeam worker pool — weigh every (shard, filter)
 //!   cell, pick one shard per filter ∝ the weights, sample only the
-//!   chosen cells. Phase 1 is backed by a **persistent engine-level
-//!   weight cache** ([`weight_cache`]): repeated batches over an
-//!   unchanged filter population skip the weighing entirely, and
-//!   occupancy churn repairs cached weights through the mutation
-//!   journal instead of discarding them. Per-(shard, filter) RNG
-//!   seeding keeps results deterministic for a fixed seed regardless of
-//!   thread count — and bit-identical whether the cache is warm or
-//!   just cleared. The handle and batch paths share one soft-error
-//!   merge and one weighted shard pick.
+//!   chosen cells. Per-(shard, filter) RNG seeding keeps results
+//!   deterministic for a fixed seed regardless of thread count. The
+//!   handle and batch paths share one soft-error merge and one weighted
+//!   shard pick.
+//! * **Warm state** ([`pool`]): one bounded engine pool of open
+//!   [`ShardQuery`] handles, keyed by stored id or filter content hash.
+//!   Batches and repeated single queries
+//!   ([`ShardedBstSystem::pooled_query_id`],
+//!   [`ShardedBstSystem::pooled_query`]) take their handle from it, so a
+//!   filter served before is weighed by an O(1) memo read — repaired
+//!   through the mutation journal after occupancy churn — and sampled on
+//!   a warm descent memo. Warm handles answer exactly like cold ones.
 //!
 //! ## Mutability
 //!
@@ -89,11 +92,11 @@
 #![warn(missing_docs)]
 
 pub mod durable;
+pub mod pool;
 pub mod query;
 pub mod system;
-pub mod weight_cache;
 
 pub use durable::{DurableBstSystem, DurableConfig, DurableError};
+pub use pool::{filter_content_hash, HandlePoolStats, HANDLE_POOL_CAP};
 pub use query::ShardQuery;
 pub use system::{shard_boundaries, BatchObs, ShardedBstSystem, ShardedBstSystemBuilder};
-pub use weight_cache::{filter_content_hash, CachedWeight, WeightCacheStats};

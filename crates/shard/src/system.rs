@@ -9,6 +9,7 @@ use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
 use bst_core::multiquery;
 use bst_core::persistence::{self, PersistError, ShardManifest};
+use bst_core::query::Query;
 use bst_core::store::FilterId;
 use bst_core::system::{BstConfig, BstSystem};
 use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
@@ -17,10 +18,8 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::pool::{filter_content_hash, HandlePool, HandlePoolStats, PoolKey};
 use crate::query::{merge_weights, pick_shard, ShardQuery};
-use crate::weight_cache::{
-    filter_content_hash, CachedWeight, SlotKey, WeightCache, WeightCacheStats,
-};
 
 /// Magic bytes of a sharded-system snapshot.
 const SHARD_MAGIC: &[u8; 4] = b"BSTH";
@@ -200,7 +199,6 @@ impl ShardedBstSystemBuilder {
             }
             shards.push(builder.try_build()?);
         }
-        let shard_count = shards.len();
         Ok(ShardedBstSystem {
             shared: Arc::new(Shared {
                 boundaries,
@@ -209,7 +207,7 @@ impl ShardedBstSystemBuilder {
                     next_id: 0,
                     map: BTreeMap::new(),
                 }),
-                weight_cache: WeightCache::new(shard_count),
+                pool: HandlePool::default(),
                 tracer: Tracer::disabled(),
                 batch_obs: RwLock::new(None),
             }),
@@ -262,9 +260,9 @@ struct Shared {
     boundaries: Vec<u64>,
     shards: Vec<BstSystem>,
     registry: RwLock<Registry>,
-    /// Engine-level persistent per-(filter, shard) weight cache for the
-    /// batch entry points (see [`crate::weight_cache`]).
-    weight_cache: WeightCache,
+    /// The warm-handle pool every repeated query draws from (see
+    /// [`crate::pool`]).
+    pool: HandlePool,
     /// Engine-level tracing facade: batch spans go here; per-op spans go
     /// through each shard's own tracer (kept in lockstep by
     /// [`ShardedBstSystem::set_recorder`]).
@@ -475,9 +473,7 @@ impl ShardedBstSystem {
                 first_error.get_or_insert(e);
             }
         }
-        // Garbage-collect the retired id's weight-cache entry (sharded
-        // ids are never reused, so this is hygiene, not invalidation).
-        self.shared.weight_cache.remove_stored(id.raw());
+        self.evict_pooled(id);
         match first_error {
             Some(e) => Err(e),
             None => Ok(()),
@@ -506,33 +502,55 @@ impl ShardedBstSystem {
     }
 
     // ------------------------------------------------------------------
-    // The persistent weight cache (batch phase-1 amortization).
+    // The warm-handle pool.
     // ------------------------------------------------------------------
 
-    /// Drops every cached weight and resets the effectiveness counters;
-    /// the next batch re-weighs all its cells, producing exactly what a
-    /// warm batch would, since cached weights equal recomputed ones
-    /// (pinned in `tests/e2e_shard.rs`). Never required for correctness
-    /// (staleness is stamp-checked on every probe) — this exists for
-    /// measurement and tests.
-    pub fn clear_weight_cache(&self) {
-        self.shared.weight_cache.clear();
+    /// The pooled handle on stored set `id`, opened with
+    /// [`Self::query_id`] and pooled on a miss. Every repeated query on a
+    /// stored set should come through here, so it finds the handle some
+    /// earlier caller warmed. A handle that later answers
+    /// [`BstError::UnknownFilterId`] (the set was dropped while it was
+    /// being opened) should be evicted with [`Self::evict_pooled`].
+    pub fn pooled_query_id(&self, id: FilterId) -> Result<Arc<ShardQuery>, BstError> {
+        self.shared
+            .pool
+            .get_or_open(PoolKey::Stored(id.raw()), |_| true, || self.query_id(id))
     }
 
-    /// Hit/miss/repair counters of the persistent weight cache since
-    /// construction or the last clear — a warm repeated batch shows
-    /// `S × slots` new hits and no new misses.
-    pub fn weight_cache_stats(&self) -> WeightCacheStats {
-        self.shared.weight_cache.stats()
+    /// The pooled handle on a detached filter, opened with
+    /// [`Self::query`] and pooled on a miss. Keyed by content hash; a
+    /// resident handle is served only if it holds a bit-identical
+    /// filter, so a hash collision costs a cold handle, never a wrong
+    /// answer.
+    pub fn pooled_query(&self, filter: &BloomFilter) -> Arc<ShardQuery> {
+        let opened = self.shared.pool.get_or_open(
+            PoolKey::Adhoc(filter_content_hash(filter)),
+            // Every shard handle of a detached query holds the same filter.
+            |q| q.shard_handles().first().is_some_and(|h| h.holds(filter)),
+            || Ok::<_, std::convert::Infallible>(self.query(filter)),
+        );
+        match opened {
+            Ok(handle) => handle,
+            Err(never) => match never {},
+        }
     }
 
-    /// Clones of the weight cache's `(hits, misses, repairs)` counter
-    /// handles, for registration on a [`bst_obs::MetricsRegistry`].
-    /// They share cells with the cache itself, so registered series and
-    /// [`Self::weight_cache_stats`] always agree — including across a
-    /// [`Self::clear_weight_cache`] reset.
-    pub fn weight_cache_counters(&self) -> (Counter, Counter, Counter) {
-        self.shared.weight_cache.counters()
+    /// Removes stored set `id`'s pooled handle, if any.
+    pub fn evict_pooled(&self, id: FilterId) {
+        self.shared.pool.remove(PoolKey::Stored(id.raw()));
+    }
+
+    /// Drops every pooled handle, so the next queries open cold ones —
+    /// for measurement and tests; correctness never needs it, because a
+    /// handle tracks its own staleness.
+    pub fn clear_handle_pool(&self) {
+        self.shared.pool.clear();
+    }
+
+    /// Pool lookups since the engine was built, and the handles resident
+    /// now.
+    pub fn handle_pool_stats(&self) -> HandlePoolStats {
+        self.shared.pool.stats()
     }
 
     // ------------------------------------------------------------------
@@ -566,19 +584,6 @@ impl ShardedBstSystem {
     /// The installed batch phase metrics sink, if any.
     pub fn batch_obs(&self) -> Option<Arc<BatchObs>> {
         self.shared.batch_obs.read().clone()
-    }
-
-    /// Introspection/test hook: the cached per-shard weight cells for a
-    /// stored sharded id, in shard order, if the cache holds an entry
-    /// for it. Cells may be stale (lazy invalidation); their stamps say
-    /// which state they reflect.
-    pub fn cached_weights(&self, id: FilterId) -> Option<Vec<Option<CachedWeight>>> {
-        self.shared.weight_cache.stored_cells(id.raw())
-    }
-
-    /// [`Self::cached_weights`] for an interned ad-hoc filter.
-    pub fn cached_weights_for(&self, filter: &BloomFilter) -> Option<Vec<Option<CachedWeight>>> {
-        self.shared.weight_cache.adhoc_cells(filter)
     }
 
     // ------------------------------------------------------------------
@@ -618,114 +623,64 @@ impl ShardedBstSystem {
     /// a crossbeam worker pool (`threads` workers; 0 = one per CPU,
     /// capped at the `shards × filters` cell count — so a low-shard
     /// engine still spreads a wide batch across every requested worker).
-    /// Phase 1 consults the engine's **persistent weight cache** first
-    /// (each filter interned by content hash) and dispatches weighing
-    /// work only for missing or stale (shard, filter) cells — a warm
-    /// repeated batch over an unchanged filter population skips phase 1
-    /// entirely; the gather step picks one shard per filter
+    /// Each filter's handle comes from the engine's warm-handle pool
+    /// ([`Self::pooled_query`]). Phase 1 weighs every (shard, filter)
+    /// cell — an O(1) memo read on a warm handle, a counting walk on a
+    /// cold one; the gather step picks one shard per filter
     /// proportionally to the weights; phase 2 then samples **only the
-    /// chosen cells**, reusing any handles phase 1 warmed — ~S× less
-    /// sampling work than sampling speculatively on every shard. Results
-    /// align with `filters`; per-cell RNG seeding keeps the output
-    /// deterministic for a fixed `seed` regardless of `threads`, and
-    /// bit-identical whether weights came from the cache or a fresh walk.
+    /// chosen cells**, on the same handles — ~S× less sampling work than
+    /// sampling speculatively on every shard. Results align with
+    /// `filters`; per-cell RNG seeding keeps the output deterministic for
+    /// a fixed `seed` regardless of `threads`, and bit-identical whether
+    /// the handles were warm or cold.
     pub fn query_batch(
         &self,
         filters: &[BloomFilter],
         seed: u64,
         threads: usize,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        let keys: Vec<Option<SlotKey<'_>>> = filters
-            .iter()
-            .map(|f| {
-                Some(SlotKey::Adhoc {
-                    hash: filter_content_hash(f),
-                    filter: f,
-                })
-            })
-            .collect();
-        self.scatter_gather(filters.len(), seed, threads, &keys, |_, sys, slot| {
-            Ok(Some(sys.query(&filters[slot])))
-        })
+        let handles: Vec<_> = filters.iter().map(|f| Ok(self.pooled_query(f))).collect();
+        self.scatter_gather(&handles, seed, threads)
     }
 
-    /// [`Self::query_batch`] addressed by sharded store id (weight-cache
-    /// entries are keyed by the id itself — no filter hashing). An
-    /// unknown/dropped id yields `Err(UnknownFilterId)` for its slot
-    /// without failing the rest of the batch.
+    /// [`Self::query_batch`] addressed by sharded store id, on the
+    /// pooled handles of [`Self::pooled_query_id`]. An unknown/dropped id
+    /// yields `Err(UnknownFilterId)` for its slot without failing the
+    /// rest of the batch.
     pub fn query_batch_ids(
         &self,
         ids: &[FilterId],
         seed: u64,
         threads: usize,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        // Resolve the registry once; missing ids keep a None slot.
-        let backing: Vec<Option<Vec<FilterId>>> = {
-            let registry = self.shared.registry.read();
-            ids.iter()
-                .map(|id| registry.map.get(&id.raw()).cloned())
-                .collect()
-        };
-        let keys: Vec<Option<SlotKey<'_>>> = ids
-            .iter()
-            .zip(&backing)
-            .map(|(id, fids)| {
-                fids.as_ref().map(|fids| SlotKey::Stored {
-                    raw: id.raw(),
-                    fids,
-                })
-            })
-            .collect();
-        let (mut results, stats) =
-            self.scatter_gather(ids.len(), seed, threads, &keys, |shard, sys, slot| {
-                match backing[slot].as_ref() {
-                    None => Ok(None),
-                    // A per-shard open failure (e.g. the backing set was
-                    // dropped directly on a shard system) is a hard
-                    // error for the slot, not a silent dead shard.
-                    Some(fids) => sys.query_id(fids[shard]).map(Some),
-                }
-            });
-        for (slot, id) in ids.iter().enumerate() {
-            if backing[slot].is_none() {
-                results[slot] = Err(BstError::UnknownFilterId(*id));
+        let handles: Vec<_> = ids.iter().map(|&id| self.pooled_query_id(id)).collect();
+        let (results, stats) = self.scatter_gather(&handles, seed, threads);
+        for (&id, result) in ids.iter().zip(&results) {
+            if matches!(result, Err(BstError::UnknownFilterId(_))) {
+                self.evict_pooled(id);
             }
         }
         (results, stats)
     }
 
-    /// The shared **two-phase** scatter engine behind both batch entry
-    /// points: `open(shard, sys, slot)` yields the per-shard handle for a
-    /// slot: `Ok(None)` marks the slot dead on every shard (the caller
-    /// patches its error in), `Err(e)` is a hard per-slot failure the
-    /// gather step propagates. `keys[slot]` names the slot in the
-    /// persistent weight cache (`None` = uncacheable, e.g. an unknown
-    /// id).
+    /// The shared **two-phase** scatter behind both batch entry points,
+    /// over one handle per slot (`Err` fails that slot alone).
     ///
-    /// Phase 0 probes the weight cache for every (shard, slot) cell;
-    /// hits (stamps current, possibly after a journal-repair delta) fill
-    /// their grid cell with no filter work at all. Phase 1 weighs only
-    /// the missing cells — no sampling — with the worker pool chunked
-    /// over the *miss list* of the flattened cell grid, so even an S=1
-    /// engine parallelises a wide cold batch, and a fully warm batch
-    /// spawns no weighing workers at all; fresh weights are written back
-    /// to the cache. The gather step merges errors and picks one shard
-    /// per slot from the weights; phase 2 samples only the chosen cells,
-    /// reusing the handles phase 1 warmed (cache-hit cells open theirs
-    /// cold — warm-equals-cold keeps the draw identical). Per-cell
-    /// seeding makes the result identical to the old one-phase scatter
-    /// for the same `seed`, independent of worker placement and of the
-    /// cache state.
+    /// Phase 1 weighs every (shard, slot) cell of the live slots, the
+    /// worker threads chunked over the flattened cell list, so even an S=1
+    /// engine parallelises a wide cold batch. The gather step merges
+    /// each slot's row and picks one shard, through the same two helpers
+    /// as the [`ShardQuery`] handle path; phase 2 samples only the chosen
+    /// cells. Per-cell seeding makes the result independent of worker
+    /// placement and of how warm the handles were.
     fn scatter_gather(
         &self,
-        slots: usize,
+        handles: &[Result<Arc<ShardQuery>, BstError>],
         seed: u64,
         threads: usize,
-        keys: &[Option<SlotKey<'_>>],
-        open: impl Fn(usize, &BstSystem, usize) -> Result<Option<bst_core::query::Query>, BstError>
-            + Sync,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
         let shard_count = self.shard_count();
+        let slots = handles.len();
         if slots == 0 {
             return (Vec::new(), OpStats::new());
         }
@@ -733,170 +688,62 @@ impl ShardedBstSystem {
         // and resolve to `None` until a serving layer installs sinks.
         let obs = self.shared.batch_obs.read().clone();
         let span = self.shared.tracer.start();
-        let cells = shard_count * slots;
         let workers = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         } else {
             threads
-        }
-        .clamp(1, cells);
-
-        // Phase 0: probe the persistent cache, one slot (= all S of its
-        // cells) per call so the entry lookup and the ad-hoc collision
-        // guard are paid once per slot. Cell index c = shard * slots +
-        // slot. Hits carry no handle (phase 2 opens one if the cell is
-        // chosen); misses are collected for weighing.
-        let cache = &self.shared.weight_cache;
-        let shards = &self.shared.shards;
-        let mut grid: Vec<WeighedCell> = (0..cells)
-            .map(|_| WeighedCell::without_handle(Err(BstError::NoLiveLeaf)))
+        };
+        // A dead slot's error is final; a live slot's placeholder is
+        // overwritten by the gather step or phase 2.
+        let mut results: Vec<Result<u64, BstError>> = handles
+            .iter()
+            .map(|h| h.as_ref().map(|_| 0).map_err(|e| *e))
             .collect();
-        let mut missing: Vec<usize> = Vec::new();
-        for (slot, key) in keys.iter().enumerate() {
-            let served = key.as_ref().map(|key| cache.probe_slot(shards, key));
-            for shard in 0..shard_count {
-                let cell = shard * slots + slot;
-                match served.as_ref().and_then(|row| row[shard]) {
-                    Some(outcome) => grid[cell] = WeighedCell::without_handle(outcome),
-                    None => missing.push(cell),
-                }
-            }
-        }
-        let mut stats = OpStats::new();
+        let live: Vec<(usize, &ShardQuery)> = handles
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, h)| h.as_ref().ok().map(|h| (slot, &**h)))
+            .collect();
 
-        // Phase 1: weigh only the missing cells, chunked across the pool.
+        // Phase 1: weigh every live cell, slot-major, so each slot's row
+        // is one contiguous run of `S` outcomes.
         let weigh_started = obs.as_ref().map(|_| std::time::Instant::now());
-        if !missing.is_empty() {
-            let weigh_workers = workers.min(missing.len());
-            let chunk = missing.len().div_ceil(weigh_workers);
-            type WeighedPart = Vec<(usize, WeighedCell, Option<CachedWeight>)>;
-            let mut weighed: Vec<(usize, WeighedPart, OpStats)> = crossbeam::scope(|scope| {
-                let mut handles = Vec::new();
-                for (w, batch) in missing.chunks(chunk).enumerate() {
-                    let open = &open;
-                    handles.push(scope.spawn(move |_| {
-                        let mut stats = OpStats::new();
-                        let mut part = Vec::with_capacity(batch.len());
-                        for &cell in batch {
-                            let (shard, slot) = (cell / slots, cell % slots);
-                            let (weighed, stamped) =
-                                weigh_cell(open(shard, &shards[shard], slot), &mut stats);
-                            part.push((cell, weighed, stamped));
-                        }
-                        (w, part, stats)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    // bst-lint: allow(L001) — a worker panic must propagate, not be swallowed
-                    .map(|h| h.join().expect("cell worker panicked"))
-                    .collect()
-            })
-            // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
-            .expect("crossbeam scope failed");
-            weighed.sort_by_key(|(w, _, _)| *w);
-            for (_, part, worker_stats) in weighed {
-                stats += worker_stats;
-                for (cell, weighed_cell, stamped) in part {
-                    let (shard, slot) = (cell / slots, cell % slots);
-                    // Write-back happens on the gather thread, keeping
-                    // the weighing workers free of cache-lock traffic.
-                    if let (Some(key), Some(stamped)) = (keys[slot].as_ref(), stamped) {
-                        cache.fill(shard, key, stamped);
-                    }
-                    grid[cell] = weighed_cell;
-                }
-            }
-        }
+        let cells: Vec<&Query> = live.iter().flat_map(|(_, q)| q.shard_handles()).collect();
+        let weighed = par_map(&cells, workers, |q| (q.live_weight(), q.take_stats()));
         if let (Some(obs), Some(t0)) = (obs.as_ref(), weigh_started) {
-            // Recorded even for fully-warm batches: a ~0 µs weighing
-            // phase *is* the cache working.
             obs.weigh_us.record(t0.elapsed().as_secs_f64() * 1e6);
         }
 
-        // Gather: per slot, merge the outcomes and pick a shard, through
-        // the same two helpers as the ShardQuery handle path. Chosen cells
-        // surrender their warm handle to phase 2 (cache-hit cells have
-        // none; phase 2 opens one on demand).
-        let mut results: Vec<Result<u64, BstError>> = Vec::with_capacity(slots);
-        let mut chosen: Vec<(usize, usize, Option<bst_core::query::Query>)> = Vec::new();
-        for slot in 0..slots {
-            let row = (0..shard_count).map(|shard| grid[shard * slots + slot].outcome);
-            let picked = merge_weights(row).and_then(|weights| {
+        // Gather: per slot, merge the row and pick a shard.
+        let mut stats = OpStats::new();
+        let mut chosen: Vec<(usize, usize, &Query)> = Vec::new();
+        for (&(slot, q), row) in live.iter().zip(weighed.chunks(shard_count)) {
+            for (_, cell_stats) in row {
+                stats += *cell_stats;
+            }
+            let picked = merge_weights(row.iter().map(|(w, _)| *w)).and_then(|weights| {
                 let mut rng = StdRng::seed_from_u64(cell_seed(seed, u64::MAX, slot as u64));
                 pick_shard(&weights, &mut rng).ok_or(BstError::NoLiveLeaf)
             });
             match picked {
-                Ok(shard) => {
-                    let cell = &mut grid[shard * slots + slot];
-                    chosen.push((slot, shard, cell.handle.take()));
-                    // Placeholder; phase 2 overwrites it.
-                    results.push(Err(BstError::NoLiveLeaf));
-                }
-                Err(e) => results.push(Err(e)),
+                Ok(shard) => chosen.push((slot, shard, &q.shard_handles()[shard])),
+                Err(e) => results[slot] = Err(e),
             }
         }
-        drop(grid); // non-chosen handles are done after weighing
 
-        // Phase 2: sample only the chosen cells, on the pool again. Each
+        // Phase 2: sample only the chosen cells, on the workers again. Each
         // cell's RNG stream depends on its (shard, slot) coordinates
-        // alone, so placement cannot change a draw — and a cache-hit
-        // cell's freshly opened handle draws exactly what a phase-1-
-        // warmed one would (warm-equals-cold).
+        // alone, so placement cannot change a draw.
         let sample_started = obs.as_ref().map(|_| std::time::Instant::now());
-        if !chosen.is_empty() {
-            let workers = workers.min(chosen.len());
-            let chunk = chosen.len().div_ceil(workers);
-            let sampled: Vec<Vec<SampledSlot>> = crossbeam::scope(|scope| {
-                let mut handles = Vec::new();
-                for batch in chosen.chunks(chunk) {
-                    let open = &open;
-                    handles.push(scope.spawn(move |_| {
-                        batch
-                            .iter()
-                            .map(|(slot, shard, handle)| {
-                                let mut rng = StdRng::seed_from_u64(cell_seed(
-                                    seed,
-                                    *shard as u64,
-                                    *slot as u64,
-                                ));
-                                let mut sample_from = |handle: &bst_core::query::Query| {
-                                    let out = handle.sample(&mut rng);
-                                    (*slot, out, handle.take_stats())
-                                };
-                                match handle {
-                                    Some(handle) => sample_from(handle),
-                                    // Cache hit: open the handle now. A
-                                    // hard open failure (the backing set
-                                    // vanished mid-batch) is the slot's
-                                    // typed error, exactly as phase 1
-                                    // would have reported it.
-                                    None => match open(*shard, &shards[*shard], *slot) {
-                                        Ok(Some(handle)) => sample_from(&handle),
-                                        Ok(None) => {
-                                            (*slot, Err(BstError::NoLiveLeaf), OpStats::new())
-                                        }
-                                        Err(e) => (*slot, Err(e), OpStats::new()),
-                                    },
-                                }
-                            })
-                            .collect()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    // bst-lint: allow(L001) — a worker panic must propagate, not be swallowed
-                    .map(|h| h.join().expect("sample worker panicked"))
-                    .collect()
-            })
-            // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
-            .expect("crossbeam scope failed");
-            for (slot, out, sample_stats) in sampled.into_iter().flatten() {
-                results[slot] = out;
-                stats += sample_stats;
-            }
+        let sampled = par_map(&chosen, workers, |&(slot, shard, q)| {
+            let mut rng = StdRng::seed_from_u64(cell_seed(seed, shard as u64, slot as u64));
+            (q.sample(&mut rng), q.take_stats())
+        });
+        for (&(slot, _, _), (out, sample_stats)) in chosen.iter().zip(sampled) {
+            results[slot] = out;
+            stats += sample_stats;
         }
         if let Some(obs) = obs.as_ref() {
             if let Some(t0) = sample_started {
@@ -909,7 +756,7 @@ impl ShardedBstSystem {
             span,
             &[
                 ("slots", slots as u64),
-                ("weighed_cells", missing.len() as u64),
+                ("weighed_cells", cells.len() as u64),
                 ("sampled_cells", chosen.len() as u64),
                 ("intersections", stats.intersections),
                 ("memberships", stats.memberships),
@@ -1075,7 +922,6 @@ impl ShardedBstSystem {
             }
             map.insert(id, fids);
         }
-        let shard_count = shards.len();
         Ok(ShardedBstSystem {
             shared: Arc::new(Shared {
                 boundaries: manifest.boundaries,
@@ -1084,9 +930,9 @@ impl ShardedBstSystem {
                     next_id: manifest.next_id,
                     map,
                 }),
-                // The cache is derived state and never persisted; a
+                // Warm handles are derived state and never persisted; a
                 // restored engine starts cold.
-                weight_cache: WeightCache::new(shard_count),
+                pool: HandlePool::default(),
                 // Observability wiring is process state, not snapshot
                 // state: the installer re-attaches after a restore.
                 tracer: Tracer::disabled(),
@@ -1096,66 +942,34 @@ impl ShardedBstSystem {
     }
 }
 
-/// One phase-2 outcome: `(slot, sample, stats drained from the handle)`.
-type SampledSlot = (usize, Result<u64, BstError>, OpStats);
-
-/// One (shard, slot) cell of the batch grid: the shard's weight outcome
-/// for the slot — the same value the persistent weight cache stores —
-/// and, for freshly weighed cells with a positive weight, the warmed
-/// handle phase 2 samples from (cache-hit cells carry none and open one
-/// lazily if chosen).
-struct WeighedCell {
-    outcome: Result<u64, BstError>,
-    handle: Option<bst_core::query::Query>,
-}
-
-impl WeighedCell {
-    fn without_handle(outcome: Result<u64, BstError>) -> Self {
-        WeighedCell {
-            outcome,
-            handle: None,
-        }
+/// Maps `f` over `items` on up to `workers` scoped threads, one
+/// contiguous chunk each, with results in item order. A single chunk
+/// runs on the calling thread.
+fn par_map<T: Sync, U: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let chunk = items.len().div_ceil(workers.max(1)).max(1);
+    if chunk >= items.len() {
+        return items.iter().map(f).collect();
     }
-}
-
-/// Weighs one (shard, slot) cell — phase 1 does **no** sampling. A dead
-/// slot (`Ok(None)`: slot-level errors are patched in by the caller,
-/// e.g. unknown sharded ids) weighs `NoLiveLeaf`; a hard open failure is
-/// the cell's outcome, which the gather step propagates. The second
-/// value is the stamped outcome for the weight cache: soft outcomes only
-/// (hard errors carry no meaningful stamps), read under the
-/// computation's own state lock so the stamps name exactly the state
-/// the weight reflects.
-fn weigh_cell(
-    handle: Result<Option<bst_core::query::Query>, BstError>,
-    stats: &mut OpStats,
-) -> (WeighedCell, Option<CachedWeight>) {
-    let handle = match handle {
-        Ok(Some(handle)) => handle,
-        Ok(None) => return (WeighedCell::without_handle(Err(BstError::NoLiveLeaf)), None),
-        Err(e) => return (WeighedCell::without_handle(Err(e)), None),
-    };
-    let (outcome, set_generation, tree_generation) = handle.live_weight_stamped();
-    *stats += handle.take_stats();
-    let stamped = match outcome {
-        Ok(_) | Err(BstError::EmptyFilter) | Err(BstError::EmptyTree) => Some(CachedWeight {
-            outcome,
-            set_generation,
-            tree_generation,
-        }),
-        Err(_) => None,
-    };
-    let cell = WeighedCell {
-        outcome,
-        // Only a positive-weight cell can be chosen in the gather step.
-        handle: matches!(outcome, Ok(w) if w > 0).then_some(handle),
-    };
-    (cell, stamped)
+    let f = &f;
+    crossbeam::scope(|scope| {
+        let parts: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(move |_| part.iter().map(f).collect::<Vec<U>>()))
+            .collect();
+        parts
+            .into_iter()
+            // bst-lint: allow(L001) — a worker panic must propagate, not be swallowed
+            .flat_map(|h| h.join().expect("batch worker panicked"))
+            .collect()
+    })
+    // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
+    .expect("crossbeam scope failed")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::HANDLE_POOL_CAP;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1574,16 +1388,16 @@ mod tests {
         let filters: Vec<BloomFilter> = (0..8)
             .map(|i| sys.store((0..60u64).map(|j| (i * 997 + j * 13) % 8_192)))
             .collect();
-        let cells = (sys.shard_count() * filters.len()) as u64;
         let (r1, cold_stats) = sys.query_batch(&filters, 11, 2);
-        let after_cold = sys.weight_cache_stats();
-        assert_eq!(after_cold.hits, 0, "first batch is all misses");
-        assert_eq!(after_cold.misses, cells);
+        let after_cold = sys.handle_pool_stats();
+        assert_eq!(after_cold.hits, 0, "first batch opens every handle");
+        assert_eq!(after_cold.misses, filters.len() as u64);
+        assert_eq!(after_cold.handles, filters.len());
         let (r2, warm_stats) = sys.query_batch(&filters, 11, 2);
-        let after_warm = sys.weight_cache_stats();
-        assert_eq!(r1, r2, "cached weights must not change results");
-        assert_eq!(after_warm.misses, after_cold.misses, "no new misses");
-        assert_eq!(after_warm.hits, cells, "every cell served from cache");
+        let after_warm = sys.handle_pool_stats();
+        assert_eq!(r1, r2, "warm handles must not change results");
+        assert_eq!(after_warm.misses, after_cold.misses, "no new opens");
+        assert_eq!(after_warm.hits, filters.len() as u64);
         assert!(
             warm_stats.total_ops() < cold_stats.total_ops() / 2,
             "a warm batch skips the phase-1 weighing walks ({} vs {})",
@@ -1604,20 +1418,30 @@ mod tests {
         let filters: Vec<BloomFilter> = (0..6)
             .map(|i| sys.store((0..40u64).map(|j| (i * 389 + j * 23) % 8_192)))
             .collect();
-        // Warm the cache, then compare against batches that weigh every
-        // cell fresh on the same engine — outputs must be bit-identical.
+        // Warm the pool, then compare against batches on cold handles —
+        // on the same engine and on a fresh restored twin — outputs must
+        // be bit-identical.
         let (warm_f, _) = sys.query_batch(&filters, 7, 2);
         let (warm_f2, _) = sys.query_batch(&filters, 7, 2);
         let (warm_i, _) = sys.query_batch_ids(&ids, 9, 2);
         let (warm_i2, _) = sys.query_batch_ids(&ids, 9, 2);
-        sys.clear_weight_cache();
+        let twin = ShardedBstSystem::from_bytes(&sys.to_bytes()).expect("restore");
+        sys.clear_handle_pool();
+        let misses = sys.handle_pool_stats().misses;
         let (cold_f, _) = sys.query_batch(&filters, 7, 2);
         let (cold_i, _) = sys.query_batch_ids(&ids, 9, 2);
-        assert_eq!(sys.weight_cache_stats().hits, 0, "every cell weighed");
-        assert_eq!(warm_f, cold_f);
-        assert_eq!(warm_f2, cold_f);
+        assert_eq!(
+            sys.handle_pool_stats().misses - misses,
+            (filters.len() + ids.len()) as u64,
+            "every handle reopened"
+        );
+        for (warm, cold) in [(&warm_f, &cold_f), (&warm_f2, &cold_f)] {
+            assert_eq!(warm, cold);
+        }
         assert_eq!(warm_i, cold_i);
         assert_eq!(warm_i2, cold_i);
+        assert_eq!(twin.query_batch(&filters, 7, 1).0, cold_f);
+        assert_eq!(twin.query_batch_ids(&ids, 9, 1).0, cold_i);
     }
 
     #[test]
@@ -1630,39 +1454,27 @@ mod tests {
             })
             .collect();
         sys.query_batch_ids(&ids, 3, 2);
-        let primed = sys.weight_cache_stats();
         // Mutate one set with a key landing in exactly one shard: only
-        // that (set, shard) cell's set generation moves.
+        // that (set, shard) handle goes stale.
         sys.insert_keys(ids[1], [10u64]).expect("insert");
         let owner = sys.shard_of(10);
+        for (slot, id) in ids.iter().enumerate() {
+            let pooled = sys.pooled_query_id(*id).expect("pooled");
+            for (shard, handle) in pooled.shard_handles().iter().enumerate() {
+                let expect = slot == 1 && shard == owner;
+                assert_eq!(handle.is_stale(), Ok(expect), "set {slot} shard {shard}");
+            }
+        }
         let (results, _) = sys.query_batch_ids(&ids, 3, 2);
-        let after = sys.weight_cache_stats();
-        assert_eq!(
-            after.misses - primed.misses,
-            1,
-            "exactly the mutated (set, shard) cell re-weighs"
-        );
-        assert_eq!(
-            after.hits - primed.hits,
-            (sys.shard_count() * ids.len()) as u64 - 1
-        );
-        // The refilled cell reflects the new membership.
-        let cells = sys.cached_weights(ids[1]).expect("entry");
-        let cell = cells[owner].expect("cell");
-        assert_eq!(
-            cell.set_generation,
-            sys.shard_systems()[owner]
-                .filters()
-                .generation(
-                    sys.query_id(ids[1]).expect("open").shard_handles()[owner]
-                        .filter_id()
-                        .expect("stored")
-                )
-                .expect("generation")
-        );
         for r in &results {
             r.expect("all slots live");
         }
+        let pooled = sys.pooled_query_id(ids[1]).expect("pooled");
+        assert_eq!(pooled.is_stale(), Ok(false), "the batch re-weighed it");
+        assert_eq!(
+            pooled.shard_handles()[owner].live_weight(),
+            sys.query_id(ids[1]).expect("open").shard_handles()[owner].live_weight()
+        );
     }
 
     #[test]
@@ -1676,24 +1488,23 @@ mod tests {
         let filters: Vec<BloomFilter> = (0..4)
             .map(|i| sys.store((0..60u64).map(|j| (i * 997 + j * 26) % 8_192)))
             .collect();
-        sys.query_batch(&filters, 13, 2);
-        let primed = sys.weight_cache_stats();
+        let (_, cold) = sys.query_batch(&filters, 13, 2);
         // Toggle an odd id: the owning shard's tree generation moves by
-        // 2 and the journal covers the gap, so cached weights repair
-        // instead of re-weighing.
+        // 2 and the journal covers the gap, so the pooled handles repair
+        // their memos instead of re-weighing.
         sys.insert_occupied(4_097).expect("insert");
         sys.remove_occupied(4_097).expect("remove");
-        let (r, _) = sys.query_batch(&filters, 13, 2);
-        let after = sys.weight_cache_stats();
-        assert_eq!(after.misses, primed.misses, "no cell re-weighs");
+        let (r, repaired) = sys.query_batch(&filters, 13, 2);
         assert!(
-            after.repairs > primed.repairs,
-            "the mutated shard's cells repair through the journal"
+            repaired.intersections < cold.intersections / 2,
+            "no cell re-walks ({} vs {})",
+            repaired.intersections,
+            cold.intersections
         );
         // Repaired weights must equal recomputed ones.
-        sys.clear_weight_cache();
-        let (cold, _) = sys.query_batch(&filters, 13, 2);
-        assert_eq!(r, cold);
+        sys.clear_handle_pool();
+        let (fresh, _) = sys.query_batch(&filters, 13, 2);
+        assert_eq!(r, fresh);
     }
 
     #[test]
@@ -1705,30 +1516,29 @@ mod tests {
         let filter = sys.store((0..80u64).map(|i| i * 53 % 8_192));
         sys.query_batch_ids(&[id], 5, 2);
         sys.query_batch(std::slice::from_ref(&filter), 5, 2);
-        let stored = sys.cached_weights(id).expect("stored entry");
-        let q = sys.query_id(id).expect("open");
-        for (shard, cell) in stored.iter().enumerate() {
-            let cell = cell.expect("every shard weighed");
-            let expect = q.shard_handles()[shard].live_weight();
-            match (cell.outcome, expect) {
-                (Ok(w), Ok(e)) => assert_eq!(w, e, "shard {shard}"),
-                (Err(a), Err(b)) => assert_eq!(a, b, "shard {shard}"),
-                (a, b) => panic!("shard {shard}: cached {a:?} vs recomputed {b:?}"),
-            }
-        }
-        let adhoc = sys.cached_weights_for(&filter).expect("interned entry");
-        for (shard, cell) in adhoc.iter().enumerate() {
-            let cell = cell.expect("every shard weighed");
+        let stored = sys.pooled_query_id(id).expect("pooled");
+        let adhoc = sys.pooled_query(&filter);
+        assert_eq!(sys.handle_pool_stats().handles, 2);
+        for (shard, sys_shard) in sys.shard_systems().iter().enumerate() {
             assert_eq!(
-                cell.outcome,
-                sys.shard_systems()[shard].query(&filter).live_weight(),
+                stored.shard_handles()[shard].live_weight(),
+                sys.query_id(id).expect("open").shard_handles()[shard].live_weight(),
                 "shard {shard}"
             );
-            assert_eq!(cell.set_generation, 0, "ad-hoc filters have no set");
+            assert_eq!(
+                adhoc.shard_handles()[shard].live_weight(),
+                sys_shard.query(&filter).live_weight(),
+                "shard {shard}"
+            );
         }
-        // Dropping the set garbage-collects its entry.
+        // Dropping the set removes its pooled handle.
         sys.drop_set(id).expect("drop");
-        assert!(sys.cached_weights(id).is_none());
+        assert_eq!(sys.handle_pool_stats().handles, 1);
+        assert_eq!(
+            sys.pooled_query_id(id).err(),
+            Some(BstError::UnknownFilterId(id))
+        );
+        assert_eq!(sys.handle_pool_stats().handles, 1, "errors are not pooled");
     }
 
     #[test]
@@ -1747,17 +1557,16 @@ mod tests {
         assert!(results.iter().all(|r| r.is_ok()));
 
         assert_eq!(obs.batches.get(), 1);
-        // Cold batch: every (shard, filter) cell is weighed; both phase
-        // histograms record once per batch, even when a phase is empty.
+        // Both phase histograms record once per batch.
         assert_eq!(obs.weigh_us.count(), 1);
         assert_eq!(obs.sample_us.count(), 1);
 
-        let spans = ring.recent();
-        let batch = spans
-            .iter()
-            .find(|s| s.name == "bst.shard.batch")
-            .expect("batch span");
-        let attr = |name: &str| {
+        let batch_attr = |name: &str| {
+            let spans = ring.recent();
+            let batch = spans
+                .iter()
+                .rfind(|s| s.name == "bst.shard.batch")
+                .expect("batch span");
             batch
                 .attrs
                 .iter()
@@ -1765,29 +1574,22 @@ mod tests {
                 .map(|(_, v)| *v)
                 .expect("attr")
         };
-        assert_eq!(attr("slots"), 3);
-        assert_eq!(attr("weighed_cells"), 12, "4 shards x 3 filters, cold");
-        assert_eq!(attr("sampled_cells"), 3, "one chosen shard per slot");
+        assert_eq!(batch_attr("slots"), 3);
+        assert_eq!(batch_attr("weighed_cells"), 12, "4 shards x 3 filters");
+        assert_eq!(batch_attr("sampled_cells"), 3, "one chosen shard per slot");
+        let cold_intersections = batch_attr("intersections");
 
-        // Warm repeat: cache serves every weight, so no cells are
-        // weighed, but the phase histogram still records the (near-zero)
-        // phase time and the batch counter advances.
+        // Warm repeat: every weight is a memo read on a pooled handle,
+        // but the phase histogram still records the (near-zero) phase
+        // time and the batch counter advances.
         let (results, _) = sys.query_batch(&filters, 6, 2);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(obs.batches.get(), 2);
         assert_eq!(obs.weigh_us.count(), 2);
-        let spans = ring.recent();
-        let warm = spans
-            .iter()
-            .rfind(|s| s.name == "bst.shard.batch")
-            .expect("warm batch span");
-        let warm_weighed = warm
-            .attrs
-            .iter()
-            .find(|(k, _)| *k == "weighed_cells")
-            .map(|(_, v)| *v)
-            .expect("attr");
-        assert_eq!(warm_weighed, 0, "warm batch serves weights from cache");
+        assert!(
+            batch_attr("intersections") < cold_intersections / 2,
+            "warm batch weighs from the handle memos"
+        );
 
         // Detaching both sinks stops all emission and recording.
         sys.set_recorder(None);
@@ -1796,6 +1598,33 @@ mod tests {
         let _ = sys.query_batch(&filters, 7, 2);
         assert_eq!(ring.recorded_total(), before);
         assert_eq!(obs.batches.get(), 2);
+    }
+
+    #[test]
+    fn handle_pool_is_bounded_and_shared_by_both_paths() {
+        let sys = engine(2);
+        let ids: Vec<FilterId> = (0..HANDLE_POOL_CAP as u64 + 6)
+            .map(|i| sys.create([i * 5, i * 5 + 1]).expect("create"))
+            .collect();
+        let (wide, _) = sys.query_batch_ids(&ids, 4, 2);
+        assert!(wide.iter().all(|r| r.is_ok()));
+        assert_eq!(sys.handle_pool_stats().handles, HANDLE_POOL_CAP);
+        // The newest ids stay pooled: a single query reuses the handle
+        // the batch warmed.
+        let last = *ids.last().expect("ids");
+        let before = sys.handle_pool_stats();
+        let q = sys.pooled_query_id(last).expect("pooled");
+        assert_eq!(sys.handle_pool_stats().hits, before.hits + 1);
+        assert!(std::sync::Arc::ptr_eq(
+            &q,
+            &sys.pooled_query_id(last).expect("pooled")
+        ));
+        // A dropped id's slot fails alone and leaves nothing pooled.
+        sys.drop_set(last).expect("drop");
+        let (results, _) = sys.query_batch_ids(&ids[ids.len() - 2..], 4, 1);
+        assert!(results[0].is_ok());
+        assert_eq!(results[1], Err(BstError::UnknownFilterId(last)));
+        assert_eq!(sys.handle_pool_stats().handles, HANDLE_POOL_CAP - 1);
     }
 
     #[test]

@@ -300,7 +300,7 @@ fn background_compactor_checkpoints_at_the_configured_cadence() {
 /// regression): a decoded engine resumes every shard's tree generation
 /// instead of restarting at zero, keeps counting monotonically through
 /// fresh mutations, and a handle opened warm on the restored engine —
-/// with the weight cache populated — answers exactly like a cold one
+/// with the handle pool populated — answers exactly like a cold one
 /// after churn.
 #[test]
 fn decoded_engine_continues_generations_warm_equals_cold() {
@@ -341,7 +341,7 @@ fn decoded_engine_continues_generations_warm_equals_cold() {
     // Continuity: the decoded engine resumes the persisted counters.
     assert_eq!(after, before);
 
-    // Warm handle + populated weight cache on the restored engine,
+    // Warm handle + populated handle pool on the restored engine,
     // *then* mutate: occupancy churn and key churn on every shard.
     let warm = restored.query_id(ids[0]).unwrap();
     let _ = warm.live_weight().unwrap();

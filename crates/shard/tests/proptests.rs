@@ -132,13 +132,13 @@ proptest! {
         prop_assert_eq!(warm.reconstruct(), cold.reconstruct());
     }
 
-    /// The engine-level persistent weight cache never changes batch
-    /// output: under arbitrary interleaved store churn, occupancy churn
-    /// and repeated batches, a warm engine and a twin that clears its
-    /// cache before every batch, driven identically, produce bit-identical `query_batch` and
-    /// `query_batch_ids` results — and every *fresh* cached cell equals
-    /// a from-scratch recomputation of that shard's live weight. Runs
-    /// under both filter layouts (classic and cache-line blocked).
+    /// The engine's warm-handle pool never changes batch output: under
+    /// arbitrary interleaved store churn, occupancy churn and repeated
+    /// batches, a warm engine and a twin that clears its pool before
+    /// every batch, driven identically, produce bit-identical
+    /// `query_batch` and `query_batch_ids` results — and every pooled
+    /// handle's per-shard weight equals a from-scratch recomputation.
+    /// Runs under both filter layouts (classic and cache-line blocked).
     #[test]
     fn cached_batches_equal_cleared_batches_under_churn(
         occupied in prop::collection::btree_set(0u64..2_048, 20..200),
@@ -173,9 +173,9 @@ proptest! {
         let filters: Vec<_> = (0..3u64)
             .map(|i| cached.store((0..30u64).map(|j| (i * 523 + j * 41) % 2_048)))
             .collect();
-        // Prime the cached engine, then interleave mutations with
-        // batches; the cold twin clears its cache before every batch, so
-        // it weighs every cell fresh.
+        // Prime the warm engine, then interleave mutations with batches;
+        // the cold twin clears its pool before every batch, so it weighs
+        // every cell on a fresh handle.
         cached.query_batch(&filters, seed, 2);
         cached.query_batch_ids(&ids_cached, seed, 2);
         for (round, (op, id)) in ops.into_iter().enumerate() {
@@ -201,31 +201,29 @@ proptest! {
             }
             let batch_seed = seed.wrapping_add(round as u64);
             let (rc, _) = cached.query_batch(&filters, batch_seed, 2);
-            cold.clear_weight_cache();
+            cold.clear_handle_pool();
             let (rb, _) = cold.query_batch(&filters, batch_seed, 2);
             prop_assert_eq!(rc, rb, "detached batch diverged at round {}", round);
             let (rc, _) = cached.query_batch_ids(&ids_cached, batch_seed, 2);
-            cold.clear_weight_cache();
+            cold.clear_handle_pool();
             let (rb, _) = cold.query_batch_ids(&ids_cold, batch_seed, 2);
             prop_assert_eq!(rc, rb, "stored batch diverged at round {}", round);
         }
-        // Every cached cell that claims freshness equals a recount.
+        // Every pooled handle's weights equal a recount on a cold one.
         for (slot, id) in ids_cached.iter().enumerate() {
-            let Some(cells) = cached.cached_weights(*id) else { continue };
-            let handle = cached.query_id(*id).expect("open");
-            for (shard, cell) in cells.iter().enumerate() {
-                let Some(cell) = cell else { continue };
-                let sys = &cached.shard_systems()[shard];
-                let fid = handle.shard_handles()[shard].filter_id().expect("stored");
-                let fresh = cell.set_generation == sys.filters().generation(fid).unwrap()
-                    && cell.tree_generation == sys.tree_generation();
-                if fresh {
-                    prop_assert_eq!(
-                        cell.outcome,
-                        sys.query_id(fid).unwrap().live_weight_stamped().0,
-                        "stale weight served as fresh: set {} shard {}", slot, shard
-                    );
-                }
+            let pooled = cached.pooled_query_id(*id).expect("pooled");
+            let fresh = cached.query_id(*id).expect("open");
+            for (shard, (warm, cold)) in pooled
+                .shard_handles()
+                .iter()
+                .zip(fresh.shard_handles())
+                .enumerate()
+            {
+                prop_assert_eq!(
+                    warm.live_weight(),
+                    cold.live_weight(),
+                    "stale pooled weight: set {} shard {}", slot, shard
+                );
             }
         }
     }

@@ -127,8 +127,8 @@ fn main() {
         stats.sets, stats.occupied, stats.epoch, stats.frames_served, stats.sessions_served
     );
     println!(
-        "weight cache: {} hits / {} misses / {} repairs",
-        stats.weight_cache_hits, stats.weight_cache_misses, stats.weight_cache_repairs
+        "handle pool: {} hits / {} misses",
+        stats.weight_cache_hits, stats.weight_cache_misses
     );
     println!("latency (µs):     count      p50      p95      p99");
     for row in &stats.ops {

@@ -146,7 +146,7 @@ pub use bst_core::{
     FilterId, OpStats, PersistError, PrunedBloomSampleTree, Query, QueryMemo, ReconstructConfig,
     SampleTree, SamplerConfig, TreeBackend, TreeView,
 };
-pub use bst_shard::{CachedWeight, ShardQuery, ShardedBstSystem, WeightCacheStats};
+pub use bst_shard::{HandlePoolStats, ShardQuery, ShardedBstSystem};
 
 /// The README's quickstart snippet, compiled and executed by
 /// `cargo test --doc` so the front-page example can never rot.

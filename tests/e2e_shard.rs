@@ -527,12 +527,11 @@ fn sharded_batches_fan_out_with_typed_errors() {
     }
 }
 
-/// The engine-level persistent weight cache is invisible in batch
-/// output: across a schedule of store churn and occupancy churn, every
-/// `query_batch` / `query_batch_ids` result on a warm engine is
-/// byte-identical to a twin that clears its cache before every batch —
-/// warm (repeated), repaired (post-churn) and cold alike — while the
-/// cache measurably serves hits.
+/// The engine's warm-handle pool is invisible in batch output: across a
+/// schedule of store churn and occupancy churn, every `query_batch` /
+/// `query_batch_ids` result on a warm engine is byte-identical to a twin
+/// that clears its pool before every batch — warm (repeated), repaired
+/// (post-churn) and cold alike — while the pool measurably serves hits.
 #[test]
 fn batch_outputs_identical_warm_and_cleared() {
     let namespace = 20_000u64;
@@ -585,24 +584,22 @@ fn batch_outputs_identical_warm_and_cleared() {
         for threads in [1, 3] {
             let seed = 31 + round as u64;
             let (rc, _) = cached.query_batch(&filters, seed, threads);
-            cold.clear_weight_cache();
+            cold.clear_handle_pool();
             let (rb, _) = cold.query_batch(&filters, seed, threads);
             assert_eq!(rc, rb, "detached batch, round {round}, threads {threads}");
             let (rc, _) = cached.query_batch_ids(&ids_cached, seed, threads);
-            cold.clear_weight_cache();
+            cold.clear_handle_pool();
             let (rb, _) = cold.query_batch_ids(&ids_cold, seed, threads);
             assert_eq!(rc, rb, "stored batch, round {round}, threads {threads}");
         }
     }
-    let stats = cached.weight_cache_stats();
-    assert!(stats.hits > 0, "the schedule must exercise warm serving");
     assert!(
-        stats.repairs > 0,
-        "the schedule must exercise journal repair"
+        cached.handle_pool_stats().hits > 0,
+        "the schedule must exercise warm serving"
     );
     assert_eq!(
-        cold.weight_cache_stats().hits,
+        cold.handle_pool_stats().hits,
         0,
-        "the cleared twin weighs every cell"
+        "the cleared twin opens every handle cold"
     );
 }

@@ -1,12 +1,11 @@
 //! Thread-based stress: concurrent occupancy mutators against warm
-//! `Query`/`ShardQuery` handles **and the engine-level persistent
-//! weight cache**. The bar — a reader must **never observe a superseded
-//! weight**: any weight returned after a mutation was published carries
-//! a tree-generation stamp at least as new as every generation the
-//! reader saw before asking (the stamps force the repair/re-descend
-//! path; a stale cached weight slipping through would surface here as a
-//! stamp regression), and the engine cache's cells only ever move
-//! forward in stamp order. Every scenario runs under both filter
+//! `Query`/`ShardQuery` handles **and the engine's warm-handle pool**.
+//! The bar — a reader must **never observe a superseded weight**: any
+//! weight returned after a mutation was published carries a
+//! tree-generation stamp at least as new as every generation the reader
+//! saw before asking (the stamps force the repair/re-descend path; a
+//! stale memo slipping through would surface here as a stamp
+//! regression), and pooled handles' stamps only ever move forward. Every scenario runs under both filter
 //! layouts (classic `Murmur3` and cache-line `DeltaBlocked`): the
 //! repair/stamp machinery is layout-independent and must stay so. Runs
 //! in release in CI (the `test` job runs `cargo test --release`);
@@ -145,7 +144,7 @@ fn concurrent_mutators_never_yield_superseded_weights_sharded_with(kind: HashKin
     assert_eq!(engine.occupied_count(), namespace / 2);
 }
 
-fn engine_weight_cache_never_serves_superseded_weights_with(kind: HashKind) {
+fn engine_handle_pool_never_serves_superseded_weights_with(kind: HashKind) {
     let namespace = 16_384u64;
     let engine = ShardedBstSystem::builder(namespace)
         .shards(4)
@@ -164,7 +163,7 @@ fn engine_weight_cache_never_serves_superseded_weights_with(kind: HashKind) {
     let filters: Vec<_> = (0..3u64)
         .map(|i| engine.store((0..200u64).map(|j| ((i * 733 + j * 59) % namespace) & !1)))
         .collect();
-    // Prime the cache so readers start from warm entries.
+    // Prime the pool so readers start from warm handles.
     engine.query_batch_ids(&ids, 1, 2);
     engine.query_batch(&filters, 1, 2);
 
@@ -187,12 +186,18 @@ fn engine_weight_cache_never_serves_superseded_weights_with(kind: HashKind) {
             let ids = &ids;
             let filters = &filters;
             scope.spawn(move || {
-                // Per-(key, shard) stamps must be monotone across the
-                // whole run: the cache's merge rule forbids any fill or
-                // repair from regressing a cell.
+                // Per-(set, shard) stamps of the pooled handles must be
+                // monotone across the whole run, and each batch must
+                // weigh at stamps at least as new as the generations
+                // observed before it started.
                 let mut last: Vec<Vec<(u64, u64)>> = vec![vec![(0, 0); 4]; ids.len()];
                 for i in 0..READS_PER_THREAD / 4 {
                     let seed = r * 10_000 + i;
+                    let before: Vec<u64> = engine
+                        .shard_systems()
+                        .iter()
+                        .map(|s| s.tree_generation())
+                        .collect();
                     let (results, _) = engine.query_batch_ids(ids, seed, 2);
                     for (slot, res) in results.iter().enumerate() {
                         let s = res.expect("stored slots stay answerable");
@@ -207,22 +212,23 @@ fn engine_weight_cache_never_serves_superseded_weights_with(kind: HashKind) {
                         assert!(filters[slot].contains(s), "non-positive {s}");
                     }
                     for (slot, id) in ids.iter().enumerate() {
-                        let Some(cells) = engine.cached_weights(*id) else {
-                            continue;
-                        };
-                        for (shard, cell) in cells.iter().enumerate() {
-                            let Some(cell) = cell else { continue };
+                        let pooled = engine.pooled_query_id(*id).expect("pooled");
+                        for (shard, handle) in pooled.shard_handles().iter().enumerate() {
+                            let stamps = (handle.generation(), handle.tree_generation());
                             let seen = &mut last[slot][shard];
                             assert!(
-                                cell.set_generation >= seen.0 && cell.tree_generation >= seen.1,
-                                "cache stamp regression on set {slot} shard {shard}: \
-                                 ({}, {}) after ({}, {})",
-                                cell.set_generation,
-                                cell.tree_generation,
-                                seen.0,
-                                seen.1
+                                stamps.0 >= seen.0 && stamps.1 >= seen.1,
+                                "pooled stamp regression on set {slot} shard {shard}: \
+                                 {stamps:?} after {seen:?}"
                             );
-                            *seen = (cell.set_generation, cell.tree_generation);
+                            assert!(
+                                stamps.1 >= before[shard],
+                                "superseded pooled weight on set {slot} shard {shard}: \
+                                 stamped {} < observed {}",
+                                stamps.1,
+                                before[shard]
+                            );
+                            *seen = stamps;
                         }
                     }
                 }
@@ -230,34 +236,37 @@ fn engine_weight_cache_never_serves_superseded_weights_with(kind: HashKind) {
         }
     });
 
-    // Quiescent: every fresh cached cell agrees exactly with a cold
-    // recount, and cached batches equal batches that weigh every cell.
-    let (with_cache_f, _) = engine.query_batch(&filters, 99, 2);
-    let (with_cache_i, _) = engine.query_batch_ids(&ids, 99, 2);
+    // Quiescent: every pooled handle agrees exactly with a cold recount,
+    // and pooled batches equal batches on cold handles.
+    let (warm_f, _) = engine.query_batch(&filters, 99, 2);
+    let (warm_i, _) = engine.query_batch_ids(&ids, 99, 2);
     for id in &ids {
-        let cells = engine.cached_weights(*id).expect("primed entry");
-        let handle = engine.query_id(*id).expect("open");
-        for (shard, cell) in cells.iter().enumerate() {
-            let Some(cell) = cell else { continue };
-            let sys = &engine.shard_systems()[shard];
-            let fid = handle.shard_handles()[shard].filter_id().expect("stored");
-            if cell.set_generation == sys.filters().generation(fid).expect("gen")
-                && cell.tree_generation == sys.tree_generation()
-            {
-                assert_eq!(
-                    cell.outcome,
-                    sys.query_id(fid).expect("open").live_weight_stamped().0,
-                    "fresh cached cell disagrees with recount (shard {shard})"
-                );
-            }
+        let pooled = engine.pooled_query_id(*id).expect("pooled");
+        let cold = engine.query_id(*id).expect("open");
+        for (shard, (w, c)) in pooled
+            .shard_handles()
+            .iter()
+            .zip(cold.shard_handles())
+            .enumerate()
+        {
+            assert_eq!(
+                w.live_weight(),
+                c.live_weight(),
+                "pooled weight disagrees with recount (shard {shard})"
+            );
         }
     }
-    engine.clear_weight_cache();
+    engine.clear_handle_pool();
+    let misses = engine.handle_pool_stats().misses;
     let (cold_f, _) = engine.query_batch(&filters, 99, 2);
     let (cold_i, _) = engine.query_batch_ids(&ids, 99, 2);
-    assert_eq!(engine.weight_cache_stats().hits, 0, "every cell weighed");
-    assert_eq!(with_cache_f, cold_f);
-    assert_eq!(with_cache_i, cold_i);
+    assert_eq!(
+        engine.handle_pool_stats().misses - misses,
+        (filters.len() + ids.len()) as u64,
+        "every handle reopened"
+    );
+    assert_eq!(warm_f, cold_f);
+    assert_eq!(warm_i, cold_i);
 }
 
 macro_rules! both_layouts {
@@ -286,7 +295,7 @@ both_layouts!(
     concurrent_mutators_never_yield_superseded_weights_sharded_with
 );
 both_layouts!(
-    engine_weight_cache_never_serves_superseded_weights_classic,
-    engine_weight_cache_never_serves_superseded_weights_blocked,
-    engine_weight_cache_never_serves_superseded_weights_with
+    engine_handle_pool_never_serves_superseded_weights_classic,
+    engine_handle_pool_never_serves_superseded_weights_blocked,
+    engine_handle_pool_never_serves_superseded_weights_with
 );
