@@ -3,7 +3,7 @@
 
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::HashKind;
-use bst_bloom::params::{paper_plan, TreePlan};
+use bst_bloom::params::{paper_plan, TreePlan, PAPER_COST_RATIO};
 use bst_core::costmodel::CostModel;
 use bst_core::tree::{BloomSampleTree, SampleTree};
 use bst_workloads::querysets::{clustered_set, uniform_set, PAPER_CLUSTERING_PCT};
@@ -41,8 +41,9 @@ pub fn gen_set(rng: &mut StdRng, kind: SetKind, namespace: u64, n: usize) -> Vec
     }
 }
 
-/// The machine's measured intersection/membership cost ratio (Murmur3 at a
-/// representative filter size), measured once per process.
+/// The machine's measured intersection/hashed-membership cost ratio, the
+/// one a complete tree's leaf scan pays (Murmur3 at a representative
+/// filter size), measured once per process.
 pub fn measured_cost_ratio() -> f64 {
     static RATIO: OnceLock<f64> = OnceLock::new();
     *RATIO.get_or_init(|| {
@@ -58,18 +59,20 @@ pub fn measured_cost_ratio() -> f64 {
 }
 
 /// Plan for `(namespace, accuracy)` pinned to the paper's Tables 2/3 where
-/// published, otherwise derived with a fixed cost ratio of 128 — the ratio
-/// implied by the paper's published `M⊥` values — so tree depths stay
-/// comparable to the publication's across all experiments. (This machine's
-/// *measured* ratio is lower, which would yield deeper trees; Tables 2/3
-/// report both, and `ablate-depth` sweeps the trade-off.) Query sets of
-/// `n = 1000` are the sizing reference, as in the paper.
+/// published, otherwise derived with the paper's cost ratio
+/// ([`PAPER_COST_RATIO`], the ratio implied by its published `M⊥` values)
+/// so tree depths stay comparable to the publication's across all
+/// experiments. These are complete trees, whose leaf scans hash every id:
+/// the ratio [`measured_cost_ratio`] finds for that kernel on current
+/// hardware is lower and would make them deeper. Tables 2/3 report both,
+/// and `ablate-depth` sweeps the trade-off. Query sets of `n = 1000` are
+/// the sizing reference, as in the paper.
 pub fn plan_for(namespace: u64, accuracy: f64, kind: HashKind, seed: u64) -> TreePlan {
     if let Some(mut plan) = paper_plan(namespace, accuracy, kind, seed) {
         plan.seed = seed;
         return plan;
     }
-    TreePlan::for_accuracy(namespace, 1000, accuracy, 3, kind, seed, 128.0)
+    TreePlan::for_accuracy(namespace, 1000, accuracy, 3, kind, seed, PAPER_COST_RATIO)
 }
 
 /// Builds the tree for a plan with all cores.

@@ -23,6 +23,12 @@ pub const DEFAULT_K: usize = 3;
 /// Accuracy used for rows labelled `1.0` in the paper's tables.
 pub const MAX_PLANNABLE_ACCURACY: f64 = 0.99;
 
+/// The `icost/mcost` ratio implied by the paper's published `M⊥` values.
+/// Complete trees, whose leaf scans hash every namespace id, and the
+/// paper-table experiments plan with it. Pruned trees derive their own
+/// ratio from the filter size (`bst-core::costmodel`).
+pub const PAPER_COST_RATIO: f64 = 128.0;
+
 /// Tolerable false-positive rate for sampling accuracy `a` over a query set
 /// of size `n` in a namespace of `M` elements.
 ///
@@ -129,9 +135,11 @@ pub struct TreePlan {
 impl TreePlan {
     /// Plans a tree for `namespace`, expecting query sets around `n`
     /// elements, at the given target accuracy, with an
-    /// intersection/membership cost ratio (see `bst-core::costmodel` for
-    /// runtime measurement; 128 is a reasonable default for Murmur3 on
-    /// commodity hardware at the filter sizes these accuracies produce).
+    /// intersection/membership cost ratio: leaves hold at most
+    /// [`leaf_capacity_for_cost_ratio`] namespace ids. That is the rule
+    /// for complete trees, which plan with [`PAPER_COST_RATIO`];
+    /// `bst-core::costmodel` measures the ratio and plans pruned trees by
+    /// occupancy instead.
     pub fn for_accuracy(
         namespace: u64,
         n: u64,
@@ -153,6 +161,16 @@ impl TreePlan {
             depth,
             leaf_capacity: leaf_size(namespace, depth),
             target_accuracy: accuracy,
+        }
+    }
+
+    /// This plan with its tree cut at `depth` (`m` and the hash family
+    /// unchanged).
+    pub fn with_depth(self, depth: u32) -> Self {
+        TreePlan {
+            depth,
+            leaf_capacity: leaf_size(self.namespace, depth),
+            ..self
         }
     }
 
@@ -393,7 +411,15 @@ mod tests {
 
     #[test]
     fn tree_plan_construction() {
-        let plan = TreePlan::for_accuracy(1_000_000, 1000, 0.9, 3, HashKind::Murmur3, 1, 128.0);
+        let plan = TreePlan::for_accuracy(
+            1_000_000,
+            1000,
+            0.9,
+            3,
+            HashKind::Murmur3,
+            1,
+            PAPER_COST_RATIO,
+        );
         assert_eq!(plan.k, 3);
         assert!((plan.m as i64 - 60_870).abs() <= 2);
         assert!(plan.depth >= 8 && plan.depth <= 11, "depth {}", plan.depth);

@@ -1,39 +1,133 @@
-//! Runtime calibration of the §5.4 cost model.
+//! The §5.4 cost model: how deep a tree should be.
 //!
-//! The leaf-capacity rule `N⊥/log₂N⊥ ≤ icost/mcost` needs the relative
-//! cost of a Bloom filter intersection (`icost`, proportional to `m/64`
-//! word ANDs) versus a membership query (`mcost`, `k` hash evaluations +
-//! probes). Both depend on the machine and the hash family, so we measure
-//! them on the spot.
+//! The leaf-capacity rule `N⊥/log₂N⊥ ≤ icost/mcost` weighs one child test
+//! of the descent (`icost`, a full-width `and_count` over `⌈m/64⌉` words)
+//! against one id of a leaf scan (`mcost`). What a leaf scan pays per id
+//! depends on the backend:
+//!
+//! * a complete [`crate::tree::BloomSampleTree`] hashes every namespace id
+//!   of its leaf range (`k` hash evaluations and probes), so its leaves
+//!   hold at most `N⊥` namespace ids
+//!   ([`bst_bloom::params::depth_for`]);
+//! * a [`crate::pruned::PrunedBloomSampleTree`] reads one probe-table row
+//!   per *occupied* id of its leaf and never looks at the others, so its
+//!   depth is the shallowest whose mean occupied ids per materialised
+//!   leaf is at most `N⊥` ([`depth_for_occupancy`]).
+//!
+//! Default builds take the ratio from constants, so the tree a default
+//! build makes does not depend on the host: complete trees use the
+//! paper's [`PAPER_COST_RATIO`], pruned trees [`table_scan_cost_ratio`]
+//! of their filter size. [`CostModel::measure`] times the three kernels
+//! on the spot, for builds that opt in.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
-use bst_bloom::params::{depth_for, leaf_capacity_for_cost_ratio, leaf_size, TreePlan};
+#[cfg(doc)]
+use bst_bloom::params::PAPER_COST_RATIO;
+use bst_bloom::params::{depth_for, leaf_capacity_for_cost_ratio, TreePlan};
+
+use crate::tree::split;
+
+/// AND-words of a full-width `and_count` that cost as much as one
+/// probe-table row check of a pruned leaf scan. Measured at the service
+/// engine's plan (m = 61,865 bits = 967 words, k = 3) on a 2-vCPU Intel
+/// Xeon: `and_count` 1.02–1.05 µs, a table row 1.7–2.1 ns. Any
+/// value in 0.4–0.6 gives that engine the same depth.
+pub const AND_WORDS_PER_TABLE_ID: f64 = 0.5;
+
+/// The default pruned-tree `icost/mcost` for a filter of `m` bits:
+/// `⌈m/64⌉ · AND_WORDS_PER_TABLE_ID`.
+pub fn table_scan_cost_ratio(m: usize) -> f64 {
+    m.div_ceil(64) as f64 * AND_WORDS_PER_TABLE_ID
+}
+
+/// Leaves at `depth` holding at least one of `occupied` (sorted,
+/// distinct): the leaves a pruned tree over `occupied` materialises.
+fn materialized_leaves(namespace: u64, depth: u32, occupied: &[u64]) -> u64 {
+    fn count(range: Range<u64>, occ: &[u64], levels: u32) -> u64 {
+        if occ.is_empty() {
+            return 0;
+        }
+        if levels == 0 {
+            return 1;
+        }
+        let (lr, rr) = split(&range);
+        let cut = occ.partition_point(|&x| x < lr.end);
+        count(lr, &occ[..cut], levels - 1) + count(rr, &occ[cut..], levels - 1)
+    }
+    count(0..namespace, occupied, depth)
+}
+
+/// The shallowest depth at which pruned trees over `trees` (one sorted,
+/// distinct occupancy per tree) hold at most `leaf_capacity` occupied ids
+/// per materialised leaf on average. A sharded engine passes one slice
+/// per shard, since every shard is its own tree over the whole namespace.
+///
+/// Never deeper than the namespace rule [`depth_for`], where no leaf
+/// holds more than `leaf_capacity` ids at all. With no occupied id there
+/// is no mean to read, so the namespace rule decides: a tree that fills
+/// later is not stuck as one leaf.
+pub fn depth_for_occupancy(namespace: u64, trees: &[&[u64]], leaf_capacity: u64) -> u32 {
+    let deepest = depth_for(namespace, leaf_capacity);
+    let occupied: u64 = trees.iter().map(|t| t.len() as u64).sum();
+    if occupied == 0 {
+        return deepest;
+    }
+    (0..deepest)
+        .find(|&depth| {
+            let leaves: u64 = trees
+                .iter()
+                .map(|t| materialized_leaves(namespace, depth, t))
+                .sum();
+            occupied <= leaf_capacity.saturating_mul(leaves)
+        })
+        .unwrap_or(deepest)
+}
+
+/// The depth a default pruned build derives: [`depth_for_occupancy`] at
+/// the leaf capacity of [`table_scan_cost_ratio`]`(m)`. Reads only the
+/// filter size and the occupancy, so it is the same on every host.
+pub fn default_pruned_depth(namespace: u64, m: usize, trees: &[&[u64]]) -> u32 {
+    let cap = leaf_capacity_for_cost_ratio(table_scan_cost_ratio(m));
+    depth_for_occupancy(namespace, trees, cap)
+}
 
 /// Measured per-operation costs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
-    /// Nanoseconds per membership query.
+    /// Nanoseconds per hashed membership query: what a complete tree's
+    /// leaf scan pays per namespace id.
     pub membership_ns: f64,
-    /// Nanoseconds per filter intersection (AND + popcount over `m` bits).
+    /// Nanoseconds per probe-table row check: what a pruned tree's leaf
+    /// scan pays per occupied id.
+    pub table_scan_ns: f64,
+    /// Nanoseconds per filter intersection (AND + popcount over `m`
+    /// bits): one child test of the descent.
     pub intersection_ns: f64,
 }
 
 impl CostModel {
-    /// The `icost/mcost` ratio feeding the leaf-capacity rule.
+    /// The `icost/mcost` ratio of a complete tree (hashed leaf scans).
     pub fn ratio(&self) -> f64 {
         (self.intersection_ns / self.membership_ns).max(f64::MIN_POSITIVE)
     }
 
-    /// Measures both costs for filters built on `hasher`.
+    /// The `icost/mcost` ratio of a pruned tree (probe-table leaf scans).
+    pub fn table_scan_ratio(&self) -> f64 {
+        (self.intersection_ns / self.table_scan_ns).max(f64::MIN_POSITIVE)
+    }
+
+    /// Measures the three costs for filters built on `hasher`.
     ///
     /// Builds two half-full filters of the hasher's `m` and times
-    /// `and_count` and `contains` over pseudo-random keys. Short and
-    /// repeatable rather than statistically rigorous — the rule only needs
-    /// the right order of magnitude.
+    /// `contains` and `for_each_member_in_table` over pseudo-random keys
+    /// and `and_count` between the filters. Short and repeatable rather
+    /// than statistically rigorous — the rule only needs the right order
+    /// of magnitude.
     pub fn measure(hasher: &Arc<BloomHasher>) -> CostModel {
         let m = hasher.m();
         let mut a = BloomFilter::new(Arc::clone(hasher));
@@ -44,15 +138,35 @@ impl CostModel {
             a.insert(x.wrapping_mul(0x9E3779B97F4A7C15) >> 8);
             b.insert(x.wrapping_mul(0xBF58476D1CE4E5B9) >> 8);
         }
+        let key = |x: u64| x.wrapping_mul(0x94D049BB133111EB) >> 9;
 
-        // Membership cost.
+        // Hashed membership cost.
         let mem_reps: u64 = 20_000;
         let start = Instant::now();
         let mut acc = 0u64;
         for x in 0..mem_reps {
-            acc += a.contains(x.wrapping_mul(0x94D049BB133111EB) >> 9) as u64;
+            acc += a.contains(key(x)) as u64;
         }
         let membership_ns = start.elapsed().as_nanos() as f64 / mem_reps as f64;
+        std::hint::black_box(acc);
+
+        // Probe-table scan cost: one leaf's worth of ids, scanned a few
+        // times over.
+        let ids: Vec<u64> = (0..4_096).map(key).collect();
+        let mut table = Vec::with_capacity(ids.len() * hasher.k());
+        for &x in &ids {
+            // A row that does not fit `u32` leaves the table short, and
+            // the scan falls back to hashing — as a pruned tree would.
+            hasher.push_probe_row(x, &mut table);
+        }
+        let scan_reps: u64 = 16;
+        let start = Instant::now();
+        let mut acc = 0u64;
+        for _ in 0..scan_reps {
+            a.for_each_member_in_table(hasher, &ids, &table, |_| acc += 1);
+        }
+        let table_scan_ns =
+            start.elapsed().as_nanos() as f64 / (scan_reps * ids.len() as u64) as f64;
         std::hint::black_box(acc);
 
         // Intersection cost.
@@ -67,20 +181,27 @@ impl CostModel {
 
         CostModel {
             membership_ns: membership_ns.max(0.1),
+            table_scan_ns: table_scan_ns.max(0.1),
             intersection_ns: intersection_ns.max(0.1),
         }
     }
 
-    /// Rewrites a plan's depth/leaf capacity from this cost model,
-    /// implementing the full §5.4 chain (`m` stays as planned).
-    pub fn retune_plan(&self, plan: &TreePlan) -> TreePlan {
-        let cap = leaf_capacity_for_cost_ratio(self.ratio());
-        let depth = depth_for(plan.namespace, cap);
-        TreePlan {
-            depth,
-            leaf_capacity: leaf_size(plan.namespace, depth),
-            ..plan.clone()
-        }
+    /// Rewrites a plan's depth and leaf capacity from this cost model
+    /// (`m` stays as planned). `None` plans a complete tree, whose leaves
+    /// hold at most `N⊥` namespace ids at [`Self::ratio`]. `Some(trees)`
+    /// plans pruned trees over those occupancies by the rule a default
+    /// pruned build applies ([`depth_for_occupancy`]), at
+    /// [`Self::table_scan_ratio`].
+    pub fn retune_plan(&self, plan: &TreePlan, trees: Option<&[&[u64]]>) -> TreePlan {
+        let depth = match trees {
+            None => depth_for(plan.namespace, leaf_capacity_for_cost_ratio(self.ratio())),
+            Some(trees) => depth_for_occupancy(
+                plan.namespace,
+                trees,
+                leaf_capacity_for_cost_ratio(self.table_scan_ratio()),
+            ),
+        };
+        plan.clone().with_depth(depth)
     }
 }
 
@@ -88,12 +209,14 @@ impl CostModel {
 mod tests {
     use super::*;
     use bst_bloom::hash::HashKind;
+    use bst_bloom::params::{leaf_size, m_for_accuracy};
 
     #[test]
     fn measurement_is_sane() {
         let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 60_000, 1 << 20, 1));
         let cm = CostModel::measure(&hasher);
         assert!(cm.membership_ns > 0.0);
+        assert!(cm.table_scan_ns > 0.0);
         assert!(cm.intersection_ns > 0.0);
         // A 60k-bit intersection walks ~940 words; it must cost more than
         // a 3-hash membership probe.
@@ -127,9 +250,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retune_preserves_m_and_namespace() {
-        let plan = TreePlan {
+    fn plan_1e6() -> TreePlan {
+        TreePlan {
             namespace: 1_000_000,
             m: 60_870,
             k: 3,
@@ -138,16 +260,125 @@ mod tests {
             depth: 9,
             leaf_capacity: 1954,
             target_accuracy: 0.9,
-        };
+        }
+    }
+
+    #[test]
+    fn retune_preserves_m_and_namespace() {
+        let plan = plan_1e6();
         let cm = CostModel {
             membership_ns: 10.0,
+            table_scan_ns: 2.0,
             intersection_ns: 1000.0,
         };
-        let tuned = cm.retune_plan(&plan);
+        let tuned = cm.retune_plan(&plan, None);
         assert_eq!(tuned.m, plan.m);
         assert_eq!(tuned.namespace, plan.namespace);
         assert_eq!(tuned.leaf_capacity, leaf_size(plan.namespace, tuned.depth));
         // ratio 100 -> capacity in [976, 1000) -> depth 10 for M=1e6.
         assert_eq!(tuned.depth, 10);
+    }
+
+    #[test]
+    fn retune_plans_pruned_trees_by_occupied_ids_per_leaf() {
+        let plan = plan_1e6();
+        // Every fourth id occupied: 250,000 ids.
+        let occ: Vec<u64> = (0..1_000_000).step_by(4).collect();
+        // A table scan as dear as a hashed probe: ratio 100, capacity
+        // 996. Leaves of M/2^d ids hold 250,000/2^d occupied ids, at most
+        // 996 from depth 8 on — two levels above the namespace rule.
+        let slow_scan = CostModel {
+            membership_ns: 10.0,
+            table_scan_ns: 10.0,
+            intersection_ns: 1000.0,
+        };
+        let tuned = slow_scan.retune_plan(&plan, Some(&[&occ]));
+        assert_eq!(tuned.depth, 8);
+        assert_eq!(tuned.leaf_capacity, leaf_size(plan.namespace, 8));
+        // Cheap table rows: ratio 500, capacity 6,311 -> 250,000/2^6 =
+        // 3,906 per leaf at depth 6, 7,812 at depth 5.
+        let fast_scan = CostModel {
+            table_scan_ns: 2.0,
+            ..slow_scan
+        };
+        assert_eq!(fast_scan.retune_plan(&plan, Some(&[&occ])).depth, 6);
+        // The membership time plays no part in a pruned plan.
+        let dear_hash = CostModel {
+            membership_ns: 1000.0,
+            ..fast_scan
+        };
+        assert_eq!(dear_hash.retune_plan(&plan, Some(&[&occ])).depth, 6);
+        // The same costs under the default rule's units agree with it.
+        let words = CostModel {
+            membership_ns: 1.0,
+            table_scan_ns: 1.0 / AND_WORDS_PER_TABLE_ID,
+            intersection_ns: plan.m.div_ceil(64) as f64,
+        };
+        assert_eq!(
+            words.retune_plan(&plan, Some(&[&occ])).depth,
+            default_pruned_depth(plan.namespace, plan.m, &[&occ])
+        );
+    }
+
+    #[test]
+    fn materialized_leaves_follow_the_tree_split() {
+        // 10 ids: the left child takes the ceiling half, [0, 5).
+        assert_eq!(materialized_leaves(10, 1, &[0, 4]), 1);
+        assert_eq!(materialized_leaves(10, 1, &[4, 5]), 2);
+        assert_eq!(materialized_leaves(10, 0, &[3]), 1);
+        assert_eq!(materialized_leaves(10, 3, &[]), 0);
+        let all: Vec<u64> = (0..1024).collect();
+        assert_eq!(materialized_leaves(1024, 6, &all), 64);
+        assert_eq!(materialized_leaves(1024, 6, &all[..16]), 1);
+    }
+
+    #[test]
+    fn occupancy_rule_counts_occupied_ids_per_materialized_leaf() {
+        let namespace = 1u64 << 16;
+        // 1,024 ids packed into one corner: every depth materialises a
+        // single leaf until the leaves get narrower than the cluster.
+        let corner: Vec<u64> = (0..1024).collect();
+        assert_eq!(depth_for_occupancy(namespace, &[&corner], 300), 8);
+        // The same count spread evenly: 1024 / 2^d per leaf.
+        let spread: Vec<u64> = (0..namespace).step_by(64).collect();
+        assert_eq!(depth_for_occupancy(namespace, &[&spread], 300), 2);
+        // Never deeper than the namespace rule, which an empty occupancy
+        // falls back to.
+        let all: Vec<u64> = (0..namespace).collect();
+        assert_eq!(
+            depth_for_occupancy(namespace, &[&all], 300),
+            depth_for(namespace, 300)
+        );
+        assert_eq!(
+            depth_for_occupancy(namespace, &[&[]], 300),
+            depth_for(namespace, 300)
+        );
+        assert_eq!(
+            depth_for_occupancy(namespace, &[], 300),
+            depth_for(namespace, 300)
+        );
+    }
+
+    /// The service benchmark's engine: M = 2^20, S = 4 shards, a quarter
+    /// of the ids occupied, accuracy 0.9 at n = 1000.
+    #[test]
+    fn benchmark_engine_derives_depth_6() {
+        let namespace = 1u64 << 20;
+        let m = m_for_accuracy(0.9, 1000, namespace, 3);
+        assert_eq!(m.div_ceil(64), 967);
+        // Every fourth id: 65,536 occupied ids in each 2^18 shard slice.
+        let occ: Vec<u64> = (0..namespace).step_by(4).collect();
+        let shards: Vec<&[u64]> = occ.chunks(occ.len() / 4).collect();
+        assert_eq!(default_pruned_depth(namespace, m, &shards), 6);
+        // One tree over the same ids plans the same depth.
+        assert_eq!(default_pruned_depth(namespace, m, &[&occ]), 6);
+        // Any AND-words-per-row constant in 0.4–0.6 agrees.
+        for c in [0.4, 0.6] {
+            let cap = leaf_capacity_for_cost_ratio(m.div_ceil(64) as f64 * c);
+            assert_eq!(depth_for_occupancy(namespace, &shards, cap), 6, "C = {c}");
+        }
+        // Counting namespace ids instead would stop two levels deeper.
+        let cap = leaf_capacity_for_cost_ratio(table_scan_cost_ratio(m));
+        assert_eq!(depth_for(namespace, cap), 8);
     }
 }

@@ -14,7 +14,8 @@
 //! * [`baselines`] — DictionaryAttack and HashInvert (§4);
 //! * [`metrics::OpStats`] — the intersection/membership accounting behind
 //!   Figures 3–4 and 8–12;
-//! * [`costmodel::CostModel`] — runtime `icost/mcost` calibration (§5.4);
+//! * [`costmodel`] — the §5.4 depth rules of both backends, with opt-in
+//!   `icost/mcost` measurement ([`costmodel::CostModel`]);
 //! * [`multiquery`] — parallel batch sampling over many query filters;
 //! * [`error::BstError`] — typed failure reasons for every fallible op;
 //! * [`system::BstSystem`] — the `Arc`-shared, `Send + Sync` facade over

@@ -59,7 +59,7 @@ use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
 use bst_bloom::params::TreePlan;
 
-use crate::tree::{NodeId, SampleTree};
+use crate::tree::{split, NodeId, SampleTree};
 
 struct PrunedNode {
     range: Range<u64>,
@@ -118,11 +118,6 @@ impl std::fmt::Debug for PrunedBloomSampleTree {
             self.occupied_count()
         )
     }
-}
-
-fn split(r: &Range<u64>) -> (Range<u64>, Range<u64>) {
-    let mid = r.start + (r.end - r.start).div_ceil(2);
-    (r.start..mid, mid..r.end)
 }
 
 /// The probe table of `ids`: their `k` positions each, in id order.

@@ -633,7 +633,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         let max_attempts = (64.0 * gamma) as usize;
         let mut fallback = None;
         let mut reached_leaf = false;
-        for attempt in 0..max_attempts {
+        for _ in 0..max_attempts {
             let Some((leaf, p_path)) = self.propose(root, query, &blind, memo, rng, stats) else {
                 continue;
             };
@@ -647,9 +647,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             if rng.gen::<f64>() < alpha {
                 return Ok(pick);
             }
-            if fallback.is_none() && attempt + 8 >= max_attempts {
-                fallback = Some(pick);
-            }
+            fallback = Some(pick);
         }
         match fallback {
             // Budget exhausted: return the last viable pick (slightly

@@ -47,7 +47,7 @@ use bst_obs::Tracer;
 use bytes::{BufMut, BytesMut};
 
 use crate::backend::TreeBackend;
-use crate::costmodel::CostModel;
+use crate::costmodel::{self, CostModel};
 use crate::error::BstError;
 use crate::metrics::OpStats;
 use crate::multiquery;
@@ -231,8 +231,12 @@ impl BstSystemBuilder {
         self
     }
 
-    /// Measures `icost/mcost` on this machine to choose `M⊥` (otherwise a
-    /// representative default ratio is used).
+    /// Measures the §5.4 costs on this machine to choose the depth
+    /// ([`CostModel::retune_plan`]): hashed membership against
+    /// intersection for the complete tree, a probe-table row against
+    /// intersection for a pruned one. Otherwise the depth comes from
+    /// constants and the same build gives the same tree on every host
+    /// (see [`crate::costmodel`]).
     pub fn measure_costs(mut self, yes: bool) -> Self {
         self.measure_costs = yes;
         self
@@ -271,36 +275,49 @@ impl BstSystemBuilder {
     /// [`BstError::InvalidConfig`] instead of panicking.
     pub fn try_build(self) -> Result<BstSystem, BstError> {
         self.cfg.validate()?;
-        let mut plan = TreePlan::for_accuracy(
-            self.namespace,
-            self.expected_set_size,
-            self.accuracy,
-            self.k,
-            self.kind,
-            self.seed,
-            128.0,
-        );
-        if self.measure_costs {
-            let hasher = std::sync::Arc::new(plan.build_hasher());
-            plan = CostModel::measure(&hasher).retune_plan(&plan);
-        }
-        if let Some(d) = self.depth_override {
-            plan.depth = d;
-            plan.leaf_capacity = params::leaf_size(self.namespace, d);
-        }
-        if plan.kind == HashKind::DeltaBlocked && plan.m < bst_bloom::MIN_BLOCKED_BITS {
-            return Err(BstError::InvalidConfig(
-                "blocked layout needs m >= one 128-bit block; raise accuracy or set size",
-            ));
-        }
-        let tree = match self.occupied {
-            None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, self.threads)),
+        let occupied = match self.occupied {
+            None => None,
             Some(mut occ) => {
                 occ.sort_unstable();
                 occ.dedup();
                 if occ.last().is_some_and(|&last| last >= self.namespace) {
                     return Err(BstError::InvalidConfig("occupied id outside the namespace"));
                 }
+                Some(occ)
+            }
+        };
+        // The paper's ratio sizes the complete tree; a pruned tree is cut
+        // again below by its occupancy.
+        let plan = TreePlan::for_accuracy(
+            self.namespace,
+            self.expected_set_size,
+            self.accuracy,
+            self.k,
+            self.kind,
+            self.seed,
+            params::PAPER_COST_RATIO,
+        );
+        let occ = occupied.as_deref();
+        let trees = occ.as_ref().map(std::slice::from_ref);
+        let plan = match (self.depth_override, trees) {
+            (Some(d), _) => plan.with_depth(d),
+            (None, _) if self.measure_costs => {
+                CostModel::measure(&Arc::new(plan.build_hasher())).retune_plan(&plan, trees)
+            }
+            (None, Some(trees)) => {
+                let depth = costmodel::default_pruned_depth(plan.namespace, plan.m, trees);
+                plan.with_depth(depth)
+            }
+            (None, None) => plan,
+        };
+        if plan.kind == HashKind::DeltaBlocked && plan.m < bst_bloom::MIN_BLOCKED_BITS {
+            return Err(BstError::InvalidConfig(
+                "blocked layout needs m >= one 128-bit block; raise accuracy or set size",
+            ));
+        }
+        let tree = match occupied {
+            None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, self.threads)),
+            Some(occ) => {
                 if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
                     return Err(BstError::InvalidConfig(
                         "pruned trees need m <= 2^32 bits (u32 probe tables); lower accuracy or set size",

@@ -84,8 +84,9 @@ impl std::fmt::Debug for BloomSampleTree {
 }
 
 /// Splits a parent range into its two child ranges (left gets the ceiling
-/// half, keeping every leaf within one element of `M / 2^depth`).
-fn split(r: &Range<u64>) -> (Range<u64>, Range<u64>) {
+/// half, keeping every leaf within one element of `M / 2^depth`). Both
+/// backends cut their ranges with it.
+pub(crate) fn split(r: &Range<u64>) -> (Range<u64>, Range<u64>) {
     let mid = r.start + (r.end - r.start).div_ceil(2);
     (r.start..mid, mid..r.end)
 }

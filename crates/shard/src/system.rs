@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::HashKind;
+use bst_bloom::params::m_for_accuracy;
+use bst_core::costmodel;
 use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
 use bst_core::multiquery;
@@ -125,7 +127,8 @@ impl ShardedBstSystemBuilder {
         self
     }
 
-    /// Pins the tree depth instead of deriving it from the cost model.
+    /// Pins the tree depth. Otherwise it is derived once from every
+    /// shard's occupancy ([`bst_core::costmodel::default_pruned_depth`]).
     pub fn depth(mut self, depth: u32) -> Self {
         self.depth_override = Some(depth);
         self
@@ -178,26 +181,39 @@ impl ShardedBstSystemBuilder {
             }
             None => (0..self.namespace).collect(),
         };
+        // Index walk over the intact sorted vec: draining per shard would
+        // memmove the tail once per shard, O(M·S).
+        let mut slices: Vec<&[u64]> = Vec::with_capacity(self.shards);
+        let mut rest = occupied.as_slice();
+        for &end in &boundaries[1..] {
+            let (mine, tail) = rest.split_at(rest.partition_point(|&x| x < end));
+            slices.push(mine);
+            rest = tail;
+        }
+        // Every shard shares one plan, so the depth is derived once, from
+        // every shard's occupancy.
+        let depth = self.depth_override.unwrap_or_else(|| {
+            let m = m_for_accuracy(
+                self.accuracy,
+                self.expected_set_size,
+                self.namespace,
+                self.k,
+            );
+            costmodel::default_pruned_depth(self.namespace, m, &slices)
+        });
         let mut shards = Vec::with_capacity(self.shards);
-        let mut start = 0usize;
-        for s in 0..self.shards {
-            // Index walk over the intact sorted vec: draining per shard
-            // would memmove the tail once per shard, O(M·S).
-            let cut = start + occupied[start..].partition_point(|&x| x < boundaries[s + 1]);
-            let mine: Vec<u64> = occupied[start..cut].to_vec();
-            start = cut;
-            let mut builder = BstSystem::builder(self.namespace)
+        for mine in slices {
+            let shard = BstSystem::builder(self.namespace)
                 .accuracy(self.accuracy)
                 .expected_set_size(self.expected_set_size)
                 .hash_count(self.k)
                 .hash_kind(self.kind)
                 .seed(self.seed)
                 .config(self.cfg)
-                .pruned(mine);
-            if let Some(d) = self.depth_override {
-                builder = builder.depth(d);
-            }
-            shards.push(builder.try_build()?);
+                .depth(depth)
+                .pruned(mine.iter().copied())
+                .try_build()?;
+            shards.push(shard);
         }
         Ok(ShardedBstSystem {
             shared: Arc::new(Shared {

@@ -82,9 +82,14 @@ const LAYOUT: Scenario = Scenario {
     expected: 600,
 };
 
+/// Depth of the pruned trees the captures were taken on: the namespace
+/// rule at the paper's cost ratio (leaves of at most 1,328 ids). Pruned
+/// builds derive their depth from the occupancy, so the captures pin it.
+const CAPTURE_DEPTH: u32 = 2;
+
 /// The `e2e_layout` golden scenario at `scenario`'s sizing: namespace
-/// 4096, two thirds occupied (pruned backend) or the complete tree,
-/// every seventh id stored, tree seed 99.
+/// 4096, two thirds occupied (pruned backend, depth [`CAPTURE_DEPTH`]) or
+/// the complete tree, every seventh id stored, tree seed 99.
 fn capture(scenario: Scenario, cfg: BstConfig, pruned: bool) -> Capture {
     let namespace = 4096u64;
     let builder = BstSystem::builder(namespace)
@@ -95,6 +100,7 @@ fn capture(scenario: Scenario, cfg: BstConfig, pruned: bool) -> Capture {
         .hash_kind(HashKind::Murmur3);
     let sys = if pruned {
         builder
+            .depth(CAPTURE_DEPTH)
             .pruned((0..namespace).filter(|x| x % 3 != 0))
             .build()
     } else {

@@ -20,8 +20,13 @@
 //!   guarantee to conform *to*;
 //! * blocked reconstruction is exact on both engines, and sharded ≡
 //!   single under the blocked layout (occupancy partitioning makes even
-//!   false positives agree).
+//!   false positives agree);
+//! * every engine above is pinned to the depth the goldens were captured
+//!   at, and the depth the builder now derives from the occupancy
+//!   samples from the same distribution as that one (χ² + KS).
 
+use bloomsampletree::core::system::BstSystemBuilder;
+use bloomsampletree::shard::ShardedBstSystemBuilder;
 use bloomsampletree::stats::conformance::{
     assert_homogeneous, ks_two_sample_ids, sample_counts, DEFAULT_ALPHA,
 };
@@ -51,13 +56,21 @@ fn sparse_members() -> (Vec<u64>, Vec<u64>) {
     (members, support)
 }
 
-fn single_system(
+/// Depth the golden values were captured at: the namespace rule at the
+/// paper's cost ratio (leaves of at most 1,328 ids). Pruned builds derive
+/// their depth from the occupancy, so every engine here pins it;
+/// [`default_depth_sampling_conforms_to_capture_depth`] checks the
+/// derived shape.
+const CAPTURE_DEPTH: u32 = 2;
+
+/// The single-tree scenario at the derived default depth.
+fn single_builder(
     kind: HashKind,
     accuracy: f64,
     expected: u64,
     seed: u64,
     cfg: BstConfig,
-) -> BstSystem {
+) -> BstSystemBuilder {
     let (namespace, occupied, _) = scenario();
     BstSystem::builder(namespace)
         .expected_set_size(expected)
@@ -66,6 +79,37 @@ fn single_system(
         .config(cfg)
         .hash_kind(kind)
         .pruned(occupied.iter().copied())
+}
+
+/// The sharded scenario at the derived default depth.
+fn sharded_builder(
+    kind: HashKind,
+    shards: usize,
+    accuracy: f64,
+    expected: u64,
+    seed: u64,
+    cfg: BstConfig,
+) -> ShardedBstSystemBuilder {
+    let (namespace, occupied, _) = scenario();
+    ShardedBstSystem::builder(namespace)
+        .shards(shards)
+        .expected_set_size(expected)
+        .accuracy(accuracy)
+        .seed(seed)
+        .config(cfg)
+        .hash_kind(kind)
+        .occupied(occupied.iter().copied())
+}
+
+fn single_system(
+    kind: HashKind,
+    accuracy: f64,
+    expected: u64,
+    seed: u64,
+    cfg: BstConfig,
+) -> BstSystem {
+    single_builder(kind, accuracy, expected, seed, cfg)
+        .depth(CAPTURE_DEPTH)
         .build()
 }
 
@@ -77,15 +121,8 @@ fn sharded_system(
     seed: u64,
     cfg: BstConfig,
 ) -> ShardedBstSystem {
-    let (namespace, occupied, _) = scenario();
-    ShardedBstSystem::builder(namespace)
-        .shards(shards)
-        .expected_set_size(expected)
-        .accuracy(accuracy)
-        .seed(seed)
-        .config(cfg)
-        .hash_kind(kind)
-        .occupied(occupied.iter().copied())
+    sharded_builder(kind, shards, accuracy, expected, seed, cfg)
+        .depth(CAPTURE_DEPTH)
         .build()
 }
 
@@ -301,6 +338,106 @@ fn blocked_sharded_s16_sampling_conforms_to_classic() {
     assert!(
         ks.is_same_distribution_at(DEFAULT_ALPHA),
         "KS rejected sharded blocked vs classic: D = {}, p = {}",
+        ks.statistic,
+        ks.p_value
+    );
+}
+
+/// Depths the builders derive for this scenario from the occupancy
+/// (mean occupied ids per materialised leaf, `bst_core::costmodel`).
+/// 2,730 occupied ids: the golden sizing (m = 5,791 bits, leaf capacity
+/// 391) cuts one tree at depth 3 and stops the S = 16 shards, each
+/// holding about 170 ids, at their roots; the conformance sizing
+/// (m = 22,670 bits, capacity 1,938) cuts one tree at depth 1.
+#[test]
+fn layout_scenario_derived_depths() {
+    let depth = |sys: &BstSystem| sys.tree().plan().depth;
+    let golden = (GOLDEN_ACCURACY, GOLDEN_SET_SIZE, GOLDEN_SEED);
+    let conformance = (CONFORMANCE_ACCURACY, CONFORMANCE_SET_SIZE, CONFORMANCE_SEED);
+    for (sizing, single_depth, sharded_depth) in [(golden, 3, 0), (conformance, 1, 0)] {
+        let (accuracy, expected, seed) = sizing;
+        let single = single_builder(
+            HashKind::Murmur3,
+            accuracy,
+            expected,
+            seed,
+            BstConfig::default(),
+        )
+        .build();
+        assert_eq!(
+            depth(&single),
+            single_depth,
+            "single at accuracy {accuracy}"
+        );
+        let sharded = sharded_builder(
+            HashKind::Murmur3,
+            16,
+            accuracy,
+            expected,
+            seed,
+            BstConfig::default(),
+        )
+        .build();
+        for shard in sharded.shard_systems() {
+            assert_eq!(depth(shard), sharded_depth, "S = 16 at accuracy {accuracy}");
+        }
+    }
+}
+
+/// χ² homogeneity + KS: sampling at the derived default depth draws from
+/// the same distribution as sampling at [`CAPTURE_DEPTH`], with the same
+/// support.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow: run under --release")]
+fn default_depth_sampling_conforms_to_capture_depth() {
+    let (members, support) = sparse_members();
+    let rounds = ROUNDS_PER_ELEMENT * support.len();
+
+    let pinned = single_system(
+        HashKind::Murmur3,
+        CONFORMANCE_ACCURACY,
+        CONFORMANCE_SET_SIZE,
+        CONFORMANCE_SEED,
+        BstConfig::corrected(),
+    );
+    let derived = single_builder(
+        HashKind::Murmur3,
+        CONFORMANCE_ACCURACY,
+        CONFORMANCE_SET_SIZE,
+        CONFORMANCE_SEED,
+        BstConfig::corrected(),
+    )
+    .build();
+    assert_ne!(
+        derived.tree().plan().depth,
+        pinned.tree().plan().depth,
+        "the derived default must be a different tree shape"
+    );
+    let fp = pinned.store(members.iter().copied());
+    let fd = derived.store(members.iter().copied());
+    assert_eq!(pinned.query(&fp).reconstruct().unwrap(), support);
+    assert_eq!(derived.query(&fd).reconstruct().unwrap(), support);
+
+    let qp = pinned.query(&fp);
+    let qd = derived.query(&fd);
+    let pinned_counts = sample_counts(&support, rounds, 15, |rng| qp.sample(rng).unwrap());
+    let derived_counts = sample_counts(&support, rounds, 16, |rng| qd.sample(rng).unwrap());
+    assert_homogeneous(
+        "default depth vs capture depth",
+        &support,
+        &derived_counts,
+        &pinned_counts,
+        DEFAULT_ALPHA,
+    );
+
+    let mut rng = StdRng::seed_from_u64(17);
+    let pinned_raw: Vec<u64> = (0..rounds).map(|_| qp.sample(&mut rng).unwrap()).collect();
+    let mut rng = StdRng::seed_from_u64(18);
+    let derived_raw: Vec<u64> = (0..rounds).map(|_| qd.sample(&mut rng).unwrap()).collect();
+    let ks = ks_two_sample_ids(&derived_raw, &pinned_raw);
+    assert!(
+        ks.is_same_distribution_at(DEFAULT_ALPHA),
+        "KS rejected default depth vs capture depth: D = {}, p = {}",
         ks.statistic,
         ks.p_value
     );
