@@ -1,10 +1,14 @@
 //! Criterion benches for the hash families (Figure 7): raw hash cost,
-//! membership cost per family, and affine inversion.
+//! membership cost per family, leaf membership (per-leaf probe tables
+//! and the first-probe index of a whole shard), and affine inversion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::{md5::md5_u64, murmur3::murmur3_u64, BloomHasher, HashKind};
+use bst_bloom::params::{leaf_size, TreePlan};
+use bst_core::pruned::PrunedBloomSampleTree;
+use bst_core::tree::{NodeId, SampleTree};
 use std::sync::Arc;
 
 fn bench_hashes(c: &mut Criterion) {
@@ -135,6 +139,58 @@ fn bench_hashes(c: &mut Criterion) {
                 })
             },
         );
+        // A full shard of the service engine: 65,536 occupied ids (a
+        // quarter of a 2^18-id span) under a depth-6 pruned tree. A cold
+        // full-range walk whose leaves barely prune either scans every
+        // leaf's table or runs one index pass, which tests only the ids
+        // whose first probe the query sets and groups the hits by leaf.
+        let namespace = 1u64 << 18;
+        let plan = TreePlan {
+            namespace,
+            m: 61_865,
+            k: 3,
+            kind,
+            seed: 1,
+            depth: 6,
+            leaf_capacity: leaf_size(namespace, 6),
+            target_accuracy: 0.9,
+        };
+        let occupied: Vec<u64> = (0..namespace).step_by(4).collect();
+        let shard = PrunedBloomSampleTree::build(&plan, &occupied);
+        let mut leaves: Vec<NodeId> = Vec::new();
+        let mut stack: Vec<NodeId> = shard.root().into_iter().collect();
+        while let Some(node) = stack.pop() {
+            if shard.is_leaf(node) {
+                leaves.push(node);
+            } else {
+                let (l, r) = shard.children(node);
+                stack.extend([l, r].into_iter().flatten());
+            }
+        }
+        for keys in [200u64, 1000] {
+            let query = BloomFilter::from_keys(
+                Arc::new(BloomHasher::clone(shard.hasher())),
+                (0..keys).map(|i| i.wrapping_mul(0x9E37_79B9) % namespace),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("shard-tables-{keys}"), kind.name()),
+                &query,
+                |b, q| {
+                    b.iter(|| {
+                        let mut found = 0u64;
+                        for &leaf in &leaves {
+                            shard.scan_leaf(leaf, q, &shard.range(leaf), |_| found += 1);
+                        }
+                        found
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("shard-index-{keys}"), kind.name()),
+                &query,
+                |b, q| b.iter(|| shard.index_pass(q).map(|pass| pass.tested)),
+            );
+        }
     }
     group.finish();
 

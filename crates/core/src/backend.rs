@@ -37,7 +37,7 @@ use parking_lot::RwLock;
 use crate::error::BstError;
 use crate::persistence::PersistError;
 use crate::pruned::PrunedBloomSampleTree;
-use crate::tree::{BloomSampleTree, NodeId, SampleTree};
+use crate::tree::{BloomSampleTree, IndexPass, NodeId, SampleTree};
 
 /// Snapshot tag for a dense backend.
 const TAG_DENSE: u8 = 0;
@@ -486,6 +486,13 @@ impl SampleTree for TreeView<'_> {
         match self {
             TreeView::Dense(t) => t.scan_leaf(node, query, window, visit),
             TreeView::Pruned { guard, .. } => guard.scan_leaf(node, query, window, visit),
+        }
+    }
+
+    fn index_pass(&self, query: &BloomFilter) -> Option<IndexPass> {
+        match self {
+            TreeView::Dense(_) => None,
+            TreeView::Pruned { guard, .. } => guard.index_pass(query),
         }
     }
 

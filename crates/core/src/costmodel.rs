@@ -14,6 +14,14 @@
 //!   depth is the shallowest whose mean occupied ids per materialised
 //!   leaf is at most `N⊥` ([`depth_for_occupancy`]).
 //!
+//! A pruned tree's cold full-range walks no longer scan leaf tables: its
+//! first-probe index fills every leaf from one pass over the query's set
+//! bits ([`crate::tree::SampleTree::index_pass`]). The rule above
+//! therefore prices only the table scans that remain — window-clipped
+//! leaves of a range reconstruction and the single leaf a mutation
+//! repair refills — and is kept as it was, so the trees it plans do not
+//! change. A rule for index-backed leaves is open.
+//!
 //! Default builds take the ratio from constants, so the tree a default
 //! build makes does not depend on the host: complete trees use the
 //! paper's [`PAPER_COST_RATIO`], pruned trees [`table_scan_cost_ratio`]

@@ -65,6 +65,7 @@ pub mod error;
 pub mod metrics;
 pub mod multiquery;
 pub mod persistence;
+mod probe_index;
 pub mod pruned;
 pub mod query;
 pub mod reconstruct;

@@ -12,7 +12,11 @@ use std::ops::AddAssign;
 pub struct OpStats {
     /// Bloom filter intersections (one per child-filter `AND`+estimate).
     pub intersections: u64,
-    /// Set-membership queries fired at a Bloom filter.
+    /// Set-membership queries fired at a Bloom filter: the candidates a
+    /// leaf phase tests. A table scan tests every candidate of its leaf
+    /// (the whole range of a complete tree's leaf, the occupied ids of a
+    /// pruned one); a pruned tree's index pass tests only the occupied
+    /// ids whose first probe the query sets, across all its leaves.
     pub memberships: u64,
     /// Tree nodes visited.
     pub nodes_visited: u64,

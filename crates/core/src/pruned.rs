@@ -50,6 +50,21 @@
 //! `build` and `from_bytes` fill it, mutations keep it in step, and
 //! snapshots never carry it. Positions must fit `u32`, so every
 //! constructor refuses plans with `m > 2³²`.
+//!
+//! ## The first-probe index
+//!
+//! Beside the per-leaf tables the tree keeps one index over all occupied
+//! ids, keyed by each id's first probe position (a CSR over bit
+//! positions; see the `probe_index` module). A full-range walk whose memo holds no leaf
+//! list yet asks [`SampleTree::index_pass`] for every materialised
+//! leaf's matches at once: one pass over the query's set bits tests only
+//! the ids whose first probe the query sets, and the hits, sorted and
+//! grouped by leaf, equal what the per-leaf table scans would return
+//! element for element (the predicate, "all `k` probe bits set", is the
+//! same). The index is derived state like the tables: `build` and
+//! `from_bytes` fill it, `insert`/`remove` keep it exact, snapshots never
+//! carry it, and [`PrunedBloomSampleTree::verify_index`] rebuilds it for
+//! the test suites.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -59,7 +74,8 @@ use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
 use bst_bloom::params::TreePlan;
 
-use crate::tree::{split, NodeId, SampleTree};
+use crate::probe_index::{shift_for, FirstProbeIndex};
+use crate::tree::{split, IndexPass, NodeId, SampleTree};
 
 struct PrunedNode {
     range: Range<u64>,
@@ -104,6 +120,8 @@ pub struct PrunedBloomSampleTree {
     /// this list before trusting a delta (expected size ≈ `n·k²/2m` — a
     /// handful).
     colliding: Vec<u64>,
+    /// The first-probe index over every occupied id (see module docs).
+    index: FirstProbeIndex,
 }
 
 impl std::fmt::Debug for PrunedBloomSampleTree {
@@ -145,8 +163,9 @@ impl PrunedBloomSampleTree {
     ///
     /// # Panics
     /// Panics if `occupied` is unsorted, holds duplicates, or contains ids
-    /// outside the namespace, or if `plan.m` exceeds 2³² (probe positions
-    /// would not fit the leaf tables).
+    /// outside the namespace, if `plan.m` exceeds 2³² (probe positions
+    /// would not fit the leaf tables), or if `occupied` holds 2³² − 1 ids
+    /// or more (the index offsets are `u32`).
     pub fn build(plan: &TreePlan, occupied: &[u64]) -> Self {
         for w in occupied.windows(2) {
             assert!(w[0] < w[1], "occupied ids must be sorted and distinct");
@@ -169,9 +188,11 @@ impl PrunedBloomSampleTree {
             journal: VecDeque::new(),
             journal_cap: DEFAULT_JOURNAL_CAP,
             colliding: Vec::new(),
+            index: FirstProbeIndex::default(),
         };
         tree.root = tree.build_node(0..plan.namespace, occupied, 0);
         tree.colliding = tree.census_from_tables();
+        tree.index = tree.index_from_tables();
         tree
     }
 
@@ -238,9 +259,14 @@ impl PrunedBloomSampleTree {
     /// already present at its leaf.
     ///
     /// # Panics
-    /// Panics if `id` is outside the namespace.
+    /// Panics if `id` is outside the namespace, or if the tree already
+    /// holds 2³² − 2 ids (the index offsets are `u32`).
     pub fn insert(&mut self, id: u64) -> bool {
         assert!(id < self.plan.namespace, "id {id} outside namespace");
+        assert!(
+            self.occupied_count() < u64::from(u32::MAX - 1),
+            "the first-probe index holds fewer than 2^32 ids"
+        );
         // Check presence first so failure leaves filters untouched.
         if self.contains_occupied(id) {
             return false;
@@ -272,6 +298,7 @@ impl PrunedBloomSampleTree {
                     let pos = self.colliding.partition_point(|&x| x < id);
                     self.colliding.insert(pos, id);
                 }
+                self.update_index(id, &row, true);
                 self.log_mutation(id, true);
                 return true;
             }
@@ -317,10 +344,11 @@ impl PrunedBloomSampleTree {
             if let Ok(pos) = self.colliding.binary_search(&id) {
                 self.colliding.remove(pos);
             }
-            self.log_mutation(id, false);
             if now_empty {
                 self.root = None;
             }
+            self.update_index(id, &probe_table(&self.hasher, &[id]), false);
+            self.log_mutation(id, false);
         }
         removed
     }
@@ -438,14 +466,36 @@ impl PrunedBloomSampleTree {
         self.journal.push_back((id, inserted));
     }
 
+    /// Keeps the first-probe index in step with one mutation of `id`
+    /// (probe row `row`), already applied to the leaves. The bucket width
+    /// follows the occupancy ([`shift_for`]); when a mutation moves it,
+    /// the index is rebuilt from the leaf tables.
+    fn update_index(&mut self, id: u64, row: &[u32], inserted: bool) {
+        let occupied = self.occupied_count() as usize;
+        if shift_for(self.plan.m, occupied) != self.index.shift() {
+            self.index = self.index_from_tables();
+        } else if inserted {
+            self.index.insert(id, row);
+        } else {
+            self.index.remove(id, row);
+        }
+    }
+
+    /// The first-probe index built from the reachable leaves' tables.
+    fn index_from_tables(&self) -> FirstProbeIndex {
+        let mut leaves = Vec::new();
+        self.for_each_leaf(|_, n| leaves.push((n.occupied.as_slice(), n.probes.as_slice())));
+        FirstProbeIndex::build(self.plan.m, self.plan.k, &leaves)
+    }
+
     /// Calls `f` on every reachable leaf, left to right (so ids come
     /// out ascending).
-    fn for_each_leaf(&self, mut f: impl FnMut(&PrunedNode)) {
+    fn for_each_leaf<'a>(&'a self, mut f: impl FnMut(NodeId, &'a PrunedNode)) {
         let mut stack: Vec<NodeId> = self.root.into_iter().collect();
         while let Some(node) = stack.pop() {
             let n = &self.nodes[node as usize];
             if n.level == self.plan.depth {
-                f(n);
+                f(node, n);
                 continue;
             }
             // Right first, so the left subtree pops first.
@@ -457,7 +507,7 @@ impl PrunedBloomSampleTree {
     fn census_from_tables(&self) -> Vec<u64> {
         let k = self.plan.k;
         let mut out = Vec::new();
-        self.for_each_leaf(|n| {
+        self.for_each_leaf(|_, n| {
             let rows = n.occupied.iter().zip(n.probes.chunks_exact(k));
             out.extend(
                 rows.filter(|(_, row)| !probes_distinct(row))
@@ -588,9 +638,13 @@ impl PrunedBloomSampleTree {
     }
 
     /// Heap bytes including the leaves' occupied-id lists and probe
-    /// tables: `ids × (8 + 4k)` bytes on top of the filters.
+    /// tables, `ids × (8 + 4k)` bytes on top of the filters, and the
+    /// first-probe index: `ids × (8 + 4(k − 1))` bytes plus 4 per bucket
+    /// when buckets are one bit wide, `ids × (8 + 4k)` plus 4 per bucket
+    /// otherwise.
     pub fn memory_bytes_with_ids(&self) -> usize {
         self.memory_bytes()
+            + self.index.heap_bytes()
             + self
                 .nodes
                 .iter()
@@ -606,8 +660,16 @@ impl PrunedBloomSampleTree {
     /// truth, like [`Self::verify_weights`]).
     pub fn verify_probe_tables(&self) -> bool {
         let mut ok = true;
-        self.for_each_leaf(|n| ok &= n.probes == probe_table(&self.hasher, &n.occupied));
+        self.for_each_leaf(|_, n| ok &= n.probes == probe_table(&self.hasher, &n.occupied));
         ok
+    }
+
+    /// Rebuilds the first-probe index from the leaf tables and compares
+    /// it with the maintained one, bucket width, offsets and entries
+    /// alike (the test suites' ground truth, like
+    /// [`Self::verify_probe_tables`]).
+    pub fn verify_index(&self) -> bool {
+        self.index == self.index_from_tables()
     }
 
     /// Checks the laminarity invariant the sampling and reconstruction
@@ -789,17 +851,20 @@ impl PrunedBloomSampleTree {
             journal: VecDeque::new(),
             journal_cap: DEFAULT_JOURNAL_CAP,
             colliding: Vec::new(),
+            index: FirstProbeIndex::default(),
         };
-        // Maintained weights, probe tables and the collision census are
-        // derivable state (leaf = its id count, internal = sum of
-        // children; table = its ids' positions; census = occupied ids
-        // with degenerate rows), so the snapshot format omits them and
-        // the decoder reconstructs them — by construction they match a
+        // Maintained weights, probe tables, the collision census and the
+        // first-probe index are derivable state (leaf = its id count,
+        // internal = sum of children; table = its ids' positions; census
+        // = occupied ids with degenerate rows; index = the tables keyed
+        // by first probe), so the snapshot format omits them and the
+        // decoder reconstructs them — by construction they match a
         // from-scratch recount.
         if let Some(root) = tree.root {
             tree.rebuild_weights(root)?;
         }
         tree.colliding = tree.census_from_tables();
+        tree.index = tree.index_from_tables();
         Ok(tree)
     }
 
@@ -847,7 +912,7 @@ impl PrunedBloomSampleTree {
     /// All occupied ids, ascending (walks the leaves).
     pub fn occupied_ids(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.occupied_count() as usize);
-        self.for_each_leaf(|n| out.extend_from_slice(&n.occupied));
+        self.for_each_leaf(|_, n| out.extend_from_slice(&n.occupied));
         out
     }
 }
@@ -892,6 +957,27 @@ impl SampleTree for PrunedBloomSampleTree {
             &n.probes[lo * k..hi * k],
             visit,
         )
+    }
+
+    /// Tests only the occupied ids whose first probe `query` sets (see
+    /// module docs); the hits are sorted and cut into one list per
+    /// reachable leaf, empty lists included.
+    fn index_pass(&self, query: &BloomFilter) -> Option<IndexPass> {
+        let family = query.hasher();
+        if !(Arc::ptr_eq(family, &self.hasher) || **family == *self.hasher) {
+            return None;
+        }
+        let mut hits = Vec::new();
+        let tested = self.index.for_each_member(query.bits(), |x| hits.push(x));
+        hits.sort_unstable();
+        let mut leaves = Vec::new();
+        let mut rest = hits.as_slice();
+        self.for_each_leaf(|node, n| {
+            let cut = rest.partition_point(|&x| x < n.range.end);
+            leaves.push((node, rest[..cut].to_vec()));
+            rest = &rest[cut..];
+        });
+        Some(IndexPass { leaves, tested })
     }
 
     fn hasher(&self) -> &Arc<BloomHasher> {
@@ -1068,6 +1154,25 @@ mod tests {
         let dense = PrunedBloomSampleTree::build(&p, &occupied());
         assert!(sparse.memory_bytes() < dense.memory_bytes());
         assert!(dense.memory_bytes_with_ids() > dense.memory_bytes());
+        // The ids and tables take 650 × (8 + 4·3) bytes; the index as
+        // much again plus its offsets: 650 ids over m = 2^15 bits make
+        // 2^9 buckets of 64 bits (513 offsets), and buckets wider than
+        // one bit keep all k probes.
+        let ids_and_tables = 650 * (8 + 4 * 3);
+        let index = 513 * 4 + 650 * (8 + 4 * 3);
+        assert_eq!(
+            dense.memory_bytes_with_ids(),
+            dense.memory_bytes() + ids_and_tables + index
+        );
+        // At occupancy of at least m the buckets are one bit wide
+        // (m + 1 offsets) and store the k − 1 probes a bucket leaves.
+        let small = TreePlan { m: 512, ..p };
+        let full_ids: Vec<u64> = (0..600u64).collect();
+        let packed = PrunedBloomSampleTree::build(&small, &full_ids);
+        assert_eq!(
+            packed.memory_bytes_with_ids(),
+            packed.memory_bytes() + 600 * (8 + 4 * 3) + 513 * 4 + 600 * (8 + 4 * 2)
+        );
         // Both are far below the complete tree.
         let full = BloomSampleTree::build(&p);
         assert!(dense.memory_bytes() < full.memory_bytes());

@@ -279,8 +279,10 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
     }
 
     /// Scans a leaf. Leaves fully inside the window go through the shared
-    /// match memo; partially-covered leaves are scanned directly (caching
-    /// a window-restricted scan would poison full-range lookups).
+    /// match memo, which a walk over the full range may fill from the
+    /// tree's index pass ([`QueryMemo::leaf_matches`]); partially-covered
+    /// leaves are scanned directly (caching a window-restricted scan
+    /// would poison full-range lookups).
     fn scan_leaf<F: FnMut(u64)>(
         &self,
         node: NodeId,
@@ -290,22 +292,17 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         stats: &mut OpStats,
         visit: &mut F,
     ) -> usize {
-        let leaf_range = self.tree.range(node);
-        if window.start <= leaf_range.start && leaf_range.end <= window.end {
-            if let Some(cached) = memo.leaves.get(&node) {
-                for &x in cached.iter() {
-                    visit(x);
-                }
-                return cached.len();
-            }
-            let mut matches = Vec::new();
-            stats.memberships += self.tree.scan_leaf(node, query, &leaf_range, |x| {
+        let covers = |r: &std::ops::Range<u64>| window.start <= r.start && r.end <= window.end;
+        if covers(&self.tree.range(node)) {
+            let full_walk = self
+                .tree
+                .root()
+                .is_some_and(|r| covers(&self.tree.range(r)));
+            let matches = memo.leaf_matches(self.tree, node, query, full_walk, stats);
+            for &x in matches.iter() {
                 visit(x);
-                matches.push(x);
-            });
-            let found = matches.len();
-            memo.leaves.insert(node, std::sync::Arc::new(matches));
-            return found;
+            }
+            return matches.len();
         }
         let mut found = 0usize;
         stats.memberships += self.tree.scan_leaf(node, query, window, |x| {

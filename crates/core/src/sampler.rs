@@ -318,9 +318,11 @@ struct PreparedState {
 #[derive(Default)]
 pub struct QueryMemo {
     evals: HashMap<NodeId, ChildEval>,
-    /// Matching elements per fully-scanned leaf; shared with the
-    /// reconstructor (the membership test is config-independent).
-    pub(crate) leaves: HashMap<NodeId, Arc<Vec<u64>>>,
+    /// Matching elements per leaf, over its whole range; shared with the
+    /// reconstructor (the membership test is config-independent). Filled
+    /// for every materialised leaf at once by an index pass, or leaf by
+    /// leaf by table scans (see [`QueryMemo::leaf_matches`]).
+    leaves: HashMap<NodeId, Arc<Vec<u64>>>,
     /// Reconstruction liveness per node (the reconstructor's pruning rule
     /// can differ from the sampler's, so it gets its own map).
     pub(crate) recon_live: HashMap<NodeId, bool>,
@@ -365,6 +367,41 @@ impl QueryMemo {
     /// reconstruction walk has run since the last invalidation.
     pub fn cached_count(&self) -> Option<u64> {
         self.cached_count
+    }
+
+    /// A leaf's matches over its whole range, from the memo when it holds
+    /// them. Otherwise the tree answers: a walk that covers the full
+    /// range (`full_walk`) on a memo that holds no leaf list yet runs the
+    /// tree's index pass ([`SampleTree::index_pass`]), which fills every
+    /// materialised leaf at once; any other miss — a windowed walk, the
+    /// one leaf a mutation repair dropped, a tree without an index —
+    /// scans just this leaf ([`SampleTree::scan_leaf`]). Both count the
+    /// candidates they test as memberships and give equal lists.
+    pub(crate) fn leaf_matches<T: SampleTree>(
+        &mut self,
+        tree: &T,
+        node: NodeId,
+        query: &BloomFilter,
+        full_walk: bool,
+        stats: &mut OpStats,
+    ) -> Arc<Vec<u64>> {
+        if full_walk && self.leaves.is_empty() {
+            if let Some(pass) = tree.index_pass(query) {
+                stats.memberships += pass.tested;
+                let lists = pass.leaves.into_iter();
+                self.leaves
+                    .extend(lists.map(|(leaf, matches)| (leaf, Arc::new(matches))));
+            }
+        }
+        if let Some(cached) = self.leaves.get(&node) {
+            return Arc::clone(cached);
+        }
+        let mut matches = Vec::new();
+        let whole_leaf = tree.range(node);
+        stats.memberships += tree.scan_leaf(node, query, &whole_leaf, |x| matches.push(x));
+        let matches = Arc::new(matches);
+        self.leaves.insert(node, Arc::clone(&matches));
+        matches
     }
 
     /// Repairs the memo's node-keyed state after one occupancy mutation
@@ -850,8 +887,9 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         }
     }
 
-    /// Collects all leaf candidates passing the membership test (full
-    /// scan on a memo miss, shared `Arc` on a hit).
+    /// Collects all leaf candidates passing the membership test
+    /// ([`QueryMemo::leaf_matches`]; every sampling walk covers the full
+    /// range).
     fn leaf_matches(
         &self,
         node: NodeId,
@@ -859,17 +897,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         memo: &mut QueryMemo,
         stats: &mut OpStats,
     ) -> Arc<Vec<u64>> {
-        if let Some(cached) = memo.leaves.get(&node) {
-            return Arc::clone(cached);
-        }
-        let mut out = Vec::new();
-        let whole_leaf = self.tree.range(node);
-        stats.memberships += self
-            .tree
-            .scan_leaf(node, query, &whole_leaf, |x| out.push(x));
-        let out = Arc::new(out);
-        memo.leaves.insert(node, Arc::clone(&out));
-        out
+        memo.leaf_matches(self.tree, node, query, true, stats)
     }
 
     /// One-pass multi-sampling (§5.3): sends `r` independent search paths

@@ -46,6 +46,15 @@ pub trait SampleTree {
         window: &Range<u64>,
         visit: F,
     ) -> u64;
+    /// The index pass of a pruned tree: every materialised leaf's
+    /// matches of `query` at once, from one pass over the query's set
+    /// bits, each list equal to that leaf's [`Self::scan_leaf`] over its
+    /// whole range. `None` when the tree keeps no first-probe index (a
+    /// complete tree) or `query` is not of the tree's hash family; the
+    /// caller then scans leaf by leaf.
+    fn index_pass(&self, _query: &BloomFilter) -> Option<IndexPass> {
+        None
+    }
     /// The shared hash family.
     fn hasher(&self) -> &Arc<BloomHasher>;
 
@@ -53,6 +62,16 @@ pub trait SampleTree {
     fn query_filter<I: IntoIterator<Item = u64>>(&self, keys: I) -> BloomFilter {
         BloomFilter::from_keys(Arc::clone(self.hasher()), keys)
     }
+}
+
+/// What one [`SampleTree::index_pass`] found.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IndexPass {
+    /// Every materialised leaf, left to right, with its matches
+    /// ascending (empty lists included).
+    pub leaves: Vec<(NodeId, Vec<u64>)>,
+    /// Candidates tested (what `OpStats::memberships` counts).
+    pub tested: u64,
 }
 
 /// The complete BloomSampleTree of Definition 5.1.

@@ -140,7 +140,8 @@ proptest! {
     /// Under arbitrary interleaved `insert`/`remove` sequences, the
     /// maintained subtree weights exactly equal a from-scratch recount
     /// at every node, every internal filter stays the OR of its
-    /// children's, and the root weight equals the surviving id count.
+    /// children's, the first-probe index equals one rebuilt from the
+    /// leaf tables, and the root weight equals the surviving id count.
     #[test]
     fn maintained_weights_equal_recount(
         initial in prop::collection::btree_set(0u64..4096, 0..120),
@@ -150,6 +151,7 @@ proptest! {
         let occ: Vec<u64> = initial.iter().copied().collect();
         let mut tree = PrunedBloomSampleTree::build(&p, &occ);
         prop_assert!(tree.verify_laminar(), "build broke laminarity");
+        prop_assert!(tree.verify_index(), "build index drifted");
         let mut live = initial.clone();
         let mut mutations = 0u64;
         for (insert, id) in ops {
@@ -159,16 +161,20 @@ proptest! {
             mutations += u64::from(changed);
             prop_assert!(tree.verify_weights(), "weights drifted after mutation");
             prop_assert!(tree.verify_laminar(), "mutation broke laminarity");
+            prop_assert!(tree.verify_index(), "index drifted after mutation");
         }
         prop_assert_eq!(tree.occupied_count(), live.len() as u64);
         prop_assert_eq!(tree.occupied_ids(), live.into_iter().collect::<Vec<u64>>());
         // Every successful mutation bumped the journal version once.
         prop_assert_eq!(tree.version(), mutations);
+        let back = PrunedBloomSampleTree::from_bytes(&tree.to_bytes()).expect("decode");
+        prop_assert!(back.verify_index(), "decoded index drifted");
     }
 
     /// The leaf probe tables and the collision census stay exactly what
-    /// hashing the occupied ids gives, and every internal filter stays
-    /// the OR of its children's, through arbitrary mutation schedules
+    /// hashing the occupied ids gives, the first-probe index what
+    /// rebuilding it from the tables gives, and every internal filter
+    /// stays the OR of its children's, through arbitrary mutation schedules
     /// and a snapshot round trip; windowed reconstructions
     /// (which scan sub-slices of the tables) equal the full
     /// reconstruction cut to the window.
@@ -197,17 +203,20 @@ proptest! {
         };
         prop_assert!(tree.verify_probe_tables(), "build tables drifted");
         prop_assert!(tree.verify_laminar(), "build broke laminarity");
+        prop_assert!(tree.verify_index(), "build index drifted");
         prop_assert_eq!(tree.colliding_ids(), census(&tree).as_slice());
         for (insert, id) in ops {
             if insert { tree.insert(id); } else { tree.remove(id); }
             prop_assert!(tree.verify_probe_tables(), "tables drifted after mutation");
             prop_assert!(tree.verify_laminar(), "mutation broke laminarity");
+            prop_assert!(tree.verify_index(), "index drifted after mutation");
             prop_assert_eq!(tree.colliding_ids(), census(&tree).as_slice());
         }
         let bytes = tree.to_bytes();
         let back = PrunedBloomSampleTree::from_bytes(&bytes).expect("decode");
         prop_assert!(back.verify_probe_tables(), "decoded tables drifted");
         prop_assert!(back.verify_laminar(), "decoded tree is not laminar");
+        prop_assert!(back.verify_index(), "decoded index drifted");
         prop_assert_eq!(back.colliding_ids(), census(&tree).as_slice());
         prop_assert_eq!(back.to_bytes(), bytes);
         let q = tree.query_filter(members.iter().copied());
@@ -219,6 +228,52 @@ proptest! {
                 let cut: Vec<u64> = full.iter().copied().filter(|x| window.contains(x)).collect();
                 prop_assert_eq!(r.reconstruct_range(&q, window, &mut OpStats::new()), cut);
             }
+        }
+    }
+
+    /// Through occupancy that crosses `m` both ways — so the bucket
+    /// width moves between one bit and wider — the first-probe index
+    /// stays equal to a rebuild from the leaf tables, and its pass gives
+    /// every reachable leaf exactly its table scan's matches.
+    #[test]
+    fn first_probe_index_tracks_width_changes(
+        kind in prop_oneof![
+            Just(HashKind::Simple),
+            Just(HashKind::Murmur3),
+            Just(HashKind::DeltaBlocked),
+        ],
+        initial in prop::collection::btree_set(0u64..1024, 0..160),
+        ops in prop::collection::vec((0u8..3, 0u64..1024), 1..120),
+        members in prop::collection::vec(0u64..1024, 1..40),
+    ) {
+        // m = 128 against up to ~280 ids: the width changes often.
+        let p = plan(1024, 128, 4, kind);
+        let occ: Vec<u64> = initial.iter().copied().collect();
+        let mut tree = PrunedBloomSampleTree::build(&p, &occ);
+        prop_assert!(tree.verify_index(), "build index drifted");
+        let q = tree.query_filter(members.iter().copied());
+        for (op, id) in ops {
+            // Two inserts to one removal, so occupancy climbs past m.
+            if op < 2 { tree.insert(id); } else { tree.remove(id); }
+            prop_assert!(tree.verify_index(), "index drifted after mutation");
+        }
+        let back = PrunedBloomSampleTree::from_bytes(&tree.to_bytes()).expect("decode");
+        prop_assert!(back.verify_index(), "decoded index drifted");
+        for t in [&tree, &back] {
+            let pass = t.index_pass(&q).expect("a pruned tree answers the pass");
+            let mut tested = 0u64;
+            let mut leaves = 0usize;
+            for (leaf, matches) in &pass.leaves {
+                let mut scanned = Vec::new();
+                tested += t.scan_leaf(*leaf, &q, &t.range(*leaf), |x| scanned.push(x));
+                prop_assert_eq!(matches, &scanned);
+                leaves += 1;
+            }
+            prop_assert!(pass.tested <= tested, "the pass tests no more than the scans");
+            let all: Vec<u64> = pass.leaves.iter().flat_map(|(_, m)| m.iter().copied()).collect();
+            let positives: Vec<u64> = t.occupied_ids().into_iter().filter(|&x| q.contains(x)).collect();
+            prop_assert_eq!(all, positives);
+            prop_assert_eq!(leaves == 0, t.root().is_none());
         }
     }
 

@@ -13,6 +13,39 @@ use std::io::{self, Read, Write};
 /// bounding a corrupt length prefix.
 pub const CLIENT_MAX_FRAME: u64 = 1 << 30;
 
+/// Bytes a payload buffer is first sized to, and the most it reads per
+/// step. A declared length is only a claim until its bytes arrive, so
+/// the buffer grows with what has arrived: a payload of at most one
+/// chunk gets one exact allocation, a longer one at most doubles what
+/// it holds per step (and never exceeds its declared length).
+pub const FRAME_CHUNK: usize = 64 << 10;
+
+/// Reads a `len`-byte payload into `buf` (cleared first), chunk by
+/// chunk: `fill` must fill each slice it is given exactly, or fail. The
+/// buffer holds at most the bytes already received plus the chunk being
+/// read, which is at most [`FRAME_CHUNK`] or the bytes already
+/// received, whichever is larger. On failure `buf` keeps the chunks that
+/// arrived whole.
+pub fn read_payload(
+    len: usize,
+    buf: &mut Vec<u8>,
+    mut fill: impl FnMut(&mut [u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    buf.clear();
+    buf.reserve_exact(len.min(FRAME_CHUNK));
+    while buf.len() < len {
+        let start = buf.len();
+        let end = len.min(start + start.max(FRAME_CHUNK));
+        buf.reserve_exact(end - start);
+        buf.resize(end, 0);
+        if let Err(e) = fill(&mut buf[start..end]) {
+            buf.truncate(start);
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
 /// Writes one frame: length prefix, payload, flush.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
@@ -28,7 +61,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 
 /// Reads one frame, blocking. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary; EOF mid-frame is an [`io::ErrorKind::UnexpectedEof`]
-/// error. Lengths above `max` are rejected without allocating.
+/// error. Lengths above `max` are rejected without allocating, and the
+/// payload buffer grows as its bytes arrive ([`read_payload`]).
 pub fn read_frame<R: Read>(r: &mut R, max: u64) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     let mut filled = 0;
@@ -61,8 +95,8 @@ pub fn read_frame<R: Read>(r: &mut R, max: u64) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {max}-byte limit"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    read_payload(len as usize, &mut payload, |chunk| r.read_exact(chunk))?;
     Ok(Some(payload))
 }
 
@@ -104,6 +138,45 @@ mod tests {
             read_frame(&mut cursor, 1024).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn stalled_frame_holds_only_what_arrived() {
+        // A peer declares a 64 MiB frame, sends 10 bytes and hangs up:
+        // the reader fails with UnexpectedEof and never held more than
+        // the bytes received plus one chunk.
+        let declared = 64usize << 20;
+        let mut wire = (declared as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[7u8; 10]);
+        assert_eq!(
+            read_frame(&mut Cursor::new(wire), CLIENT_MAX_FRAME)
+                .unwrap_err()
+                .kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        let mut body = Cursor::new(vec![7u8; 10]);
+        let mut buf = Vec::new();
+        let err = read_payload(declared, &mut buf, |chunk| body.read_exact(chunk)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() <= 10 + FRAME_CHUNK, "{}", buf.capacity());
+    }
+
+    #[test]
+    fn payloads_grow_exactly_to_their_length() {
+        for len in [1, FRAME_CHUNK, FRAME_CHUNK + 1, 5 * FRAME_CHUNK + 3] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut src = Cursor::new(data.clone());
+            let mut buf = Vec::new();
+            let mut peak = 0;
+            read_payload(len, &mut buf, |chunk| {
+                peak = peak.max(chunk.len());
+                src.read_exact(chunk)
+            })
+            .unwrap();
+            assert_eq!(buf, data);
+            assert_eq!(buf.capacity(), len, "one exact allocation at the end");
+            assert!(peak <= FRAME_CHUNK.max(len / 2 + 1));
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use bst_core::OpStats;
 use bst_obs::{Counter, MetricsRegistry, Recorder, RingRecorder, SpanEvent};
 use bst_shard::{BatchObs, DurableBstSystem, ShardedBstSystem};
 
-use crate::frame::write_frame;
+use crate::frame::{read_payload, write_frame};
 use crate::handler;
 use crate::protocol::{self, WireError};
 use crate::session::Session;
@@ -599,8 +599,11 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()>
             )?;
             continue;
         }
-        let mut payload = vec![0u8; len as usize];
-        poll_read_exact(&mut stream, state, &mut payload, false)?;
+        // Grown as the bytes arrive: a stalled peer pins only what it sent.
+        let mut payload = Vec::new();
+        read_payload(len as usize, &mut payload, |chunk| {
+            poll_read_exact(&mut stream, state, chunk, false).map(drop)
+        })?;
         state.frames_served.fetch_add(1, Ordering::Relaxed);
 
         if state.shutting_down() {
