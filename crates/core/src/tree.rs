@@ -65,7 +65,7 @@ pub trait SampleTree {
 }
 
 /// What one [`SampleTree::index_pass`] found.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexPass {
     /// Every materialised leaf, left to right, with its matches
     /// ascending (empty lists included).
