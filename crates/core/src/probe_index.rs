@@ -55,8 +55,8 @@ pub(crate) struct FirstProbeIndex {
     /// The entries, [`Self::width`] `u32`s each and ascending by id
     /// within a bucket: the id (low word, high word), then its probes —
     /// the row without its first probe for one-bit buckets, the whole
-    /// row otherwise. One entry is one contiguous read (16 bytes at
-    /// `k = 3`), so a candidate costs one cache line, not two.
+    /// row otherwise. An entry is one contiguous read (16 bytes at
+    /// `k = 3`) rather than one read per array.
     entries: Vec<u32>,
 }
 

@@ -55,9 +55,9 @@
 //!
 //! Beside the per-leaf tables the tree keeps one index over all occupied
 //! ids, keyed by each id's first probe position (a CSR over bit
-//! positions; see the `probe_index` module). A full-range walk whose memo holds no leaf
-//! list yet asks [`SampleTree::index_pass`] for every materialised
-//! leaf's matches at once: one pass over the query's set bits tests only
+//! positions; see the `probe_index` module). A full-range walk whose
+//! memo holds no leaf list yet asks [`SampleTree::index_pass`] for every
+//! materialised leaf's matches at once: one pass over the query's set bits tests only
 //! the ids whose first probe the query sets, and the hits, sorted and
 //! grouped by leaf, equal what the per-leaf table scans would return
 //! element for element (the predicate, "all `k` probe bits set", is the
