@@ -448,3 +448,84 @@ fn papapetrou_carry_corrected_outputs_match_capture() {
         }
     );
 }
+
+/// `BstConfig::paper()` under rejection correction: the proposal walk
+/// with threshold liveness and Papapetrou ratios, `t₂` = the query's
+/// popcount.
+#[test]
+fn paper_corrected_outputs_match_capture() {
+    let mut cfg = BstConfig::paper();
+    cfg.sampler.correction = Correction::RejectionAuto;
+    assert_eq!(
+        capture(NOISY, cfg, true),
+        Capture {
+            window_len: 191,
+            live_weight: 1080,
+            draws: vec![
+                739, 1006, 2132, 3899, 1978, 412, 301, 896, 3116, 2450, 1772, 1964, 2410, 724,
+                1759, 2930
+            ],
+            many: vec![
+                1841, 1327, 1936, 1400, 1229, 1924, 1316, 1666, 1516, 3779, 3379, 3395, 3887, 3521,
+                3670, 3932
+            ],
+            recon_len: 1080,
+            recon_prefix: vec![1024, 1027, 1031, 1036, 1037, 1042, 1043, 1045],
+            ops: (2754, 81, 0),
+        }
+    );
+    assert_eq!(
+        capture(NOISY, cfg, false),
+        Capture {
+            window_len: 306,
+            live_weight: 3230,
+            draws: vec![
+                736, 701, 1008, 2136, 3892, 368, 1980, 413, 306, 893, 1593, 3116, 2452, 1764, 1966,
+                2416
+            ],
+            many: vec![
+                657, 1513, 1724, 1334, 1353, 1831, 1481, 2331, 3902, 3301, 3560, 3148, 3971, 3857,
+                3687, 3927
+            ],
+            recon_len: 3230,
+            recon_prefix: vec![0, 1, 2, 3, 4, 5, 6, 7],
+            ops: (4496, 76, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, true),
+        Capture {
+            window_len: 45,
+            live_weight: 440,
+            draws: vec![
+                1967, 1421, 2485, 1757, 1736, 2765, 1246, 665, 2198, 364, 1211, 329, 2219, 1484,
+                658, 3094
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1459, 1603, 1855, 2875, 2303, 2569, 2128, 2933, 3850,
+                3689, 3907
+            ],
+            recon_len: 440,
+            recon_prefix: vec![7, 14, 28, 35, 49, 56, 70, 77],
+            ops: (2357, 280, 0),
+        }
+    );
+    assert_eq!(
+        capture(LAYOUT, cfg, false),
+        Capture {
+            window_len: 66,
+            live_weight: 656,
+            draws: vec![
+                713, 1967, 406, 3115, 2474, 1750, 1949, 2443, 1736, 2940, 2765, 1232, 665, 3087,
+                2030, 2187
+            ],
+            many: vec![
+                482, 700, 301, 322, 1813, 1464, 1596, 1855, 2875, 2282, 2555, 2128, 2940, 3843,
+                3689, 3906
+            ],
+            recon_len: 656,
+            recon_prefix: vec![0, 7, 14, 21, 28, 35, 42, 49],
+            ops: (4496, 139, 0),
+        }
+    );
+}
