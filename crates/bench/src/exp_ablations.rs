@@ -35,7 +35,6 @@ pub fn ablate_threshold(scale: &Scale) -> Table {
             &tree,
             ReconstructConfig {
                 liveness: Liveness::EstimateThreshold(tau),
-                carry_intersection: false,
             },
         );
         let mut stats = OpStats::new();
@@ -88,8 +87,6 @@ pub fn ablate_estimator(scale: &Scale) -> Table {
             let cfg = SamplerConfig {
                 liveness,
                 ratio,
-                carry_intersection: ratio == RatioEstimator::Papapetrou,
-                proportional_descent: true,
                 correction: Correction::None,
             };
             let sampler = BstSampler::with_config(&tree, cfg);

@@ -196,15 +196,6 @@ impl TreeBackend {
         }
     }
 
-    /// Applies a mutation-journal retention bound (see
-    /// [`PrunedBloomSampleTree::set_journal_cap`]). No-op for dense
-    /// backends, whose occupancy never mutates.
-    pub fn set_journal_cap(&self, cap: usize) {
-        if let TreeBackend::Pruned(p) = self {
-            p.tree.write().set_journal_cap(cap);
-        }
-    }
-
     /// Acquires a read view for sampling/reconstruction. Occupancy
     /// writers block until the view is dropped, so everything computed
     /// through one view is consistent with its [`TreeView::generation`].

@@ -22,11 +22,12 @@
 //! repair refills — and is kept as it was, so the trees it plans do not
 //! change. A rule for index-backed leaves is open.
 //!
-//! Default builds take the ratio from constants, so the tree a default
-//! build makes does not depend on the host: complete trees use the
-//! paper's [`PAPER_COST_RATIO`], pruned trees [`table_scan_cost_ratio`]
-//! of their filter size. [`CostModel::measure`] times the three kernels
-//! on the spot, for builds that opt in.
+//! Builds take the ratio from constants, so the tree a build makes does
+//! not depend on the host: complete trees use the paper's
+//! [`PAPER_COST_RATIO`], pruned trees [`table_scan_cost_ratio`] of their
+//! filter size. [`CostModel::measure`] times hashed membership and
+//! intersection on the spot, for the paper-table experiments that plan
+//! from the measured ratio.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -36,7 +37,7 @@ use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
 #[cfg(doc)]
 use bst_bloom::params::PAPER_COST_RATIO;
-use bst_bloom::params::{depth_for, leaf_capacity_for_cost_ratio, TreePlan};
+use bst_bloom::params::{depth_for, leaf_capacity_for_cost_ratio};
 
 use crate::tree::split;
 
@@ -110,9 +111,6 @@ pub struct CostModel {
     /// Nanoseconds per hashed membership query: what a complete tree's
     /// leaf scan pays per namespace id.
     pub membership_ns: f64,
-    /// Nanoseconds per probe-table row check: what a pruned tree's leaf
-    /// scan pays per occupied id.
-    pub table_scan_ns: f64,
     /// Nanoseconds per filter intersection (AND + popcount over `m`
     /// bits): one child test of the descent.
     pub intersection_ns: f64,
@@ -124,16 +122,11 @@ impl CostModel {
         (self.intersection_ns / self.membership_ns).max(f64::MIN_POSITIVE)
     }
 
-    /// The `icost/mcost` ratio of a pruned tree (probe-table leaf scans).
-    pub fn table_scan_ratio(&self) -> f64 {
-        (self.intersection_ns / self.table_scan_ns).max(f64::MIN_POSITIVE)
-    }
-
-    /// Measures the three costs for filters built on `hasher`.
+    /// Measures both costs for filters built on `hasher`.
     ///
     /// Builds two half-full filters of the hasher's `m` and times
-    /// `contains` and `for_each_member_in_table` over pseudo-random keys
-    /// and `and_count` between the filters. Short and repeatable rather
+    /// `contains` over pseudo-random keys and `and_count` between the
+    /// filters. Short and repeatable rather
     /// than statistically rigorous — the rule only needs the right order
     /// of magnitude.
     pub fn measure(hasher: &Arc<BloomHasher>) -> CostModel {
@@ -158,25 +151,6 @@ impl CostModel {
         let membership_ns = start.elapsed().as_nanos() as f64 / mem_reps as f64;
         std::hint::black_box(acc);
 
-        // Probe-table scan cost: one leaf's worth of ids, scanned a few
-        // times over.
-        let ids: Vec<u64> = (0..4_096).map(key).collect();
-        let mut table = Vec::with_capacity(ids.len() * hasher.k());
-        for &x in &ids {
-            // A row that does not fit `u32` leaves the table short, and
-            // the scan falls back to hashing — as a pruned tree would.
-            hasher.push_probe_row(x, &mut table);
-        }
-        let scan_reps: u64 = 16;
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..scan_reps {
-            a.for_each_member_in_table(hasher, &ids, &table, |_| acc += 1);
-        }
-        let table_scan_ns =
-            start.elapsed().as_nanos() as f64 / (scan_reps * ids.len() as u64) as f64;
-        std::hint::black_box(acc);
-
         // Intersection cost.
         let int_reps: u64 = (2_000_000_000 / m as u64).clamp(64, 20_000);
         let start = Instant::now();
@@ -189,27 +163,8 @@ impl CostModel {
 
         CostModel {
             membership_ns: membership_ns.max(0.1),
-            table_scan_ns: table_scan_ns.max(0.1),
             intersection_ns: intersection_ns.max(0.1),
         }
-    }
-
-    /// Rewrites a plan's depth and leaf capacity from this cost model
-    /// (`m` stays as planned). `None` plans a complete tree, whose leaves
-    /// hold at most `N⊥` namespace ids at [`Self::ratio`]. `Some(trees)`
-    /// plans pruned trees over those occupancies by the rule a default
-    /// pruned build applies ([`depth_for_occupancy`]), at
-    /// [`Self::table_scan_ratio`].
-    pub fn retune_plan(&self, plan: &TreePlan, trees: Option<&[&[u64]]>) -> TreePlan {
-        let depth = match trees {
-            None => depth_for(plan.namespace, leaf_capacity_for_cost_ratio(self.ratio())),
-            Some(trees) => depth_for_occupancy(
-                plan.namespace,
-                trees,
-                leaf_capacity_for_cost_ratio(self.table_scan_ratio()),
-            ),
-        };
-        plan.clone().with_depth(depth)
     }
 }
 
@@ -217,14 +172,13 @@ impl CostModel {
 mod tests {
     use super::*;
     use bst_bloom::hash::HashKind;
-    use bst_bloom::params::{leaf_size, m_for_accuracy};
+    use bst_bloom::params::m_for_accuracy;
 
     #[test]
     fn measurement_is_sane() {
         let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 60_000, 1 << 20, 1));
         let cm = CostModel::measure(&hasher);
         assert!(cm.membership_ns > 0.0);
-        assert!(cm.table_scan_ns > 0.0);
         assert!(cm.intersection_ns > 0.0);
         // A 60k-bit intersection walks ~940 words; it must cost more than
         // a 3-hash membership probe.
@@ -258,73 +212,28 @@ mod tests {
         );
     }
 
-    fn plan_1e6() -> TreePlan {
-        TreePlan {
-            namespace: 1_000_000,
-            m: 60_870,
-            k: 3,
-            kind: HashKind::Murmur3,
-            seed: 0,
-            depth: 9,
-            leaf_capacity: 1954,
-            target_accuracy: 0.9,
-        }
-    }
-
     #[test]
-    fn retune_preserves_m_and_namespace() {
-        let plan = plan_1e6();
-        let cm = CostModel {
-            membership_ns: 10.0,
-            table_scan_ns: 2.0,
-            intersection_ns: 1000.0,
-        };
-        let tuned = cm.retune_plan(&plan, None);
-        assert_eq!(tuned.m, plan.m);
-        assert_eq!(tuned.namespace, plan.namespace);
-        assert_eq!(tuned.leaf_capacity, leaf_size(plan.namespace, tuned.depth));
-        // ratio 100 -> capacity in [976, 1000) -> depth 10 for M=1e6.
-        assert_eq!(tuned.depth, 10);
-    }
-
-    #[test]
-    fn retune_plans_pruned_trees_by_occupied_ids_per_leaf() {
-        let plan = plan_1e6();
+    fn pruned_depth_counts_occupied_ids_per_leaf() {
+        let namespace = 1_000_000u64;
         // Every fourth id occupied: 250,000 ids.
-        let occ: Vec<u64> = (0..1_000_000).step_by(4).collect();
-        // A table scan as dear as a hashed probe: ratio 100, capacity
-        // 996. Leaves of M/2^d ids hold 250,000/2^d occupied ids, at most
-        // 996 from depth 8 on — two levels above the namespace rule.
-        let slow_scan = CostModel {
-            membership_ns: 10.0,
-            table_scan_ns: 10.0,
-            intersection_ns: 1000.0,
-        };
-        let tuned = slow_scan.retune_plan(&plan, Some(&[&occ]));
-        assert_eq!(tuned.depth, 8);
-        assert_eq!(tuned.leaf_capacity, leaf_size(plan.namespace, 8));
-        // Cheap table rows: ratio 500, capacity 6,311 -> 250,000/2^6 =
-        // 3,906 per leaf at depth 6, 7,812 at depth 5.
-        let fast_scan = CostModel {
-            table_scan_ns: 2.0,
-            ..slow_scan
-        };
-        assert_eq!(fast_scan.retune_plan(&plan, Some(&[&occ])).depth, 6);
-        // The membership time plays no part in a pruned plan.
-        let dear_hash = CostModel {
-            membership_ns: 1000.0,
-            ..fast_scan
-        };
-        assert_eq!(dear_hash.retune_plan(&plan, Some(&[&occ])).depth, 6);
-        // The same costs under the default rule's units agree with it.
-        let words = CostModel {
-            membership_ns: 1.0,
-            table_scan_ns: 1.0 / AND_WORDS_PER_TABLE_ID,
-            intersection_ns: plan.m.div_ceil(64) as f64,
-        };
+        let occ: Vec<u64> = (0..namespace).step_by(4).collect();
+        // Ratio 100, capacity 996: a complete tree's leaves of M/2^d
+        // namespace ids fit from depth 10 on. A pruned tree's hold
+        // 250,000/2^d occupied ids, at most 996 from depth 8 on — two
+        // levels above the namespace rule.
+        let cap = leaf_capacity_for_cost_ratio(100.0);
+        assert_eq!(depth_for(namespace, cap), 10);
+        assert_eq!(depth_for_occupancy(namespace, &[&occ], cap), 8);
+        // Ratio 500, capacity 6,311 -> 250,000/2^6 = 3,906 per leaf at
+        // depth 6, 7,812 at depth 5.
+        let cap = leaf_capacity_for_cost_ratio(500.0);
+        assert_eq!(depth_for_occupancy(namespace, &[&occ], cap), 6);
+        // The default rule is the occupancy rule at the table-scan ratio.
+        let m = 60_870;
+        let cap = leaf_capacity_for_cost_ratio(table_scan_cost_ratio(m));
         assert_eq!(
-            words.retune_plan(&plan, Some(&[&occ])).depth,
-            default_pruned_depth(plan.namespace, plan.m, &[&occ])
+            depth_for_occupancy(namespace, &[&occ], cap),
+            default_pruned_depth(namespace, m, &[&occ])
         );
     }
 

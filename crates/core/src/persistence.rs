@@ -11,21 +11,26 @@
 //! Layouts (little-endian):
 //!
 //! ```text
-//! complete: "BSTC" v1 | plan | node words × node_count
-//! pruned:   "BSTP" v1 | plan | node_count u32 | root u32(MAX=none)
+//! complete: "BSTC" v2 | plan | node words × node_count
+//! pruned:   "BSTP" v2 | plan | node_count u32 | root u32(MAX=none)
 //!           | version u64 (mutation counter, resumed on decode)
 //!           | per node: start u64, end u64, level u32, left u32, right u32,
 //!             occupied_len u32, occupied ids…, filter words
-//! system:   "BSTS" v1 | sampler cfg | reconstruct cfg | journal_cap u32
+//! system:   "BSTS" v2 | sampler cfg | reconstruct cfg
 //!           | backend tag u8 | backend len u64 | backend bytes
 //!           | store next_id u64 | set count u32
 //!           | per set: id u64, generation u64, len u64, counting bytes
 //! plan:     namespace u64 | m u64 | k u16 | kind u8 | seed u64
 //!           | depth u32 | leaf_capacity u64 | target_accuracy f64
+//! sampler cfg:     liveness | ratio u8 | correction
+//! reconstruct cfg: liveness
 //! cfg tags: liveness 0=BitOverlap 1=EstimateThreshold(+f64)
 //!           | ratio 0=MeanCorrectedBits 1=AndCardinality 2=Papapetrou
 //!           | correction 0=None 1=Rejection(+f64) 2=RejectionAuto
 //! ```
+//!
+//! Version 2 dropped three config bytes and the system's journal cap;
+//! a version-1 input is refused as [`PersistError::BadVersion`].
 
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::TreePlan;
@@ -70,7 +75,7 @@ impl std::error::Error for PersistError {}
 /// Snapshot format version shared by every structure in this module (and
 /// by the `bst-shard` sharded-system snapshot, which embeds whole-system
 /// payloads).
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_u64_le(plan.namespace);
@@ -154,8 +159,6 @@ pub(crate) fn put_sampler_config(buf: &mut BytesMut, cfg: &SamplerConfig) {
         RatioEstimator::AndCardinality => 1,
         RatioEstimator::Papapetrou => 2,
     });
-    buf.put_u8(cfg.carry_intersection as u8);
-    buf.put_u8(cfg.proportional_descent as u8);
     match cfg.correction {
         Correction::None => buf.put_u8(0),
         Correction::Rejection { gamma } => {
@@ -168,7 +171,7 @@ pub(crate) fn put_sampler_config(buf: &mut BytesMut, cfg: &SamplerConfig) {
 
 pub(crate) fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, PersistError> {
     let liveness = get_liveness(input)?;
-    if input.remaining() < 4 {
+    if input.remaining() < 2 {
         return Err(PersistError::Truncated);
     }
     let ratio = match input.get_u8() {
@@ -177,8 +180,6 @@ pub(crate) fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, Per
         2 => RatioEstimator::Papapetrou,
         _ => return Err(PersistError::Corrupt("unknown ratio estimator tag")),
     };
-    let carry_intersection = input.get_u8() != 0;
-    let proportional_descent = input.get_u8() != 0;
     let correction = match input.get_u8() {
         0 => Correction::None,
         1 => {
@@ -195,25 +196,17 @@ pub(crate) fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, Per
     Ok(SamplerConfig {
         liveness,
         ratio,
-        carry_intersection,
-        proportional_descent,
         correction,
     })
 }
 
 pub(crate) fn put_reconstruct_config(buf: &mut BytesMut, cfg: &ReconstructConfig) {
     put_liveness(buf, cfg.liveness);
-    buf.put_u8(cfg.carry_intersection as u8);
 }
 
 pub(crate) fn get_reconstruct_config(input: &mut &[u8]) -> Result<ReconstructConfig, PersistError> {
-    let liveness = get_liveness(input)?;
-    if input.remaining() < 1 {
-        return Err(PersistError::Truncated);
-    }
     Ok(ReconstructConfig {
-        liveness,
-        carry_intersection: input.get_u8() != 0,
+        liveness: get_liveness(input)?,
     })
 }
 
@@ -394,8 +387,6 @@ mod tests {
                     let cfg = SamplerConfig {
                         liveness,
                         ratio,
-                        carry_intersection: true,
-                        proportional_descent: false,
                         correction,
                     };
                     let mut buf = BytesMut::new();
@@ -405,10 +396,7 @@ mod tests {
                     assert!(s.is_empty());
                 }
             }
-            let rcfg = ReconstructConfig {
-                liveness,
-                carry_intersection: false,
-            };
+            let rcfg = ReconstructConfig { liveness };
             let mut buf = BytesMut::new();
             put_reconstruct_config(&mut buf, &rcfg);
             let mut s: &[u8] = &buf;

@@ -92,11 +92,10 @@ struct PrunedNode {
     weight: u64,
 }
 
-/// Default bound on mutations remembered by the journal; older history
-/// forces readers through a full cache reset, so this bounds repair
-/// work per sync. Tunable per system via
-/// [`crate::system::BstConfig::journal_cap`].
-pub const DEFAULT_JOURNAL_CAP: usize = 256;
+/// Bound on mutations remembered by the journal; older history forces
+/// readers through a full cache reset, so this bounds repair work per
+/// sync.
+pub const JOURNAL_CAP: usize = 256;
 
 /// An occupancy-aware BloomSampleTree.
 pub struct PrunedBloomSampleTree {
@@ -109,11 +108,9 @@ pub struct PrunedBloomSampleTree {
     /// counter monotonically instead of restarting at 0 (which would
     /// alias stamps held by warm handles across a reload).
     version: u64,
-    /// The last `journal_cap` mutations as `(id, inserted)`, oldest
+    /// The last [`JOURNAL_CAP`] mutations as `(id, inserted)`, oldest
     /// first (`inserted` false = removal).
     journal: VecDeque<(u64, bool)>,
-    /// Journal retention bound; always ≥ 1.
-    journal_cap: usize,
     /// The collision census: occupied ids probing fewer than `k`
     /// distinct bit positions, sorted ascending. Such ids weaken the
     /// `t∧ ≥ k` soundness argument, so exact-count fast paths consult
@@ -186,7 +183,6 @@ impl PrunedBloomSampleTree {
             root: None,
             version: 0,
             journal: VecDeque::new(),
-            journal_cap: DEFAULT_JOURNAL_CAP,
             colliding: Vec::new(),
             index: FirstProbeIndex::default(),
         };
@@ -460,7 +456,7 @@ impl PrunedBloomSampleTree {
     /// the mutated id and direction for bounded-history cache repair.
     fn log_mutation(&mut self, id: u64, inserted: bool) {
         self.version += 1;
-        while self.journal.len() >= self.journal_cap {
+        while self.journal.len() >= JOURNAL_CAP {
             self.journal.pop_front();
         }
         self.journal.push_back((id, inserted));
@@ -531,20 +527,6 @@ impl PrunedBloomSampleTree {
     /// The facade's tree generation mirrors this exactly.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The journal retention bound (mutations kept for cache repair).
-    pub fn journal_cap(&self) -> usize {
-        self.journal_cap
-    }
-
-    /// Sets the journal retention bound (clamped to ≥ 1), trimming the
-    /// oldest remembered mutations if the new bound is smaller.
-    pub fn set_journal_cap(&mut self, cap: usize) {
-        self.journal_cap = cap.max(1);
-        while self.journal.len() > self.journal_cap {
-            self.journal.pop_front();
-        }
     }
 
     /// The `(id, inserted)` mutations in `(since, version]`, oldest
@@ -849,7 +831,6 @@ impl PrunedBloomSampleTree {
             root,
             version,
             journal: VecDeque::new(),
-            journal_cap: DEFAULT_JOURNAL_CAP,
             colliding: Vec::new(),
             index: FirstProbeIndex::default(),
         };
@@ -1460,46 +1441,31 @@ mod removal_tests {
             "future stamps are not covered"
         );
         // Overflow the journal: history older than the cap is gone.
-        for i in 0..DEFAULT_JOURNAL_CAP as u64 {
+        for i in 0..JOURNAL_CAP as u64 {
             let id = (i * 2 + 100) % (1 << 14);
             let _ = t.insert(id);
             let _ = t.remove(id);
         }
         assert!(t.mutations_since(0).is_none(), "truncated history");
-        assert!(t
-            .mutations_since(t.version() - DEFAULT_JOURNAL_CAP as u64)
-            .is_some());
-        // No-ops do not advance the version or the journal.
+        // The horizon sits exactly at the cap: `JOURNAL_CAP` mutations
+        // back is covered, one more falls to the full-reset path.
         let v = t.version();
+        let at_cap = t
+            .mutations_since(v - JOURNAL_CAP as u64)
+            .expect("at the cap");
+        assert_eq!(at_cap.count(), JOURNAL_CAP);
+        let last = (((JOURNAL_CAP as u64 - 1) * 2 + 100) % (1 << 14), false);
+        assert_eq!(
+            t.mutations_since(v - 1).unwrap().collect::<Vec<_>>(),
+            [last]
+        );
+        assert!(
+            t.mutations_since(v - JOURNAL_CAP as u64 - 1).is_none(),
+            "past the cap"
+        );
+        // No-ops do not advance the version or the journal.
         assert!(!t.remove(12_345));
         assert_eq!(t.version(), v);
-    }
-
-    #[test]
-    fn journal_cap_knob_pins_horizon_at_the_boundary() {
-        // A configured cap moves the repair horizon exactly: `cap`
-        // mutations back is covered, `cap + 1` falls to the full-reset
-        // path. Shrinking the cap trims remembered history immediately.
-        let mut t = PrunedBloomSampleTree::empty(&plan());
-        assert_eq!(t.journal_cap(), DEFAULT_JOURNAL_CAP);
-        t.set_journal_cap(4);
-        assert_eq!(t.journal_cap(), 4);
-        for id in 0..10u64 {
-            assert!(t.insert(id));
-        }
-        let v = t.version();
-        assert_eq!(v, 10);
-        // Boundary: exactly cap mutations of history are replayable...
-        let tail: Vec<(u64, bool)> = t.mutations_since(v - 4).expect("at the cap").collect();
-        assert_eq!(tail, vec![(6, true), (7, true), (8, true), (9, true)]);
-        // ...one more is past the horizon.
-        assert!(t.mutations_since(v - 5).is_none(), "past the cap");
-        // Shrinking trims eagerly; clamping keeps the journal usable.
-        t.set_journal_cap(1);
-        assert!(t.mutations_since(v - 1).is_some());
-        assert!(t.mutations_since(v - 2).is_none());
-        t.set_journal_cap(0);
-        assert_eq!(t.journal_cap(), 1, "cap clamps to >= 1");
     }
 
     #[test]

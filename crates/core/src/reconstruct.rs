@@ -19,15 +19,15 @@
 //!
 //! Every test ANDs a child's filter with the query itself, never with a
 //! filter carried down the path: node filters are laminar, so the two
-//! give the same count (see [`BstReconstructor`]'s walk). The walk
-//! carries only the estimate's `t₂` input.
+//! give the same count (see [`BstReconstructor`]'s walk). The threshold
+//! estimate's `t₂` input is the query's popcount, as in the sampler.
 
 use bst_bloom::estimate::intersection_estimate;
 use bst_bloom::filter::BloomFilter;
 
 use crate::error::BstError;
 use crate::metrics::OpStats;
-use crate::sampler::{Carried, Liveness, QueryMemo, DEFAULT_THRESHOLD};
+use crate::sampler::{Liveness, QueryMemo, DEFAULT_THRESHOLD};
 use crate::tree::{NodeId, SampleTree};
 
 /// Reconstruction configuration.
@@ -35,20 +35,12 @@ use crate::tree::{NodeId, SampleTree};
 pub struct ReconstructConfig {
     /// Branch-emptiness rule.
     pub liveness: Liveness,
-    /// Which `t₂` the threshold estimate reads: the popcount of
-    /// `query ∧ filter(node)` (on: the paper's carried filter) or of the
-    /// query (off). Sound liveness reads no `t₂`, and no filter is ever
-    /// built: a node's `t∧` comes from its parent's evaluation, so on
-    /// costs one extra intersection only at the root and at nodes whose
-    /// liveness came from the memo.
-    pub carry_intersection: bool,
 }
 
 impl Default for ReconstructConfig {
     fn default() -> Self {
         ReconstructConfig {
             liveness: Liveness::BitOverlap,
-            carry_intersection: true,
         }
     }
 }
@@ -59,7 +51,6 @@ impl ReconstructConfig {
     pub fn paper() -> Self {
         ReconstructConfig {
             liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
-            carry_intersection: false,
         }
     }
 
@@ -241,41 +232,32 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         if window.start >= window.end {
             return 0;
         }
-        let carried = Carried::into_child(self.cfg.carry_intersection, root, None);
-        self.walk(root, carried, query, &window, memo, stats, visit)
+        self.walk(root, query, &window, memo, stats, visit)
     }
 
     /// Liveness of one child under the reconstruction pruning rule, on
-    /// a memo miss: one intersection op, tested against the query itself
-    /// (plus one if `carried` must resolve a node's `t∧`). Returns the
-    /// liveness and what the walk carries into the child.
+    /// a memo miss: one intersection op, tested against the query itself.
     fn child_live(
         &self,
         child: NodeId,
-        carried: &mut Carried,
         query: &BloomFilter,
         memo: &mut QueryMemo,
         stats: &mut OpStats,
-    ) -> (bool, Carried) {
-        let (live, t_and) = match self.cfg.liveness {
+    ) -> bool {
+        stats.intersections += 1;
+        let f = self.tree.filter(child);
+        let live = match self.cfg.liveness {
             // Only the threshold matters, so the count stops at `k`.
-            Liveness::BitOverlap => {
-                stats.intersections += 1;
-                let f = self.tree.filter(child);
-                (f.and_count_reaches(query, f.k()), None)
-            }
+            Liveness::BitOverlap => f.and_count_reaches(query, f.k()),
             Liveness::EstimateThreshold(tau) => {
-                let t2 = carried.ones(self.tree, query, memo, stats);
-                stats.intersections += 1;
-                let f = self.tree.filter(child);
-                let t_and = f.and_count(query);
-                let est = intersection_estimate(f.m(), f.k(), f.count_ones(), t2, t_and);
-                (est > tau, Some(t_and))
+                let t2 = memo.query_ones(query);
+                let est =
+                    intersection_estimate(f.m(), f.k(), f.count_ones(), t2, f.and_count(query));
+                est > tau
             }
         };
         memo.recon_live.insert(child, live);
-        let into = Carried::into_child(self.cfg.carry_intersection, child, t_and);
-        (live, into)
+        live
     }
 
     /// Scans a leaf. Leaves fully inside the window go through the shared
@@ -316,16 +298,10 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
     /// with the query itself: node filters are laminar (each child ⊆ its
     /// parent), so the paper's carried `query ∧ n₁ ∧ … ∧ n_d` equals
     /// `query ∧ n_d` bit-for-bit and carrying it cannot change an AND
-    /// count. What the walk carries instead is `t₂`, the carried
-    /// filter's popcount, which only the threshold estimate reads: the
-    /// node's own `t∧` when its parent's evaluation counted it, resolved
-    /// by one AND count when the node's liveness came from the memo.
-    /// A fully-warm walk performs no filter operations at all.
-    #[allow(clippy::too_many_arguments)]
+    /// count. A fully-warm walk performs no filter operations at all.
     fn walk<F: FnMut(u64)>(
         &self,
         node: NodeId,
-        mut carried: Carried,
         query: &BloomFilter,
         window: &std::ops::Range<u64>,
         memo: &mut QueryMemo,
@@ -343,15 +319,12 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             if r.end <= window.start || r.start >= window.end {
                 continue; // disjoint from the window: free pruning
             }
-            let (live, into) = match memo.recon_live.get(&child) {
-                Some(&live) => (
-                    live,
-                    Carried::into_child(self.cfg.carry_intersection, child, None),
-                ),
-                None => self.child_live(child, &mut carried, query, memo, stats),
+            let live = match memo.recon_live.get(&child) {
+                Some(&live) => live,
+                None => self.child_live(child, query, memo, stats),
             };
             if live {
-                found += self.walk(child, into, query, window, memo, stats, visit);
+                found += self.walk(child, query, window, memo, stats, visit);
             }
         }
         found
@@ -497,7 +470,6 @@ mod tests {
             &t,
             ReconstructConfig {
                 liveness: Liveness::EstimateThreshold(1e12),
-                carry_intersection: false,
             },
         )
         .reconstruct(&q, &mut stats);
@@ -518,21 +490,13 @@ mod tests {
 
     #[test]
     fn cold_walk_counts_only_child_tests() {
-        // Captured when every expanded internal node also built a carried
-        // filter (one more intersection each): results, memberships and
-        // nodes are unchanged; intersections fall by exactly the expanded
-        // internal nodes, except that the threshold estimate with a
-        // carried intersection still counts the root's own t∧ once.
+        // One intersection per child test of an expanded internal node,
+        // none for the filter the paper's descent would carry.
         let (t, q) = op_count_fixture();
-        let carry_threshold = ReconstructConfig {
-            liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
-            carry_intersection: true,
-        };
-        // (config, len, memberships, nodes, leaves, intersections before, root t∧ counted)
-        for (cfg, len, memberships, nodes, leaves, before, root) in [
-            (ReconstructConfig::default(), 42, 1280, 24, 10, 42, 0),
-            (ReconstructConfig::paper(), 41, 1024, 20, 8, 24, 0),
-            (carry_threshold, 42, 1408, 25, 11, 42, 1),
+        // (config, len, memberships, nodes, leaves, intersections)
+        for (cfg, len, memberships, nodes, leaves, intersections) in [
+            (ReconstructConfig::default(), 42, 1280, 24, 10, 28),
+            (ReconstructConfig::paper(), 41, 1024, 20, 8, 24),
         ] {
             let mut memo = QueryMemo::new();
             let mut stats = OpStats::new();
@@ -543,13 +507,8 @@ mod tests {
             assert_eq!(stats.memberships, memberships, "{cfg:?}");
             assert_eq!(stats.nodes_visited, nodes, "{cfg:?}");
             assert_eq!(memo.cached_leaves() as u64, leaves, "{cfg:?}");
-            let expanded = nodes - leaves;
-            let carried_before = if cfg.carry_intersection { expanded } else { 0 };
-            assert_eq!(
-                stats.intersections,
-                before - carried_before + root,
-                "{cfg:?}"
-            );
+            assert_eq!(stats.intersections, intersections, "{cfg:?}");
+            assert_eq!(intersections, 2 * (nodes - leaves), "{cfg:?}");
             // A fully-warm walk does no filter work at all.
             let mut warm = OpStats::new();
             let again = BstReconstructor::with_config(&t, cfg)
@@ -561,34 +520,27 @@ mod tests {
     }
 
     #[test]
-    fn memoized_liveness_resolves_carried_count_lazily() {
+    fn windowed_walk_then_full_walk_matches_a_cold_walk() {
         // A windowed walk memoizes liveness above the window without
         // evaluating the siblings' subtrees; the full walk that follows
-        // must resolve those nodes' own t∧ from the query and reproduce
-        // a cold walk exactly.
+        // must reproduce a cold walk exactly.
         // Small filters keep the estimates near the threshold, where a
-        // wrong t₂ flips liveness decisions.
+        // stale or misplaced liveness entry changes the answer.
         for (m, n) in [(1 << 11, 20u64), (1 << 9, 150)] {
             let t = tree(m, 2048, 4);
             let keys: Vec<u64> = (0..n).map(|i| 300 + i * 11).chain([1500, 1777]).collect();
             let q = t.query_filter(keys.iter().copied());
-            for carry_intersection in [false, true] {
-                let cfg = ReconstructConfig {
-                    liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
-                    carry_intersection,
-                };
-                let r = BstReconstructor::with_config(&t, cfg);
-                let cold = r
-                    .try_reconstruct_memo(&q, &mut QueryMemo::new(), &mut OpStats::new())
+            let r = BstReconstructor::with_config(&t, ReconstructConfig::paper());
+            let cold = r
+                .try_reconstruct_memo(&q, &mut QueryMemo::new(), &mut OpStats::new())
+                .unwrap();
+            for window in [0..400, 350..1600, 1700..2048] {
+                let mut memo = QueryMemo::new();
+                let mut stats = OpStats::new();
+                r.try_reconstruct_range_memo(&q, window, &mut memo, &mut stats)
                     .unwrap();
-                for window in [0..400, 350..1600, 1700..2048] {
-                    let mut memo = QueryMemo::new();
-                    let mut stats = OpStats::new();
-                    r.try_reconstruct_range_memo(&q, window, &mut memo, &mut stats)
-                        .unwrap();
-                    let warm = r.try_reconstruct_memo(&q, &mut memo, &mut stats).unwrap();
-                    assert_eq!(warm, cold, "m = {m}, {cfg:?}");
-                }
+                let warm = r.try_reconstruct_memo(&q, &mut memo, &mut stats).unwrap();
+                assert_eq!(warm, cold, "m = {m}");
             }
         }
     }
@@ -601,7 +553,6 @@ mod tests {
             &t,
             ReconstructConfig {
                 liveness: Liveness::EstimateThreshold(f64::INFINITY),
-                carry_intersection: false,
             },
         );
     }

@@ -28,16 +28,13 @@
 //!   (the §5.3 display formula) is mean-corrected but *amplifies* frozen
 //!   chance noise at exactly the levels where counts are small.
 //!
-//! Additionally, `carry_intersection` picks the estimators' `t₂` input
-//! (read by the threshold estimate, Papapetrou ratios and the
-//! mean-corrected chance term). On, `t₂` is the popcount of
-//! `query ∧ filter(node)` — the filter the paper's descent carries,
-//! whose chance bits decay geometrically with depth; off, it is the
-//! query's own popcount. The walks never build that filter: node
-//! filters are laminar (each child ⊆ its parent), so every AND count is
-//! taken against the query itself and the descent carries only the
-//! count — the node's own `t∧`, which its parent's evaluation already
-//! computed.
+//! The estimators' `t₂` input (read by the threshold estimate,
+//! Papapetrou ratios and the mean-corrected chance term) is the query's
+//! popcount, as in the paper's §5.3 and §5.6 formulas, counted once per
+//! [`QueryMemo`]. The walks never build the filter the paper's descent
+//! carries: node filters are laminar (each child ⊆ its parent), so
+//! `query ∧ n₁ ∧ … ∧ n_d = query ∧ n_d` bit-for-bit and every AND count
+//! is taken against the query itself.
 //!
 //! ## Exact uniformity: rejection correction
 //!
@@ -135,16 +132,6 @@ pub struct SamplerConfig {
     pub liveness: Liveness,
     /// Descent-ratio estimator.
     pub ratio: RatioEstimator,
-    /// Which `t₂` the estimators read: the popcount of
-    /// `query ∧ filter(node)` (on: the paper's carried filter, whose
-    /// chance bits decay with depth) or of the query (off). No AND count
-    /// depends on it, and no filter is built: a node's `t∧` comes from
-    /// its parent's evaluation, so on costs an extra intersection only
-    /// where that evaluation was skipped (the descent's root, a memoized
-    /// or frontier-cached node).
-    pub carry_intersection: bool,
-    /// `false` splits 50/50 between live children (ablation lever).
-    pub proportional_descent: bool,
     /// Uniformity correction.
     pub correction: Correction,
 }
@@ -152,19 +139,10 @@ pub struct SamplerConfig {
 impl Default for SamplerConfig {
     /// Sound and fast: bit-overlap liveness, mean-corrected bit-overlap
     /// descent ratios, no correction.
-    ///
-    /// `carry_intersection` defaults to off. Tree node filters are
-    /// nested (a parent is the union of its children), so
-    /// `q ∧ n₁ ∧ … ∧ n_d = q ∧ n_d` bit-for-bit and carrying cannot
-    /// change any AND count; it only picks the estimators' `t₂` input
-    /// (the carried filter's popcount rather than the query's), which is
-    /// why it remains available as an option.
     fn default() -> Self {
         SamplerConfig {
             liveness: Liveness::BitOverlap,
             ratio: RatioEstimator::MeanCorrectedBits,
-            carry_intersection: false,
-            proportional_descent: true,
             correction: Correction::None,
         }
     }
@@ -172,14 +150,12 @@ impl Default for SamplerConfig {
 
 impl SamplerConfig {
     /// The algorithm exactly as the paper describes it: §5.6 threshold
-    /// pruning, §5.3 Papapetrou estimates, no carried intersection, no
-    /// correction. Use for reproducing the paper's operation counts.
+    /// pruning, §5.3 Papapetrou estimates, no correction. Use for
+    /// reproducing the paper's operation counts.
     pub fn paper() -> Self {
         SamplerConfig {
             liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
             ratio: RatioEstimator::Papapetrou,
-            carry_intersection: false,
-            proportional_descent: true,
             correction: Correction::None,
         }
     }
@@ -219,78 +195,14 @@ impl SamplerConfig {
 struct ChildEval {
     live: bool,
     ratio_weight: f64,
-    /// The child's own `t∧ = popcount(query ∧ filter(child))`, the `t₂`
-    /// its children's evaluations read when `carry_intersection` is on;
-    /// [`ChildEval::UNKNOWN`] when it does not fit (filters of 2³² bits
-    /// or more), in which case a descent counts it again. As a `u32` it
-    /// fits beside `live` in the entry's padding, so keeping `t∧` does
-    /// not grow the memo a warm handle holds per evaluated node.
-    t_and: u32,
 }
-
-const _: () = assert!(std::mem::size_of::<ChildEval>() == 16);
 
 impl ChildEval {
     /// An absent child.
     const ABSENT: ChildEval = ChildEval {
         live: false,
         ratio_weight: 0.0,
-        t_and: 0,
     };
-
-    /// The `t_and` of a count too large to keep.
-    const UNKNOWN: u32 = u32::MAX;
-}
-
-/// The `t₂` input at one node: the popcount of the filter the paper's
-/// descent would carry there. Node filters are laminar (each child ⊆
-/// its parent), so a carried `query ∧ n₁ ∧ … ∧ n_d` equals
-/// `query ∧ n_d` bit-for-bit: every AND count can be taken against the
-/// query itself, and the walk carries only this count.
-#[derive(Clone, Copy)]
-pub(crate) enum Carried {
-    /// The query itself (`carry_intersection` off, or the top of a
-    /// descent that starts from the bare query).
-    Query,
-    /// `query ∧ filter(node)` whose popcount is not known yet: resolved
-    /// by one AND count, on first need.
-    Node(NodeId),
-    /// A resolved popcount.
-    Ones(usize),
-}
-
-impl Carried {
-    /// What an eager descent would carry into `child`: the query when
-    /// `carry` is off, else `query ∧ filter(child)`, whose popcount is
-    /// `t_and` when the parent's evaluation computed it in full.
-    pub(crate) fn into_child(carry: bool, child: NodeId, t_and: Option<usize>) -> Carried {
-        match (carry, t_and) {
-            (false, _) => Carried::Query,
-            (true, Some(t)) => Carried::Ones(t),
-            (true, None) => Carried::Node(child),
-        }
-    }
-
-    /// The popcount `t₂`, resolving it on first use: the query's is
-    /// kept in the memo, a node's costs one intersection.
-    pub(crate) fn ones<T: SampleTree>(
-        &mut self,
-        tree: &T,
-        query: &BloomFilter,
-        memo: &mut QueryMemo,
-        stats: &mut OpStats,
-    ) -> usize {
-        let ones = match *self {
-            Carried::Ones(t) => return t,
-            Carried::Query => *memo.query_ones.get_or_insert_with(|| query.count_ones()),
-            Carried::Node(node) => {
-                stats.intersections += 1;
-                tree.filter(node).and_count(query)
-            }
-        };
-        *self = Carried::Ones(ones);
-        ones
-    }
 }
 
 /// Frontier/correction state shared by all corrected samples of one query.
@@ -305,10 +217,10 @@ struct PreparedState {
 
 /// Memoized per-query evaluation state.
 ///
-/// Every entry is a pure function of `(tree, query filter, config)` —
-/// each node has exactly one root path, so the `t₂` count reaching it
-/// is determined by its id — which makes node-keyed caching sound even
-/// with `carry_intersection` enabled. A memo must only ever be reused
+/// Every entry is a pure function of `(tree, query filter, config)`:
+/// a node's liveness and weight read only `query ∧ filter(node)`, the
+/// node's own filter and the query's popcount, which makes node-keyed
+/// caching sound. A memo must only ever be reused
 /// with the *same* tree, filter and config it was first used with; the
 /// [`crate::query::Query`] handle enforces that pairing.
 ///
@@ -330,8 +242,8 @@ pub struct QueryMemo {
     /// walk — the maintained per-filter weight: repeated `live_weight`
     /// calls are O(1) until a mutation invalidates it.
     pub(crate) cached_count: Option<u64>,
-    /// The query's popcount: the estimators' `t₂` with
-    /// `carry_intersection` off, counted once per memo.
+    /// The query's popcount: the estimators' `t₂`, counted once per
+    /// memo.
     query_ones: Option<usize>,
     prepared: Option<PreparedState>,
 }
@@ -404,6 +316,12 @@ impl QueryMemo {
         matches
     }
 
+    /// The query's popcount, the estimators' `t₂`: counted on first use,
+    /// then kept.
+    pub(crate) fn query_ones(&mut self, query: &BloomFilter) -> usize {
+        *self.query_ones.get_or_insert_with(|| query.count_ones())
+    }
+
     /// Repairs the memo's node-keyed state after one occupancy mutation
     /// at `id`: every entry whose inputs could have changed is dropped,
     /// everything else is kept, so the next operation re-evaluates
@@ -414,15 +332,12 @@ impl QueryMemo {
     ///
     /// What changes when `id` is inserted/removed: the filters of the
     /// nodes on `id`'s root-to-leaf path, and that leaf's candidate list.
-    /// Node filters are laminar (each child ⊆ its parent), so a
-    /// non-path node's liveness/weight — a function of `query ∧ own
-    /// filter` — is untouched; the only cross-contamination is through
-    /// the *carried count* `t₂`, the popcount of `query ∧ filter(parent)`
-    /// with `carry_intersection` on: it changes exactly for children of
-    /// path nodes. Dropping each path node's entry **and its
-    /// children's** therefore restores cold-walk equivalence
-    /// bit-for-bit. The corrected sampler's frontier cache aggregates
-    /// weights across the whole upper tree, so it is rebuilt wholesale.
+    /// A node's liveness and weight read only `query ∧ own filter`, its
+    /// own filter and the query's popcount, so an entry off the path is
+    /// untouched, and dropping the path's own entries restores cold-walk
+    /// equivalence bit-for-bit. The corrected sampler's frontier cache
+    /// aggregates weights across the whole upper tree, so it is rebuilt
+    /// wholesale.
     ///
     /// Nodes unlinked by removals keep stale entries, but they are
     /// unreachable (their parent's entry is dropped and recomputed
@@ -440,10 +355,6 @@ impl QueryMemo {
                 return;
             }
             let (l, r) = tree.children(node);
-            for child in [l, r].into_iter().flatten() {
-                self.evals.remove(&child);
-                self.recon_live.remove(&child);
-            }
             // Descend toward the mutated id; a missing child means the
             // (sub)path was never materialised or has been unlinked —
             // nothing below it can be cached under a reachable key.
@@ -489,12 +400,10 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     }
 
     /// Evaluates one child: liveness + descent weight. One intersection op
-    /// on a memo miss (plus one if `carried` must resolve a node's `t∧`),
-    /// a hash lookup on a hit.
+    /// on a memo miss, a hash lookup on a hit.
     fn eval_child(
         &self,
         child: Option<NodeId>,
-        carried: &mut Carried,
         query: &BloomFilter,
         memo: &mut QueryMemo,
         stats: &mut OpStats,
@@ -505,11 +414,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         if let Some(&e) = memo.evals.get(&c) {
             return e;
         }
-        // Only bit-overlap liveness with AND-cardinality ratios ignores t₂.
-        let t2 = match (self.cfg.liveness, self.cfg.ratio) {
-            (Liveness::BitOverlap, RatioEstimator::AndCardinality) => 0,
-            _ => carried.ones(self.tree, query, memo, stats),
-        };
+        let t2 = memo.query_ones(query);
         stats.intersections += 1;
         let f = self.tree.filter(c);
         let k = f.k();
@@ -531,19 +436,9 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             RatioEstimator::Papapetrou => intersection_estimate(m, k, f.count_ones(), t2, t_and),
         }
         .max(1e-12);
-        let e = ChildEval {
-            live,
-            ratio_weight,
-            t_and: u32::try_from(t_and).unwrap_or(ChildEval::UNKNOWN),
-        };
+        let e = ChildEval { live, ratio_weight };
         memo.evals.insert(c, e);
         e
-    }
-
-    /// What the descent carries into `child`, evaluated as `e`.
-    fn carried_into(&self, child: NodeId, e: &ChildEval) -> Carried {
-        let t_and = (e.t_and != ChildEval::UNKNOWN).then_some(e.t_and as usize);
-        Carried::into_child(self.cfg.carry_intersection, child, t_and)
     }
 
     /// Draws one sample from the set stored in `query`, or `None` when the
@@ -585,7 +480,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         }
         match self.cfg.correction {
             Correction::None => self
-                .sample_at(root, Carried::Query, query, memo, rng, stats)
+                .sample_at(root, query, memo, rng, stats)
                 .ok_or(BstError::NoLiveLeaf),
             Correction::Rejection { gamma } => {
                 self.sample_corrected(query, Some(gamma), memo, rng, stats)
@@ -631,10 +526,11 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         memo: &mut QueryMemo,
         stats: &mut OpStats,
     ) -> (f64, f64, Arc<HashMap<NodeId, f64>>) {
+        let query_ones = memo.query_ones(query);
         let p = memo.prepared.get_or_insert_with(|| {
             let gamma = gamma_override.unwrap_or_else(|| self.auto_gamma(query));
             let blind = match self.tree.root() {
-                Some(root) => self.build_blind_cache(root, query, stats),
+                Some(root) => self.build_blind_cache(root, query, query_ones, stats),
                 None => HashMap::new(),
             };
             PreparedState {
@@ -710,10 +606,11 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         &self,
         root: NodeId,
         query: &BloomFilter,
+        query_ones: usize,
         stats: &mut OpStats,
     ) -> HashMap<NodeId, f64> {
         let mut cache = HashMap::new();
-        self.blind_weight(root, query, query.count_ones(), &mut cache, stats);
+        self.blind_weight(root, query, query_ones, &mut cache, stats);
         cache
     }
 
@@ -760,8 +657,6 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         stats: &mut OpStats,
     ) -> Option<(NodeId, f64)> {
         let mut node = root;
-        // The proposal walk carries `query ∧ filter(root)` from the top.
-        let mut carried = Carried::into_child(self.cfg.carry_intersection, root, None);
         let mut p_path = 1.0f64;
         loop {
             stats.nodes_visited += 1;
@@ -770,49 +665,37 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             }
             let (lc, rc) = self.tree.children(node);
             // Cached (blind-region) weights take priority; otherwise
-            // evaluate the child estimators through the memo. A blind
-            // child's own t∧ was never counted, so it is carried
-            // unresolved.
-            let mut weight_of =
+            // evaluate the child estimators through the memo.
+            let weight_of =
                 |child: Option<NodeId>, memo: &mut QueryMemo, stats: &mut OpStats| match child {
-                    None => (false, 0.0, Carried::Query),
+                    None => (false, 0.0),
                     Some(c) => match blind.get(&c) {
-                        Some(&w) => (
-                            w > 0.0,
-                            w,
-                            Carried::into_child(self.cfg.carry_intersection, c, None),
-                        ),
+                        Some(&w) => (w > 0.0, w),
                         None => {
-                            let e = self.eval_child(Some(c), &mut carried, query, memo, stats);
-                            (e.live, e.ratio_weight, self.carried_into(c, &e))
+                            let e = self.eval_child(Some(c), query, memo, stats);
+                            (e.live, e.ratio_weight)
                         }
                     },
                 };
-            let (l_live, lw, l_carried) = weight_of(lc, memo, stats);
-            let (r_live, rw, r_carried) = weight_of(rc, memo, stats);
+            let (l_live, lw) = weight_of(lc, memo, stats);
+            let (r_live, rw) = weight_of(rc, memo, stats);
             // Mask dead children out so the match below carries the
             // liveness proof in the type.
             let lc = if l_live { lc } else { None };
             let rc = if r_live { rc } else { None };
-            let (next, prob, next_carried) = match (lc, rc) {
+            let (next, prob) = match (lc, rc) {
                 (None, None) => return None,
-                (Some(c), None) => (c, 1.0, l_carried),
-                (None, Some(c)) => (c, 1.0, r_carried),
+                (Some(c), None) | (None, Some(c)) => (c, 1.0),
                 (Some(cl), Some(cr)) => {
-                    let p_left = if self.cfg.proportional_descent {
-                        lw / (lw + rw)
-                    } else {
-                        0.5
-                    };
+                    let p_left = lw / (lw + rw);
                     if rng.gen::<f64>() < p_left {
-                        (cl, p_left, l_carried)
+                        (cl, p_left)
                     } else {
-                        (cr, 1.0 - p_left, r_carried)
+                        (cr, 1.0 - p_left)
                     }
                 }
             };
             p_path *= prob;
-            carried = next_carried;
             node = next;
         }
     }
@@ -820,7 +703,6 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     fn sample_at<R: Rng + ?Sized>(
         &self,
         node: NodeId,
-        mut carried: Carried,
         query: &BloomFilter,
         memo: &mut QueryMemo,
         rng: &mut R,
@@ -831,39 +713,29 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             return self.sample_leaf(node, query, memo, rng, stats);
         }
         let (lc, rc) = self.tree.children(node);
-        let le = self.eval_child(lc, &mut carried, query, memo, stats);
-        let re = self.eval_child(rc, &mut carried, query, memo, stats);
+        let le = self.eval_child(lc, query, memo, stats);
+        let re = self.eval_child(rc, query, memo, stats);
         // Mask dead children out so the match below carries the
         // liveness proof in the type.
         let lc = if le.live { lc } else { None };
         let rc = if re.live { rc } else { None };
         match (lc, rc) {
             (None, None) => None,
-            (Some(c), None) => {
-                self.sample_at(c, self.carried_into(c, &le), query, memo, rng, stats)
-            }
-            (None, Some(c)) => {
-                self.sample_at(c, self.carried_into(c, &re), query, memo, rng, stats)
-            }
+            (Some(c), None) | (None, Some(c)) => self.sample_at(c, query, memo, rng, stats),
             (Some(cl), Some(cr)) => {
-                let p_left = if self.cfg.proportional_descent {
-                    le.ratio_weight / (le.ratio_weight + re.ratio_weight)
+                let p_left = le.ratio_weight / (le.ratio_weight + re.ratio_weight);
+                let (c1, c2) = if rng.gen::<f64>() < p_left {
+                    (cl, cr)
                 } else {
-                    0.5
+                    (cr, cl)
                 };
-                let ((c1, e1), (c2, e2)) = if rng.gen::<f64>() < p_left {
-                    ((cl, le), (cr, re))
-                } else {
-                    ((cr, re), (cl, le))
-                };
-                let picked =
-                    self.sample_at(c1, self.carried_into(c1, &e1), query, memo, rng, stats);
+                let picked = self.sample_at(c1, query, memo, rng, stats);
                 if picked.is_some() {
                     picked
                 } else {
                     // False-positive path: backtrack into the sibling.
                     stats.backtracks += 1;
-                    self.sample_at(c2, self.carried_into(c2, &e2), query, memo, rng, stats)
+                    self.sample_at(c2, query, memo, rng, stats)
                 }
             }
         }
@@ -937,7 +809,7 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         if r == 0 {
             return Ok(out);
         }
-        self.many_at(root, Carried::Query, query, r, memo, rng, stats, &mut out);
+        self.many_at(root, query, r, memo, rng, stats, &mut out);
         Ok(out)
     }
 
@@ -945,7 +817,6 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     fn many_at<R: Rng + ?Sized>(
         &self,
         node: NodeId,
-        mut carried: Carried,
         query: &BloomFilter,
         r: usize,
         memo: &mut QueryMemo,
@@ -968,45 +839,20 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
             return r;
         }
         let (lc, rc) = self.tree.children(node);
-        let le = self.eval_child(lc, &mut carried, query, memo, stats);
-        let re = self.eval_child(rc, &mut carried, query, memo, stats);
+        let le = self.eval_child(lc, query, memo, stats);
+        let re = self.eval_child(rc, query, memo, stats);
         // Mask dead children out so the match below carries the
         // liveness proof in the type.
         let lc = if le.live { lc } else { None };
         let rc = if re.live { rc } else { None };
         match (lc, rc) {
             (None, None) => 0,
-            (Some(c), None) => self.many_at(
-                c,
-                self.carried_into(c, &le),
-                query,
-                r,
-                memo,
-                rng,
-                stats,
-                out,
-            ),
-            (None, Some(c)) => self.many_at(
-                c,
-                self.carried_into(c, &re),
-                query,
-                r,
-                memo,
-                rng,
-                stats,
-                out,
-            ),
+            (Some(c), None) | (None, Some(c)) => self.many_at(c, query, r, memo, rng, stats, out),
             (Some(cl), Some(cr)) => {
-                let p_left = if self.cfg.proportional_descent {
-                    le.ratio_weight / (le.ratio_weight + re.ratio_weight)
-                } else {
-                    0.5
-                };
+                let p_left = le.ratio_weight / (le.ratio_weight + re.ratio_weight);
                 let r_left = bst_stats::binomial::sample_binomial(rng, r as u64, p_left) as usize;
-                let carried_l = self.carried_into(cl, &le);
-                let carried_r = self.carried_into(cr, &re);
-                let mut got = self.many_at(cl, carried_l, query, r_left, memo, rng, stats, out);
-                got += self.many_at(cr, carried_r, query, r - r_left, memo, rng, stats, out);
+                let mut got = self.many_at(cl, query, r_left, memo, rng, stats, out);
+                got += self.many_at(cr, query, r - r_left, memo, rng, stats, out);
                 // Deficit rounds: paths that died on false-positive routes
                 // are re-split until resolved or no further progress (the
                 // multi-path analogue of single-sample backtracking).
@@ -1017,18 +863,8 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
                     let deficit = r - got;
                     let r_left =
                         bst_stats::binomial::sample_binomial(rng, deficit as u64, p_left) as usize;
-                    let mut extra =
-                        self.many_at(cl, carried_l, query, r_left, memo, rng, stats, out);
-                    extra += self.many_at(
-                        cr,
-                        carried_r,
-                        query,
-                        deficit - r_left,
-                        memo,
-                        rng,
-                        stats,
-                        out,
-                    );
+                    let mut extra = self.many_at(cl, query, r_left, memo, rng, stats, out);
+                    extra += self.many_at(cr, query, deficit - r_left, memo, rng, stats, out);
                     if extra == 0 && deficit == r {
                         break; // neither side can deliver anything
                     }
@@ -1316,27 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_descent_ablation_still_sound() {
-        let t = tree(1 << 16);
-        let keys: Vec<u64> = (0..60u64).map(|i| i * 67).collect();
-        let q = t.query_filter(keys.iter().copied());
-        let sampler = BstSampler::with_config(
-            &t,
-            SamplerConfig {
-                proportional_descent: false,
-                ..SamplerConfig::default()
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut stats = OpStats::new();
-        for _ in 0..50 {
-            if let Some(s) = sampler.sample(&q, &mut rng, &mut stats) {
-                assert!(q.contains(s));
-            }
-        }
-    }
-
-    #[test]
     fn huge_threshold_prunes_everything() {
         let t = tree(1 << 16);
         let q = t.query_filter([5u64, 6, 7]);
@@ -1366,24 +1181,20 @@ mod tests {
             Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
         ] {
             for ratio in [RatioEstimator::AndCardinality, RatioEstimator::Papapetrou] {
-                for carry in [false, true] {
-                    for correction in [
-                        Correction::None,
-                        Correction::Rejection { gamma: 4.0 },
-                        Correction::RejectionAuto,
-                    ] {
-                        let cfg = SamplerConfig {
-                            liveness,
-                            ratio,
-                            carry_intersection: carry,
-                            proportional_descent: true,
-                            correction,
-                        };
-                        let sampler = BstSampler::with_config(&t, cfg);
-                        let mut stats = OpStats::new();
-                        if let Some(s) = sampler.sample(&q, &mut rng, &mut stats) {
-                            assert!(q.contains(s), "cfg {cfg:?} returned non-positive");
-                        }
+                for correction in [
+                    Correction::None,
+                    Correction::Rejection { gamma: 4.0 },
+                    Correction::RejectionAuto,
+                ] {
+                    let cfg = SamplerConfig {
+                        liveness,
+                        ratio,
+                        correction,
+                    };
+                    let sampler = BstSampler::with_config(&t, cfg);
+                    let mut stats = OpStats::new();
+                    if let Some(s) = sampler.sample(&q, &mut rng, &mut stats) {
+                        assert!(q.contains(s), "cfg {cfg:?} returned non-positive");
                     }
                 }
             }
@@ -1438,60 +1249,5 @@ mod tests {
                 ..SamplerConfig::default()
             },
         );
-    }
-
-    #[test]
-    fn carried_count_drops_one_intersection_per_descent() {
-        // Captured when each descent step ANDed the query into a carried
-        // filter (one intersection per step): the draws, memberships,
-        // nodes and backtracks are unchanged, and the carried-intersection
-        // descent now counts only child evaluations — the top of a
-        // descent carries the bare query, whose popcount is no AND.
-        let t = BloomSampleTree::build(&TreePlan {
-            namespace: 4096,
-            m: 1 << 12,
-            k: 3,
-            kind: HashKind::Murmur3,
-            seed: 3,
-            depth: 5,
-            leaf_capacity: 128,
-            target_accuracy: 0.9,
-        });
-        let keys: Vec<u64> = (0..60u64).map(|i| i * 67).collect();
-        let q = t.query_filter(keys.iter().copied());
-        let cfg = SamplerConfig {
-            carry_intersection: true,
-            ..SamplerConfig::paper()
-        };
-        let sampler = BstSampler::with_config(&t, cfg);
-        let mut rng = StdRng::seed_from_u64(15);
-        let mut stats = OpStats::new();
-        let draws: Vec<u64> = (0..8)
-            .map(|_| sampler.sample(&q, &mut rng, &mut stats).unwrap())
-            .collect();
-        assert_eq!(draws, [1675, 1474, 938, 268, 1139, 134, 335, 938]);
-        assert_eq!(
-            (stats.memberships, stats.nodes_visited, stats.backtracks),
-            (1024, 48, 0)
-        );
-        // Before: 120 intersections, one per visited non-root node more.
-        assert_eq!(stats.intersections, 120 - (48 - 8));
-        let mut stats = OpStats::new();
-        let many = sampler.sample_many(&q, 24, &mut rng, &mut stats);
-        assert_eq!(
-            many,
-            [
-                335, 335, 737, 1005, 1407, 1474, 1474, 1541, 1541, 1742, 1876, 1876, 1943, 2144,
-                2546, 2546, 2747, 2881, 2881, 3283, 3618, 3819, 3752, 3886
-            ]
-        );
-        assert_eq!(
-            (stats.memberships, stats.nodes_visited, stats.backtracks),
-            (2176, 45, 0)
-        );
-        // Before: 112, with a carried filter built for each live child of
-        // a split whether or not any path went there. Now: the two child
-        // evaluations at each of the 28 expanded internal nodes.
-        assert_eq!(stats.intersections, 2 * 28, "{stats}");
     }
 }

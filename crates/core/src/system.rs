@@ -47,7 +47,7 @@ use bst_obs::Tracer;
 use bytes::{BufMut, BytesMut};
 
 use crate::backend::TreeBackend;
-use crate::costmodel::{self, CostModel};
+use crate::costmodel;
 use crate::error::BstError;
 use crate::metrics::OpStats;
 use crate::multiquery;
@@ -64,29 +64,12 @@ const SYSTEM_MAGIC: &[u8; 4] = b"BSTS";
 
 /// Unified behaviour configuration for a [`BstSystem`]: the sampling and
 /// reconstruction knobs in one place, set once at build time.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BstConfig {
     /// Sampling behaviour (liveness rule, ratio estimator, correction).
     pub sampler: SamplerConfig,
     /// Reconstruction behaviour (pruning discipline).
     pub reconstruct: ReconstructConfig,
-    /// Mutation-journal retention bound for pruned backends (must be
-    /// ≥ 1): how many occupancy mutations stay replayable for warm
-    /// cache repair before readers fall back to a full reset. Raise it
-    /// when checkpoints (WAL compaction) are spaced far apart and warm
-    /// handles sync rarely; the default is
-    /// [`crate::pruned::DEFAULT_JOURNAL_CAP`].
-    pub journal_cap: usize,
-}
-
-impl Default for BstConfig {
-    fn default() -> Self {
-        BstConfig {
-            sampler: SamplerConfig::default(),
-            reconstruct: ReconstructConfig::default(),
-            journal_cap: crate::pruned::DEFAULT_JOURNAL_CAP,
-        }
-    }
 }
 
 impl BstConfig {
@@ -97,7 +80,6 @@ impl BstConfig {
         BstConfig {
             sampler: SamplerConfig::paper(),
             reconstruct: ReconstructConfig::paper(),
-            ..Self::default()
         }
     }
 
@@ -122,20 +104,10 @@ impl BstConfig {
         self
     }
 
-    /// Replaces the mutation-journal retention bound.
-    pub fn with_journal_cap(mut self, cap: usize) -> Self {
-        self.journal_cap = cap;
-        self
-    }
-
     /// Checks both algorithm configurations, naming the broken invariant.
     pub fn validate(&self) -> Result<(), BstError> {
         self.sampler.validate()?;
-        self.reconstruct.validate()?;
-        if self.journal_cap == 0 {
-            return Err(BstError::InvalidConfig("journal cap must be >= 1"));
-        }
-        Ok(())
+        self.reconstruct.validate()
     }
 }
 
@@ -149,8 +121,6 @@ pub struct BstSystemBuilder {
     seed: u64,
     cfg: BstConfig,
     depth_override: Option<u32>,
-    measure_costs: bool,
-    threads: usize,
     occupied: Option<Vec<u64>>,
 }
 
@@ -165,8 +135,6 @@ impl BstSystemBuilder {
             seed: 0,
             cfg: BstConfig::default(),
             depth_override: None,
-            measure_costs: false,
-            threads: 0,
             occupied: None,
         }
     }
@@ -219,32 +187,9 @@ impl BstSystemBuilder {
         self
     }
 
-    /// Mutation-journal retention bound (pruned backends; must be ≥ 1).
-    pub fn journal_cap(mut self, cap: usize) -> Self {
-        self.cfg.journal_cap = cap;
-        self
-    }
-
     /// Pins the tree depth instead of deriving it from the cost model.
     pub fn depth(mut self, depth: u32) -> Self {
         self.depth_override = Some(depth);
-        self
-    }
-
-    /// Measures the §5.4 costs on this machine to choose the depth
-    /// ([`CostModel::retune_plan`]): hashed membership against
-    /// intersection for the complete tree, a probe-table row against
-    /// intersection for a pruned one. Otherwise the depth comes from
-    /// constants and the same build gives the same tree on every host
-    /// (see [`crate::costmodel`]).
-    pub fn measure_costs(mut self, yes: bool) -> Self {
-        self.measure_costs = yes;
-        self
-    }
-
-    /// Threads for tree construction (0 = all CPUs).
-    pub fn build_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -301,9 +246,6 @@ impl BstSystemBuilder {
         let trees = occ.as_ref().map(std::slice::from_ref);
         let plan = match (self.depth_override, trees) {
             (Some(d), _) => plan.with_depth(d),
-            (None, _) if self.measure_costs => {
-                CostModel::measure(&Arc::new(plan.build_hasher())).retune_plan(&plan, trees)
-            }
             (None, Some(trees)) => {
                 let depth = costmodel::default_pruned_depth(plan.namespace, plan.m, trees);
                 plan.with_depth(depth)
@@ -316,16 +258,15 @@ impl BstSystemBuilder {
             ));
         }
         let tree = match occupied {
-            None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, self.threads)),
+            // 0 threads: the dense build uses every CPU.
+            None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, 0)),
             Some(occ) => {
                 if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
                     return Err(BstError::InvalidConfig(
                         "pruned trees need m <= 2^32 bits (u32 probe tables); lower accuracy or set size",
                     ));
                 }
-                let mut pruned = PrunedBloomSampleTree::build(&plan, &occ);
-                pruned.set_journal_cap(self.cfg.journal_cap);
-                TreeBackend::pruned(pruned)
+                TreeBackend::pruned(PrunedBloomSampleTree::build(&plan, &occ))
             }
         };
         let store = BstStore::new(Arc::clone(tree.hasher()), tree.namespace());
@@ -554,7 +495,6 @@ impl BstSystem {
         buf.put_u8(persistence::VERSION);
         persistence::put_sampler_config(&mut buf, &self.shared.cfg.sampler);
         persistence::put_reconstruct_config(&mut buf, &self.shared.cfg.reconstruct);
-        buf.put_u32_le(self.shared.cfg.journal_cap.min(u32::MAX as usize) as u32);
         self.shared.tree.put_bytes(&mut buf);
         self.shared.store.put_bytes(&mut buf);
         buf.to_vec()
@@ -569,19 +509,13 @@ impl BstSystem {
         persistence::check_header(&mut input, SYSTEM_MAGIC)?;
         let sampler = persistence::get_sampler_config(&mut input)?;
         let reconstruct = persistence::get_reconstruct_config(&mut input)?;
-        if bytes::Buf::remaining(&input) < 4 {
-            return Err(BstError::Persist(PersistError::Truncated));
-        }
-        let journal_cap = bytes::Buf::get_u32_le(&mut input) as usize;
         let cfg = BstConfig {
             sampler,
             reconstruct,
-            journal_cap,
         };
         cfg.validate()
             .map_err(|_| PersistError::Corrupt("snapshot configuration invalid"))?;
         let tree = TreeBackend::get_bytes(&mut input)?;
-        tree.set_journal_cap(journal_cap);
         let store = BstStore::get_bytes(&mut input, Arc::clone(tree.hasher()), tree.namespace())?;
         if !input.is_empty() {
             return Err(BstError::Persist(PersistError::Corrupt(

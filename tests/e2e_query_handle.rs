@@ -22,25 +22,55 @@ fn system() -> BstSystem {
 fn handle_reuse_matches_one_shot_calls() {
     // A warm handle must return exactly what a chain of fresh handles
     // would for the same RNG stream: caching only skips filter work, it
-    // never changes routing or leaf picks.
-    for cfg in [BstConfig::default(), BstConfig::corrected()] {
-        let sys = BstSystem::builder(50_000)
-            .expected_set_size(400)
-            .seed(404)
-            .config(cfg)
-            .build();
-        let keys: Vec<u64> = (0..400u64).map(|i| (i * 113 + 5) % 50_000).collect();
-        let f = sys.store(keys.iter().copied());
-        let reused = sys.query(&f);
-        let mut rng_a = StdRng::seed_from_u64(1);
-        let mut rng_b = StdRng::seed_from_u64(1);
-        for round in 0..60 {
-            let warm = reused.sample(&mut rng_a);
-            let cold = sys.query(&f).sample(&mut rng_b);
-            assert_eq!(warm, cold, "round {round}");
+    // never changes routing or leaf picks. The paper configurations read
+    // the query's popcount as `t₂`, and the warm handle runs
+    // `sample_many` and a windowed reconstruction before its draws, so
+    // its memo is partly warm when the draws begin.
+    let mut paper_corrected = BstConfig::paper();
+    paper_corrected.sampler.correction = Correction::RejectionAuto;
+    for cfg in [
+        BstConfig::default(),
+        BstConfig::corrected(),
+        BstConfig::paper(),
+        paper_corrected,
+    ] {
+        for pruned in [false, true] {
+            let builder = BstSystem::builder(50_000)
+                .expected_set_size(400)
+                .seed(404)
+                .config(cfg);
+            let sys = if pruned {
+                builder
+                    .pruned((0..50_000u64).filter(|x| x % 3 != 0))
+                    .build()
+            } else {
+                builder.build()
+            };
+            let keys: Vec<u64> = (0..400u64).map(|i| (i * 113 + 5) % 50_000).collect();
+            let f = sys.store(keys.iter().copied());
+            let reused = sys.query(&f);
+            let ctx = format!("{cfg:?}, pruned {pruned}");
+            let mut rng_many = StdRng::seed_from_u64(2);
+            assert_eq!(
+                reused.sample_many(16, &mut rng_many),
+                sys.query(&f).sample_many(16, &mut StdRng::seed_from_u64(2)),
+                "{ctx}"
+            );
+            assert_eq!(
+                reused.reconstruct_range(10_000..20_000),
+                sys.query(&f).reconstruct_range(10_000..20_000),
+                "{ctx}"
+            );
+            let mut rng_a = StdRng::seed_from_u64(1);
+            let mut rng_b = StdRng::seed_from_u64(1);
+            for round in 0..60 {
+                let warm = reused.sample(&mut rng_a);
+                let cold = sys.query(&f).sample(&mut rng_b);
+                assert_eq!(warm, cold, "{ctx}, round {round}");
+            }
+            // Reconstruction through the warm handle equals a fresh handle's.
+            assert_eq!(reused.reconstruct(), sys.query(&f).reconstruct(), "{ctx}");
         }
-        // Reconstruction through the warm handle equals a fresh handle's.
-        assert_eq!(reused.reconstruct(), sys.query(&f).reconstruct());
     }
 }
 

@@ -350,11 +350,16 @@ fn post_mutation_warm_distribution_conforms_to_cold_both_configs() {
 }
 
 /// Warm handles equal freshly opened handles across occupancy mutations
-/// (`insert_occupied`/`remove_occupied`) on the pruned backend, for both
-/// configurations — the tree-generation invalidation path end to end.
+/// (`insert_occupied`/`remove_occupied`) on the pruned backend, for the
+/// default, corrected and paper configurations — the tree-generation
+/// invalidation path end to end.
 #[test]
 fn warm_equals_cold_across_occupancy_mutations() {
-    for cfg in [BstConfig::default(), BstConfig::corrected()] {
+    for cfg in [
+        BstConfig::default(),
+        BstConfig::corrected(),
+        BstConfig::paper(),
+    ] {
         let namespace = 30_000u64;
         let occupied: Vec<u64> = (0..namespace).step_by(2).collect();
         let sys = BstSystem::builder(namespace)

@@ -80,7 +80,11 @@ fn warm_handle_equals_fresh_cold_handle_across_mutations() {
     // The warm-equals-cold e2e guarantee, extended to the mutable path:
     // after every mutation, a long-lived handle must return exactly what
     // a freshly opened handle returns for the same RNG state.
-    for cfg in [BstConfig::default(), BstConfig::corrected()] {
+    for cfg in [
+        BstConfig::default(),
+        BstConfig::corrected(),
+        BstConfig::paper(),
+    ] {
         for sys in [
             BstSystem::builder(50_000)
                 .expected_set_size(400)
