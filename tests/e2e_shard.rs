@@ -11,6 +11,8 @@
 //! * warm handles equal cold handles across `insert_occupied` /
 //!   `remove_occupied` mutations on the pruned backend — single system
 //!   and sharded engine both;
+//! * a warm handle's memo repair after an occupancy mutation re-tests
+//!   only the mutated path's nodes;
 //! * `ShardedBstSystem` round-trips through `to_bytes`/`from_bytes`
 //!   deterministically.
 
@@ -408,6 +410,74 @@ fn warm_equals_cold_across_occupancy_mutations() {
             );
             assert_eq!(reused.tree_generation(), sys.tree_generation());
         }
+    }
+}
+
+/// A warm handle repairs its memo after one occupancy mutation by
+/// dropping only the mutated id's root-to-leaf path: a fully warmed
+/// handle's next reconstruction re-tests at most the `depth + 1` nodes on
+/// that path (dropping the path nodes' children too would double it),
+/// and it, the samples after it and the live weight all equal a cold
+/// handle's, for the default, corrected and paper configurations.
+#[test]
+fn occupancy_repair_retests_only_the_mutated_path() {
+    for (name, cfg) in [
+        ("default", BstConfig::default()),
+        ("corrected", BstConfig::corrected()),
+        ("paper", BstConfig::paper()),
+    ] {
+        let namespace = 30_000u64;
+        let sys = BstSystem::builder(namespace)
+            .expected_set_size(300)
+            .seed(91)
+            .config(cfg)
+            .pruned((0..namespace).step_by(2))
+            .build();
+        let keys: Vec<u64> = (0..300u64).map(|i| i * 97 % namespace).collect();
+        let id = sys.create(keys.iter().copied()).expect("create");
+        let warm = sys.query_id(id).expect("open");
+        warm.reconstruct().expect("warm up");
+        let bound = u64::from(sys.tree().depth()) + 1;
+        let mut rng_warm = StdRng::seed_from_u64(23);
+        let mut rng_cold = StdRng::seed_from_u64(23);
+        let (mut warm_total, mut cold_total) = (0u64, 0u64);
+        for round in 0..8u64 {
+            // One mutation per round, on a stored key: odd keys enter
+            // the namespace, even ones leave it.
+            let target = keys[(round as usize * 37) % keys.len()];
+            if target % 2 == 1 {
+                sys.insert_occupied(target).expect("insert_occupied");
+            } else {
+                sys.remove_occupied(target).expect("remove_occupied");
+            }
+            warm.take_stats();
+            let cold = sys.query_id(id).expect("open");
+            assert_eq!(
+                warm.reconstruct(),
+                cold.reconstruct(),
+                "{name}, round {round}"
+            );
+            let (w, c) = (warm.take_stats(), cold.take_stats());
+            assert!(
+                w.intersections <= bound,
+                "{name}, round {round}: {} intersections after repair, bound {bound}",
+                w.intersections
+            );
+            warm_total += w.intersections;
+            cold_total += c.intersections;
+            for draw in 0..6 {
+                assert_eq!(
+                    warm.sample(&mut rng_warm),
+                    cold.sample(&mut rng_cold),
+                    "{name}, round {round} draw {draw}"
+                );
+            }
+            assert_eq!(warm.live_weight(), cold.live_weight(), "{name}");
+        }
+        assert!(
+            warm_total < cold_total,
+            "{name}: repaired {warm_total} vs cold {cold_total} intersections"
+        );
     }
 }
 
