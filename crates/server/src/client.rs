@@ -1,7 +1,7 @@
 //! A small blocking client for the `bst-server` wire protocol — used by
 //! the CLI subcommands, the `tcp_service` example, and the e2e tests.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::frame::{read_frame, write_frame, CLIENT_MAX_FRAME};
@@ -48,9 +48,10 @@ impl From<WireError> for ClientError {
 }
 
 /// A connected client. One in-flight request at a time (the protocol is
-/// strict request/reply).
+/// strict request/reply). Replies are read through a buffer; requests
+/// go out on the socket itself, one write per frame.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -58,14 +59,16 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Sends one request and reads one reply. Exposed so callers can
     /// speak raw protocol (the e2e tests do); the typed helpers below
     /// are the ergonomic surface.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &encode_request(req))?;
+        write_frame(self.stream.get_mut(), &encode_request(req))?;
         self.read_reply()
     }
 
@@ -81,9 +84,12 @@ impl Client {
         Ok(decode_response(&payload)??)
     }
 
-    /// Raw access to the underlying socket — test visibility.
+    /// Raw access to the underlying socket, for writing raw bytes (the
+    /// e2e tests do). Do not read from it: reply bytes may already sit
+    /// in the client's read buffer, so read replies with
+    /// [`Client::read_reply`].
     pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.stream.get_mut()
     }
 
     /// `PING` → `PONG`.

@@ -4,8 +4,13 @@
 //! only. Zero-length frames are invalid (every payload carries at least
 //! a two-byte header), which lets readers treat `len == 0` as protocol
 //! corruption rather than an ambiguous keep-alive.
+//!
+//! A frame leaves in one vectored write (header and payload together,
+//! so one TCP segment under `TCP_NODELAY` for small frames), and both
+//! ends read through a buffer, so back-to-back frames come out of it in
+//! order.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard ceiling a client accepts for a single response payload. Whole
 /// engine snapshots travel in one frame, so this is sized well above any
@@ -46,7 +51,10 @@ pub fn read_payload(
     Ok(())
 }
 
-/// Writes one frame: length prefix, payload, flush.
+/// Writes one frame, length prefix and payload in one `write_vectored`
+/// call (the payload is not copied), then flushes. A partial write
+/// resumes where it stopped; a writer that accepts nothing fails with
+/// [`io::ErrorKind::WriteZero`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         io::Error::new(
@@ -54,8 +62,22 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             "frame payload exceeds u32::MAX",
         )
     })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let header = len.to_le_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut left = &mut slices[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write the whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -177,6 +199,113 @@ mod tests {
             assert_eq!(buf.capacity(), len, "one exact allocation at the end");
             assert!(peak <= FRAME_CHUNK.max(len / 2 + 1));
         }
+    }
+
+    /// Records each call it gets as one entry, taking at most `per_call`
+    /// bytes of it (`usize::MAX` = all); `write_vectored` gathers every
+    /// slice it is handed into one call.
+    struct CallLog {
+        calls: Vec<Vec<u8>>,
+        per_call: usize,
+    }
+
+    impl CallLog {
+        fn new(per_call: usize) -> Self {
+            CallLog {
+                calls: Vec::new(),
+                per_call,
+            }
+        }
+    }
+
+    impl Write for CallLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.per_call);
+            self.calls.push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut call = Vec::new();
+            for b in bufs {
+                let n = b.len().min(self.per_call - call.len());
+                call.extend_from_slice(&b[..n]);
+            }
+            let n = call.len();
+            self.calls.push(call);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload);
+        wire
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        let payload: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        let mut log = CallLog::new(usize::MAX);
+        write_frame(&mut log, &payload).unwrap();
+        assert_eq!(log.calls, vec![frame_bytes(&payload)]);
+    }
+
+    #[test]
+    fn partial_writes_resume_in_order() {
+        let payload = b"partial writes";
+        let mut log = CallLog::new(1);
+        write_frame(&mut log, payload).unwrap();
+        assert_eq!(log.calls.len(), 4 + payload.len());
+        assert_eq!(log.calls.concat(), frame_bytes(payload));
+    }
+
+    #[test]
+    fn interrupted_writes_retry_and_zero_writes_fail() {
+        // Only `write`: the default `write_vectored` writes the first
+        // non-empty slice, so the header and payload go in two calls.
+        struct Flaky {
+            out: Vec<u8>,
+            interrupts: usize,
+            zero: bool,
+        }
+        impl Write for Flaky {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.zero {
+                    return Ok(0);
+                }
+                if self.interrupts > 0 {
+                    self.interrupts -= 1;
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                self.out.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Flaky {
+            out: Vec::new(),
+            interrupts: 3,
+            zero: false,
+        };
+        write_frame(&mut w, b"again").unwrap();
+        assert_eq!(w.out, frame_bytes(b"again"));
+
+        let mut w = Flaky {
+            out: Vec::new(),
+            interrupts: 0,
+            zero: true,
+        };
+        assert_eq!(
+            write_frame(&mut w, b"never").unwrap_err().kind(),
+            io::ErrorKind::WriteZero
+        );
     }
 
     #[test]

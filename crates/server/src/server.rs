@@ -26,7 +26,7 @@
 //! in-process via [`ServerHandle::shutdown`] or over the wire via the
 //! `SHUTDOWN` opcode, which replies `Ok` first and then raises the flag.
 
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -514,7 +514,7 @@ fn refuse_busy(mut stream: TcpStream, state: &ServerState) {
 /// read-timeout ticks. `Ok(false)` reports a clean EOF before the first
 /// byte (only possible when `eof_ok`); mid-buffer EOF is an error.
 fn poll_read_exact(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     state: &ServerState,
     buf: &mut [u8],
     eof_ok: bool,
@@ -548,7 +548,7 @@ fn poll_read_exact(
 
 /// Discards `len` bytes from the stream through a bounded scratch
 /// buffer — the oversized-frame drain.
-fn drain(stream: &mut TcpStream, state: &ServerState, mut len: u64) -> io::Result<()> {
+fn drain(stream: &mut impl Read, state: &ServerState, mut len: u64) -> io::Result<()> {
     let mut scratch = [0u8; 8192];
     while len > 0 {
         let take = scratch.len().min(len as usize);
@@ -566,21 +566,27 @@ fn drain(stream: &mut TcpStream, state: &ServerState, mut len: u64) -> io::Resul
 }
 
 /// Serves one connection until EOF, shutdown, or a fatal socket error.
-fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
+///
+/// Requests are read through a buffer, so frames a client sent back to
+/// back are served in order out of it; replies go out on a clone of the
+/// socket, one write per frame.
+fn connection_loop(stream: TcpStream, state: &ServerState) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
     let mut session = Session::new(state.engine.read().epoch);
     loop {
         // Frame header.
         let mut header = [0u8; 4];
-        if !poll_read_exact(&mut stream, state, &mut header, true)? {
+        if !poll_read_exact(&mut reader, state, &mut header, true)? {
             return Ok(()); // clean EOF between frames
         }
         let len = u32::from_le_bytes(header) as u64;
         if len == 0 {
             state.frame_errors.inc();
             write_frame(
-                &mut stream,
+                &mut writer,
                 &protocol::encode_error(&WireError::Malformed {
                     context: "zero-length frame".into(),
                 }),
@@ -589,9 +595,9 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()>
         }
         if len > state.cfg.max_frame {
             state.frame_errors.inc();
-            drain(&mut stream, state, len)?;
+            drain(&mut reader, state, len)?;
             write_frame(
-                &mut stream,
+                &mut writer,
                 &protocol::encode_error(&WireError::FrameTooLarge {
                     declared: len,
                     max: state.cfg.max_frame,
@@ -602,13 +608,13 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()>
         // Grown as the bytes arrive: a stalled peer pins only what it sent.
         let mut payload = Vec::new();
         read_payload(len as usize, &mut payload, |chunk| {
-            poll_read_exact(&mut stream, state, chunk, false).map(drop)
+            poll_read_exact(&mut reader, state, chunk, false).map(drop)
         })?;
         state.frames_served.fetch_add(1, Ordering::Relaxed);
 
         if state.shutting_down() {
             write_frame(
-                &mut stream,
+                &mut writer,
                 &protocol::encode_error(&WireError::ShuttingDown),
             )?;
             return Ok(());
@@ -632,13 +638,13 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState) -> io::Result<()>
                     Err(e) => protocol::encode_error(e),
                 };
                 if outcome.shutdown_after {
-                    write_frame(&mut stream, &bytes)?;
+                    write_frame(&mut writer, &bytes)?;
                     state.request_shutdown();
                     return Ok(());
                 }
                 bytes
             }
         };
-        write_frame(&mut stream, &reply_bytes)?;
+        write_frame(&mut writer, &reply_bytes)?;
     }
 }

@@ -15,7 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use bst_server::client::{Client, ClientError};
-use bst_server::protocol::{Request, Target, WireError};
+use bst_server::frame::write_frame;
+use bst_server::protocol::{encode_request, Request, Response, Target, WireError};
 use bst_server::server::{serve, ServerConfig, ServerHandle};
 use bst_shard::ShardedBstSystem;
 use bst_stats::conformance::{chi2_homogeneity, ks_two_sample_ids, DEFAULT_ALPHA};
@@ -199,6 +200,65 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
 
     // After all of that, the same connection still serves requests.
     client.ping().expect("connection survived the abuse");
+}
+
+#[test]
+fn back_to_back_frames_are_answered_in_order_with_identical_draws() {
+    let (handle, _reference) = spawn(2_048, 2, ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let set = client.create(member_keys(120, 2_048)).unwrap();
+    // 400 SAMPLE frames of 23 bytes: more than one 8 KiB read buffer,
+    // so frames straddle the server's buffer refills.
+    let seeds: Vec<u64> = (0..400).map(|i| 0x5EED + i * 31).collect();
+    let one_at_a_time: Vec<u64> = seeds
+        .iter()
+        .map(|&seed| client.sample(Target::Stored(set), seed).unwrap())
+        .collect();
+
+    // The same seeds again: all but the last frame in one write, the
+    // last trickled a byte per write, before any reply is read.
+    let frames: Vec<Vec<u8>> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut frame = Vec::new();
+            let req = Request::Sample {
+                target: Target::Stored(set),
+                seed,
+            };
+            write_frame(&mut frame, &encode_request(&req)).unwrap();
+            frame
+        })
+        .collect();
+    let (trickled, burst) = frames.split_last().unwrap();
+    let burst = burst.concat();
+    assert!(burst.len() > 8 << 10, "{} bytes", burst.len());
+    // A frame the server loses would leave the client waiting forever.
+    client
+        .stream()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    client.stream().write_all(&burst).unwrap();
+    for byte in trickled {
+        client.stream().write_all(&[*byte]).unwrap();
+    }
+    let in_order: Vec<u64> = seeds
+        .iter()
+        .map(|_| match client.read_reply().unwrap() {
+            Response::Sampled { key } => key,
+            other => panic!("expected Sampled, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        in_order, one_at_a_time,
+        "replies out of order or draws diverged"
+    );
+
+    // The connection keeps serving afterwards.
+    assert_eq!(
+        client.sample(Target::Stored(set), seeds[7]).unwrap(),
+        one_at_a_time[7]
+    );
+    client.ping().unwrap();
 }
 
 #[test]
