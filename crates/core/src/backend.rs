@@ -337,7 +337,7 @@ impl TreeView<'_> {
     /// `BitOverlap` reconstruction, where the weight is exactly
     /// `|{x occupied : filter(x)}|`): inserting an occupied id adds
     /// `filter.contains(id)`, removing one subtracts it — O(k) per
-    /// mutation, no counting walk. Under estimate-threshold pruning the
+    /// mutation, no recount. Under estimate-threshold pruning the
     /// weight is walk-dependent, so the cache is dropped and recounted
     /// lazily instead.
     ///
@@ -383,7 +383,7 @@ impl TreeView<'_> {
     /// serving a handle's memo ([`Self::repair_memo`]). Brings an
     /// exact weight computed at tree generation `since` up to this view's
     /// generation by replaying the mutation journal with the O(k) delta
-    /// `±filter.contains(id)` per mutation, instead of a counting walk.
+    /// `±filter.contains(id)` per mutation, instead of a recount.
     ///
     /// Returns `None` whenever the delta cannot be *proven* exact — the
     /// journal no longer reaches back to `since`, a degenerate-probe
@@ -484,6 +484,13 @@ impl SampleTree for TreeView<'_> {
         match self {
             TreeView::Dense(_) => None,
             TreeView::Pruned { guard, .. } => guard.index_pass(query),
+        }
+    }
+
+    fn census(&self) -> Option<&[u64]> {
+        match self {
+            TreeView::Dense(_) => None,
+            TreeView::Pruned { guard, .. } => guard.census(),
         }
     }
 

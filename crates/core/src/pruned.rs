@@ -961,6 +961,10 @@ impl SampleTree for PrunedBloomSampleTree {
         Some(IndexPass { leaves, tested })
     }
 
+    fn census(&self) -> Option<&[u64]> {
+        Some(&self.colliding)
+    }
+
     fn hasher(&self) -> &Arc<BloomHasher> {
         &self.hasher
     }

@@ -392,7 +392,7 @@ impl Query {
 
     /// The number of elements [`Self::reconstruct`] would return — the
     /// handle's **live-leaf weight**: matching candidates summed over all
-    /// live leaves. Exact (the same walk as reconstruction, without
+    /// live leaves. Exact (the same count as reconstruction, without
     /// materialising the set) and amortized by the memo, so repeated
     /// calls on a warm handle do no filter work. The sharded engine uses
     /// this to weight shard selection so merged sampling stays uniform.
@@ -419,13 +419,13 @@ impl Query {
         // A weight served from the memo does no filter work, so it
         // records no stats and no span: a sharded sample reads one per
         // shard, which would otherwise flood the trace ring.
-        let walks = guard.memo.cached_count().is_none();
+        let counts = guard.memo.cached_count().is_none();
         let recon = BstReconstructor::with_config(&view, self.system.config().reconstruct);
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = recon.try_count_memo(&state.filter, &mut state.memo, &mut local);
         drop(guard);
-        if walks {
+        if counts {
             *self.stats.lock() += local;
             self.record_span("bst.core.live_weight", span, &local);
         }
@@ -602,7 +602,7 @@ mod tests {
         let names: Vec<&str> = ring.recent().iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["bst.core.sample", "bst.core.reconstruct"]);
         // A live weight served from the memo (the reconstruction above
-        // cached it) emits nothing; a cold one walks and emits its span.
+        // cached it) emits nothing; a cold one counts and emits its span.
         q.live_weight().expect("warm weight");
         sys.query(&f).live_weight().expect("cold weight");
         let names: Vec<&str> = ring.recent().iter().map(|s| s.name).collect();

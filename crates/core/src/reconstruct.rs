@@ -2,8 +2,10 @@
 //!
 //! A recursive traversal: subtrees whose filters have an empty intersection
 //! with the query filter are pruned; surviving leaves are brute-force
-//! scanned and their matches unioned. Left-to-right traversal yields the
-//! reconstruction already sorted.
+//! scanned (or read from the memo's leaf lists) and their matches
+//! unioned. Left-to-right traversal yields the reconstruction already
+//! sorted. Under the sound rule on a tree that keeps a first-probe index
+//! the traversal is not entered at all (see below).
 //!
 //! Two pruning disciplines are offered (see `sampler` module docs for the
 //! full rationale):
@@ -21,6 +23,32 @@
 //! filter carried down the path: node filters are laminar, so the two
 //! give the same count (see [`BstReconstructor`]'s walk). The threshold
 //! estimate's `t₂` input is the query's popcount, as in the sampler.
+//!
+//! ## Walk-free sound answers
+//!
+//! Under the sound rule a leaf's root path is live whenever the leaf
+//! holds a filter positive with `k` distinct probe bits: all `k` bits
+//! are set in the query and in every filter on the path, so every test
+//! on it sees `t∧ ≥ k`. Only a positive whose probes collide — a member
+//! of the tree's collision census ([`SampleTree::census`]) — can sit
+//! under a node with `t∧ < k`. So on a pruned tree, which keeps a
+//! first-probe index and a census, the sound answer is read off the
+//! leaves' match lists, left to right, with no child test:
+//!
+//! * a memo that holds no leaf list, asked about the whole tree, stores
+//!   every leaf's list from one index pass
+//!   (`QueryMemo::fill_from_index`);
+//! * a memo that holds lists (a repaired handle, or one that ran a
+//!   windowed reconstruction first) reads them and scans only the
+//!   leaves it misses;
+//! * a window cuts the sorted lists instead of scanning clipped leaves;
+//! * a leaf whose hits are all census members counts only when every
+//!   node on its root path passes the liveness test, memoized as in the
+//!   walk.
+//!
+//! The answer and its order equal the walk's. The paper's rule (its
+//! count depends on the walk), complete trees (no index), and a
+//! windowed call on a memo that holds no list still walk.
 
 use bst_bloom::estimate::intersection_estimate;
 use bst_bloom::filter::BloomFilter;
@@ -129,12 +157,15 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
     /// The number of elements [`Self::try_reconstruct_memo`] would return,
     /// without materialising the set: the query's **live-leaf weight** —
     /// matching candidates summed over every live leaf. The weight is
-    /// maintained in the memo: the first call runs the memoized
-    /// reconstruction walk and caches the count, and later calls answer
-    /// in O(1) until a mutation invalidates the cache (the
+    /// maintained in the memo: the first call counts and caches it, and
+    /// later calls answer in O(1) until a mutation invalidates the cache.
+    /// Under the sound rule on a pruned tree the count sums the leaves'
+    /// match lists, filled by one index pass on a cold memo (see the
+    /// module docs); otherwise it runs the memoized reconstruction walk.
+    /// Either way a refresh after occupancy churn is cheap: the
     /// [`crate::query::Query`] handle repairs the memo along mutated
-    /// paths, so even the refresh after occupancy churn re-evaluates only
-    /// O(depth) nodes).
+    /// paths, so the recount re-scans only the mutated leaves (and a
+    /// walk re-evaluates only O(depth) nodes).
     pub fn try_count_memo(
         &self,
         query: &BloomFilter,
@@ -217,7 +248,8 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         self.range_walk(query, window, &mut memo, stats, &mut visit)
     }
 
-    /// Shared entry for all reconstruction walks.
+    /// Shared entry for every reconstruction and count: the leaves'
+    /// lists answer when they can, the walk otherwise.
     fn range_walk<F: FnMut(u64)>(
         &self,
         query: &BloomFilter,
@@ -232,11 +264,101 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         if window.start >= window.end {
             return 0;
         }
+        if self.lists_answer(root, query, &window, memo, stats) {
+            return self.read_lists(root, query, &window, memo, stats, visit);
+        }
         self.walk(root, query, &window, memo, stats, visit)
     }
 
-    /// Liveness of one child under the reconstruction pruning rule, on
-    /// a memo miss: one intersection op, tested against the query itself.
+    /// Whether the leaves' match lists answer without a walk (see the
+    /// module docs): the sound rule, a tree with a census, and a memo
+    /// that holds lists, or is filled here from the index pass when the
+    /// window covers the whole tree.
+    fn lists_answer(
+        &self,
+        root: NodeId,
+        query: &BloomFilter,
+        window: &std::ops::Range<u64>,
+        memo: &mut QueryMemo,
+        stats: &mut OpStats,
+    ) -> bool {
+        if !matches!(self.cfg.liveness, Liveness::BitOverlap) || self.tree.census().is_none() {
+            return false;
+        }
+        if memo.holds_leaves() {
+            return true;
+        }
+        let whole = self.tree.range(root);
+        window.start <= whole.start
+            && whole.end <= window.end
+            && memo.fill_from_index(self.tree, query, stats)
+    }
+
+    /// The walk-free traversal: visits every leaf meeting the window,
+    /// left to right, by the tree's links alone, and emits its list cut
+    /// at the window.
+    fn read_lists<F: FnMut(u64)>(
+        &self,
+        node: NodeId,
+        query: &BloomFilter,
+        window: &std::ops::Range<u64>,
+        memo: &mut QueryMemo,
+        stats: &mut OpStats,
+        visit: &mut F,
+    ) -> usize {
+        if self.tree.is_leaf(node) {
+            let matches = memo.leaf_matches(self.tree, node, query, false, stats);
+            let census = self.tree.census().unwrap_or_default();
+            let hidden =
+                !matches.is_empty() && matches.iter().all(|x| census.binary_search(x).is_ok());
+            if hidden && !self.path_live(node, query, memo, stats) {
+                return 0;
+            }
+            let lo = matches.partition_point(|&x| x < window.start);
+            let hi = matches.partition_point(|&x| x < window.end);
+            matches[lo..hi].iter().for_each(|&x| visit(x));
+            return hi - lo;
+        }
+        let (lc, rc) = self.tree.children(node);
+        let mut found = 0usize;
+        for child in [lc, rc].into_iter().flatten() {
+            let r = self.tree.range(child);
+            if r.end <= window.start || r.start >= window.end {
+                continue;
+            }
+            found += self.read_lists(child, query, window, memo, stats, visit);
+        }
+        found
+    }
+
+    /// Whether every node below the root on `leaf`'s path passes the
+    /// liveness test, top down, stopping at the first that fails (as the
+    /// walk would).
+    fn path_live(
+        &self,
+        leaf: NodeId,
+        query: &BloomFilter,
+        memo: &mut QueryMemo,
+        stats: &mut OpStats,
+    ) -> bool {
+        let at = self.tree.range(leaf).start;
+        let mut node = self.tree.root();
+        while let Some(n) = node.filter(|&n| n != leaf) {
+            let (l, r) = self.tree.children(n);
+            node = [l, r]
+                .into_iter()
+                .flatten()
+                .find(|&c| self.tree.range(c).contains(&at));
+            if !node.is_some_and(|c| self.child_live(c, query, memo, stats)) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Liveness of one child under the reconstruction pruning rule,
+    /// memoized in the memo; a miss costs one intersection op, tested
+    /// against the query itself.
     fn child_live(
         &self,
         child: NodeId,
@@ -244,6 +366,9 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         memo: &mut QueryMemo,
         stats: &mut OpStats,
     ) -> bool {
+        if let Some(&live) = memo.recon_live.get(&child) {
+            return live;
+        }
         stats.intersections += 1;
         let f = self.tree.filter(child);
         let live = match self.cfg.liveness {
@@ -319,11 +444,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             if r.end <= window.start || r.start >= window.end {
                 continue; // disjoint from the window: free pruning
             }
-            let live = match memo.recon_live.get(&child) {
-                Some(&live) => live,
-                None => self.child_live(child, query, memo, stats),
-            };
-            if live {
+            if self.child_live(child, query, memo, stats) {
                 found += self.walk(child, query, window, memo, stats, visit);
             }
         }

@@ -236,11 +236,12 @@ pub struct QueryMemo {
     /// leaf by table scans (see [`QueryMemo::leaf_matches`]).
     leaves: HashMap<NodeId, Arc<Vec<u64>>>,
     /// Reconstruction liveness per node (the reconstructor's pruning rule
-    /// can differ from the sampler's, so it gets its own map).
+    /// can differ from the sampler's, so it gets its own map). Filled by
+    /// the walk, and by the root-path tests of a walk-free sound count.
     pub(crate) recon_live: HashMap<NodeId, bool>,
-    /// The full-range live-leaf weight of the last counting/reconstruction
-    /// walk — the maintained per-filter weight: repeated `live_weight`
-    /// calls are O(1) until a mutation invalidates it.
+    /// The full-range live-leaf weight of the last count or full
+    /// reconstruction — the maintained per-filter weight: repeated
+    /// `live_weight` calls are O(1) until a mutation invalidates it.
     pub(crate) cached_count: Option<u64>,
     /// The query's popcount: the estimators' `t₂`, counted once per
     /// memo.
@@ -275,20 +276,25 @@ impl QueryMemo {
         self.prepared.as_ref().map(|p| p.n_hat)
     }
 
-    /// The cached full-range live-leaf weight, if a counting or full
-    /// reconstruction walk has run since the last invalidation.
+    /// The cached full-range live-leaf weight, if a count or a full
+    /// reconstruction has run since the last invalidation.
     pub fn cached_count(&self) -> Option<u64> {
         self.cached_count
     }
 
     /// A leaf's matches over its whole range, from the memo when it holds
-    /// them. Otherwise the tree answers: a walk that covers the full
-    /// range (`full_walk`) on a memo that holds no leaf list yet runs the
-    /// tree's index pass ([`SampleTree::index_pass`]), which fills every
-    /// materialised leaf at once; any other miss — a windowed walk, the
-    /// one leaf a mutation repair dropped, a tree without an index —
+    /// them. Otherwise the tree answers: a walk over the full range
+    /// (`full_walk`: a sampling descent, or the paper rule's
+    /// reconstruction walk) on a memo that holds no leaf list yet fills
+    /// every materialised leaf from the tree's index pass
+    /// ([`Self::fill_from_index`]); any
+    /// other miss — a windowed walk, the one leaf a mutation repair
+    /// dropped, a leaf materialised since, a tree without an index —
     /// scans just this leaf ([`SampleTree::scan_leaf`]). Both count the
-    /// candidates they test as memberships and give equal lists.
+    /// candidates they test as memberships and give equal lists. Sound
+    /// full-range counts and reconstructions read their leaves through
+    /// here too, after filling the memo themselves (see the
+    /// `reconstruct` module docs).
     pub(crate) fn leaf_matches<T: SampleTree>(
         &mut self,
         tree: &T,
@@ -298,12 +304,7 @@ impl QueryMemo {
         stats: &mut OpStats,
     ) -> Arc<Vec<u64>> {
         if full_walk && self.leaves.is_empty() {
-            if let Some(pass) = tree.index_pass(query) {
-                stats.memberships += pass.tested;
-                let lists = pass.leaves.into_iter();
-                self.leaves
-                    .extend(lists.map(|(leaf, matches)| (leaf, Arc::new(matches))));
-            }
+            self.fill_from_index(tree, query, stats);
         }
         if let Some(cached) = self.leaves.get(&node) {
             return Arc::clone(cached);
@@ -314,6 +315,31 @@ impl QueryMemo {
         let matches = Arc::new(matches);
         self.leaves.insert(node, Arc::clone(&matches));
         matches
+    }
+
+    /// Whether the memo holds any leaf's match list.
+    pub(crate) fn holds_leaves(&self) -> bool {
+        !self.leaves.is_empty()
+    }
+
+    /// Stores every materialised leaf's matches from one index pass
+    /// ([`SampleTree::index_pass`]), counting its tested candidates as
+    /// memberships. Returns `false`, storing nothing, when the tree
+    /// keeps no index for `query`.
+    pub(crate) fn fill_from_index<T: SampleTree>(
+        &mut self,
+        tree: &T,
+        query: &BloomFilter,
+        stats: &mut OpStats,
+    ) -> bool {
+        let Some(pass) = tree.index_pass(query) else {
+            return false;
+        };
+        stats.memberships += pass.tested;
+        let lists = pass.leaves.into_iter();
+        self.leaves
+            .extend(lists.map(|(leaf, matches)| (leaf, Arc::new(matches))));
+        true
     }
 
     /// The query's popcount, the estimators' `t₂`: counted on first use,

@@ -55,6 +55,15 @@ pub trait SampleTree {
     fn index_pass(&self, _query: &BloomFilter) -> Option<IndexPass> {
         None
     }
+    /// The collision census of a tree that keeps a first-probe index:
+    /// its occupied ids probing fewer than `k` distinct bits, ascending.
+    /// Only these ids can be filter positives under a node whose
+    /// `t∧ < k`, so a sound count read off the index pass tests the root
+    /// path of a leaf whose hits are all census members. `None` when
+    /// the tree keeps no index (a complete tree).
+    fn census(&self) -> Option<&[u64]> {
+        None
+    }
     /// The shared hash family.
     fn hasher(&self) -> &Arc<BloomHasher>;
 

@@ -6,7 +6,7 @@ use bst_bloom::params::{leaf_size, TreePlan};
 use bst_core::metrics::OpStats;
 use bst_core::pruned::PrunedBloomSampleTree;
 use bst_core::reconstruct::BstReconstructor;
-use bst_core::sampler::{BstSampler, SamplerConfig};
+use bst_core::sampler::{BstSampler, QueryMemo, SamplerConfig};
 use bst_core::tree::{BloomSampleTree, SampleTree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,6 +162,55 @@ fn range_reconstruction_matches_filtered_full() {
             .filter(|x| window.contains(x))
             .collect();
         assert_eq!(got, expected, "window {window:?}");
+    }
+}
+
+/// Under the sound rule, a window asked of a memo that already holds
+/// every leaf's list is cut from the stored sorted lists: no scan and
+/// no child test, and the same answer as a cold windowed walk, which
+/// scans the clipped leaves' tables. Both hash kinds.
+#[test]
+fn warm_windows_slice_stored_lists() {
+    let namespace = 1u64 << 14;
+    let occupied: Vec<u64> = (0..namespace).filter(|x| x % 5 != 2).collect();
+    let keys: Vec<u64> = (0..400u64).map(|i| i * 41 % namespace).collect();
+    for kind in [HashKind::Murmur3, HashKind::DeltaBlocked] {
+        let tree = PrunedBloomSampleTree::build(
+            &TreePlan {
+                kind,
+                ..plan(namespace, 6)
+            },
+            &occupied,
+        );
+        let q = tree.query_filter(keys.iter().copied());
+        let recon = BstReconstructor::new(&tree);
+        let mut memo = QueryMemo::new();
+        let full = recon
+            .try_reconstruct_memo(&q, &mut memo, &mut OpStats::new())
+            .unwrap();
+        assert!(full.len() >= 300, "{kind:?}: {} positives", full.len());
+        for window in [
+            0..namespace,
+            1000..3001,
+            257..258,
+            8191..8193,
+            namespace - 1..namespace,
+        ] {
+            let mut cold_stats = OpStats::new();
+            let cold = recon.reconstruct_range(&q, window.clone(), &mut cold_stats);
+            let expect: Vec<u64> = full
+                .iter()
+                .copied()
+                .filter(|x| window.contains(x))
+                .collect();
+            assert_eq!(cold, expect, "{kind:?} cold {window:?}");
+            let mut warm_stats = OpStats::new();
+            let warm = recon
+                .try_reconstruct_range_memo(&q, window.clone(), &mut memo, &mut warm_stats)
+                .unwrap();
+            assert_eq!(warm, cold, "{kind:?} warm {window:?}");
+            assert_eq!(warm_stats, OpStats::new(), "{kind:?} warm {window:?}");
+        }
     }
 }
 

@@ -1,12 +1,16 @@
-//! Equality suite for the first-probe index of pruned trees.
+//! Equality suite for the first-probe index of pruned trees, and for
+//! the sound counts and reconstructions read off it without a walk.
 //!
-//! A full-range walk on a memo that holds no leaf list yet fills every
-//! materialised leaf from one index pass; every other leaf lookup scans
-//! the leaf's probe table. Both test "all `k` probe bits set", so they
-//! must agree element for element. This suite checks that on sharded
-//! engines (Murmur3 and `DeltaBlocked`, S = 4) and on a small-`m` tree
-//! whose buckets hold many ids and whose collision census is non-empty,
-//! for uniform and §7.1-clustered filters:
+//! A full-range operation on a memo that holds no leaf list yet fills
+//! every materialised leaf from one index pass; every other leaf lookup
+//! scans the leaf's probe table. Both test "all `k` probe bits set", so
+//! they must agree element for element. Under the sound default a count
+//! or reconstruction then sums the lists instead of walking; only a
+//! leaf whose hits are all collision-census members has its root path
+//! tested. This suite checks that on sharded engines (Murmur3 and
+//! `DeltaBlocked`, S = 4) and on a small-`m` tree whose buckets hold
+//! many ids and whose collision census is non-empty, for uniform and
+//! §7.1-clustered filters:
 //!
 //! * every materialised leaf's list from the index pass equals its
 //!   table scan;
@@ -16,13 +20,17 @@
 //!   `sample_many` draws and reconstruction;
 //! * all of the above again after a run of occupancy inserts and
 //!   removals, which also moves the index's bucket width, and on the
-//!   repaired warm handles.
+//!   repaired warm handles;
+//! * a leaf whose only positive is a census member under a node with
+//!   `t∧ < k` is dropped exactly as the walk drops it, cold and on a
+//!   repaired handle, checked against the walk recomputed from the path
+//!   filters.
 
 use bloomsampletree::core::backend::TreeView;
 use bloomsampletree::core::tree::SampleTree;
 use bloomsampletree::workloads::querysets::{clustered_set, uniform_set, PAPER_CLUSTERING_PCT};
 use bloomsampletree::workloads::sampling::sample_distinct;
-use bloomsampletree::{BloomFilter, HashKind, ShardQuery, ShardedBstSystem};
+use bloomsampletree::{BloomFilter, BstSystem, HashKind, ShardQuery, ShardedBstSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -303,4 +311,138 @@ fn small_m_tree_with_colliding_ids_index_equals_table_scans() {
     );
     drop(guard);
     run(case);
+}
+
+/// The sound walk's answer recomputed from the tree's filters: a leaf
+/// counts when every node below the root on its path has `t∧ ≥ k`
+/// against `q`, and then gives its table-scan matches.
+fn sound_walk_reference(view: &TreeView<'_>, q: &BloomFilter) -> Vec<u64> {
+    let mut out = Vec::new();
+    // (node, whether the path above it passed); right pushed first, so
+    // leaves pop left to right.
+    let mut stack: Vec<(u32, bool)> = view.root().into_iter().map(|r| (r, true)).collect();
+    while let Some((node, live)) = stack.pop() {
+        if !live {
+            continue;
+        }
+        if view.is_leaf(node) {
+            view.scan_leaf(node, q, &view.range(node), |x| out.push(x));
+            continue;
+        }
+        let (l, r) = view.children(node);
+        for child in [r, l].into_iter().flatten() {
+            stack.push((child, view.filter(child).and_count(q) >= q.k()));
+        }
+    }
+    out
+}
+
+/// The leaf holding `id` and its root path below the root.
+fn leaf_path(view: &TreeView<'_>, id: u64) -> Vec<u32> {
+    let mut path = Vec::new();
+    let mut node = view.root().expect("root");
+    while !view.is_leaf(node) {
+        let (l, r) = view.children(node);
+        node = [l, r]
+            .into_iter()
+            .flatten()
+            .find(|&c| view.range(c).contains(&id))
+            .expect("materialised path");
+        path.push(node);
+    }
+    path
+}
+
+/// A sound count read off the index pass must still drop a leaf whose
+/// only filter positives are collision-census members when its root
+/// path fails a `t∧ ≥ k` test, exactly as the walk does. The last leaf
+/// holds a census id `c`, whose two distinct bits the query sets, and
+/// one other id; the query's other keys sit in an earlier leaf. So `c`
+/// is a positive under a leaf with `t∧ < k`. The walk-free answers of a
+/// cold handle and of a warm handle repaired across occupancy inserts
+/// and removals in that leaf (which move its `t∧` across `k`) must equal
+/// the walk recomputed from the path filters.
+#[test]
+fn census_only_leaf_counts_only_when_its_path_is_live() {
+    let namespace = 1u64 << 12;
+    let last = namespace - namespace / 8..namespace;
+    let sys = BstSystem::builder(namespace)
+        .expected_set_size(40)
+        .accuracy(0.2)
+        .hash_kind(HashKind::Murmur3)
+        .seed(7)
+        .depth(3)
+        .pruned((0..last.start).step_by(3))
+        .build();
+    let probe = sys.store(std::iter::empty());
+    let c = last
+        .clone()
+        .find(|&x| !probe.probes_distinct_bits(x))
+        .expect("a degenerate-probe id in the last leaf");
+    let keys: Vec<u64> = (0..12u64).map(|i| 1026 + i * 3).chain([c]).collect();
+    let q = sys.store(keys.iter().copied());
+    let k = q.k();
+    // The last leaf's other id: not a positive, and sharing no query bit,
+    // so the leaf's `t∧` is `c`'s two bits alone.
+    let quiet = last
+        .clone()
+        .find(|&x| x != c && probe.probes_distinct_bits(x) && sys.store([x]).and_count(&q) == 0)
+        .expect("an id sharing no bit with the query");
+    // An id that lifts the leaf's `t∧` to `k` without being a positive.
+    let loud = last
+        .clone()
+        .find(|&x| {
+            let fx = sys.store([x, c]);
+            x != c && !q.contains(x) && probe.probes_distinct_bits(x) && fx.and_count(&q) >= k
+        })
+        .expect("an id that lifts the leaf's overlap");
+    sys.insert_occupied(c).expect("insert c");
+    sys.insert_occupied(quiet).expect("insert quiet");
+
+    let check = |handle: &bloomsampletree::Query, stage: &str, live: bool| {
+        let view = sys.tree().read();
+        let leaf = *leaf_path(&view, c).last().expect("leaf");
+        let mut hits = Vec::new();
+        view.scan_leaf(leaf, &q, &view.range(leaf), |x| hits.push(x));
+        let census = match &view {
+            TreeView::Pruned { guard, .. } => guard.colliding_ids().to_vec(),
+            TreeView::Dense(_) => panic!("pruned system"),
+        };
+        assert!(hits.contains(&c), "{stage}: c is a positive");
+        assert!(
+            hits.iter().all(|x| census.binary_search(x).is_ok()),
+            "{stage}: the leaf's positives are census members"
+        );
+        let path_live = leaf_path(&view, c)
+            .iter()
+            .all(|&n| view.filter(n).and_count(&q) >= k);
+        assert_eq!(path_live, live, "{stage}: the leaf's path liveness");
+        let expect = sound_walk_reference(&view, &q);
+        drop(view);
+        assert_eq!(expect.contains(&c), live, "{stage}");
+        assert!(expect.len() > 12, "{stage}: the stored keys count");
+        assert_eq!(handle.live_weight(), Ok(expect.len() as u64), "{stage}");
+        assert_eq!(handle.reconstruct().as_ref(), Ok(&expect), "{stage}");
+        let window = last.start + 1..namespace;
+        let cut: Vec<u64> = expect
+            .iter()
+            .copied()
+            .filter(|x| window.contains(x))
+            .collect();
+        assert_eq!(handle.reconstruct_range(window), Ok(cut), "{stage}");
+    };
+
+    let warm = sys.query(&q);
+    check(&warm, "cold", false);
+    assert!(
+        warm.stats().intersections > 0,
+        "the census-only leaf's path was tested"
+    );
+    check(&sys.query(&q), "cold, fresh", false);
+    sys.insert_occupied(loud).expect("insert loud");
+    check(&warm, "repaired after insert", true);
+    check(&sys.query(&q), "cold after insert", true);
+    sys.remove_occupied(loud).expect("remove loud");
+    check(&warm, "repaired after removal", false);
+    check(&sys.query(&q), "cold after removal", false);
 }
