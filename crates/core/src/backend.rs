@@ -1,6 +1,6 @@
 //! Backend polymorphism for the facade: one [`TreeBackend`] serves both
 //! the dense, complete [`BloomSampleTree`] and the occupancy-aware
-//! [`PrunedBloomSampleTree`] through the same `query()`/`query_batch()`
+//! [`PrunedBloomSampleTree`] through the same `query()`/`query_id()`
 //! surface — and, for the pruned backend, lets the *namespace occupancy
 //! itself* evolve behind the shared `Arc`.
 //!

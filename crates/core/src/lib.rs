@@ -16,7 +16,6 @@
 //!   Figures 3–4 and 8–12;
 //! * [`costmodel`] — the §5.4 depth rules of both backends, with opt-in
 //!   `icost/mcost` measurement ([`costmodel::CostModel`]);
-//! * [`multiquery`] — parallel batch sampling over many query filters;
 //! * [`error::BstError`] — typed failure reasons for every fallible op;
 //! * [`system::BstSystem`] — the `Arc`-shared, `Send + Sync` facade over
 //!   a [`backend::TreeBackend`] (dense, or pruned with tree-generation-
@@ -32,8 +31,7 @@
 //! ## Example
 //!
 //! One tree serves a mutable database of filter-backed sets; per-filter
-//! work goes through generation-stamped [`query::Query`] handles and
-//! batches fan out over worker threads:
+//! work goes through generation-stamped [`query::Query`] handles:
 //!
 //! ```
 //! use bst_core::system::BstSystem;
@@ -45,16 +43,11 @@
 //! let query = system.query_id(community).unwrap();
 //! system.insert_keys(community, [49_999u64]).unwrap();
 //! assert!(query.reconstruct().unwrap().binary_search(&49_999).is_ok());
-//!
-//! // Batch sampling across many detached filters at once.
-//! let filters: Vec<_> = (0..4)
-//!     .map(|i| system.store((0..40u64).map(|j| (i * 997 + j * 13) % 50_000)))
-//!     .collect();
-//! let (picks, _stats) = system.query_batch(&filters, 7, 0);
-//! for (filter, pick) in filters.iter().zip(&picks) {
-//!     assert!(filter.contains(pick.unwrap()));
-//! }
 //! ```
+//!
+//! Batches of many filters go through the sharded engine (`bst-shard`'s
+//! `ShardedBstSystem::query_batch`), each of whose shards is a
+//! pruned-backend [`system::BstSystem`].
 
 #![warn(missing_docs)]
 
@@ -63,7 +56,6 @@ pub mod baselines;
 pub mod costmodel;
 pub mod error;
 pub mod metrics;
-pub mod multiquery;
 pub mod persistence;
 mod probe_index;
 pub mod pruned;

@@ -49,8 +49,6 @@ use bytes::{BufMut, BytesMut};
 use crate::backend::TreeBackend;
 use crate::costmodel;
 use crate::error::BstError;
-use crate::metrics::OpStats;
-use crate::multiquery;
 use crate::persistence::{self, PersistError};
 use crate::pruned::PrunedBloomSampleTree;
 use crate::query::Query;
@@ -95,12 +93,6 @@ impl BstConfig {
     /// Replaces the sampling configuration.
     pub fn with_sampler(mut self, sampler: SamplerConfig) -> Self {
         self.sampler = sampler;
-        self
-    }
-
-    /// Replaces the reconstruction configuration.
-    pub fn with_reconstruct(mut self, reconstruct: ReconstructConfig) -> Self {
-        self.reconstruct = reconstruct;
         self
     }
 
@@ -178,12 +170,6 @@ impl BstSystemBuilder {
     /// Sampling behaviour (liveness rule, ratio estimator, correction).
     pub fn sampler(mut self, cfg: SamplerConfig) -> Self {
         self.cfg.sampler = cfg;
-        self
-    }
-
-    /// Reconstruction behaviour (pruning discipline).
-    pub fn reconstructor(mut self, cfg: ReconstructConfig) -> Self {
-        self.cfg.reconstruct = cfg;
         self
     }
 
@@ -351,11 +337,6 @@ impl BstSystem {
         self.shared.tracer.set_recorder(recorder);
     }
 
-    /// The sampler configuration.
-    pub fn sampler_config(&self) -> SamplerConfig {
-        self.shared.cfg.sampler
-    }
-
     /// Stores a key set as a query Bloom filter compatible with the tree.
     pub fn store<I: IntoIterator<Item = u64>>(&self, keys: I) -> BloomFilter {
         self.shared.tree.query_filter(keys)
@@ -368,64 +349,6 @@ impl BstSystem {
     /// filter skips already-evaluated tree intersections.
     pub fn query(&self, filter: &BloomFilter) -> Query {
         Query::new(self.clone(), filter.clone())
-    }
-
-    /// [`Self::query`] taking ownership of the filter (no clone).
-    pub fn query_owned(&self, filter: BloomFilter) -> Query {
-        Query::new(self.clone(), filter)
-    }
-
-    /// Draws one sample per query filter, in parallel over `threads`
-    /// worker threads (0 = one per CPU). Results align with `filters`;
-    /// each entry carries its own typed failure reason. Deterministic for
-    /// a fixed `seed` and filter order: every slot draws from its own
-    /// seeded generator, so neither `threads` nor the host's CPU count
-    /// changes the draws.
-    pub fn query_batch(
-        &self,
-        filters: &[BloomFilter],
-        seed: u64,
-        threads: usize,
-    ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        let view = self.shared.tree.read();
-        multiquery::sample_each(&view, filters, self.shared.cfg.sampler, seed, threads)
-    }
-
-    /// [`Self::query_batch`] addressed by store id: projects each stored
-    /// set once, then samples the batch in parallel. Results align with
-    /// `ids`; an unknown/dropped id yields `Err(UnknownFilterId)` for its
-    /// slot without failing the rest of the batch.
-    pub fn query_batch_ids(
-        &self,
-        ids: &[FilterId],
-        seed: u64,
-        threads: usize,
-    ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        // Project once, moving each Ok filter into the sampling batch and
-        // keeping only the Ok/Err skeleton for realignment afterwards.
-        let mut filters = Vec::with_capacity(ids.len());
-        let slots: Vec<Result<(), BstError>> = ids
-            .iter()
-            .map(|&id| self.shared.store.get(id).map(|f| filters.push(f)))
-            .collect();
-        let view = self.shared.tree.read();
-        let (sampled, stats) =
-            multiquery::sample_each(&view, &filters, self.shared.cfg.sampler, seed, threads);
-        drop(view);
-        let mut sampled = sampled.into_iter();
-        let results = slots
-            .into_iter()
-            .map(|r| match r {
-                Ok(()) => match sampled.next() {
-                    Some(s) => s,
-                    None => Err(BstError::InvalidConfig(
-                        "internal: batch produced fewer samples than projected filters",
-                    )),
-                },
-                Err(e) => Err(e),
-            })
-            .collect();
-        (results, stats)
     }
 
     // ------------------------------------------------------------------
@@ -788,10 +711,6 @@ mod tests {
         for k in &keys {
             assert!(rec.binary_search(k).is_ok());
         }
-        // Batch surface too.
-        let filters = vec![f.clone(), f];
-        let (results, _) = sys.query_batch(&filters, 3, 2);
-        assert!(results.iter().all(|r| r.is_ok()));
     }
 
     #[test]
@@ -829,30 +748,6 @@ mod tests {
         sys.drop_set(id).expect("drop");
         assert_eq!(sys.query_id(id).err(), Some(BstError::UnknownFilterId(id)));
         assert!(sys.filters().is_empty());
-    }
-
-    #[test]
-    fn query_batch_ids_aligns_and_reports_unknown() {
-        let sys = BstSystem::builder(20_000).build();
-        let ids: Vec<_> = (0..6)
-            .map(|i| {
-                sys.create((0..40u64).map(|j| (i * 911 + j * 17) % 20_000))
-                    .expect("create")
-            })
-            .collect();
-        let dropped = ids[2];
-        sys.drop_set(dropped).expect("drop");
-        let (results, stats) = sys.query_batch_ids(&ids, 9, 3);
-        assert_eq!(results.len(), ids.len());
-        for (i, (id, r)) in ids.iter().zip(&results).enumerate() {
-            if *id == dropped {
-                assert_eq!(*r, Err(BstError::UnknownFilterId(dropped)));
-            } else {
-                let s = r.expect("sample");
-                assert!(sys.get(*id).expect("get").contains(s), "slot {i}");
-            }
-        }
-        assert!(stats.total_ops() > 0);
     }
 
     #[test]
@@ -923,37 +818,5 @@ mod tests {
                 crate::persistence::PersistError::Corrupt(_)
             ))
         ));
-    }
-
-    #[test]
-    fn query_batch_serves_many_filters() {
-        let sys = BstSystem::builder(20_000).build();
-        let filters: Vec<_> = (0..12)
-            .map(|i| sys.store((0..40u64).map(|j| (i * 997 + j * 13) % 20_000)))
-            .collect();
-        let (results, stats) = sys.query_batch(&filters, 5, 3);
-        assert_eq!(results.len(), filters.len());
-        for (f, r) in filters.iter().zip(&results) {
-            let s = r.expect("sample for non-empty filter");
-            assert!(f.contains(s));
-        }
-        assert!(stats.total_ops() > 0);
-    }
-
-    /// Batch draws are a function of `(seed, slot, filter)` alone: one
-    /// worker, three workers, and one per host CPU answer identically
-    /// (and so do hosts with different CPU counts).
-    #[test]
-    fn query_batch_draws_do_not_depend_on_thread_count() {
-        let sys = BstSystem::builder(20_000).build();
-        let filters: Vec<_> = (0..17)
-            .map(|i| sys.store((0..60u64).map(|j| (i * 331 + j * 7) % 20_000)))
-            .collect();
-        let (one, one_stats) = sys.query_batch(&filters, 21, 1);
-        for threads in [3, 0] {
-            let (many, many_stats) = sys.query_batch(&filters, 21, threads);
-            assert_eq!(one, many, "threads = {threads}");
-            assert_eq!(one_stats, many_stats, "threads = {threads}");
-        }
     }
 }

@@ -17,7 +17,7 @@ use bst_core::error::BstError;
 use bst_core::store::FilterId;
 use bst_shard::{DurableError, ShardedBstSystem};
 
-use crate::protocol::{Request, Response, StatsReply, Target, WireError};
+use crate::protocol::{Request, Response, StatsReply, Target, WireError, KEYS_REPLY_HEADER};
 use crate::server::ServerState;
 use crate::session::Session;
 
@@ -122,6 +122,15 @@ pub fn handle(state: &ServerState, _session: &mut Session, req: Request) -> Outc
             )
         }
         Request::SampleMany { target, r, seed } => {
+            // Refuse a reply that could never be framed before opening a
+            // handle: the sampler reserves room for all `r` keys up front.
+            let reply_len = KEYS_REPLY_HEADER + 8 * u64::from(r);
+            if reply_len > state.cfg.max_frame {
+                return Outcome::reply(Err(WireError::FrameTooLarge {
+                    declared: reply_len,
+                    max: state.cfg.max_frame,
+                }));
+            }
             let mut rng = StdRng::seed_from_u64(seed);
             Outcome::reply(
                 with_handle(state, &sys, &target, |q| {

@@ -356,7 +356,9 @@ pub enum WireError {
         context: String,
     },
     /// The declared frame length exceeds the server's limit. The server
-    /// drains and discards the frame, so the connection stays usable.
+    /// drains and discards the frame, so the connection stays usable. A
+    /// `SAMPLE_MANY` whose reply would exceed the limit gets this error
+    /// too, with the reply's length as `declared`.
     FrameTooLarge {
         /// Declared payload length.
         declared: u64,
@@ -469,6 +471,10 @@ fn get_string(input: &mut &[u8]) -> Result<String, WireError> {
     input.advance(len);
     Ok(s)
 }
+
+/// Payload bytes of a [`Response::Keys`] reply before its keys: version,
+/// status, tag and the `u32` key count. Each key adds 8.
+pub(crate) const KEYS_REPLY_HEADER: u64 = 7;
 
 fn put_keys(buf: &mut BytesMut, keys: &[u64]) {
     buf.put_u32_le(keys.len() as u32);
@@ -1167,6 +1173,14 @@ mod tests {
             Request::Metrics,
         ] {
             roundtrip_request(req);
+        }
+    }
+
+    #[test]
+    fn keys_reply_is_its_header_plus_eight_bytes_per_key() {
+        for n in [0usize, 1, 5] {
+            let reply = encode_response(&Response::Keys { keys: vec![7; n] });
+            assert_eq!(reply.len() as u64, KEYS_REPLY_HEADER + 8 * n as u64);
         }
     }
 

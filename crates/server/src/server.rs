@@ -16,7 +16,10 @@
 //!   [`ServerConfig::max_frame`] payload bytes is drained off the socket
 //!   (bounded scratch, nothing allocated at the declared size) and
 //!   answered with [`WireError::FrameTooLarge`]; the connection stays
-//!   usable for well-formed follow-ups.
+//!   usable for well-formed follow-ups. The same limit bounds the one
+//!   reply whose size a request picks: a `SAMPLE_MANY` whose `r` keys
+//!   would not fit in one frame is refused with the same error before
+//!   any handle opens or any draw is made.
 //!
 //! ## Shutdown
 //!
@@ -130,7 +133,7 @@ pub struct ServerState {
     /// The unified metrics registry behind the `METRICS` opcode and the
     /// `bst-server metrics` CLI scrape.
     pub metrics: MetricsRegistry,
-    cfg: ServerConfig,
+    pub(crate) cfg: ServerConfig,
     shutdown: AtomicBool,
     active: AtomicUsize,
     sessions_served: AtomicU64,

@@ -202,6 +202,53 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
     client.ping().expect("connection survived the abuse");
 }
 
+/// A `SAMPLE_MANY` is a few dozen bytes whatever its `r`, but its reply
+/// holds 8 bytes per key. An `r` whose reply would exceed the frame
+/// limit is refused with a typed verdict before any handle opens, and
+/// the connection goes on serving.
+#[test]
+fn sample_many_beyond_the_frame_limit_is_refused_before_sampling() {
+    let cfg = ServerConfig {
+        max_frame: 4_096,
+        ..ServerConfig::default()
+    };
+    let (handle, reference) = spawn(1_024, 2, cfg);
+    let set = reference
+        .create(member_keys(100, 1_024).iter().copied())
+        .unwrap();
+    let target = Target::Stored(set.raw());
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // A reply is 7 header bytes plus 8 per key: 511 keys fit in 4 KiB,
+    // 512 do not.
+    let before = reference.handle_pool_stats();
+    for r in [u32::MAX, 512] {
+        match client.sample_many(target.clone(), r, 3) {
+            Err(ClientError::Wire(WireError::FrameTooLarge { declared, max })) => {
+                assert_eq!(declared, 7 + 8 * u64::from(r));
+                assert_eq!(max, 4_096);
+            }
+            other => panic!("r = {r}: expected FrameTooLarge, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        reference.handle_pool_stats(),
+        before,
+        "a refused request must not open or touch a handle"
+    );
+    let most = client.sample_many(target.clone(), 511, 3).expect("511 fit");
+    assert!(!most.is_empty() && most.len() <= 511);
+
+    // The same connection then serves a normal SAMPLE, bit-identical to
+    // the in-process draw.
+    let key = client.sample(target, 5).expect("sample after refusal");
+    let mut rng = StdRng::seed_from_u64(5);
+    assert_eq!(
+        key,
+        reference.query_id(set).unwrap().sample(&mut rng).unwrap()
+    );
+}
+
 #[test]
 fn back_to_back_frames_are_answered_in_order_with_identical_draws() {
     let (handle, _reference) = spawn(2_048, 2, ServerConfig::default());

@@ -99,4 +99,6 @@ pub mod system;
 pub use durable::{DurableBstSystem, DurableConfig, DurableError};
 pub use pool::{filter_content_hash, HandlePoolStats, HANDLE_POOL_CAP};
 pub use query::ShardQuery;
-pub use system::{shard_boundaries, BatchObs, ShardedBstSystem, ShardedBstSystemBuilder};
+pub use system::{
+    shard_boundaries, slot_seed, BatchObs, ShardedBstSystem, ShardedBstSystemBuilder,
+};

@@ -9,7 +9,6 @@ use bst_bloom::params::m_for_accuracy;
 use bst_core::costmodel;
 use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
-use bst_core::multiquery;
 use bst_core::persistence::{self, PersistError, ShardManifest};
 use bst_core::query::Query;
 use bst_core::store::FilterId;
@@ -45,11 +44,20 @@ pub fn shard_boundaries(namespace: u64, shards: usize) -> Vec<u64> {
         .collect()
 }
 
+/// The RNG seed of batch slot `slot` under batch seed `seed`. Each slot
+/// draws from its own generator, so a slot's sample depends only on
+/// `(seed, slot)` and its filter — never on how slots are split across
+/// worker threads. The sharded engine mixes its shard index into the
+/// same seed for its per-(shard, slot) cells.
+pub fn slot_seed(seed: u64, slot: u64) -> u64 {
+    seed ^ slot.wrapping_add(1).wrapping_mul(0xD1B5_4A32_D192_ED03)
+}
+
 /// Mixes a batch seed with per-(shard, filter) coordinates so worker
 /// scheduling cannot change which RNG stream serves which cell: the
-/// core per-slot seed with the shard index folded in.
+/// per-slot seed with the shard index folded in.
 fn cell_seed(seed: u64, shard: u64, slot: u64) -> u64 {
-    multiquery::slot_seed(seed, slot) ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    slot_seed(seed, slot) ^ shard.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Builder for a [`ShardedBstSystem`] — the same knobs as
@@ -1190,13 +1198,72 @@ mod tests {
             .collect();
         let dropped = ids[1];
         sys.drop_set(dropped).expect("drop");
-        let (results, _) = sys.query_batch_ids(&ids, 5, 2);
+        let (results, stats) = sys.query_batch_ids(&ids, 5, 2);
         assert_eq!(results.len(), ids.len());
         for (id, r) in ids.iter().zip(&results) {
             if *id == dropped {
                 assert_eq!(*r, Err(BstError::UnknownFilterId(dropped)));
             } else {
                 assert!(sys.get(*id).expect("get").contains(r.expect("sample")));
+            }
+        }
+        assert!(stats.total_ops() > 0);
+    }
+
+    #[test]
+    fn empty_batch_returns_nothing_and_costs_nothing() {
+        let sys = engine(2);
+        assert_eq!(sys.query_batch(&[], 3, 0), (Vec::new(), OpStats::new()));
+        assert_eq!(sys.query_batch_ids(&[], 3, 0), (Vec::new(), OpStats::new()));
+    }
+
+    /// A filter from another hash family (same `m` and `k`, another
+    /// seed) or with no bits set fails its own slot with a typed error;
+    /// every other slot still samples.
+    #[test]
+    fn bad_filters_fail_only_their_own_slots() {
+        for shards in [1, 4] {
+            let sys = engine(shards);
+            let mut filters: Vec<BloomFilter> = (0..4)
+                .map(|i| sys.store((0..40u64).map(|j| (i * 331 + j * 7) % 8_192)))
+                .collect();
+            let plan = sys.shard_systems()[0].tree().plan();
+            let foreign = BloomFilter::with_params(plan.kind, plan.k, plan.m, 8_192, 999);
+            filters.insert(1, foreign);
+            filters.insert(3, sys.store(std::iter::empty()));
+            let (results, _) = sys.query_batch(&filters, 3, 2);
+            assert_eq!(results.len(), 6);
+            assert_eq!(
+                results[1],
+                Err(BstError::IncompatibleFilter),
+                "S = {shards}"
+            );
+            assert_eq!(results[3], Err(BstError::EmptyFilter), "S = {shards}");
+            for i in [0, 2, 4, 5] {
+                let s = results[i].expect("a sound filter samples");
+                assert!(filters[i].contains(s), "S = {shards}, slot {i}");
+            }
+        }
+    }
+
+    /// Cold batch draws and their operation counts are a function of
+    /// `(seed, slot, filter)` alone: one worker, three workers and one
+    /// per host CPU answer identically (and so do hosts with different
+    /// CPU counts).
+    #[test]
+    fn cold_batch_draws_and_stats_do_not_depend_on_thread_count() {
+        for shards in [1, 4] {
+            let sys = engine(shards);
+            let filters: Vec<BloomFilter> = (0..17)
+                .map(|i| sys.store((0..60u64).map(|j| (i * 331 + j * 7) % 8_192)))
+                .collect();
+            let (one, one_stats) = sys.query_batch(&filters, 21, 1);
+            assert!(one_stats.total_ops() > 0);
+            for threads in [3, 0] {
+                sys.clear_handle_pool();
+                let (many, many_stats) = sys.query_batch(&filters, 21, threads);
+                assert_eq!(one, many, "S = {shards}, threads = {threads}");
+                assert_eq!(one_stats, many_stats, "S = {shards}, threads = {threads}");
             }
         }
     }

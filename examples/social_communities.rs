@@ -6,8 +6,8 @@
 //! A synthetic microblog stream (substitute for the paper's Twitter crawl,
 //! see DESIGN.md) produces per-hashtag audiences. Each audience is
 //! registered in the system's store — the filter database `D̄` — and
-//! addressed by a stable id. A single pruned-backend `BstSystem` over the
-//! sparsely occupied user-id namespace then answers:
+//! addressed by a stable id. A one-shard engine whose pruned tree covers
+//! only the sparsely occupied user ids then answers:
 //!
 //! * "give me a random user who tweeted #tag" (ad targeting),
 //! * "list the whole audience of #tag" (campaign export), and
@@ -18,7 +18,7 @@
 //!
 //! Run with: `cargo run --release --example social_communities`
 
-use bloomsampletree::{BstSystem, FilterId};
+use bloomsampletree::{FilterId, ShardedBstSystem};
 use bst_workloads::occupancy::clustered_occupancy;
 use bst_workloads::social::{SocialConfig, SocialStream};
 use rand::rngs::StdRng;
@@ -47,20 +47,22 @@ fn main() {
         t0.elapsed()
     );
 
-    // One facade call: filters planned for 80% accuracy (the paper's §8
-    // setting), pruned tree over the occupied ids only.
+    // One builder call: filters planned for 80% accuracy (the paper's §8
+    // setting), one shard whose pruned tree covers the occupied ids only.
     let t1 = Instant::now();
-    let system = BstSystem::builder(cfg.namespace)
+    let system = ShardedBstSystem::builder(cfg.namespace)
+        .shards(1)
         .expected_set_size(1000)
         .accuracy(0.8)
         .seed(99)
-        .pruned(stream.users().iter().copied())
+        .occupied(stream.users().iter().copied())
         .build();
+    let tree = system.shard_systems()[0].tree();
     println!(
         "pruned backend: {} nodes (complete tree would need {}), {:.1} MB, built in {:?}",
-        system.tree().node_count(),
-        (1u64 << (system.tree().depth() + 1)) - 1,
-        system.tree().memory_bytes() as f64 / 1e6,
+        tree.node_count(),
+        (1u64 << (tree.depth() + 1)) - 1,
+        tree.memory_bytes() as f64 / 1e6,
         t1.elapsed()
     );
 
@@ -73,7 +75,7 @@ fn main() {
     println!(
         "\nregistered {} audiences in the store ({} KB per projection); sizes {}..{} users",
         ids.len(),
-        system.tree().plan().m / 8 / 1024,
+        tree.plan().m / 8 / 1024,
         audiences.iter().map(Vec::len).min().unwrap(),
         audiences.iter().map(Vec::len).max().unwrap()
     );
@@ -151,12 +153,10 @@ fn main() {
         .remove_keys(ids[tag], fading_leavers.iter().copied())
         .expect("remove");
     println!(
-        "\nchurn: audience #5 gained {} users (gen {}), #{} lost {} (gen {}; export handle stale: {})",
+        "\nchurn: audience #5 gained {} users, #{} lost {} (export handle stale: {})",
         newcomers.len(),
-        system.filters().generation(ids[5]).expect("generation"),
         tag,
         fading_leavers.len(),
-        system.filters().generation(ids[tag]).expect("generation"),
         export_query.is_stale().expect("staleness"),
     );
     let re_export = export_query.reconstruct().expect("re-export");
@@ -165,9 +165,9 @@ fn main() {
         .filter(|x| re_export.binary_search(x).is_ok())
         .count();
     println!(
-        "re-export of #{tag}: {} ids ({} ghost leavers), handle refreshed to generation {}",
+        "re-export of #{tag}: {} ids ({} ghost leavers), handle refreshed (stale: {})",
         re_export.len(),
         ghosts,
-        export_query.generation()
+        export_query.is_stale().expect("staleness")
     );
 }

@@ -97,21 +97,23 @@
 //! ## Serving many filters
 //!
 //! `BstSystem: Clone + Send + Sync` (an `Arc` bump), so worker threads
-//! share one tree; [`BstSystem::query_batch`] samples across a whole
-//! batch of filters in parallel ([`BstSystem::query_batch_ids`] is the
-//! id-addressed form). Sparse or dynamic-occupancy namespaces build the
-//! same system over a pruned backend with
-//! [`builder(M).pruned(occupied)`](bst_core::system::BstSystemBuilder::pruned)
-//! and get the identical surface:
+//! share one tree. Batches go through the sharded engine:
+//! [`ShardedBstSystem::query_batch`] samples across a whole batch of
+//! filters in parallel ([`ShardedBstSystem::query_batch_ids`] is the
+//! id-addressed form), and warm handles from its pool serve repeated
+//! filters. Each shard is a pruned-backend system; sparse or
+//! dynamic-occupancy namespaces list their occupied ids with
+//! [`occupied(ids)`](bst_shard::ShardedBstSystemBuilder::occupied), and
+//! `shards(1)` keeps one tree:
 //!
 //! ```
-//! use bloomsampletree::BstSystem;
+//! use bloomsampletree::ShardedBstSystem;
 //!
-//! let system = BstSystem::builder(10_000).build();
+//! let engine = ShardedBstSystem::builder(10_000).shards(1).build();
 //! let filters: Vec<_> = (0..8)
-//!     .map(|i| system.store((0..50u64).map(|j| (i * 997 + j * 11) % 10_000)))
+//!     .map(|i| engine.store((0..50u64).map(|j| (i * 997 + j * 11) % 10_000)))
 //!     .collect();
-//! let (picks, _stats) = system.query_batch(&filters, 42, 0);
+//! let (picks, _stats) = engine.query_batch(&filters, 42, 0);
 //! for (filter, pick) in filters.iter().zip(&picks) {
 //!     assert!(filter.contains(pick.unwrap()));
 //! }

@@ -1,9 +1,9 @@
 //! End-to-end sampling: workload generators → filters → BloomSampleTree →
 //! sample quality, spanning all four crates.
 
-use bloomsampletree::core::multiquery::sample_each;
 use bloomsampletree::core::sampler::SamplerConfig;
-use bloomsampletree::{BstSampler, BstSystem, OpStats};
+use bloomsampletree::shard::slot_seed;
+use bloomsampletree::{BstSampler, BstSystem, OpStats, ShardedBstSystem};
 use bst_stats::chi2_uniform_test;
 use bst_workloads::querysets::{clustered_set, uniform_set};
 use rand::rngs::StdRng;
@@ -103,33 +103,29 @@ fn measured_accuracy_tracks_target() {
     }
 }
 
+/// A batch is the sequential draws run side by side: on one shard, slot
+/// `i` draws exactly what a fresh handle on the same filter draws from a
+/// generator seeded with `slot_seed(seed, i)`.
 #[test]
 fn batch_sampling_agrees_with_sequential() {
-    let system = BstSystem::builder(50_000).seed(7).build();
+    let engine = ShardedBstSystem::builder(50_000).shards(1).seed(7).build();
     let mut rng = StdRng::seed_from_u64(8);
     let filters: Vec<_> = (0..16)
         .map(|i| {
             let keys = uniform_set(&mut rng, 50_000, 100 + i * 10);
-            system.store(keys)
+            engine.store(keys)
         })
         .collect();
-    let (results, stats) = sample_each(
-        &system.tree().read(),
-        &filters,
-        SamplerConfig::default(),
-        11,
-        4,
-    );
+    let (results, stats) = engine.query_batch(&filters, 11, 4);
     assert_eq!(results.len(), filters.len());
-    for (filter, r) in filters.iter().zip(&results) {
+    assert!(stats.memberships > 0);
+    let shard = &engine.shard_systems()[0];
+    for (i, (filter, r)) in filters.iter().zip(&results).enumerate() {
         let s = r.expect("every filter yields a sample");
         assert!(filter.contains(s));
-    }
-    assert!(stats.memberships > 0);
-    // The facade-level batch entry point serves the same filters.
-    let (via_system, _) = system.query_batch(&filters, 11, 4);
-    for (filter, r) in filters.iter().zip(&via_system) {
-        assert!(filter.contains(r.expect("sample")));
+        let mut slot_rng = StdRng::seed_from_u64(slot_seed(11, i as u64));
+        let sequential = shard.query(filter).sample(&mut slot_rng);
+        assert_eq!(*r, sequential, "slot {i}");
     }
 }
 
