@@ -158,12 +158,23 @@ pub fn decode(mut input: &[u8]) -> Result<BloomFilter, CodecError> {
     Ok(BloomFilter::from_parts(bits, hasher))
 }
 
+/// Bytes a counting filter's encoding spends ahead of its counters.
+pub const COUNTING_HEADER_LEN: usize = 4 + 1 + 1 + 2 + 8 * 4;
+
 /// Serializes a counting filter (nibble-packed counters plus the hash
 /// family's defining parameters) into a compact byte buffer.
 pub fn encode_counting(filter: &CountingBloomFilter) -> Bytes {
+    let mut buf = BytesMut::with_capacity(COUNTING_HEADER_LEN + filter.heap_bytes());
+    put_counting(&mut buf, filter);
+    buf.freeze()
+}
+
+/// Appends [`encode_counting`]'s bytes to `buf`: the counters are copied
+/// once, straight into the caller's buffer, so a snapshot of many sets
+/// builds no per-set buffer.
+pub fn put_counting(buf: &mut BytesMut, filter: &CountingBloomFilter) {
     let h = filter.hasher();
     let counters = filter.counter_bytes();
-    let mut buf = BytesMut::with_capacity(4 + 1 + 1 + 2 + 8 * 4 + counters.len());
     buf.put_slice(COUNTING_MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(kind_tag(h.kind()));
@@ -173,13 +184,12 @@ pub fn encode_counting(filter: &CountingBloomFilter) -> Bytes {
     buf.put_u64_le(h.seed());
     buf.put_u64_le(counters.len() as u64);
     buf.put_slice(counters);
-    buf.freeze()
 }
 
 /// Decodes a counting filter previously produced by [`encode_counting`],
 /// rebuilding the hash family deterministically from the header.
 pub fn decode_counting(mut input: &[u8]) -> Result<CountingBloomFilter, CodecError> {
-    if input.len() < 4 + 1 + 1 + 2 + 8 * 4 {
+    if input.len() < COUNTING_HEADER_LEN {
         return Err(CodecError::Truncated);
     }
     let mut magic = [0u8; 4];

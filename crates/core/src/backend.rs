@@ -35,7 +35,7 @@ use bytes::{Buf, BufMut};
 use parking_lot::RwLock;
 
 use crate::error::BstError;
-use crate::persistence::PersistError;
+use crate::persistence::{put_len_prefixed, PersistError};
 use crate::pruned::PrunedBloomSampleTree;
 use crate::tree::{BloomSampleTree, IndexPass, NodeId, SampleTree};
 
@@ -269,13 +269,27 @@ impl TreeBackend {
     /// The pruned tree persists its generation counter inside its own
     /// payload, so a restored backend continues stamping monotonically.
     pub(crate) fn put_bytes(&self, buf: &mut bytes::BytesMut) {
-        let (tag, payload) = match self {
-            TreeBackend::Dense(t) => (TAG_DENSE, t.to_bytes()),
-            TreeBackend::Pruned(p) => (TAG_PRUNED, p.tree.read().to_bytes()),
-        };
-        buf.put_u8(tag);
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
+        match self {
+            TreeBackend::Dense(t) => {
+                buf.put_u8(TAG_DENSE);
+                put_len_prefixed(buf, |buf| t.put_bytes(buf));
+            }
+            TreeBackend::Pruned(p) => {
+                buf.put_u8(TAG_PRUNED);
+                let tree = p.tree.read();
+                put_len_prefixed(buf, |buf| tree.put_bytes(buf));
+            }
+        }
+    }
+
+    /// An upper bound, unless the tree grows in between, on the length
+    /// [`Self::put_bytes`] writes.
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        1 + 8
+            + match self {
+                TreeBackend::Dense(t) => t.encoded_len_hint(),
+                TreeBackend::Pruned(p) => p.tree.read().encoded_len_hint(),
+            }
     }
 
     /// Decodes a backend serialized with [`Self::put_bytes`], advancing

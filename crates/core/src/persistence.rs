@@ -216,6 +216,19 @@ pub(crate) fn put_words(buf: &mut BytesMut, words: &[u64]) {
     }
 }
 
+/// Appends a `len u64` prefix followed by whatever `put` writes, then
+/// patches the length in place: a nested payload is encoded straight
+/// into the enclosing buffer, never into a buffer of its own. Public so
+/// layered codecs (the sharded system snapshot) frame their payloads the
+/// same way.
+pub fn put_len_prefixed(buf: &mut BytesMut, put: impl FnOnce(&mut BytesMut)) {
+    let at = buf.len();
+    buf.put_u64_le(0);
+    put(buf);
+    let len = (buf.len() - at - 8) as u64;
+    buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
 pub(crate) fn get_words(input: &mut &[u8], count: usize) -> Result<Vec<u64>, PersistError> {
     if input.remaining() < count * 8 {
         return Err(PersistError::Truncated);

@@ -688,6 +688,20 @@ impl PrunedBloomSampleTree {
     /// remapped), so a long-mutated tree persists no dead weight and a
     /// freshly built tree round-trips byte-identically.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = bytes::BytesMut::with_capacity(self.encoded_len_hint());
+        self.put_bytes(&mut buf);
+        buf.into()
+    }
+
+    /// An upper bound on [`Self::to_bytes`]' length: the header, a
+    /// fixed record per arena node (tombstones included), every occupied
+    /// id and the node bit arrays.
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        128 + self.nodes.len() * 32 + self.occupied_count() as usize * 8 + self.memory_bytes()
+    }
+
+    /// Appends [`Self::to_bytes`]'s bytes to `buf`.
+    pub(crate) fn put_bytes(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
         // Remap arena indices to reachable-only indices, arena order kept.
         let mut remap = vec![u32::MAX; self.nodes.len()];
@@ -705,10 +719,9 @@ impl PrunedBloomSampleTree {
             Some(c) => remap[c as usize],
             None => u32::MAX,
         };
-        let mut buf = bytes::BytesMut::new();
         buf.put_slice(b"BSTP");
         buf.put_u8(crate::persistence::VERSION);
-        crate::persistence::put_plan(&mut buf, &self.plan);
+        crate::persistence::put_plan(buf, &self.plan);
         buf.put_u32_le(live);
         buf.put_u32_le(link(self.root));
         // Generation continuity: the mutation counter rides along so a
@@ -730,9 +743,8 @@ impl PrunedBloomSampleTree {
             for &id in &node.occupied {
                 buf.put_u64_le(id);
             }
-            crate::persistence::put_words(&mut buf, node.filter.bits().words());
+            crate::persistence::put_words(buf, node.filter.bits().words());
         }
-        buf.to_vec()
     }
 
     /// Marks every node reachable from `node` with a non-MAX sentinel in

@@ -298,10 +298,17 @@ impl BstStore {
             let set = &inner.sets[&id];
             buf.put_u64_le(id);
             buf.put_u64_le(set.generation);
-            let payload = codec::encode_counting(&set.counting);
-            buf.put_u64_le(payload.len() as u64);
-            buf.put_slice(&payload);
+            crate::persistence::put_len_prefixed(buf, |buf| {
+                codec::put_counting(buf, &set.counting);
+            });
         }
+    }
+
+    /// The length [`Self::put_bytes`] will write, from
+    /// [`Self::memory_bytes`] and the set count (exact unless the store
+    /// changes in between), so a snapshot buffer is sized once.
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        8 + 4 + self.len() * (8 + 8 + 8 + codec::COUNTING_HEADER_LEN) + self.memory_bytes()
     }
 
     /// Decodes a store serialized with [`Self::put_bytes`]. Every decoded

@@ -24,7 +24,7 @@
 //!   6 OccRemove  id u64
 //! ```
 //!
-//! A checkpoint file ([`encode_checkpoint`]) is
+//! A checkpoint file ([`checkpoint_header`] then the snapshot) is
 //! `BSTCKPT1 | covered_seq u64 LE | snapshot`: the embedded sequence
 //! number names the newest log segment the snapshot covers, so recovery
 //! replays only strictly newer segments and a complete-but-stale
@@ -237,19 +237,20 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"BSTCKPT1";
 /// Checkpoint header size: magic + covered segment sequence (`u64 LE`).
 const CHECKPOINT_HEADER: usize = 8 + 8;
 
-/// Encodes a checkpoint file: the magic, the sequence number of the
-/// newest log segment the snapshot covers (recovery replays only
-/// strictly newer segments), then the engine snapshot bytes. The
-/// embedded sequence is what makes checkpoint-plus-truncation a single
-/// atomic transition: publishing the checkpoint *is* the truncation,
-/// because covered segments stop being replayed the instant the rename
-/// lands, whether or not their files have been unlinked yet.
-pub fn encode_checkpoint(covered_seq: u64, snapshot: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CHECKPOINT_HEADER + snapshot.len());
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    out.extend_from_slice(&covered_seq.to_le_bytes());
-    out.extend_from_slice(snapshot);
-    out
+/// The header of a checkpoint file: the magic, then the sequence number
+/// of the newest log segment the snapshot that follows covers (recovery
+/// replays only strictly newer segments). The snapshot is encoded
+/// straight after it into the same buffer
+/// (`ShardedBstSystem::to_bytes_with_header`). The embedded sequence is
+/// what makes checkpoint-plus-truncation a single atomic transition:
+/// publishing the checkpoint *is* the truncation, because covered
+/// segments stop being replayed the instant the rename lands, whether
+/// or not their files have been unlinked yet.
+pub fn checkpoint_header(covered_seq: u64) -> [u8; CHECKPOINT_HEADER] {
+    let mut header = [0u8; CHECKPOINT_HEADER];
+    header[..CHECKPOINT_MAGIC.len()].copy_from_slice(CHECKPOINT_MAGIC);
+    header[CHECKPOINT_MAGIC.len()..].copy_from_slice(&covered_seq.to_le_bytes());
+    header
 }
 
 /// Splits a checkpoint file into its covered-segment sequence number
@@ -650,12 +651,12 @@ mod tests {
     #[test]
     fn checkpoint_header_roundtrips_and_rejects_garbage() {
         let snapshot = b"engine snapshot bytes".to_vec();
-        let encoded = encode_checkpoint(41, &snapshot);
+        let encoded = [&checkpoint_header(41)[..], &snapshot].concat();
         let (covered, body) = decode_checkpoint(&encoded).unwrap();
         assert_eq!(covered, 41);
         assert_eq!(body, &snapshot[..]);
         // Empty snapshots are legal (header only).
-        let header_only = encode_checkpoint(0, &[]);
+        let header_only = checkpoint_header(0);
         let (covered, body) = decode_checkpoint(&header_only).unwrap();
         assert_eq!((covered, body.len()), (0, 0));
         // Short header, wrong magic, raw snapshot bytes: all rejected.

@@ -30,6 +30,9 @@ pub struct WalObs {
     pub checkpoints: Counter,
     /// Wall-clock duration of the last checkpoint, in microseconds.
     pub last_checkpoint_us: Gauge,
+    /// How long the last checkpoint held the log mutex — the writers'
+    /// stall: log rotation plus the snapshot encode — in microseconds.
+    pub last_checkpoint_stall_us: Gauge,
     /// Current byte length of the log file.
     pub log_bytes: Gauge,
     /// 1 while the durable facade is wedged — an append failed after its
@@ -85,6 +88,12 @@ impl WalObs {
             self.last_checkpoint_us.clone(),
         );
         registry.register_gauge(
+            "bst_wal_last_checkpoint_stall_us",
+            "time the last checkpoint held the log mutex, stalling writers (µs)",
+            &[],
+            self.last_checkpoint_stall_us.clone(),
+        );
+        registry.register_gauge(
             "bst_wal_log_bytes",
             "current byte length of the WAL file",
             &[],
@@ -113,6 +122,8 @@ mod tests {
         obs.replayed.set(7);
         obs.log_bytes.set(4096);
         obs.wedged.set(1);
+        obs.last_checkpoint_us.set(900);
+        obs.last_checkpoint_stall_us.set(120);
         let page = crate::expo::render(&registry);
         crate::expo::validate(&page).expect("well-formed page");
         for series in [
@@ -121,7 +132,8 @@ mod tests {
             "bst_wal_replayed_records 7",
             "bst_wal_torn_tail_bytes 0",
             "bst_wal_checkpoints_total 0",
-            "bst_wal_last_checkpoint_us 0",
+            "bst_wal_last_checkpoint_us 900",
+            "bst_wal_last_checkpoint_stall_us 120",
             "bst_wal_log_bytes 4096",
             "bst_wal_wedged 1",
         ] {

@@ -119,7 +119,7 @@ impl EngineOpTotals {
 /// State shared by the accept loop and every worker.
 ///
 /// Lock order: the epoch lock ([`Self::engine`]) first, then the
-/// store's log mutex, then its engine slot.
+/// store's checkpoint mutex, its log mutex, and its engine slot.
 pub struct ServerState {
     /// The engine epoch behind a read-write lock: requests take read,
     /// only `LOAD` takes write.

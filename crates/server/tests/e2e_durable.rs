@@ -132,6 +132,7 @@ fn save_checkpoints_and_empty_load_recovers_under_concurrent_traffic() {
             "bst_wal_torn_tail_bytes",
             "bst_wal_checkpoints_total",
             "bst_wal_last_checkpoint_us",
+            "bst_wal_last_checkpoint_stall_us",
             "bst_wal_log_bytes",
         ] {
             assert!(page.contains(series), "metrics page lacks {series}");

@@ -19,34 +19,40 @@
 //!
 //! ## Lock order and the read path
 //!
-//! Two locks exist here, acquired in a fixed order: the **log mutex**
-//! first, then the **engine slot** (`RwLock<ShardedBstSystem>`, write
-//! side only for engine swaps). Queries clone the engine handle through
-//! the slot's read side and never touch the log mutex, so a checkpoint
-//! — which holds the log mutex while encoding the engine through
-//! per-shard *read* locks (copy-on-read of locked tree state) — never
-//! blocks the read path. Writers stall for the duration of a
-//! checkpoint's encode; readers do not. A caller that must keep its own
+//! Three locks exist here, acquired in a fixed order: the **checkpoint
+//! mutex** first, then the **log mutex**, then the **engine slot**
+//! (`RwLock<ShardedBstSystem>`, write side only for engine swaps). The
+//! checkpoint mutex serializes whole checkpoints — the compactor's,
+//! [`DurableBstSystem::checkpoint`], [`DurableBstSystem::adopt`] — and
+//! [`DurableBstSystem::recover_from_disk`], so a publish never races an
+//! older publish or a recovery's segment listing. Queries clone the
+//! engine handle through the slot's read side and take neither mutex,
+//! so a checkpoint never blocks the read path. Writers stall only for a
+//! checkpoint's *cut*: the log rotation plus one encode of the engine
+//! through per-shard *read* locks into a buffer sized up front. Writing
+//! the file, `fsync`, the rename and retiring covered segments run
+//! after the log mutex is released. A caller that must keep its own
 //! state consistent with engine swaps (the server's epoch) takes its
-//! lock outside both.
+//! lock outside all three.
 //!
 //! ## Checkpoints
 //!
 //! The log is a series of numbered segment files (`wal.<seq>.log`) and
 //! the checkpoint embeds the sequence number of the newest segment it
-//! covers ([`wal::encode_checkpoint`]); recovery replays only strictly
+//! covers ([`wal::checkpoint_header`]); recovery replays only strictly
 //! newer segments. That linkage makes the checkpoint transition atomic
 //! with respect to crashes: appends first rotate into a fresh segment
 //! the snapshot will not cover, the snapshot is staged and published
 //! with `rename(2)` naming the rotated-away segment as covered, and
 //! only then are covered segments unlinked. Dying between any two
 //! steps recovers exactly — before the rename the old checkpoint still
-//! replays every uncovered segment (the fresh one is empty), and after
-//! it the old segments are stale *by sequence number*: skipped on
-//! replay even when the crash kept them from being unlinked, and swept
-//! at the next open. A background compactor thread runs this after
-//! every [`DurableConfig::checkpoint_every`] appended records (and on
-//! demand via [`DurableBstSystem::checkpoint`]).
+//! replays every uncovered segment (the fresh one holds exactly the
+//! records acked since the cut), and after it the old segments are
+//! stale *by sequence number*: skipped on replay even when the crash
+//! kept them from being unlinked, and swept at the next open. A
+//! background compactor thread runs this after every
+//! [`DurableConfig::checkpoint_every`] appended records (and on demand
+//! via [`DurableBstSystem::checkpoint`]).
 //!
 //! ## Append failures wedge the facade
 //!
@@ -203,8 +209,8 @@ struct LogState {
     /// a multi-segment recovery; the `log_bytes` gauge reports this
     /// plus the active segment.
     prior_uncovered: u64,
-    /// Records appended since the last checkpoint (drives the
-    /// compactor's cadence).
+    /// Records appended since the last checkpoint cut (drives the
+    /// compactor's cadence; a failed publish hands its records back).
     since_checkpoint: u64,
 }
 
@@ -222,9 +228,15 @@ struct DurableShared {
     /// `Arc`-backed handle); only engine swaps (recovery, adoption)
     /// write it. Always acquired after the log mutex, never before.
     engine: RwLock<ShardedBstSystem>,
+    /// The checkpoint mutex: held across a whole checkpoint, an adopt
+    /// and a disk recovery, so at most one of them touches the
+    /// checkpoint file and the segment list at a time. Always acquired
+    /// before the log mutex, never while holding it.
+    checkpointing: Mutex<()>,
     /// The log mutex: held across apply + append so log order equals
-    /// application order, and across a whole checkpoint. `None` for an
-    /// in-memory facade, whose mutations still serialize on it.
+    /// application order, and across a checkpoint's cut (rotate +
+    /// encode). `None` for an in-memory facade, whose mutations still
+    /// serialize on it.
     log: Mutex<Option<LogState>>,
     obs: WalObs,
     /// Wake-up channel into the compactor thread (None when the
@@ -236,9 +248,10 @@ struct DurableShared {
     checkpoint_error: Mutex<Option<String>>,
     /// Fail-stop latch: the reason the engine is ahead of the log, set
     /// when an append fails after its mutation applied. Mutations are
-    /// rejected while set; a successful checkpoint or disk recovery
-    /// clears it. Read and written only under the log mutex, so the
-    /// check cannot race the reconciliation.
+    /// rejected while set; a disk recovery clears it, and so does a
+    /// successful checkpoint whose snapshot was encoded while it was
+    /// set. Read and written only under the log mutex, so the check
+    /// cannot race the reconciliation.
     wedged: Mutex<Option<String>>,
 }
 
@@ -412,20 +425,7 @@ impl DurableBstSystem {
         // temp file; it is never read, so sweep it.
         let _ = std::fs::remove_file(dir.join(CHECKPOINT_TMP));
         let had_checkpoint = dir.join(CHECKPOINT_FILE).exists();
-        let (system, mut rec) = recover_state(dir, (!had_checkpoint).then(build))?;
-        if !had_checkpoint {
-            // First open of this directory: checkpoint the initial
-            // engine, covering anything replayed, and start fresh.
-            publish_checkpoint(
-                dir,
-                &wal::encode_checkpoint(rec.tail_seq, &system.to_bytes()),
-            )?;
-            rec.covered_seq = rec.tail_seq;
-            rec.tail_seq += 1;
-            rec.tail_valid_len = 0;
-            rec.prior_uncovered = 0;
-            rec.replayed = 0;
-        }
+        let (system, rec) = recover_state(dir, (!had_checkpoint).then(build))?;
         let wal = Wal::open(
             &segment_path(dir, rec.tail_seq),
             cfg.fsync,
@@ -445,14 +445,23 @@ impl DurableBstSystem {
         obs.torn_bytes.set(rec.torn_bytes as i64);
         obs.log_bytes
             .set((rec.prior_uncovered + rec.tail_valid_len) as i64);
-        *durable.inner.log.lock() = Some(LogState {
-            dir: dir.to_path_buf(),
-            cfg,
-            wal,
-            seq: rec.tail_seq,
-            prior_uncovered: rec.prior_uncovered,
-            since_checkpoint: rec.replayed,
-        });
+        {
+            let mut guard = durable.inner.log.lock();
+            let log = guard.insert(LogState {
+                dir: dir.to_path_buf(),
+                cfg,
+                wal,
+                seq: rec.tail_seq,
+                prior_uncovered: rec.prior_uncovered,
+                since_checkpoint: rec.replayed,
+            });
+            if !had_checkpoint {
+                // First open of this directory: checkpoint the initial
+                // engine, covering anything replayed — from then on the
+                // directory always holds a checkpoint.
+                checkpoint_holding_log(&durable.inner, log)?;
+            }
+        }
         if cfg.checkpoint_every > 0 {
             let (tx, rx) = std::sync::mpsc::channel();
             *durable.inner.signal.lock() = Some(tx);
@@ -474,6 +483,7 @@ impl DurableBstSystem {
         DurableBstSystem {
             inner: Arc::new(DurableShared {
                 engine: RwLock::new(system),
+                checkpointing: Mutex::new(()),
                 log: Mutex::new(None),
                 obs: WalObs::new(),
                 signal: Mutex::new(None),
@@ -628,15 +638,14 @@ impl DurableBstSystem {
         }
     }
 
-    /// Checkpoints now: encodes the engine (per-shard read locks only —
-    /// concurrent queries proceed), rotates the log, and publishes the
-    /// snapshot atomically. SAVE-over-the-wire maps here. Without a log
-    /// there is nothing to publish, and this returns `Ok`.
+    /// Checkpoints now: rotates the log and encodes the engine under the
+    /// log mutex (per-shard read locks only — concurrent queries
+    /// proceed), then publishes the snapshot atomically with the log
+    /// mutex released, so writers stall for the rotation and encode
+    /// alone. SAVE-over-the-wire maps here. Without a log there is
+    /// nothing to publish, and this returns `Ok`.
     pub fn checkpoint(&self) -> Result<(), DurableError> {
-        match self.inner.log.lock().as_mut() {
-            Some(log) => checkpoint_locked(&self.inner, log),
-            None => Ok(()),
-        }
+        checkpoint(&self.inner, |_| true).map(drop)
     }
 
     /// Replaces the engine with `system`, making it the new durable
@@ -644,16 +653,20 @@ impl DurableBstSystem {
     /// retired (wire `LOAD` with an explicit snapshot maps here).
     /// Without a log this is the engine swap alone.
     pub fn adopt(&self, system: ShardedBstSystem) -> Result<(), DurableError> {
+        let _serial = self.inner.checkpointing.lock();
         let mut log = self.inner.log.lock();
         // Swap first: if the publish then fails partway, the rename may
         // or may not have landed, so memory and disk could disagree —
         // wedge, and the next successful checkpoint (which snapshots
         // the adopted in-memory engine) republishes either way.
-        *self.inner.engine.write() = system.clone();
+        *self.inner.engine.write() = system;
         let Some(log) = log.as_mut() else {
             return Ok(());
         };
-        if let Err(e) = publish_and_rotate(&self.inner, log, &system.to_bytes()) {
+        // Unlike a checkpoint, the log mutex stays held through the
+        // publish: a record appended after the swap presupposes the
+        // adopted engine, which only the new checkpoint holds.
+        if let Err(e) = checkpoint_holding_log(&self.inner, log) {
             self.inner
                 .set_wedged(Some(format!("adopt could not publish its checkpoint: {e}")));
             self.kick_compactor();
@@ -670,6 +683,9 @@ impl DurableBstSystem {
     /// unlogged (never acked) mutation is rolled back here. Without a
     /// log this fails with [`DurableError::NoLog`].
     pub fn recover_from_disk(&self) -> Result<ShardedBstSystem, DurableError> {
+        // No checkpoint publishes (or retires segments) while the
+        // checkpoint and the segments are read.
+        let _serial = self.inner.checkpointing.lock();
         let mut guard = self.inner.log.lock();
         let log = guard.as_mut().ok_or(DurableError::NoLog)?;
         // No fallback: open() guarantees a checkpoint exists from the
@@ -684,61 +700,129 @@ impl DurableBstSystem {
     }
 }
 
-/// The shared checkpoint body: runs with the log mutex held, so no
-/// mutation can ack between the snapshot encode and the rotation
-/// (records covered by the checkpoint are exactly the records in the
-/// rotated-away segments). On success a wedge is cleared — the snapshot
-/// included any unlogged mutation, so log and engine agree again.
-fn checkpoint_locked(shared: &DurableShared, log: &mut LogState) -> Result<(), DurableError> {
-    let started = Instant::now();
-    let engine = shared.engine.read().clone();
-    let bytes = engine.to_bytes();
-    publish_and_rotate(shared, log, &bytes)?;
-    let obs = &shared.obs;
-    obs.checkpoints.inc();
-    obs.last_checkpoint_us
-        .set(started.elapsed().as_micros().min(i64::MAX as u128) as i64);
-    Ok(())
+/// A checkpoint cut under the log mutex and not yet published.
+struct PendingCheckpoint {
+    dir: PathBuf,
+    /// The newest segment the snapshot covers (the rotated-away one).
+    covered: u64,
+    /// The checkpoint file: header, then the engine snapshot.
+    bytes: Vec<u8>,
+    /// The records the cut took from `since_checkpoint`, handed back if
+    /// the publish fails.
+    records: u64,
+    /// Whether the facade was wedged when the snapshot was encoded. Only
+    /// then does the snapshot hold the unlogged mutation, so only then
+    /// may a successful publish clear the wedge.
+    wedged: bool,
 }
 
-/// The atomic checkpoint transition, with the log mutex held:
-///
-/// 1. rotate — appends move to a fresh segment the snapshot does not
-///    cover;
-/// 2. publish — the checkpoint lands via `rename(2)`, naming the
-///    rotated-away segment as covered (this is the commit point: from
-///    here recovery ignores the old segments, unlinked or not);
-/// 3. retire — covered segments are unlinked, best-effort (a crash or
-///    failure here leaves stale files recovery skips by sequence and
-///    the next open sweeps).
-///
-/// An error between steps is equally safe: after a failed publish the
-/// old checkpoint still covers exactly the old segments and replaying
-/// them (plus the fresh, possibly now-appended segment) reproduces the
-/// snapshot state, so appends continue and the next checkpoint retries.
-fn publish_and_rotate(
-    shared: &DurableShared,
-    log: &mut LogState,
-    snapshot: &[u8],
-) -> Result<(), DurableError> {
+/// The part of a checkpoint that needs the log mutex — the writers'
+/// stall: rotate appends into a fresh segment the snapshot will not
+/// cover, then encode the engine once, checkpoint header included, into
+/// a buffer sized up front. Holding the log mutex makes the cut
+/// consistent: the records the snapshot covers are exactly those in the
+/// rotated-away segments.
+fn cut(shared: &DurableShared, log: &mut LogState) -> Result<PendingCheckpoint, DurableError> {
     let covered = log.seq;
     let next_wal = Wal::open(&segment_path(&log.dir, covered + 1), log.cfg.fsync, 0)?;
     log.prior_uncovered += log.wal.len();
     log.wal = next_wal;
     log.seq = covered + 1;
-    publish_checkpoint(&log.dir, &wal::encode_checkpoint(covered, snapshot))?;
-    log.prior_uncovered = 0;
-    log.since_checkpoint = 0;
-    shared.set_wedged(None);
-    if let Ok(segments) = list_segments(&log.dir) {
-        for (seq, path) in segments {
-            if seq <= covered {
-                let _ = std::fs::remove_file(path);
+    let engine = shared.engine.read().clone();
+    Ok(PendingCheckpoint {
+        dir: log.dir.clone(),
+        covered,
+        bytes: engine.to_bytes_with_header(&wal::checkpoint_header(covered)),
+        records: std::mem::take(&mut log.since_checkpoint),
+        wedged: shared.wedged.lock().is_some(),
+    })
+}
+
+impl PendingCheckpoint {
+    /// Publishes the cut — the checkpoint lands via `rename(2)`, the
+    /// commit point from which recovery ignores the covered segments —
+    /// then retires those segments, best-effort (a crash or failure here
+    /// leaves stale files recovery skips by sequence and the next open
+    /// sweeps). Needs the checkpoint mutex, not the log mutex: appends
+    /// meanwhile land in the segment after `covered`.
+    fn publish(&self) -> io::Result<()> {
+        publish_checkpoint(&self.dir, &self.bytes)?;
+        if let Ok(segments) = list_segments(&self.dir) {
+            for (seq, path) in segments {
+                if seq <= self.covered {
+                    let _ = std::fs::remove_file(path);
+                }
             }
         }
+        Ok(())
     }
-    shared.obs.log_bytes.set(0);
-    Ok(())
+
+    /// Settles the publish under the log mutex. On success nothing
+    /// before the active segment is uncovered any more (the checkpoint
+    /// mutex kept any other rotation out), and a wedge the snapshot
+    /// reconciled is cleared. On failure the old checkpoint still covers
+    /// exactly the old segments, and replaying them plus the fresh one
+    /// reproduces the live state, so appends continue, the records go
+    /// back to `since_checkpoint`, and the next checkpoint retries.
+    fn settle(
+        &self,
+        shared: &DurableShared,
+        log: &mut LogState,
+        published: io::Result<()>,
+    ) -> Result<(), DurableError> {
+        if let Err(e) = published {
+            log.since_checkpoint += self.records;
+            return Err(e.into());
+        }
+        log.prior_uncovered = 0;
+        shared.obs.log_bytes.set(log.wal.len() as i64);
+        if self.wedged {
+            shared.set_wedged(None);
+        }
+        Ok(())
+    }
+}
+
+/// Cut, publish and settle with the log mutex held throughout — for
+/// `open` (nothing else can reach the facade yet) and `adopt`.
+fn checkpoint_holding_log(shared: &DurableShared, log: &mut LogState) -> Result<(), DurableError> {
+    let pending = cut(shared, log)?;
+    let published = pending.publish();
+    pending.settle(shared, log, published)
+}
+
+/// One checkpoint under the checkpoint mutex, if `due` says so when
+/// checked under the log mutex: the cut holds the log mutex, the publish
+/// runs with it released, the settle takes it again. Returns whether a
+/// checkpoint ran (never, without a log).
+fn checkpoint(
+    shared: &DurableShared,
+    due: impl FnOnce(&LogState) -> bool,
+) -> Result<bool, DurableError> {
+    let _serial = shared.checkpointing.lock();
+    let started = Instant::now();
+    let pending = {
+        let mut guard = shared.log.lock();
+        let locked = Instant::now();
+        let Some(log) = guard.as_mut().filter(|log| due(log)) else {
+            return Ok(false);
+        };
+        let pending = cut(shared, log)?;
+        shared.obs.last_checkpoint_stall_us.set(micros(locked));
+        pending
+    };
+    let published = pending.publish();
+    if let Some(log) = shared.log.lock().as_mut() {
+        pending.settle(shared, log, published)?;
+    }
+    shared.obs.checkpoints.inc();
+    shared.obs.last_checkpoint_us.set(micros(started));
+    Ok(true)
+}
+
+/// Microseconds since `since`, for the checkpoint gauges.
+fn micros(since: Instant) -> i64 {
+    since.elapsed().as_micros().min(i64::MAX as u128) as i64
 }
 
 /// Background compactor: waits for kicks from the append path and
@@ -756,20 +840,17 @@ fn compactor_loop(shared: &DurableShared, rx: &std::sync::mpsc::Receiver<Signal>
             // Stop, or every sender dropped: either way, shut down.
             Ok(Signal::Stop) | Err(_) => return,
         }
-        let mut guard = shared.log.lock();
-        // Only a logged facade starts a compactor; stay total anyway.
-        let Some(log) = guard.as_mut() else {
-            return;
-        };
         // A checkpoint (an earlier kick's, or a manual one) may have
         // run since this kick was sent — but a wedged facade needs its
         // reconciling checkpoint regardless.
-        if log.since_checkpoint < log.cfg.checkpoint_every && shared.wedged.lock().is_none() {
-            continue;
+        let outcome = checkpoint(shared, |log| {
+            log.since_checkpoint >= log.cfg.checkpoint_every || shared.wedged.lock().is_some()
+        });
+        match outcome {
+            Ok(false) => {}
+            Ok(true) => *shared.checkpoint_error.lock() = None,
+            Err(e) => *shared.checkpoint_error.lock() = Some(e.to_string()),
         }
-        let outcome = checkpoint_locked(shared, log);
-        drop(guard);
-        *shared.checkpoint_error.lock() = outcome.err().map(|e| e.to_string());
     }
 }
 
@@ -970,6 +1051,164 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A checkpoint cut the way [`checkpoint`] cuts one and handed back
+    /// unpublished; the caller holds the checkpoint mutex.
+    fn cut_now(durable: &DurableBstSystem) -> PendingCheckpoint {
+        let mut guard = durable.inner.log.lock();
+        cut(&durable.inner, guard.as_mut().unwrap()).unwrap()
+    }
+
+    /// Publishes and settles `pending` the way [`checkpoint`] does.
+    fn publish_now(durable: &DurableBstSystem, pending: &PendingCheckpoint) {
+        let published = pending.publish();
+        let mut guard = durable.inner.log.lock();
+        pending
+            .settle(&durable.inner, guard.as_mut().unwrap(), published)
+            .unwrap();
+    }
+
+    /// Writers stall for the cut only: between the encode and the
+    /// publish the log mutex is free and a mutation acks, and both the
+    /// published checkpoint and the old one (a crash before the rename)
+    /// recover exactly the live engine, that mutation included.
+    #[test]
+    fn writers_ack_between_the_encode_and_the_publish() {
+        for crash_before_rename in [false, true] {
+            let dir = scratch(if crash_before_rename {
+                "split-crash"
+            } else {
+                "split"
+            });
+            let durable = DurableBstSystem::open(&dir, manual_only(), base).unwrap();
+            let id = durable.create([1u64, 2]).unwrap();
+            durable.insert_keys(id, [3u64]).unwrap();
+            let serial = durable.inner.checkpointing.lock();
+            let pending = cut_now(&durable);
+            let at_cut = durable.system().to_bytes();
+
+            assert!(
+                durable.inner.log.try_lock().is_some(),
+                "the cut released the log mutex"
+            );
+            durable.insert_keys(id, [9u64]).unwrap();
+            let later = durable.create([4u64, 5]).unwrap();
+            let snapshot = wal::decode_checkpoint(&pending.bytes).unwrap().1;
+            assert_eq!(snapshot, at_cut, "the snapshot is the state at the cut");
+
+            if crash_before_rename {
+                // The crash strands a fully staged temp file and keeps
+                // the covered segments.
+                std::fs::write(dir.join(CHECKPOINT_TMP), &pending.bytes).unwrap();
+                drop(pending);
+            } else {
+                publish_now(&durable, &pending);
+                assert_eq!(
+                    durable.inner.log.lock().as_ref().unwrap().since_checkpoint,
+                    2
+                );
+            }
+            drop(serial);
+            let live = durable.system().to_bytes();
+            drop(durable);
+            let reopened =
+                DurableBstSystem::open(&dir, manual_only(), || panic!("must recover")).unwrap();
+            assert_eq!(reopened.system().to_bytes(), live);
+            assert_eq!(
+                reopened.obs().replayed.get(),
+                if crash_before_rename { 4 } else { 2 },
+                "replayed: every record after the old checkpoint, or only those after the cut"
+            );
+            assert!(reopened.system().ids().contains(&later));
+            drop(reopened);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A publish clears only a wedge its snapshot reconciled: one raised
+    /// before the encode (the snapshot holds the unlogged mutation), not
+    /// one raised after it.
+    #[test]
+    fn a_publish_clears_only_a_wedge_raised_before_its_encode() {
+        let dir = scratch("wedge-split");
+        let durable = DurableBstSystem::open(&dir, manual_only(), base).unwrap();
+        let id = durable.create([1u64, 2]).unwrap();
+
+        let serial = durable.inner.checkpointing.lock();
+        let pending = cut_now(&durable);
+        durable.system().insert_keys(id, [7u64]).unwrap();
+        durable
+            .inner
+            .set_wedged(Some("injected after the encode".into()));
+        publish_now(&durable, &pending);
+        assert!(
+            durable.inner.wedged.lock().is_some(),
+            "the snapshot lacks the unlogged key"
+        );
+        assert_eq!(durable.obs().wedged.get(), 1);
+
+        let pending = cut_now(&durable);
+        publish_now(&durable, &pending);
+        drop(serial);
+        assert!(
+            durable.inner.wedged.lock().is_none(),
+            "this snapshot holds it"
+        );
+        assert_eq!(durable.obs().wedged.get(), 0);
+        durable.insert_keys(id, [9u64]).unwrap();
+        let live = durable.system().to_bytes();
+        drop(durable);
+        let reopened =
+            DurableBstSystem::open(&dir, manual_only(), || panic!("must recover")).unwrap();
+        assert_eq!(reopened.system().to_bytes(), live);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed publish hands the cut's records back to the cadence
+    /// count, and the live engine still recovers from the old checkpoint.
+    #[test]
+    fn a_failed_publish_returns_its_records_to_the_cadence() {
+        let dir = scratch("publish-fails");
+        let durable = DurableBstSystem::open(&dir, manual_only(), base).unwrap();
+        let id = durable.create([1u64]).unwrap();
+        durable.insert_keys(id, [2u64]).unwrap();
+        let serial = durable.inner.checkpointing.lock();
+        let pending = cut_now(&durable);
+        durable.insert_keys(id, [3u64]).unwrap();
+        {
+            let mut guard = durable.inner.log.lock();
+            let log = guard.as_mut().unwrap();
+            assert_eq!(log.since_checkpoint, 1);
+            let failed = Err(io::Error::other("injected publish failure"));
+            assert!(pending.settle(&durable.inner, log, failed).is_err());
+            assert_eq!(log.since_checkpoint, 3, "the cut's two records came back");
+        }
+        drop(serial);
+        let live = durable.system().to_bytes();
+        drop(durable);
+        let reopened =
+            DurableBstSystem::open(&dir, manual_only(), || panic!("must recover")).unwrap();
+        assert_eq!(reopened.system().to_bytes(), live);
+        assert_eq!(reopened.obs().replayed.get(), 3);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The stall gauge times the cut alone, so it never exceeds the
+    /// whole checkpoint.
+    #[test]
+    fn checkpoint_reports_its_stall_within_its_duration() {
+        let dir = scratch("stall-gauge");
+        let durable = DurableBstSystem::open(&dir, manual_only(), base).unwrap();
+        durable.create([1u64, 2]).unwrap();
+        durable.checkpoint().unwrap();
+        let obs = durable.obs();
+        assert_eq!(obs.checkpoints.get(), 1);
+        assert!(obs.last_checkpoint_stall_us.get() <= obs.last_checkpoint_us.get());
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn in_memory_checkpoint_is_ok_and_writes_nothing() {
         let dirs = [std::env::current_dir().unwrap(), std::env::temp_dir()];
@@ -1034,6 +1273,7 @@ mod tests {
         assert_eq!(obs.replayed.get(), 0);
         assert_eq!(obs.torn_bytes.get(), 0);
         assert_eq!(obs.last_checkpoint_us.get(), 0);
+        assert_eq!(obs.last_checkpoint_stall_us.get(), 0);
         assert_eq!(obs.log_bytes.get(), 0);
     }
 }

@@ -847,9 +847,15 @@ impl ShardedBstSystem {
     /// registry, and every shard's whole-system snapshot — into one
     /// buffer. Byte-deterministic for a given engine state.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(SHARD_MAGIC);
-        buf.put_u8(persistence::VERSION);
+        self.to_bytes_with_header(&[])
+    }
+
+    /// [`Self::to_bytes`] behind `header`, in one buffer sized up front
+    /// from every shard's [`BstSystem::encoded_len_hint`]: each shard's
+    /// tree and stored sets are written straight into it and the length
+    /// prefixes patched in place, so every counter array is copied once.
+    /// A durable checkpoint is this call with the checkpoint header.
+    pub fn to_bytes_with_header(&self, header: &[u8]) -> Vec<u8> {
         let manifest = {
             let registry = self.shared.registry.read();
             ShardManifest {
@@ -863,13 +869,24 @@ impl ShardedBstSystem {
                     .collect(),
             }
         };
+        let shards = self.shared.shards.len();
+        let manifest_len = 4 + (shards + 1) * 8 + 8 + 4 + manifest.entries.len() * (1 + shards) * 8;
+        let payloads: usize = self
+            .shared
+            .shards
+            .iter()
+            .map(|sys| 8 + sys.encoded_len_hint())
+            .sum();
+        let mut buf =
+            BytesMut::with_capacity(header.len() + SHARD_MAGIC.len() + 1 + manifest_len + payloads);
+        buf.put_slice(header);
+        buf.put_slice(SHARD_MAGIC);
+        buf.put_u8(persistence::VERSION);
         persistence::put_shard_manifest(&mut buf, &manifest);
         for sys in &self.shared.shards {
-            let payload = sys.to_bytes();
-            buf.put_u64_le(payload.len() as u64);
-            buf.put_slice(&payload);
+            persistence::put_len_prefixed(&mut buf, |buf| sys.put_bytes(buf));
         }
-        buf.to_vec()
+        buf.into()
     }
 
     /// Restores an engine serialized with [`Self::to_bytes`]: the same

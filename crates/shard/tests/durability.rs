@@ -296,6 +296,92 @@ fn background_compactor_checkpoints_at_the_configured_cadence() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Checkpoints publish with the log mutex released, so only the
+/// checkpoint mutex keeps two publishes — or a publish and a disk
+/// recovery's segment listing — from interleaving. One thread looping
+/// `checkpoint()` and one looping `recover_from_disk()` race each other
+/// and the compactor (a checkpoint every 8 records) over a few hundred
+/// writes: every write acks, the live engine stays equal to a twin that
+/// applied exactly the acked writes, and a reopen of the directory
+/// recovers the same state.
+#[test]
+fn checkpoints_and_recoveries_racing_the_compactor_lose_no_acked_record() {
+    const NAMESPACE: u64 = 4_096;
+    let dir = scratch_dir("checkpoint-race");
+    let cfg = DurableConfig {
+        fsync: FsyncPolicy::Never,
+        checkpoint_every: 8,
+    };
+    let durable = DurableBstSystem::open(&dir, cfg, || build_base(NAMESPACE, 4)).unwrap();
+    let twin = build_base(NAMESPACE, 4);
+    let done = AtomicBool::new(false);
+    // Loops `op` until the writer is done, pausing between rounds so
+    // the writer gets the log mutex; the rounds run, or the first
+    // failure.
+    let race = |op: &dyn Fn() -> Result<(), bst_shard::DurableError>| {
+        let mut rounds = 0u64;
+        while !done.load(Ordering::Acquire) {
+            op().map_err(|e| format!("round {rounds}: {e}"))?;
+            rounds += 1;
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        Ok::<u64, String>(rounds)
+    };
+    let (writer, racers) = std::thread::scope(|scope| {
+        let racers = [
+            scope.spawn(|| race(&|| durable.checkpoint())),
+            scope.spawn(|| race(&|| durable.recover_from_disk().map(drop))),
+        ];
+        // The writer reports instead of panicking, so `done` is always
+        // set and the racers always stop.
+        let mut ids = Vec::new();
+        let mut writer = Ok(());
+        for i in 0..400u64 {
+            let key = (i * 613 + 7) % NAMESPACE;
+            let acked = if i % 4 == 0 {
+                durable.create([key, key / 2]).map(|id| {
+                    ids.push(id);
+                    (id, twin.create([key, key / 2]).map_err(|e| e.to_string()))
+                })
+            } else {
+                let id = ids[(i as usize * 7) % ids.len()];
+                durable.insert_keys(id, [key]).map(|()| {
+                    (
+                        id,
+                        twin.insert_keys(id, [key])
+                            .map(|()| id)
+                            .map_err(|e| e.to_string()),
+                    )
+                })
+            };
+            match acked {
+                Ok((id, Ok(twin_id))) if id == twin_id => {}
+                other => {
+                    writer = Err(format!("write {i}: durable/twin answered {other:?}"));
+                    break;
+                }
+            }
+            // Spread the writes so checkpoints and recoveries land
+            // between them.
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        done.store(true, Ordering::Release);
+        (writer, racers.map(|racer| racer.join().unwrap()))
+    });
+    writer.unwrap();
+    for (racer, rounds) in ["checkpoint", "recover_from_disk"].iter().zip(racers) {
+        let rounds = rounds.unwrap_or_else(|e| panic!("{racer} failed: {e}"));
+        assert!(rounds >= 1, "{racer} never completed a round");
+    }
+    assert_eq!(durable.last_checkpoint_error(), None);
+    assert_eq!(durable.system().to_bytes(), twin.to_bytes());
+    drop(durable);
+    let reopened = DurableBstSystem::open(&dir, cfg, || panic!("must recover")).unwrap();
+    assert_eq!(reopened.system().to_bytes(), twin.to_bytes());
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Generation continuity across a snapshot reload (the satellite-1
 /// regression): a decoded engine resumes every shard's tree generation
 /// instead of restarting at zero, keeps counting monotonically through
@@ -420,7 +506,7 @@ fn stale_covered_segment_next_to_a_fresh_checkpoint_is_not_replayed() {
 /// order, and resume appending in the newest one.
 #[test]
 fn recovery_replays_multiple_uncovered_segments_in_order() {
-    use bst_core::wal::{encode_checkpoint, Wal, WalRecord};
+    use bst_core::wal::{checkpoint_header, Wal, WalRecord};
     let dir = scratch_dir("multi-segment");
     std::fs::create_dir_all(&dir).unwrap();
     // What id does the engine hand out first? Learn it from a probe so
@@ -428,7 +514,7 @@ fn recovery_replays_multiple_uncovered_segments_in_order() {
     let first_id = build_base(1_024, 2).create([1u64, 2, 3]).unwrap().raw();
     std::fs::write(
         dir.join("checkpoint.bst"),
-        encode_checkpoint(0, &build_base(1_024, 2).to_bytes()),
+        build_base(1_024, 2).to_bytes_with_header(&checkpoint_header(0)),
     )
     .unwrap();
     let mut seg1 = Wal::open(&dir.join("wal.00000001.log"), FsyncPolicy::Never, 0).unwrap();
