@@ -12,7 +12,8 @@
 //! (1,024 stored sets of 1,000 keys, M = 2^20, S = 4, a quarter of the
 //! namespace occupied) and reports, per checkpoint, how long the log
 //! mutex was held — the time writers stall — next to the whole
-//! checkpoint's duration, from the `WalObs` gauges.
+//! checkpoint's duration, from the `WalObs` gauges, under both fsync
+//! policies.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -198,7 +199,10 @@ fn bench_checkpoint(c: &mut Criterion) {
 /// The service engine's checkpoint: writers stall only while the log
 /// mutex is held (rotate + encode); the write, fsync, rename and segment
 /// retirement follow with it released. Prints the median and max of
-/// both over a few checkpoints, plus the checkpoint's size.
+/// both over a few checkpoints under each fsync policy, plus the
+/// checkpoint's size. The engine is populated under `never`, then the
+/// directory is reopened under `always`, whose rotation adds a
+/// directory fsync to the stall.
 fn bench_checkpoint_stall(_c: &mut Criterion) {
     use bst_workloads::sampling::sample_distinct;
     use rand::rngs::StdRng;
@@ -211,51 +215,60 @@ fn bench_checkpoint_stall(_c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
     let occupied = sample_distinct(&mut rng, 0, M, (M / 4) as usize);
     let dir = scratch_dir("checkpoint-stall");
-    let durable = DurableBstSystem::open(
-        &dir,
-        DurableConfig {
-            fsync: FsyncPolicy::Never,
-            checkpoint_every: 0,
-        },
-        || {
-            ShardedBstSystem::builder(M)
-                .shards(SHARDS)
-                .accuracy(0.9)
-                .expected_set_size(KEYS as u64)
-                .occupied(occupied)
-                .build()
-        },
-    )
-    .expect("open durable scratch dir");
+    let open = |fsync| {
+        DurableBstSystem::open(
+            &dir,
+            DurableConfig {
+                fsync,
+                checkpoint_every: 0,
+            },
+            || {
+                ShardedBstSystem::builder(M)
+                    .shards(SHARDS)
+                    .accuracy(0.9)
+                    .expected_set_size(KEYS as u64)
+                    .occupied(occupied.clone())
+                    .build()
+            },
+        )
+        .expect("open durable scratch dir")
+    };
+    let durable = open(FsyncPolicy::Never);
     for _ in 0..SETS {
         durable
             .create(sample_distinct(&mut rng, 0, M, KEYS))
             .expect("create");
     }
-    let obs = durable.obs();
-    let (mut stall_us, mut full_us) = (Vec::new(), Vec::new());
-    for _ in 0..CHECKPOINTS {
-        durable.checkpoint().expect("checkpoint");
-        stall_us.push(obs.last_checkpoint_stall_us.get());
-        full_us.push(obs.last_checkpoint_us.get());
+    let label = |what: &str| format!("wal-checkpoint-stall/{SETS}x{KEYS}-M2^20-S{SHARDS}/{what}");
+    let mut durable = Some(durable);
+    for (policy, fsync) in [
+        ("never", FsyncPolicy::Never),
+        ("always", FsyncPolicy::Always),
+    ] {
+        let durable = durable.take().unwrap_or_else(|| open(fsync));
+        let obs = durable.obs();
+        let (mut stall_us, mut full_us) = (Vec::new(), Vec::new());
+        for _ in 0..CHECKPOINTS {
+            durable.checkpoint().expect("checkpoint");
+            stall_us.push(obs.last_checkpoint_stall_us.get());
+            full_us.push(obs.last_checkpoint_us.get());
+        }
+        for (what, mut us) in [("log-mutex-held", stall_us), ("full-checkpoint", full_us)] {
+            us.sort_unstable();
+            println!(
+                "{:<61} median {:>9.2} ms max {:>9.2} ms (n = {CHECKPOINTS})",
+                label(&format!("{policy}/{what}")),
+                us[CHECKPOINTS / 2] as f64 / 1e3,
+                us[CHECKPOINTS - 1] as f64 / 1e3,
+            );
+        }
     }
     let bytes = std::fs::metadata(dir.join("checkpoint.bst")).map_or(0, |m| m.len());
-    let label = |what: &str| format!("wal-checkpoint-stall/{SETS}x{KEYS}-M2^20-S{SHARDS}/{what}");
-    for (what, mut us) in [("log-mutex-held", stall_us), ("full-checkpoint", full_us)] {
-        us.sort_unstable();
-        println!(
-            "{:<50} median {:>9.2} ms max {:>9.2} ms (n = {CHECKPOINTS})",
-            label(what),
-            us[CHECKPOINTS / 2] as f64 / 1e3,
-            us[CHECKPOINTS - 1] as f64 / 1e3,
-        );
-    }
     println!(
-        "{:<50} {:.1} MB",
+        "{:<61} {:.1} MB",
         label("checkpoint-size"),
         bytes as f64 / 1e6
     );
-    drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

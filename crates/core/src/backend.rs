@@ -282,16 +282,6 @@ impl TreeBackend {
         }
     }
 
-    /// An upper bound, unless the tree grows in between, on the length
-    /// [`Self::put_bytes`] writes.
-    pub(crate) fn encoded_len_hint(&self) -> usize {
-        1 + 8
-            + match self {
-                TreeBackend::Dense(t) => t.encoded_len_hint(),
-                TreeBackend::Pruned(p) => p.tree.read().encoded_len_hint(),
-            }
-    }
-
     /// Decodes a backend serialized with [`Self::put_bytes`], advancing
     /// `input` past the payload.
     pub(crate) fn get_bytes(input: &mut &[u8]) -> Result<Self, PersistError> {

@@ -688,16 +688,9 @@ impl PrunedBloomSampleTree {
     /// remapped), so a long-mutated tree persists no dead weight and a
     /// freshly built tree round-trips byte-identically.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = bytes::BytesMut::with_capacity(self.encoded_len_hint());
+        let mut buf = bytes::BytesMut::new();
         self.put_bytes(&mut buf);
         buf.into()
-    }
-
-    /// An upper bound on [`Self::to_bytes`]' length: the header, a
-    /// fixed record per arena node (tombstones included), every occupied
-    /// id and the node bit arrays.
-    pub(crate) fn encoded_len_hint(&self) -> usize {
-        128 + self.nodes.len() * 32 + self.occupied_count() as usize * 8 + self.memory_bytes()
     }
 
     /// Appends [`Self::to_bytes`]'s bytes to `buf`.

@@ -304,10 +304,11 @@ impl BstStore {
         }
     }
 
-    /// The length [`Self::put_bytes`] will write, from
+    /// The length of the store's part of a system snapshot, from
     /// [`Self::memory_bytes`] and the set count (exact unless the store
-    /// changes in between), so a snapshot buffer is sized once.
-    pub(crate) fn encoded_len_hint(&self) -> usize {
+    /// changes in between): the bulk of a snapshot, so it sizes the
+    /// snapshot buffer.
+    pub fn encoded_len_hint(&self) -> usize {
         8 + 4 + self.len() * (8 + 8 + 8 + codec::COUNTING_HEADER_LEN) + self.memory_bytes()
     }
 

@@ -413,7 +413,7 @@ impl BstSystem {
     /// backend, and filter store (counting filters + generations) — into
     /// one snapshot buffer. Byte-deterministic for a given system state.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(self.encoded_len_hint());
+        let mut buf = BytesMut::with_capacity(self.shared.store.encoded_len_hint());
         self.put_bytes(&mut buf);
         buf.into()
     }
@@ -428,14 +428,6 @@ impl BstSystem {
         persistence::put_reconstruct_config(buf, &self.shared.cfg.reconstruct);
         self.shared.tree.put_bytes(buf);
         self.shared.store.put_bytes(buf);
-    }
-
-    /// The length [`Self::put_bytes`] will write, up to mutations in
-    /// between: the tree's bound plus the store's, which comes from
-    /// [`BstStore::memory_bytes`] and the set count. Sizes a snapshot
-    /// buffer once, so it never regrows and copies.
-    pub fn encoded_len_hint(&self) -> usize {
-        64 + self.shared.tree.encoded_len_hint() + self.shared.store.encoded_len_hint()
     }
 
     /// Restores a system serialized with [`Self::to_bytes`]: the same

@@ -254,15 +254,10 @@ impl BloomSampleTree {
     /// Serializes the tree (plan + all node bit arrays) into a compact
     /// binary buffer; see `persistence` module docs for the layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = bytes::BytesMut::with_capacity(self.encoded_len_hint());
+        let words_per_node = self.plan.m.div_ceil(64);
+        let mut buf = bytes::BytesMut::with_capacity(64 + self.nodes.len() * words_per_node * 8);
         self.put_bytes(&mut buf);
         buf.into()
-    }
-
-    /// An upper bound on [`Self::to_bytes`]' length: the header and the
-    /// node bit arrays.
-    pub(crate) fn encoded_len_hint(&self) -> usize {
-        64 + self.memory_bytes()
     }
 
     /// Appends [`Self::to_bytes`]'s bytes to `buf`.

@@ -41,7 +41,8 @@
 //!
 //! ## Fsync policy
 //!
-//! [`FsyncPolicy::Always`] pays one `fdatasync` per acked mutation
+//! [`FsyncPolicy::Always`] pays one `fdatasync` per acked mutation,
+//! plus one directory fsync when [`Wal::open`] creates a log file
 //! (power-loss durable); [`FsyncPolicy::Never`] leaves flushing to the
 //! OS page cache (process-crash durable, power-loss window). Both
 //! policies survive SIGKILL of the process, which is what the CI smoke
@@ -355,13 +356,23 @@ impl Wal {
     /// Opens (creating if needed) the log at `path`, truncated to
     /// `valid_len` — pass [`Recovery::valid_len`] so a torn tail is
     /// physically removed before the first new append lands after it.
+    /// Under [`FsyncPolicy::Always`] a newly created log also has its
+    /// directory fsynced before it is returned: an append's `fdatasync`
+    /// flushes the file but not its directory entry, so without this a
+    /// power failure could drop a fresh log with every record acked in
+    /// it.
     pub fn open(path: &Path, fsync: FsyncPolicy, valid_len: u64) -> io::Result<Wal> {
+        let created = !path.try_exists()?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
+        if created && fsync == FsyncPolicy::Always {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         file.set_len(valid_len)?;
         file.seek(SeekFrom::Start(valid_len))?;
         Ok(Wal {

@@ -28,8 +28,9 @@
 //! older publish or a recovery's segment listing. Queries clone the
 //! engine handle through the slot's read side and take neither mutex,
 //! so a checkpoint never blocks the read path. Writers stall only for a
-//! checkpoint's *cut*: the log rotation plus one encode of the engine
-//! through per-shard *read* locks into a buffer sized up front. Writing
+//! checkpoint's *cut*: the log rotation (with a directory fsync under
+//! [`FsyncPolicy::Always`]) plus one encode of the engine through
+//! per-shard *read* locks into a buffer sized up front. Writing
 //! the file, `fsync`, the rename and retiring covered segments run
 //! after the log mutex is released. A caller that must keep its own
 //! state consistent with engine swaps (the server's epoch) takes its
@@ -721,7 +722,10 @@ struct PendingCheckpoint {
 /// cover, then encode the engine once, checkpoint header included, into
 /// a buffer sized up front. Holding the log mutex makes the cut
 /// consistent: the records the snapshot covers are exactly those in the
-/// rotated-away segments.
+/// rotated-away segments. Under [`FsyncPolicy::Always`] the rotation
+/// also fsyncs the directory ([`Wal::open`] does on creation), so the
+/// fresh segment's entry is on disk before any write in it is acked —
+/// the publish's own directory fsync comes too late for that.
 fn cut(shared: &DurableShared, log: &mut LogState) -> Result<PendingCheckpoint, DurableError> {
     let covered = log.seq;
     let next_wal = Wal::open(&segment_path(&log.dir, covered + 1), log.cfg.fsync, 0)?;

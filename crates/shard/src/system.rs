@@ -851,9 +851,10 @@ impl ShardedBstSystem {
     }
 
     /// [`Self::to_bytes`] behind `header`, in one buffer sized up front
-    /// from every shard's [`BstSystem::encoded_len_hint`]: each shard's
-    /// tree and stored sets are written straight into it and the length
-    /// prefixes patched in place, so every counter array is copied once.
+    /// from every shard's stored sets ([`bst_core::store::BstStore::encoded_len_hint`],
+    /// nearly all of the bytes): each shard's tree and stored sets are
+    /// written straight into it and the length prefixes patched in
+    /// place, so every counter array is copied once.
     /// A durable checkpoint is this call with the checkpoint header.
     pub fn to_bytes_with_header(&self, header: &[u8]) -> Vec<u8> {
         let manifest = {
@@ -869,16 +870,13 @@ impl ShardedBstSystem {
                     .collect(),
             }
         };
-        let shards = self.shared.shards.len();
-        let manifest_len = 4 + (shards + 1) * 8 + 8 + 4 + manifest.entries.len() * (1 + shards) * 8;
-        let payloads: usize = self
+        let stored: usize = self
             .shared
             .shards
             .iter()
-            .map(|sys| 8 + sys.encoded_len_hint())
+            .map(|sys| sys.filters().encoded_len_hint())
             .sum();
-        let mut buf =
-            BytesMut::with_capacity(header.len() + SHARD_MAGIC.len() + 1 + manifest_len + payloads);
+        let mut buf = BytesMut::with_capacity(header.len() + stored);
         buf.put_slice(header);
         buf.put_slice(SHARD_MAGIC);
         buf.put_u8(persistence::VERSION);
