@@ -156,28 +156,64 @@ impl CountingBloomFilter {
 
     /// Number of positions with nonzero counters.
     pub fn count_nonzero(&self) -> usize {
-        (0..self.m).filter(|&i| self.counter(i) > 0).count()
+        self.nonzero_bits().count_ones()
     }
 
     /// Projects to a plain [`BloomFilter`] (bit set ⇔ counter nonzero),
     /// compatible with BloomSampleTree operations.
     pub fn to_bloom(&self) -> BloomFilter {
-        let mut bits = BitVec::new(self.m);
-        for i in 0..self.m {
-            if self.counter(i) > 0 {
-                bits.set(i);
-            }
+        BloomFilter::from_parts(self.nonzero_bits(), Arc::clone(&self.hasher))
+    }
+
+    /// The "counter ≠ 0" bit vector, built a word at a time: each 32-byte
+    /// run of counters (64 positions) yields one output word from four
+    /// 16-counter loads. The pad nibble of an odd `m` lands past bit
+    /// `m - 1`, where [`BitVec::from_words`] masks it off.
+    fn nonzero_bits(&self) -> BitVec {
+        let mut words = Vec::with_capacity(self.m.div_ceil(64));
+        let mut runs = self.counters.chunks_exact(32);
+        words.extend(runs.by_ref().map(nonzero_run));
+        let tail = runs.remainder();
+        if !tail.is_empty() {
+            let mut run = [0u8; 32];
+            run[..tail.len()].copy_from_slice(tail);
+            words.push(nonzero_run(&run));
         }
-        // Rebuild through from_keys-free path: construct empty then splice
-        // bits via union of a crafted filter. BloomFilter's fields are
-        // private to this crate, so a direct constructor is provided.
-        BloomFilter::from_parts(bits, Arc::clone(&self.hasher))
+        BitVec::from_words(words, self.m)
     }
 
     /// Heap bytes used by the counter array.
     pub fn heap_bytes(&self) -> usize {
         self.counters.len()
     }
+}
+
+/// Maps a 32-byte run of packed counters (64 positions) to one word of
+/// "counter ≠ 0" bits, 16 counters per load.
+#[inline]
+fn nonzero_run(run: &[u8]) -> u64 {
+    run.chunks_exact(8)
+        .enumerate()
+        .fold(0u64, |word, (lane, bytes)| {
+            let mut buf = [0u8; 8];
+            buf.copy_from_slice(bytes);
+            word | nonzero_nibbles(u64::from_le_bytes(buf)) << (16 * lane)
+        })
+}
+
+/// Maps 16 packed counters (nibble `j` of `x`, little-endian) to 16 flag
+/// bits: bit `j` of the result is set iff nibble `j` is nonzero.
+#[inline]
+fn nonzero_nibbles(x: u64) -> u64 {
+    // One flag per nibble, at the nibble's low bit (bit 4j):
+    // x | x>>1 | x>>2 | x>>3, in two shift-ors.
+    let y = x | x >> 2;
+    let f = (y | y >> 1) & 0x1111_1111_1111_1111;
+    // Compress: 2 flags per byte, 4 per u16, 8 per u32, then all 16.
+    let f = (f | f >> 3) & 0x0303_0303_0303_0303;
+    let f = (f | f >> 6) & 0x000f_000f_000f_000f;
+    let f = (f | f >> 12) & 0x0000_00ff_0000_00ff;
+    (f | f >> 24) & 0xffff
 }
 
 #[cfg(test)]

@@ -14,6 +14,9 @@
 //! * a warm handle's memo repair after an occupancy mutation re-tests
 //!   only the mutated path's nodes, and under the sound configurations
 //!   re-scans only the mutated leaf;
+//! * after set writes, a pooled handle's weight and reconstruction
+//!   equal the occupied ids the stored counting filters accept, on both
+//!   filter layouts;
 //! * `ShardedBstSystem` round-trips through `to_bytes`/`from_bytes`
 //!   deterministically.
 
@@ -22,7 +25,9 @@ use bloomsampletree::stats::chi2_uniform_test;
 use bloomsampletree::stats::conformance::{
     chi2_homogeneity, ks_two_sample_ids, sample_counts, DEFAULT_ALPHA,
 };
-use bloomsampletree::{BstConfig, BstError, BstSystem, ShardedBstSystem};
+use bloomsampletree::{
+    BstConfig, BstError, BstSystem, CountingBloomFilter, HashKind, ShardedBstSystem,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -563,6 +568,74 @@ fn sharded_warm_equals_cold_across_mutations() {
             sharded.query_id(id).expect("open").reconstruct(),
             "round {round}"
         );
+    }
+}
+
+/// After set writes, a pooled handle's weight and reconstruction equal a
+/// ground truth built without any projection: the occupied ids that the
+/// owning shard's counting filter accepts. Warm-equals-cold checks
+/// compare two handles over the same projection, so only this pins the
+/// counting-to-bits projection itself — on both filter layouts.
+#[test]
+fn pooled_handle_matches_counting_ground_truth_across_set_writes() {
+    for kind in [HashKind::Murmur3, HashKind::DeltaBlocked] {
+        let namespace = 16_384u64;
+        let sharded = ShardedBstSystem::builder(namespace)
+            .shards(4)
+            .expected_set_size(400)
+            .hash_kind(kind)
+            .seed(9)
+            .occupied((0..namespace).step_by(2))
+            .build();
+        let keys: Vec<u64> = (0..300u64).map(|i| i * 53 % namespace).collect();
+        let id = sharded.create(keys.iter().copied()).expect("create");
+        let pooled = sharded.pooled_query_id(id).expect("open");
+        let occupied = sharded.occupied_ids();
+        for round in 0..8u64 {
+            let batch: Vec<u64> = (0..40u64)
+                .map(|i| (round * 4_099 + i * 409) % namespace)
+                .collect();
+            if round % 2 == 0 {
+                sharded.insert_keys(id, batch).expect("insert_keys");
+            } else {
+                // Every other round takes back the previous round's batch
+                // and a slice of the original keys, so counters return
+                // to zero.
+                let mut undo: Vec<u64> = (0..40u64)
+                    .map(|i| ((round - 1) * 4_099 + i * 409) % namespace)
+                    .collect();
+                undo.extend_from_slice(&keys[round as usize * 10..round as usize * 10 + 10]);
+                sharded.remove_keys(id, undo).expect("remove_keys");
+            }
+            // One counting filter per shard, each holding that shard's
+            // keys; an id is a positive iff its own shard's filter
+            // accepts it.
+            let counting: Vec<CountingBloomFilter> = sharded
+                .shard_systems()
+                .iter()
+                .map(|sys| {
+                    let ids = sys.filters().ids();
+                    assert_eq!(ids.len(), 1, "one stored set per shard");
+                    sys.filters().counting(ids[0]).expect("counting")
+                })
+                .collect();
+            let truth: Vec<u64> = occupied
+                .iter()
+                .copied()
+                .filter(|&x| counting[sharded.shard_of(x)].contains(x))
+                .collect();
+            assert!(!truth.is_empty(), "{kind}, round {round}");
+            assert_eq!(
+                pooled.live_weight().expect("weight"),
+                truth.len() as u64,
+                "{kind}, round {round}"
+            );
+            assert_eq!(
+                pooled.reconstruct().expect("reconstruct"),
+                truth,
+                "{kind}, round {round}"
+            );
+        }
     }
 }
 
