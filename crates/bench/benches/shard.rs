@@ -2,8 +2,8 @@
 //! S ∈ {1, 4, 16} shards against the single-tree baseline, batch fan-out
 //! across the crossbeam pool, the occupancy-mutation invalidation
 //! round-trip (insert_occupied → stale sharded handle → journal-repaired
-//! re-weight), the weight-delta refresh vs the PR 3 full-recount
-//! behaviour, the two-phase batch scatter vs a one-phase emulation, and
+//! re-weight), the warm repaired weight refresh vs a full recount, the
+//! two-phase batch scatter vs a one-phase emulation, and
 //! warm repeated batches on the engine's pooled handles vs the cold
 //! (pool-cleared) two-phase path.
 
@@ -175,10 +175,10 @@ fn bench_occupancy_invalidation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The weight-delta mutation round-trip in isolation: mutate, then
-/// refresh `live_weight` on a **warm** handle (journal repair + O(k)
-/// count delta) vs a **fresh** handle per call (the PR 3 behaviour — a
-/// full cold recount of the mutated shard).
+/// The mutation round-trip in isolation: mutate, then refresh
+/// `live_weight` on a **warm** handle (journal repair patches the
+/// mutated leaf's list; the count sums the lists) vs a **fresh** handle
+/// per call (a full cold recount of the mutated shard).
 fn bench_weight_delta(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(15);

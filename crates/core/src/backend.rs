@@ -18,7 +18,8 @@
 //! loop. While a view is held, writers block, so the view's generation
 //! stamp is stable for the whole operation; open
 //! [`crate::query::Query`] handles compare stamps at the top of every
-//! operation and re-descend cold after any occupancy change.
+//! operation and repair their memo from the mutation journal after any
+//! occupancy change.
 //!
 //! The dense backend's occupancy is the full namespace by construction
 //! and never changes: its generation is the constant 0 and the mutation
@@ -213,7 +214,7 @@ impl TreeBackend {
     /// Marks `id` occupied (§5.2 dynamic insertion), extending filters
     /// along its root-to-leaf path and materialising missing nodes. Bumps
     /// the tree generation when the occupancy actually changed — open
-    /// [`crate::query::Query`] handles re-descend cold on their next
+    /// [`crate::query::Query`] handles repair their memo on their next
     /// operation — and returns the resulting generation.
     ///
     /// Fails with [`BstError::ImmutableBackend`] on a dense backend and
@@ -252,16 +253,6 @@ impl TreeBackend {
         let generation = tree.version();
         p.generation.store(generation, Ordering::Release);
         Ok(generation)
-    }
-
-    /// Recounts every subtree from scratch and compares against the
-    /// maintained weights (always true for a dense backend). Test-suite
-    /// ground truth — `O(nodes)`.
-    pub fn weights_consistent(&self) -> bool {
-        match self {
-            TreeBackend::Dense(_) => true,
-            TreeBackend::Pruned(p) => p.tree.read().verify_weights(),
-        }
     }
 
     /// Serializes the backend as `tag u8 | len u64 | tree bytes`, appended
@@ -329,40 +320,19 @@ impl TreeView<'_> {
         }
     }
 
-    /// Repairs a [`crate::sampler::QueryMemo`] last synchronised at tree generation
-    /// `since` up to this view's generation by replaying the mutation
-    /// journal: each mutated id invalidates cached state along its
-    /// root-to-leaf path only (`O(depth)` per mutation). Returns `false`
-    /// when the journal no longer reaches back to `since` — the caller
-    /// must discard the memo wholesale instead.
-    ///
-    /// The cached live-leaf weight is **delta-maintained** through
-    /// [`Self::replay_count`] when `exact_count` holds (sound
-    /// `BitOverlap` reconstruction, where the weight is exactly
-    /// `|{x occupied : filter(x)}|`): inserting an occupied id adds
-    /// `filter.contains(id)`, removing one subtracts it — O(k) per
-    /// mutation, no recount. Under estimate-threshold pruning the
-    /// weight is walk-dependent, so the cache is dropped and recounted
-    /// lazily instead.
-    ///
-    /// The delta is *provably* exact only when the sound walk's
-    /// positives-equal-count identity holds, and the one way that
-    /// identity can break is a resident occupied id with **degenerate
-    /// probes** (fewer than `k` distinct bit positions) that is also a
-    /// filter positive — only such an id can sit in a subtree whose
-    /// `t∧ < k` prunes it, and only revealing/hiding such an id makes a
-    /// mutation's true delta differ from `±filter.contains(id)`. The
-    /// tree maintains a census of degenerate-probe residents, so the
-    /// fast path simply verifies none of them is a filter positive (the
-    /// census is empty in the overwhelmingly common case); otherwise —
-    /// and for a degenerate mutated id itself — the cache is dropped
-    /// and the next call recounts through the repaired memo.
+    /// Repairs a [`crate::sampler::QueryMemo`] last synchronised at tree
+    /// generation `since` up to this view's generation by replaying the
+    /// mutation journal: each mutated id drops the cached node state on
+    /// its root-to-leaf path and patches that leaf's stored match list
+    /// against `filter` (`O(depth)` per mutation; see
+    /// [`crate::sampler::QueryMemo::repair_after_mutation`]). Returns
+    /// `false` when the journal no longer reaches back to `since` — the
+    /// caller must discard the memo wholesale instead.
     pub fn repair_memo(
         &self,
         since: u64,
         memo: &mut crate::sampler::QueryMemo,
         filter: &BloomFilter,
-        exact_count: bool,
     ) -> bool {
         match self {
             // Dense generation is constant 0: there is never a gap.
@@ -371,65 +341,10 @@ impl TreeView<'_> {
                 let Some(mutations) = guard.mutations_since(since) else {
                     return false;
                 };
-                for (id, _) in mutations {
-                    memo.repair_after_mutation(self, id);
-                }
-                memo.cached_count = memo
-                    .cached_count
-                    .filter(|_| exact_count)
-                    .and_then(|count| self.replay_count(since, filter, count));
-                true
-            }
-        }
-    }
-
-    /// The one copy of the journal-delta rule for live-leaf weights,
-    /// serving a handle's memo ([`Self::repair_memo`]). Brings an
-    /// exact weight computed at tree generation `since` up to this view's
-    /// generation by replaying the mutation journal with the O(k) delta
-    /// `±filter.contains(id)` per mutation, instead of a recount.
-    ///
-    /// Returns `None` whenever the delta cannot be *proven* exact — the
-    /// journal no longer reaches back to `since`, a degenerate-probe
-    /// resident is a positive of `filter` (the collision census), a
-    /// mutated id itself probes fewer than `k` distinct bits, or the
-    /// arithmetic would wrap — in which case the caller must discard the
-    /// cached weight and recount. The delta is sound only when the
-    /// weight is the exact positives count, i.e. under `BitOverlap`
-    /// reconstruction; callers gate on the configuration, as
-    /// [`Self::repair_memo`] does through its `exact_count` flag.
-    pub fn replay_count(&self, since: u64, filter: &BloomFilter, count: u64) -> Option<u64> {
-        match self {
-            // Dense generation is constant 0: a zero gap is a no-op and
-            // anything else is a caller bug treated as "cannot repair".
-            TreeView::Dense(_) => (since == 0).then_some(count),
-            TreeView::Pruned { guard, .. } => {
-                let mutations = guard.mutations_since(since)?;
-                // Exactness precondition (see `repair_memo`): no
-                // degenerate-probe resident may be a filter positive.
-                // The census is empty in the common case.
-                if guard.colliding_ids().iter().any(|&c| filter.contains(c)) {
-                    return None;
-                }
-                let mut count = count;
                 for (id, inserted) in mutations {
-                    // An inserted id was not occupied before (so not
-                    // counted); a removed id was, and was counted iff the
-                    // filter holds it. The mutated id's own probes are
-                    // checked directly (a degenerate removal is not in the
-                    // post-removal census); checked arithmetic is
-                    // belt-and-braces against wrap.
-                    if !filter.probes_distinct_bits(id) {
-                        return None;
-                    }
-                    let delta = u64::from(filter.contains(id));
-                    count = if inserted {
-                        count.checked_add(delta)?
-                    } else {
-                        count.checked_sub(delta)?
-                    };
+                    memo.repair_after_mutation(self, id, inserted, filter);
                 }
-                Some(count)
+                true
             }
         }
     }

@@ -14,25 +14,12 @@
 //! to insert this new element into already existing nodes in the tree, or
 //! we need to create a new node (and potentially its subtree)").
 //!
-//! ## Incremental weight accounting
-//!
-//! Every node carries the **maintained weight** of its subtree — the
-//! exact number of occupied ids below it. `insert`/`remove` apply an
-//! `O(depth)` ±1 delta along the mutated root-to-leaf path, so the count
-//! never needs a reconstruction walk;
-//! [`PrunedBloomSampleTree::verify_weights`] recounts from scratch for
-//! the test suites. Underflow is impossible by
-//! construction: `remove` decrements only after the id was found at its
-//! leaf, and every ancestor of that leaf counted the id when it was
-//! inserted. Overflow is impossible because a weight never exceeds the
-//! namespace size.
-//!
 //! ## The mutation journal
 //!
-//! Each successful mutation bumps [`PrunedBloomSampleTree::version`] and
-//! records the mutated id in a bounded journal. A reader that last
-//! synchronised at version `v` can ask for
-//! [`PrunedBloomSampleTree::mutations_since`]`(v)` and repair its
+//! Each successful mutation bumps [`PrunedBloomSampleTree::version`],
+//! moves the occupied count by one and records the mutated id in a
+//! bounded journal. A reader that last synchronised at version `v` can
+//! ask for [`PrunedBloomSampleTree::mutations_since`]`(v)` and repair its
 //! cached per-node state along just the mutated paths (`O(depth)` per
 //! mutation) instead of discarding it wholesale; when the journal no
 //! longer reaches back to `v` the caller falls back to a full reset.
@@ -46,7 +33,7 @@
 //! (`k` bit loads per id, no hashing), mutations hash the mutated id
 //! once for its whole root-to-leaf path, a removal rebuilds the leaf
 //! filter from the survivors' rows, and the collision census is read off
-//! the rows. Like the maintained weights, the table is derived state:
+//! the rows. The table is derived state:
 //! `build` and `from_bytes` fill it, mutations keep it in step, and
 //! snapshots never carry it. Positions must fit `u32`, so every
 //! constructor refuses plans with `m > 2³²`.
@@ -88,8 +75,6 @@ struct PrunedNode {
     /// `occupied` (see module docs).
     probes: Vec<u32>,
     level: u32,
-    /// Maintained weight: occupied ids in this subtree (see module docs).
-    weight: u64,
 }
 
 /// Bound on mutations remembered by the journal; older history forces
@@ -111,11 +96,14 @@ pub struct PrunedBloomSampleTree {
     /// The last [`JOURNAL_CAP`] mutations as `(id, inserted)`, oldest
     /// first (`inserted` false = removal).
     journal: VecDeque<(u64, bool)>,
+    /// Occupied ids in the tree: summed from the leaves on build and
+    /// decode, moved by one per logged mutation.
+    occupied: u64,
     /// The collision census: occupied ids probing fewer than `k`
-    /// distinct bit positions, sorted ascending. Such ids weaken the
-    /// `t∧ ≥ k` soundness argument, so exact-count fast paths consult
-    /// this list before trusting a delta (expected size ≈ `n·k²/2m` — a
-    /// handful).
+    /// distinct bit positions, sorted ascending. Only these can hide
+    /// under a node whose `t∧ < k`, so the walk-free sound answer tests
+    /// the root path of a leaf whose hits are all census members
+    /// (expected size ≈ `n·k²/2m` — a handful).
     colliding: Vec<u64>,
     /// The first-probe index over every occupied id (see module docs).
     index: FirstProbeIndex,
@@ -183,6 +171,7 @@ impl PrunedBloomSampleTree {
             root: None,
             version: 0,
             journal: VecDeque::new(),
+            occupied: occupied.len() as u64,
             colliding: Vec::new(),
             index: FirstProbeIndex::default(),
         };
@@ -216,7 +205,6 @@ impl PrunedBloomSampleTree {
                 occupied: occ.to_vec(),
                 probes,
                 level,
-                weight: occ.len() as u64,
             });
             return Some(id);
         }
@@ -245,7 +233,6 @@ impl PrunedBloomSampleTree {
             occupied: Vec::new(),
             probes: Vec::new(),
             level,
-            weight: occ.len() as u64,
         });
         Some(id)
     }
@@ -279,11 +266,8 @@ impl PrunedBloomSampleTree {
         };
         let mut cur = root;
         loop {
-            // Presence was ruled out above, so the insertion definitely
-            // lands: the O(depth) weight delta applies along the path.
             let node = &mut self.nodes[cur as usize];
             node.filter.insert_probes(&row);
-            node.weight += 1;
             let level = node.level;
             if level == self.plan.depth {
                 let pos = node.occupied.partition_point(|&x| x < id);
@@ -294,8 +278,8 @@ impl PrunedBloomSampleTree {
                     let pos = self.colliding.partition_point(|&x| x < id);
                     self.colliding.insert(pos, id);
                 }
-                self.update_index(id, &row, true);
                 self.log_mutation(id, true);
+                self.update_index(id, &row, true);
                 return true;
             }
             let (lr, rr) = split(&self.nodes[cur as usize].range);
@@ -343,8 +327,8 @@ impl PrunedBloomSampleTree {
             if now_empty {
                 self.root = None;
             }
-            self.update_index(id, &probe_table(&self.hasher, &[id]), false);
             self.log_mutation(id, false);
+            self.update_index(id, &probe_table(&self.hasher, &[id]), false);
         }
         removed
     }
@@ -360,7 +344,6 @@ impl PrunedBloomSampleTree {
             n.occupied.remove(pos);
             let k = self.plan.k;
             n.probes.drain(pos * k..(pos + 1) * k);
-            n.weight -= 1;
             // Rebuild the leaf filter exactly from the survivors' rows,
             // in place (clearing beats reallocating `m` bits per removal).
             n.filter.clear();
@@ -382,9 +365,6 @@ impl PrunedBloomSampleTree {
         if !removed {
             return (false, false);
         }
-        // The id was below this node, so it was counted here: the weight
-        // delta walks back up the same path the insertion walked down.
-        self.nodes[node as usize].weight -= 1;
         if child_empty {
             let n = &mut self.nodes[node as usize];
             if go_left {
@@ -445,17 +425,20 @@ impl PrunedBloomSampleTree {
             occupied: Vec::new(),
             probes: Vec::new(),
             level,
-            // Materialised mid-insert: the insert loop applies the +1
-            // delta when it steps onto this node.
-            weight: 0,
         });
         id
     }
 
-    /// Records a successful mutation: bumps the version and remembers
-    /// the mutated id and direction for bounded-history cache repair.
+    /// Records a successful mutation: bumps the version, moves the
+    /// occupied count, and remembers the mutated id and direction for
+    /// bounded-history cache repair.
     fn log_mutation(&mut self, id: u64, inserted: bool) {
         self.version += 1;
+        if inserted {
+            self.occupied += 1;
+        } else {
+            self.occupied -= 1;
+        }
         while self.journal.len() >= JOURNAL_CAP {
             self.journal.pop_front();
         }
@@ -515,9 +498,7 @@ impl PrunedBloomSampleTree {
 
     /// The collision census: occupied ids probing fewer than `k`
     /// distinct bit positions, ascending. The `t∧ ≥ k` pruning rule can
-    /// hide exactly these ids (and only these) from a sound walk, so
-    /// exact-count maintenance trusts an O(k) weight delta only when no
-    /// census member is a positive of the filter in question.
+    /// hide exactly these ids (and only these) from a sound walk.
     pub fn colliding_ids(&self) -> &[u64] {
         &self.colliding
     }
@@ -575,43 +556,9 @@ impl PrunedBloomSampleTree {
         self.nodes.len()
     }
 
-    /// Number of occupied ids — the root's maintained weight, kept exact
-    /// by O(depth) deltas on every mutation.
+    /// Number of occupied ids, O(1).
     pub fn occupied_count(&self) -> u64 {
-        match self.root {
-            Some(root) => self.nodes[root as usize].weight,
-            None => 0,
-        }
-    }
-
-    /// The maintained weight of `node`'s subtree: the exact number of
-    /// occupied ids in its range.
-    pub fn subtree_weight(&self, node: NodeId) -> u64 {
-        self.nodes[node as usize].weight
-    }
-
-    /// Recounts every reachable subtree from scratch and compares against
-    /// the maintained weights (the test suites' ground truth; `O(nodes)`).
-    pub fn verify_weights(&self) -> bool {
-        fn recount(tree: &PrunedBloomSampleTree, node: NodeId, ok: &mut bool) -> u64 {
-            let n = &tree.nodes[node as usize];
-            let actual = if n.level == tree.plan.depth {
-                n.occupied.len() as u64
-            } else {
-                [n.left, n.right]
-                    .into_iter()
-                    .flatten()
-                    .map(|c| recount(tree, c, ok))
-                    .sum()
-            };
-            *ok &= actual == n.weight;
-            actual
-        }
-        let mut ok = true;
-        if let Some(root) = self.root {
-            recount(self, root, &mut ok);
-        }
-        ok
+        self.occupied
     }
 
     /// Heap bytes of all node bit arrays (the Figure 14 metric).
@@ -639,7 +586,7 @@ impl PrunedBloomSampleTree {
 
     /// Recomputes every reachable leaf's probe table by hashing its ids
     /// and compares it with the maintained one (the test suites' ground
-    /// truth, like [`Self::verify_weights`]).
+    /// truth).
     pub fn verify_probe_tables(&self) -> bool {
         let mut ok = true;
         self.for_each_leaf(|_, n| ok &= n.probes == probe_table(&self.hasher, &n.occupied));
@@ -659,7 +606,7 @@ impl PrunedBloomSampleTree {
     /// OR of its children's filters, so each child's filter is a subset
     /// of its parent's and `query ∧ n₁ ∧ … ∧ n_d = query ∧ n_d` along any
     /// root path (the test suites' ground truth, like
-    /// [`Self::verify_weights`]; `O(nodes · m/64)`).
+    /// [`Self::verify_index`]; `O(nodes · m/64)`).
     pub fn verify_laminar(&self) -> bool {
         let mut ok = true;
         let mut stack: Vec<NodeId> = self.root.into_iter().collect();
@@ -815,7 +762,6 @@ impl PrunedBloomSampleTree {
                 occupied,
                 probes,
                 level,
-                weight: 0, // rebuilt below once the links are in place
             });
         }
         let root = if root_raw == u32::MAX {
@@ -836,63 +782,67 @@ impl PrunedBloomSampleTree {
             root,
             version,
             journal: VecDeque::new(),
+            occupied: 0,
             colliding: Vec::new(),
             index: FirstProbeIndex::default(),
         };
-        // Maintained weights, probe tables, the collision census and the
-        // first-probe index are derivable state (leaf = its id count,
-        // internal = sum of children; table = its ids' positions; census
-        // = occupied ids with degenerate rows; index = the tables keyed
-        // by first probe), so the snapshot format omits them and the
-        // decoder reconstructs them — by construction they match a
-        // from-scratch recount.
-        if let Some(root) = tree.root {
-            tree.rebuild_weights(root)?;
-        }
+        // The occupied count, probe tables, the collision census and the
+        // first-probe index are derived from the decoded ids (count = the
+        // leaves' lengths; table = its ids' positions; census = occupied
+        // ids with degenerate rows; index = the tables keyed by first
+        // probe), so the snapshot format omits them.
+        tree.occupied = tree.check_links()?;
         tree.colliding = tree.census_from_tables();
         tree.index = tree.index_from_tables();
         Ok(tree)
     }
 
-    /// Recomputes the maintained weight of every node in `root`'s subtree
-    /// from the decoded leaves upward. Links come from untrusted bytes,
-    /// so the walk is iterative (no stack overflow on adversarial depth)
-    /// and rejects structures that revisit a node — cycles or shared
-    /// children are not trees and would loop or double-count.
-    fn rebuild_weights(&mut self, root: NodeId) -> Result<(), crate::persistence::PersistError> {
+    /// Checks that the decoded links form a tree `build` could have
+    /// made, and returns the occupied ids summed over its leaves. Links
+    /// come from untrusted bytes, so the walk is iterative (no stack
+    /// overflow on adversarial depth) and rejects structures that revisit
+    /// a node — cycles or shared children are not trees and would loop.
+    /// Every reachable node must sit at its distance from the root and
+    /// span the `split` half of its parent's range (the root spans the
+    /// namespace); a leaf must have no children and hold strictly
+    /// ascending ids inside its range. Leaf searches, the index pass and
+    /// removals rely on all of these.
+    fn check_links(&self) -> Result<u64, crate::persistence::PersistError> {
+        use crate::persistence::PersistError::Corrupt;
         let mut visited = vec![false; self.nodes.len()];
-        // Explicit post-order: the first pop schedules the children, the
-        // second (ready) pop sums them.
-        let mut stack = vec![(root, false)];
-        while let Some((node, ready)) = stack.pop() {
+        let mut occupied = 0u64;
+        let mut stack: Vec<(NodeId, Range<u64>, u32)> = self
+            .root
+            .map(|root| (root, 0..self.plan.namespace, 0))
+            .into_iter()
+            .collect();
+        while let Some((node, range, level)) = stack.pop() {
+            if std::mem::replace(&mut visited[node as usize], true) {
+                return Err(Corrupt("node links revisit a node"));
+            }
             let n = &self.nodes[node as usize];
-            if ready {
-                let weight = if n.level == self.plan.depth {
-                    n.occupied.len() as u64
-                } else {
-                    [n.left, n.right]
-                        .into_iter()
-                        .flatten()
-                        .map(|c| self.nodes[c as usize].weight)
-                        .sum()
-                };
-                self.nodes[node as usize].weight = weight;
+            if n.level != level {
+                return Err(Corrupt("node level is not its depth"));
+            }
+            if n.range != range {
+                return Err(Corrupt("node range is not its parent's half"));
+            }
+            if level < self.plan.depth {
+                let (lr, rr) = split(&range);
+                stack.extend(n.left.map(|c| (c, lr, level + 1)));
+                stack.extend(n.right.map(|c| (c, rr, level + 1)));
                 continue;
             }
-            if visited[node as usize] {
-                return Err(crate::persistence::PersistError::Corrupt(
-                    "node links revisit a node",
-                ));
+            if n.left.is_some() || n.right.is_some() {
+                return Err(Corrupt("leaf has child links"));
             }
-            visited[node as usize] = true;
-            stack.push((node, true));
-            if n.level != self.plan.depth {
-                for child in [n.left, n.right].into_iter().flatten() {
-                    stack.push((child, false));
-                }
+            let ascending = n.occupied.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || !n.occupied.iter().all(|x| range.contains(x)) {
+                return Err(Corrupt("leaf ids unsorted or outside the leaf"));
             }
+            occupied += n.occupied.len() as u64;
         }
-        Ok(())
+        Ok(occupied)
     }
 
     /// All occupied ids, ascending (walks the leaves).
@@ -1305,10 +1255,10 @@ mod removal_tests {
     }
 
     #[test]
-    fn snapshot_rebuilds_maintained_weights() {
-        // Weights are derivable state: the snapshot omits them and
-        // from_bytes reconstructs them — matching a fresh recount, with
-        // byte-deterministic round-trips.
+    fn snapshot_recounts_occupancy_and_resumes_version() {
+        // The occupied count is derivable state: the snapshot omits it
+        // and from_bytes sums it from the leaves, with byte-deterministic
+        // round-trips.
         let occ: Vec<u64> = (0..300u64)
             .map(|i| i * 41 % (1 << 14))
             .collect::<std::collections::BTreeSet<_>>()
@@ -1319,10 +1269,9 @@ mod removal_tests {
             assert!(t.remove(*id));
         }
         assert!(t.insert(3));
-        assert!(t.verify_weights());
+        assert_eq!(t.occupied_count(), t.occupied_ids().len() as u64);
         let bytes = t.to_bytes();
         let back = PrunedBloomSampleTree::from_bytes(&bytes).expect("decode");
-        assert!(back.verify_weights(), "decoded weights must pass a recount");
         assert_eq!(back.occupied_count(), t.occupied_count());
         assert_eq!(back.occupied_ids(), t.occupied_ids());
         // Generation continuity: the decoded tree resumes the mutation
@@ -1344,9 +1293,7 @@ mod removal_tests {
     #[test]
     fn collision_census_tracks_degenerate_probe_ids() {
         // Small m makes within-key probe collisions likely; the census
-        // must equal a brute-force scan and follow every mutation, and
-        // warm delta-maintained weights must match cold recounts even
-        // when colliding ids are filter positives (the fallback path).
+        // must equal a brute-force scan and follow every mutation.
         let p = TreePlan {
             namespace: 1 << 14,
             m: 512,
@@ -1380,43 +1327,106 @@ mod removal_tests {
         assert_eq!(back.colliding_ids(), expect.as_slice());
     }
 
+    /// `(offset, level, ids)` of every node in a pruned-tree snapshot.
+    /// Layout: "BSTP" v(1) | plan(47) | live u32 | root u32 | version u64
+    /// | nodes. Node: start u64 | end u64 | level u32 | left u32 |
+    /// right u32 | occ_len u32 | occ ids | m/64 filter words.
+    fn snapshot_nodes(bytes: &[u8], p: &TreePlan) -> Vec<(usize, u32, usize)> {
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let mut off = 68usize;
+        let mut out = Vec::new();
+        for _ in 0..word(52) {
+            let (level, ids) = (word(off + 16), word(off + 28) as usize);
+            out.push((off, level, ids));
+            off += 32 + ids * 8 + p.m.div_ceil(64) * 8;
+        }
+        out
+    }
+
+    /// Decodes `bytes` after `patch` edits the first node `pick` selects,
+    /// returning the decode error.
+    fn decode_patched(
+        pick: impl Fn(u32, usize) -> bool,
+        patch: impl FnOnce(&mut [u8], usize, usize),
+    ) -> Option<crate::persistence::PersistError> {
+        let p = plan();
+        let occ: Vec<u64> = (0..200u64).collect();
+        let mut bytes = PrunedBloomSampleTree::build(&p, &occ).to_bytes();
+        let (i, &(off, _, _)) = snapshot_nodes(&bytes, &p)
+            .iter()
+            .enumerate()
+            .find(|(_, &(_, level, ids))| pick(level, ids))
+            .expect("a node to patch");
+        patch(&mut bytes, off, i);
+        PrunedBloomSampleTree::from_bytes(&bytes).err()
+    }
+
+    fn corrupt(what: &'static str) -> Option<crate::persistence::PersistError> {
+        Some(crate::persistence::PersistError::Corrupt(what))
+    }
+
     #[test]
     fn cyclic_snapshot_links_rejected_not_looped() {
         // A corrupt snapshot whose child links form a cycle must fail
-        // decode with `Corrupt` — the weight rebuild walks untrusted
-        // links and would otherwise loop or overflow the stack.
-        let occ: Vec<u64> = (0..200u64).collect();
-        let p = plan();
-        let tree = PrunedBloomSampleTree::build(&p, &occ);
-        let mut bytes = tree.to_bytes();
-        // Layout: "BSTP" v(1) | plan(47) | live u32 | root u32 |
-        // version u64 | nodes.
-        // Node: start u64 | end u64 | level u32 | left u32 | right u32 |
-        // occ_len u32 | occ ids | m/64 filter words.
-        let words = p.m.div_ceil(64);
-        let live = u32::from_le_bytes(bytes[52..56].try_into().unwrap()) as usize;
-        let mut off = 68usize;
-        let mut patched = false;
-        for i in 0..live {
-            let level = u32::from_le_bytes(bytes[off + 16..off + 20].try_into().unwrap());
-            let occ_len =
-                u32::from_le_bytes(bytes[off + 28..off + 32].try_into().unwrap()) as usize;
-            if level != p.depth {
-                // First internal node (on the left spine, reachable from
-                // the root): point its left link at itself.
-                bytes[off + 20..off + 24].copy_from_slice(&(i as u32).to_le_bytes());
-                patched = true;
-                break;
-            }
-            off += 32 + occ_len * 8 + words * 8;
-        }
-        assert!(patched, "tree must have an internal node");
-        assert_eq!(
-            PrunedBloomSampleTree::from_bytes(&bytes).err(),
-            Some(crate::persistence::PersistError::Corrupt(
-                "node links revisit a node"
-            ))
+        // decode with `Corrupt` — the link check walks untrusted links
+        // and would otherwise loop or overflow the stack. The first
+        // internal node sits on the left spine, reachable from the root;
+        // its left link now points at itself.
+        let err = decode_patched(
+            |level, _| level != plan().depth,
+            |bytes, off, i| bytes[off + 20..off + 24].copy_from_slice(&(i as u32).to_le_bytes()),
         );
+        assert_eq!(err, corrupt("node links revisit a node"));
+    }
+
+    #[test]
+    fn unsorted_leaf_ids_rejected() {
+        let err = decode_patched(
+            |level, ids| level == plan().depth && ids >= 2,
+            |bytes, off, _| {
+                let (a, b) = bytes[off + 32..off + 48].split_at_mut(8);
+                a.swap_with_slice(b);
+            },
+        );
+        assert_eq!(err, corrupt("leaf ids unsorted or outside the leaf"));
+    }
+
+    #[test]
+    fn leaf_id_outside_its_range_rejected() {
+        // The leaf's last id becomes its range's end: still ascending,
+        // but in the next leaf's range.
+        let err = decode_patched(
+            |level, ids| level == plan().depth && ids >= 1,
+            |bytes, off, _| {
+                let ids = u32::from_le_bytes(bytes[off + 28..off + 32].try_into().unwrap());
+                let last = off + 32 + (ids as usize - 1) * 8;
+                let end: [u8; 8] = bytes[off + 8..off + 16].try_into().unwrap();
+                bytes[last..last + 8].copy_from_slice(&end);
+            },
+        );
+        assert_eq!(err, corrupt("leaf ids unsorted or outside the leaf"));
+    }
+
+    #[test]
+    fn node_level_off_its_depth_rejected() {
+        let err = decode_patched(
+            |level, _| level == plan().depth,
+            |bytes, off, _| {
+                bytes[off + 16..off + 20].copy_from_slice(&(plan().depth - 1).to_le_bytes())
+            },
+        );
+        assert_eq!(err, corrupt("node level is not its depth"));
+    }
+
+    #[test]
+    fn leaf_with_child_links_rejected() {
+        // A leaf linking back to node 0 would send the encoder's
+        // reachability walk round a cycle on the next save.
+        let err = decode_patched(
+            |level, _| level == plan().depth,
+            |bytes, off, _| bytes[off + 20..off + 24].copy_from_slice(&0u32.to_le_bytes()),
+        );
+        assert_eq!(err, corrupt("leaf has child links"));
     }
 
     #[test]

@@ -268,7 +268,9 @@ impl Query {
 
     /// Brings `state` up to date with the store (stale set stamp →
     /// re-project filter, reset memo) and the tree (stale tree stamp →
-    /// reset memo), then enforces the compatibility guard. Called at the
+    /// repair the memo from the mutation journal, or reset it when the
+    /// journal no longer reaches back), then enforces the compatibility
+    /// guard. Called at the
     /// top of every operation, under the state lock, with the view the
     /// operation will run against — the view holds the tree read lock, so
     /// neither stamp can move between this check and the operation.
@@ -295,20 +297,12 @@ impl Query {
         if !reprojected && view.generation() != state.tree_generation {
             // The tree's occupancy changed. Replay the mutation journal
             // to repair the memo along just the mutated root-to-leaf
-            // paths (O(depth) per mutation) and delta-update the
-            // maintained live weight (O(k) per mutation under sound
-            // reconstruction); only when the handle is so stale that the
-            // journal no longer covers the gap is the memo discarded
-            // wholesale. The filter itself is unaffected either way (it
-            // never depended on the tree).
-            let exact_count =
-                self.system.config().reconstruct.liveness == crate::sampler::Liveness::BitOverlap;
-            if !view.repair_memo(
-                state.tree_generation,
-                &mut state.memo,
-                &state.filter,
-                exact_count,
-            ) {
+            // paths (O(depth) per mutation, leaf lists patched in place);
+            // only when the handle is so stale that the journal no
+            // longer covers the gap is the memo discarded wholesale. The
+            // filter itself is unaffected either way (it never depended
+            // on the tree).
+            if !view.repair_memo(state.tree_generation, &mut state.memo, &state.filter) {
                 state.memo = QueryMemo::new();
             }
             state.tree_generation = view.generation();

@@ -156,16 +156,16 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
 
     /// The number of elements [`Self::try_reconstruct_memo`] would return,
     /// without materialising the set: the query's **live-leaf weight** —
-    /// matching candidates summed over every live leaf. The weight is
-    /// maintained in the memo: the first call counts and caches it, and
-    /// later calls answer in O(1) until a mutation invalidates the cache.
-    /// Under the sound rule on a pruned tree the count sums the leaves'
-    /// match lists, filled by one index pass on a cold memo (see the
-    /// module docs); otherwise it runs the memoized reconstruction walk.
-    /// Either way a refresh after occupancy churn is cheap: the
-    /// [`crate::query::Query`] handle repairs the memo along mutated
-    /// paths, so the recount re-scans only the mutated leaves (and a
-    /// walk re-evaluates only O(depth) nodes).
+    /// matching candidates summed over every live leaf. The memo caches
+    /// it: the first call counts, and later calls answer in O(1) until a
+    /// replayed mutation drops the cache. Under the sound rule on a
+    /// pruned tree the count sums the leaves' match lists, filled by one
+    /// index pass on a cold memo (see the module docs); otherwise it runs
+    /// the memoized reconstruction walk. Either way a recount after
+    /// occupancy churn is cheap: the [`crate::query::Query`] handle
+    /// patches the mutated leaves' lists and drops only the mutated
+    /// paths' node state, so the sum scans no table (and a walk
+    /// re-evaluates only O(depth) nodes).
     pub fn try_count_memo(
         &self,
         query: &BloomFilter,

@@ -240,8 +240,8 @@ pub struct QueryMemo {
     /// the walk, and by the root-path tests of a walk-free sound count.
     pub(crate) recon_live: HashMap<NodeId, bool>,
     /// The full-range live-leaf weight of the last count or full
-    /// reconstruction — the maintained per-filter weight: repeated
-    /// `live_weight` calls are O(1) until a mutation invalidates it.
+    /// reconstruction: repeated `live_weight` calls are O(1) until a
+    /// replayed mutation drops it.
     pub(crate) cached_count: Option<u64>,
     /// The query's popcount: the estimators' `t₂`, counted once per
     /// memo.
@@ -288,9 +288,8 @@ impl QueryMemo {
     /// reconstruction walk) on a memo that holds no leaf list yet fills
     /// every materialised leaf from the tree's index pass
     /// ([`Self::fill_from_index`]); any
-    /// other miss — a windowed walk, the one leaf a mutation repair
-    /// dropped, a leaf materialised since, a tree without an index —
-    /// scans just this leaf ([`SampleTree::scan_leaf`]). Both count the
+    /// other miss — a windowed walk, a leaf materialised since the memo
+    /// was filled, a tree without an index — scans just this leaf ([`SampleTree::scan_leaf`]). Both count the
     /// candidates they test as memberships and give equal lists. Sound
     /// full-range counts and reconstructions read their leaves through
     /// here too, after filling the memo themselves (see the
@@ -348,28 +347,39 @@ impl QueryMemo {
         *self.query_ones.get_or_insert_with(|| query.count_ones())
     }
 
-    /// Repairs the memo's node-keyed state after one occupancy mutation
-    /// at `id`: every entry whose inputs could have changed is dropped,
-    /// everything else is kept, so the next operation re-evaluates
-    /// `O(depth)` nodes instead of the whole live frontier. The cached
-    /// live-leaf count is handled separately by the caller (it can often
-    /// be delta-updated instead of dropped — see
-    /// [`crate::backend::TreeView::repair_memo`]).
+    /// Repairs the memo after one occupancy mutation at `id` (`inserted`
+    /// false = removal), replayed from the tree's journal against the
+    /// current tree.
     ///
     /// What changes when `id` is inserted/removed: the filters of the
-    /// nodes on `id`'s root-to-leaf path, and that leaf's candidate list.
+    /// nodes on `id`'s root-to-leaf path, and that leaf's occupied ids.
     /// A node's liveness and weight read only `query ∧ own filter`, its
     /// own filter and the query's popcount, so an entry off the path is
-    /// untouched, and dropping the path's own entries restores cold-walk
-    /// equivalence bit-for-bit. The corrected sampler's frontier cache
-    /// aggregates weights across the whole upper tree, so it is rebuilt
-    /// wholesale.
+    /// untouched; the path's own `evals` and `recon_live` entries are
+    /// dropped and recomputed on demand. The path leaf's stored match
+    /// list is patched instead: a removed id leaves it, and an inserted
+    /// id enters it, in sorted position, iff `query.contains(id)` — the
+    /// table scan's own predicate, so the patched list equals a cold
+    /// scan element for element, and patches of one id compose in
+    /// journal order. A leaf the memo holds no list for is skipped.
+    ///
+    /// The cached count and the corrected sampler's frontier cache
+    /// aggregate over the whole tree, so both are dropped; the next
+    /// count sums the patched lists (under `BitOverlap`) or walks.
     ///
     /// Nodes unlinked by removals keep stale entries, but they are
     /// unreachable (their parent's entry is dropped and recomputed
-    /// against the new links), so the walk never consults them.
-    pub fn repair_after_mutation<T: SampleTree>(&mut self, tree: &T, id: u64) {
+    /// against the new links, and a re-created leaf gets a new id), so
+    /// no operation consults them.
+    pub fn repair_after_mutation<T: SampleTree>(
+        &mut self,
+        tree: &T,
+        id: u64,
+        inserted: bool,
+        query: &BloomFilter,
+    ) {
         self.prepared = None;
+        self.cached_count = None;
         let Some(mut node) = tree.root() else {
             return;
         };
@@ -377,8 +387,7 @@ impl QueryMemo {
             self.evals.remove(&node);
             self.recon_live.remove(&node);
             if tree.is_leaf(node) {
-                self.leaves.remove(&node);
-                return;
+                break;
             }
             let (l, r) = tree.children(node);
             // Descend toward the mutated id; a missing child means the
@@ -392,6 +401,17 @@ impl QueryMemo {
                 Some(next) => node = next,
                 None => return,
             }
+        }
+        let Some(list) = self.leaves.get_mut(&node) else {
+            return;
+        };
+        let list = Arc::make_mut(list);
+        match (list.binary_search(&id), inserted) {
+            (Err(pos), true) if query.contains(id) => list.insert(pos, id),
+            (Ok(pos), false) => {
+                list.remove(pos);
+            }
+            _ => {}
         }
     }
 }

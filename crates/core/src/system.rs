@@ -470,8 +470,7 @@ impl BstSystem {
     /// insertion), bumping the tree generation when the occupancy
     /// actually changed so every open [`Query`] handle repairs its
     /// cached descent state along the mutated path on its next
-    /// operation. Subtree weights are maintained by an O(depth) delta
-    /// along the same path. Returns the resulting tree generation.
+    /// operation. Returns the resulting tree generation.
     ///
     /// Dense backends are fully occupied by construction and report
     /// [`BstError::ImmutableBackend`]; ids outside `[0, M)` report
@@ -511,14 +510,6 @@ impl BstSystem {
     /// backend; the occupancy-mutation count on a pruned one).
     pub fn tree_generation(&self) -> u64 {
         self.shared.tree.generation()
-    }
-
-    /// Whether the pruned backend's maintained subtree weights match a
-    /// from-scratch recount (trivially true on a dense backend). The
-    /// conformance and property suites use this as ground truth;
-    /// `O(nodes)`, so not a hot-path call.
-    pub fn weights_consistent(&self) -> bool {
-        self.shared.tree.weights_consistent()
     }
 }
 

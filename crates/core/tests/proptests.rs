@@ -138,10 +138,10 @@ proptest! {
     }
 
     /// Under arbitrary interleaved `insert`/`remove` sequences, the
-    /// maintained subtree weights exactly equal a from-scratch recount
-    /// at every node, every internal filter stays the OR of its
-    /// children's, the first-probe index equals one rebuilt from the
-    /// leaf tables, and the root weight equals the surviving id count.
+    /// occupied count equals a recount from the leaves after every
+    /// mutation, every internal filter stays the OR of its children's,
+    /// the first-probe index equals one rebuilt from the leaf tables,
+    /// and the leaves hold exactly the surviving ids.
     #[test]
     fn maintained_weights_equal_recount(
         initial in prop::collection::btree_set(0u64..4096, 0..120),
@@ -159,7 +159,7 @@ proptest! {
             let changed = if insert { tree.insert(id) } else { tree.remove(id) };
             prop_assert_eq!(changed, expected);
             mutations += u64::from(changed);
-            prop_assert!(tree.verify_weights(), "weights drifted after mutation");
+            prop_assert_eq!(tree.occupied_count(), tree.occupied_ids().len() as u64);
             prop_assert!(tree.verify_laminar(), "mutation broke laminarity");
             prop_assert!(tree.verify_index(), "index drifted after mutation");
         }
@@ -278,36 +278,70 @@ proptest! {
     }
 
     /// A warm `Query` handle repaired through the mutation journal
-    /// reports exactly the live weight (and reconstruction) a cold
-    /// handle computes, under arbitrary interleaved occupancy churn.
+    /// answers exactly like a cold handle — live weight, reconstruction
+    /// and seeded draws — under the default and the paper configs.
+    /// Mutations land in bursts of 1–6 between reads, and an echoed
+    /// mutation undoes itself within its burst, so leaf-list patches
+    /// compose. The small-`m` arm makes collision-census members common.
     #[test]
     fn repaired_live_weight_equals_cold(
+        small_m in any::<bool>(),
+        kind in prop_oneof![
+            Just(HashKind::Simple),
+            Just(HashKind::Murmur3),
+            Just(HashKind::DeltaBlocked),
+        ],
         initial in prop::collection::btree_set(0u64..2048, 1..100),
         member_stride in 1usize..4,
-        ops in prop::collection::vec((any::<bool>(), 0u64..2048), 1..40),
+        depth in 0u32..6,
+        bursts in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), 0u64..2048, any::<bool>()), 1..7),
+            1..10,
+        ),
+        seed in any::<u64>(),
     ) {
-        use bst_core::system::BstSystem;
-        let occ: Vec<u64> = initial.iter().copied().collect();
-        let sys = BstSystem::builder(2048)
-            .expected_set_size(64)
-            .seed(17)
-            .pruned(occ.iter().copied())
-            .build();
-        let members: Vec<u64> = (0..2048u64).step_by(member_stride * 7).collect();
-        let filter = sys.store(members.iter().copied());
-        let warm = sys.query(&filter);
-        // Prime the memo so every mutation exercises the repair path.
-        let _ = warm.live_weight();
-        for (insert, id) in ops {
-            if insert {
-                sys.insert_occupied(id).unwrap();
+        use bst_core::system::{BstConfig, BstSystem};
+        for cfg in [BstConfig::default(), BstConfig::paper()] {
+            let builder = BstSystem::builder(2048)
+                .seed(17)
+                .hash_kind(kind)
+                .config(cfg)
+                .depth(depth);
+            // The small-m arm (m = 214) also occupies every 4th id, so
+            // about ten occupied ids probe fewer than k distinct bits.
+            let (builder, step, dense) = if small_m {
+                (builder.expected_set_size(40).accuracy(0.2), member_stride * 53, 4)
             } else {
-                sys.remove_occupied(id).unwrap();
+                (builder.expected_set_size(64), member_stride * 7, 2048)
+            };
+            let occupied = initial.iter().copied().chain((0..2048).step_by(dense));
+            let sys = builder.pruned(occupied).build();
+            let members: Vec<u64> = (0..2048u64).step_by(step).collect();
+            let filter = sys.store(members.iter().copied());
+            let warm = sys.query(&filter);
+            // Prime the memo so every mutation exercises the repair path.
+            let _ = warm.live_weight();
+            for (round, burst) in bursts.iter().enumerate() {
+                for &(insert, id, echo) in burst {
+                    for op in if echo { vec![insert, !insert] } else { vec![insert] } {
+                        if op {
+                            sys.insert_occupied(id).unwrap();
+                        } else {
+                            sys.remove_occupied(id).unwrap();
+                        }
+                    }
+                }
+                let cold = sys.query(&filter);
+                prop_assert_eq!(warm.live_weight(), cold.live_weight());
+                prop_assert_eq!(warm.reconstruct(), cold.reconstruct());
+                let draws = seed ^ round as u64;
+                let mut rng_warm = StdRng::seed_from_u64(draws);
+                let mut rng_cold = StdRng::seed_from_u64(draws);
+                for _ in 0..4 {
+                    prop_assert_eq!(warm.sample(&mut rng_warm), cold.sample(&mut rng_cold));
+                }
+                prop_assert_eq!(sys.occupied_count(), sys.occupied_ids().len() as u64);
             }
-            let cold = sys.query(&filter);
-            prop_assert_eq!(warm.live_weight(), cold.live_weight());
-            prop_assert_eq!(warm.reconstruct(), cold.reconstruct());
-            prop_assert!(sys.weights_consistent());
         }
     }
 

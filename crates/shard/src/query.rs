@@ -20,12 +20,12 @@ use rand::Rng;
 /// inside the shard. With exact weights the merged distribution equals a
 /// single tree's over the same positives (pinned by the `bst-stats`
 /// conformance harness in `tests/e2e_shard.rs`). Weights come from
-/// [`bst_core::query::Query::live_weight`], which is **maintained** in
-/// the handle's memo: O(1) when warm, and after occupancy churn the
-/// handle replays the tree's mutation journal — O(depth) memo repair
-/// plus an O(k) count delta per mutation under sound reconstruction —
-/// instead of recounting the shard; set churn still re-projects and
-/// recounts on the next call.
+/// [`bst_core::query::Query::live_weight`], which is cached in the
+/// handle's memo: O(1) when warm, and after occupancy churn the handle
+/// replays the tree's mutation journal — O(depth) memo repair per
+/// mutation, the mutated leaf's list patched in place — and the count
+/// sums the leaf lists instead of rescanning the shard; set churn still
+/// re-projects and recounts on the next call.
 pub struct ShardQuery {
     /// The sharded id this handle reads (`None` for detached filters).
     id: Option<FilterId>,
@@ -69,7 +69,7 @@ impl ShardQuery {
 
     /// Per-shard live-leaf weights for the current filter/tree state,
     /// merged by [`merge_weights`]. Each weight is the shard handle's
-    /// memo-maintained [`Query::live_weight`], so a warm call costs one
+    /// memo-cached [`Query::live_weight`], so a warm call costs one
     /// O(1) memo read per shard.
     fn weights(&self) -> Result<Vec<u64>, BstError> {
         merge_weights(self.handles.iter().map(Query::live_weight))

@@ -832,13 +832,6 @@ impl ShardedBstSystem {
         out
     }
 
-    /// Whether every shard's maintained subtree weights match a
-    /// from-scratch recount (the property suites' ground truth;
-    /// `O(total nodes)`).
-    pub fn weights_consistent(&self) -> bool {
-        self.shared.shards.iter().all(|s| s.weights_consistent())
-    }
-
     // ------------------------------------------------------------------
     // Whole-engine persistence.
     // ------------------------------------------------------------------

