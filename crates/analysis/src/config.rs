@@ -59,6 +59,8 @@ impl Config {
             ],
             codec_files: vec![
                 p("crates/core/src/persistence.rs"),
+                p("crates/core/src/tree.rs"),
+                p("crates/core/src/pruned.rs"),
                 p("crates/core/src/wal.rs"),
                 p("crates/bloom/src/codec.rs"),
                 p("crates/server/src/frame.rs"),

@@ -82,17 +82,19 @@ fn kind_from_tag(tag: u8) -> Result<HashKind, CodecError> {
 }
 
 /// Rejects `(kind, k, m)` values the hash families cannot represent, so
-/// corrupt headers fail with a typed error here instead of panicking (or
-/// dividing by zero) on first use of the decoded filter.
-fn check_params(kind: HashKind, k: usize, m: usize) -> Result<(), CodecError> {
+/// corrupt headers fail with a typed error instead of panicking (or
+/// dividing by zero) on first use of the decoded filter. Public so every
+/// decoder that rebuilds a hash family from untrusted bytes (the tree
+/// snapshots too) checks the same rule; the error names the bad field.
+pub fn check_params(kind: HashKind, k: usize, m: usize) -> Result<(), &'static str> {
     if k == 0 || k > MAX_K {
-        return Err(CodecError::BadParams("k outside 1..=MAX_K"));
+        return Err("k outside 1..=MAX_K");
     }
     if m < 2 {
-        return Err(CodecError::BadParams("m below 2"));
+        return Err("m below 2");
     }
     if kind == HashKind::DeltaBlocked && m < crate::hash::MIN_BLOCKED_BITS {
-        return Err(CodecError::BadParams("m below one block for DeltaBlocked"));
+        return Err("m below one block for DeltaBlocked");
     }
     Ok(())
 }
@@ -136,7 +138,7 @@ pub fn decode(mut input: &[u8]) -> Result<BloomFilter, CodecError> {
     let kind = kind_from_tag(input.get_u8())?;
     let k = input.get_u16_le() as usize;
     let m = input.get_u64_le() as usize;
-    check_params(kind, k, m)?;
+    check_params(kind, k, m).map_err(CodecError::BadParams)?;
     let namespace = input.get_u64_le();
     let seed = input.get_u64_le();
     let n_words = input.get_u64_le() as usize;
@@ -204,7 +206,7 @@ pub fn decode_counting(mut input: &[u8]) -> Result<CountingBloomFilter, CodecErr
     let kind = kind_from_tag(input.get_u8())?;
     let k = input.get_u16_le() as usize;
     let m = input.get_u64_le() as usize;
-    check_params(kind, k, m)?;
+    check_params(kind, k, m).map_err(CodecError::BadParams)?;
     let namespace = input.get_u64_le();
     let seed = input.get_u64_le();
     let n_bytes = input.get_u64_le() as usize;

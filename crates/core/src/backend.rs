@@ -123,8 +123,8 @@ impl TreeBackend {
     }
 
     /// Number of materialised nodes (for a mutated pruned backend this
-    /// includes unlinked tombstones still in the arena; snapshots compact
-    /// them away).
+    /// includes unlinked tombstones still in the arena; a decoded tree is
+    /// a fresh build and has none).
     pub fn node_count(&self) -> usize {
         match self {
             TreeBackend::Dense(t) => t.node_count(),

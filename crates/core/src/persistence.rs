@@ -11,12 +11,10 @@
 //! Layouts (little-endian):
 //!
 //! ```text
-//! complete: "BSTC" v2 | plan | node words × node_count
-//! pruned:   "BSTP" v2 | plan | node_count u32 | root u32(MAX=none)
-//!           | version u64 (mutation counter, resumed on decode)
-//!           | per node: start u64, end u64, level u32, left u32, right u32,
-//!             occupied_len u32, occupied ids…, filter words
-//! system:   "BSTS" v2 | sampler cfg | reconstruct cfg
+//! complete: "BSTC" v3 | plan | node words × node_count
+//! pruned:   "BSTP" v3 | plan | version u64 (mutation counter, resumed
+//!           on decode) | id count u64 | occupied ids u64…, ascending
+//! system:   "BSTS" v3 | sampler cfg | reconstruct cfg
 //!           | backend tag u8 | backend len u64 | backend bytes
 //!           | store next_id u64 | set count u32
 //!           | per set: id u64, generation u64, len u64, counting bytes
@@ -29,11 +27,16 @@
 //!           | correction 0=None 1=Rejection(+f64) 2=RejectionAuto
 //! ```
 //!
+//! A pruned snapshot holds no filter: every node filter is the union of
+//! its ids' probe rows, so decode rebuilds the tree from the ids and no
+//! byte sequence can describe a filter that disagrees with them.
+//!
 //! Version 2 dropped three config bytes and the system's journal cap;
-//! a version-1 input is refused as [`PersistError::BadVersion`].
+//! version 3 cut the pruned body to its plan, version and ids. Older
+//! inputs are refused as [`PersistError::BadVersion`].
 
 use bst_bloom::hash::HashKind;
-use bst_bloom::params::TreePlan;
+use bst_bloom::params::{depth_for, TreePlan};
 use bytes::{Buf, BufMut, BytesMut};
 
 use crate::reconstruct::ReconstructConfig;
@@ -75,7 +78,7 @@ impl std::error::Error for PersistError {}
 /// Snapshot format version shared by every structure in this module (and
 /// by the `bst-shard` sharded-system snapshot, which embeds whole-system
 /// payloads).
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_u64_le(plan.namespace);
@@ -93,6 +96,10 @@ pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_f64_le(plan.target_accuracy);
 }
 
+/// Decodes a plan written by [`put_plan`], refusing one no builder makes
+/// and no hash family accepts: bad `(kind, k, m)`, an empty namespace,
+/// or a depth past `⌈log₂ M⌉`. Every tree decoder builds its hasher and
+/// sizes its arena from the plan, so these fail typed here.
 pub(crate) fn get_plan(input: &mut &[u8]) -> Result<TreePlan, PersistError> {
     if input.remaining() < 8 + 8 + 2 + 1 + 8 + 4 + 8 + 8 {
         return Err(PersistError::Truncated);
@@ -111,8 +118,14 @@ pub(crate) fn get_plan(input: &mut &[u8]) -> Result<TreePlan, PersistError> {
     let depth = input.get_u32_le();
     let leaf_capacity = input.get_u64_le();
     let target_accuracy = input.get_f64_le();
-    if kind == HashKind::DeltaBlocked && m < bst_bloom::MIN_BLOCKED_BITS {
-        return Err(PersistError::Corrupt("blocked plan with m below one block"));
+    bst_bloom::codec::check_params(kind, k, m).map_err(PersistError::Corrupt)?;
+    if namespace == 0 {
+        return Err(PersistError::Corrupt("empty namespace"));
+    }
+    // Below one id per leaf the ranges are empty and the levels only
+    // multiply nodes: no builder makes such a plan.
+    if depth > depth_for(namespace, 1) {
+        return Err(PersistError::Corrupt("depth beyond ceil(log2 M)"));
     }
     Ok(TreePlan {
         namespace,

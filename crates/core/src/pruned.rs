@@ -34,9 +34,8 @@
 //! once for its whole root-to-leaf path, a removal rebuilds the leaf
 //! filter from the survivors' rows, and the collision census is read off
 //! the rows. The table is derived state:
-//! `build` and `from_bytes` fill it, mutations keep it in step, and
-//! snapshots never carry it. Positions must fit `u32`, so every
-//! constructor refuses plans with `m > 2³²`.
+//! `build` fills it and mutations keep it in step. Positions must fit
+//! `u32`, so every constructor refuses plans with `m > 2³²`.
 //!
 //! ## The first-probe index
 //!
@@ -48,10 +47,23 @@
 //! the ids whose first probe the query sets, and the hits, sorted and
 //! grouped by leaf, equal what the per-leaf table scans would return
 //! element for element (the predicate, "all `k` probe bits set", is the
-//! same). The index is derived state like the tables: `build` and
-//! `from_bytes` fill it, `insert`/`remove` keep it exact, snapshots never
-//! carry it, and [`PrunedBloomSampleTree::verify_index`] rebuilds it for
-//! the test suites.
+//! same). The index is derived state like the tables: `build` fills it,
+//! `insert`/`remove` keep it exact, and
+//! [`PrunedBloomSampleTree::verify_index`] rebuilds it for the test
+//! suites.
+//!
+//! ## Snapshots
+//!
+//! Everything but the occupied ids is a function of the plan and the
+//! ids: ranges, levels and links follow from which leaves hold an id,
+//! every filter is the union of its ids' probe rows (`insert` ORs rows
+//! in, `remove` rebuilds the path from the survivors), and the tables,
+//! census and index are built from the rows. A snapshot is therefore the
+//! plan, the version and the ascending ids, and
+//! [`PrunedBloomSampleTree::from_bytes`] checks the ids and runs
+//! [`PrunedBloomSampleTree::build`]: no byte sequence can describe a
+//! filter that disagrees with its ids, and a decoded arena holds no
+//! removal tombstones.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -626,14 +638,9 @@ impl PrunedBloomSampleTree {
         ok
     }
 
-    /// Serializes the pruned tree (plan, structure, occupied ids, node bit
-    /// arrays) into a compact binary buffer.
-    ///
-    /// Removals unlink emptied subtrees but leave their nodes in the
-    /// arena as unreachable tombstones; the snapshot **compacts** them
-    /// away, writing only reachable nodes (in arena order, links
-    /// remapped), so a long-mutated tree persists no dead weight and a
-    /// freshly built tree round-trips byte-identically.
+    /// Serializes the tree as its plan, its version and its occupied ids,
+    /// ascending (see module docs). Removal tombstones are unreachable,
+    /// so they never reach the bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = bytes::BytesMut::new();
         self.put_bytes(&mut buf);
@@ -643,206 +650,51 @@ impl PrunedBloomSampleTree {
     /// Appends [`Self::to_bytes`]'s bytes to `buf`.
     pub(crate) fn put_bytes(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
-        // Remap arena indices to reachable-only indices, arena order kept.
-        let mut remap = vec![u32::MAX; self.nodes.len()];
-        if let Some(root) = self.root {
-            self.mark_reachable(root, &mut remap);
-        }
-        let mut live = 0u32;
-        for slot in remap.iter_mut() {
-            if *slot != u32::MAX {
-                *slot = live;
-                live += 1;
-            }
-        }
-        let link = |child: Option<NodeId>| match child {
-            Some(c) => remap[c as usize],
-            None => u32::MAX,
-        };
         buf.put_slice(b"BSTP");
         buf.put_u8(crate::persistence::VERSION);
         crate::persistence::put_plan(buf, &self.plan);
-        buf.put_u32_le(live);
-        buf.put_u32_le(link(self.root));
         // Generation continuity: the mutation counter rides along so a
         // restored tree keeps stamping monotonically (warm handles never
         // see a reused generation).
         buf.put_u64_le(self.version);
-        for (node, _) in self
-            .nodes
-            .iter()
-            .zip(&remap)
-            .filter(|(_, &slot)| slot != u32::MAX)
-        {
-            buf.put_u64_le(node.range.start);
-            buf.put_u64_le(node.range.end);
-            buf.put_u32_le(node.level);
-            buf.put_u32_le(link(node.left));
-            buf.put_u32_le(link(node.right));
-            buf.put_u32_le(node.occupied.len() as u32);
-            for &id in &node.occupied {
-                buf.put_u64_le(id);
-            }
-            crate::persistence::put_words(buf, node.filter.bits().words());
-        }
+        buf.put_u64_le(self.occupied);
+        self.for_each_leaf(|_, n| n.occupied.iter().for_each(|&id| buf.put_u64_le(id)));
     }
 
-    /// Marks every node reachable from `node` with a non-MAX sentinel in
-    /// `remap` (resolved to compact indices by the caller).
-    fn mark_reachable(&self, node: NodeId, remap: &mut [u32]) {
-        remap[node as usize] = 0;
-        let n = &self.nodes[node as usize];
-        for child in [n.left, n.right].into_iter().flatten() {
-            self.mark_reachable(child, remap);
-        }
-    }
-
-    /// Reconstructs a pruned tree serialized with [`Self::to_bytes`].
+    /// Reconstructs a tree serialized with [`Self::to_bytes`]: checks the
+    /// ids, [`Self::build`]s over them and resumes the encoded version.
+    /// The journal is not persisted: a decoded tree starts with empty
+    /// history, so a reader stamped before the snapshot falls back to a
+    /// full reset (past-horizon) rather than silently replaying a hole.
     pub fn from_bytes(input: &[u8]) -> Result<Self, crate::persistence::PersistError> {
-        use crate::persistence::{check_header, get_plan, get_words, PersistError};
+        use crate::persistence::{check_header, get_plan, PersistError};
         use bytes::Buf;
         let mut input = input;
         check_header(&mut input, b"BSTP")?;
         let plan = get_plan(&mut input)?;
-        if input.remaining() < 8 {
-            return Err(PersistError::Truncated);
-        }
-        let node_count = input.get_u32_le() as usize;
-        let root_raw = input.get_u32_le();
-        if input.remaining() < 8 {
-            return Err(PersistError::Truncated);
-        }
-        let version = input.get_u64_le();
         if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
             return Err(PersistError::Corrupt(
                 "m exceeds the 2^32-bit probe-table limit",
             ));
         }
-        let hasher = Arc::new(plan.build_hasher());
-        let words_per_node = plan.m.div_ceil(64);
-        let mut nodes = Vec::with_capacity(node_count);
-        let link = |raw: u32| -> Result<Option<NodeId>, PersistError> {
-            if raw == u32::MAX {
-                Ok(None)
-            } else if (raw as usize) < node_count {
-                Ok(Some(raw))
-            } else {
-                Err(PersistError::Corrupt("child link out of range"))
-            }
-        };
-        for _ in 0..node_count {
-            if input.remaining() < 8 + 8 + 4 + 4 + 4 + 4 {
-                return Err(PersistError::Truncated);
-            }
-            let start = input.get_u64_le();
-            let end = input.get_u64_le();
-            if start >= end || end > plan.namespace {
-                return Err(PersistError::Corrupt("node range invalid"));
-            }
-            let level = input.get_u32_le();
-            let left = link(input.get_u32_le())?;
-            let right = link(input.get_u32_le())?;
-            let occ_len = input.get_u32_le() as usize;
-            if input.remaining() < occ_len * 8 {
-                return Err(PersistError::Truncated);
-            }
-            let mut occupied = Vec::with_capacity(occ_len);
-            for _ in 0..occ_len {
-                occupied.push(input.get_u64_le());
-            }
-            let words = get_words(&mut input, words_per_node)?;
-            let bits = bst_bloom::bitvec::BitVec::from_words(words, plan.m);
-            // m <= 2^32 was checked above, so every position fits a row.
-            let probes = probe_table(&hasher, &occupied);
-            nodes.push(PrunedNode {
-                range: start..end,
-                filter: BloomFilter::from_parts(bits, Arc::clone(&hasher)),
-                left,
-                right,
-                occupied,
-                probes,
-                level,
-            });
+        if input.remaining() < 16 {
+            return Err(PersistError::Truncated);
         }
-        let root = if root_raw == u32::MAX {
-            None
-        } else if (root_raw as usize) < node_count {
-            Some(root_raw)
-        } else {
-            return Err(PersistError::Corrupt("root link out of range"));
-        };
-        // The journal itself is not persisted: a decoded tree resumes at
-        // the encoded version with empty history, so a reader stamped
-        // before the snapshot falls back to a full reset (past-horizon)
-        // rather than silently replaying a hole.
-        let mut tree = PrunedBloomSampleTree {
-            plan,
-            hasher,
-            nodes,
-            root,
-            version,
-            journal: VecDeque::new(),
-            occupied: 0,
-            colliding: Vec::new(),
-            index: FirstProbeIndex::default(),
-        };
-        // The occupied count, probe tables, the collision census and the
-        // first-probe index are derived from the decoded ids (count = the
-        // leaves' lengths; table = its ids' positions; census = occupied
-        // ids with degenerate rows; index = the tables keyed by first
-        // probe), so the snapshot format omits them.
-        tree.occupied = tree.check_links()?;
-        tree.colliding = tree.census_from_tables();
-        tree.index = tree.index_from_tables();
+        let version = input.get_u64_le();
+        let count = input.get_u64_le();
+        if ((input.remaining() / 8) as u64) < count {
+            return Err(PersistError::Truncated);
+        }
+        let ids: Vec<u64> = (0..count).map(|_| input.get_u64_le()).collect();
+        if ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(PersistError::Corrupt("ids not strictly ascending"));
+        }
+        if ids.last().is_some_and(|&last| last >= plan.namespace) {
+            return Err(PersistError::Corrupt("id outside the namespace"));
+        }
+        let mut tree = Self::build(&plan, &ids);
+        tree.version = version;
         Ok(tree)
-    }
-
-    /// Checks that the decoded links form a tree `build` could have
-    /// made, and returns the occupied ids summed over its leaves. Links
-    /// come from untrusted bytes, so the walk is iterative (no stack
-    /// overflow on adversarial depth) and rejects structures that revisit
-    /// a node — cycles or shared children are not trees and would loop.
-    /// Every reachable node must sit at its distance from the root and
-    /// span the `split` half of its parent's range (the root spans the
-    /// namespace); a leaf must have no children and hold strictly
-    /// ascending ids inside its range. Leaf searches, the index pass and
-    /// removals rely on all of these.
-    fn check_links(&self) -> Result<u64, crate::persistence::PersistError> {
-        use crate::persistence::PersistError::Corrupt;
-        let mut visited = vec![false; self.nodes.len()];
-        let mut occupied = 0u64;
-        let mut stack: Vec<(NodeId, Range<u64>, u32)> = self
-            .root
-            .map(|root| (root, 0..self.plan.namespace, 0))
-            .into_iter()
-            .collect();
-        while let Some((node, range, level)) = stack.pop() {
-            if std::mem::replace(&mut visited[node as usize], true) {
-                return Err(Corrupt("node links revisit a node"));
-            }
-            let n = &self.nodes[node as usize];
-            if n.level != level {
-                return Err(Corrupt("node level is not its depth"));
-            }
-            if n.range != range {
-                return Err(Corrupt("node range is not its parent's half"));
-            }
-            if level < self.plan.depth {
-                let (lr, rr) = split(&range);
-                stack.extend(n.left.map(|c| (c, lr, level + 1)));
-                stack.extend(n.right.map(|c| (c, rr, level + 1)));
-                continue;
-            }
-            if n.left.is_some() || n.right.is_some() {
-                return Err(Corrupt("leaf has child links"));
-            }
-            let ascending = n.occupied.windows(2).all(|w| w[0] < w[1]);
-            if !ascending || !n.occupied.iter().all(|x| range.contains(x)) {
-                return Err(Corrupt("leaf ids unsorted or outside the leaf"));
-            }
-            occupied += n.occupied.len() as u64;
-        }
-        Ok(occupied)
     }
 
     /// All occupied ids, ascending (walks the leaves).
@@ -1219,7 +1071,7 @@ mod removal_tests {
     }
 
     #[test]
-    fn snapshot_compacts_tombstones() {
+    fn snapshot_drops_tombstones() {
         let occ: Vec<u64> = (0..256u64)
             .map(|i| i * 53 % (1 << 14))
             .collect::<std::collections::BTreeSet<_>>()
@@ -1238,10 +1090,12 @@ mod removal_tests {
             t.node_count() > fresh.node_count(),
             "mutated arena keeps tombstones in memory"
         );
-        // The snapshot drops them: same byte length as a fresh build's,
-        // and the decoded tree behaves identically.
+        // The snapshot is the ids, so it cannot carry them: it equals a
+        // fresh build's but for the version, and the decoded tree has
+        // the fresh arena and behaves identically.
         let bytes = t.to_bytes();
-        assert_eq!(bytes.len(), fresh.to_bytes().len());
+        let (a, b) = (bytes.clone(), fresh.to_bytes());
+        assert_eq!((&a[..52], &a[60..]), (&b[..52], &b[60..]));
         let back = PrunedBloomSampleTree::from_bytes(&bytes).expect("decode");
         assert_eq!(back.node_count(), fresh.node_count());
         assert_eq!(back.occupied_ids(), survivors);
@@ -1256,9 +1110,8 @@ mod removal_tests {
 
     #[test]
     fn snapshot_recounts_occupancy_and_resumes_version() {
-        // The occupied count is derivable state: the snapshot omits it
-        // and from_bytes sums it from the leaves, with byte-deterministic
-        // round-trips.
+        // The decoded tree is built from the snapshot's ids, so its
+        // count is theirs, with byte-deterministic round-trips.
         let occ: Vec<u64> = (0..300u64)
             .map(|i| i * 41 % (1 << 14))
             .collect::<std::collections::BTreeSet<_>>()
@@ -1327,106 +1180,88 @@ mod removal_tests {
         assert_eq!(back.colliding_ids(), expect.as_slice());
     }
 
-    /// `(offset, level, ids)` of every node in a pruned-tree snapshot.
-    /// Layout: "BSTP" v(1) | plan(47) | live u32 | root u32 | version u64
-    /// | nodes. Node: start u64 | end u64 | level u32 | left u32 |
-    /// right u32 | occ_len u32 | occ ids | m/64 filter words.
-    fn snapshot_nodes(bytes: &[u8], p: &TreePlan) -> Vec<(usize, u32, usize)> {
-        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let mut off = 68usize;
-        let mut out = Vec::new();
-        for _ in 0..word(52) {
-            let (level, ids) = (word(off + 16), word(off + 28) as usize);
-            out.push((off, level, ids));
-            off += 32 + ids * 8 + p.m.div_ceil(64) * 8;
-        }
-        out
-    }
-
-    /// Decodes `bytes` after `patch` edits the first node `pick` selects,
-    /// returning the decode error.
-    fn decode_patched(
-        pick: impl Fn(u32, usize) -> bool,
-        patch: impl FnOnce(&mut [u8], usize, usize),
-    ) -> Option<crate::persistence::PersistError> {
-        let p = plan();
-        let occ: Vec<u64> = (0..200u64).collect();
-        let mut bytes = PrunedBloomSampleTree::build(&p, &occ).to_bytes();
-        let (i, &(off, _, _)) = snapshot_nodes(&bytes, &p)
-            .iter()
-            .enumerate()
-            .find(|(_, &(_, level, ids))| pick(level, ids))
-            .expect("a node to patch");
-        patch(&mut bytes, off, i);
-        PrunedBloomSampleTree::from_bytes(&bytes).err()
-    }
-
     fn corrupt(what: &'static str) -> Option<crate::persistence::PersistError> {
         Some(crate::persistence::PersistError::Corrupt(what))
     }
 
-    #[test]
-    fn cyclic_snapshot_links_rejected_not_looped() {
-        // A corrupt snapshot whose child links form a cycle must fail
-        // decode with `Corrupt` — the link check walks untrusted links
-        // and would otherwise loop or overflow the stack. The first
-        // internal node sits on the left spine, reachable from the root;
-        // its left link now points at itself.
-        let err = decode_patched(
-            |level, _| level != plan().depth,
-            |bytes, off, i| bytes[off + 20..off + 24].copy_from_slice(&(i as u32).to_le_bytes()),
-        );
-        assert_eq!(err, corrupt("node links revisit a node"));
+    /// Decodes a snapshot of ids `0..200` after `patch` edits its id
+    /// list in place. Layout: "BSTP" v(1) | plan(47) | version u64 |
+    /// count u64 | ids.
+    fn decode_patched_ids(
+        patch: impl FnOnce(&mut [u64]),
+    ) -> Option<crate::persistence::PersistError> {
+        let mut ids: Vec<u64> = (0..200u64).collect();
+        let mut bytes = PrunedBloomSampleTree::build(&plan(), &ids).to_bytes();
+        patch(&mut ids);
+        bytes.truncate(68);
+        bytes.extend(ids.iter().flat_map(|x| x.to_le_bytes()));
+        PrunedBloomSampleTree::from_bytes(&bytes).err()
     }
 
     #[test]
-    fn unsorted_leaf_ids_rejected() {
-        let err = decode_patched(
-            |level, ids| level == plan().depth && ids >= 2,
-            |bytes, off, _| {
-                let (a, b) = bytes[off + 32..off + 48].split_at_mut(8);
-                a.swap_with_slice(b);
-            },
+    fn unsorted_ids_rejected() {
+        assert_eq!(
+            decode_patched_ids(|ids| ids.swap(10, 11)),
+            corrupt("ids not strictly ascending")
         );
-        assert_eq!(err, corrupt("leaf ids unsorted or outside the leaf"));
+        assert_eq!(
+            decode_patched_ids(|ids| ids[11] = ids[10]),
+            corrupt("ids not strictly ascending"),
+            "a duplicate id is not strictly ascending"
+        );
     }
 
     #[test]
-    fn leaf_id_outside_its_range_rejected() {
-        // The leaf's last id becomes its range's end: still ascending,
-        // but in the next leaf's range.
-        let err = decode_patched(
-            |level, ids| level == plan().depth && ids >= 1,
-            |bytes, off, _| {
-                let ids = u32::from_le_bytes(bytes[off + 28..off + 32].try_into().unwrap());
-                let last = off + 32 + (ids as usize - 1) * 8;
-                let end: [u8; 8] = bytes[off + 8..off + 16].try_into().unwrap();
-                bytes[last..last + 8].copy_from_slice(&end);
-            },
+    fn id_outside_the_namespace_rejected() {
+        // Still ascending, but one past the namespace.
+        assert_eq!(
+            decode_patched_ids(|ids| ids[199] = plan().namespace),
+            corrupt("id outside the namespace")
         );
-        assert_eq!(err, corrupt("leaf ids unsorted or outside the leaf"));
     }
 
     #[test]
-    fn node_level_off_its_depth_rejected() {
-        let err = decode_patched(
-            |level, _| level == plan().depth,
-            |bytes, off, _| {
-                bytes[off + 16..off + 20].copy_from_slice(&(plan().depth - 1).to_le_bytes())
-            },
-        );
-        assert_eq!(err, corrupt("node level is not its depth"));
+    fn id_count_beyond_the_input_is_truncated_before_allocating() {
+        let mut bytes = PrunedBloomSampleTree::build(&plan(), &[1, 2, 3]).to_bytes();
+        for count in [4, u64::MAX] {
+            bytes[60..68].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                PrunedBloomSampleTree::from_bytes(&bytes).err(),
+                Some(crate::persistence::PersistError::Truncated),
+                "count {count}"
+            );
+        }
     }
 
     #[test]
-    fn leaf_with_child_links_rejected() {
-        // A leaf linking back to node 0 would send the encoder's
-        // reachability walk round a cycle on the next save.
-        let err = decode_patched(
-            |level, _| level == plan().depth,
-            |bytes, off, _| bytes[off + 20..off + 24].copy_from_slice(&0u32.to_le_bytes()),
+    fn plans_no_hasher_accepts_are_rejected_not_panicking() {
+        // Plan offsets: namespace [5..13], m [13..21], k [21..23],
+        // depth [32..36].
+        let good = PrunedBloomSampleTree::build(&plan(), &[1, 2, 3]).to_bytes();
+        let patched = |at: usize, value: &[u8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + value.len()].copy_from_slice(value);
+            PrunedBloomSampleTree::from_bytes(&bytes).err()
+        };
+        assert_eq!(
+            patched(21, &0u16.to_le_bytes()),
+            corrupt("k outside 1..=MAX_K")
         );
-        assert_eq!(err, corrupt("leaf has child links"));
+        assert_eq!(
+            patched(21, &1000u16.to_le_bytes()),
+            corrupt("k outside 1..=MAX_K")
+        );
+        assert_eq!(patched(13, &0u64.to_le_bytes()), corrupt("m below 2"));
+        assert_eq!(patched(5, &0u64.to_le_bytes()), corrupt("empty namespace"));
+        // The namespace is 2^14 ids, so depth 14 is one id per leaf.
+        assert_eq!(patched(32, &14u32.to_le_bytes()), None);
+        for depth in [15u32, 200, u32::MAX] {
+            assert_eq!(
+                patched(32, &depth.to_le_bytes()),
+                corrupt("depth beyond ceil(log2 M)"),
+                "depth {depth}"
+            );
+        }
     }
 
     #[test]

@@ -238,6 +238,13 @@ impl BstSystemBuilder {
             }
             (None, None) => plan,
         };
+        // One id per leaf is as deep as a tree goes; the snapshot decoder
+        // refuses anything deeper, so the builder does too.
+        if plan.depth > params::depth_for(plan.namespace, 1) {
+            return Err(BstError::InvalidConfig(
+                "depth beyond ceil(log2 M): leaves would hold no ids",
+            ));
+        }
         if plan.kind == HashKind::DeltaBlocked && plan.m < bst_bloom::MIN_BLOCKED_BITS {
             return Err(BstError::InvalidConfig(
                 "blocked layout needs m >= one 128-bit block; raise accuracy or set size",
@@ -546,6 +553,25 @@ mod tests {
         let sys = BstSystem::builder(10_000).depth(3).build();
         assert_eq!(sys.tree().depth(), 3);
         assert_eq!(sys.tree().node_count(), 15);
+    }
+
+    #[test]
+    fn depth_override_past_one_id_per_leaf_refused() {
+        // ⌈log₂ 10 000⌉ = 14: every tree the builder makes reloads.
+        let sys = BstSystem::builder(10_000).depth(14).pruned([1, 2]).build();
+        assert!(BstSystem::from_bytes(&sys.to_bytes()).is_ok());
+        for pruned in [false, true] {
+            let builder = BstSystem::builder(10_000).depth(15);
+            let builder = if pruned {
+                builder.pruned([1, 2])
+            } else {
+                builder
+            };
+            assert!(matches!(
+                builder.try_build(),
+                Err(crate::error::BstError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -275,15 +275,20 @@ impl BloomSampleTree {
     /// family rebuilds deterministically from the stored plan.
     pub fn from_bytes(input: &[u8]) -> Result<Self, crate::persistence::PersistError> {
         use crate::persistence::{check_header, get_plan, get_words, PersistError};
+        use bytes::Buf;
         let mut input = input;
         check_header(&mut input, b"BSTC")?;
         let plan = get_plan(&mut input)?;
-        if plan.depth > 40 {
-            return Err(PersistError::Corrupt("implausible depth"));
-        }
-        let node_count = (1usize << (plan.depth + 1)) - 1;
-        let hasher = Arc::new(plan.build_hasher());
         let words_per_node = plan.m.div_ceil(64);
+        // `get_plan` bounds the depth by ⌈log₂ M⌉ ≤ 64, so the node count
+        // and the byte size it declares fit u128; both are checked
+        // against the input before anything is sized from them.
+        let node_count = (2u128 << plan.depth) - 1;
+        if (input.remaining() as u128) < node_count * words_per_node as u128 * 8 {
+            return Err(PersistError::Truncated);
+        }
+        let node_count = node_count as usize;
+        let hasher = Arc::new(plan.build_hasher());
         let mut nodes = Vec::with_capacity(node_count);
         for _ in 0..node_count {
             let words = get_words(&mut input, words_per_node)?;
@@ -492,5 +497,26 @@ mod tests {
         let t = BloomSampleTree::build(&small_plan());
         let expected = t.node_count() * 2048usize.div_ceil(64) * 8;
         assert_eq!(t.memory_bytes(), expected);
+    }
+
+    #[test]
+    fn deep_snapshot_is_refused_before_sizing_its_arena() {
+        // Plan offsets: namespace [5..13], depth [32..36]. At depth 40 the
+        // declared arena is 2^41 nodes of 32 words: far past the input,
+        // so decode reports truncation instead of allocating it.
+        use crate::persistence::PersistError;
+        let good = BloomSampleTree::build(&small_plan()).to_bytes();
+        let patched = |namespace: u64, depth: u32| {
+            let mut bytes = good.clone();
+            bytes[5..13].copy_from_slice(&namespace.to_le_bytes());
+            bytes[32..36].copy_from_slice(&depth.to_le_bytes());
+            BloomSampleTree::from_bytes(&bytes).err()
+        };
+        assert_eq!(patched(1 << 41, 40), Some(PersistError::Truncated));
+        assert_eq!(patched(u64::MAX, 64), Some(PersistError::Truncated));
+        assert_eq!(
+            patched(1000, 40),
+            Some(PersistError::Corrupt("depth beyond ceil(log2 M)"))
+        );
     }
 }

@@ -103,41 +103,49 @@ fn decode_rejects_corruption() {
 }
 
 /// Format version 2 dropped three config bytes and the journal cap from
-/// the system snapshot; a version-1 snapshot is refused, not migrated.
+/// the system snapshot, and version 3 cut the pruned tree to its plan,
+/// version and ids; an older snapshot is refused, not migrated.
 #[test]
-fn version_one_system_snapshots_are_refused() {
+fn older_version_snapshots_are_refused() {
     use bst_core::error::BstError;
     use bst_core::persistence::PersistError;
     use bst_core::system::BstSystem;
     use bst_shard::ShardedBstSystem;
-    let as_v1 = |mut bytes: Vec<u8>| {
-        assert_eq!(bytes[4], bst_core::persistence::VERSION);
-        bytes[4] = 1;
-        bytes
-    };
-    let refused = Some(BstError::Persist(PersistError::BadVersion(1)));
-    for pruned in [false, true] {
-        let builder = BstSystem::builder(4096).expected_set_size(50);
-        let sys = if pruned {
-            builder.pruned((0..4096u64).step_by(3)).build()
-        } else {
-            builder.build()
+    for old in [1u8, 2] {
+        let as_old = |mut bytes: Vec<u8>| {
+            assert_eq!(bytes[4], bst_core::persistence::VERSION);
+            bytes[4] = old;
+            bytes
         };
-        sys.create((0..50u64).map(|i| i * 61)).expect("create");
-        let bytes = as_v1(sys.to_bytes());
+        let refused = Some(BstError::Persist(PersistError::BadVersion(old)));
+        for pruned in [false, true] {
+            let builder = BstSystem::builder(4096).expected_set_size(50);
+            let sys = if pruned {
+                builder.pruned((0..4096u64).step_by(3)).build()
+            } else {
+                builder.build()
+            };
+            sys.create((0..50u64).map(|i| i * 61)).expect("create");
+            let bytes = as_old(sys.to_bytes());
+            assert_eq!(
+                BstSystem::from_bytes(&bytes).err(),
+                refused,
+                "v{old}, pruned {pruned}"
+            );
+        }
+        let sharded = ShardedBstSystem::builder(4096)
+            .shards(2)
+            .expected_set_size(50)
+            .build();
+        sharded.create((0..50u64).map(|i| i * 61)).expect("create");
+        let bytes = as_old(sharded.to_bytes());
+        assert_eq!(ShardedBstSystem::from_bytes(&bytes).err(), refused);
+        let tree = PrunedBloomSampleTree::build(&plan(4096, 4), &[1, 2, 3]);
         assert_eq!(
-            BstSystem::from_bytes(&bytes).err(),
-            refused,
-            "pruned {pruned}"
+            PrunedBloomSampleTree::from_bytes(&as_old(tree.to_bytes())).err(),
+            Some(PersistError::BadVersion(old))
         );
     }
-    let sharded = ShardedBstSystem::builder(4096)
-        .shards(2)
-        .expected_set_size(50)
-        .build();
-    sharded.create((0..50u64).map(|i| i * 61)).expect("create");
-    let bytes = as_v1(sharded.to_bytes());
-    assert_eq!(ShardedBstSystem::from_bytes(&bytes).err(), refused);
 }
 
 #[test]

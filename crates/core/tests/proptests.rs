@@ -231,6 +231,67 @@ proptest! {
         }
     }
 
+    /// A pruned snapshot is the plan, the version and the ids, and decode
+    /// builds over the ids. After churn that creates and empties leaves
+    /// (so the mutated arena holds tombstones and a different node order),
+    /// the decoded tree keeps every invariant, the ids, census and
+    /// version, has the memory of a fresh build, encodes like one but for
+    /// the version, and answers seeded draws and reconstructions exactly
+    /// like the mutated tree.
+    #[test]
+    fn decoded_tree_is_the_build_over_its_ids(
+        kind in prop_oneof![
+            Just(HashKind::Simple),
+            Just(HashKind::Murmur3),
+            Just(HashKind::DeltaBlocked),
+        ],
+        initial in prop::collection::btree_set(0u64..4096, 0..200),
+        ops in prop::collection::vec((any::<bool>(), 0u64..32, 0u64..6), 1..150),
+        emptied in 0u64..32,
+        members in prop::collection::vec(0u64..4096, 1..60),
+        seed in any::<u64>(),
+    ) {
+        // 32 leaves of 128 ids. The ops touch six ids per leaf, so leaves
+        // appear and vanish; then one whole leaf is emptied. m = 512 makes
+        // census members common for the classic families.
+        let p = plan(4096, 512, 5, kind);
+        let occ: Vec<u64> = initial.iter().copied().collect();
+        let mut tree = PrunedBloomSampleTree::build(&p, &occ);
+        for (insert, leaf, slot) in ops {
+            let id = leaf * 128 + slot * 21;
+            if insert { tree.insert(id); } else { tree.remove(id); }
+        }
+        for id in emptied * 128..(emptied + 1) * 128 {
+            tree.remove(id);
+        }
+        let bytes = tree.to_bytes();
+        let back = PrunedBloomSampleTree::from_bytes(&bytes).expect("decode");
+        prop_assert!(back.verify_laminar(), "decoded tree is not laminar");
+        prop_assert!(back.verify_probe_tables(), "decoded tables drifted");
+        prop_assert!(back.verify_index(), "decoded index drifted");
+        let ids = tree.occupied_ids();
+        prop_assert_eq!(back.occupied_ids(), ids.clone());
+        prop_assert_eq!(back.colliding_ids(), tree.colliding_ids());
+        prop_assert_eq!(back.version(), tree.version());
+        let built = PrunedBloomSampleTree::build(&p, &ids);
+        prop_assert_eq!(back.memory_bytes(), built.memory_bytes());
+        let fresh = built.to_bytes();
+        // Bytes 52..60 hold the version; a fresh build's is 0.
+        prop_assert_eq!((&bytes[..52], &bytes[60..]), (&fresh[..52], &fresh[60..]));
+        prop_assert_eq!(back.to_bytes(), bytes);
+        let q = tree.query_filter(members.iter().copied());
+        prop_assert_eq!(
+            BstReconstructor::new(&back).reconstruct(&q, &mut OpStats::new()),
+            BstReconstructor::new(&tree).reconstruct(&q, &mut OpStats::new())
+        );
+        let draws = |t: &PrunedBloomSampleTree| -> Vec<Option<u64>> {
+            let sampler = BstSampler::new(t);
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..40).map(|_| sampler.sample(&q, &mut rng, &mut OpStats::new())).collect()
+        };
+        prop_assert_eq!(draws(&back), draws(&tree));
+    }
+
     /// Through occupancy that crosses `m` both ways — so the bucket
     /// width moves between one bit and wider — the first-probe index
     /// stays equal to a rebuild from the leaf tables, and its pass gives

@@ -142,6 +142,82 @@ fn snapshot_save_load_roundtrips_byte_identically_through_the_protocol() {
     assert_eq!(stats.occupied, 2_048 - 2);
 }
 
+/// The offset of the first `magic` in `bytes`.
+fn find_magic(bytes: &[u8], magic: &[u8; 4]) -> usize {
+    bytes
+        .windows(4)
+        .position(|w| w == magic)
+        .expect("magic present")
+}
+
+/// `LOAD` carries a client's bytes straight into the tree decoders. Each
+/// hostile shard body gets a typed `Persist` verdict, never a panic or
+/// an abort, and the served engine is left exactly as it was.
+#[test]
+fn hostile_tree_snapshots_are_refused_and_the_engine_is_untouched() {
+    const NAMESPACE: u64 = 2_048;
+    let (handle, _reference) = spawn(NAMESPACE, 2, ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let set = client.create(member_keys(40, NAMESPACE)).unwrap();
+    let before = client.save().unwrap();
+    let draw = client.sample(Target::Stored(set), 3).unwrap();
+
+    // Shard 0's pruned tree: "BSTP" v | plan (namespace [5..13], k
+    // [21..23], depth [32..36]) | version u64 | count u64 | ids from 68.
+    let tree = find_magic(&before, b"BSTP");
+    let patched = |at: usize, value: &[u8]| {
+        let mut bytes = before.clone();
+        bytes[tree + at..tree + at + value.len()].copy_from_slice(value);
+        bytes
+    };
+    let count = u64::from_le_bytes(before[tree + 60..tree + 68].try_into().unwrap()) as usize;
+    let mut unsorted = before.clone();
+    let ids = tree + 68;
+    let (a, b) = unsorted[ids..ids + 16].split_at_mut(8);
+    a.swap_with_slice(b);
+    // Shard 0 as a dense system whose plan claims a 2^41-id namespace
+    // and depth 40: 2^41 nodes of filter words the body cannot hold.
+    let dense = {
+        let system = bst_core::system::BstSystem::builder(NAMESPACE)
+            .expected_set_size(NAMESPACE / 8)
+            .seed(7)
+            .build()
+            .to_bytes();
+        let at = find_magic(&before, b"BSTS");
+        let len = u64::from_le_bytes(before[at - 8..at].try_into().unwrap()) as usize;
+        let mut bytes = before[..at - 8].to_vec();
+        bytes.extend_from_slice(&(system.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&system);
+        bytes.extend_from_slice(&before[at + len..]);
+        let tree = find_magic(&bytes, b"BSTC");
+        bytes[tree + 5..tree + 13].copy_from_slice(&(1u64 << 41).to_le_bytes());
+        bytes[tree + 32..tree + 36].copy_from_slice(&40u32.to_le_bytes());
+        bytes
+    };
+    let hostile = [
+        ("k = 0", patched(21, &0u16.to_le_bytes())),
+        // ⌈log₂ 2048⌉ = 11.
+        ("depth past log2 M", patched(32, &12u32.to_le_bytes())),
+        ("unsorted ids", unsorted),
+        (
+            "id outside the namespace",
+            patched(68 + (count - 1) * 8, &NAMESPACE.to_le_bytes()),
+        ),
+        ("dense depth 40", dense),
+    ];
+    for (what, bytes) in hostile {
+        let verdict = client.load(bytes);
+        assert!(
+            matches!(verdict, Err(ClientError::Wire(WireError::Persist { .. }))),
+            "{what}: {verdict:?}"
+        );
+    }
+
+    client.ping().expect("the server still answers");
+    assert_eq!(client.sample(Target::Stored(set), 3).unwrap(), draw);
+    assert_eq!(client.save().unwrap(), before, "no hostile LOAD landed");
+}
+
 #[test]
 fn malformed_frames_get_typed_errors_and_the_connection_survives() {
     let cfg = ServerConfig {

@@ -99,7 +99,7 @@ fn pruned_tree_snapshot_restores_structure_and_answers() {
         target_accuracy: 0.9,
     };
     // Clustered occupancy, then churn, so the snapshot covers grown and
-    // shrunk regions (materialised nodes + unlinked tombstones).
+    // shrunk regions.
     let occupied: Vec<u64> = (2_000..2_600u64)
         .chain((40_000..40_300).step_by(3))
         .collect();
@@ -117,8 +117,8 @@ fn pruned_tree_snapshot_restores_structure_and_answers() {
     assert_eq!(restored.node_count(), tree.node_count());
     assert_eq!(restored.occupied_count(), tree.occupied_count());
     assert_eq!(restored.occupied_ids(), tree.occupied_ids());
-    // The occupied count survives the round-trip: the decoder sums it
-    // from the leaves, while the snapshot itself stays byte-deterministic.
+    // The occupied count survives the round-trip: the decoder builds
+    // over the snapshot's ids, and the snapshot stays byte-deterministic.
     assert_eq!(tree.occupied_count(), tree.occupied_ids().len() as u64);
     assert_eq!(
         restored.occupied_count(),
