@@ -61,6 +61,7 @@ impl Config {
                 p("crates/core/src/persistence.rs"),
                 p("crates/core/src/tree.rs"),
                 p("crates/core/src/pruned.rs"),
+                p("crates/core/src/store.rs"),
                 p("crates/core/src/wal.rs"),
                 p("crates/bloom/src/codec.rs"),
                 p("crates/server/src/frame.rs"),

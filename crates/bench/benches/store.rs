@@ -1,14 +1,14 @@
 //! The mutable filter database: store mutation throughput, the cost of a
 //! generation-stamp check on the hot sampling path, the refresh penalty a
-//! mutation imposes on an open handle, the counting-filter projection
-//! that refresh runs, and whole-system snapshot encode/decode throughput.
+//! mutation imposes on an open handle, the key projection that refresh
+//! runs, and whole-system snapshot encode/decode throughput.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bst_bench::common::rng_for;
-use bst_bloom::counting::CountingBloomFilter;
+use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::{BloomHasher, HashKind};
 use bst_core::system::BstSystem;
 use bst_workloads::querysets::uniform_set;
@@ -77,18 +77,18 @@ fn bench_mutation_refresh(c: &mut Criterion) {
 }
 
 /// The projection a stale handle's refresh runs under the store read
-/// lock: counting filter to plain bits. The plan matches one shard of the
-/// service benchmark (m = 61,865, k = 3) holding its 250-key share of a
-/// 1000-key set.
-fn bench_counting_projection(c: &mut Criterion) {
+/// lock: a stored set's keys to plain bits. The plan matches one shard of
+/// the service benchmark (m = 61,865, k = 3) holding its 250-key share of
+/// a 1000-key set.
+fn bench_key_projection(c: &mut Criterion) {
     let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 61_865, 1 << 18, 1));
     let mut rng = rng_for(17);
-    let keys = uniform_set(&mut rng, 1 << 18, 250);
-    let counting = CountingBloomFilter::from_keys(hasher, keys.iter().copied());
+    let mut keys = uniform_set(&mut rng, 1 << 18, 250);
+    keys.sort_unstable();
 
-    let mut group = c.benchmark_group("counting-projection");
-    group.bench_function("to_bloom/m61865-k3-250keys", |b| {
-        b.iter(|| counting.to_bloom())
+    let mut group = c.benchmark_group("key-projection");
+    group.bench_function("from_keys/m61865-k3-250keys", |b| {
+        b.iter(|| BloomFilter::from_keys(Arc::clone(&hasher), keys.iter().copied()))
     });
     group.finish();
 }
@@ -123,7 +123,7 @@ criterion_group!(
     benches,
     bench_stamp_check_overhead,
     bench_mutation_refresh,
-    bench_counting_projection,
+    bench_key_projection,
     bench_snapshot
 );
 criterion_main!(benches);

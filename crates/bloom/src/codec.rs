@@ -6,14 +6,11 @@
 //! `(kind, k, m, namespace, seed)` rather than serialised coefficient by
 //! coefficient.
 //!
-//! Layouts (little-endian):
+//! Layout (little-endian):
 //!
 //! ```text
-//! plain:    magic "BSBF" | version u8 | kind u8 | k u16 | m u64
-//!           | namespace u64 | seed u64 | word count u64 | words [u64]
-//! counting: magic "BSCB" | version u8 | kind u8 | k u16 | m u64
-//!           | namespace u64 | seed u64 | byte count u64
-//!           | nibble-packed counters [u8]
+//! magic "BSBF" | version u8 | kind u8 | k u16 | m u64
+//! | namespace u64 | seed u64 | word count u64 | words [u64]
 //! ```
 
 use std::sync::Arc;
@@ -21,12 +18,11 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::bitvec::BitVec;
-use crate::counting::CountingBloomFilter;
 use crate::filter::{BloomFilter, MAX_K};
+use crate::hash::prime::LARGEST_U64_PRIME;
 use crate::hash::{BloomHasher, HashKind};
 
 const MAGIC: &[u8; 4] = b"BSBF";
-const COUNTING_MAGIC: &[u8; 4] = b"BSCB";
 const VERSION: u8 = 1;
 
 /// Errors arising when decoding a serialized filter.
@@ -81,12 +77,18 @@ fn kind_from_tag(tag: u8) -> Result<HashKind, CodecError> {
     }
 }
 
-/// Rejects `(kind, k, m)` values the hash families cannot represent, so
-/// corrupt headers fail with a typed error instead of panicking (or
-/// dividing by zero) on first use of the decoded filter. Public so every
-/// decoder that rebuilds a hash family from untrusted bytes (the tree
-/// snapshots too) checks the same rule; the error names the bad field.
-pub fn check_params(kind: HashKind, k: usize, m: usize) -> Result<(), &'static str> {
+/// Rejects `(kind, k, m, namespace)` values the hash families cannot
+/// represent, so corrupt headers fail with a typed error instead of
+/// panicking (or dividing by zero) while the family is built or first
+/// used. Public so every decoder that rebuilds a hash family from
+/// untrusted bytes (the tree snapshots too) and every builder check the
+/// same rule; the error names the bad field.
+pub fn check_params(
+    kind: HashKind,
+    k: usize,
+    m: usize,
+    namespace: u64,
+) -> Result<(), &'static str> {
     if k == 0 || k > MAX_K {
         return Err("k outside 1..=MAX_K");
     }
@@ -95,6 +97,11 @@ pub fn check_params(kind: HashKind, k: usize, m: usize) -> Result<(), &'static s
     }
     if kind == HashKind::DeltaBlocked && m < crate::hash::MIN_BLOCKED_BITS {
         return Err("m below one block for DeltaBlocked");
+    }
+    // The affine family's prime must reach max(M, m + 1) inside u64.
+    if kind == HashKind::Simple && (namespace > LARGEST_U64_PRIME || m as u64 >= LARGEST_U64_PRIME)
+    {
+        return Err("Simple namespace or m above the largest u64 prime");
     }
     Ok(())
 }
@@ -138,8 +145,8 @@ pub fn decode(mut input: &[u8]) -> Result<BloomFilter, CodecError> {
     let kind = kind_from_tag(input.get_u8())?;
     let k = input.get_u16_le() as usize;
     let m = input.get_u64_le() as usize;
-    check_params(kind, k, m).map_err(CodecError::BadParams)?;
     let namespace = input.get_u64_le();
+    check_params(kind, k, m, namespace).map_err(CodecError::BadParams)?;
     let seed = input.get_u64_le();
     let n_words = input.get_u64_le() as usize;
     // Validate the claimed word count against `m` *before* sizing any
@@ -158,67 +165,6 @@ pub fn decode(mut input: &[u8]) -> Result<BloomFilter, CodecError> {
     let bits = BitVec::from_words(words, m);
     let hasher = Arc::new(BloomHasher::new(kind, k, m, namespace.max(1), seed));
     Ok(BloomFilter::from_parts(bits, hasher))
-}
-
-/// Bytes a counting filter's encoding spends ahead of its counters.
-pub const COUNTING_HEADER_LEN: usize = 4 + 1 + 1 + 2 + 8 * 4;
-
-/// Serializes a counting filter (nibble-packed counters plus the hash
-/// family's defining parameters) into a compact byte buffer.
-pub fn encode_counting(filter: &CountingBloomFilter) -> Bytes {
-    let mut buf = BytesMut::with_capacity(COUNTING_HEADER_LEN + filter.heap_bytes());
-    put_counting(&mut buf, filter);
-    buf.freeze()
-}
-
-/// Appends [`encode_counting`]'s bytes to `buf`: the counters are copied
-/// once, straight into the caller's buffer, so a snapshot of many sets
-/// builds no per-set buffer.
-pub fn put_counting(buf: &mut BytesMut, filter: &CountingBloomFilter) {
-    let h = filter.hasher();
-    let counters = filter.counter_bytes();
-    buf.put_slice(COUNTING_MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(kind_tag(h.kind()));
-    buf.put_u16_le(h.k() as u16);
-    buf.put_u64_le(h.m() as u64);
-    buf.put_u64_le(h.namespace().unwrap_or(1));
-    buf.put_u64_le(h.seed());
-    buf.put_u64_le(counters.len() as u64);
-    buf.put_slice(counters);
-}
-
-/// Decodes a counting filter previously produced by [`encode_counting`],
-/// rebuilding the hash family deterministically from the header.
-pub fn decode_counting(mut input: &[u8]) -> Result<CountingBloomFilter, CodecError> {
-    if input.len() < COUNTING_HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    input.copy_to_slice(&mut magic);
-    if &magic != COUNTING_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = input.get_u8();
-    if version != VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    let kind = kind_from_tag(input.get_u8())?;
-    let k = input.get_u16_le() as usize;
-    let m = input.get_u64_le() as usize;
-    check_params(kind, k, m).map_err(CodecError::BadParams)?;
-    let namespace = input.get_u64_le();
-    let seed = input.get_u64_le();
-    let n_bytes = input.get_u64_le() as usize;
-    if n_bytes != m.div_ceil(2) {
-        return Err(CodecError::BadLength);
-    }
-    if input.remaining() < n_bytes {
-        return Err(CodecError::BadLength);
-    }
-    let counters = input[..n_bytes].to_vec();
-    let hasher = Arc::new(BloomHasher::new(kind, k, m, namespace.max(1), seed));
-    Ok(CountingBloomFilter::from_parts(counters, hasher))
 }
 
 #[cfg(test)]
@@ -271,66 +217,21 @@ mod tests {
     }
 
     #[test]
-    fn counting_roundtrip_preserves_counters_and_membership() {
-        for kind in HashKind::ALL {
-            let hasher = Arc::new(BloomHasher::new(kind, 3, 2049, 60_000, 13));
-            let mut f = CountingBloomFilter::from_keys(Arc::clone(&hasher), 0..300u64);
-            // Build non-trivial counter values: duplicates and removals.
-            for x in 0..100u64 {
-                f.insert(x);
-            }
-            for x in 200..250u64 {
-                f.remove(x);
-            }
-            let bytes = encode_counting(&f);
-            let back = decode_counting(&bytes).unwrap();
-            assert_eq!(
-                back.counter_bytes(),
-                f.counter_bytes(),
-                "{kind}: counters differ"
-            );
-            assert_eq!(back.hasher(), f.hasher(), "{kind}: hash family differs");
-            for x in 0..300u64 {
-                assert_eq!(back.contains(x), f.contains(x), "{kind}: key {x}");
-            }
-            // The decoded filter stays mutable: removes keep working.
-            let mut back = back;
-            back.remove(0);
-            back.remove(0); // inserted twice above
-            assert!(!back.contains(0));
-        }
-    }
-
-    #[test]
     fn rejects_unrepresentable_header_params() {
         // Corrupt k/m must fail with a typed error at decode time, not
         // panic (or divide by zero) on the decoded filter's first use.
         let f = BloomFilter::with_params(HashKind::Murmur3, 3, 512, 1000, 1);
         let plain = encode(&f).to_vec();
-        let counting = encode_counting(&CountingBloomFilter::new(Arc::clone(f.hasher()))).to_vec();
         // k u16 lives at offset 6..8; m u64 at offset 8..16 (LE).
-        type DecodeErr = fn(&[u8]) -> Option<CodecError>;
-        let cases: [(&[u8], DecodeErr); 2] = [
-            (&plain, |v| decode(v).err()),
-            (&counting, |v| decode_counting(v).err()),
-        ];
-        for (buf, decode_err) in cases {
-            let mut big_k = buf.to_vec();
-            big_k[6..8].copy_from_slice(&1000u16.to_le_bytes());
-            assert!(matches!(decode_err(&big_k), Some(CodecError::BadParams(_))));
-            let mut zero_k = buf.to_vec();
-            zero_k[6..8].copy_from_slice(&0u16.to_le_bytes());
-            assert!(matches!(
-                decode_err(&zero_k),
-                Some(CodecError::BadParams(_))
-            ));
-            let mut zero_m = buf.to_vec();
-            zero_m[8..16].copy_from_slice(&0u64.to_le_bytes());
-            assert!(matches!(
-                decode_err(&zero_m),
-                Some(CodecError::BadParams(_))
-            ));
-        }
+        let mut big_k = plain.clone();
+        big_k[6..8].copy_from_slice(&1000u16.to_le_bytes());
+        assert!(matches!(decode(&big_k), Err(CodecError::BadParams(_))));
+        let mut zero_k = plain.clone();
+        zero_k[6..8].copy_from_slice(&0u16.to_le_bytes());
+        assert!(matches!(decode(&zero_k), Err(CodecError::BadParams(_))));
+        let mut zero_m = plain;
+        zero_m[8..16].copy_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(decode(&zero_m), Err(CodecError::BadParams(_))));
     }
 
     #[test]
@@ -341,29 +242,23 @@ mod tests {
         let mut v = encode(&f).to_vec();
         v[5] = 3; // kind tag: DeltaBlocked
         assert!(matches!(decode(&v), Err(CodecError::BadParams(_))));
-        let c = CountingBloomFilter::new(Arc::clone(f.hasher()));
-        let mut v = encode_counting(&c).to_vec();
-        v[5] = 3;
-        assert!(matches!(decode_counting(&v), Err(CodecError::BadParams(_))));
     }
 
     #[test]
-    fn counting_rejects_garbage_and_mismatches() {
-        assert_eq!(decode_counting(b"nope").unwrap_err(), CodecError::Truncated);
-        let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 512, 1000, 1));
-        let f = CountingBloomFilter::from_keys(hasher, 0..20u64);
-        let bytes = encode_counting(&f);
-        // Plain-filter decoder must refuse a counting payload and vice versa.
-        assert_eq!(decode(&bytes).unwrap_err(), CodecError::BadMagic);
-        let plain = encode(&f.to_bloom());
-        assert_eq!(decode_counting(&plain).unwrap_err(), CodecError::BadMagic);
-        let mut v = bytes.to_vec();
-        v[4] = 9;
-        assert_eq!(decode_counting(&v).unwrap_err(), CodecError::BadVersion(9));
-        assert_eq!(
-            decode_counting(&bytes[..bytes.len() - 4]).unwrap_err(),
-            CodecError::BadLength
-        );
+    fn rejects_simple_namespaces_past_the_largest_prime() {
+        // The affine family needs a prime at or above the namespace; none
+        // fits in u64 past 2^64 - 59, so such a header is refused typed.
+        let f = BloomFilter::with_params(HashKind::Simple, 3, 512, 1000, 1);
+        let at = |namespace: u64| {
+            let mut v = encode(&f).to_vec();
+            // namespace u64 lives at offset 16..24 (LE).
+            v[16..24].copy_from_slice(&namespace.to_le_bytes());
+            decode(&v).map(|_| ())
+        };
+        assert_eq!(at(LARGEST_U64_PRIME), Ok(()));
+        for namespace in [LARGEST_U64_PRIME + 1, u64::MAX] {
+            assert!(matches!(at(namespace), Err(CodecError::BadParams(_))));
+        }
     }
 
     #[test]

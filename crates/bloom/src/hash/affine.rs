@@ -12,7 +12,7 @@
 //! namespace element is in the bijection's domain and the outer `mod m` is
 //! non-degenerate.
 
-use super::prime::{inv_mod, mul_mod, next_prime};
+use super::prime::{inv_mod, mul_mod, next_prime, LARGEST_U64_PRIME};
 
 /// One affine coefficient pair with its precomputed inverse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,12 +50,19 @@ impl AffineFamily {
     /// namespace `[0, namespace)`, deterministically from `seed`.
     ///
     /// # Panics
-    /// Panics if `k == 0`, `k > 32`, `m < 2`, or `namespace == 0`.
+    /// Panics if `k == 0`, `k > 32`, `m < 2`, `namespace == 0`, or
+    /// `max(namespace, m + 1)` is past [`LARGEST_U64_PRIME`] (no prime
+    /// modulus fits; `bst_bloom::codec::check_params` refuses these).
     pub fn new(k: usize, m: usize, namespace: u64, seed: u64) -> Self {
         assert!((1..=32).contains(&k), "k must be in 1..=32, got {k}");
         assert!(m >= 2, "filter size must be at least 2 bits, got {m}");
         assert!(namespace > 0, "namespace must be non-empty");
-        let p = next_prime(namespace.max(m as u64 + 1));
+        assert!(
+            namespace <= LARGEST_U64_PRIME && (m as u64) < LARGEST_U64_PRIME,
+            "no u64 prime reaches max(namespace, m + 1)"
+        );
+        // The assert leaves a prime at or above the bound.
+        let p = next_prime(namespace.max(m as u64 + 1)).unwrap_or(LARGEST_U64_PRIME);
         let mut state = seed ^ 0xA076_1D64_78BD_642F;
         let coeffs = (0..k)
             .map(|_| {
@@ -258,6 +265,18 @@ mod tests {
         assert!(fam.prime() > (1 << 20) as u64);
         let fam2 = AffineFamily::new(2, 100, 1 << 30, 0);
         assert!(fam2.prime() >= 1 << 30);
+    }
+
+    #[test]
+    fn largest_namespace_takes_the_largest_prime() {
+        let fam = AffineFamily::new(2, 100, LARGEST_U64_PRIME, 0);
+        assert_eq!(fam.prime(), LARGEST_U64_PRIME);
+    }
+
+    #[test]
+    #[should_panic(expected = "no u64 prime")]
+    fn namespace_past_the_largest_prime_panics() {
+        let _ = AffineFamily::new(2, 100, LARGEST_U64_PRIME + 1, 0);
     }
 
     #[test]

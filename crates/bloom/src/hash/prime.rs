@@ -68,22 +68,16 @@ pub fn is_prime(n: u64) -> bool {
     true
 }
 
-/// Smallest prime `>= n`.
-///
-/// # Panics
-/// Panics if no prime fits in `u64` above `n` (cannot happen for any
-/// realistic namespace size; the largest u64 prime is 2^64 - 59).
-pub fn next_prime(n: u64) -> u64 {
-    let mut candidate = n.max(2);
-    loop {
-        if is_prime(candidate) {
-            return candidate;
-        }
-        candidate = candidate
-            .checked_add(1)
-            // bst-lint: allow(L001) — 2^64 - 59 is prime, so the loop terminates first
-            .expect("no prime found below u64::MAX");
+/// The largest prime that fits in a `u64`, `2^64 - 59`.
+pub const LARGEST_U64_PRIME: u64 = 18_446_744_073_709_551_557;
+
+/// Smallest prime `>= n`, or `None` when `n` is past
+/// [`LARGEST_U64_PRIME`] and no prime above it fits in `u64`.
+pub fn next_prime(n: u64) -> Option<u64> {
+    if n > LARGEST_U64_PRIME {
+        return None;
     }
+    (n.max(2)..=LARGEST_U64_PRIME).find(|&c| is_prime(c))
 }
 
 /// Modular inverse of `a` modulo prime `p` via extended Euclid.
@@ -142,12 +136,16 @@ mod tests {
 
     #[test]
     fn next_prime_examples() {
-        assert_eq!(next_prime(0), 2);
-        assert_eq!(next_prime(2), 2);
-        assert_eq!(next_prime(8), 11);
-        assert_eq!(next_prime(1_000_000), 1_000_003);
-        assert_eq!(next_prime(10_000_000), 10_000_019);
-        assert_eq!(next_prime(2_200_000_000), 2_200_000_009);
+        assert_eq!(next_prime(0), Some(2));
+        assert_eq!(next_prime(2), Some(2));
+        assert_eq!(next_prime(8), Some(11));
+        assert_eq!(next_prime(1_000_000), Some(1_000_003));
+        assert_eq!(next_prime(10_000_000), Some(10_000_019));
+        assert_eq!(next_prime(2_200_000_000), Some(2_200_000_009));
+        assert_eq!(next_prime(LARGEST_U64_PRIME - 1), Some(LARGEST_U64_PRIME));
+        assert_eq!(next_prime(LARGEST_U64_PRIME), Some(LARGEST_U64_PRIME));
+        assert_eq!(next_prime(LARGEST_U64_PRIME + 1), None);
+        assert_eq!(next_prime(u64::MAX), None);
     }
 
     #[test]

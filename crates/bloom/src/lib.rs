@@ -13,8 +13,6 @@
 //! * [`filter::BloomFilter`] — the filter with union/intersection (§3.1);
 //! * [`estimate`] — cardinality / intersection-size / FSO estimators;
 //! * [`params`] — accuracy-driven sizing reproducing Tables 2–4;
-//! * [`counting::CountingBloomFilter`] — deletion support for dynamic
-//!   namespaces;
 //! * [`codec`] — compact binary serialization.
 //!
 //! ## Example
@@ -33,14 +31,12 @@
 
 pub mod bitvec;
 pub mod codec;
-pub mod counting;
 pub mod estimate;
 pub mod filter;
 pub mod hash;
 pub mod params;
 
 pub use bitvec::BitVec;
-pub use counting::CountingBloomFilter;
 pub use filter::BloomFilter;
 pub use hash::{
     BlockProbe, BlockedFamily, BloomHasher, HashKind, MAX_PROBE_TABLE_BITS, MIN_BLOCKED_BITS,

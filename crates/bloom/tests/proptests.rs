@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use bst_bloom::bitvec::BitVec;
-use bst_bloom::counting::CountingBloomFilter;
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::{BloomHasher, HashKind};
 use proptest::prelude::*;
@@ -14,25 +13,6 @@ fn arb_kind() -> impl Strategy<Value = HashKind> {
         Just(HashKind::Murmur3),
         Just(HashKind::Md5),
     ]
-}
-
-/// The per-position reference for the counting projection: bit `i` is
-/// set iff counter `i` (nibble `i & 1` of byte `i >> 1`) is nonzero.
-/// Positions at or past `m` are never read, so they stay 0.
-fn nonzero_oracle(counters: &[u8], m: usize) -> Vec<u64> {
-    let mut words = vec![0u64; m.div_ceil(64)];
-    for i in 0..m {
-        if (counters[i >> 1] >> (4 * (i & 1))) & 0x0f != 0 {
-            words[i / 64] |= 1 << (i % 64);
-        }
-    }
-    words
-}
-
-/// Filter widths for the projection kernel: widths below one word and
-/// wider ones up to 5,000, odd or not, rarely a multiple of 16.
-fn arb_counting_width() -> impl Strategy<Value = usize> {
-    prop_oneof![2usize..64, 64usize..5000]
 }
 
 proptest! {
@@ -439,86 +419,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn counting_filter_tracks_multiset(
-        inserts in prop::collection::vec(0u64..500, 1..100),
-    ) {
-        let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 8192, 500, 5));
-        let mut cbf = bst_bloom::counting::CountingBloomFilter::new(hasher);
-        for &k in &inserts {
-            cbf.insert(k);
-        }
-        // Remove each key exactly as many times as inserted; the filter
-        // must end up empty of all of them (counters stay below the
-        // 15 saturation ceiling whp at these sizes, but duplicates in the
-        // input could saturate: skip keys inserted 15+ times).
-        let mut counts = std::collections::HashMap::new();
-        for &k in &inserts {
-            *counts.entry(k).or_insert(0usize) += 1;
-        }
-        for (&k, &c) in &counts {
-            prop_assert!(cbf.contains(k));
-            for _ in 0..c {
-                cbf.remove(k);
-            }
-        }
-        if counts.values().all(|&c| c < 15) {
-            for &k in counts.keys() {
-                prop_assert!(!cbf.contains(k), "key {} survived removal", k);
-            }
-        }
-    }
-
-    #[test]
-    fn counting_projection_matches_oracle(
-        m in arb_counting_width(),
-        keys in prop::collection::vec(0u64..1_000_000, 0..400),
-        removes in prop::collection::vec(any::<usize>(), 0..200),
-        hot in prop::collection::vec((0u64..1_000_000, 1usize..24), 0..4),
-        seed in 0u64..1000,
-    ) {
-        let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, m, 1_000_000, seed));
-        let mut cbf = CountingBloomFilter::from_keys(hasher, keys.iter().copied());
-        // Repeated inserts drive a few counters to the sticky 15.
-        for &(x, times) in &hot {
-            for _ in 0..times {
-                cbf.insert(x);
-            }
-        }
-        if !keys.is_empty() {
-            for &r in &removes {
-                cbf.remove(keys[r % keys.len()]);
-            }
-        }
-        let expected = nonzero_oracle(cbf.counter_bytes(), m);
-        let projected = cbf.to_bloom();
-        prop_assert_eq!(projected.bits().words(), &expected[..], "m = {}", m);
-        let ones: usize = expected.iter().map(|w| w.count_ones() as usize).sum();
-        prop_assert_eq!(cbf.count_nonzero(), ones);
-    }
-
-    #[test]
-    fn counting_projection_ignores_pad_nibble(
-        m in arb_counting_width(),
-        bytes in prop::collection::vec(0u8..255, 2500..2501),
-        pad in 1u8..16,
-    ) {
-        // Odd m leaves a pad nibble (position m) in the last byte; a
-        // decoded counter array may carry garbage there.
-        let m = m | 1;
-        let mut counters = bytes[..m.div_ceil(2)].to_vec();
-        if let Some(last) = counters.last_mut() {
-            *last = (*last & 0x0f) | (pad << 4);
-        }
-        let expected = nonzero_oracle(&counters, m);
-        let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, m, 1_000_000, 1));
-        let cbf = CountingBloomFilter::from_parts(counters, hasher);
-        let projected = cbf.to_bloom();
-        prop_assert_eq!(projected.bits().words(), &expected[..], "m = {}", m);
-        prop_assert_eq!(projected.count_ones(), cbf.count_nonzero());
-        prop_assert!(projected.count_ones() <= m);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   a [`backend::TreeBackend`] (dense, or pruned with tree-generation-
 //!   stamped occupancy mutation) and the filter store;
 //! * [`store::BstStore`] — the mutable, [`store::FilterId`]-addressed
-//!   database `D̄` of counting-filter-backed sets (§3.2);
+//!   database `D̄` of sets stored as their keys and queried as filters
+//!   (§3.2);
 //! * [`query::Query`] — the per-filter handle with amortized descent
 //!   state, opened via [`system::BstSystem::query`] or (generation-
 //!   stamped, mutation-safe) [`system::BstSystem::query_id`];

@@ -11,13 +11,14 @@
 //! Layouts (little-endian):
 //!
 //! ```text
-//! complete: "BSTC" v3 | plan | node words × node_count
-//! pruned:   "BSTP" v3 | plan | version u64 (mutation counter, resumed
+//! complete: "BSTC" v4 | plan | node words × node_count
+//! pruned:   "BSTP" v4 | plan | version u64 (mutation counter, resumed
 //!           on decode) | id count u64 | occupied ids u64…, ascending
-//! system:   "BSTS" v3 | sampler cfg | reconstruct cfg
+//! system:   "BSTS" v4 | sampler cfg | reconstruct cfg
 //!           | backend tag u8 | backend len u64 | backend bytes
 //!           | store next_id u64 | set count u32
-//!           | per set: id u64, generation u64, len u64, counting bytes
+//!           | per set: id u64, generation u64, key count u64,
+//!             keys u64…, non-decreasing
 //! plan:     namespace u64 | m u64 | k u16 | kind u8 | seed u64
 //!           | depth u32 | leaf_capacity u64 | target_accuracy f64
 //! sampler cfg:     liveness | ratio u8 | correction
@@ -32,7 +33,8 @@
 //! byte sequence can describe a filter that disagrees with them.
 //!
 //! Version 2 dropped three config bytes and the system's journal cap;
-//! version 3 cut the pruned body to its plan, version and ids. Older
+//! version 3 cut the pruned body to its plan, version and ids; version 4
+//! stores each set as its keys instead of a counting filter. Older
 //! inputs are refused as [`PersistError::BadVersion`].
 
 use bst_bloom::hash::HashKind;
@@ -78,7 +80,7 @@ impl std::error::Error for PersistError {}
 /// Snapshot format version shared by every structure in this module (and
 /// by the `bst-shard` sharded-system snapshot, which embeds whole-system
 /// payloads).
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
 pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_u64_le(plan.namespace);
@@ -97,7 +99,7 @@ pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
 }
 
 /// Decodes a plan written by [`put_plan`], refusing one no builder makes
-/// and no hash family accepts: bad `(kind, k, m)`, an empty namespace,
+/// and no hash family accepts: bad `(kind, k, m, namespace)`, an empty namespace,
 /// or a depth past `⌈log₂ M⌉`. Every tree decoder builds its hasher and
 /// sizes its arena from the plan, so these fail typed here.
 pub(crate) fn get_plan(input: &mut &[u8]) -> Result<TreePlan, PersistError> {
@@ -118,7 +120,7 @@ pub(crate) fn get_plan(input: &mut &[u8]) -> Result<TreePlan, PersistError> {
     let depth = input.get_u32_le();
     let leaf_capacity = input.get_u64_le();
     let target_accuracy = input.get_f64_le();
-    bst_bloom::codec::check_params(kind, k, m).map_err(PersistError::Corrupt)?;
+    bst_bloom::codec::check_params(kind, k, m, namespace).map_err(PersistError::Corrupt)?;
     if namespace == 0 {
         return Err(PersistError::Corrupt("empty namespace"));
     }

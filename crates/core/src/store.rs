@@ -1,13 +1,13 @@
 //! The mutable filter database `D̄` behind the facade.
 //!
 //! The paper's setting (§3.2) is a *database* of millions of sets, each
-//! stored only as a Bloom filter sharing the tree's `(m, H)`. Real
-//! deployments churn: community members join and leave, so plain bit
-//! filters (which cannot forget) are the wrong substrate for the stored
-//! sets themselves. [`BstStore`] keeps every registered set as a
-//! [`CountingBloomFilter`] — insert *and* remove — addressed by a stable
-//! [`FilterId`], and projects a plain [`BloomFilter`] snapshot whenever
-//! the tree needs to query it.
+//! queried only as a Bloom filter sharing the tree's `(m, H)`. Real
+//! deployments churn: community members join and leave, and plain bit
+//! filters cannot forget. [`BstStore`] therefore keeps every registered
+//! set as the ascending multiset of its keys, addressed by a stable
+//! [`FilterId`], and projects a plain [`BloomFilter`] from the keys
+//! whenever the tree needs to query it. A key inserted twice needs two
+//! removes; removing a key the set does not hold changes nothing.
 //!
 //! Every mutation bumps the set's **generation**. Query handles opened by
 //! id ([`crate::system::BstSystem::query_id`]) carry the generation they
@@ -23,8 +23,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bst_bloom::codec;
-use bst_bloom::counting::CountingBloomFilter;
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
 use bytes::{Buf, BufMut};
@@ -59,9 +57,10 @@ impl std::fmt::Display for FilterId {
     }
 }
 
-/// One registered set: its counting filter and the mutation stamp.
+/// One registered set: its keys, ascending with repeats, and the
+/// mutation stamp.
 struct StoredSet {
-    counting: CountingBloomFilter,
+    keys: Vec<u64>,
     generation: u64,
 }
 
@@ -70,9 +69,8 @@ struct StoreInner {
     next_id: u64,
 }
 
-/// The id-addressed, counting-filter-backed set database of one
-/// [`crate::system::BstSystem`]. Obtain it via
-/// [`crate::system::BstSystem::filters`].
+/// The id-addressed set database of one [`crate::system::BstSystem`].
+/// Obtain it via [`crate::system::BstSystem::filters`].
 pub struct BstStore {
     hasher: Arc<BloomHasher>,
     /// Namespace bound `M`: stored keys must lie in `[0, M)` or they
@@ -107,14 +105,17 @@ impl BstStore {
         }
     }
 
-    /// Validates and materialises a key batch: every key must lie inside
-    /// the namespace, or the whole mutation is rejected (atomically —
-    /// nothing is applied).
+    /// Validates and materialises a key batch, ascending: every key must
+    /// lie inside the namespace, or the whole mutation is rejected
+    /// (atomically — nothing is applied).
     fn checked_keys<I: IntoIterator<Item = u64>>(&self, keys: I) -> Result<Vec<u64>, BstError> {
-        let keys: Vec<u64> = keys.into_iter().collect();
+        let mut keys: Vec<u64> = keys.into_iter().collect();
         match keys.iter().find(|&&x| x >= self.namespace) {
             Some(&bad) => Err(BstError::KeyOutsideNamespace(bad)),
-            None => Ok(keys),
+            None => {
+                keys.sort_unstable();
+                Ok(keys)
+            }
         }
     }
 
@@ -123,14 +124,13 @@ impl BstStore {
     /// could never be sampled or reconstructed) without creating anything.
     pub fn create<I: IntoIterator<Item = u64>>(&self, keys: I) -> Result<FilterId, BstError> {
         let keys = self.checked_keys(keys)?;
-        let counting = CountingBloomFilter::from_keys(Arc::clone(&self.hasher), keys);
         let mut inner = self.inner.write();
         let id = inner.next_id;
         inner.next_id += 1;
         inner.sets.insert(
             id,
             StoredSet {
-                counting,
+                keys,
                 generation: 0,
             },
         );
@@ -151,21 +151,20 @@ impl BstStore {
             .sets
             .get_mut(&id.0)
             .ok_or(BstError::UnknownFilterId(id))?;
-        for &x in &keys {
-            set.counting.insert(x);
-        }
         if !keys.is_empty() {
+            // Two ascending runs: the stable sort merges them in one pass.
+            set.keys.extend_from_slice(&keys);
+            set.keys.sort();
             set.generation += 1;
         }
         Ok(set.generation)
     }
 
-    /// Removes `keys` from the stored set (counting-filter semantics: one
-    /// remove cancels one insert; removing a key that was never inserted
-    /// is an unchecked logical error, as in all counting Bloom filters).
-    /// Bumps the generation when at least one key was processed and
-    /// returns the new generation. Rejects the whole batch if any key
-    /// lies outside the namespace (such a key was never insertable).
+    /// Removes one occurrence of each key in `keys` from the stored set;
+    /// a key the set does not hold is skipped. Bumps the generation when
+    /// at least one key was processed and returns the new generation.
+    /// Rejects the whole batch if any key lies outside the namespace
+    /// (such a key was never insertable).
     pub fn remove_keys<I: IntoIterator<Item = u64>>(
         &self,
         id: FilterId,
@@ -177,17 +176,21 @@ impl BstStore {
             .sets
             .get_mut(&id.0)
             .ok_or(BstError::UnknownFilterId(id))?;
-        for &x in &keys {
-            set.counting.remove(x);
-        }
         if !keys.is_empty() {
+            // Both sides ascend: each stored key consumes at most one
+            // equal batch key, and batch keys below it were absent.
+            let mut pending = keys.iter().peekable();
+            set.keys.retain(|&x| {
+                while pending.next_if(|&&y| y < x).is_some() {}
+                pending.next_if_eq(&&x).is_none()
+            });
             set.generation += 1;
         }
         Ok(set.generation)
     }
 
-    /// Projects the stored set to a plain [`BloomFilter`] snapshot
-    /// (bit set ⇔ counter nonzero), compatible with tree operations.
+    /// Projects the stored set to a plain [`BloomFilter`] over its keys,
+    /// compatible with tree operations.
     pub fn get(&self, id: FilterId) -> Result<BloomFilter, BstError> {
         Ok(self.snapshot(id)?.0)
     }
@@ -197,7 +200,7 @@ impl BstStore {
     pub fn snapshot(&self, id: FilterId) -> Result<(BloomFilter, u64), BstError> {
         let inner = self.inner.read();
         let set = inner.sets.get(&id.0).ok_or(BstError::UnknownFilterId(id))?;
-        Ok((set.counting.to_bloom(), set.generation))
+        Ok((self.project(set), set.generation))
     }
 
     /// Re-projects only if the set has moved past `seen` generations:
@@ -214,19 +217,12 @@ impl BstStore {
         if set.generation == seen {
             Ok(None)
         } else {
-            Ok(Some((set.counting.to_bloom(), set.generation)))
+            Ok(Some((self.project(set), set.generation)))
         }
     }
 
-    /// A clone of the stored counting filter itself (counter values, not
-    /// the bit projection).
-    pub fn counting(&self, id: FilterId) -> Result<CountingBloomFilter, BstError> {
-        let inner = self.inner.read();
-        inner
-            .sets
-            .get(&id.0)
-            .map(|s| s.counting.clone())
-            .ok_or(BstError::UnknownFilterId(id))
+    fn project(&self, set: &StoredSet) -> BloomFilter {
+        BloomFilter::from_keys(Arc::clone(&self.hasher), set.keys.iter().copied())
     }
 
     /// Unregisters the set. Its id is retired, never reused; open handles
@@ -250,16 +246,6 @@ impl BstStore {
             .ok_or(BstError::UnknownFilterId(id))
     }
 
-    /// Membership query against the stored (counting) set.
-    pub fn contains_key(&self, id: FilterId, x: u64) -> Result<bool, BstError> {
-        let inner = self.inner.read();
-        inner
-            .sets
-            .get(&id.0)
-            .map(|s| s.counting.contains(x))
-            .ok_or(BstError::UnknownFilterId(id))
-    }
-
     /// All live ids, ascending.
     pub fn ids(&self) -> Vec<FilterId> {
         let inner = self.inner.read();
@@ -278,16 +264,11 @@ impl BstStore {
         self.len() == 0
     }
 
-    /// Heap bytes of all counting-filter counter arrays.
-    pub fn memory_bytes(&self) -> usize {
-        let inner = self.inner.read();
-        inner.sets.values().map(|s| s.counting.heap_bytes()).sum()
-    }
-
     /// Serializes the store as
     /// `next_id u64 | count u32 | per set (ascending id): id u64,
-    /// generation u64, len u64, counting-codec bytes`, appended to `buf`.
-    /// Sets are written in id order so snapshots are byte-deterministic.
+    /// generation u64, key count u64, keys u64… (non-decreasing)`,
+    /// appended to `buf`. Sets are written in id order so snapshots are
+    /// byte-deterministic.
     pub(crate) fn put_bytes(&self, buf: &mut bytes::BytesMut) {
         let inner = self.inner.read();
         buf.put_u64_le(inner.next_id);
@@ -298,23 +279,22 @@ impl BstStore {
             let set = &inner.sets[&id];
             buf.put_u64_le(id);
             buf.put_u64_le(set.generation);
-            crate::persistence::put_len_prefixed(buf, |buf| {
-                codec::put_counting(buf, &set.counting);
-            });
+            buf.put_u64_le(set.keys.len() as u64);
+            crate::persistence::put_words(buf, &set.keys);
         }
     }
 
-    /// The length of the store's part of a system snapshot, from
-    /// [`Self::memory_bytes`] and the set count (exact unless the store
-    /// changes in between): the bulk of a snapshot, so it sizes the
-    /// snapshot buffer.
+    /// The exact length of the store's part of a system snapshot (unless
+    /// the store changes in between): the bulk of a snapshot, so it sizes
+    /// the snapshot buffer.
     pub fn encoded_len_hint(&self) -> usize {
-        8 + 4 + self.len() * (8 + 8 + 8 + codec::COUNTING_HEADER_LEN) + self.memory_bytes()
+        let inner = self.inner.read();
+        let keys: usize = inner.sets.values().map(|s| s.keys.len()).sum();
+        8 + 4 + inner.sets.len() * (8 + 8 + 8) + keys * 8
     }
 
-    /// Decodes a store serialized with [`Self::put_bytes`]. Every decoded
-    /// counting filter must share `hasher`'s parameters (the tree's), or
-    /// the snapshot is structurally inconsistent.
+    /// Decodes a store serialized with [`Self::put_bytes`]. Every set's
+    /// keys must ascend (repeats allowed) and lie inside `namespace`.
     pub(crate) fn get_bytes(
         input: &mut &[u8],
         hasher: Arc<BloomHasher>,
@@ -338,33 +318,18 @@ impl BstStore {
                 return Err(PersistError::Corrupt("stored id beyond next_id"));
             }
             let generation = input.get_u64_le();
-            let len = input.get_u64_le() as usize;
-            if input.remaining() < len {
+            let len = input.get_u64_le();
+            if len > (input.remaining() / 8) as u64 {
                 return Err(PersistError::Truncated);
             }
-            let counting = codec::decode_counting(&input[..len])
-                .map_err(|_| PersistError::Corrupt("counting filter payload"))?;
-            input.advance(len);
-            if counting.hasher() != &hasher {
-                return Err(PersistError::Corrupt(
-                    "stored set hash family differs from the tree's",
-                ));
+            let keys = crate::persistence::get_words(input, len as usize)?;
+            if keys.windows(2).any(|w| w[0] > w[1]) {
+                return Err(PersistError::Corrupt("stored keys descend"));
             }
-            // Re-point the set at the tree's hasher: the codec rebuilt an
-            // identical family, but millions of sets should share the one
-            // allocation rather than hold a copy each.
-            let (counters, _) = counting.into_parts();
-            let counting = CountingBloomFilter::from_parts(counters, Arc::clone(&hasher));
-            if sets
-                .insert(
-                    id,
-                    StoredSet {
-                        counting,
-                        generation,
-                    },
-                )
-                .is_some()
-            {
+            if keys.last().is_some_and(|&x| x >= namespace) {
+                return Err(PersistError::Corrupt("stored key outside the namespace"));
+            }
+            if sets.insert(id, StoredSet { keys, generation }).is_some() {
                 return Err(PersistError::Corrupt("duplicate stored id"));
             }
         }
@@ -379,6 +344,7 @@ impl BstStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bst_bloom::bitvec::BitVec;
     use bst_bloom::hash::HashKind;
 
     fn store() -> BstStore {
@@ -420,9 +386,52 @@ mod tests {
         assert_eq!(s.insert_keys(id, std::iter::empty()), Ok(2));
         assert_eq!(s.remove_keys(id, std::iter::empty()), Ok(2));
         assert_eq!(s.generation(id), Ok(2));
-        assert_eq!(s.contains_key(id, 100), Ok(true));
-        assert_eq!(s.contains_key(id, 0), Ok(false));
-        assert_eq!(s.contains_key(id, 5), Ok(true));
+        assert_eq!(bits(&s, id), from_keys(&s, (1..10).chain([100, 101])));
+    }
+
+    /// The bits of `from_keys` over `keys`: what the store must project.
+    fn from_keys(s: &BstStore, keys: impl IntoIterator<Item = u64>) -> BitVec {
+        BloomFilter::from_keys(Arc::clone(&s.hasher), keys)
+            .bits()
+            .clone()
+    }
+
+    fn bits(s: &BstStore, id: FilterId) -> BitVec {
+        s.get(id).expect("get").bits().clone()
+    }
+
+    #[test]
+    fn a_key_inserted_twice_survives_one_remove() {
+        let s = store();
+        let id = s.create([7u64, 9]).expect("create");
+        s.insert_keys(id, [7u64]).expect("insert");
+        s.remove_keys(id, [7u64]).expect("remove");
+        assert_eq!(bits(&s, id), from_keys(&s, [7, 9]));
+        s.remove_keys(id, [7u64]).expect("remove");
+        assert_eq!(bits(&s, id), from_keys(&s, [9]));
+        // One batch may remove several occurrences of one key.
+        s.insert_keys(id, [9u64, 9]).expect("insert");
+        s.remove_keys(id, [9u64, 9]).expect("remove");
+        assert_eq!(bits(&s, id), from_keys(&s, [9]));
+    }
+
+    #[test]
+    fn removing_an_absent_key_changes_no_bit_but_bumps_the_generation() {
+        let s = store();
+        let id = s.create(0..50u64).expect("create");
+        let before = bits(&s, id);
+        // 60 is a false positive or not: either way it was never stored,
+        // so no other key's bits may go.
+        assert_eq!(s.remove_keys(id, [60u64, 99_999]), Ok(1));
+        assert_eq!(bits(&s, id), before);
+        assert_eq!(s.generation(id), Ok(1));
+        // An absent key in a batch (the second 7) does not shield the
+        // held keys after it.
+        s.remove_keys(id, [7u64, 7, 25]).expect("remove");
+        assert_eq!(
+            bits(&s, id),
+            from_keys(&s, (0..50).filter(|&x| x != 7 && x != 25))
+        );
     }
 
     #[test]
@@ -439,7 +448,7 @@ mod tests {
             Err(BstError::KeyOutsideNamespace(200_000))
         );
         // Atomic: the in-range key of the rejected batch was not applied.
-        assert_eq!(s.contains_key(id, 6), Ok(false));
+        assert_eq!(bits(&s, id), from_keys(&s, [5]));
         assert_eq!(s.generation(id), Ok(0));
         assert_eq!(
             s.remove_keys(id, [100_000u64]),
@@ -500,15 +509,10 @@ mod tests {
         assert_eq!(back.ids(), s.ids());
         assert_eq!(back.generation(a), s.generation(a));
         assert_eq!(back.generation(c), Ok(0));
-        assert_eq!(
-            back.counting(a).expect("counting").counter_bytes(),
-            s.counting(a).expect("counting").counter_bytes()
-        );
+        assert_eq!(bits(&back, a), bits(&s, a));
+        assert_eq!(buf.len(), s.encoded_len_hint());
         // Restored sets share the store's single hasher allocation.
-        assert!(Arc::ptr_eq(
-            back.counting(a).expect("counting").hasher(),
-            &s.hasher
-        ));
+        assert!(Arc::ptr_eq(back.get(a).expect("get").hasher(), &s.hasher));
         // Byte-determinism: re-encoding yields identical bytes.
         let mut buf2 = bytes::BytesMut::new();
         back.put_bytes(&mut buf2);
@@ -519,21 +523,42 @@ mod tests {
         assert!(d.raw() > c.raw());
     }
 
-    #[test]
-    fn decode_rejects_foreign_hashers_and_corruption() {
-        let s = store();
-        s.create(0..10u64).expect("create");
+    /// The bytes of a one-set store with `keys` written as they are.
+    fn one_set_bytes(keys: &[u64]) -> bytes::BytesMut {
         let mut buf = bytes::BytesMut::new();
-        s.put_bytes(&mut buf);
-        // Wrong hash family on decode.
-        let other = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 4096, 100_000, 8));
-        let mut slice: &[u8] = &buf;
+        buf.put_u64_le(1);
+        buf.put_u32_le(1);
+        buf.put_u64_le(0);
+        buf.put_u64_le(0);
+        buf.put_u64_le(keys.len() as u64);
+        crate::persistence::put_words(&mut buf, keys);
+        buf
+    }
+
+    #[test]
+    fn decode_refuses_corrupt_keys() {
+        let decode = |buf: &[u8]| {
+            let mut slice = buf;
+            BstStore::get_bytes(&mut slice, Arc::clone(&store().hasher), 100_000).map(|_| ())
+        };
+        assert_eq!(decode(&one_set_bytes(&[3, 3, 8])), Ok(()));
         assert_eq!(
-            BstStore::get_bytes(&mut slice, other, 100_000).unwrap_err(),
-            PersistError::Corrupt("stored set hash family differs from the tree's")
+            decode(&one_set_bytes(&[3, 8, 5])),
+            Err(PersistError::Corrupt("stored keys descend"))
         );
-        // Truncation.
-        let mut short: &[u8] = &buf[..buf.len() - 10];
-        assert!(BstStore::get_bytes(&mut short, Arc::clone(&s.hasher), 100_000).is_err());
+        assert_eq!(
+            decode(&one_set_bytes(&[3, 100_000])),
+            Err(PersistError::Corrupt("stored key outside the namespace"))
+        );
+        // A key count the input cannot hold fails before any allocation.
+        let mut huge = one_set_bytes(&[]);
+        let at = huge.len() - 8;
+        huge[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&huge), Err(PersistError::Truncated));
+        let full = one_set_bytes(&[1, 2]);
+        assert_eq!(
+            decode(&full[..full.len() - 1]),
+            Err(PersistError::Truncated)
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! therefore a cheap `Clone` handle (`Arc` bump) that is `Send + Sync`,
 //! so worker threads each hold their own handle to the same tree and
 //! store. Sets registered with the system ([`BstSystem::create`]) live in
-//! a [`BstStore`] as counting filters — they support `insert_keys` *and*
+//! a [`BstStore`] as their keys — they support `insert_keys` *and*
 //! `remove_keys` — and are queried by stable [`FilterId`] through
 //! [`BstSystem::query_id`], which returns a generation-stamped [`Query`]
 //! handle: mutations invalidate the handle's cached descent state, never
@@ -245,11 +245,10 @@ impl BstSystemBuilder {
                 "depth beyond ceil(log2 M): leaves would hold no ids",
             ));
         }
-        if plan.kind == HashKind::DeltaBlocked && plan.m < bst_bloom::MIN_BLOCKED_BITS {
-            return Err(BstError::InvalidConfig(
-                "blocked layout needs m >= one 128-bit block; raise accuracy or set size",
-            ));
-        }
+        // The hash-family rule the snapshot decoders apply, so every tree
+        // the builder makes reloads.
+        bst_bloom::codec::check_params(plan.kind, plan.k, plan.m, plan.namespace)
+            .map_err(BstError::InvalidConfig)?;
         let tree = match occupied {
             // 0 threads: the dense build uses every CPU.
             None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, 0)),
@@ -381,8 +380,9 @@ impl BstSystem {
         self.shared.store.insert_keys(id, keys)
     }
 
-    /// Removes `keys` from the stored set (counting-filter semantics),
-    /// bumping its generation. Returns the new generation.
+    /// Removes one occurrence of each of `keys` from the stored set (keys
+    /// it does not hold are skipped), bumping its generation. Returns the
+    /// new generation.
     pub fn remove_keys<I: IntoIterator<Item = u64>>(
         &self,
         id: FilterId,
@@ -417,7 +417,7 @@ impl BstSystem {
     // ------------------------------------------------------------------
 
     /// Serializes the entire system — behaviour configuration, tree
-    /// backend, and filter store (counting filters + generations) — into
+    /// backend, and filter store (keys + generations) — into
     /// one snapshot buffer. Byte-deterministic for a given system state.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = BytesMut::with_capacity(self.shared.store.encoded_len_hint());
@@ -427,7 +427,7 @@ impl BstSystem {
 
     /// Appends [`Self::to_bytes`]'s bytes to `buf`: the tree and every
     /// stored set are written straight into it, so an enclosing snapshot
-    /// (the sharded engine's) copies each counter array once.
+    /// (the sharded engine's) copies each stored key once.
     pub fn put_bytes(&self, buf: &mut BytesMut) {
         buf.put_slice(SYSTEM_MAGIC);
         buf.put_u8(persistence::VERSION);
@@ -569,6 +569,24 @@ mod tests {
             };
             assert!(matches!(
                 builder.try_build(),
+                Err(crate::error::BstError::InvalidConfig(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn simple_namespace_past_the_largest_prime_refused() {
+        let largest = bst_bloom::hash::prime::LARGEST_U64_PRIME;
+        let build = |namespace: u64| {
+            BstSystem::builder(namespace)
+                .hash_kind(HashKind::Simple)
+                .pruned([1, 2])
+                .try_build()
+        };
+        assert!(build(largest).is_ok());
+        for namespace in [largest + 1, u64::MAX] {
+            assert!(matches!(
+                build(namespace),
                 Err(crate::error::BstError::InvalidConfig(_))
             ));
         }

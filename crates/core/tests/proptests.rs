@@ -1,14 +1,22 @@
 //! Property-based tests for the BloomSampleTree core: soundness of
 //! sampling and reconstruction under arbitrary sets, agreement between
-//! methods, and pruned-tree/full-tree equivalence.
+//! methods, pruned-tree/full-tree equivalence, and the stored sets'
+//! multiset semantics and codec.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::{leaf_size, TreePlan};
 use bst_core::baselines::{dictionary, hashinvert};
+use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
+use bst_core::persistence::PersistError;
 use bst_core::pruned::PrunedBloomSampleTree;
 use bst_core::reconstruct::BstReconstructor;
 use bst_core::sampler::BstSampler;
+use bst_core::system::BstSystem;
 use bst_core::tree::{BloomSampleTree, SampleTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,8 +35,133 @@ fn plan(namespace: u64, m: usize, depth: u32, kind: HashKind) -> TreePlan {
     }
 }
 
+/// A store body (the tail of a system snapshot) holding `sets` as
+/// `(id, key count, keys)`, written as given.
+fn store_body(next_id: u64, sets: &[(u64, u64, &[u64])]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&next_id.to_le_bytes());
+    out.extend_from_slice(&(sets.len() as u32).to_le_bytes());
+    for &(id, count, keys) in sets {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        for &x in keys {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A stored set is the multiset of its keys. Through random insert,
+    /// remove and absent-remove batches, `get` equals `from_keys` over a
+    /// `BTreeMap` model's live keys and every non-empty batch bumps the
+    /// generation; a snapshot decodes and re-encodes to the same bytes;
+    /// and hostile store bodies are refused typed, never with a panic.
+    #[test]
+    fn stored_sets_track_a_multiset_model(
+        kind in prop_oneof![Just(HashKind::Murmur3), Just(HashKind::DeltaBlocked)],
+        initial in prop::collection::vec(0u64..512, 0..60),
+        ops in prop::collection::vec((0u8..3, prop::collection::vec(0u64..512, 0..12)), 1..24),
+        poke in any::<u64>(),
+    ) {
+        let namespace = 4096u64;
+        let sys = BstSystem::builder(namespace)
+            .expected_set_size(100)
+            .hash_kind(kind)
+            .seed(5)
+            .build();
+        let hasher = Arc::clone(sys.tree().hasher());
+        let projected = |model: &BTreeMap<u64, u32>| {
+            BloomFilter::from_keys(Arc::clone(&hasher), model.keys().copied()).bits().clone()
+        };
+        let mut model = BTreeMap::<u64, u32>::new();
+        for &x in &initial {
+            *model.entry(x).or_default() += 1;
+        }
+        let id = sys.create(initial.iter().copied()).expect("create");
+        let untouched = sys.create(initial.iter().rev().copied()).expect("create");
+        let mut generation = 0u64;
+        for (op, batch) in ops {
+            let live: Vec<u64> = model.keys().copied().collect();
+            let batch: Vec<u64> = match op {
+                0 => batch,
+                // Removes of held keys (repeats included) or, with
+                // nothing held, of anything.
+                1 if !live.is_empty() => batch.iter().map(|&i| live[i as usize % live.len()]).collect(),
+                // Keys at or above 512 are never inserted.
+                _ => batch.iter().map(|&x| 512 + x * 7).collect(),
+            };
+            let got = if op == 0 {
+                for &x in &batch {
+                    *model.entry(x).or_default() += 1;
+                }
+                sys.insert_keys(id, batch.iter().copied())
+            } else {
+                for &x in &batch {
+                    if let Some(copies) = model.get_mut(&x) {
+                        *copies -= 1;
+                        if *copies == 0 {
+                            model.remove(&x);
+                        }
+                    }
+                }
+                sys.remove_keys(id, batch.iter().copied())
+            };
+            generation += u64::from(!batch.is_empty());
+            prop_assert_eq!(got, Ok(generation));
+            prop_assert_eq!(sys.get(id).expect("get").bits(), &projected(&model));
+        }
+
+        let bytes = sys.to_bytes();
+        let back = BstSystem::from_bytes(&bytes).expect("decode");
+        prop_assert_eq!(back.to_bytes(), bytes.clone());
+        prop_assert_eq!(back.get(id).expect("get").bits(), &projected(&model));
+        prop_assert_eq!(back.filters().generation(id), Ok(generation));
+        prop_assert_eq!(
+            back.get(untouched).expect("get").bits(),
+            sys.get(untouched).expect("get").bits()
+        );
+
+        // The store is the snapshot's tail, and its length is exact.
+        let store_len = sys.filters().encoded_len_hint();
+        let prefix = &bytes[..bytes.len() - store_len];
+        let decode = |body: Vec<u8>| BstSystem::from_bytes(&[prefix, &body[..]].concat()).err();
+        let mut keys: Vec<u64> = model.keys().copied().collect();
+        let n = keys.len() as u64;
+        prop_assert_eq!(decode(store_body(1, &[(0, n, &keys)])), None);
+        if keys.len() >= 2 {
+            keys.reverse();
+            prop_assert_eq!(
+                decode(store_body(1, &[(0, n, &keys)])),
+                Some(BstError::Persist(PersistError::Corrupt("stored keys descend")))
+            );
+            keys.reverse();
+        }
+        keys.push(namespace + poke % 4);
+        prop_assert_eq!(
+            decode(store_body(1, &[(0, n + 1, &keys)])),
+            Some(BstError::Persist(PersistError::Corrupt("stored key outside the namespace")))
+        );
+        keys.pop();
+        for count in [n + 1 + poke % 1000, u64::MAX - poke % 8] {
+            prop_assert_eq!(
+                decode(store_body(1, &[(0, count, &keys)])),
+                Some(BstError::Persist(PersistError::Truncated))
+            );
+        }
+        prop_assert_eq!(
+            decode(store_body(1, &[(0, n, &keys), (0, n, &keys)])),
+            Some(BstError::Persist(PersistError::Corrupt("duplicate stored id")))
+        );
+        // Any one byte of the store changed: decoded or refused, no panic.
+        let mut body = bytes[bytes.len() - store_len..].to_vec();
+        let at = (poke % store_len as u64) as usize;
+        body[at] ^= (poke >> 32) as u8 | 1;
+        let _ = decode(body);
+    }
 
     /// Every sample is a positive of the query filter, across tree shapes.
     #[test]

@@ -90,7 +90,8 @@ pub enum Request {
         /// Keys to insert.
         keys: Vec<u64>,
     },
-    /// Remove `keys` from stored set `id` (counting-filter semantics).
+    /// Remove one occurrence of each of `keys` from stored set `id`; keys
+    /// the set does not hold are skipped.
     RemoveKeys {
         /// Raw sharded filter id.
         id: u64,

@@ -218,6 +218,46 @@ fn hostile_tree_snapshots_are_refused_and_the_engine_is_untouched() {
     assert_eq!(client.save().unwrap(), before, "no hostile LOAD landed");
 }
 
+/// A Simple-family namespace past 2^64 - 59 leaves the affine hash no
+/// prime modulus. An ad-hoc `SAMPLE` filter and a `LOAD`ed tree plan that
+/// claim one are refused with typed errors before any hash family is
+/// built, and the server keeps serving.
+#[test]
+fn simple_namespaces_past_the_largest_prime_are_refused_typed() {
+    const NAMESPACE: u64 = 2_048;
+    let (handle, _reference) = spawn(NAMESPACE, 2, ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let set = client.create(member_keys(40, NAMESPACE)).unwrap();
+    let before = client.save().unwrap();
+    let draw = client.sample(Target::Stored(set), 3).unwrap();
+
+    // Filter codec: namespace u64 at [16..24].
+    let filter =
+        bst_bloom::BloomFilter::with_params(bst_bloom::HashKind::Simple, 3, 512, NAMESPACE, 7);
+    let mut adhoc = bst_bloom::codec::encode(&filter).to_vec();
+    adhoc[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+    let verdict = client.sample(Target::Adhoc(adhoc), 3);
+    assert!(
+        matches!(verdict, Err(ClientError::Wire(WireError::Malformed { .. }))),
+        "{verdict:?}"
+    );
+
+    // Shard 0's plan: namespace at [5..13], kind tag at [23] (0 = Simple).
+    let mut plan = before.clone();
+    let tree = find_magic(&plan, b"BSTP");
+    plan[tree + 5..tree + 13].copy_from_slice(&u64::MAX.to_le_bytes());
+    plan[tree + 23] = 0;
+    let verdict = client.load(plan);
+    assert!(
+        matches!(verdict, Err(ClientError::Wire(WireError::Persist { .. }))),
+        "{verdict:?}"
+    );
+
+    client.ping().expect("the server still answers");
+    assert_eq!(client.sample(Target::Stored(set), 3).unwrap(), draw);
+    assert_eq!(client.save().unwrap(), before, "the LOAD did not land");
+}
+
 #[test]
 fn malformed_frames_get_typed_errors_and_the_connection_survives() {
     let cfg = ServerConfig {

@@ -443,8 +443,8 @@ impl ShardedBstSystem {
         Ok(())
     }
 
-    /// Removes `keys` from the stored set (counting-filter semantics),
-    /// routed like [`Self::insert_keys`].
+    /// Removes one occurrence of each of `keys` from the stored set (keys
+    /// it does not hold are skipped), routed like [`Self::insert_keys`].
     pub fn remove_keys<I: IntoIterator<Item = u64>>(
         &self,
         id: FilterId,
@@ -845,9 +845,9 @@ impl ShardedBstSystem {
 
     /// [`Self::to_bytes`] behind `header`, in one buffer sized up front
     /// from every shard's stored sets ([`bst_core::store::BstStore::encoded_len_hint`],
-    /// nearly all of the bytes): each shard's tree and stored sets are
+    /// the bulk of the bytes): each shard's tree and stored sets are
     /// written straight into it and the length prefixes patched in
-    /// place, so every counter array is copied once.
+    /// place, so every stored key is copied once.
     /// A durable checkpoint is this call with the checkpoint header.
     pub fn to_bytes_with_header(&self, header: &[u8]) -> Vec<u8> {
         let manifest = {
@@ -1055,6 +1055,16 @@ mod tests {
             ShardedBstSystem::builder(100)
                 .shards(2)
                 .occupied([100u64])
+                .try_build(),
+            Err(BstError::InvalidConfig(_))
+        ));
+        // No u64 prime reaches this namespace: the Simple family has no
+        // modulus, so the shards' builder refuses it.
+        assert!(matches!(
+            ShardedBstSystem::builder(u64::MAX)
+                .shards(2)
+                .hash_kind(HashKind::Simple)
+                .occupied([1u64, 2])
                 .try_build(),
             Err(BstError::InvalidConfig(_))
         ));

@@ -47,8 +47,8 @@ fn main() {
         100.0 * tree.node_count() as f64 / complete_nodes as f64
     );
 
-    // A community with churn lives in the system's store: counting-filter
-    // backed, so members can join AND leave. It is addressed by a stable
+    // A community with churn lives in the system's store as its member
+    // keys, so members can join AND leave. It is addressed by a stable
     // id from now on.
     let occupied = {
         let mut o = occupied;
@@ -169,7 +169,7 @@ fn main() {
     );
 
     // Nightly ops: snapshot the whole system — plan, pruned tree, store
-    // (counting filters + generations) — and restore it elsewhere.
+    // (member keys + generations) — and restore it elsewhere.
     let final_rec = query.reconstruct().expect("reconstruct before snapshot");
     let snapshot = system.to_bytes();
     let restored = BstSystem::from_bytes(&snapshot).expect("restore snapshot");

@@ -1,11 +1,11 @@
-//! Persistence and determinism: filters (plain and counting) survive the
-//! binary codec, hash families rebuild identically from their parameters,
-//! both tree backends round-trip through their snapshot formats, and
-//! whole systems are reproducible from a plan.
+//! Persistence and determinism: filters survive the binary codec, hash
+//! families rebuild identically from their parameters, both tree
+//! backends round-trip through their snapshot formats, and whole systems
+//! are reproducible from a plan.
 
 use bloomsampletree::{
-    BloomFilter, BloomHasher, BstSystem, CountingBloomFilter, HashKind, OpStats,
-    PrunedBloomSampleTree, SampleTree, TreePlan,
+    BloomFilter, BloomHasher, BstSystem, HashKind, OpStats, PrunedBloomSampleTree, SampleTree,
+    TreePlan,
 };
 use bst_bloom::codec;
 use rand::rngs::StdRng;
@@ -65,25 +65,28 @@ fn plan_roundtrip_through_tree_bytes_rebuilds_equivalent_tree() {
 }
 
 #[test]
-fn counting_filter_codec_roundtrip_preserves_removability() {
-    // The store's substrate: counting filters must survive the codec with
-    // their *counters* (not just the bit projection), or restored sets
-    // would forget how many inserts each position carries.
-    let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 8192, 100_000, 91));
-    let mut f = CountingBloomFilter::from_keys(Arc::clone(&hasher), (0..400u64).map(|i| i * 11));
-    f.insert(55); // 55 = 5*11 now counted twice
-    f.remove(110);
-    let bytes = codec::encode_counting(&f);
-    let mut back = codec::decode_counting(&bytes).expect("decode");
-    assert_eq!(back.counter_bytes(), f.counter_bytes());
-    for x in 0..4400u64 {
-        assert_eq!(back.contains(x), f.contains(x), "key {x}");
-    }
-    // Counter semantics survive: one remove does not clear a double insert.
-    back.remove(55);
-    assert!(back.contains(55));
-    back.remove(55);
-    assert!(!back.contains(55));
+fn stored_set_multiplicity_survives_a_system_snapshot() {
+    // A stored set is the multiset of its keys: the snapshot must carry
+    // every copy, or a restored set would forget how many inserts a key
+    // needs removed before it leaves.
+    let system = BstSystem::builder(100_000).expected_set_size(400).build();
+    let keys: Vec<u64> = (0..400u64).map(|i| i * 11).collect();
+    let id = system.create(keys.iter().copied()).expect("create");
+    system.insert_keys(id, [55u64]).expect("insert"); // 55 = 5 * 11, twice now
+    let restored = BstSystem::from_bytes(&system.to_bytes()).expect("restore");
+    let bits_over = |keys: &[u64]| {
+        BloomFilter::from_keys(Arc::clone(restored.tree().hasher()), keys.iter().copied())
+            .bits()
+            .clone()
+    };
+    let without_55: Vec<u64> = keys.iter().copied().filter(|&x| x != 55).collect();
+    restored.remove_keys(id, [55u64]).expect("remove");
+    assert_eq!(restored.get(id).expect("get").bits(), &bits_over(&keys));
+    restored.remove_keys(id, [55u64]).expect("remove");
+    assert_eq!(
+        restored.get(id).expect("get").bits(),
+        &bits_over(&without_55)
+    );
 }
 
 #[test]

@@ -15,18 +15,19 @@
 //!   only the mutated path's nodes, and under the sound configurations
 //!   re-scans only the mutated leaf;
 //! * after set writes, a pooled handle's weight and reconstruction
-//!   equal the occupied ids the stored counting filters accept, on both
-//!   filter layouts;
+//!   equal the occupied ids accepted by filters built from a model of
+//!   each shard's stored keys, on both filter layouts;
 //! * `ShardedBstSystem` round-trips through `to_bytes`/`from_bytes`
 //!   deterministically.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bloomsampletree::stats::chi2_uniform_test;
 use bloomsampletree::stats::conformance::{
     chi2_homogeneity, ks_two_sample_ids, sample_counts, DEFAULT_ALPHA,
 };
-use bloomsampletree::{
-    BstConfig, BstError, BstSystem, CountingBloomFilter, HashKind, ShardedBstSystem,
-};
+use bloomsampletree::{BloomFilter, BstConfig, BstError, BstSystem, HashKind, ShardedBstSystem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -550,12 +551,13 @@ fn sharded_warm_equals_cold_across_mutations() {
 }
 
 /// After set writes, a pooled handle's weight and reconstruction equal a
-/// ground truth built without any projection: the occupied ids that the
-/// owning shard's counting filter accepts. Warm-equals-cold checks
-/// compare two handles over the same projection, so only this pins the
-/// counting-to-bits projection itself — on both filter layouts.
+/// ground truth the engine does not compute: the occupied ids accepted by
+/// `from_keys` over a model multiset of each shard's keys. Warm-equals-
+/// cold checks compare two handles over the same projection, so only this
+/// pins the store's key bookkeeping and projection themselves — on both
+/// filter layouts, with removes of keys the set does not hold.
 #[test]
-fn pooled_handle_matches_counting_ground_truth_across_set_writes() {
+fn pooled_handle_matches_key_ground_truth_across_set_writes() {
     for kind in [HashKind::Murmur3, HashKind::DeltaBlocked] {
         let namespace = 16_384u64;
         let sharded = ShardedBstSystem::builder(namespace)
@@ -565,7 +567,13 @@ fn pooled_handle_matches_counting_ground_truth_across_set_writes() {
             .seed(9)
             .occupied((0..namespace).step_by(2))
             .build();
+        let hasher = Arc::clone(sharded.shard_systems()[0].tree().hasher());
+        // One multiset per shard: key -> copies held.
+        let mut model = vec![BTreeMap::<u64, u32>::new(); 4];
         let keys: Vec<u64> = (0..300u64).map(|i| i * 53 % namespace).collect();
+        for &x in &keys {
+            *model[sharded.shard_of(x)].entry(x).or_default() += 1;
+        }
         let id = sharded.create(keys.iter().copied()).expect("create");
         let pooled = sharded.pooled_query_id(id).expect("open");
         let occupied = sharded.occupied_ids();
@@ -574,33 +582,38 @@ fn pooled_handle_matches_counting_ground_truth_across_set_writes() {
                 .map(|i| (round * 4_099 + i * 409) % namespace)
                 .collect();
             if round % 2 == 0 {
+                for &x in &batch {
+                    *model[sharded.shard_of(x)].entry(x).or_default() += 1;
+                }
                 sharded.insert_keys(id, batch).expect("insert_keys");
             } else {
-                // Every other round takes back the previous round's batch
-                // and a slice of the original keys, so counters return
-                // to zero.
+                // Every other round takes back the previous round's batch,
+                // a slice of the original keys, and keys never inserted.
                 let mut undo: Vec<u64> = (0..40u64)
                     .map(|i| ((round - 1) * 4_099 + i * 409) % namespace)
                     .collect();
                 undo.extend_from_slice(&keys[round as usize * 10..round as usize * 10 + 10]);
+                undo.extend((0..4u64).map(|i| namespace - 1 - round * 8 - i));
+                for &x in &undo {
+                    let shard = &mut model[sharded.shard_of(x)];
+                    if let Some(copies) = shard.get_mut(&x) {
+                        *copies -= 1;
+                        if *copies == 0 {
+                            shard.remove(&x);
+                        }
+                    }
+                }
                 sharded.remove_keys(id, undo).expect("remove_keys");
             }
-            // One counting filter per shard, each holding that shard's
-            // keys; an id is a positive iff its own shard's filter
-            // accepts it.
-            let counting: Vec<CountingBloomFilter> = sharded
-                .shard_systems()
+            // An id is a positive iff its own shard's projection accepts it.
+            let projected: Vec<BloomFilter> = model
                 .iter()
-                .map(|sys| {
-                    let ids = sys.filters().ids();
-                    assert_eq!(ids.len(), 1, "one stored set per shard");
-                    sys.filters().counting(ids[0]).expect("counting")
-                })
+                .map(|shard| BloomFilter::from_keys(Arc::clone(&hasher), shard.keys().copied()))
                 .collect();
             let truth: Vec<u64> = occupied
                 .iter()
                 .copied()
-                .filter(|&x| counting[sharded.shard_of(x)].contains(x))
+                .filter(|&x| projected[sharded.shard_of(x)].contains(x))
                 .collect();
             assert!(!truth.is_empty(), "{kind}, round {round}");
             assert_eq!(
