@@ -63,6 +63,8 @@ impl Config {
                 p("crates/core/src/pruned.rs"),
                 p("crates/core/src/store.rs"),
                 p("crates/core/src/wal.rs"),
+                p("crates/shard/src/system.rs"),
+                p("crates/shard/src/durable.rs"),
                 p("crates/bloom/src/codec.rs"),
                 p("crates/server/src/frame.rs"),
                 p("crates/server/src/protocol.rs"),

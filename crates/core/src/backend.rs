@@ -259,7 +259,7 @@ impl TreeBackend {
     /// to `buf` (each tree keeps its own magic/version inside the payload).
     /// The pruned tree persists its generation counter inside its own
     /// payload, so a restored backend continues stamping monotonically.
-    pub(crate) fn put_bytes(&self, buf: &mut bytes::BytesMut) {
+    pub fn put_bytes(&self, buf: &mut bytes::BytesMut) {
         match self {
             TreeBackend::Dense(t) => {
                 buf.put_u8(TAG_DENSE);
@@ -275,7 +275,7 @@ impl TreeBackend {
 
     /// Decodes a backend serialized with [`Self::put_bytes`], advancing
     /// `input` past the payload.
-    pub(crate) fn get_bytes(input: &mut &[u8]) -> Result<Self, PersistError> {
+    pub fn get_bytes(input: &mut &[u8]) -> Result<Self, PersistError> {
         if input.remaining() < 1 + 8 {
             return Err(PersistError::Truncated);
         }

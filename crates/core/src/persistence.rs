@@ -11,14 +11,15 @@
 //! Layouts (little-endian):
 //!
 //! ```text
-//! complete: "BSTC" v4 | plan | node words × node_count
-//! pruned:   "BSTP" v4 | plan | version u64 (mutation counter, resumed
+//! complete: "BSTC" v5 | plan | node words × node_count
+//! pruned:   "BSTP" v5 | plan | version u64 (mutation counter, resumed
 //!           on decode) | id count u64 | occupied ids u64…, ascending
-//! system:   "BSTS" v4 | sampler cfg | reconstruct cfg
-//!           | backend tag u8 | backend len u64 | backend bytes
-//!           | store next_id u64 | set count u32
-//!           | per set: id u64, generation u64, key count u64,
+//! system:   "BSTS" v5 | config | backend | store (one slice)
+//! backend:  tag u8 (0 dense, 1 pruned) | len u64 | "BSTC" or "BSTP" bytes
+//! store:    next_id u64 | set count u32
+//!           | per set: id u64, generation u64 per slice, key count u64,
 //!             keys u64…, non-decreasing
+//! config:   sampler cfg | reconstruct cfg
 //! plan:     namespace u64 | m u64 | k u16 | kind u8 | seed u64
 //!           | depth u32 | leaf_capacity u64 | target_accuracy f64
 //! sampler cfg:     liveness | ratio u8 | correction
@@ -32,10 +33,15 @@
 //! its ids' probe rows, so decode rebuilds the tree from the ids and no
 //! byte sequence can describe a filter that disagrees with them.
 //!
+//! `bst-shard`'s sharded snapshot, `"BSTH" v5 | boundaries | config |
+//! store | S × backend`, frames the same pieces around its partition
+//! ([`put_boundaries`]); its store carries one generation per shard.
+//!
 //! Version 2 dropped three config bytes and the system's journal cap;
 //! version 3 cut the pruned body to its plan, version and ids; version 4
-//! stores each set as its keys instead of a counting filter. Older
-//! inputs are refused as [`PersistError::BadVersion`].
+//! stores each set as its keys instead of a counting filter; version 5
+//! writes a sharded engine's config and store once, not once per shard.
+//! Older inputs are refused as [`PersistError::BadVersion`].
 
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::{depth_for, TreePlan};
@@ -43,6 +49,7 @@ use bytes::{Buf, BufMut, BytesMut};
 
 use crate::reconstruct::ReconstructConfig;
 use crate::sampler::{Correction, Liveness, RatioEstimator, SamplerConfig};
+use crate::system::BstConfig;
 
 /// Errors from decoding a persisted tree, store, or system snapshot.
 ///
@@ -78,9 +85,8 @@ impl std::fmt::Display for PersistError {
 impl std::error::Error for PersistError {}
 
 /// Snapshot format version shared by every structure in this module (and
-/// by the `bst-shard` sharded-system snapshot, which embeds whole-system
-/// payloads).
-pub const VERSION: u8 = 4;
+/// by the `bst-shard` sharded-system snapshot, which embeds its pieces).
+pub const VERSION: u8 = 5;
 
 pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_u64_le(plan.namespace);
@@ -167,7 +173,7 @@ fn get_liveness(input: &mut &[u8]) -> Result<Liveness, PersistError> {
     }
 }
 
-pub(crate) fn put_sampler_config(buf: &mut BytesMut, cfg: &SamplerConfig) {
+fn put_sampler_config(buf: &mut BytesMut, cfg: &SamplerConfig) {
     put_liveness(buf, cfg.liveness);
     buf.put_u8(match cfg.ratio {
         RatioEstimator::MeanCorrectedBits => 0,
@@ -184,7 +190,7 @@ pub(crate) fn put_sampler_config(buf: &mut BytesMut, cfg: &SamplerConfig) {
     }
 }
 
-pub(crate) fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, PersistError> {
+fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, PersistError> {
     let liveness = get_liveness(input)?;
     if input.remaining() < 2 {
         return Err(PersistError::Truncated);
@@ -215,14 +221,32 @@ pub(crate) fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, Per
     })
 }
 
-pub(crate) fn put_reconstruct_config(buf: &mut BytesMut, cfg: &ReconstructConfig) {
+fn put_reconstruct_config(buf: &mut BytesMut, cfg: &ReconstructConfig) {
     put_liveness(buf, cfg.liveness);
 }
 
-pub(crate) fn get_reconstruct_config(input: &mut &[u8]) -> Result<ReconstructConfig, PersistError> {
+fn get_reconstruct_config(input: &mut &[u8]) -> Result<ReconstructConfig, PersistError> {
     Ok(ReconstructConfig {
         liveness: get_liveness(input)?,
     })
+}
+
+/// Appends a behaviour configuration: sampler cfg, then reconstruct cfg.
+pub fn put_config(buf: &mut BytesMut, cfg: &BstConfig) {
+    put_sampler_config(buf, &cfg.sampler);
+    put_reconstruct_config(buf, &cfg.reconstruct);
+}
+
+/// Decodes a configuration written by [`put_config`], refusing one that
+/// [`BstConfig::validate`] refuses.
+pub fn get_config(input: &mut &[u8]) -> Result<BstConfig, PersistError> {
+    let cfg = BstConfig {
+        sampler: get_sampler_config(input)?,
+        reconstruct: get_reconstruct_config(input)?,
+    };
+    cfg.validate()
+        .map_err(|_| PersistError::Corrupt("snapshot configuration invalid"))?;
+    Ok(cfg)
 }
 
 pub(crate) fn put_words(buf: &mut BytesMut, words: &[u64]) {
@@ -233,10 +257,8 @@ pub(crate) fn put_words(buf: &mut BytesMut, words: &[u64]) {
 
 /// Appends a `len u64` prefix followed by whatever `put` writes, then
 /// patches the length in place: a nested payload is encoded straight
-/// into the enclosing buffer, never into a buffer of its own. Public so
-/// layered codecs (the sharded system snapshot) frame their payloads the
-/// same way.
-pub fn put_len_prefixed(buf: &mut BytesMut, put: impl FnOnce(&mut BytesMut)) {
+/// into the enclosing buffer, never into a buffer of its own.
+pub(crate) fn put_len_prefixed(buf: &mut BytesMut, put: impl FnOnce(&mut BytesMut)) {
     let at = buf.len();
     buf.put_u64_le(0);
     put(buf);
@@ -274,98 +296,31 @@ pub fn check_header(input: &mut &[u8], magic: &[u8; 4]) -> Result<(), PersistErr
     Ok(())
 }
 
-/// The decoded header of a sharded-system snapshot: how the namespace is
-/// partitioned and how sharded filter ids map onto per-shard store ids.
-///
-/// Written by `bst-shard`'s `ShardedBstSystem::to_bytes` between the
-/// snapshot header and the per-shard system payloads; the layout is
-/// `shard_count u32 | boundaries (shard_count+1)×u64 | next_id u64 |
-/// entry_count u32 | per entry: id u64, shard_count×u64 per-shard ids`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardManifest {
-    /// Shard boundaries: `shards+1` ascending values, first 0, last `M`;
-    /// shard `s` owns `[boundaries[s], boundaries[s+1])`.
-    pub boundaries: Vec<u64>,
-    /// Next sharded filter id to allocate.
-    pub next_id: u64,
-    /// `(sharded id, per-shard store ids)` pairs, ascending by id, one
-    /// per-shard id per shard.
-    pub entries: Vec<(u64, Vec<u64>)>,
+/// Appends a sharded snapshot's partition: `shard_count u32 | boundaries
+/// (shard_count + 1) × u64`.
+pub fn put_boundaries(buf: &mut BytesMut, boundaries: &[u64]) {
+    buf.put_u32_le(boundaries.len().saturating_sub(1) as u32);
+    put_words(buf, boundaries);
 }
 
-/// Serializes a [`ShardManifest`], appended to `buf`. Entries are written
-/// in the order given; callers sort by id for byte-determinism.
-pub fn put_shard_manifest(buf: &mut BytesMut, manifest: &ShardManifest) {
-    let shards = manifest.boundaries.len().saturating_sub(1);
-    buf.put_u32_le(shards as u32);
-    for &b in &manifest.boundaries {
-        buf.put_u64_le(b);
-    }
-    buf.put_u64_le(manifest.next_id);
-    buf.put_u32_le(manifest.entries.len() as u32);
-    for (id, per_shard) in &manifest.entries {
-        debug_assert_eq!(per_shard.len(), shards, "one store id per shard");
-        buf.put_u64_le(*id);
-        for &raw in per_shard {
-            buf.put_u64_le(raw);
-        }
-    }
-}
-
-/// Decodes a manifest serialized with [`put_shard_manifest`], advancing
-/// `input`, and validates its structural invariants: at least one shard,
-/// boundaries starting at 0 and strictly increasing, entries strictly
-/// ascending by id below `next_id`, one per-shard id per shard.
-pub fn get_shard_manifest(input: &mut &[u8]) -> Result<ShardManifest, PersistError> {
+/// Decodes a partition written by [`put_boundaries`], advancing `input`:
+/// at least one shard, boundaries starting at 0 and strictly increasing.
+/// The last boundary is the namespace bound `M`.
+pub fn get_boundaries(input: &mut &[u8]) -> Result<Vec<u64>, PersistError> {
     if input.remaining() < 4 {
         return Err(PersistError::Truncated);
     }
     let shards = input.get_u32_le() as usize;
     if shards == 0 {
-        return Err(PersistError::Corrupt("manifest has zero shards"));
+        return Err(PersistError::Corrupt("partition has zero shards"));
     }
-    if input.remaining() < (shards + 1) * 8 {
-        return Err(PersistError::Truncated);
-    }
-    let mut boundaries = Vec::with_capacity(shards + 1);
-    for _ in 0..=shards {
-        boundaries.push(input.get_u64_le());
-    }
+    let boundaries = get_words(input, shards + 1)?;
     if boundaries[0] != 0 || boundaries.windows(2).any(|w| w[0] >= w[1]) {
         return Err(PersistError::Corrupt(
             "shard boundaries not ascending from 0",
         ));
     }
-    if input.remaining() < 8 + 4 {
-        return Err(PersistError::Truncated);
-    }
-    let next_id = input.get_u64_le();
-    let count = input.get_u32_le() as usize;
-    let mut entries = Vec::with_capacity(count.min(input.remaining() / ((shards + 1) * 8)));
-    let mut prev: Option<u64> = None;
-    for _ in 0..count {
-        if input.remaining() < (shards + 1) * 8 {
-            return Err(PersistError::Truncated);
-        }
-        let id = input.get_u64_le();
-        if id >= next_id {
-            return Err(PersistError::Corrupt("manifest id beyond next_id"));
-        }
-        if prev.is_some_and(|p| p >= id) {
-            return Err(PersistError::Corrupt("manifest ids not strictly ascending"));
-        }
-        prev = Some(id);
-        let mut per_shard = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            per_shard.push(input.get_u64_le());
-        }
-        entries.push((id, per_shard));
-    }
-    Ok(ShardManifest {
-        boundaries,
-        next_id,
-        entries,
-    })
+    Ok(boundaries)
 }
 
 #[cfg(test)]
@@ -445,54 +400,37 @@ mod tests {
 
     #[test]
     fn shard_manifest_roundtrip_and_validation() {
-        let manifest = ShardManifest {
-            boundaries: vec![0, 250, 500, 1000],
-            next_id: 5,
-            entries: vec![(0, vec![0, 0, 0]), (2, vec![1, 1, 1]), (4, vec![2, 2, 2])],
-        };
+        let boundaries = vec![0, 250, 500, 1000];
         let mut buf = BytesMut::new();
-        put_shard_manifest(&mut buf, &manifest);
+        put_boundaries(&mut buf, &boundaries);
         let mut s: &[u8] = &buf;
-        assert_eq!(get_shard_manifest(&mut s).unwrap(), manifest);
+        assert_eq!(get_boundaries(&mut s).unwrap(), boundaries);
         assert!(s.is_empty());
 
         // Truncation anywhere fails typed.
         for cut in [1, 8, 20, buf.len() - 4] {
             let mut short: &[u8] = &buf[..cut];
             assert_eq!(
-                get_shard_manifest(&mut short).unwrap_err(),
+                get_boundaries(&mut short).unwrap_err(),
                 PersistError::Truncated,
                 "cut at {cut}"
             );
         }
 
-        // Non-ascending boundaries are corrupt.
-        let bad = ShardManifest {
-            boundaries: vec![0, 500, 500],
-            next_id: 0,
-            entries: vec![],
-        };
-        let mut buf = BytesMut::new();
-        put_shard_manifest(&mut buf, &bad);
-        let mut s: &[u8] = &buf;
-        assert!(matches!(
-            get_shard_manifest(&mut s).unwrap_err(),
-            PersistError::Corrupt(_)
-        ));
-
-        // Ids at or past next_id are corrupt.
-        let bad = ShardManifest {
-            boundaries: vec![0, 1000],
-            next_id: 1,
-            entries: vec![(1, vec![0])],
-        };
-        let mut buf = BytesMut::new();
-        put_shard_manifest(&mut buf, &bad);
-        let mut s: &[u8] = &buf;
-        assert!(matches!(
-            get_shard_manifest(&mut s).unwrap_err(),
-            PersistError::Corrupt(_)
-        ));
+        // Non-ascending boundaries, a nonzero start and zero shards are
+        // corrupt.
+        for bad in [vec![0, 500, 500], vec![1, 500], vec![0]] {
+            let mut buf = BytesMut::new();
+            put_boundaries(&mut buf, &bad);
+            let mut s: &[u8] = &buf;
+            assert!(
+                matches!(
+                    get_boundaries(&mut s).unwrap_err(),
+                    PersistError::Corrupt(_)
+                ),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

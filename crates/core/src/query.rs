@@ -72,7 +72,7 @@ enum QuerySource {
     /// A caller-supplied filter, captured once, never refreshed.
     Detached,
     /// A set registered in the system's store, re-projected whenever the
-    /// stored generation moves past the handle's stamp.
+    /// generation of the system's slice moves past the handle's stamp.
     Stored(FilterId),
 }
 
@@ -82,7 +82,8 @@ enum QuerySource {
 struct QueryState {
     filter: BloomFilter,
     compatible: bool,
-    /// Store generation of the last projection (0, constant, detached).
+    /// Generation of the system's slice at the last projection (0,
+    /// constant, detached).
     generation: u64,
     /// Tree generation the memo was built against.
     tree_generation: u64,
@@ -218,7 +219,10 @@ impl Query {
         };
         let set_stale = match self.source {
             QuerySource::Detached => false,
-            QuerySource::Stored(id) => self.system.filters().generation(id)? != seen_set,
+            QuerySource::Stored(id) => {
+                let system = &self.system;
+                system.filters().slice_generation(id, system.slice())? != seen_set
+            }
         };
         let stale = set_stale || self.system.tree().generation() != seen_tree;
         Ok((seen_set, seen_tree, stale))
@@ -281,11 +285,13 @@ impl Query {
         // be work thrown straight away.
         let mut reprojected = false;
         if let QuerySource::Stored(id) = self.source {
-            if let Some((filter, generation)) = self
-                .system
-                .filters()
-                .snapshot_if_newer(id, state.generation)?
-            {
+            let system = &self.system;
+            if let Some((filter, generation)) = system.filters().snapshot_if_newer(
+                id,
+                system.slice(),
+                state.generation,
+                system.tree().hasher(),
+            )? {
                 state.compatible = Self::compatible(view, &filter);
                 state.filter = filter;
                 state.generation = generation;

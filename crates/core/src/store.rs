@@ -9,16 +9,20 @@
 //! whenever the tree needs to query it. A key inserted twice needs two
 //! removes; removing a key the set does not hold changes nothing.
 //!
-//! Every mutation bumps the set's **generation**. Query handles opened by
-//! id ([`crate::system::BstSystem::query_id`]) carry the generation they
-//! captured; on their next operation they compare stamps and, if stale,
-//! re-project the filter and discard their [`crate::sampler::QueryMemo`]
-//! (a cold re-descent) — so a handle can never serve results computed
-//! against a superseded set.
+//! A store is read through a **partition** of the namespace into
+//! contiguous slices: a standalone [`crate::system::BstSystem`] reads one
+//! slice, and the shards of a sharded engine share one store, each
+//! reading the run of keys its tree covers — every set is held once.
+//! Every write batch bumps the **generation** of each slice it has a key
+//! in. Query handles opened by id ([`crate::system::BstSystem::query_id`])
+//! carry their slice's generation; on their next operation they compare
+//! stamps and, if stale, re-project the filter and discard their
+//! [`crate::sampler::QueryMemo`] (a cold re-descent) — so a handle never
+//! serves results computed against a superseded set.
 //!
 //! All methods take `&self` (the interior `RwLock` serialises writers and
 //! lets concurrent readers project snapshots in parallel), so the store
-//! is shared freely through the `Arc` inside `BstSystem`.
+//! is shared freely through an `Arc`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,11 +61,20 @@ impl std::fmt::Display for FilterId {
     }
 }
 
-/// One registered set: its keys, ascending with repeats, and the
-/// mutation stamp.
+/// One registered set: its keys, ascending with repeats, and one
+/// mutation stamp per slice of the store's partition.
 struct StoredSet {
     keys: Vec<u64>,
-    generation: u64,
+    generations: Box<[u64]>,
+}
+
+impl StoredSet {
+    /// The set's generation: its slice stamps summed, so it moves with
+    /// every write (one per slice the write touched). With one slice it
+    /// counts the non-empty write batches.
+    fn generation(&self) -> u64 {
+        self.generations.iter().sum()
+    }
 }
 
 struct StoreInner {
@@ -69,13 +82,15 @@ struct StoreInner {
     next_id: u64,
 }
 
-/// The id-addressed set database of one [`crate::system::BstSystem`].
-/// Obtain it via [`crate::system::BstSystem::filters`].
+/// The id-addressed set database of one system, or of every shard of
+/// one sharded engine. Obtain it via
+/// [`crate::system::BstSystem::filters`].
 pub struct BstStore {
-    hasher: Arc<BloomHasher>,
-    /// Namespace bound `M`: stored keys must lie in `[0, M)` or they
-    /// could never be answered by the tree (silent data loss).
-    namespace: u64,
+    /// The partition the sets are read through: ascending, first 0, last
+    /// the namespace bound `M`. Slice `s` holds the keys in
+    /// `[boundaries[s], boundaries[s + 1])`. Stored keys must lie in
+    /// `[0, M)` or no tree could ever answer them (silent data loss).
+    boundaries: Vec<u64>,
     inner: RwLock<StoreInner>,
 }
 
@@ -84,20 +99,22 @@ impl std::fmt::Debug for BstStore {
         let inner = self.inner.read();
         write!(
             f,
-            "BstStore(sets={}, next_id={})",
+            "BstStore(sets={}, next_id={}, slices={})",
             inner.sets.len(),
-            inner.next_id
+            inner.next_id,
+            self.slices()
         )
     }
 }
 
 impl BstStore {
-    /// An empty store whose sets share `hasher` with the tree and whose
-    /// keys are bounded by `namespace`.
-    pub(crate) fn new(hasher: Arc<BloomHasher>, namespace: u64) -> Self {
+    /// An empty store read through the partition `boundaries`: `S + 1`
+    /// ascending values, first 0, last the namespace bound `M`. A
+    /// standalone system's store is the one slice `[0, M]`; a sharded
+    /// engine passes its shard boundaries.
+    pub fn new(boundaries: Vec<u64>) -> Self {
         BstStore {
-            hasher,
-            namespace,
+            boundaries,
             inner: RwLock::new(StoreInner {
                 sets: HashMap::new(),
                 next_id: 0,
@@ -105,12 +122,28 @@ impl BstStore {
         }
     }
 
+    /// The partition the store is read through (see [`Self::new`]).
+    pub fn boundaries(&self) -> &[u64] {
+        &self.boundaries
+    }
+
+    /// The namespace bound `M`.
+    pub fn namespace(&self) -> u64 {
+        self.boundaries.last().copied().unwrap_or(0)
+    }
+
+    /// Number of slices in the partition.
+    pub(crate) fn slices(&self) -> usize {
+        self.boundaries.len().saturating_sub(1)
+    }
+
     /// Validates and materialises a key batch, ascending: every key must
     /// lie inside the namespace, or the whole mutation is rejected
     /// (atomically — nothing is applied).
     fn checked_keys<I: IntoIterator<Item = u64>>(&self, keys: I) -> Result<Vec<u64>, BstError> {
+        let namespace = self.namespace();
         let mut keys: Vec<u64> = keys.into_iter().collect();
-        match keys.iter().find(|&&x| x >= self.namespace) {
+        match keys.iter().find(|&&x| x >= namespace) {
             Some(&bad) => Err(BstError::KeyOutsideNamespace(bad)),
             None => {
                 keys.sort_unstable();
@@ -119,27 +152,45 @@ impl BstStore {
         }
     }
 
-    /// Registers a new set over `keys`, returning its stable id. The set
-    /// starts at generation 0. Rejects keys outside the namespace (they
-    /// could never be sampled or reconstructed) without creating anything.
+    /// The run of the ascending `keys` that slice `slice` reads.
+    fn slice_of<'a>(&self, keys: &'a [u64], slice: usize) -> &'a [u64] {
+        let (lo, hi) = (self.boundaries[slice], self.boundaries[slice + 1]);
+        let start = keys.partition_point(|&x| x < lo);
+        let len = keys[start..].partition_point(|&x| x < hi);
+        &keys[start..start + len]
+    }
+
+    /// Bumps the generation of every slice the ascending `batch` has a
+    /// key in.
+    fn bump(&self, set: &mut StoredSet, batch: &[u64]) {
+        let mut rest = batch;
+        for (generation, &end) in set.generations.iter_mut().zip(&self.boundaries[1..]) {
+            let touched = rest.partition_point(|&x| x < end);
+            if touched > 0 {
+                *generation += 1;
+                rest = &rest[touched..];
+            }
+        }
+    }
+
+    /// Registers a new set over `keys`, returning its stable id. Every
+    /// slice starts at generation 0. Rejects keys outside the namespace
+    /// (they could never be sampled or reconstructed) without creating
+    /// anything.
     pub fn create<I: IntoIterator<Item = u64>>(&self, keys: I) -> Result<FilterId, BstError> {
         let keys = self.checked_keys(keys)?;
+        let generations = vec![0; self.slices()].into_boxed_slice();
         let mut inner = self.inner.write();
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.sets.insert(
-            id,
-            StoredSet {
-                keys,
-                generation: 0,
-            },
-        );
+        inner.sets.insert(id, StoredSet { keys, generations });
         Ok(FilterId(id))
     }
 
-    /// Inserts `keys` into the stored set, bumping its generation when at
-    /// least one key was processed. Returns the set's new generation.
-    /// Rejects the whole batch if any key lies outside the namespace.
+    /// Inserts `keys` into the stored set, bumping the generation of each
+    /// slice the batch has a key in. Returns the set's new generation
+    /// ([`Self::generation`]). Rejects the whole batch if any key lies
+    /// outside the namespace.
     pub fn insert_keys<I: IntoIterator<Item = u64>>(
         &self,
         id: FilterId,
@@ -151,20 +202,29 @@ impl BstStore {
             .sets
             .get_mut(&id.0)
             .ok_or(BstError::UnknownFilterId(id))?;
-        if !keys.is_empty() {
-            // Two ascending runs: the stable sort merges them in one pass.
-            set.keys.extend_from_slice(&keys);
-            set.keys.sort();
-            set.generation += 1;
+        // Merge the two ascending runs in place, from the back: each key
+        // moves at most once and nothing else is allocated.
+        let (mut held, mut batch) = (set.keys.len(), keys.len());
+        set.keys.resize(held + batch, 0);
+        while batch > 0 {
+            let out = held + batch - 1;
+            if held > 0 && set.keys[held - 1] > keys[batch - 1] {
+                held -= 1;
+                set.keys[out] = set.keys[held];
+            } else {
+                batch -= 1;
+                set.keys[out] = keys[batch];
+            }
         }
-        Ok(set.generation)
+        self.bump(set, &keys);
+        Ok(set.generation())
     }
 
     /// Removes one occurrence of each key in `keys` from the stored set;
-    /// a key the set does not hold is skipped. Bumps the generation when
-    /// at least one key was processed and returns the new generation.
-    /// Rejects the whole batch if any key lies outside the namespace
-    /// (such a key was never insertable).
+    /// a key the set does not hold is skipped. Bumps the generation of
+    /// each slice the batch has a key in and returns the set's new
+    /// generation. Rejects the whole batch if any key lies outside the
+    /// namespace (such a key was never insertable).
     pub fn remove_keys<I: IntoIterator<Item = u64>>(
         &self,
         id: FilterId,
@@ -184,45 +244,68 @@ impl BstStore {
                 while pending.next_if(|&&y| y < x).is_some() {}
                 pending.next_if_eq(&&x).is_none()
             });
-            set.generation += 1;
         }
-        Ok(set.generation)
+        self.bump(set, &keys);
+        Ok(set.generation())
     }
 
-    /// Projects the stored set to a plain [`BloomFilter`] over its keys,
-    /// compatible with tree operations.
-    pub fn get(&self, id: FilterId) -> Result<BloomFilter, BstError> {
-        Ok(self.snapshot(id)?.0)
-    }
-
-    /// [`Self::get`] plus the generation the snapshot captures — one lock
-    /// acquisition, so the pair is consistent.
-    pub fn snapshot(&self, id: FilterId) -> Result<(BloomFilter, u64), BstError> {
+    /// Projects the whole stored set, every slice, to a plain
+    /// [`BloomFilter`] under `hasher` (the tree's hash family).
+    pub fn get(&self, id: FilterId, hasher: &Arc<BloomHasher>) -> Result<BloomFilter, BstError> {
         let inner = self.inner.read();
         let set = inner.sets.get(&id.0).ok_or(BstError::UnknownFilterId(id))?;
-        Ok((self.project(set), set.generation))
+        Ok(BloomFilter::from_keys(
+            Arc::clone(hasher),
+            set.keys.iter().copied(),
+        ))
     }
 
-    /// Re-projects only if the set has moved past `seen` generations:
+    /// Slice `slice` of the stored set projected under `hasher`, plus
+    /// that slice's generation — one lock acquisition, so the pair is
+    /// consistent. `slice` must be below the slice count (every system
+    /// checks its slice when it is built).
+    pub(crate) fn snapshot(
+        &self,
+        id: FilterId,
+        slice: usize,
+        hasher: &Arc<BloomHasher>,
+    ) -> Result<(BloomFilter, u64), BstError> {
+        let inner = self.inner.read();
+        let set = inner.sets.get(&id.0).ok_or(BstError::UnknownFilterId(id))?;
+        Ok(self.project(set, slice, hasher))
+    }
+
+    /// Re-projects slice `slice` only if it has moved past `seen`:
     /// `Ok(None)` means `seen` is still current. One lock acquisition, so
     /// a query handle's staleness check and refresh cannot race a writer
     /// in between.
-    pub fn snapshot_if_newer(
+    pub(crate) fn snapshot_if_newer(
         &self,
         id: FilterId,
+        slice: usize,
         seen: u64,
+        hasher: &Arc<BloomHasher>,
     ) -> Result<Option<(BloomFilter, u64)>, BstError> {
         let inner = self.inner.read();
         let set = inner.sets.get(&id.0).ok_or(BstError::UnknownFilterId(id))?;
-        if set.generation == seen {
+        if set.generations[slice] == seen {
             Ok(None)
         } else {
-            Ok(Some((self.project(set), set.generation)))
+            Ok(Some(self.project(set, slice, hasher)))
         }
     }
 
-    fn project(&self, set: &StoredSet) -> BloomFilter {
-        BloomFilter::from_keys(Arc::clone(&self.hasher), set.keys.iter().copied())
+    fn project(
+        &self,
+        set: &StoredSet,
+        slice: usize,
+        hasher: &Arc<BloomHasher>,
+    ) -> (BloomFilter, u64) {
+        let keys = self.slice_of(&set.keys, slice);
+        (
+            BloomFilter::from_keys(Arc::clone(hasher), keys.iter().copied()),
+            set.generations[slice],
+        )
     }
 
     /// Unregisters the set. Its id is retired, never reused; open handles
@@ -236,13 +319,25 @@ impl BstStore {
             .ok_or(BstError::UnknownFilterId(id))
     }
 
-    /// The set's current generation (0 until its first mutation).
+    /// The set's generation: its slice generations summed (0 until its
+    /// first write). With one slice, the number of non-empty write
+    /// batches.
     pub fn generation(&self, id: FilterId) -> Result<u64, BstError> {
         let inner = self.inner.read();
         inner
             .sets
             .get(&id.0)
-            .map(|s| s.generation)
+            .map(StoredSet::generation)
+            .ok_or(BstError::UnknownFilterId(id))
+    }
+
+    /// The generation of slice `slice` of the set.
+    pub(crate) fn slice_generation(&self, id: FilterId, slice: usize) -> Result<u64, BstError> {
+        let inner = self.inner.read();
+        inner
+            .sets
+            .get(&id.0)
+            .map(|s| s.generations[slice])
             .ok_or(BstError::UnknownFilterId(id))
     }
 
@@ -266,10 +361,23 @@ impl BstStore {
 
     /// Serializes the store as
     /// `next_id u64 | count u32 | per set (ascending id): id u64,
-    /// generation u64, key count u64, keys u64… (non-decreasing)`,
-    /// appended to `buf`. Sets are written in id order so snapshots are
-    /// byte-deterministic.
-    pub(crate) fn put_bytes(&self, buf: &mut bytes::BytesMut) {
+    /// generation u64 per slice, key count u64, keys u64…
+    /// (non-decreasing)`, appended to `buf`. Sets are written in id order
+    /// so snapshots are byte-deterministic. The partition is not written:
+    /// the enclosing snapshot knows it.
+    pub fn put_bytes(&self, buf: &mut bytes::BytesMut) {
+        self.put_slices(buf, None);
+    }
+
+    /// The store as a one-slice store holding only slice `slice`: the
+    /// body of a system snapshot, so a shard's snapshot restores as a
+    /// standalone system over its own keys. On a one-slice store this is
+    /// [`Self::put_bytes`].
+    pub(crate) fn put_slice_bytes(&self, buf: &mut bytes::BytesMut, slice: usize) {
+        self.put_slices(buf, Some(slice));
+    }
+
+    fn put_slices(&self, buf: &mut bytes::BytesMut, only: Option<usize>) {
         let inner = self.inner.read();
         buf.put_u64_le(inner.next_id);
         buf.put_u32_le(inner.sets.len() as u32);
@@ -278,46 +386,56 @@ impl BstStore {
         for id in ids {
             let set = &inner.sets[&id];
             buf.put_u64_le(id);
-            buf.put_u64_le(set.generation);
-            buf.put_u64_le(set.keys.len() as u64);
-            crate::persistence::put_words(buf, &set.keys);
+            let keys = match only {
+                None => {
+                    crate::persistence::put_words(buf, &set.generations);
+                    &set.keys[..]
+                }
+                Some(slice) => {
+                    buf.put_u64_le(set.generations[slice]);
+                    self.slice_of(&set.keys, slice)
+                }
+            };
+            buf.put_u64_le(keys.len() as u64);
+            crate::persistence::put_words(buf, keys);
         }
     }
 
-    /// The exact length of the store's part of a system snapshot (unless
-    /// the store changes in between): the bulk of a snapshot, so it sizes
-    /// the snapshot buffer.
+    /// The exact length of [`Self::put_bytes`]'s output (unless the store
+    /// changes in between): the bulk of a snapshot, so it sizes the
+    /// snapshot buffer.
     pub fn encoded_len_hint(&self) -> usize {
         let inner = self.inner.read();
         let keys: usize = inner.sets.values().map(|s| s.keys.len()).sum();
-        8 + 4 + inner.sets.len() * (8 + 8 + 8) + keys * 8
+        8 + 4 + inner.sets.len() * (8 + 8 * self.slices() + 8) + keys * 8
     }
 
-    /// Decodes a store serialized with [`Self::put_bytes`]. Every set's
-    /// keys must ascend (repeats allowed) and lie inside `namespace`.
-    pub(crate) fn get_bytes(
-        input: &mut &[u8],
-        hasher: Arc<BloomHasher>,
-        namespace: u64,
-    ) -> Result<Self, PersistError> {
+    /// Decodes a store serialized with [`Self::put_bytes`], read through
+    /// `boundaries` (which the caller has validated). Every set's keys
+    /// must ascend (repeats allowed) and lie inside the namespace, and
+    /// every id must be distinct and below `next_id`.
+    pub fn get_bytes(input: &mut &[u8], boundaries: Vec<u64>) -> Result<Self, PersistError> {
+        let store = BstStore::new(boundaries);
+        let (slices, namespace) = (store.slices(), store.namespace());
+        let header = 8 + 8 * slices + 8;
         if input.remaining() < 8 + 4 {
             return Err(PersistError::Truncated);
         }
         let next_id = input.get_u64_le();
         let count = input.get_u32_le() as usize;
         // Cap the pre-allocation by what the payload could possibly hold
-        // (each set needs ≥ 24 header bytes): a corrupt count field must
+        // (each set needs its header bytes): a corrupt count field must
         // fail as Truncated below, not abort in the allocator here.
-        let mut sets = HashMap::with_capacity(count.min(input.remaining() / 24));
+        let mut sets = HashMap::with_capacity(count.min(input.remaining() / header));
         for _ in 0..count {
-            if input.remaining() < 8 + 8 + 8 {
+            if input.remaining() < header {
                 return Err(PersistError::Truncated);
             }
             let id = input.get_u64_le();
             if id >= next_id {
                 return Err(PersistError::Corrupt("stored id beyond next_id"));
             }
-            let generation = input.get_u64_le();
+            let generations = crate::persistence::get_words(input, slices)?.into_boxed_slice();
             let len = input.get_u64_le();
             if len > (input.remaining() / 8) as u64 {
                 return Err(PersistError::Truncated);
@@ -329,15 +447,12 @@ impl BstStore {
             if keys.last().is_some_and(|&x| x >= namespace) {
                 return Err(PersistError::Corrupt("stored key outside the namespace"));
             }
-            if sets.insert(id, StoredSet { keys, generation }).is_some() {
+            if sets.insert(id, StoredSet { keys, generations }).is_some() {
                 return Err(PersistError::Corrupt("duplicate stored id"));
             }
         }
-        Ok(BstStore {
-            hasher,
-            namespace,
-            inner: RwLock::new(StoreInner { sets, next_id }),
-        })
+        *store.inner.write() = StoreInner { sets, next_id };
+        Ok(store)
     }
 }
 
@@ -348,10 +463,11 @@ mod tests {
     use bst_bloom::hash::HashKind;
 
     fn store() -> BstStore {
-        BstStore::new(
-            Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 4096, 100_000, 7)),
-            100_000,
-        )
+        BstStore::new(vec![0, 100_000])
+    }
+
+    fn hasher() -> Arc<BloomHasher> {
+        Arc::new(BloomHasher::new(HashKind::Murmur3, 3, 4096, 100_000, 7))
     }
 
     #[test]
@@ -363,13 +479,16 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.ids(), vec![a, b]);
         assert_ne!(a, b);
-        let fa = s.get(a).expect("get");
+        let fa = s.get(a, &hasher()).expect("get");
         for x in 0..100u64 {
             assert!(fa.contains(x));
         }
         assert_eq!(s.generation(a), Ok(0));
         s.drop_set(a).expect("drop");
-        assert_eq!(s.get(a).unwrap_err(), BstError::UnknownFilterId(a));
+        assert_eq!(
+            s.get(a, &hasher()).unwrap_err(),
+            BstError::UnknownFilterId(a)
+        );
         assert_eq!(s.drop_set(a), Err(BstError::UnknownFilterId(a)));
         // Ids are never reused.
         let c = s.create([1u64]).expect("create");
@@ -386,18 +505,16 @@ mod tests {
         assert_eq!(s.insert_keys(id, std::iter::empty()), Ok(2));
         assert_eq!(s.remove_keys(id, std::iter::empty()), Ok(2));
         assert_eq!(s.generation(id), Ok(2));
-        assert_eq!(bits(&s, id), from_keys(&s, (1..10).chain([100, 101])));
+        assert_eq!(bits(&s, id), from_keys((1..10).chain([100, 101])));
     }
 
     /// The bits of `from_keys` over `keys`: what the store must project.
-    fn from_keys(s: &BstStore, keys: impl IntoIterator<Item = u64>) -> BitVec {
-        BloomFilter::from_keys(Arc::clone(&s.hasher), keys)
-            .bits()
-            .clone()
+    fn from_keys(keys: impl IntoIterator<Item = u64>) -> BitVec {
+        BloomFilter::from_keys(hasher(), keys).bits().clone()
     }
 
     fn bits(s: &BstStore, id: FilterId) -> BitVec {
-        s.get(id).expect("get").bits().clone()
+        s.get(id, &hasher()).expect("get").bits().clone()
     }
 
     #[test]
@@ -406,13 +523,13 @@ mod tests {
         let id = s.create([7u64, 9]).expect("create");
         s.insert_keys(id, [7u64]).expect("insert");
         s.remove_keys(id, [7u64]).expect("remove");
-        assert_eq!(bits(&s, id), from_keys(&s, [7, 9]));
+        assert_eq!(bits(&s, id), from_keys([7, 9]));
         s.remove_keys(id, [7u64]).expect("remove");
-        assert_eq!(bits(&s, id), from_keys(&s, [9]));
+        assert_eq!(bits(&s, id), from_keys([9]));
         // One batch may remove several occurrences of one key.
         s.insert_keys(id, [9u64, 9]).expect("insert");
         s.remove_keys(id, [9u64, 9]).expect("remove");
-        assert_eq!(bits(&s, id), from_keys(&s, [9]));
+        assert_eq!(bits(&s, id), from_keys([9]));
     }
 
     #[test]
@@ -430,7 +547,7 @@ mod tests {
         s.remove_keys(id, [7u64, 7, 25]).expect("remove");
         assert_eq!(
             bits(&s, id),
-            from_keys(&s, (0..50).filter(|&x| x != 7 && x != 25))
+            from_keys((0..50).filter(|&x| x != 7 && x != 25))
         );
     }
 
@@ -448,7 +565,7 @@ mod tests {
             Err(BstError::KeyOutsideNamespace(200_000))
         );
         // Atomic: the in-range key of the rejected batch was not applied.
-        assert_eq!(bits(&s, id), from_keys(&s, [5]));
+        assert_eq!(bits(&s, id), from_keys([5]));
         assert_eq!(s.generation(id), Ok(0));
         assert_eq!(
             s.remove_keys(id, [100_000u64]),
@@ -461,13 +578,16 @@ mod tests {
     fn snapshot_pairs_filter_with_generation() {
         let s = store();
         let id = s.create(0..20u64).expect("create");
-        let (f0, g0) = s.snapshot(id).expect("snapshot");
+        let (f0, g0) = s.snapshot(id, 0, &hasher()).expect("snapshot");
         assert_eq!(g0, 0);
         assert!(f0.contains(5));
-        assert!(s.snapshot_if_newer(id, g0).expect("check").is_none());
+        assert!(s
+            .snapshot_if_newer(id, 0, g0, &hasher())
+            .expect("check")
+            .is_none());
         s.remove_keys(id, [5u64]).expect("remove");
         let (f1, g1) = s
-            .snapshot_if_newer(id, g0)
+            .snapshot_if_newer(id, 0, g0, &hasher())
             .expect("check")
             .expect("newer snapshot");
         assert_eq!(g1, 1);
@@ -479,7 +599,10 @@ mod tests {
     fn unknown_ids_are_typed_errors() {
         let s = store();
         let ghost = FilterId::from_raw(99);
-        assert_eq!(s.get(ghost).unwrap_err(), BstError::UnknownFilterId(ghost));
+        assert_eq!(
+            s.get(ghost, &hasher()).unwrap_err(),
+            BstError::UnknownFilterId(ghost)
+        );
         assert_eq!(
             s.insert_keys(ghost, [1u64]),
             Err(BstError::UnknownFilterId(ghost))
@@ -504,23 +627,57 @@ mod tests {
         let mut buf = bytes::BytesMut::new();
         s.put_bytes(&mut buf);
         let mut slice: &[u8] = &buf;
-        let back = BstStore::get_bytes(&mut slice, Arc::clone(&s.hasher), 100_000).expect("decode");
+        let back = BstStore::get_bytes(&mut slice, vec![0, 100_000]).expect("decode");
         assert!(slice.is_empty());
         assert_eq!(back.ids(), s.ids());
         assert_eq!(back.generation(a), s.generation(a));
         assert_eq!(back.generation(c), Ok(0));
         assert_eq!(bits(&back, a), bits(&s, a));
         assert_eq!(buf.len(), s.encoded_len_hint());
-        // Restored sets share the store's single hasher allocation.
-        assert!(Arc::ptr_eq(back.get(a).expect("get").hasher(), &s.hasher));
         // Byte-determinism: re-encoding yields identical bytes.
         let mut buf2 = bytes::BytesMut::new();
         back.put_bytes(&mut buf2);
         assert_eq!(&buf[..], &buf2[..]);
         // Dropped id stays dropped, and id allocation continues past it.
-        assert_eq!(back.get(b).unwrap_err(), BstError::UnknownFilterId(b));
+        assert_eq!(
+            back.get(b, &hasher()).unwrap_err(),
+            BstError::UnknownFilterId(b)
+        );
         let d = back.create([1u64]).expect("create");
         assert!(d.raw() > c.raw());
+    }
+
+    #[test]
+    fn slices_project_their_runs_and_stamp_their_own_writes() {
+        let s = BstStore::new(vec![0, 100, 200, 300, 100_000]);
+        let id = s.create([5u64, 150, 150, 250, 99_999]).expect("create");
+        let slice = |i: usize| {
+            let (filter, generation) = s.snapshot(id, i, &hasher()).expect("snapshot");
+            (filter.bits().clone(), generation)
+        };
+        assert_eq!(slice(1), (from_keys([150, 150]), 0));
+        assert_eq!(slice(3), (from_keys([99_999]), 0));
+        // The whole set is the union of its slices.
+        assert_eq!(bits(&s, id), from_keys([5, 150, 150, 250, 99_999]));
+        // A batch bumps each slice it has a key in, absent keys included.
+        assert_eq!(s.insert_keys(id, [160u64, 170]), Ok(1));
+        assert_eq!(s.remove_keys(id, [0u64, 250, 251]), Ok(3));
+        let generations: Vec<u64> = (0..4).map(|i| slice(i).1).collect();
+        assert_eq!(generations, vec![1, 1, 1, 0]);
+        assert_eq!(slice(2), (from_keys([]), 1));
+        assert_eq!(slice(1).0, from_keys([150, 150, 160, 170]));
+        assert!(s
+            .snapshot_if_newer(id, 3, 0, &hasher())
+            .expect("check")
+            .is_none());
+        // Per-slice stamps survive the codec.
+        let mut buf = bytes::BytesMut::new();
+        s.put_bytes(&mut buf);
+        assert_eq!(buf.len(), s.encoded_len_hint());
+        let mut input: &[u8] = &buf;
+        let back = BstStore::get_bytes(&mut input, s.boundaries().to_vec()).expect("decode");
+        assert_eq!(back.slice_generation(id, 2), Ok(1));
+        assert_eq!(back.generation(id), Ok(3));
     }
 
     /// The bytes of a one-set store with `keys` written as they are.
@@ -539,7 +696,7 @@ mod tests {
     fn decode_refuses_corrupt_keys() {
         let decode = |buf: &[u8]| {
             let mut slice = buf;
-            BstStore::get_bytes(&mut slice, Arc::clone(&store().hasher), 100_000).map(|_| ())
+            BstStore::get_bytes(&mut slice, vec![0, 100_000]).map(|_| ())
         };
         assert_eq!(decode(&one_set_bytes(&[3, 3, 8])), Ok(()));
         assert_eq!(

@@ -205,6 +205,15 @@ impl BstSystemBuilder {
     /// [`Self::build`], reporting configuration problems as
     /// [`BstError::InvalidConfig`] instead of panicking.
     pub fn try_build(self) -> Result<BstSystem, BstError> {
+        let cfg = self.cfg;
+        let tree = self.try_build_tree()?;
+        let store = BstStore::new(vec![0, tree.namespace()]);
+        BstSystem::from_parts(tree, cfg, Arc::new(store), 0)
+    }
+
+    /// [`Self::try_build`] without the store: the checked configuration's
+    /// tree, for [`BstSystem::from_parts`] to put over a shared store.
+    pub fn try_build_tree(self) -> Result<TreeBackend, BstError> {
         self.cfg.validate()?;
         let occupied = match self.occupied {
             None => None,
@@ -249,27 +258,22 @@ impl BstSystemBuilder {
         // the builder makes reloads.
         bst_bloom::codec::check_params(plan.kind, plan.k, plan.m, plan.namespace)
             .map_err(BstError::InvalidConfig)?;
-        let tree = match occupied {
+        match occupied {
             // 0 threads: the dense build uses every CPU.
-            None => TreeBackend::dense(BloomSampleTree::build_with_threads(&plan, 0)),
+            None => Ok(TreeBackend::dense(BloomSampleTree::build_with_threads(
+                &plan, 0,
+            ))),
             Some(occ) => {
                 if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
                     return Err(BstError::InvalidConfig(
                         "pruned trees need m <= 2^32 bits (u32 probe tables); lower accuracy or set size",
                     ));
                 }
-                TreeBackend::pruned(PrunedBloomSampleTree::build(&plan, &occ))
+                Ok(TreeBackend::pruned(PrunedBloomSampleTree::build(
+                    &plan, &occ,
+                )))
             }
-        };
-        let store = BstStore::new(Arc::clone(tree.hasher()), tree.namespace());
-        Ok(BstSystem {
-            shared: Arc::new(SystemShared {
-                tree,
-                cfg: self.cfg,
-                store,
-                tracer: Tracer::disabled(),
-            }),
-        })
+        }
     }
 }
 
@@ -278,7 +282,11 @@ impl BstSystemBuilder {
 pub(crate) struct SystemShared {
     pub(crate) tree: TreeBackend,
     pub(crate) cfg: BstConfig,
-    pub(crate) store: BstStore,
+    /// The store this system reads, shared with the other shards of a
+    /// sharded engine.
+    pub(crate) store: Arc<BstStore>,
+    /// The slice of `store` this system reads: the keys its tree covers.
+    pub(crate) slice: usize,
     /// Observability facade every [`Query`] op reports spans into;
     /// disabled (one branch per op) until a recorder is installed.
     pub(crate) tracer: Tracer,
@@ -313,6 +321,33 @@ impl BstSystem {
         BstSystemBuilder::new(namespace)
     }
 
+    /// A system over `tree` that reads slice `slice` of `store`: how the
+    /// shards of a sharded engine share one store, each reading the keys
+    /// its tree covers. Refuses an invalid configuration, a store over
+    /// another namespace, and a slice the store does not have.
+    pub fn from_parts(
+        tree: TreeBackend,
+        cfg: BstConfig,
+        store: Arc<BstStore>,
+        slice: usize,
+    ) -> Result<BstSystem, BstError> {
+        cfg.validate()?;
+        if store.namespace() != tree.namespace() || slice >= store.slices() {
+            return Err(BstError::InvalidConfig(
+                "store partition does not match the tree",
+            ));
+        }
+        Ok(BstSystem {
+            shared: Arc::new(SystemShared {
+                tree,
+                cfg,
+                store,
+                slice,
+                tracer: Tracer::disabled(),
+            }),
+        })
+    }
+
     /// The underlying tree backend (dense or pruned). Acquire a
     /// [`crate::backend::TreeView`] via [`TreeBackend::read`] to plug it
     /// into the sampler/reconstructor layers directly.
@@ -320,9 +355,16 @@ impl BstSystem {
         &self.shared.tree
     }
 
-    /// The system's mutable filter database `D̄`.
+    /// The system's mutable filter database `D̄`: for a shard of a
+    /// sharded engine, the engine's store.
     pub fn filters(&self) -> &BstStore {
         &self.shared.store
+    }
+
+    /// The slice of [`Self::filters`] this system reads (0 for a
+    /// standalone system).
+    pub(crate) fn slice(&self) -> usize {
+        self.shared.slice
     }
 
     /// The full behaviour configuration.
@@ -391,9 +433,20 @@ impl BstSystem {
         self.shared.store.remove_keys(id, keys)
     }
 
-    /// Projects the stored set to a plain [`BloomFilter`] snapshot.
+    /// Projects the stored set to a plain [`BloomFilter`] snapshot: the
+    /// keys in this system's slice, so all of them for a standalone
+    /// system.
     pub fn get(&self, id: FilterId) -> Result<BloomFilter, BstError> {
-        self.shared.store.get(id)
+        Ok(self.snapshot(id)?.0)
+    }
+
+    /// This system's slice of the stored set, projected, with the slice's
+    /// generation.
+    fn snapshot(&self, id: FilterId) -> Result<(BloomFilter, u64), BstError> {
+        let shared = &self.shared;
+        shared
+            .store
+            .snapshot(id, shared.slice, shared.tree.hasher())
     }
 
     /// Unregisters a stored set; its id is retired and open handles
@@ -408,7 +461,7 @@ impl BstSystem {
     /// filter is re-projected and the memo discarded before the operation
     /// runs, so results are never computed against a superseded set.
     pub fn query_id(&self, id: FilterId) -> Result<Query, BstError> {
-        let (filter, generation) = self.shared.store.snapshot(id)?;
+        let (filter, generation) = self.snapshot(id)?;
         Ok(Query::new_stored(self.clone(), id, filter, generation))
     }
 
@@ -419,22 +472,17 @@ impl BstSystem {
     /// Serializes the entire system — behaviour configuration, tree
     /// backend, and filter store (keys + generations) — into
     /// one snapshot buffer. Byte-deterministic for a given system state.
+    /// A shard of a sharded engine writes its own slice of the store, so
+    /// its snapshot restores as a standalone system.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(self.shared.store.encoded_len_hint());
-        self.put_bytes(&mut buf);
-        buf.into()
-    }
-
-    /// Appends [`Self::to_bytes`]'s bytes to `buf`: the tree and every
-    /// stored set are written straight into it, so an enclosing snapshot
-    /// (the sharded engine's) copies each stored key once.
-    pub fn put_bytes(&self, buf: &mut BytesMut) {
+        let shared = &self.shared;
+        let mut buf = BytesMut::with_capacity(shared.store.encoded_len_hint());
         buf.put_slice(SYSTEM_MAGIC);
         buf.put_u8(persistence::VERSION);
-        persistence::put_sampler_config(buf, &self.shared.cfg.sampler);
-        persistence::put_reconstruct_config(buf, &self.shared.cfg.reconstruct);
-        self.shared.tree.put_bytes(buf);
-        self.shared.store.put_bytes(buf);
+        persistence::put_config(&mut buf, &shared.cfg);
+        shared.tree.put_bytes(&mut buf);
+        shared.store.put_slice_bytes(&mut buf, shared.slice);
+        buf.into()
     }
 
     /// Restores a system serialized with [`Self::to_bytes`]: the same
@@ -444,29 +492,15 @@ impl BstSystem {
     pub fn from_bytes(input: &[u8]) -> Result<Self, BstError> {
         let mut input = input;
         persistence::check_header(&mut input, SYSTEM_MAGIC)?;
-        let sampler = persistence::get_sampler_config(&mut input)?;
-        let reconstruct = persistence::get_reconstruct_config(&mut input)?;
-        let cfg = BstConfig {
-            sampler,
-            reconstruct,
-        };
-        cfg.validate()
-            .map_err(|_| PersistError::Corrupt("snapshot configuration invalid"))?;
+        let cfg = persistence::get_config(&mut input)?;
         let tree = TreeBackend::get_bytes(&mut input)?;
-        let store = BstStore::get_bytes(&mut input, Arc::clone(tree.hasher()), tree.namespace())?;
+        let store = BstStore::get_bytes(&mut input, vec![0, tree.namespace()])?;
         if !input.is_empty() {
             return Err(BstError::Persist(PersistError::Corrupt(
                 "trailing bytes after system snapshot",
             )));
         }
-        Ok(BstSystem {
-            shared: Arc::new(SystemShared {
-                tree,
-                cfg,
-                store,
-                tracer: Tracer::disabled(),
-            }),
-        })
+        BstSystem::from_parts(tree, cfg, Arc::new(store), 0)
     }
 
     // ------------------------------------------------------------------

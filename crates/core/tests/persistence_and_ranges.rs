@@ -104,15 +104,16 @@ fn decode_rejects_corruption() {
 
 /// Format version 2 dropped three config bytes and the journal cap from
 /// the system snapshot, version 3 cut the pruned tree to its plan,
-/// version and ids, and version 4 stores sets as their keys; an older
-/// snapshot is refused, not migrated.
+/// version and ids, version 4 stores sets as their keys, and version 5
+/// writes a sharded engine's store once; an older snapshot is refused,
+/// not migrated.
 #[test]
 fn older_version_snapshots_are_refused() {
     use bst_core::error::BstError;
     use bst_core::persistence::PersistError;
     use bst_core::system::BstSystem;
     use bst_shard::ShardedBstSystem;
-    for old in [1u8, 2, 3] {
+    for old in [1u8, 2, 3, 4] {
         let as_old = |mut bytes: Vec<u8>| {
             assert_eq!(bytes[4], bst_core::persistence::VERSION);
             bytes[4] = old;

@@ -175,20 +175,25 @@ fn hostile_tree_snapshots_are_refused_and_the_engine_is_untouched() {
     let ids = tree + 68;
     let (a, b) = unsorted[ids..ids + 16].split_at_mut(8);
     a.swap_with_slice(b);
-    // Shard 0 as a dense system whose plan claims a 2^41-id namespace
-    // and depth 40: 2^41 nodes of filter words the body cannot hold.
+    // Shard 0 as a dense tree whose plan claims a 2^41-id namespace and
+    // depth 40: 2^41 nodes of filter words the body cannot hold. A tree
+    // backend is `tag u8 | len u64 | tree bytes`.
     let dense = {
         let system = bst_core::system::BstSystem::builder(NAMESPACE)
             .expected_set_size(NAMESPACE / 8)
             .seed(7)
             .build()
             .to_bytes();
-        let at = find_magic(&before, b"BSTS");
-        let len = u64::from_le_bytes(before[at - 8..at].try_into().unwrap()) as usize;
-        let mut bytes = before[..at - 8].to_vec();
-        bytes.extend_from_slice(&(system.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&system);
-        bytes.extend_from_slice(&before[at + len..]);
+        let backend = |bytes: &[u8], magic: &[u8; 4]| {
+            let at = find_magic(bytes, magic);
+            let len = u64::from_le_bytes(bytes[at - 8..at].try_into().unwrap()) as usize;
+            (at - 9, at + len)
+        };
+        let (from, to) = backend(&system, b"BSTC");
+        let (at, end) = backend(&before, b"BSTP");
+        let mut bytes = before[..at].to_vec();
+        bytes.extend_from_slice(&system[from..to]);
+        bytes.extend_from_slice(&before[end..]);
         let tree = find_magic(&bytes, b"BSTC");
         bytes[tree + 5..tree + 13].copy_from_slice(&(1u64 << 41).to_le_bytes());
         bytes[tree + 32..tree + 36].copy_from_slice(&40u32.to_le_bytes());
@@ -204,6 +209,67 @@ fn hostile_tree_snapshots_are_refused_and_the_engine_is_untouched() {
             patched(68 + (count - 1) * 8, &NAMESPACE.to_le_bytes()),
         ),
         ("dense depth 40", dense),
+    ];
+    for (what, bytes) in hostile {
+        let verdict = client.load(bytes);
+        assert!(
+            matches!(verdict, Err(ClientError::Wire(WireError::Persist { .. }))),
+            "{what}: {verdict:?}"
+        );
+    }
+
+    client.ping().expect("the server still answers");
+    assert_eq!(client.sample(Target::Stored(set), 3).unwrap(), draw);
+    assert_eq!(client.save().unwrap(), before, "no hostile LOAD landed");
+}
+
+/// `LOAD` carries a client's bytes into the store decoder too. A v5
+/// sharded snapshot holds each set once, in its one store body; a body
+/// with a key past the namespace, a repeated set id, or an id at or past
+/// `next_id` gets a typed `Persist` verdict and the served engine is left
+/// exactly as it was.
+#[test]
+fn hostile_store_bodies_are_refused_and_the_engine_is_untouched() {
+    const NAMESPACE: u64 = 2_048;
+    let (handle, reference) = spawn(NAMESPACE, 2, ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let set = client.create(member_keys(40, NAMESPACE)).unwrap();
+    let before = client.save().unwrap();
+    let draw = client.sample(Target::Stored(set), 3).unwrap();
+
+    // "BSTH" v | boundaries (4 + 3 × 8) | config | store | 2 × tree.
+    let mut config = bytes::BytesMut::new();
+    bst_core::persistence::put_config(&mut config, &reference.config());
+    let store_at = 5 + 28 + config.len();
+    let trees_at = find_magic(&before, b"BSTP") - 9;
+    // Store: next_id u64 | count u32 | per set: id u64, one generation
+    // u64 per shard, key count u64, keys u64….
+    let store = |next_id: u64, sets: &[(u64, &[u64])]| {
+        let mut bytes = before[..store_at].to_vec();
+        bytes.extend_from_slice(&next_id.to_le_bytes());
+        bytes.extend_from_slice(&(sets.len() as u32).to_le_bytes());
+        for (id, keys) in sets {
+            bytes.extend_from_slice(&id.to_le_bytes());
+            bytes.extend_from_slice(&[0u8; 16]);
+            bytes.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+            for key in *keys {
+                bytes.extend_from_slice(&key.to_le_bytes());
+            }
+        }
+        bytes.extend_from_slice(&before[trees_at..]);
+        bytes
+    };
+    // The splice itself is sound: the served set's own body restores.
+    let keys: Vec<u64> = {
+        let mut keys = member_keys(40, NAMESPACE);
+        keys.sort_unstable();
+        keys
+    };
+    assert_eq!(store(1, &[(0, &keys)]), before, "the splice matches SAVE");
+    let hostile = [
+        ("key >= M", store(1, &[(0, &[3, NAMESPACE])])),
+        ("duplicate set id", store(2, &[(0, &[3]), (0, &[4])])),
+        ("id >= next_id", store(1, &[(1, &[3])])),
     ];
     for (what, bytes) in hostile {
         let verdict = client.load(bytes);

@@ -12,10 +12,12 @@
 //! ## Shape
 //!
 //! The namespace `[0, M)` is split into `S` contiguous shards; shard `s`
-//! owns `[boundaries[s], boundaries[s+1])` and is a full `BstSystem` of
-//! its own — a pruned [`bst_core::backend::TreeBackend`] materialised
-//! only over the shard's occupied ids, plus its own
-//! [`bst_core::store::BstStore`]. All shards share one `TreePlan`
+//! owns `[boundaries[s], boundaries[s+1])` and is a `BstSystem` over a
+//! pruned [`bst_core::backend::TreeBackend`] materialised only over the
+//! shard's occupied ids. The shards share the engine's one
+//! [`bst_core::store::BstStore`]: a stored set is one id and one sorted
+//! key list, and shard `s` reads the run of its keys inside its range.
+//! All shards share one `TreePlan`
 //! (namespace, `m`, `k`, hash family, seed), so **one query Bloom filter
 //! is valid against every shard** — no key translation, no re-hashing —
 //! and per-shard answers concatenate into globally sorted results.
@@ -49,19 +51,22 @@
 //!
 //! ## Mutability
 //!
-//! Both evolution paths of the underlying system work per shard and are
-//! routed automatically: stored-set churn (`insert_keys`/`remove_keys`,
-//! set generations) and namespace-occupancy churn
-//! (`insert_occupied`/`remove_occupied`, tree generations). Open
+//! Both evolution paths of the underlying system are stamped per shard:
+//! stored-set churn (`insert_keys`/`remove_keys` take the one store's
+//! lock once and bump the set generation of each shard the batch has a
+//! key in) and namespace-occupancy churn
+//! (`insert_occupied`/`remove_occupied`, routed to the owning shard's
+//! tree generation). Open
 //! [`ShardQuery`] handles are built from per-shard
 //! [`bst_core::query::Query`] handles, so both staleness protocols apply
 //! unchanged — a warm sharded handle answers exactly like a cold one.
 //!
-//! **Isolation caveat:** per-shard operations are individually
-//! consistent, but there is no cross-shard snapshot isolation — a
-//! reader racing a multi-shard mutation (`insert_keys` spanning two
-//! shards, say) can observe one shard before the write and another
-//! after it, a torn state a single-tree system cannot produce.
+//! **Isolation caveat:** a set write is applied to every shard's slice
+//! under one store lock, but a reader's per-shard handles sync one at a
+//! time, so there is no cross-shard snapshot isolation — a reader
+//! racing a multi-shard mutation (`insert_keys` spanning two shards,
+//! say) can observe one shard before the write and another after it, a
+//! torn state a single-tree system cannot produce.
 //! Single-writer or per-span-writer deployments (and everything
 //! single-threaded) are unaffected; readers always see *some* prefix of
 //! each shard's mutation history, never corrupt data.
@@ -77,7 +82,7 @@
 //! let member = query.sample(&mut rng).unwrap();
 //! assert!(system.get(community).unwrap().contains(member));
 //!
-//! // Mutations route to the owning shard; the open handle stays honest.
+//! // Writes stamp the shards they touch; the open handle stays honest.
 //! system.insert_keys(community, [39_999u64]).unwrap();
 //! assert!(query.reconstruct().unwrap().binary_search(&39_999).is_ok());
 //!

@@ -9,7 +9,7 @@
 //! filter more than once — the server's SAMPLE / RECONSTRUCT arms and
 //! both batch entry points — warms and reuses the same handle.
 //!
-//! * **Keys.** A stored set is keyed by its raw sharded id (never
+//! * **Keys.** A stored set is keyed by its raw store id (never
 //!   reused, so a raw id names one set forever). A detached filter is
 //!   keyed by [`filter_content_hash`]; a hit is accepted only if the
 //!   resident handle holds a bit-identical filter

@@ -10,9 +10,10 @@ use rand::Rng;
 
 /// A query handle spanning every shard of a
 /// [`crate::system::ShardedBstSystem`]: one per-shard
-/// [`bst_core::query::Query`] each, so descent state accumulates and
-/// invalidates per shard (store generations *and* tree generations), and
-/// the scatter-gather algebra lives here.
+/// [`bst_core::query::Query`] each — for a stored set, each reading its
+/// shard's slice of the one key list under the same id — so descent
+/// state accumulates and invalidates per shard (slice generations *and*
+/// tree generations), and the scatter-gather algebra lives here.
 ///
 /// Uniformity: [`Self::sample`] draws a shard with probability
 /// proportional to its **live-leaf weight** — the exact count of
@@ -27,7 +28,7 @@ use rand::Rng;
 /// sums the leaf lists instead of rescanning the shard; set churn still
 /// re-projects and recounts on the next call.
 pub struct ShardQuery {
-    /// The sharded id this handle reads (`None` for detached filters).
+    /// The stored set this handle reads (`None` for detached filters).
     id: Option<FilterId>,
     /// `S + 1` ascending boundaries (for range clipping).
     boundaries: Vec<u64>,
@@ -55,7 +56,7 @@ impl ShardQuery {
         }
     }
 
-    /// The sharded store id this handle reads, for handles opened with
+    /// The store id this handle reads, for handles opened with
     /// [`crate::system::ShardedBstSystem::query_id`]; `None` for
     /// detached handles.
     pub fn filter_id(&self) -> Option<FilterId> {

@@ -1,17 +1,17 @@
 //! [`ShardedBstSystem`]: the partitioned engine and its builder.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::m_for_accuracy;
+use bst_core::backend::TreeBackend;
 use bst_core::costmodel;
 use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
-use bst_core::persistence::{self, PersistError, ShardManifest};
+use bst_core::persistence::{self, PersistError};
 use bst_core::query::Query;
-use bst_core::store::FilterId;
+use bst_core::store::{BstStore, FilterId};
 use bst_core::system::{BstConfig, BstSystem};
 use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
 use bytes::{Buf, BufMut, BytesMut};
@@ -62,8 +62,8 @@ fn cell_seed(seed: u64, shard: u64, slot: u64) -> u64 {
 
 /// Builder for a [`ShardedBstSystem`] — the same knobs as
 /// [`bst_core::system::BstSystemBuilder`], plus the shard count. Every
-/// shard is built from one shared plan, so filters and snapshots stay
-/// interchangeable across shards.
+/// shard is built from one shared plan, so filters stay interchangeable
+/// across shards.
 pub struct ShardedBstSystemBuilder {
     namespace: u64,
     shards: usize,
@@ -209,9 +209,10 @@ impl ShardedBstSystemBuilder {
             );
             costmodel::default_pruned_depth(self.namespace, m, &slices)
         });
+        let store = Arc::new(BstStore::new(boundaries));
         let mut shards = Vec::with_capacity(self.shards);
-        for mine in slices {
-            let shard = BstSystem::builder(self.namespace)
+        for (slice, mine) in slices.into_iter().enumerate() {
+            let tree = BstSystem::builder(self.namespace)
                 .accuracy(self.accuracy)
                 .expected_set_size(self.expected_set_size)
                 .hash_count(self.k)
@@ -220,29 +221,16 @@ impl ShardedBstSystemBuilder {
                 .config(self.cfg)
                 .depth(depth)
                 .pruned(mine.iter().copied())
-                .try_build()?;
-            shards.push(shard);
+                .try_build_tree()?;
+            shards.push(BstSystem::from_parts(
+                tree,
+                self.cfg,
+                Arc::clone(&store),
+                slice,
+            )?);
         }
-        Ok(ShardedBstSystem {
-            shared: Arc::new(Shared {
-                boundaries,
-                shards,
-                registry: RwLock::new(Registry {
-                    next_id: 0,
-                    map: BTreeMap::new(),
-                }),
-                pool: HandlePool::default(),
-                tracer: Tracer::disabled(),
-                batch_obs: RwLock::new(None),
-            }),
-        })
+        Ok(ShardedBstSystem::assemble(store, shards))
     }
-}
-
-/// Sharded filter ids → the per-shard store ids backing them.
-struct Registry {
-    next_id: u64,
-    map: BTreeMap<u64, Vec<FilterId>>,
 }
 
 /// Metrics handles the two-phase batch path reports into once a serving
@@ -280,10 +268,11 @@ impl BatchObs {
 }
 
 struct Shared {
-    /// `S + 1` ascending values; shard `s` owns `[b[s], b[s+1])`.
-    boundaries: Vec<u64>,
+    /// The engine's one store, partitioned at the shard boundaries
+    /// (`S + 1` ascending values; shard `s` owns `[b[s], b[s+1])`).
+    /// Every shard system reads its own slice of it.
+    store: Arc<BstStore>,
     shards: Vec<BstSystem>,
-    registry: RwLock<Registry>,
     /// The warm-handle pool every repeated query draws from (see
     /// [`crate::pool`]).
     pool: HandlePool,
@@ -301,9 +290,9 @@ struct Shared {
 /// single-tree system.
 ///
 /// Cloning is an `Arc` bump; the handle is `Send + Sync`. Registered sets
-/// span shards transparently: [`Self::create`] routes each key to its
-/// owning shard and returns one sharded [`FilterId`] (its own id space —
-/// distinct from the per-shard store ids it maps onto).
+/// span shards transparently: the engine owns one [`BstStore`], a set's
+/// [`FilterId`] is its store id, and its keys are held once; each shard
+/// reads the run of keys inside its boundaries.
 #[derive(Clone)]
 pub struct ShardedBstSystem {
     shared: Arc<Shared>,
@@ -316,7 +305,7 @@ impl std::fmt::Debug for ShardedBstSystem {
             "ShardedBstSystem(M={}, shards={}, sets={})",
             self.namespace(),
             self.shard_count(),
-            self.shared.registry.read().map.len()
+            self.len()
         )
     }
 }
@@ -327,6 +316,20 @@ impl ShardedBstSystem {
         ShardedBstSystemBuilder::new(namespace)
     }
 
+    /// An engine over `store` whose shard `s` is `shards[s]`, reading
+    /// slice `s`; warm handles and observability wiring start empty.
+    fn assemble(store: Arc<BstStore>, shards: Vec<BstSystem>) -> Self {
+        ShardedBstSystem {
+            shared: Arc::new(Shared {
+                store,
+                shards,
+                pool: HandlePool::default(),
+                tracer: Tracer::disabled(),
+                batch_obs: RwLock::new(None),
+            }),
+        }
+    }
+
     /// Number of shards `S`.
     pub fn shard_count(&self) -> usize {
         self.shared.shards.len()
@@ -334,12 +337,12 @@ impl ShardedBstSystem {
 
     /// Shard boundaries: `S + 1` ascending values, first 0, last `M`.
     pub fn boundaries(&self) -> &[u64] {
-        &self.shared.boundaries
+        self.shared.store.boundaries()
     }
 
     /// Namespace size `M`.
     pub fn namespace(&self) -> u64 {
-        self.shared.boundaries.last().copied().unwrap_or(0)
+        self.shared.store.namespace()
     }
 
     /// The shard owning `key`.
@@ -354,11 +357,13 @@ impl ShardedBstSystem {
     /// The routing rule behind every key-addressed operation; callers
     /// validate `key < M` first.
     fn route(&self, key: u64) -> usize {
-        self.shared.boundaries.partition_point(|&b| b <= key) - 1
+        self.boundaries().partition_point(|&b| b <= key) - 1
     }
 
     /// The per-shard systems, in shard order (for introspection and
-    /// benchmarks; all facade operations route automatically).
+    /// benchmarks; all facade operations route automatically). Each one's
+    /// [`BstSystem::filters`] is the engine's store, so a set created or
+    /// dropped through a shard system is an engine set.
     pub fn shard_systems(&self) -> &[BstSystem] {
         &self.shared.shards
     }
@@ -374,139 +379,57 @@ impl ShardedBstSystem {
         self.shared.shards[0].store(keys)
     }
 
-    /// Splits `keys` by owning shard after validating the whole batch
-    /// against the namespace (atomic: an out-of-range key rejects the
-    /// batch before anything is applied anywhere).
-    fn partition_keys<I: IntoIterator<Item = u64>>(
-        &self,
-        keys: I,
-    ) -> Result<Vec<Vec<u64>>, BstError> {
-        let namespace = self.namespace();
-        let mut parts = vec![Vec::new(); self.shard_count()];
-        for key in keys {
-            if key >= namespace {
-                return Err(BstError::KeyOutsideNamespace(key));
-            }
-            parts[self.route(key)].push(key);
-        }
-        Ok(parts)
-    }
-
-    /// Looks a sharded id up in the registry.
-    fn backing_ids(&self, id: FilterId) -> Result<Vec<FilterId>, BstError> {
-        self.shared
-            .registry
-            .read()
-            .map
-            .get(&id.raw())
-            .cloned()
-            .ok_or(BstError::UnknownFilterId(id))
-    }
-
     // ------------------------------------------------------------------
-    // The store facade: sets spanning shards, one sharded id each.
+    // The store facade: one id and one key list per set.
     // ------------------------------------------------------------------
 
-    /// Registers a mutable set over `keys`: each key lands in its owning
-    /// shard's store, and the whole span is addressed by one stable
-    /// sharded [`FilterId`]. Keys outside the namespace are rejected
-    /// atomically.
+    /// Registers a mutable set over `keys`, addressed by one stable
+    /// [`FilterId`] across every shard. Keys outside the namespace are
+    /// rejected atomically.
     pub fn create<I: IntoIterator<Item = u64>>(&self, keys: I) -> Result<FilterId, BstError> {
-        let parts = self.partition_keys(keys)?;
-        let mut per_shard = Vec::with_capacity(self.shard_count());
-        for (sys, part) in self.shared.shards.iter().zip(parts) {
-            per_shard.push(sys.create(part)?);
-        }
-        let mut registry = self.shared.registry.write();
-        let id = registry.next_id;
-        registry.next_id += 1;
-        registry.map.insert(id, per_shard);
-        Ok(FilterId::from_raw(id))
+        self.shared.store.create(keys)
     }
 
-    /// Inserts `keys` into the stored set, routing each to its owning
-    /// shard (whose set generation bumps, invalidating open handles on
-    /// that shard). Rejects the whole batch if any key lies outside the
-    /// namespace.
+    /// Inserts `keys` into the stored set. The store generation of each
+    /// shard the batch has a key in bumps, so open handles go stale on
+    /// those shards only. Rejects the whole batch if any key lies outside
+    /// the namespace.
     pub fn insert_keys<I: IntoIterator<Item = u64>>(
         &self,
         id: FilterId,
         keys: I,
     ) -> Result<(), BstError> {
-        let parts = self.partition_keys(keys)?;
-        let backing = self.backing_ids(id)?;
-        for ((sys, fid), part) in self.shared.shards.iter().zip(&backing).zip(parts) {
-            if !part.is_empty() {
-                sys.insert_keys(*fid, part)?;
-            }
-        }
-        Ok(())
+        self.shared.store.insert_keys(id, keys).map(|_| ())
     }
 
     /// Removes one occurrence of each of `keys` from the stored set (keys
-    /// it does not hold are skipped), routed like [`Self::insert_keys`].
+    /// it does not hold are skipped), stamped like [`Self::insert_keys`].
     pub fn remove_keys<I: IntoIterator<Item = u64>>(
         &self,
         id: FilterId,
         keys: I,
     ) -> Result<(), BstError> {
-        let parts = self.partition_keys(keys)?;
-        let backing = self.backing_ids(id)?;
-        for ((sys, fid), part) in self.shared.shards.iter().zip(&backing).zip(parts) {
-            if !part.is_empty() {
-                sys.remove_keys(*fid, part)?;
-            }
-        }
+        self.shared.store.remove_keys(id, keys).map(|_| ())
+    }
+
+    /// Projects the whole stored set to one plain [`BloomFilter`]
+    /// snapshot, valid against every shard.
+    pub fn get(&self, id: FilterId) -> Result<BloomFilter, BstError> {
+        let hasher = self.shared.shards[0].tree().hasher();
+        self.shared.store.get(id, hasher)
+    }
+
+    /// Unregisters a stored set; its id is retired and open handles
+    /// report [`BstError::UnknownFilterId`] from their next operation.
+    pub fn drop_set(&self, id: FilterId) -> Result<(), BstError> {
+        self.shared.store.drop_set(id)?;
+        self.evict_pooled(id);
         Ok(())
     }
 
-    /// Projects the whole stored span to one plain [`BloomFilter`]
-    /// snapshot (the union of the per-shard projections — exactly the
-    /// filter of the union, since all shards share one hash family).
-    pub fn get(&self, id: FilterId) -> Result<BloomFilter, BstError> {
-        let backing = self.backing_ids(id)?;
-        let mut merged: Option<BloomFilter> = None;
-        for (sys, fid) in self.shared.shards.iter().zip(&backing) {
-            let part = sys.get(*fid)?;
-            match &mut merged {
-                None => merged = Some(part),
-                Some(m) => m.union_with(&part),
-            }
-        }
-        merged.ok_or(BstError::UnknownFilterId(id))
-    }
-
-    /// Unregisters a stored set everywhere; the sharded id is retired and
-    /// open handles report [`BstError::UnknownFilterId`] from their next
-    /// operation.
-    pub fn drop_set(&self, id: FilterId) -> Result<(), BstError> {
-        let backing = {
-            let mut registry = self.shared.registry.write();
-            registry
-                .map
-                .remove(&id.raw())
-                .ok_or(BstError::UnknownFilterId(id))?
-        };
-        // Attempt every shard even if one fails (e.g. a backing set
-        // dropped directly through shard_systems()): stopping early
-        // would leak the remaining shards' sets with no id left to
-        // reach them. The first error is still reported.
-        let mut first_error = None;
-        for (sys, fid) in self.shared.shards.iter().zip(&backing) {
-            if let Err(e) = sys.drop_set(*fid) {
-                first_error.get_or_insert(e);
-            }
-        }
-        self.evict_pooled(id);
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Number of registered (sharded) sets.
+    /// Number of registered sets.
     pub fn len(&self) -> usize {
-        self.shared.registry.read().map.len()
+        self.shared.store.len()
     }
 
     /// Whether no sets are registered.
@@ -514,15 +437,9 @@ impl ShardedBstSystem {
         self.len() == 0
     }
 
-    /// All live sharded ids, ascending.
+    /// All live ids, ascending.
     pub fn ids(&self) -> Vec<FilterId> {
-        self.shared
-            .registry
-            .read()
-            .map
-            .keys()
-            .map(|&raw| FilterId::from_raw(raw))
-            .collect()
+        self.shared.store.ids()
     }
 
     // ------------------------------------------------------------------
@@ -624,21 +541,23 @@ impl ShardedBstSystem {
             .iter()
             .map(|sys| sys.query(filter))
             .collect();
-        ShardQuery::new(None, self.shared.boundaries.clone(), handles)
+        ShardQuery::new(None, self.boundaries().to_vec(), handles)
     }
 
     /// Opens a scatter-gather handle on a stored set: one generation-
-    /// stamped per-shard handle each, so both store-churn and
-    /// occupancy-churn staleness protocols apply per shard.
+    /// stamped per-shard handle each, on the shard's slice of the keys, so
+    /// both store-churn and occupancy-churn staleness protocols apply per
+    /// shard.
     pub fn query_id(&self, id: FilterId) -> Result<ShardQuery, BstError> {
-        let backing = self.backing_ids(id)?;
-        let mut handles = Vec::with_capacity(backing.len());
-        for (sys, fid) in self.shared.shards.iter().zip(&backing) {
-            handles.push(sys.query_id(*fid)?);
-        }
+        let handles = self
+            .shared
+            .shards
+            .iter()
+            .map(|sys| sys.query_id(id))
+            .collect::<Result<_, _>>()?;
         Ok(ShardQuery::new(
             Some(id),
-            self.shared.boundaries.clone(),
+            self.boundaries().to_vec(),
             handles,
         ))
     }
@@ -836,141 +755,82 @@ impl ShardedBstSystem {
     // Whole-engine persistence.
     // ------------------------------------------------------------------
 
-    /// Serializes the entire sharded engine — boundaries, the sharded id
-    /// registry, and every shard's whole-system snapshot — into one
-    /// buffer. Byte-deterministic for a given engine state.
+    /// Serializes the entire sharded engine — boundaries, configuration,
+    /// the store, and every shard's tree — into one buffer.
+    /// Byte-deterministic for a given engine state.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_bytes_with_header(&[])
     }
 
     /// [`Self::to_bytes`] behind `header`, in one buffer sized up front
-    /// from every shard's stored sets ([`bst_core::store::BstStore::encoded_len_hint`],
-    /// the bulk of the bytes): each shard's tree and stored sets are
-    /// written straight into it and the length prefixes patched in
-    /// place, so every stored key is copied once.
+    /// from the store ([`BstStore::encoded_len_hint`], the bulk of the
+    /// bytes): the store and each shard's tree are written straight into
+    /// it, so every stored key is copied once. The layout is
+    /// `"BSTH" v | boundaries | config | store | S × tree backend`.
     /// A durable checkpoint is this call with the checkpoint header.
     pub fn to_bytes_with_header(&self, header: &[u8]) -> Vec<u8> {
-        let manifest = {
-            let registry = self.shared.registry.read();
-            ShardManifest {
-                boundaries: self.shared.boundaries.clone(),
-                next_id: registry.next_id,
-                // BTreeMap iterates ascending: deterministic bytes.
-                entries: registry
-                    .map
-                    .iter()
-                    .map(|(&id, fids)| (id, fids.iter().map(|f| f.raw()).collect()))
-                    .collect(),
-            }
-        };
-        let stored: usize = self
-            .shared
-            .shards
-            .iter()
-            .map(|sys| sys.filters().encoded_len_hint())
-            .sum();
-        let mut buf = BytesMut::with_capacity(header.len() + stored);
+        let store = &self.shared.store;
+        let mut buf = BytesMut::with_capacity(header.len() + store.encoded_len_hint());
         buf.put_slice(header);
         buf.put_slice(SHARD_MAGIC);
         buf.put_u8(persistence::VERSION);
-        persistence::put_shard_manifest(&mut buf, &manifest);
+        persistence::put_boundaries(&mut buf, store.boundaries());
+        persistence::put_config(&mut buf, &self.config());
+        store.put_bytes(&mut buf);
         for sys in &self.shared.shards {
-            persistence::put_len_prefixed(&mut buf, |buf| sys.put_bytes(buf));
+            sys.tree().put_bytes(&mut buf);
         }
         buf.into()
     }
 
     /// Restores an engine serialized with [`Self::to_bytes`]: the same
-    /// boundaries, shards, stored spans and sharded ids, so scatter-
-    /// gather results match the original for the same RNG state.
+    /// boundaries, configuration, stored sets, ids and shard trees, so
+    /// scatter-gather results match the original for the same RNG state.
+    /// Every shard tree must be pruned, share one plan over the
+    /// namespace, and occupy only its own range.
     pub fn from_bytes(input: &[u8]) -> Result<Self, BstError> {
+        let corrupt = |what| Err(BstError::Persist(PersistError::Corrupt(what)));
         let mut input = input;
         persistence::check_header(&mut input, SHARD_MAGIC)?;
-        let manifest = persistence::get_shard_manifest(&mut input)?;
-        let namespace = match manifest.boundaries.last() {
-            Some(&m) => m,
-            None => {
-                return Err(BstError::Persist(PersistError::Corrupt(
-                    "shard manifest has no boundaries",
-                )))
+        let boundaries = persistence::get_boundaries(&mut input)?;
+        let cfg = persistence::get_config(&mut input)?;
+        let store = Arc::new(BstStore::get_bytes(&mut input, boundaries)?);
+        let bounds = store.boundaries();
+        let shard_count = bounds.len() - 1;
+        // A tree backend takes at least its tag and length bytes.
+        let mut shards: Vec<BstSystem> = Vec::with_capacity(shard_count.min(input.remaining() / 9));
+        for slice in 0..shard_count {
+            let tree = TreeBackend::get_bytes(&mut input)?;
+            if tree.namespace() != store.namespace() || !tree.is_pruned() {
+                return corrupt("shard tree does not match the partition");
             }
-        };
-        let shard_count = manifest.boundaries.len() - 1;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            if input.remaining() < 8 {
-                return Err(PersistError::Truncated.into());
-            }
-            let len = input.get_u64_le() as usize;
-            if input.remaining() < len {
-                return Err(PersistError::Truncated.into());
-            }
-            let sys = BstSystem::from_bytes(&input[..len])?;
-            input.advance(len);
-            if sys.tree().namespace() != namespace || !sys.tree().is_pruned() {
-                return Err(BstError::Persist(PersistError::Corrupt(
-                    "shard system does not match the manifest",
-                )));
+            if shards
+                .first()
+                .is_some_and(|first| first.tree().plan() != tree.plan())
+            {
+                return corrupt("shards disagree on the tree plan");
             }
             // Routing invariant: a shard may only occupy its own range
             // (occupied_ids is ascending, so the extremes suffice) — a
             // snapshot violating it would mis-route every key-addressed
             // operation after restore.
-            let s = shards.len();
-            let occ = sys.occupied_ids();
-            if occ.first().zip(occ.last()).is_some_and(|(&lo, &hi)| {
-                lo < manifest.boundaries[s] || hi >= manifest.boundaries[s + 1]
-            }) {
-                return Err(BstError::Persist(PersistError::Corrupt(
-                    "shard occupancy outside its boundary range",
-                )));
+            let occ = tree.occupied_ids();
+            if occ
+                .first()
+                .zip(occ.last())
+                .is_some_and(|(&lo, &hi)| lo < bounds[slice] || hi >= bounds[slice + 1])
+            {
+                return corrupt("shard occupancy outside its boundary range");
             }
-            shards.push(sys);
+            shards.push(BstSystem::from_parts(tree, cfg, Arc::clone(&store), slice)?);
         }
         if !input.is_empty() {
-            return Err(BstError::Persist(PersistError::Corrupt(
-                "trailing bytes after sharded snapshot",
-            )));
+            return corrupt("trailing bytes after sharded snapshot");
         }
-        if let Some(first) = shards.first() {
-            if shards
-                .iter()
-                .any(|s| s.tree().plan() != first.tree().plan())
-            {
-                return Err(BstError::Persist(PersistError::Corrupt(
-                    "shards disagree on the tree plan",
-                )));
-            }
-        }
-        let mut map = BTreeMap::new();
-        for (id, raw_fids) in manifest.entries {
-            let fids: Vec<FilterId> = raw_fids.into_iter().map(FilterId::from_raw).collect();
-            for (sys, fid) in shards.iter().zip(&fids) {
-                if sys.filters().generation(*fid).is_err() {
-                    return Err(BstError::Persist(PersistError::Corrupt(
-                        "manifest references a missing per-shard set",
-                    )));
-                }
-            }
-            map.insert(id, fids);
-        }
-        Ok(ShardedBstSystem {
-            shared: Arc::new(Shared {
-                boundaries: manifest.boundaries,
-                shards,
-                registry: RwLock::new(Registry {
-                    next_id: manifest.next_id,
-                    map,
-                }),
-                // Warm handles are derived state and never persisted; a
-                // restored engine starts cold.
-                pool: HandlePool::default(),
-                // Observability wiring is process state, not snapshot
-                // state: the installer re-attaches after a restore.
-                tracer: Tracer::disabled(),
-                batch_obs: RwLock::new(None),
-            }),
-        })
+        // Warm handles are derived state and never persisted, and
+        // observability wiring is process state: a restored engine starts
+        // cold and unobserved until its installer re-attaches.
+        Ok(ShardedBstSystem::assemble(store, shards))
     }
 }
 
@@ -1348,6 +1208,61 @@ mod tests {
     }
 
     #[test]
+    fn restored_sets_lose_every_key_they_are_told_to_remove() {
+        let sys = engine(4);
+        let sets: Vec<Vec<u64>> = (0..3u64)
+            .map(|i| (0..120u64).map(|j| (i * 131 + j * 67) % 8_192).collect())
+            .collect();
+        for keys in &sets {
+            let id = sys.create(keys.iter().copied()).expect("create");
+            let rec = sys.query_id(id).expect("open").reconstruct().expect("rec");
+            for b in sys.boundaries().windows(2) {
+                assert!(rec.iter().any(|k| (b[0]..b[1]).contains(k)), "spans {b:?}");
+            }
+        }
+        let restored = ShardedBstSystem::from_bytes(&sys.to_bytes()).expect("restore");
+        for (id, keys) in restored.ids().into_iter().zip(&sets) {
+            restored
+                .remove_keys(id, keys.iter().copied())
+                .expect("remove");
+            assert_eq!(restored.get(id).expect("get").count_ones(), 0);
+            let q = restored.query_id(id).expect("open");
+            for handle in q.shard_handles() {
+                assert_eq!(handle.filter().count_ones(), 0, "{id}");
+            }
+            assert_eq!(q.reconstruct(), Err(BstError::EmptyFilter), "{id}");
+        }
+    }
+
+    #[test]
+    fn shard_systems_read_and_write_the_engine_store() {
+        let sys = engine(4);
+        for shard in sys.shard_systems() {
+            assert!(std::ptr::eq(shard.filters(), &*sys.shared.store));
+        }
+        let keys = [10u64, 2_500, 8_000];
+        let id = sys.shard_systems()[1]
+            .create(keys)
+            .expect("create through a shard");
+        assert_eq!(sys.ids(), vec![id]);
+        let whole = sys.get(id).expect("engine get");
+        assert_eq!(whole.bits(), sys.store(keys).bits());
+        // Each shard reads its own slice of the one key list.
+        for (s, shard) in sys.shard_systems().iter().enumerate() {
+            let mine = keys.iter().copied().filter(|&k| sys.shard_of(k) == s);
+            assert_eq!(
+                shard.get(id).expect("shard get").bits(),
+                sys.store(mine).bits()
+            );
+        }
+        sys.shard_systems()[2]
+            .drop_set(id)
+            .expect("drop through a shard");
+        assert!(sys.is_empty());
+        assert_eq!(sys.get(id).unwrap_err(), BstError::UnknownFilterId(id));
+    }
+
+    #[test]
     fn snapshot_rejects_garbage() {
         let sys = engine(2);
         let bytes = sys.to_bytes();
@@ -1459,20 +1374,20 @@ mod tests {
             .occupied((2_048..4_096u64).step_by(2))
             .build();
         let bytes = sys.to_bytes();
-        // Layout: "BSTH" v | manifest (no sets: 4 + 3*8 + 8 + 4 = 40) |
-        // len0 u64 | payload0 | len1 u64 | payload1.
-        let manifest_end = 5 + 40;
-        let len0 =
-            u64::from_le_bytes(bytes[manifest_end..manifest_end + 8].try_into().unwrap()) as usize;
-        let p0 = &bytes[manifest_end + 8..manifest_end + 8 + len0];
-        let rest = &bytes[manifest_end + 8 + len0..];
-        let len1 = u64::from_le_bytes(rest[..8].try_into().unwrap()) as usize;
-        let p1 = &rest[8..8 + len1];
-        let mut swapped = bytes[..manifest_end].to_vec();
-        for payload in [p1, p0] {
-            swapped.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            swapped.extend_from_slice(payload);
-        }
+        // Layout: "BSTH" v | boundaries (4 + 3*8) | config | store (no
+        // sets: 8 + 4) | tag0 u8, len0 u64, tree0 | tag1 u8, len1 u64,
+        // tree1.
+        let mut config = BytesMut::new();
+        persistence::put_config(&mut config, &sys.config());
+        let trees_at = 5 + 28 + config.len() + 12;
+        let tree = |at: usize| {
+            let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+            &bytes[at..at + 9 + len]
+        };
+        let t0 = tree(trees_at);
+        let t1 = tree(trees_at + t0.len());
+        assert_eq!(trees_at + t0.len() + t1.len(), bytes.len());
+        let swapped = [&bytes[..trees_at], t1, t0].concat();
         assert_eq!(
             ShardedBstSystem::from_bytes(&swapped).err(),
             Some(BstError::Persist(PersistError::Corrupt(

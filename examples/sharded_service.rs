@@ -54,7 +54,7 @@ fn main() {
         );
     }
 
-    // A community spanning several shards, stored by one sharded id.
+    // A community spanning several shards, stored once under one id.
     let members: Vec<u64> = occupied.iter().copied().step_by(97).collect();
     let community = engine.create(members.iter().copied()).expect("create");
     let query = engine.query_id(community).expect("open");
@@ -115,7 +115,7 @@ fn main() {
         rec.binary_search(&newcomer).is_ok()
     );
 
-    // Snapshot the whole engine: boundaries, registry, every shard.
+    // Snapshot the whole engine: boundaries, config, the store, every tree.
     let snapshot = engine.to_bytes();
     let restored = ShardedBstSystem::from_bytes(&snapshot).expect("restore");
     let restored_rec = restored
