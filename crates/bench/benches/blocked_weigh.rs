@@ -26,9 +26,9 @@ fn layouts() -> [HashKind; 2] {
     [HashKind::Murmur3, HashKind::DeltaBlocked]
 }
 
-/// Cold phase-1 weighing of a 32-slot batch: the engine's handle pool
-/// is cleared before each `query_batch` call, so it re-weighs every
-/// (slot, shard) cell before sampling.
+/// Cold phase-1 weighing of a 32-slot batch: ad-hoc filters are never
+/// pooled, so each `query_batch` call re-weighs every (slot, shard) cell
+/// before sampling.
 fn bench_batch_phase1(c: &mut Criterion) {
     let occ = occupancy();
     let mut group = c.benchmark_group("blocked-weigh");
@@ -56,7 +56,6 @@ fn bench_batch_phase1(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed = seed.wrapping_add(1);
-                    engine.clear_handle_pool();
                     engine.query_batch(&filters, seed, 1)
                 })
             },

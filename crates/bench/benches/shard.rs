@@ -99,9 +99,10 @@ fn bench_reconstruct_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch fan-out across the crossbeam worker pool (handle pool cleared
-/// before every batch: this group tracks the cold scatter cost itself —
-/// the warm path has its own `batch-warm-cache` group).
+/// Batch fan-out across the crossbeam worker pool (ad-hoc filters are
+/// never pooled, so every batch is cold: this group tracks the cold
+/// scatter cost itself — the warm path has its own `batch-warm-cache`
+/// group).
 fn bench_batch_fanout(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(9);
@@ -116,10 +117,7 @@ fn bench_batch_fanout(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, _| {
-            b.iter(|| {
-                engine.clear_handle_pool();
-                engine.query_batch(&filters, 17, 0)
-            })
+            b.iter(|| engine.query_batch(&filters, 17, 0))
         });
     }
     group.finish();
@@ -297,10 +295,9 @@ fn one_phase_batch(
 }
 
 /// Two-phase batch scatter (weights first, sample only chosen cells,
-/// cell-grid chunking) vs the PR 3 one-phase emulation above. The
-/// two-phase arm clears the handle pool before every batch and the
-/// one-phase emulation opens fresh handles: this group compares the
-/// scatter *structures* at equal (cold) weighing cost.
+/// cell-grid chunking) vs the one-phase emulation above. Both arms
+/// weigh on fresh handles (ad-hoc filters are never pooled): this group
+/// compares the scatter *structures* at equal (cold) weighing cost.
 fn bench_batch_two_phase(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(19);
@@ -315,10 +312,7 @@ fn bench_batch_two_phase(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("two-phase", shards), &shards, |b, _| {
-            b.iter(|| {
-                engine.clear_handle_pool();
-                engine.query_batch(&filters, 17, 0)
-            })
+            b.iter(|| engine.query_batch(&filters, 17, 0))
         });
         group.bench_with_input(BenchmarkId::new("one-phase", shards), &shards, |b, _| {
             b.iter(|| one_phase_batch(&engine, &filters, 17))
@@ -327,13 +321,14 @@ fn bench_batch_two_phase(c: &mut Criterion) {
     group.finish();
 }
 
-/// Repeated 32-slot batches on the engine's pooled handles vs the cold
-/// two-phase path (pool cleared before every batch): a warm batch
-/// reads `S × 32` memoized weights and samples the 32 chosen cells on
-/// warm descent memos, instead of re-walking every (shard, slot)
-/// weighing from scratch. A third variant mutates the occupancy between
-/// batches, so the mutated shard's 32 handles repair their memos
-/// through the mutation journal before serving (the stale-repair path).
+/// Repeated 32-slot `query_batch_ids` batches over 32 stored sets on the
+/// engine's pooled handles vs the cold two-phase path (pool cleared
+/// before every batch): a warm batch reads `S × 32` memoized weights and
+/// samples the 32 chosen cells on warm descent memos, instead of
+/// re-walking every (shard, slot) weighing from scratch. A third variant
+/// mutates the occupancy between batches, so the mutated shard's 32
+/// handles repair their memos through the mutation journal before
+/// serving (the stale-repair path).
 fn bench_batch_warm_cache(c: &mut Criterion) {
     let occ = occupancy();
     let mut rng = rng_for(23);
@@ -341,10 +336,12 @@ fn bench_batch_warm_cache(c: &mut Criterion) {
     group.sample_size(10);
     for shards in SHARD_COUNTS {
         let engine = build_sharded(shards);
-        let filters: Vec<_> = (0..32)
+        let ids: Vec<_> = (0..32)
             .map(|_| {
                 let keys = uniform_set(&mut rng, occ.len() as u64, 200);
-                engine.store(keys.into_iter().map(|i| occ[i as usize]))
+                engine
+                    .create(keys.into_iter().map(|i| occ[i as usize]))
+                    .expect("create")
             })
             .collect();
         // Cold: the two-phase path on fresh handles (pool cleared before
@@ -355,15 +352,15 @@ fn bench_batch_warm_cache(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     engine.clear_handle_pool();
-                    engine.query_batch(&filters, 17, 0)
+                    engine.query_batch_ids(&ids, 17, 0)
                 })
             },
         );
         // Warm: pool primed — repeated identical batches weigh from the
         // handle memos.
-        engine.query_batch(&filters, 17, 0);
+        engine.query_batch_ids(&ids, 17, 0);
         group.bench_with_input(BenchmarkId::new("warm-cached", shards), &shards, |b, _| {
-            b.iter(|| engine.query_batch(&filters, 17, 0))
+            b.iter(|| engine.query_batch_ids(&ids, 17, 0))
         });
         // Warm + churn: an occupancy toggle between batches forces the
         // journal-repair path on the mutated shard's 32 cells.
@@ -376,7 +373,7 @@ fn bench_batch_warm_cache(c: &mut Criterion) {
                     engine.insert_occupied(key).expect("insert");
                     engine.remove_occupied(key).expect("remove");
                     key = (key + 4) % NAMESPACE;
-                    engine.query_batch(&filters, 17, 0)
+                    engine.query_batch_ids(&ids, 17, 0)
                 })
             },
         );

@@ -171,14 +171,6 @@ impl Query {
         self.state.lock().filter.clone()
     }
 
-    /// Whether the handle currently holds exactly `filter` (same
-    /// parameters, same bits), without cloning it — the guard for
-    /// callers that key handles by a filter hash.
-    pub fn holds(&self, filter: &BloomFilter) -> bool {
-        let state = self.state.lock();
-        state.filter.compatible_with(filter) && state.filter.bits() == filter.bits()
-    }
-
     /// The store id this handle reads, for handles opened with
     /// [`BstSystem::query_id`]; `None` for detached handles.
     pub fn filter_id(&self) -> Option<FilterId> {

@@ -2,13 +2,15 @@
 //!
 //! The handler owns the mapping from wire commands onto the server's
 //! one engine owner — the `DurableBstSystem` store, with or without a
-//! WAL — whose engine also owns the warm-handle pool every query arm
-//! draws from. Each opcode has one arm.
+//! WAL — whose engine also owns the warm-handle pool every stored-set
+//! query arm draws from. Each opcode has one arm.
 //! Determinism contract: every sampling command carries a client
 //! `seed`, and the server draws from a fresh `StdRng::seed_from_u64`
 //! per request — so the same request against the same engine state
 //! returns the same keys whether the handle was warm or cold, which the
 //! e2e tests pin bit-for-bit against in-process draws.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -231,11 +233,10 @@ fn load(state: &ServerState, bytes: &[u8]) -> Result<Response, WireError> {
     Ok(Response::Ok)
 }
 
-/// Resolves a target to its pooled handle and runs `f` on it, then
-/// drains the handle's per-call [`bst_core::OpStats`] into the server's
-/// cumulative engine totals. A stored handle that answers
-/// `UnknownFilterId` (its set was dropped while it was being opened) is
-/// evicted from the pool.
+/// Resolves a target to a handle — a stored set's pooled one, or a
+/// detached one for an ad-hoc filter — and runs `f` on it, then drains
+/// the handle's per-call [`bst_core::OpStats`] into the server's
+/// cumulative engine totals.
 fn with_handle<T>(
     state: &ServerState,
     sys: &ShardedBstSystem,
@@ -248,23 +249,21 @@ fn with_handle<T>(
             let filter = bst_bloom::codec::decode(bytes).map_err(|e| WireError::Malformed {
                 context: format!("ad-hoc filter: {e}"),
             })?;
-            Ok(sys.pooled_query(&filter))
+            Ok(Arc::new(sys.query(&filter)))
         }
     };
-    let out = handle.and_then(|q| {
-        let out = f(&q);
-        state.note_engine_stats(q.take_stats());
-        out
-    });
-    if let (Target::Stored(raw), Err(BstError::UnknownFilterId(_))) = (target, &out) {
-        sys.evict_pooled(FilterId::from_raw(*raw));
-    }
-    out.map_err(WireError::from)
+    handle
+        .and_then(|q| {
+            let out = f(&q);
+            state.note_engine_stats(q.take_stats());
+            out
+        })
+        .map_err(WireError::from)
 }
 
 /// Serves a mixed batch: id-addressed slots ride the engine's
-/// `query_batch_ids` scatter, ad-hoc slots ride `query_batch` (both on
-/// pooled handles), both with the same client seed, and the answers
+/// `query_batch_ids` scatter (on pooled handles), ad-hoc slots ride
+/// `query_batch`, both with the same client seed, and the answers
 /// are put back in request order by slot. A slot whose filter bytes fail
 /// to decode fails alone — the rest of the batch still runs. Batch
 /// OpStats feed the server's cumulative engine totals.

@@ -1,6 +1,7 @@
 //! End-to-end tests of the engine's warm-handle pool over real sockets:
-//! one bounded pool shared by every connection, warm state handed from
-//! one connection to the next with no change in any draw, and dropped
+//! one bounded pool of stored-set handles shared by every connection,
+//! warm state handed from one connection to the next with no change in
+//! any draw, ad-hoc traffic that never touches the pool, and dropped
 //! sets leaving the pool.
 //!
 //! The engine is `Clone` over an `Arc`, so each test keeps a handle on
@@ -9,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use bst_bloom::filter::BloomFilter;
 use bst_core::store::FilterId;
 use bst_server::client::{Client, ClientError};
 use bst_server::protocol::{Target, WireError};
@@ -143,4 +145,125 @@ fn drop_set_from_another_connection_evicts_the_pooled_handle() {
         .sample(Target::Stored(kept), 2)
         .expect("kept set still served");
     handle.shutdown();
+}
+
+#[test]
+fn ad_hoc_traffic_leaves_warm_stored_handles_resident() {
+    const SETS: u64 = 32;
+    let (mut handle, reference) = spawn(8_192, 4);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let sets: Vec<u64> = (0..SETS)
+        .map(|i| {
+            let keys = (0..60u64).map(|j| (i * 131 + j * 37) % 8_192).collect();
+            client.create(keys).expect("create")
+        })
+        .collect();
+    let cold_stored = |set: u64, seed: u64| {
+        reference
+            .query_id(FilterId::from_raw(set))
+            .expect("open")
+            .sample(&mut StdRng::seed_from_u64(seed))
+            .expect("sample")
+    };
+    let sample_all = |client: &mut Client, seed: u64| {
+        for &set in &sets {
+            let wire = client.sample(Target::Stored(set), seed).expect("sample");
+            assert_eq!(wire, cold_stored(set, seed), "set {set}");
+        }
+    };
+    sample_all(&mut client, 1);
+    let warmed = client.stats().expect("stats");
+
+    // More ad-hoc filters than the pool holds: 4 batches of 16, one
+    // SAMPLE and one RECONSTRUCT, each equal to a cold in-process answer.
+    let filter = |i: u64| -> BloomFilter {
+        reference.store((0..40u64).map(move |j| (i * 211 + j * 53) % 8_192))
+    };
+    for b in 0..4u64 {
+        let filters: Vec<BloomFilter> = (0..16).map(|i| filter(b * 16 + i)).collect();
+        let targets = filters.iter().map(Target::adhoc).collect();
+        let wire = client.batch(targets, 500 + b).expect("batch");
+        let (cold, _) = reference.query_batch(&filters, 500 + b, 1);
+        let cold: Vec<_> = cold
+            .into_iter()
+            .map(|r| r.map_err(WireError::from))
+            .collect();
+        assert_eq!(wire, cold, "batch {b}");
+    }
+    let lone = filter(64);
+    assert_eq!(
+        client.sample(Target::adhoc(&lone), 7).expect("sample"),
+        reference
+            .query(&lone)
+            .sample(&mut StdRng::seed_from_u64(7))
+            .expect("sample")
+    );
+    assert_eq!(
+        client
+            .reconstruct(Target::adhoc(&lone))
+            .expect("reconstruct"),
+        reference.query(&lone).reconstruct().expect("reconstruct")
+    );
+    let after_adhoc = client.stats().expect("stats");
+
+    sample_all(&mut client, 2);
+    let resampled = client.stats().expect("stats");
+    assert_eq!(
+        (
+            resampled.weight_cache_hits - after_adhoc.weight_cache_hits,
+            resampled.weight_cache_misses - after_adhoc.weight_cache_misses,
+        ),
+        (SETS, 0),
+        "every stored handle survived the ad-hoc traffic"
+    );
+    assert_eq!(
+        (
+            after_adhoc.weight_cache_hits,
+            after_adhoc.weight_cache_misses
+        ),
+        (warmed.weight_cache_hits, warmed.weight_cache_misses),
+        "ad-hoc requests make no pool lookups"
+    );
+    assert_eq!(reference.handle_pool_stats().handles, SETS as usize);
+    handle.shutdown();
+}
+
+#[test]
+fn a_set_dropped_while_being_pooled_leaves_no_handle() {
+    const READERS: usize = 3;
+    let engine = ShardedBstSystem::builder(8_192)
+        .shards(4)
+        .expected_set_size(500)
+        .seed(11)
+        .build();
+    for round in 0..500u64 {
+        let id = engine
+            .create((0..500u64).map(|j| (round * 7 + j * 13) % 8_192))
+            .expect("create");
+        let start = std::sync::Barrier::new(READERS + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    start.wait();
+                    // Bounded: a handle left pooled on the dropped set
+                    // would keep answering the lookup.
+                    for _ in 0..10_000 {
+                        if engine.pooled_query_id(id).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..round % 8 {
+                std::thread::yield_now();
+            }
+            engine.drop_set(id).expect("drop");
+        });
+        assert_eq!(
+            engine.handle_pool_stats().handles,
+            0,
+            "round {round}: the dropped set stayed pooled"
+        );
+    }
 }

@@ -41,13 +41,13 @@
 //!   handle and batch paths share one soft-error merge and one weighted
 //!   shard pick.
 //! * **Warm state** ([`pool`]): one bounded engine pool of open
-//!   [`ShardQuery`] handles, keyed by stored id or filter content hash.
-//!   Batches and repeated single queries
-//!   ([`ShardedBstSystem::pooled_query_id`],
-//!   [`ShardedBstSystem::pooled_query`]) take their handle from it, so a
-//!   filter served before is weighed by an O(1) memo read — repaired
+//!   [`ShardQuery`] handles on stored sets, keyed by store id. Id
+//!   batches and repeated single queries
+//!   ([`ShardedBstSystem::pooled_query_id`]) take their handle from it,
+//!   so a set served before is weighed by an O(1) memo read — repaired
 //!   through the mutation journal after occupancy churn — and sampled on
 //!   a warm descent memo. Warm handles answer exactly like cold ones.
+//!   A detached filter is served on a handle of its own, never pooled.
 //!
 //! ## Mutability
 //!
@@ -102,7 +102,7 @@ pub mod query;
 pub mod system;
 
 pub use durable::{DurableBstSystem, DurableConfig, DurableError};
-pub use pool::{filter_content_hash, HandlePoolStats, HANDLE_POOL_CAP};
+pub use pool::{HandlePoolStats, HANDLE_POOL_CAP};
 pub use query::ShardQuery;
 pub use system::{
     shard_boundaries, slot_seed, BatchObs, ShardedBstSystem, ShardedBstSystemBuilder,

@@ -19,7 +19,7 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::pool::{filter_content_hash, HandlePool, HandlePoolStats, PoolKey};
+use crate::pool::{HandlePool, HandlePoolStats};
 use crate::query::{merge_weights, pick_shard, ShardQuery};
 
 /// Magic bytes of a sharded-system snapshot.
@@ -421,9 +421,12 @@ impl ShardedBstSystem {
 
     /// Unregisters a stored set; its id is retired and open handles
     /// report [`BstError::UnknownFilterId`] from their next operation.
+    /// The set leaves the store first and the pool second, so a handle
+    /// pooled meanwhile is either removed here or by the
+    /// [`Self::pooled_query_id`] call that pooled it.
     pub fn drop_set(&self, id: FilterId) -> Result<(), BstError> {
         self.shared.store.drop_set(id)?;
-        self.evict_pooled(id);
+        self.shared.pool.remove(id.raw());
         Ok(())
     }
 
@@ -449,36 +452,21 @@ impl ShardedBstSystem {
     /// The pooled handle on stored set `id`, opened with
     /// [`Self::query_id`] and pooled on a miss. Every repeated query on a
     /// stored set should come through here, so it finds the handle some
-    /// earlier caller warmed. A handle that later answers
-    /// [`BstError::UnknownFilterId`] (the set was dropped while it was
-    /// being opened) should be evicted with [`Self::evict_pooled`].
+    /// earlier caller warmed. Once [`Self::drop_set`] has returned, the
+    /// pool holds no handle on the set and never pools one again, so no
+    /// caller has to evict one.
     pub fn pooled_query_id(&self, id: FilterId) -> Result<Arc<ShardQuery>, BstError> {
-        self.shared
-            .pool
-            .get_or_open(PoolKey::Stored(id.raw()), |_| true, || self.query_id(id))
-    }
-
-    /// The pooled handle on a detached filter, opened with
-    /// [`Self::query`] and pooled on a miss. Keyed by content hash; a
-    /// resident handle is served only if it holds a bit-identical
-    /// filter, so a hash collision costs a cold handle, never a wrong
-    /// answer.
-    pub fn pooled_query(&self, filter: &BloomFilter) -> Arc<ShardQuery> {
-        let opened = self.shared.pool.get_or_open(
-            PoolKey::Adhoc(filter_content_hash(filter)),
-            // Every shard handle of a detached query holds the same filter.
-            |q| q.shard_handles().first().is_some_and(|h| h.holds(filter)),
-            || Ok::<_, std::convert::Infallible>(self.query(filter)),
-        );
-        match opened {
-            Ok(handle) => handle,
-            Err(never) => match never {},
+        let pool = &self.shared.pool;
+        if let Some(handle) = pool.get(id.raw()) {
+            return Ok(handle);
         }
-    }
-
-    /// Removes stored set `id`'s pooled handle, if any.
-    pub fn evict_pooled(&self, id: FilterId) {
-        self.shared.pool.remove(PoolKey::Stored(id.raw()));
+        let handle = pool.insert(id.raw(), self.query_id(id)?);
+        if self.shared.store.generation(id).is_err() {
+            // Dropped while it was being opened: `drop_set` may have
+            // cleared the pool before the insert.
+            pool.remove(id.raw());
+        }
+        Ok(handle)
     }
 
     /// Drops every pooled handle, so the next queries open cold ones —
@@ -566,30 +554,35 @@ impl ShardedBstSystem {
     /// a crossbeam worker pool (`threads` workers; 0 = one per CPU,
     /// capped at the `shards × filters` cell count — so a low-shard
     /// engine still spreads a wide batch across every requested worker).
-    /// Each filter's handle comes from the engine's warm-handle pool
-    /// ([`Self::pooled_query`]). Phase 1 weighs every (shard, filter)
-    /// cell — an O(1) memo read on a warm handle, a count on a cold one
-    /// (one index pass under the sound default); the gather step picks one shard per filter
-    /// proportionally to the weights; phase 2 then samples **only the
-    /// chosen cells**, on the same handles — ~S× less sampling work than
-    /// sampling speculatively on every shard. Results align with
-    /// `filters`; per-cell RNG seeding keeps the output deterministic for
-    /// a fixed `seed` regardless of `threads`, and bit-identical whether
-    /// the handles were warm or cold.
+    /// Each filter gets a detached handle ([`Self::query`]) for the life
+    /// of the batch and is never pooled: an ad-hoc filter is the one-shot
+    /// case. Phase 1 weighs every (shard, filter) cell — a count on the
+    /// cold handle (one index pass under the sound default); the gather
+    /// step picks one shard per filter proportionally to the weights;
+    /// phase 2 then samples **only the chosen cells**, on the same
+    /// handles — ~S× less sampling work than sampling speculatively on
+    /// every shard. Results align with `filters`; per-cell RNG seeding
+    /// keeps the output deterministic for a fixed `seed` regardless of
+    /// `threads`.
     pub fn query_batch(
         &self,
         filters: &[BloomFilter],
         seed: u64,
         threads: usize,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        let handles: Vec<_> = filters.iter().map(|f| Ok(self.pooled_query(f))).collect();
+        let handles: Vec<_> = filters
+            .iter()
+            .map(|f| Ok(Arc::new(self.query(f))))
+            .collect();
         self.scatter_gather(&handles, seed, threads)
     }
 
     /// [`Self::query_batch`] addressed by sharded store id, on the
-    /// pooled handles of [`Self::pooled_query_id`]. An unknown/dropped id
-    /// yields `Err(UnknownFilterId)` for its slot without failing the
-    /// rest of the batch.
+    /// pooled handles of [`Self::pooled_query_id`]: phase 1 is an O(1)
+    /// memo read on a warm handle, and results are bit-identical whether
+    /// the handles were warm or cold. An unknown/dropped id yields
+    /// `Err(UnknownFilterId)` for its slot without failing the rest of
+    /// the batch.
     pub fn query_batch_ids(
         &self,
         ids: &[FilterId],
@@ -597,13 +590,7 @@ impl ShardedBstSystem {
         threads: usize,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
         let handles: Vec<_> = ids.iter().map(|&id| self.pooled_query_id(id)).collect();
-        let (results, stats) = self.scatter_gather(&handles, seed, threads);
-        for (&id, result) in ids.iter().zip(&results) {
-            if matches!(result, Err(BstError::UnknownFilterId(_))) {
-                self.evict_pooled(id);
-            }
-        }
-        (results, stats)
+        self.scatter_gather(&handles, seed, threads)
     }
 
     /// The shared **two-phase** scatter behind both batch entry points,
@@ -1401,19 +1388,22 @@ mod tests {
     #[test]
     fn warm_repeated_batch_skips_phase_one() {
         let sys = engine(4);
-        let filters: Vec<BloomFilter> = (0..8)
-            .map(|i| sys.store((0..60u64).map(|j| (i * 997 + j * 13) % 8_192)))
+        let ids: Vec<FilterId> = (0..8)
+            .map(|i| {
+                sys.create((0..60u64).map(|j| (i * 997 + j * 13) % 8_192))
+                    .expect("create")
+            })
             .collect();
-        let (r1, cold_stats) = sys.query_batch(&filters, 11, 2);
+        let (r1, cold_stats) = sys.query_batch_ids(&ids, 11, 2);
         let after_cold = sys.handle_pool_stats();
         assert_eq!(after_cold.hits, 0, "first batch opens every handle");
-        assert_eq!(after_cold.misses, filters.len() as u64);
-        assert_eq!(after_cold.handles, filters.len());
-        let (r2, warm_stats) = sys.query_batch(&filters, 11, 2);
+        assert_eq!(after_cold.misses, ids.len() as u64);
+        assert_eq!(after_cold.handles, ids.len());
+        let (r2, warm_stats) = sys.query_batch_ids(&ids, 11, 2);
         let after_warm = sys.handle_pool_stats();
         assert_eq!(r1, r2, "warm handles must not change results");
         assert_eq!(after_warm.misses, after_cold.misses, "no new opens");
-        assert_eq!(after_warm.hits, filters.len() as u64);
+        assert_eq!(after_warm.hits, ids.len() as u64);
         assert!(
             warm_stats.total_ops() < cold_stats.total_ops() / 2,
             "a warm batch skips the phase-1 weighing ({} vs {})",
@@ -1448,8 +1438,8 @@ mod tests {
         let (cold_i, _) = sys.query_batch_ids(&ids, 9, 2);
         assert_eq!(
             sys.handle_pool_stats().misses - misses,
-            (filters.len() + ids.len()) as u64,
-            "every handle reopened"
+            ids.len() as u64,
+            "every stored handle reopened"
         );
         for (warm, cold) in [(&warm_f, &cold_f), (&warm_f2, &cold_f)] {
             assert_eq!(warm, cold);
@@ -1501,16 +1491,19 @@ mod tests {
             .seed(9)
             .occupied((0..8_192u64).step_by(2))
             .build();
-        let filters: Vec<BloomFilter> = (0..4)
-            .map(|i| sys.store((0..60u64).map(|j| (i * 997 + j * 26) % 8_192)))
+        let ids: Vec<FilterId> = (0..4)
+            .map(|i| {
+                sys.create((0..60u64).map(|j| (i * 997 + j * 26) % 8_192))
+                    .expect("create")
+            })
             .collect();
-        let (_, cold) = sys.query_batch(&filters, 13, 2);
+        let (_, cold) = sys.query_batch_ids(&ids, 13, 2);
         // Toggle an odd id: the owning shard's tree generation moves by
         // 2 and the journal covers the gap, so the pooled handles repair
         // their memos instead of re-weighing.
         sys.insert_occupied(4_097).expect("insert");
         sys.remove_occupied(4_097).expect("remove");
-        let (r, repaired) = sys.query_batch(&filters, 13, 2);
+        let (r, repaired) = sys.query_batch_ids(&ids, 13, 2);
         assert!(
             repaired.intersections < cold.intersections / 2,
             "no cell re-walks ({} vs {})",
@@ -1519,7 +1512,7 @@ mod tests {
         );
         // Repaired weights must equal recomputed ones.
         sys.clear_handle_pool();
-        let (fresh, _) = sys.query_batch(&filters, 13, 2);
+        let (fresh, _) = sys.query_batch_ids(&ids, 13, 2);
         assert_eq!(r, fresh);
     }
 
@@ -1533,8 +1526,8 @@ mod tests {
         sys.query_batch_ids(&[id], 5, 2);
         sys.query_batch(std::slice::from_ref(&filter), 5, 2);
         let stored = sys.pooled_query_id(id).expect("pooled");
-        let adhoc = sys.pooled_query(&filter);
-        assert_eq!(sys.handle_pool_stats().handles, 2);
+        let adhoc = sys.query(&filter);
+        assert_eq!(sys.handle_pool_stats().handles, 1, "ad-hoc is not pooled");
         for (shard, sys_shard) in sys.shard_systems().iter().enumerate() {
             assert_eq!(
                 stored.shard_handles()[shard].live_weight(),
@@ -1549,12 +1542,12 @@ mod tests {
         }
         // Dropping the set removes its pooled handle.
         sys.drop_set(id).expect("drop");
-        assert_eq!(sys.handle_pool_stats().handles, 1);
+        assert_eq!(sys.handle_pool_stats().handles, 0);
         assert_eq!(
             sys.pooled_query_id(id).err(),
             Some(BstError::UnknownFilterId(id))
         );
-        assert_eq!(sys.handle_pool_stats().handles, 1, "errors are not pooled");
+        assert_eq!(sys.handle_pool_stats().handles, 0, "errors are not pooled");
     }
 
     #[test]
@@ -1566,10 +1559,13 @@ mod tests {
         let ring = std::sync::Arc::new(RingRecorder::new(64));
         sys.set_recorder(Some(ring.clone()));
 
-        let filters: Vec<_> = (0..3u64)
-            .map(|f| sys.store((0..80u64).map(move |i| (i * 131 + f * 7) % 8_192)))
+        let ids: Vec<_> = (0..3u64)
+            .map(|f| {
+                sys.create((0..80u64).map(move |i| (i * 131 + f * 7) % 8_192))
+                    .expect("create")
+            })
             .collect();
-        let (results, _) = sys.query_batch(&filters, 5, 2);
+        let (results, _) = sys.query_batch_ids(&ids, 5, 2);
         assert!(results.iter().all(|r| r.is_ok()));
 
         assert_eq!(obs.batches.get(), 1);
@@ -1600,7 +1596,7 @@ mod tests {
         // Warm repeat: every weight is a memo read on a pooled handle,
         // but the phase histogram still records the (near-zero) phase
         // time and the batch counter advances.
-        let (results, _) = sys.query_batch(&filters, 6, 2);
+        let (results, _) = sys.query_batch_ids(&ids, 6, 2);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(obs.batches.get(), 2);
         assert_eq!(obs.weigh_us.count(), 2);
@@ -1613,7 +1609,7 @@ mod tests {
         sys.set_recorder(None);
         sys.set_batch_obs(None);
         let before = ring.recorded_total();
-        let _ = sys.query_batch(&filters, 7, 2);
+        let _ = sys.query_batch_ids(&ids, 7, 2);
         assert_eq!(ring.recorded_total(), before);
         assert_eq!(obs.batches.get(), 2);
     }

@@ -101,8 +101,9 @@ fn materialize(raw: &[(u32, u64)], namespace: u64) -> Vec<Op> {
                 ));
             }
             2 if sets > 0 => {
-                // Insert-then-remove, so the counting filter never
-                // underflows regardless of the set's prior contents.
+                // Insert-then-remove, so the remove always finds the
+                // key (a remove of an absent key is skipped) whatever
+                // the set held before.
                 ops.push(Op::InsertKeys((*x as usize) % sets, vec![key]));
                 ops.push(Op::RemoveKeys((*x as usize) % sets, vec![key]));
             }

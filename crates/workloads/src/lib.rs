@@ -9,7 +9,6 @@
 //!   (§8.1, 256 hypothetical leaves);
 //! * [`social`] — the synthetic Twitter-like stream substituting the
 //!   paper's proprietary crawl;
-//! * [`zipf`] — rejection-inversion Zipf sampling;
 //! * [`fenwick`], [`skipset`], [`sampling`] — the data-structure substrate
 //!   (prefix-sum trees, nearest-free-neighbour skips, distinct sampling,
 //!   alias tables).
@@ -42,9 +41,7 @@ pub mod querysets;
 pub mod sampling;
 pub mod skipset;
 pub mod social;
-pub mod zipf;
 
 pub use occupancy::OccupiedRanges;
 pub use querysets::{clustered_set, uniform_set};
 pub use social::{SocialConfig, SocialStream};
-pub use zipf::Zipf;
