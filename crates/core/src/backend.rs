@@ -66,8 +66,9 @@ pub struct PrunedBackend {
 pub enum TreeBackend {
     /// The complete [`BloomSampleTree`] over the whole namespace.
     Dense(BloomSampleTree),
-    /// The occupancy-aware, lock-wrapped [`PrunedBloomSampleTree`].
-    Pruned(PrunedBackend),
+    /// The occupancy-aware, lock-wrapped [`PrunedBloomSampleTree`],
+    /// boxed: it is several times the size of the dense variant.
+    Pruned(Box<PrunedBackend>),
 }
 
 impl std::fmt::Debug for TreeBackend {
@@ -96,12 +97,12 @@ impl TreeBackend {
     /// so generation gaps index directly into the tree's mutation
     /// journal for cache repair and stamps never alias across a reload.
     pub fn pruned(tree: PrunedBloomSampleTree) -> Self {
-        TreeBackend::Pruned(PrunedBackend {
+        TreeBackend::Pruned(Box::new(PrunedBackend {
             plan: tree.plan().clone(),
             hasher: Arc::clone(tree.hasher()),
             generation: AtomicU64::new(tree.version()),
             tree: RwLock::new(tree),
-        })
+        }))
     }
 
     /// The plan the backend was built from.

@@ -13,7 +13,7 @@
 //!
 //! Layout: a CSR over **buckets** of bit positions. Bucket `b` covers the
 //! positions `[b << shift, (b + 1) << shift)` and lists the occupied ids
-//! whose first probe lands in it, ascending, each with its probe row.
+//! whose first probe lands in it, ascending, each with its stored probes.
 //! Buckets are one bit wide (`shift = 0`) whenever the occupied ids
 //! outnumber `m`; otherwise the width is the narrowest power of two that
 //! keeps the bucket count at most the id count ([`shift_for`]), so the
@@ -21,6 +21,13 @@
 //! entries' first probe set, so it stores only the other `k − 1` probes;
 //! a wider bucket stores all `k`. The offsets are `u32`, so an index
 //! holds fewer than 2³² ids.
+//!
+//! The entries are two parallel arrays laid out for the pass: the
+//! stored probes, which the pass reads for every tested entry, and the
+//! ids, which it reads only for a hit (under 8% of the tested entries in
+//! the service engine's 1,000-key reconstructions). The probes are `u16` when the plan's `m ≤ 2^16` and
+//! `u32` otherwise, so at the service engine (m = 61,865, k = 3) a tested
+//! entry is a 4-byte read.
 //!
 //! The content is a pure function of the occupied ids, so an index kept
 //! in step by [`FirstProbeIndex::insert`]/[`FirstProbeIndex::remove`]
@@ -42,6 +49,93 @@ pub(crate) fn shift_for(m: usize, occupied: usize) -> u32 {
     shift
 }
 
+/// A stored probe: a bit position below the indexed `m`.
+trait Probe: Copy {
+    /// Stores position `q`, which must fit the width.
+    fn from_position(q: u32) -> Self;
+    /// The stored position.
+    fn position(self) -> usize;
+}
+
+impl Probe for u16 {
+    fn from_position(q: u32) -> Self {
+        assert!(q <= u32::from(u16::MAX), "narrow probes need m ≤ 2^16");
+        q as u16
+    }
+
+    fn position(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Probe for u32 {
+    fn from_position(q: u32) -> Self {
+        q
+    }
+
+    fn position(self) -> usize {
+        self as usize
+    }
+}
+
+/// Every entry's stored probes, in entry order: `u16`s when every
+/// position of the plan fits (`m ≤ 2^16`), `u32`s otherwise.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Probes {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl Default for Probes {
+    fn default() -> Self {
+        Probes::Narrow(Vec::new())
+    }
+}
+
+/// Inserts `row` into `probes` before position `at`.
+fn splice_in<P: Probe>(probes: &mut Vec<P>, at: usize, row: &[u32]) {
+    probes.splice(at..at, row.iter().map(|&q| P::from_position(q)));
+}
+
+impl Probes {
+    /// `probes`, all below `m`, as narrow as `m` allows.
+    fn new(m: usize, probes: Vec<u32>) -> Self {
+        if m <= 1 << 16 {
+            Probes::Narrow(probes.into_iter().map(u16::from_position).collect())
+        } else {
+            Probes::Wide(probes)
+        }
+    }
+
+    /// Inserts `row` before position `at`.
+    fn insert(&mut self, at: usize, row: &[u32]) {
+        match self {
+            Probes::Narrow(p) => splice_in(p, at, row),
+            Probes::Wide(p) => splice_in(p, at, row),
+        }
+    }
+
+    /// Drops the probes at `range`.
+    fn remove(&mut self, range: std::ops::Range<usize>) {
+        match self {
+            Probes::Narrow(p) => {
+                p.drain(range);
+            }
+            Probes::Wide(p) => {
+                p.drain(range);
+            }
+        }
+    }
+
+    /// Bytes of the stored probes.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Probes::Narrow(p) => std::mem::size_of_val(p.as_slice()),
+            Probes::Wide(p) => std::mem::size_of_val(p.as_slice()),
+        }
+    }
+}
+
 /// The first-probe index (see the module docs).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct FirstProbeIndex {
@@ -52,12 +146,12 @@ pub(crate) struct FirstProbeIndex {
     /// CSR offsets, one more than there are buckets: bucket `b`'s
     /// entries are `offsets[b]..offsets[b + 1]`.
     offsets: Vec<u32>,
-    /// The entries, [`Self::width`] `u32`s each and ascending by id
-    /// within a bucket: the id (low word, high word), then its probes —
-    /// the row without its first probe for one-bit buckets, the whole
-    /// row otherwise. An entry is one contiguous read (16 bytes at
-    /// `k = 3`) rather than one read per array.
-    entries: Vec<u32>,
+    /// Entry `e`'s stored probes are `probes[e × s..(e + 1) × s]`, with
+    /// `s` = [`Self::stored`]: the row without its first probe for
+    /// one-bit buckets, the whole row otherwise.
+    probes: Probes,
+    /// Entry `e`'s id, ascending within a bucket.
+    ids: Vec<u64>,
 }
 
 impl FirstProbeIndex {
@@ -76,10 +170,11 @@ impl FirstProbeIndex {
             k,
             shift,
             offsets: vec![0; buckets + 1],
-            entries: Vec::new(),
+            probes: Probes::default(),
+            ids: vec![0; occupied],
         };
-        let width = index.width();
-        index.entries = vec![0; occupied * width];
+        let (skip, stored) = (index.skip(), index.stored());
+        let mut probes = vec![0; occupied * stored];
         let rows = || {
             leaves
                 .iter()
@@ -99,8 +194,10 @@ impl FirstProbeIndex {
             let b = index.bucket(row);
             let at = next[b] as usize;
             next[b] += 1;
-            index.write_entry(at, id, row);
+            index.ids[at] = id;
+            probes[at * stored..(at + 1) * stored].copy_from_slice(&row[skip..]);
         }
+        index.probes = Probes::new(m, probes);
         index
     }
 
@@ -115,9 +212,9 @@ impl FirstProbeIndex {
         usize::from(self.shift == 0)
     }
 
-    /// `u32`s per entry: two for the id, then the stored probes.
-    fn width(&self) -> usize {
-        2 + self.k - self.skip()
+    /// Probes stored per entry.
+    fn stored(&self) -> usize {
+        self.k - self.skip()
     }
 
     /// The bucket of a probe row's first probe.
@@ -125,37 +222,13 @@ impl FirstProbeIndex {
         (row[0] >> self.shift) as usize
     }
 
-    /// The id of entry `at`.
-    fn id(&self, at: usize) -> u64 {
-        let e = at * self.width();
-        u64::from(self.entries[e]) | u64::from(self.entries[e + 1]) << 32
-    }
-
-    /// Fills entry `at` (already allocated) with `id` and its row.
-    fn write_entry(&mut self, at: usize, id: u64, row: &[u32]) {
-        let (skip, width) = (self.skip(), self.width());
-        let entry = &mut self.entries[at * width..(at + 1) * width];
-        entry[0] = id as u32;
-        entry[1] = (id >> 32) as u32;
-        entry[2..].copy_from_slice(&row[skip..]);
-    }
-
     /// Where `id` sits, or would sit, in its bucket: `Ok` at an entry
     /// holding it, `Err` at the insertion point.
     fn locate(&self, id: u64, row: &[u32]) -> (usize, Result<usize, usize>) {
         let b = self.bucket(row);
-        let (mut lo, mut hi) = (self.offsets[b] as usize, self.offsets[b + 1] as usize);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.id(mid) < id {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let at = lo;
-        let found = at < self.offsets[b + 1] as usize && self.id(at) == id;
-        (b, if found { Ok(at) } else { Err(at) })
+        let (lo, hi) = (self.offsets[b] as usize, self.offsets[b + 1] as usize);
+        let found = self.ids[lo..hi].binary_search(&id);
+        (b, found.map(|i| lo + i).map_err(|i| lo + i))
     }
 
     /// Adds a newly occupied id with its probe row; the caller keeps the
@@ -164,10 +237,8 @@ impl FirstProbeIndex {
         let (b, found) = self.locate(id, row);
         debug_assert!(found.is_err(), "id {id} already indexed");
         let Err(at) = found else { return };
-        let width = self.width();
-        let gap = std::iter::repeat_n(0, width);
-        self.entries.splice(at * width..at * width, gap);
-        self.write_entry(at, id, row);
+        self.ids.insert(at, id);
+        self.probes.insert(at * self.stored(), &row[self.skip()..]);
         for offset in &mut self.offsets[b + 1..] {
             *offset += 1;
         }
@@ -179,8 +250,9 @@ impl FirstProbeIndex {
         let (b, found) = self.locate(id, row);
         debug_assert!(found.is_ok(), "id {id} not indexed");
         let Ok(at) = found else { return };
-        let width = self.width();
-        self.entries.drain(at * width..(at + 1) * width);
+        let stored = self.stored();
+        self.ids.remove(at);
+        self.probes.remove(at * stored..(at + 1) * stored);
         for offset in &mut self.offsets[b + 1..] {
             *offset -= 1;
         }
@@ -190,8 +262,18 @@ impl FirstProbeIndex {
     /// each and calls `hit` for every entry whose probes are all set in
     /// `bits`, bucket by bucket. Returns the number of entries tested.
     /// `bits` must span the indexed `m` positions.
-    pub(crate) fn for_each_member(&self, bits: &BitVec, mut hit: impl FnMut(u64)) -> u64 {
-        let width = self.width();
+    pub(crate) fn for_each_member(&self, bits: &BitVec, hit: impl FnMut(u64)) -> u64 {
+        match &self.probes {
+            Probes::Narrow(probes) => self.pass(probes, bits, hit),
+            Probes::Wide(probes) => self.pass(probes, bits, hit),
+        }
+    }
+
+    /// [`Self::for_each_member`] over the probes at their width. A
+    /// tested entry reads only its stored probes; its id is read on a
+    /// hit.
+    fn pass<P: Probe>(&self, probes: &[P], bits: &BitVec, mut hit: impl FnMut(u64)) -> u64 {
+        let stored = self.stored();
         let mut tested = 0u64;
         let mut last = usize::MAX;
         for p in bits.iter_ones() {
@@ -202,18 +284,22 @@ impl FirstProbeIndex {
             last = b;
             let (lo, hi) = (self.offsets[b] as usize, self.offsets[b + 1] as usize);
             tested += (hi - lo) as u64;
-            for entry in self.entries[lo * width..hi * width].chunks_exact(width) {
-                if entry[2..].iter().all(|&q| bits.get(q as usize)) {
-                    hit(u64::from(entry[0]) | u64::from(entry[1]) << 32);
+            for at in lo..hi {
+                let row = &probes[at * stored..(at + 1) * stored];
+                if row.iter().all(|q| bits.get(q.position())) {
+                    hit(self.ids[at]);
                 }
             }
         }
         tested
     }
 
-    /// Heap bytes: `4` per offset plus `8 + 4 × stored probes` per id.
+    /// Heap bytes: `4` per offset plus, per id, `8` and its stored
+    /// probes at `2` bytes each when `m ≤ 2^16`, `4` otherwise.
     pub(crate) fn heap_bytes(&self) -> usize {
-        (self.offsets.len() + self.entries.len()) * std::mem::size_of::<u32>()
+        std::mem::size_of_val(self.offsets.as_slice())
+            + std::mem::size_of_val(self.ids.as_slice())
+            + self.probes.heap_bytes()
     }
 }
 
@@ -264,7 +350,7 @@ mod tests {
         kept.insert(2, &rows[1].1);
         kept.insert(5, &rows[4].1);
         assert_eq!(kept, full);
-        assert_eq!(full.heap_bytes(), 5 * 4 + 6 * 8 + 6 * 2 * 4);
+        assert_eq!(full.heap_bytes(), 5 * 4 + 6 * 8 + 6 * 2 * 2);
     }
 
     #[test]
@@ -295,5 +381,105 @@ mod tests {
         assert_eq!(got, expect);
         let first_set = rows.iter().filter(|(_, r)| bits.get(r[0] as usize));
         assert_eq!(tested, first_set.count() as u64);
+    }
+
+    /// The SplitMix64 finaliser.
+    fn mix(v: u64) -> u64 {
+        let v = (v ^ v >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let v = (v ^ v >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+        v ^ v >> 31
+    }
+
+    /// `n` ids (every third number) with pseudo-random rows of `k`
+    /// probes over `m` bits; every 61st id has its first probe at
+    /// `m − 1`, and every 67th its last.
+    fn spread_rows(m: usize, k: usize, n: u64) -> Vec<(u64, Vec<u32>)> {
+        (0..n)
+            .map(|x| {
+                let mut row: Vec<u32> = (0..k as u64)
+                    .map(|j| (mix(x << 3 | j) % m as u64) as u32)
+                    .collect();
+                if x.is_multiple_of(61) {
+                    row[0] = m as u32 - 1;
+                }
+                if x.is_multiple_of(67) {
+                    row[k - 1] = m as u32 - 1;
+                }
+                (3 * x, row)
+            })
+            .collect()
+    }
+
+    /// At `m` bits, `k` probes and `n` ids: the probes take the width
+    /// `narrow` names, the pass equals the table test, and removing and
+    /// re-inserting every 101st id equals a rebuild.
+    fn check_width(m: usize, k: usize, n: u64, narrow: bool) {
+        let rows = spread_rows(m, k, n);
+        let build = |keep: &dyn Fn(u64) -> bool| {
+            let kept: Vec<&(u64, Vec<u32>)> = rows.iter().filter(|(x, _)| keep(*x)).collect();
+            let ids: Vec<u64> = kept.iter().map(|(x, _)| *x).collect();
+            let table: Vec<u32> = kept.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+            FirstProbeIndex::build(m, k, &[(&ids, &table)])
+        };
+        let full = build(&|_| true);
+        assert_eq!(matches!(full.probes, Probes::Narrow(_)), narrow, "m = {m}");
+        for sparsity in [2u64, 4] {
+            let mut bits = BitVec::new(m);
+            bits.set(m - 1);
+            for p in 0..m as u64 {
+                if mix(!p) >> 60 < 16 / sparsity {
+                    bits.set(p as usize);
+                }
+            }
+            let expect: Vec<u64> = rows
+                .iter()
+                .filter(|(_, r)| r.iter().all(|&p| bits.get(p as usize)))
+                .map(|(x, _)| *x)
+                .collect();
+            assert!(
+                expect.len() > 10,
+                "m = {m}, k = {k}, n = {n}: {} hits",
+                expect.len()
+            );
+            let mut got = Vec::new();
+            let tested = full.for_each_member(&bits, |x| got.push(x));
+            got.sort_unstable();
+            assert_eq!(got, expect, "m = {m}, k = {k}, n = {n}");
+            let shift = full.shift();
+            let live: std::collections::HashSet<usize> =
+                bits.iter_ones().map(|p| p >> shift).collect();
+            let first_live = rows
+                .iter()
+                .filter(|(_, r)| live.contains(&((r[0] >> shift) as usize)));
+            assert_eq!(tested, first_live.count() as u64);
+        }
+        let gone = |x: u64| x.is_multiple_of(303);
+        let mut kept = full.clone();
+        for (x, row) in rows.iter().filter(|(x, _)| gone(*x)) {
+            kept.remove(*x, row);
+        }
+        let rebuilt = build(&|x| !gone(x));
+        assert_eq!(rebuilt.shift(), full.shift(), "the removals keep the width");
+        assert_eq!(kept, rebuilt);
+        for (x, row) in rows.iter().rev().filter(|(x, _)| gone(*x)) {
+            kept.insert(*x, row);
+        }
+        assert_eq!(kept, full);
+    }
+
+    #[test]
+    fn narrow_probes_reach_the_last_position() {
+        // One-bit buckets (more ids than bits) and wider ones; k = 1 at
+        // one-bit buckets stores no probe at all.
+        for k in [1, 3] {
+            check_width(1 << 16, k, 80_000, true);
+        }
+        check_width(1 << 16, 3, 3_000, true);
+    }
+
+    #[test]
+    fn wide_probes_past_two_to_the_sixteen() {
+        check_width((1 << 16) + 1, 3, 80_000, false);
+        check_width((1 << 16) + 1, 3, 3_000, false);
     }
 }

@@ -580,9 +580,9 @@ impl PrunedBloomSampleTree {
 
     /// Heap bytes including the leaves' occupied-id lists and probe
     /// tables, `ids × (8 + 4k)` bytes on top of the filters, and the
-    /// first-probe index: `ids × (8 + 4(k − 1))` bytes plus 4 per bucket
-    /// when buckets are one bit wide, `ids × (8 + 4k)` plus 4 per bucket
-    /// otherwise.
+    /// first-probe index: 4 bytes per bucket plus `ids × (8 + w(k − 1))`
+    /// when buckets are one bit wide, `ids × (8 + wk)` otherwise, where
+    /// a stored probe takes `w` = 2 bytes when `m ≤ 2^16` and 4 above.
     pub fn memory_bytes_with_ids(&self) -> usize {
         self.memory_bytes()
             + self.index.heap_bytes()
@@ -946,12 +946,12 @@ mod tests {
         let dense = PrunedBloomSampleTree::build(&p, &occupied());
         assert!(sparse.memory_bytes() < dense.memory_bytes());
         assert!(dense.memory_bytes_with_ids() > dense.memory_bytes());
-        // The ids and tables take 650 × (8 + 4·3) bytes; the index as
-        // much again plus its offsets: 650 ids over m = 2^15 bits make
-        // 2^9 buckets of 64 bits (513 offsets), and buckets wider than
-        // one bit keep all k probes.
+        // The ids and tables take 650 × (8 + 4·3) bytes; the index its
+        // offsets, the ids and their probes: 650 ids over m = 2^15 bits
+        // make 2^9 buckets of 64 bits (513 offsets), buckets wider than
+        // one bit keep all k probes, and m ≤ 2^16 stores them as u16.
         let ids_and_tables = 650 * (8 + 4 * 3);
-        let index = 513 * 4 + 650 * (8 + 4 * 3);
+        let index = 513 * 4 + 650 * (8 + 2 * 3);
         assert_eq!(
             dense.memory_bytes_with_ids(),
             dense.memory_bytes() + ids_and_tables + index
@@ -963,7 +963,7 @@ mod tests {
         let packed = PrunedBloomSampleTree::build(&small, &full_ids);
         assert_eq!(
             packed.memory_bytes_with_ids(),
-            packed.memory_bytes() + 600 * (8 + 4 * 3) + 513 * 4 + 600 * (8 + 4 * 2)
+            packed.memory_bytes() + 600 * (8 + 4 * 3) + 513 * 4 + 600 * (8 + 2 * 2)
         );
         // Both are far below the complete tree.
         let full = BloomSampleTree::build(&p);

@@ -8,9 +8,10 @@
 //! or reconstruction then sums the lists instead of walking; only a
 //! leaf whose hits are all collision-census members has its root path
 //! tested. This suite checks that on sharded engines (Murmur3 and
-//! `DeltaBlocked`, S = 4) and on a small-`m` tree whose buckets hold
-//! many ids and whose collision census is non-empty, for uniform and
-//! §7.1-clustered filters:
+//! `DeltaBlocked`, S = 4, plus a Murmur3 engine whose `m` passes 2^16,
+//! so the index stores its probes as `u32`) and on a small-`m` tree
+//! whose buckets hold many ids and whose collision census is non-empty,
+//! for uniform and §7.1-clustered filters:
 //!
 //! * every materialised leaf's list from the index pass equals its
 //!   table scan;
@@ -48,17 +49,23 @@ struct Case {
 /// shard against a few thousand filter bits, so the index buckets are
 /// one bit wide and the leaves barely prune.
 fn sharded(kind: HashKind) -> Case {
+    sharded_for(kind, SET_SIZE as u64, 0.9, kind.name())
+}
+
+/// [`sharded`] with filters sized for `expected` keys at `accuracy`.
+fn sharded_for(kind: HashKind, expected: u64, accuracy: f64, name: &'static str) -> Case {
     let mut rng = StdRng::seed_from_u64(0x1D_E5);
     let occupied = sample_distinct(&mut rng, 0, NAMESPACE, NAMESPACE as usize / 2);
     let sys = ShardedBstSystem::builder(NAMESPACE)
         .shards(4)
-        .expected_set_size(SET_SIZE as u64)
+        .expected_set_size(expected)
+        .accuracy(accuracy)
         .hash_kind(kind)
         .seed(11)
         .occupied(occupied)
         .build();
     Case {
-        name: kind.name(),
+        name,
         sys,
         namespace: NAMESPACE,
     }
@@ -241,18 +248,19 @@ fn occupancy_exceeds_m(case: &Case) -> Option<bool> {
     above.iter().all(|&a| a == first).then_some(first)
 }
 
-fn run(case: Case) {
-    let size = if case.name == "small-m" { 40 } else { SET_SIZE };
+/// Checks `case` with sets of `size` keys, churns it briefly and
+/// checks it again.
+fn check_across_churn(case: &Case, size: usize) {
     let filters: Vec<BloomFilter> = key_sets(case.namespace, size, 0xF1)
         .into_iter()
         .map(|keys| case.sys.store(keys))
         .collect();
-    let warm = check(&case, &filters);
+    let warm = check(case, &filters);
     // A short run stays inside the mutation journal, so the warm
     // handles are repaired: their full walks refill the mutated leaves
     // by table scans, and must still agree with fresh handles.
-    churn(&case, 96, 12, 0xC4);
-    let fresh = check(&case, &filters);
+    churn(case, 96, 12, 0xC4);
+    let fresh = check(case, &filters);
     for (i, (w, f)) in warm.iter().zip(&fresh).enumerate() {
         assert_eq!(
             answers(w),
@@ -261,6 +269,11 @@ fn run(case: Case) {
             case.name
         );
     }
+}
+
+fn run(case: Case) {
+    let size = if case.name == "small-m" { 40 } else { SET_SIZE };
+    check_across_churn(&case, size);
     // A long run drops the occupancy to about m/4 per shard: the
     // buckets widen.
     assert_eq!(occupancy_exceeds_m(&case), Some(true));
@@ -290,6 +303,19 @@ fn murmur3_engine_index_equals_table_scans() {
 #[test]
 fn blocked_engine_index_equals_table_scans() {
     run(sharded(HashKind::DeltaBlocked));
+}
+
+/// Filters sized for 1,500 keys at accuracy 0.99 take m past 2^16
+/// (70,483 bits), so every shard's index stores its probes as `u32`;
+/// 8,192 ids per shard keep the buckets wider than one bit through the
+/// churn.
+#[test]
+fn wide_probe_engine_index_equals_table_scans() {
+    let case = sharded_for(HashKind::Murmur3, 1_500, 0.99, "wide-probes");
+    let m = case.sys.shard_systems()[0].tree().read().filter(0).m();
+    assert!(m > 1 << 16, "m = {m} fits 16-bit probes");
+    assert_eq!(occupancy_exceeds_m(&case), Some(false));
+    check_across_churn(&case, SET_SIZE);
 }
 
 #[test]
