@@ -4,8 +4,8 @@
 //! from scratch), and a single-tree cold `live_weight` over a fresh handle.
 //! The blocked layout answers each leaf membership probe with one or
 //! two masked word loads instead of k scattered bit reads, which is
-//! where the cold weighing time goes. A third group weighs on the
-//! service benchmark's engine.
+//! where the cold weighing time goes. A third group weighs and batches
+//! on the service benchmark's engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -93,6 +93,11 @@ fn bench_single_cold_weigh(c: &mut Criterion) {
 /// 200-key filters weighed on every shard through fresh handles, on
 /// one thread — phase 1 of a `cold-batch` request without the wire or
 /// the engine's handle pool. `results/cold_weighing.md` splits it.
+/// `service-batch16` runs the whole batch on the same filters:
+/// `query_batch` at `threads = 0` opens a detached handle per filter,
+/// so every call weighs cold (phase 1, on the workers) and draws from
+/// the chosen cells (phase 2, on the calling thread under the sound
+/// default) — a `cold-batch` request without the wire.
 fn bench_service_cold_weigh(c: &mut Criterion) {
     let namespace = 1u64 << 20;
     // A seeded quarter of the namespace: every id kept with odds 1/4.
@@ -136,6 +141,17 @@ fn bench_service_cold_weigh(c: &mut Criterion) {
                         }
                     }
                     total
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("service-batch16", kind.name()),
+            &filters,
+            |b, filters| {
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed = seed.wrapping_add(1);
+                    engine.query_batch(filters, seed, 0)
                 })
             },
         );

@@ -12,6 +12,13 @@
 //! magic "BSBF" | version u8 | kind u8 | k u16 | m u64
 //! | namespace u64 | seed u64 | word count u64 | words [u64]
 //! ```
+//!
+//! The encoding is canonical: [`decode`] accepts exactly the bytes
+//! [`encode`] writes, so an accepted input re-encodes to itself. The
+//! namespace field is 1 for the families that ignore it (Murmur3, MD5,
+//! DeltaBlocked) and at least 1 for the affine family; their seed fits
+//! in 32 bits where the family keeps 32; no bit at or past `m` is set;
+//! nothing follows the words.
 
 use std::sync::Arc;
 
@@ -41,6 +48,10 @@ pub enum CodecError {
     /// Header parameters outside the representable range (`k` not in
     /// `1..=MAX_K`, or `m` too small to hash into).
     BadParams(&'static str),
+    /// Input [`encode`] would not write back: a namespace or seed field
+    /// the family does not keep as written, a bit set at or past `m`, or
+    /// bytes after the words. The string names the field.
+    NonCanonical(&'static str),
 }
 
 impl std::fmt::Display for CodecError {
@@ -52,6 +63,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadKind(k) => write!(f, "unknown hash kind tag {k}"),
             CodecError::BadLength => write!(f, "word payload length mismatch"),
             CodecError::BadParams(what) => write!(f, "header parameters invalid: {what}"),
+            CodecError::NonCanonical(what) => write!(f, "non-canonical encoding: {what}"),
         }
     }
 }
@@ -106,13 +118,40 @@ pub fn check_params(
     Ok(())
 }
 
+/// Header bytes before the words.
+const HEADER_LEN: usize = 4 + 1 + 1 + 2 + 8 * 4;
+
+/// Appends `words` little-endian in one pass: the buffer grows once,
+/// then each word is stored into its 8-byte slot.
+pub fn put_u64s(buf: &mut BytesMut, words: &[u64]) {
+    let start = buf.len();
+    buf.resize(start + words.len() * 8, 0);
+    for (slot, w) in buf[start..].chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// The little-endian words of `bytes` in one pass and one allocation;
+/// a trailing partial word is ignored. The caller checks the length
+/// before handing over a slice sized from decoded input.
+pub fn le_u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(c);
+            u64::from_le_bytes(w)
+        })
+        .collect()
+}
+
 /// Serializes `filter` into a compact byte buffer.
 pub fn encode(filter: &BloomFilter) -> Bytes {
     let h = filter.hasher();
     let namespace = h.namespace().unwrap_or(1);
     let seed = h.seed();
     let words = filter.bits().words();
-    let mut buf = BytesMut::with_capacity(4 + 1 + 1 + 2 + 8 * 4 + words.len() * 8);
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + words.len() * 8);
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(kind_tag(h.kind()));
@@ -121,16 +160,15 @@ pub fn encode(filter: &BloomFilter) -> Bytes {
     buf.put_u64_le(namespace);
     buf.put_u64_le(seed);
     buf.put_u64_le(words.len() as u64);
-    for &w in words {
-        buf.put_u64_le(w);
-    }
+    put_u64s(&mut buf, words);
     buf.freeze()
 }
 
 /// Decodes a filter previously produced by [`encode`], rebuilding the hash
-/// family deterministically from the header.
+/// family deterministically from the header. Only canonical input is
+/// accepted (see the module docs), so `encode(decode(x)?) == x`.
 pub fn decode(mut input: &[u8]) -> Result<BloomFilter, CodecError> {
-    if input.len() < 4 + 1 + 1 + 2 + 8 * 4 {
+    if input.len() < HEADER_LEN {
         return Err(CodecError::Truncated);
     }
     let mut magic = [0u8; 4];
@@ -148,6 +186,18 @@ pub fn decode(mut input: &[u8]) -> Result<BloomFilter, CodecError> {
     let namespace = input.get_u64_le();
     check_params(kind, k, m, namespace).map_err(CodecError::BadParams)?;
     let seed = input.get_u64_le();
+    let (canonical_namespace, max_seed) = match kind {
+        HashKind::Simple => (namespace >= 1, u64::MAX),
+        HashKind::Murmur3 | HashKind::Md5 | HashKind::DeltaBlocked => {
+            (namespace == 1, u64::from(u32::MAX))
+        }
+    };
+    if !canonical_namespace {
+        return Err(CodecError::NonCanonical("namespace field"));
+    }
+    if seed > max_seed {
+        return Err(CodecError::NonCanonical("seed above the family's 32 bits"));
+    }
     let n_words = input.get_u64_le() as usize;
     // Validate the claimed word count against `m` *before* sizing any
     // allocation from it: `m.div_ceil(64)` fits in usize/8, so the
@@ -158,12 +208,16 @@ pub fn decode(mut input: &[u8]) -> Result<BloomFilter, CodecError> {
     if input.remaining() < n_words * 8 {
         return Err(CodecError::BadLength);
     }
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(input.get_u64_le());
+    if input.remaining() > n_words * 8 {
+        return Err(CodecError::NonCanonical("bytes after the words"));
+    }
+    let words = le_u64s(input);
+    let tail_bits = m % 64;
+    if tail_bits != 0 && words.last().is_some_and(|&w| w >> tail_bits != 0) {
+        return Err(CodecError::NonCanonical("bit set at or past m"));
     }
     let bits = BitVec::from_words(words, m);
-    let hasher = Arc::new(BloomHasher::new(kind, k, m, namespace.max(1), seed));
+    let hasher = Arc::new(BloomHasher::new(kind, k, m, namespace, seed));
     Ok(BloomFilter::from_parts(bits, hasher))
 }
 
@@ -258,6 +312,41 @@ mod tests {
         assert_eq!(at(LARGEST_U64_PRIME), Ok(()));
         for namespace in [LARGEST_U64_PRIME + 1, u64::MAX] {
             assert!(matches!(at(namespace), Err(CodecError::BadParams(_))));
+        }
+    }
+
+    #[test]
+    fn rejects_what_encode_would_not_write() {
+        // m = 1234 leaves 46 bits of the last word past m.
+        for kind in HashKind::ALL {
+            let mut f = BloomFilter::with_params(kind, 3, 1234, 50_000, 77);
+            f.insert(42);
+            let plain = encode(&f).to_vec();
+            assert!(decode(&plain).is_ok(), "{kind}");
+            let non_canonical = |v: &[u8]| matches!(decode(v), Err(CodecError::NonCanonical(_)));
+            let mut trailing = plain.clone();
+            trailing.push(0);
+            assert!(non_canonical(&trailing), "{kind}: trailing byte");
+            let mut stray = plain.clone();
+            let last = stray.len() - 1;
+            stray[last] |= 0x80;
+            assert!(non_canonical(&stray), "{kind}: bit past m");
+            // namespace u64 at 16..24, seed u64 at 24..32 (LE).
+            let mut namespace = plain.clone();
+            let other = if kind == HashKind::Simple {
+                0u64
+            } else {
+                50_000
+            };
+            namespace[16..24].copy_from_slice(&other.to_le_bytes());
+            assert!(non_canonical(&namespace), "{kind}: namespace field");
+            let mut seed = plain;
+            seed[24..32].copy_from_slice(&(77u64 | 1 << 40).to_le_bytes());
+            assert_eq!(
+                non_canonical(&seed),
+                kind != HashKind::Simple,
+                "{kind}: seed above 32 bits"
+            );
         }
     }
 

@@ -363,6 +363,39 @@ proptest! {
     }
 
     #[test]
+    fn codec_accepts_only_what_it_writes(
+        kind in prop_oneof![arb_kind(), Just(HashKind::DeltaBlocked)],
+        keys in prop::collection::vec(0u64..20_000, 0..60),
+        m in 512usize..3000,
+        seed in any::<u64>(),
+        header_pos in 0usize..48,
+        any_pos in any::<usize>(),
+        edit in 0u64..256,
+        appended in 0u64..256,
+    ) {
+        let mut f = BloomFilter::with_params(kind, 3, m, 20_000, seed);
+        for &k in &keys {
+            f.insert(k);
+        }
+        let valid = bst_bloom::codec::encode(&f).to_vec();
+        let edited = |pos: usize| {
+            let mut v = valid.clone();
+            v[pos % valid.len()] = edit as u8;
+            v
+        };
+        let mut longer = valid.clone();
+        longer.push(appended as u8);
+        prop_assert!(bst_bloom::codec::decode(&valid).is_ok());
+        prop_assert!(bst_bloom::codec::decode(&longer).is_err());
+        // Every accepted input, edited or not, re-encodes to itself.
+        for x in [valid.clone(), edited(header_pos), edited(any_pos), longer] {
+            if let Ok(g) = bst_bloom::codec::decode(&x) {
+                prop_assert_eq!(bst_bloom::codec::encode(&g).to_vec(), x);
+            }
+        }
+    }
+
+    #[test]
     fn blocked_codec_rejects_mangled_bytes(
         keys in prop::collection::vec(0u64..20_000, 0..50),
         cut in 0usize..4096,

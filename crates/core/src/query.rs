@@ -329,7 +329,9 @@ impl Query {
         );
     }
 
-    /// Draws one near-uniform sample from the stored set.
+    /// Draws one sample from the stored set: exactly uniform over
+    /// [`Self::reconstruct`]'s output under the sound rule on a pruned
+    /// tree (the sampler's exact path), near-uniform BSTSample otherwise.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<u64, BstError> {
         let span = self.system.tracer().start();
         let view = self.system.tree().read();
@@ -345,8 +347,9 @@ impl Query {
         out
     }
 
-    /// Draws `r` samples in one tree pass (§5.3). May return fewer than
-    /// `r` when descent paths die on false-positive routes.
+    /// Draws `r` samples: `r` exact draws on the sampler's exact path,
+    /// otherwise one tree pass (§5.3), which may return fewer than `r`
+    /// when descent paths die on false-positive routes.
     pub fn sample_many<R: Rng + ?Sized>(
         &self,
         r: usize,

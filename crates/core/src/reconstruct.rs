@@ -50,12 +50,15 @@
 //! count depends on the walk), complete trees (no index), and a
 //! windowed call on a memo that holds no list still walk.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use bst_bloom::estimate::intersection_estimate;
 use bst_bloom::filter::BloomFilter;
 
 use crate::error::BstError;
 use crate::metrics::OpStats;
-use crate::sampler::{Liveness, QueryMemo, DEFAULT_THRESHOLD};
+use crate::sampler::{DrawTable, Liveness, QueryMemo, DEFAULT_THRESHOLD};
 use crate::tree::{NodeId, SampleTree};
 
 /// Reconstruction configuration.
@@ -265,7 +268,10 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             return 0;
         }
         if self.lists_answer(root, query, &window, memo, stats) {
-            return self.read_lists(root, query, &window, memo, stats, visit);
+            let mut emit = |list: &Arc<Vec<u64>>, run: Range<usize>| {
+                list[run].iter().for_each(|&x| visit(x));
+            };
+            return self.read_lists(root, query, &window, memo, stats, &mut emit);
         }
         self.walk(root, query, &window, memo, stats, visit)
     }
@@ -294,17 +300,42 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             && memo.fill_from_index(self.tree, query, stats)
     }
 
+    /// The exact draw table of the full-range sound answer (see the
+    /// sampler's module docs): every leaf's list as [`Self::read_lists`]
+    /// emits it for a count or a reconstruction. `None` when the lists do
+    /// not answer ([`Self::lists_answer`]).
+    pub(crate) fn draw_table(
+        &self,
+        query: &BloomFilter,
+        memo: &mut QueryMemo,
+        stats: &mut OpStats,
+    ) -> Option<DrawTable> {
+        let root = self.tree.root()?;
+        let whole = self.tree.range(root);
+        if !self.lists_answer(root, query, &whole, memo, stats) {
+            return None;
+        }
+        let mut table = DrawTable::default();
+        let mut emit = |list: &Arc<Vec<u64>>, run: Range<usize>| {
+            debug_assert_eq!(run, 0..list.len(), "a full window takes whole lists");
+            table.push(list);
+        };
+        self.read_lists(root, query, &whole, memo, stats, &mut emit);
+        Some(table)
+    }
+
     /// The walk-free traversal: visits every leaf meeting the window,
-    /// left to right, by the tree's links alone, and emits its list cut
-    /// at the window.
-    fn read_lists<F: FnMut(u64)>(
+    /// left to right, by the tree's links alone, and hands `emit` its
+    /// list and the run of it inside the window. Returns the number of
+    /// elements emitted.
+    fn read_lists<F: FnMut(&Arc<Vec<u64>>, Range<usize>)>(
         &self,
         node: NodeId,
         query: &BloomFilter,
-        window: &std::ops::Range<u64>,
+        window: &Range<u64>,
         memo: &mut QueryMemo,
         stats: &mut OpStats,
-        visit: &mut F,
+        emit: &mut F,
     ) -> usize {
         if self.tree.is_leaf(node) {
             let matches = memo.leaf_matches(self.tree, node, query, false, stats);
@@ -316,7 +347,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             }
             let lo = matches.partition_point(|&x| x < window.start);
             let hi = matches.partition_point(|&x| x < window.end);
-            matches[lo..hi].iter().for_each(|&x| visit(x));
+            emit(&matches, lo..hi);
             return hi - lo;
         }
         let (lc, rc) = self.tree.children(node);
@@ -326,7 +357,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
             if r.end <= window.start || r.start >= window.end {
                 continue;
             }
-            found += self.read_lists(child, query, window, memo, stats, visit);
+            found += self.read_lists(child, query, window, memo, stats, emit);
         }
         found
     }
@@ -366,7 +397,8 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         memo: &mut QueryMemo,
         stats: &mut OpStats,
     ) -> bool {
-        if let Some(&live) = memo.recon_live.get(&child) {
+        let key = (child, self.cfg.liveness == Liveness::BitOverlap);
+        if let Some(&live) = memo.recon_live.get(&key) {
             return live;
         }
         stats.intersections += 1;
@@ -381,7 +413,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
                 est > tau
             }
         };
-        memo.recon_live.insert(child, live);
+        memo.recon_live.insert(key, live);
         live
     }
 

@@ -1,4 +1,6 @@
-//! BSTSample (Algorithm 1) and the one-pass multi-sampler (§5.3).
+//! BSTSample (Algorithm 1), the one-pass multi-sampler (§5.3), and the
+//! exact draw path that replaces both under the sound rule on pruned
+//! trees.
 //!
 //! Traversal: at each internal node, estimate the size of the query's
 //! intersection with each child's filter. Children deemed empty are pruned
@@ -48,6 +50,23 @@
 //! over all positives *regardless of estimate noise*. Expected cost: γ
 //! walks per sample.
 //!
+//! ## Exact draws: the leaves' lists
+//!
+//! Under [`Liveness::BitOverlap`] on a tree that keeps a first-probe
+//! index and a census (every pruned tree), a sound count and a
+//! reconstruction read the leaves' match lists without a walk (see the
+//! `reconstruct` module docs), so the memo already holds every element
+//! a draw can return. There `sample` and `sample_many` draw exactly: the
+//! first draw walks the leaves with the same traversal the count uses
+//! (a census-only leaf counts only when its root path is live) and
+//! keeps the non-empty lists with the prefix sums of their lengths in
+//! the memo; each draw is one `gen_range(0..total)`, one binary search
+//! and one list read. A draw is therefore element `i` of
+//! `reconstruct()`'s output for a uniform `i`, `sample_many(r)` returns
+//! `r` draws, and warm and cold memos consume randomness identically.
+//! The descent estimator and the correction do not apply on this path;
+//! the paper's threshold rule and complete trees keep BSTSample.
+//!
 //! ## Amortization: [`QueryMemo`]
 //!
 //! One tree serves many query filters, and one *filter* is often queried
@@ -71,6 +90,7 @@ use rand::Rng;
 
 use crate::error::BstError;
 use crate::metrics::OpStats;
+use crate::reconstruct::BstReconstructor;
 use crate::tree::{NodeId, SampleTree};
 
 /// Default emptiness threshold τ for the paper's §5.6 pruning rule.
@@ -138,7 +158,8 @@ pub struct SamplerConfig {
 
 impl Default for SamplerConfig {
     /// Sound and fast: bit-overlap liveness, mean-corrected bit-overlap
-    /// descent ratios, no correction.
+    /// descent ratios, no correction (exact draws on pruned trees, where
+    /// the ratio and correction do not apply).
     fn default() -> Self {
         SamplerConfig {
             liveness: Liveness::BitOverlap,
@@ -162,6 +183,8 @@ impl SamplerConfig {
 
     /// Provably near-uniform output (χ²-passing at the paper's Table 5
     /// operating points): defaults plus auto-tuned rejection correction.
+    /// On pruned trees the sound rule draws exactly (module docs), so the
+    /// correction applies to complete trees only.
     pub fn corrected() -> Self {
         SamplerConfig {
             correction: Correction::RejectionAuto,
@@ -235,14 +258,20 @@ pub struct QueryMemo {
     /// for every materialised leaf at once by an index pass, or leaf by
     /// leaf by table scans (see [`QueryMemo::leaf_matches`]).
     leaves: HashMap<NodeId, Arc<Vec<u64>>>,
-    /// Reconstruction liveness per node (the reconstructor's pruning rule
-    /// can differ from the sampler's, so it gets its own map). Filled by
-    /// the walk, and by the root-path tests of a walk-free sound count.
-    pub(crate) recon_live: HashMap<NodeId, bool>,
+    /// Reconstruction liveness per node, keyed by node and by whether the
+    /// rule is the sound one (the reconstructor's pruning rule can differ
+    /// from the sampler's, and the exact draw path tests root paths under
+    /// the sound rule whatever the reconstructor's is). Filled by the
+    /// walk, and by the root-path tests of a walk-free sound count.
+    pub(crate) recon_live: HashMap<(NodeId, bool), bool>,
     /// The full-range live-leaf weight of the last count or full
     /// reconstruction: repeated `live_weight` calls are O(1) until a
     /// replayed mutation drops it.
     pub(crate) cached_count: Option<u64>,
+    /// The exact draw path's prefix sums over the leaves' lists (see the
+    /// module docs): built on the first exact draw, dropped with
+    /// `cached_count`.
+    pub(crate) draws: Option<DrawTable>,
     /// The query's popcount: the estimators' `t₂`, counted once per
     /// memo.
     query_ones: Option<usize>,
@@ -363,9 +392,11 @@ impl QueryMemo {
     /// scan element for element, and patches of one id compose in
     /// journal order. A leaf the memo holds no list for is skipped.
     ///
-    /// The cached count and the corrected sampler's frontier cache
-    /// aggregate over the whole tree, so both are dropped; the next
-    /// count sums the patched lists (under `BitOverlap`) or walks.
+    /// The cached count, the exact draw table and the corrected
+    /// sampler's frontier cache aggregate over the whole tree, so all
+    /// three are dropped (the table first: it shares the lists patched
+    /// below); the next count or exact draw sums the patched lists
+    /// (under `BitOverlap`) or walks.
     ///
     /// Nodes unlinked by removals keep stale entries, but they are
     /// unreachable (their parent's entry is dropped and recomputed
@@ -380,12 +411,14 @@ impl QueryMemo {
     ) {
         self.prepared = None;
         self.cached_count = None;
+        self.draws = None;
         let Some(mut node) = tree.root() else {
             return;
         };
         loop {
             self.evals.remove(&node);
-            self.recon_live.remove(&node);
+            self.recon_live.remove(&(node, true));
+            self.recon_live.remove(&(node, false));
             if tree.is_leaf(node) {
                 break;
             }
@@ -413,6 +446,44 @@ impl QueryMemo {
             }
             _ => {}
         }
+    }
+}
+
+/// What an exact draw reads: the non-empty lists of a full-range sound
+/// answer, left to right, and the prefix sums of their lengths. Element
+/// `x` of the answer sits in the first list whose end exceeds `x`.
+#[derive(Default)]
+pub(crate) struct DrawTable {
+    /// `ends[i]` is the number of elements in `lists[..=i]`.
+    ends: Vec<u64>,
+    lists: Vec<Arc<Vec<u64>>>,
+}
+
+impl DrawTable {
+    /// Appends one leaf's list; an empty one adds nothing.
+    pub(crate) fn push(&mut self, list: &Arc<Vec<u64>>) {
+        if list.is_empty() {
+            return;
+        }
+        self.ends.push(self.total() + list.len() as u64);
+        self.lists.push(Arc::clone(list));
+    }
+
+    fn total(&self) -> u64 {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// One uniform element: one `gen_range`, one binary search, one list
+    /// read. `None`, drawing nothing, when the answer is empty.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u64> {
+        let total = self.total();
+        if total == 0 {
+            return None;
+        }
+        let x = rng.gen_range(0..total);
+        let i = self.ends.partition_point(|&end| end <= x);
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        Some(self.lists[i][(x - start) as usize])
     }
 }
 
@@ -523,6 +594,9 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         let root = self.tree.root().ok_or(BstError::EmptyTree)?;
         if query.is_empty() {
             return Err(BstError::EmptyFilter);
+        }
+        if let Some(table) = self.exact_table(query, memo, stats) {
+            return table.draw(rng).ok_or(BstError::NoLiveLeaf);
         }
         match self.cfg.correction {
             Correction::None => self
@@ -821,7 +895,8 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     /// One-pass multi-sampling (§5.3): sends `r` independent search paths
     /// down the tree together, splitting them at each node with a binomial
     /// draw biased by the children's weights. Paths reaching the same leaf
-    /// share one brute-force scan; leaf draws are with replacement.
+    /// share one brute-force scan; leaf draws are with replacement. On the
+    /// exact path (module docs) it is `r` exact draws instead.
     ///
     /// Fewer than `r` samples are returned only when paths die on
     /// false-positive routes with no live sibling. Correction is not
@@ -851,12 +926,36 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
         if query.is_empty() {
             return Err(BstError::EmptyFilter);
         }
-        let mut out = Vec::with_capacity(r);
         if r == 0 {
-            return Ok(out);
+            return Ok(Vec::new());
         }
+        if let Some(table) = self.exact_table(query, memo, stats) {
+            return Ok((0..r).map_while(|_| table.draw(rng)).collect());
+        }
+        let mut out = Vec::with_capacity(r);
         self.many_at(root, query, r, memo, rng, stats, &mut out);
         Ok(out)
+    }
+
+    /// The exact path's table (see the module docs), built on first use:
+    /// `Some` under the sound rule on a tree whose leaves' lists answer
+    /// a sound count — a tree with a census, and for a cold memo a
+    /// first-probe index — and `None` otherwise, where BSTSample runs.
+    /// The table is read off the same leaf walk as a count or a
+    /// reconstruction, so it holds exactly the elements those return.
+    fn exact_table<'m>(
+        &self,
+        query: &BloomFilter,
+        memo: &'m mut QueryMemo,
+        stats: &mut OpStats,
+    ) -> Option<&'m DrawTable> {
+        if self.cfg.liveness != Liveness::BitOverlap {
+            return None;
+        }
+        if memo.draws.is_none() {
+            memo.draws = BstReconstructor::new(self.tree).draw_table(query, memo, stats);
+        }
+        memo.draws.as_ref()
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -82,7 +82,9 @@ impl BstConfig {
     }
 
     /// Sound defaults plus auto-tuned rejection correction: provably
-    /// near-uniform samples at the cost of ~γ walks per sample.
+    /// near-uniform samples at the cost of ~γ walks per sample on a
+    /// complete tree. Pruned trees draw exactly under the sound rule
+    /// either way, so the correction does not apply there.
     pub fn corrected() -> Self {
         BstConfig {
             sampler: SamplerConfig::corrected(),

@@ -479,9 +479,7 @@ pub(crate) const KEYS_REPLY_HEADER: u64 = 7;
 
 fn put_keys(buf: &mut BytesMut, keys: &[u64]) {
     buf.put_u32_le(keys.len() as u32);
-    for &k in keys {
-        buf.put_u64_le(k);
-    }
+    bst_bloom::codec::put_u64s(buf, keys);
 }
 
 fn get_keys(input: &mut &[u8]) -> Result<Vec<u64>, WireError> {
@@ -492,10 +490,8 @@ fn get_keys(input: &mut &[u8]) -> Result<Vec<u64>, WireError> {
     if input.remaining() < count * 8 {
         return Err(malformed("truncated key list"));
     }
-    let mut keys = Vec::with_capacity(count);
-    for _ in 0..count {
-        keys.push(input.get_u64_le());
-    }
+    let keys = bst_bloom::codec::le_u64s(&input[..count * 8]);
+    input.advance(count * 8);
     Ok(keys)
 }
 

@@ -97,8 +97,10 @@ impl ShardQuery {
         }
     }
 
-    /// Draws one near-uniform sample from the stored span: a shard
-    /// proportional to its live-leaf weight, then a sample within it.
+    /// Draws one sample from the stored span: a shard proportional to its
+    /// live-leaf weight, then a sample within it — exactly uniform over
+    /// [`Self::reconstruct`]'s output under the sound rule, where each
+    /// shard draws exactly.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<u64, BstError> {
         let weights = self.weights()?;
         let shard = pick_shard(&weights, rng).ok_or(BstError::NoLiveLeaf)?;
@@ -109,8 +111,9 @@ impl ShardQuery {
     /// successive binomial draws over the live-leaf weights (the §5.3
     /// multi-path split lifted one level up), then one per-shard
     /// `sample_many` each. Results are grouped by shard, not shuffled.
-    /// May return fewer than `r` when shard-internal paths die on
-    /// false-positive routes.
+    /// Under the sound rule each shard's draws are exact and the call
+    /// returns `r`; otherwise it may return fewer when shard-internal
+    /// paths die on false-positive routes.
     pub fn sample_many<R: Rng + ?Sized>(
         &self,
         r: usize,

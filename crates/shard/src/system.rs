@@ -11,6 +11,7 @@ use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
 use bst_core::persistence::{self, PersistError};
 use bst_core::query::Query;
+use bst_core::sampler::Liveness;
 use bst_core::store::{BstStore, FilterId};
 use bst_core::system::{BstConfig, BstSystem};
 use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
@@ -561,9 +562,11 @@ impl ShardedBstSystem {
     /// step picks one shard per filter proportionally to the weights;
     /// phase 2 then samples **only the chosen cells**, on the same
     /// handles — ~S× less sampling work than sampling speculatively on
-    /// every shard. Results align with `filters`; per-cell RNG seeding
-    /// keeps the output deterministic for a fixed `seed` regardless of
-    /// `threads`.
+    /// every shard. Under the sound default a phase-2 draw is an exact
+    /// prefix-sum lookup over the lists phase 1 filled, so phase 2 runs
+    /// on the calling thread. Results align with `filters`; per-cell
+    /// RNG seeding keeps the output deterministic for a fixed `seed`
+    /// regardless of `threads`.
     pub fn query_batch(
         &self,
         filters: &[BloomFilter],
@@ -601,8 +604,9 @@ impl ShardedBstSystem {
     /// engine parallelises a wide cold batch. The gather step merges
     /// each slot's row and picks one shard, through the same two helpers
     /// as the [`ShardQuery`] handle path; phase 2 samples only the chosen
-    /// cells. Per-cell seeding makes the result independent of worker
-    /// placement and of how warm the handles were.
+    /// cells, on the calling thread under the sound rule (exact draws)
+    /// and on the workers otherwise. Per-cell seeding makes the result
+    /// independent of worker placement and of how warm the handles were.
     fn scatter_gather(
         &self,
         handles: &[Result<Arc<ShardQuery>, BstError>],
@@ -663,11 +667,20 @@ impl ShardedBstSystem {
             }
         }
 
-        // Phase 2: sample only the chosen cells, on the workers again. Each
+        // Phase 2: sample only the chosen cells. Under the sound rule every
+        // shard draws exactly from the leaf lists phase 1 left in its memo
+        // (a binary search per draw), so the cells run on this thread:
+        // a worker would cost more to start than the draws it takes.
+        // Other rules descend the tree and go back to the workers. Each
         // cell's RNG stream depends on its (shard, slot) coordinates
         // alone, so placement cannot change a draw.
         let sample_started = obs.as_ref().map(|_| std::time::Instant::now());
-        let sampled = par_map(&chosen, workers, |&(slot, shard, q)| {
+        let draw_workers = if self.config().sampler.liveness == Liveness::BitOverlap {
+            1
+        } else {
+            workers
+        };
+        let sampled = par_map(&chosen, draw_workers, |&(slot, shard, q)| {
             let mut rng = StdRng::seed_from_u64(cell_seed(seed, shard as u64, slot as u64));
             (q.sample(&mut rng), q.take_stats())
         });
@@ -821,25 +834,28 @@ impl ShardedBstSystem {
     }
 }
 
-/// Maps `f` over `items` on up to `workers` scoped threads, one
-/// contiguous chunk each, with results in item order. A single chunk
-/// runs on the calling thread.
+/// Maps `f` over `items` in up to `workers` contiguous chunks, with
+/// results in item order: the first chunk runs on the calling thread,
+/// each other chunk on a scoped thread of its own.
 fn par_map<T: Sync, U: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let chunk = items.len().div_ceil(workers.max(1)).max(1);
     if chunk >= items.len() {
         return items.iter().map(f).collect();
     }
     let f = &f;
+    let (first, rest) = items.split_at(chunk);
     crossbeam::scope(|scope| {
-        let parts: Vec<_> = items
+        let parts: Vec<_> = rest
             .chunks(chunk)
             .map(|part| scope.spawn(move |_| part.iter().map(f).collect::<Vec<U>>()))
             .collect();
-        parts
-            .into_iter()
+        let mut out: Vec<U> = Vec::with_capacity(items.len());
+        out.extend(first.iter().map(f));
+        for part in parts {
             // bst-lint: allow(L001) — a worker panic must propagate, not be swallowed
-            .flat_map(|h| h.join().expect("batch worker panicked"))
-            .collect()
+            out.extend(part.join().expect("batch worker panicked"));
+        }
+        out
     })
     // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
     .expect("crossbeam scope failed")
@@ -1505,10 +1521,10 @@ mod tests {
         sys.remove_occupied(4_097).expect("remove");
         let (r, repaired) = sys.query_batch_ids(&ids, 13, 2);
         assert!(
-            repaired.intersections < cold.intersections / 2,
-            "no cell re-walks ({} vs {})",
-            repaired.intersections,
-            cold.intersections
+            repaired.memberships < cold.memberships / 2,
+            "no cell re-scans ({} vs {})",
+            repaired.memberships,
+            cold.memberships
         );
         // Repaired weights must equal recomputed ones.
         sys.clear_handle_pool();

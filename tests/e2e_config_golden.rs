@@ -23,7 +23,13 @@
 //! 280 → 266) when sound full-range counts and reconstructions stopped
 //! walking: they read the leaves' lists, so the live weight and the
 //! reconstruction visit no node, and the two depth-2 walks' 7 nodes
-//! each are gone. The `paper()` walks are unchanged.
+//! each are gone. The pruned `corrected()` captures' draws, `sample_many`
+//! draws and node counts moved (NOISY 74 → 4, LAYOUT 266 → 4) when sound
+//! sampling on pruned trees became exact: a draw is one uniform index
+//! into the leaves' lists, so rejection correction no longer applies
+//! there, no descent visits a node, and only the windowed walk's 4 nodes
+//! remain. The `paper()` walks and every complete-tree capture are
+//! unchanged.
 
 use bloomsampletree::core::sampler::Correction;
 use bloomsampletree::{BstConfig, BstSystem, HashKind};
@@ -204,16 +210,16 @@ fn corrected_outputs_match_capture() {
             window_len: 203,
             live_weight: 2149,
             draws: vec![
-                739, 1006, 2132, 3899, 1978, 412, 301, 896, 3116, 2450, 1772, 1964, 2410, 724,
-                1759, 2930
+                1463, 617, 2882, 770, 211, 1211, 2756, 3080, 1402, 1516, 4037, 2309, 3346, 481,
+                368, 2138
             ],
             many: vec![
-                721, 301, 323, 823, 463, 1613, 1874, 1948, 1885, 2269, 2534, 2114, 2927, 3859,
-                3692, 3929
+                1511, 2849, 3673, 890, 128, 2020, 3698, 1054, 2912, 3698, 3785, 530, 233, 661,
+                3575, 1246
             ],
             recon_len: 2149,
             recon_prefix: vec![1, 2, 4, 5, 7, 10, 13, 14],
-            ops: (2770, 74, 0),
+            ops: (2770, 4, 0),
         }
     );
     assert_eq!(
@@ -240,16 +246,16 @@ fn corrected_outputs_match_capture() {
             window_len: 45,
             live_weight: 440,
             draws: vec![
-                1967, 1421, 2485, 1757, 1736, 2765, 1246, 665, 2198, 364, 1211, 329, 2219, 1484,
-                658, 3094
+                1456, 622, 2870, 763, 224, 1225, 2737, 3038, 1403, 1498, 4025, 2333, 3311, 476,
+                385, 2149
             ],
             many: vec![
-                482, 700, 301, 322, 1813, 1459, 1603, 1855, 2875, 2303, 2569, 2128, 2933, 3850,
-                3689, 3907
+                1498, 2828, 3647, 910, 133, 2009, 3682, 1066, 2891, 3682, 3773, 518, 238, 644,
+                3563, 1267
             ],
             recon_len: 440,
             recon_prefix: vec![7, 14, 28, 35, 49, 56, 70, 77],
-            ops: (2357, 266, 0),
+            ops: (2357, 4, 0),
         }
     );
     assert_eq!(

@@ -141,21 +141,13 @@ fn sharded_sampling_matches_single_tree_chi2() {
 }
 
 /// The merged sharded distribution conforms to the single tree's, for
-/// both configurations — each pinned at the strongest level that
-/// actually holds:
-///
-/// * **corrected**: full distributional equivalence. Rejection
-///   correction cancels the proposal distribution on both engines, so
-///   independent draw streams must be chi²-homogeneous and
-///   KS-indistinguishable.
-/// * **default** (raw BSTSample): the per-element distribution is
-///   tree-shape-dependent by design — the single tree routes its top
-///   levels by noisy intersection estimates, while the sharded engine
-///   replaces exactly those levels with an **exact live-weight** shard
-///   pick — so full equivalence provably fails. What the scatter
-///   algebra guarantees instead is the shard *marginal*:
-///   `P(shard) = w_s / Σw` with exact weights, pinned here by a χ²
-///   goodness-of-fit against the engine's own reported weights.
+/// both configurations: both run the sound rule on pruned trees, so
+/// each shard and the single tree draw exactly (one uniform index into
+/// the leaves' lists; rejection correction does not apply there), and
+/// the scatter picks a shard by its exact live weight. Independent draw
+/// streams must be chi²-homogeneous and KS-indistinguishable, and the
+/// shard *marginal* `P(shard) = w_s / Σw` is pinned by a χ²
+/// goodness-of-fit against the engine's own reported weights.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow: run under --release")]
 fn merged_distribution_conforms_to_single_tree_both_configs() {
@@ -203,63 +195,61 @@ fn merged_distribution_conforms_to_single_tree_both_configs() {
             s
         });
 
-        if name == "corrected" {
-            let single_query = single.query(&filter);
-            let mut single_raw = Vec::with_capacity(rounds);
-            let single_counts = sample_counts(&support, rounds, 8, |rng| {
-                let s = single_query.sample(rng).expect("single sample");
-                single_raw.push(s);
-                s
-            });
-            let h = chi2_homogeneity(&sharded_counts, &single_counts);
-            assert!(
-                h.is_uniform_at(ALPHA),
-                "{name}: sharded vs single chi² homogeneity rejected: p = {}",
-                h.p_value
-            );
-            let ks = ks_two_sample_ids(&sharded_raw, &single_raw);
-            assert!(
-                ks.is_same_distribution_at(ALPHA),
-                "{name}: sharded vs single KS rejected: D = {}, p = {}",
-                ks.statistic,
-                ks.p_value
-            );
-        } else {
-            // Shard marginal vs the engine's own exact weights. The
-            // per-shard handles are warm after the draws, so live_weight
-            // reads the maintained counts.
-            let boundaries = sharded.boundaries().to_vec();
-            let shard_of = |key: u64| boundaries.partition_point(|&b| b <= key) - 1;
-            let mut observed = vec![0u64; sharded.shard_count()];
-            for (key, count) in support.iter().zip(&sharded_counts) {
-                observed[shard_of(*key)] += count;
-            }
-            let weights: Vec<u64> = sharded_query
-                .shard_handles()
-                .iter()
-                .map(|h| h.live_weight().expect("shard weight"))
-                .collect();
-            let total: u64 = weights.iter().sum();
-            assert_eq!(
-                total,
-                support.len() as u64,
-                "{name}: weights sum to |support|"
-            );
-            // Keep only shards with mass (chi2_test needs positive
-            // expectations; weightless shards can never be drawn).
-            let (obs, exp): (Vec<u64>, Vec<f64>) = observed
-                .iter()
-                .zip(&weights)
-                .filter(|(_, &w)| w > 0)
-                .map(|(&o, &w)| (o, rounds as f64 * w as f64 / total as f64))
-                .unzip();
-            let gof = bloomsampletree::stats::chi2_test(&obs, &exp);
-            assert!(
-                gof.is_uniform_at(ALPHA),
-                "{name}: shard marginal deviates from exact weights: p = {}",
-                gof.p_value
-            );
+        let single_query = single.query(&filter);
+        let mut single_raw = Vec::with_capacity(rounds);
+        let single_counts = sample_counts(&support, rounds, 8, |rng| {
+            let s = single_query.sample(rng).expect("single sample");
+            single_raw.push(s);
+            s
+        });
+        let h = chi2_homogeneity(&sharded_counts, &single_counts);
+        assert!(
+            h.is_uniform_at(ALPHA),
+            "{name}: sharded vs single chi² homogeneity rejected: p = {}",
+            h.p_value
+        );
+        let ks = ks_two_sample_ids(&sharded_raw, &single_raw);
+        assert!(
+            ks.is_same_distribution_at(ALPHA),
+            "{name}: sharded vs single KS rejected: D = {}, p = {}",
+            ks.statistic,
+            ks.p_value
+        );
+
+        // Shard marginal vs the engine's own exact weights. The
+        // per-shard handles are warm after the draws, so live_weight
+        // reads the maintained counts.
+        let boundaries = sharded.boundaries().to_vec();
+        let shard_of = |key: u64| boundaries.partition_point(|&b| b <= key) - 1;
+        let mut observed = vec![0u64; sharded.shard_count()];
+        for (key, count) in support.iter().zip(&sharded_counts) {
+            observed[shard_of(*key)] += count;
         }
+        let weights: Vec<u64> = sharded_query
+            .shard_handles()
+            .iter()
+            .map(|h| h.live_weight().expect("shard weight"))
+            .collect();
+        let total: u64 = weights.iter().sum();
+        assert_eq!(
+            total,
+            support.len() as u64,
+            "{name}: weights sum to |support|"
+        );
+        // Keep only shards with mass (chi2_test needs positive
+        // expectations; weightless shards can never be drawn).
+        let (obs, exp): (Vec<u64>, Vec<f64>) = observed
+            .iter()
+            .zip(&weights)
+            .filter(|(_, &w)| w > 0)
+            .map(|(&o, &w)| (o, rounds as f64 * w as f64 / total as f64))
+            .unzip();
+        let gof = bloomsampletree::stats::chi2_test(&obs, &exp);
+        assert!(
+            gof.is_uniform_at(ALPHA),
+            "{name}: shard marginal deviates from exact weights: p = {}",
+            gof.p_value
+        );
     }
 }
 

@@ -37,12 +37,12 @@ fn mutate_then_query_invalidates_the_memo() {
         let q = sys.query_id(id).expect("open");
         let mut rng = StdRng::seed_from_u64(1);
 
-        // Warm the handle: descent state accumulates.
+        // Warm the handle: descent state accumulates (on the pruned
+        // backend the leaves' lists alone: its sound draws and
+        // reconstructions read them and evaluate no node).
         q.sample(&mut rng).expect("sample");
         q.reconstruct().expect("reconstruct");
-        let warm_evals = q.cached_evals();
-        let warm_leaves = q.cached_leaves();
-        assert!(warm_evals > 0 && warm_leaves > 0);
+        assert!(q.cached_leaves() > 0);
         let warm_ops = q.take_stats().total_ops();
         assert!(warm_ops > 0);
 
