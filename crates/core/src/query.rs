@@ -330,14 +330,16 @@ impl Query {
     }
 
     /// Draws one sample from the stored set: exactly uniform over
-    /// [`Self::reconstruct`]'s output under the sound rule on a pruned
-    /// tree (the sampler's exact path), near-uniform BSTSample otherwise.
+    /// [`Self::reconstruct`]'s output when the sampler and reconstructor
+    /// both run the sound rule on a pruned tree (the sampler's exact
+    /// path), near-uniform BSTSample otherwise.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<u64, BstError> {
         let span = self.system.tracer().start();
         let view = self.system.tree().read();
         let mut guard = self.state.lock();
         self.sync(&mut guard, &view)?;
-        let sampler = BstSampler::with_config(&view, self.system.config().sampler);
+        let cfg = self.system.config();
+        let sampler = BstSampler::with_config(&view, cfg.sampler).exact_draws(&cfg.reconstruct);
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = sampler.try_sample_memo(&state.filter, &mut state.memo, rng, &mut local);
@@ -359,7 +361,8 @@ impl Query {
         let view = self.system.tree().read();
         let mut guard = self.state.lock();
         self.sync(&mut guard, &view)?;
-        let sampler = BstSampler::with_config(&view, self.system.config().sampler);
+        let cfg = self.system.config();
+        let sampler = BstSampler::with_config(&view, cfg.sampler).exact_draws(&cfg.reconstruct);
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = sampler.try_sample_many_memo(&state.filter, r, &mut state.memo, rng, &mut local);

@@ -397,8 +397,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         memo: &mut QueryMemo,
         stats: &mut OpStats,
     ) -> bool {
-        let key = (child, self.cfg.liveness == Liveness::BitOverlap);
-        if let Some(&live) = memo.recon_live.get(&key) {
+        if let Some(&live) = memo.recon_live.get(&child) {
             return live;
         }
         stats.intersections += 1;
@@ -413,7 +412,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
                 est > tau
             }
         };
-        memo.recon_live.insert(key, live);
+        memo.recon_live.insert(child, live);
         live
     }
 

@@ -56,16 +56,19 @@
 //! index and a census (every pruned tree), a sound count and a
 //! reconstruction read the leaves' match lists without a walk (see the
 //! `reconstruct` module docs), so the memo already holds every element
-//! a draw can return. There `sample` and `sample_many` draw exactly: the
-//! first draw walks the leaves with the same traversal the count uses
-//! (a census-only leaf counts only when its root path is live) and
-//! keeps the non-empty lists with the prefix sums of their lengths in
-//! the memo; each draw is one `gen_range(0..total)`, one binary search
-//! and one list read. A draw is therefore element `i` of
-//! `reconstruct()`'s output for a uniform `i`, `sample_many(r)` returns
-//! `r` draws, and warm and cold memos consume randomness identically.
-//! The descent estimator and the correction do not apply on this path;
-//! the paper's threshold rule and complete trees keep BSTSample.
+//! a draw can return. When the reconstructor's rule is the sound one
+//! too, a query handle ([`crate::query::Query`], which keeps its memo)
+//! draws exactly: the first draw walks the leaves with the same
+//! traversal the count uses (a census-only leaf counts only when its
+//! root path is live) and keeps the non-empty lists with the prefix
+//! sums of their lengths in the memo; each draw is one
+//! `gen_range(0..total)`, one binary search and one list read. A draw
+//! is therefore element `i` of `reconstruct()`'s output for a uniform
+//! `i`, `sample_many(r)` returns `r` draws, and warm and cold memos
+//! consume randomness identically. The descent estimator and the
+//! correction do not apply on this path. The paper's threshold rule,
+//! complete trees, and a bare sampler (whose memo-less draws would
+//! rebuild the table each call) keep BSTSample.
 //!
 //! ## Amortization: [`QueryMemo`]
 //!
@@ -90,7 +93,7 @@ use rand::Rng;
 
 use crate::error::BstError;
 use crate::metrics::OpStats;
-use crate::reconstruct::BstReconstructor;
+use crate::reconstruct::{BstReconstructor, ReconstructConfig};
 use crate::tree::{NodeId, SampleTree};
 
 /// Default emptiness threshold τ for the paper's §5.6 pruning rule.
@@ -258,12 +261,10 @@ pub struct QueryMemo {
     /// for every materialised leaf at once by an index pass, or leaf by
     /// leaf by table scans (see [`QueryMemo::leaf_matches`]).
     leaves: HashMap<NodeId, Arc<Vec<u64>>>,
-    /// Reconstruction liveness per node, keyed by node and by whether the
-    /// rule is the sound one (the reconstructor's pruning rule can differ
-    /// from the sampler's, and the exact draw path tests root paths under
-    /// the sound rule whatever the reconstructor's is). Filled by the
-    /// walk, and by the root-path tests of a walk-free sound count.
-    pub(crate) recon_live: HashMap<(NodeId, bool), bool>,
+    /// Reconstruction liveness per node (the reconstructor's pruning rule
+    /// can differ from the sampler's, so it gets its own map). Filled by
+    /// the walk, and by the root-path tests of a walk-free sound count.
+    pub(crate) recon_live: HashMap<NodeId, bool>,
     /// The full-range live-leaf weight of the last count or full
     /// reconstruction: repeated `live_weight` calls are O(1) until a
     /// replayed mutation drops it.
@@ -417,8 +418,7 @@ impl QueryMemo {
         };
         loop {
             self.evals.remove(&node);
-            self.recon_live.remove(&(node, true));
-            self.recon_live.remove(&(node, false));
+            self.recon_live.remove(&node);
             if tree.is_leaf(node) {
                 break;
             }
@@ -491,15 +491,15 @@ impl DrawTable {
 pub struct BstSampler<'t, T: SampleTree> {
     tree: &'t T,
     cfg: SamplerConfig,
+    /// Whether the exact draw path (module docs) is on; see
+    /// [`Self::exact_draws`].
+    exact: bool,
 }
 
 impl<'t, T: SampleTree> BstSampler<'t, T> {
     /// Creates a sampler with the default (sound) configuration.
     pub fn new(tree: &'t T) -> Self {
-        BstSampler {
-            tree,
-            cfg: SamplerConfig::default(),
-        }
+        Self::with_config(tree, SamplerConfig::default())
     }
 
     /// Creates a sampler with explicit configuration.
@@ -508,7 +508,21 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     /// Panics when [`SamplerConfig::validate`] rejects `cfg`.
     pub fn with_config(tree: &'t T, cfg: SamplerConfig) -> Self {
         assert_eq!(cfg.validate(), Ok(()), "sampler config");
-        BstSampler { tree, cfg }
+        BstSampler {
+            tree,
+            cfg,
+            exact: false,
+        }
+    }
+
+    /// Turns the exact draw path (module docs) on for a caller that keeps
+    /// its memo across draws and reconstructs under `recon`. It applies
+    /// when both rules are the sound one, so counts, shard weights,
+    /// reconstructions and draws all read the same leaf lists.
+    pub(crate) fn exact_draws(mut self, recon: &ReconstructConfig) -> Self {
+        self.exact =
+            self.cfg.liveness == Liveness::BitOverlap && recon.liveness == Liveness::BitOverlap;
+        self
     }
 
     /// The configuration in use.
@@ -938,18 +952,19 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     }
 
     /// The exact path's table (see the module docs), built on first use:
-    /// `Some` under the sound rule on a tree whose leaves' lists answer
-    /// a sound count — a tree with a census, and for a cold memo a
-    /// first-probe index — and `None` otherwise, where BSTSample runs.
-    /// The table is read off the same leaf walk as a count or a
-    /// reconstruction, so it holds exactly the elements those return.
+    /// `Some` when [`Self::exact_draws`] turned the path on and the
+    /// tree's leaves' lists answer a sound count — a tree with a census,
+    /// and for a cold memo a first-probe index — and `None` otherwise,
+    /// where BSTSample runs. The table is read off the same leaf walk as
+    /// a count or a reconstruction, so it holds exactly the elements
+    /// those return.
     fn exact_table<'m>(
         &self,
         query: &BloomFilter,
         memo: &'m mut QueryMemo,
         stats: &mut OpStats,
     ) -> Option<&'m DrawTable> {
-        if self.cfg.liveness != Liveness::BitOverlap {
+        if !self.exact {
             return None;
         }
         if memo.draws.is_none() {

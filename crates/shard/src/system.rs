@@ -11,7 +11,6 @@ use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
 use bst_core::persistence::{self, PersistError};
 use bst_core::query::Query;
-use bst_core::sampler::Liveness;
 use bst_core::store::{BstStore, FilterId};
 use bst_core::system::{BstConfig, BstSystem};
 use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
@@ -562,10 +561,10 @@ impl ShardedBstSystem {
     /// step picks one shard per filter proportionally to the weights;
     /// phase 2 then samples **only the chosen cells**, on the same
     /// handles — ~S× less sampling work than sampling speculatively on
-    /// every shard. Under the sound default a phase-2 draw is an exact
-    /// prefix-sum lookup over the lists phase 1 filled, so phase 2 runs
-    /// on the calling thread. Results align with `filters`; per-cell
-    /// RNG seeding keeps the output deterministic for a fixed `seed`
+    /// every shard. Phase 2 runs on the calling thread; under the sound
+    /// default a phase-2 draw is an exact prefix-sum lookup over the
+    /// lists phase 1 filled. Results align with `filters`; per-cell RNG
+    /// seeding keeps the output deterministic for a fixed `seed`
     /// regardless of `threads`.
     pub fn query_batch(
         &self,
@@ -604,8 +603,7 @@ impl ShardedBstSystem {
     /// engine parallelises a wide cold batch. The gather step merges
     /// each slot's row and picks one shard, through the same two helpers
     /// as the [`ShardQuery`] handle path; phase 2 samples only the chosen
-    /// cells, on the calling thread under the sound rule (exact draws)
-    /// and on the workers otherwise. Per-cell seeding makes the result
+    /// cells, on the calling thread. Per-cell seeding makes the result
     /// independent of worker placement and of how warm the handles were.
     fn scatter_gather(
         &self,
@@ -667,23 +665,20 @@ impl ShardedBstSystem {
             }
         }
 
-        // Phase 2: sample only the chosen cells. Under the sound rule every
-        // shard draws exactly from the leaf lists phase 1 left in its memo
-        // (a binary search per draw), so the cells run on this thread:
-        // a worker would cost more to start than the draws it takes.
-        // Other rules descend the tree and go back to the workers. Each
-        // cell's RNG stream depends on its (shard, slot) coordinates
-        // alone, so placement cannot change a draw.
+        // Phase 2: sample only the chosen cells, on this thread. Under the
+        // sound rule every shard draws exactly from the leaf lists phase 1
+        // left in its memo (a binary search per draw), and one draw per
+        // cell never pays for a worker's start-up. Each cell's RNG stream
+        // depends on its (shard, slot) coordinates alone, so results do
+        // not depend on `threads`.
         let sample_started = obs.as_ref().map(|_| std::time::Instant::now());
-        let draw_workers = if self.config().sampler.liveness == Liveness::BitOverlap {
-            1
-        } else {
-            workers
-        };
-        let sampled = par_map(&chosen, draw_workers, |&(slot, shard, q)| {
-            let mut rng = StdRng::seed_from_u64(cell_seed(seed, shard as u64, slot as u64));
-            (q.sample(&mut rng), q.take_stats())
-        });
+        let sampled: Vec<_> = chosen
+            .iter()
+            .map(|&(slot, shard, q)| {
+                let mut rng = StdRng::seed_from_u64(cell_seed(seed, shard as u64, slot as u64));
+                (q.sample(&mut rng), q.take_stats())
+            })
+            .collect();
         for (&(slot, _, _), (out, sample_stats)) in chosen.iter().zip(sampled) {
             results[slot] = out;
             stats += sample_stats;

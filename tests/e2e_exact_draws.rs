@@ -9,6 +9,9 @@
 //!   same RNG stream, on a single pruned tree and on every shard of the
 //!   sharded engine, and `sample_many(r)` is `r` such draws (never
 //!   short);
+//! * the path needs the sound rule in the sampler and the reconstructor
+//!   and a handle that keeps its memo; other handles and a bare sampler
+//!   descend;
 //! * warm handles, repaired ones included, draw what cold ones draw;
 //! * a batch's draws do not depend on the worker count, and stay equal
 //!   when its handles were warm;
@@ -22,7 +25,10 @@ use bloomsampletree::stats::chi2_uniform_test;
 use bloomsampletree::stats::conformance::{sample_counts, DEFAULT_ALPHA};
 use bloomsampletree::workloads::querysets::{clustered_set, PAPER_CLUSTERING_PCT};
 use bloomsampletree::workloads::sampling::sample_distinct;
-use bloomsampletree::{BstSystem, HashKind, ShardedBstSystem};
+use bloomsampletree::{
+    BstConfig, BstSampler, BstSystem, HashKind, OpStats, QueryMemo, ReconstructConfig,
+    SamplerConfig, ShardedBstSystem,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,6 +98,51 @@ fn a_draw_is_one_index_into_the_reconstruction() {
             }
         }
     }
+}
+
+/// The exact path needs the sound rule in the sampler and in the
+/// reconstructor, so that counts, weights, reconstructions and draws read
+/// one answer, and a query handle, which keeps its memo. A handle whose
+/// reconstructor runs the paper's threshold rule, and a bare sampler,
+/// descend: BSTSample evaluates nodes, an exact draw evaluates none.
+#[test]
+fn only_sound_handles_draw_exactly() {
+    let occupied = small_occupancy();
+    let keys = keys_of(&occupied, 300, false, 5);
+    let build = |cfg: BstConfig| {
+        BstSystem::builder(1 << 16)
+            .expected_set_size(300)
+            .seed(11)
+            .config(cfg)
+            .pruned(occupied.iter().copied())
+            .build()
+    };
+    let mixed = BstConfig {
+        sampler: SamplerConfig::default(),
+        reconstruct: ReconstructConfig::paper(),
+    };
+    for (name, cfg, exact) in [
+        ("sound", BstConfig::default(), true),
+        ("mixed", mixed, false),
+    ] {
+        let sys = build(cfg);
+        let q = sys.query(&sys.store(keys.iter().copied()));
+        q.sample(&mut StdRng::seed_from_u64(1)).expect("sample");
+        assert_eq!(q.cached_evals() == 0, exact, "{name} handle");
+    }
+    let sys = build(BstConfig::default());
+    let filter = sys.store(keys.iter().copied());
+    let view = sys.tree().read();
+    let mut memo = QueryMemo::new();
+    BstSampler::new(&view)
+        .try_sample_memo(
+            &filter,
+            &mut memo,
+            &mut StdRng::seed_from_u64(1),
+            &mut OpStats::new(),
+        )
+        .expect("bare sample");
+    assert!(memo.cached_evals() > 0, "a bare sampler descends");
 }
 
 #[test]

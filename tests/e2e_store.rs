@@ -30,19 +30,24 @@ fn systems() -> [BstSystem; 2] {
 
 #[test]
 fn mutate_then_query_invalidates_the_memo() {
-    for sys in systems() {
+    for (label, sys) in [("dense", dense_system()), ("pruned", pruned_system())] {
         let id = sys
             .create((0..400u64).map(|i| (i * 112) % 50_000))
             .expect("create");
         let q = sys.query_id(id).expect("open");
         let mut rng = StdRng::seed_from_u64(1);
 
-        // Warm the handle: descent state accumulates (on the pruned
-        // backend the leaves' lists alone: its sound draws and
-        // reconstructions read them and evaluate no node).
+        // Warm the handle: descent state accumulates. The dense backend
+        // descends (BSTSample) and evaluates nodes; the pruned backend
+        // holds the leaves' lists alone, since its sound draws and
+        // reconstructions read them and evaluate no node.
         q.sample(&mut rng).expect("sample");
         q.reconstruct().expect("reconstruct");
-        assert!(q.cached_leaves() > 0);
+        assert!(q.cached_leaves() > 0, "{label}: leaves cached");
+        assert!(
+            label == "pruned" || q.cached_evals() > 0,
+            "{label}: node evaluations cached"
+        );
         let warm_ops = q.take_stats().total_ops();
         assert!(warm_ops > 0);
 
