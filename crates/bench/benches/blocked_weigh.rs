@@ -1,11 +1,11 @@
-//! Classic vs blocked filter layout on the weighing-heavy paths: cold
-//! phase-1 weighing of a 32-slot batch through the sharded engine (the
-//! handle pool is cleared before every batch so it re-runs phase 1
-//! from scratch), and a single-tree cold `live_weight` over a fresh handle.
+//! Classic vs blocked filter layout on the weighing-heavy paths: a
+//! 32-slot batch of ad-hoc filters through the sharded engine (ad-hoc
+//! filters are never pooled, so every batch re-runs phase 1 from
+//! scratch), and a single-tree cold `live_weight` over a fresh handle.
 //! The blocked layout answers each leaf membership probe with one or
 //! two masked word loads instead of k scattered bit reads, which is
 //! where the cold weighing time goes. A third group weighs and batches
-//! on the service benchmark's engine.
+//! on the service benchmark's engine, across batch shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -26,9 +26,9 @@ fn layouts() -> [HashKind; 2] {
     [HashKind::Murmur3, HashKind::DeltaBlocked]
 }
 
-/// Cold phase-1 weighing of a 32-slot batch: ad-hoc filters are never
-/// pooled, so each `query_batch` call re-weighs every (slot, shard) cell
-/// before sampling.
+/// A cold 32-slot batch on one thread: ad-hoc filters are never pooled,
+/// so each `query_batch` call weighs every filter on every shard (two
+/// 16-filter index passes per shard) before sampling.
 fn bench_batch_phase1(c: &mut Criterion) {
     let occ = occupancy();
     let mut group = c.benchmark_group("blocked-weigh");
@@ -90,14 +90,16 @@ fn bench_single_cold_weigh(c: &mut Criterion) {
 
 /// Cold weighing on the service benchmark's engine (M = 2^20, S = 4,
 /// a quarter of the namespace occupied, accuracy 0.9): 16 fresh
-/// 200-key filters weighed on every shard through fresh handles, on
-/// one thread — phase 1 of a `cold-batch` request without the wire or
-/// the engine's handle pool. `results/cold_weighing.md` splits it.
-/// `service-batch16` runs the whole batch on the same filters:
-/// `query_batch` at `threads = 0` opens a detached handle per filter,
-/// so every call weighs cold (phase 1, on the workers) and draws from
-/// the chosen cells (phase 2, on the calling thread under the sound
-/// default) — a `cold-batch` request without the wire.
+/// 200-key filters weighed on every shard through fresh handles, one
+/// index pass per (filter, shard) cell, on one thread.
+/// `results/cold_weighing.md` splits it. `service-batch16` runs the
+/// whole batch on the same filters: `query_batch` at `threads = 0`
+/// weighs them cold in one bit-sliced index pass per shard (phase 1, on
+/// the workers) and draws from the chosen cells (phase 2, on the calling
+/// thread under the sound default) — a `cold-batch` request without the
+/// wire. `service-batch1` and `service-batch4` run the first 1 and 4 of
+/// those filters, and `service-batch16x1000` 16 filters of 1,000 keys:
+/// the pass across batch shapes (`results/sliced_weigh.md`).
 fn bench_service_cold_weigh(c: &mut Criterion) {
     let namespace = 1u64 << 20;
     // A seeded quarter of the namespace: every id kept with odds 1/4.
@@ -121,14 +123,18 @@ fn bench_service_cold_weigh(c: &mut Criterion) {
             .occupied(occ.iter().copied())
             .build();
         let shards = engine.shard_systems();
-        let filters: Vec<_> = (0..16u64)
-            .map(|i| {
-                shards[0].store((0..200u64).map(|j| {
-                    let at = (i * 7_919 + j) * 2_654_435_761;
-                    occ[(at % occ.len() as u64) as usize]
-                }))
-            })
-            .collect();
+        let batch = |keys: u64| -> Vec<_> {
+            (0..16u64)
+                .map(|i| {
+                    shards[0].store((0..keys).map(|j| {
+                        let at = (i * 7_919 + j) * 2_654_435_761;
+                        occ[(at % occ.len() as u64) as usize]
+                    }))
+                })
+                .collect()
+        };
+        let filters = batch(200);
+        let dense = batch(1_000);
         group.bench_with_input(
             BenchmarkId::new("16x4-live-weight", kind.name()),
             &filters,
@@ -144,17 +150,21 @@ fn bench_service_cold_weigh(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("service-batch16", kind.name()),
-            &filters,
-            |b, filters| {
+        let arms: [(&str, &[_]); 4] = [
+            ("service-batch1", &filters[..1]),
+            ("service-batch4", &filters[..4]),
+            ("service-batch16", &filters),
+            ("service-batch16x1000", &dense),
+        ];
+        for (arm, filters) in arms {
+            group.bench_with_input(BenchmarkId::new(arm, kind.name()), filters, |b, filters| {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed = seed.wrapping_add(1);
                     engine.query_batch(filters, seed, 0)
                 })
-            },
-        );
+            });
+        }
     }
     group.finish();
 }

@@ -38,7 +38,7 @@ use parking_lot::RwLock;
 use crate::error::BstError;
 use crate::persistence::{put_len_prefixed, PersistError};
 use crate::pruned::PrunedBloomSampleTree;
-use crate::tree::{BloomSampleTree, IndexPass, NodeId, SampleTree};
+use crate::tree::{BloomSampleTree, IndexPass, NodeId, QueryChunk, SampleTree};
 
 /// Snapshot tag for a dense backend.
 const TAG_DENSE: u8 = 0;
@@ -400,10 +400,10 @@ impl SampleTree for TreeView<'_> {
         }
     }
 
-    fn index_pass(&self, query: &BloomFilter) -> Option<IndexPass> {
+    fn index_passes(&self, chunk: &QueryChunk<'_>) -> Option<Vec<IndexPass>> {
         match self {
             TreeView::Dense(_) => None,
-            TreeView::Pruned { guard, .. } => guard.index_pass(query),
+            TreeView::Pruned { guard, .. } => guard.index_passes(chunk),
         }
     }
 

@@ -78,5 +78,5 @@ pub use reconstruct::{BstReconstructor, ReconstructConfig};
 pub use sampler::{BstSampler, QueryMemo, SamplerConfig};
 pub use store::{BstStore, FilterId};
 pub use system::{BstConfig, BstSystem};
-pub use tree::{BloomSampleTree, SampleTree};
+pub use tree::{BloomSampleTree, QueryChunk, SampleTree};
 pub use wal::{FsyncPolicy, Wal, WalRecord};

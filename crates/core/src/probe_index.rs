@@ -1,4 +1,4 @@
-//! The first-probe index of a pruned tree's occupied ids.
+//! The first-probe index of a pruned tree's occupied ids, and its pass.
 //!
 //! A leaf's probe table answers "which of *these* ids does the query
 //! hold?" by testing every id. A full-range walk asks that of every
@@ -29,12 +29,35 @@
 //! `u32` otherwise, so at the service engine (m = 61,865, k = 3) a tested
 //! entry is a 4-byte read.
 //!
+//! ## One pass, one filter or a chunk of them
+//!
+//! The pass ([`FirstProbeIndex::pass`]) is one kernel, generic over its
+//! query side ([`PassQuery`]). A single filter's bits are the one-filter
+//! case. A [`QueryChunk`] of up to 16 filters of the plan is the other,
+//! stored bit-sliced after Bloofi (Crainiceanu & Lemire): one `u16` slice
+//! per bit position, bit `f` set when filter `f` sets it, plus the
+//! chunk's union. The pass walks the union's set positions once. A
+//! bucket's mask, the filters that visit it, is the OR of its positions'
+//! slices; an entry's mask, the filters that hold it, is the bucket's
+//! mask ANDed with its stored probes' slices. Each hit goes to every
+//! filter in its mask, and each bucket's size to the tested count of
+//! every filter in the bucket's mask, so every filter's hits (in order)
+//! and tested count equal those of its own pass. A chunk of one filter
+//! builds no table and runs the one-filter case. The walk, not the
+//! tested entries, is what a chunk shares: 16 sparse filters' own passes
+//! test about as many entries, but sweep the index 16 times.
+//!
 //! The content is a pure function of the occupied ids, so an index kept
 //! in step by [`FirstProbeIndex::insert`]/[`FirstProbeIndex::remove`]
 //! equals one rebuilt from the leaf tables ([`FirstProbeIndex::build`]),
 //! field for field.
 
+use std::ops::{BitAnd, BitOr};
+use std::sync::Arc;
+
 use bst_bloom::bitvec::BitVec;
+use bst_bloom::filter::BloomFilter;
+use bst_bloom::hash::BloomHasher;
 
 /// The bucket shift for `m` bit positions and `occupied` ids: 0 when the
 /// ids outnumber `m` (or equal it), else the smallest shift whose bucket
@@ -133,6 +156,168 @@ impl Probes {
             Probes::Narrow(p) => std::mem::size_of_val(p.as_slice()),
             Probes::Wide(p) => std::mem::size_of_val(p.as_slice()),
         }
+    }
+}
+
+/// A set of filters of a pass's query side, one bit per filter.
+pub(crate) trait Mask:
+    Copy + PartialEq + BitAnd<Output = Self> + BitOr<Output = Self>
+{
+    /// No filter.
+    const NONE: Self;
+    /// Calls `f` with every filter in the set, ascending.
+    fn for_each(self, f: impl FnMut(usize));
+}
+
+impl Mask for bool {
+    const NONE: Self = false;
+
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        if self {
+            f(0);
+        }
+    }
+}
+
+impl Mask for u16 {
+    const NONE: Self = 0;
+
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        let mut rest = self;
+        while rest != 0 {
+            f(rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// The query side of the index pass: the filters whose set bits it walks
+/// (see the module docs).
+pub(crate) trait PassQuery {
+    /// One bit per filter.
+    type Mask: Mask;
+    /// The positions any filter sets, ascending, each with the filters
+    /// that set it.
+    fn ones(&self) -> impl Iterator<Item = (usize, Self::Mask)> + '_;
+    /// The filters that set position `p`.
+    fn at(&self, p: usize) -> Self::Mask;
+    /// The filters that set a position in `p..end` (clipped to `m`),
+    /// given `set`, those that set `p`.
+    fn gather(&self, p: usize, set: Self::Mask, end: usize) -> Self::Mask;
+}
+
+/// One filter's bits: the one-filter case.
+impl PassQuery for BitVec {
+    type Mask = bool;
+
+    fn ones(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.iter_ones().map(|p| (p, true))
+    }
+
+    fn at(&self, p: usize) -> bool {
+        self.get(p)
+    }
+
+    fn gather(&self, _: usize, set: bool, _: usize) -> bool {
+        set
+    }
+}
+
+/// Up to 16 filters, bit-sliced: `slices[p]` has bit `f` set when filter
+/// `f` sets position `p`; `union` is every filter's bits ORed.
+#[derive(Debug)]
+pub(crate) struct SliceTable {
+    filters: usize,
+    slices: Vec<u16>,
+    union: BitVec,
+}
+
+impl SliceTable {
+    /// Number of filters.
+    fn filters(&self) -> usize {
+        self.filters
+    }
+
+    fn new(filters: &[&BloomFilter]) -> Self {
+        let m = filters[0].m();
+        let mut table = SliceTable {
+            filters: filters.len(),
+            slices: vec![0; m],
+            union: BitVec::new(m),
+        };
+        for (f, filter) in filters.iter().enumerate() {
+            for p in filter.bits().iter_ones() {
+                table.slices[p] |= 1 << f;
+            }
+            table.union.union_with(filter.bits());
+        }
+        table
+    }
+}
+
+impl PassQuery for SliceTable {
+    type Mask = u16;
+
+    fn ones(&self) -> impl Iterator<Item = (usize, u16)> + '_ {
+        self.union.iter_ones().map(|p| (p, self.slices[p]))
+    }
+
+    fn at(&self, p: usize) -> u16 {
+        self.slices[p]
+    }
+
+    fn gather(&self, p: usize, set: u16, end: usize) -> u16 {
+        let rest = &self.slices[p + 1..end.min(self.slices.len())];
+        rest.iter().fold(set, |m, &s| m | s)
+    }
+}
+
+/// Up to [`QueryChunk::WIDTH`] query filters of one plan, weighed by one
+/// index pass per tree ([`crate::tree::SampleTree::index_passes`]). More
+/// than one filter are stored bit-sliced (see the module docs); the table
+/// depends on the filters alone, so every tree of the plan — every shard
+/// of a sharded engine — reads the same chunk.
+#[derive(Debug)]
+pub struct QueryChunk<'a> {
+    filters: Vec<&'a BloomFilter>,
+    /// `None` for a chunk of one filter, whose pass reads its bits.
+    table: Option<SliceTable>,
+}
+
+impl<'a> QueryChunk<'a> {
+    /// The most filters a chunk holds.
+    pub const WIDTH: usize = 16;
+
+    /// A chunk of `filters`: 1 to [`Self::WIDTH`] of them, sharing `m` and
+    /// hash family.
+    pub fn new(filters: &[&'a BloomFilter]) -> Self {
+        assert!(
+            (1..=Self::WIDTH).contains(&filters.len()),
+            "a chunk holds 1 to 16 filters"
+        );
+        assert!(
+            filters.iter().all(|f| f.compatible_with(filters[0])),
+            "a chunk's filters share m and hash family"
+        );
+        QueryChunk {
+            filters: filters.to_vec(),
+            table: (filters.len() > 1).then(|| SliceTable::new(filters)),
+        }
+    }
+
+    /// The filters, in chunk order.
+    pub(crate) fn filters(&self) -> &[&'a BloomFilter] {
+        &self.filters
+    }
+
+    /// The filters' shared hash family.
+    pub(crate) fn hasher(&self) -> &Arc<BloomHasher> {
+        self.filters[0].hasher()
+    }
+
+    /// The bit-sliced table, or `None` for a chunk of one filter.
+    pub(crate) fn table(&self) -> Option<&SliceTable> {
+        self.table.as_ref()
     }
 }
 
@@ -258,40 +443,74 @@ impl FirstProbeIndex {
         }
     }
 
-    /// The index pass: visits the buckets of `bits`' set positions once
-    /// each and calls `hit` for every entry whose probes are all set in
-    /// `bits`, bucket by bucket. Returns the number of entries tested.
-    /// `bits` must span the indexed `m` positions.
-    pub(crate) fn for_each_member(&self, bits: &BitVec, hit: impl FnMut(u64)) -> u64 {
+    /// The index pass (see the module docs) for one filter's bits: its
+    /// hits, bucket by bucket, and its count of tested entries. `bits`
+    /// must span the indexed `m` positions.
+    pub(crate) fn pass(&self, bits: &BitVec) -> (Vec<u64>, u64) {
+        let mut hits = Vec::new();
+        let mut tested = 0;
+        let bucket = |_, size| tested += size;
+        let hit = |_, id| hits.push(id);
         match &self.probes {
-            Probes::Narrow(probes) => self.pass(probes, bits, hit),
-            Probes::Wide(probes) => self.pass(probes, bits, hit),
+            Probes::Narrow(probes) => self.scan(probes, bits, bucket, hit),
+            Probes::Wide(probes) => self.scan(probes, bits, bucket, hit),
         }
+        (hits, tested)
     }
 
-    /// [`Self::for_each_member`] over the probes at their width. A
-    /// tested entry reads only its stored probes; its id is read on a
-    /// hit.
-    fn pass<P: Probe>(&self, probes: &[P], bits: &BitVec, mut hit: impl FnMut(u64)) -> u64 {
+    /// [`Self::pass`] for every filter of a chunk's table at once: each
+    /// filter's hits and tested count, in chunk order, equal to those of
+    /// its own pass.
+    pub(crate) fn chunk_pass(&self, table: &SliceTable) -> (Vec<Vec<u64>>, Vec<u64>) {
+        let mut hits = vec![Vec::new(); table.filters()];
+        let mut tested = vec![0; table.filters()];
+        let bucket = |seen: u16, size| seen.for_each(|f| tested[f] += size);
+        let hit = |holds: u16, id| holds.for_each(|f| hits[f].push(id));
+        match &self.probes {
+            Probes::Narrow(probes) => self.scan(probes, table, bucket, hit),
+            Probes::Wide(probes) => self.scan(probes, table, bucket, hit),
+        }
+        (hits, tested)
+    }
+
+    /// The pass over the probes at their width, for any query side: calls
+    /// `bucket` with each visited bucket's mask and size, and `hit` with
+    /// each hit's mask and id. A tested entry reads only its stored
+    /// probes; its id is read on a hit.
+    fn scan<P: Probe, Q: PassQuery>(
+        &self,
+        probes: &[P],
+        query: &Q,
+        mut bucket: impl FnMut(Q::Mask, u64),
+        mut hit: impl FnMut(Q::Mask, u64),
+    ) {
         let stored = self.stored();
-        let mut tested = 0u64;
         let mut last = usize::MAX;
-        for p in bits.iter_ones() {
+        for (p, set) in query.ones() {
             let b = p >> self.shift;
             if b == last {
                 continue; // a wide bucket holding several set positions
             }
             last = b;
             let (lo, hi) = (self.offsets[b] as usize, self.offsets[b + 1] as usize);
-            tested += (hi - lo) as u64;
-            for at in lo..hi {
-                let row = &probes[at * stored..(at + 1) * stored];
-                if row.iter().all(|q| bits.get(q.position())) {
-                    hit(self.ids[at]);
+            // The filters that visit the bucket: those that set one of
+            // its positions.
+            let seen = match self.shift {
+                0 => set,
+                _ => query.gather(p, set, (b + 1) << self.shift),
+            };
+            bucket(seen, (hi - lo) as u64);
+            'entries: for at in lo..hi {
+                let mut holds = seen;
+                for q in &probes[at * stored..(at + 1) * stored] {
+                    holds = holds & query.at(q.position());
+                    if holds == Q::Mask::NONE {
+                        continue 'entries;
+                    }
                 }
+                hit(holds, self.ids[at]);
             }
         }
-        tested
     }
 
     /// Heap bytes: `4` per offset plus, per id, `8` and its stored
@@ -306,6 +525,7 @@ impl FirstProbeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bst_bloom::hash::HashKind;
 
     #[test]
     fn shift_keeps_offsets_within_the_ids() {
@@ -375,8 +595,7 @@ mod tests {
             .filter(|(_, r)| r.iter().all(|&p| bits.get(p as usize)))
             .map(|(x, _)| *x)
             .collect();
-        let mut got = Vec::new();
-        let tested = index.for_each_member(&bits, |x| got.push(x));
+        let (mut got, tested) = index.pass(&bits);
         got.sort_unstable();
         assert_eq!(got, expect);
         let first_set = rows.iter().filter(|(_, r)| bits.get(r[0] as usize));
@@ -410,6 +629,127 @@ mod tests {
             .collect()
     }
 
+    /// Sixteen filters over `m` bits, filter `f` setting about
+    /// `(f mod 4 + 1) / 8` of the positions, the last position included.
+    fn sixteen_filters(m: usize, k: usize) -> Vec<BloomFilter> {
+        let hasher = Arc::new(BloomHasher::new(HashKind::Murmur3, k, m, 1 << 20, 5));
+        (0..16u64)
+            .map(|f| {
+                let mut bits = BitVec::new(m);
+                bits.set(m - 1);
+                for p in 0..m as u64 {
+                    if mix(p ^ f << 40) >> 61 <= f % 4 {
+                        bits.set(p as usize);
+                    }
+                }
+                BloomFilter::from_parts(bits, Arc::clone(&hasher))
+            })
+            .collect()
+    }
+
+    /// A chunk's pass over `index` equals each filter's own pass: the
+    /// same hits in the same order and the same tested count, at chunk
+    /// sizes 1, 2 and 16. Returns the hits found.
+    fn check_chunks(index: &FirstProbeIndex, filters: &[BloomFilter]) -> usize {
+        let own: Vec<(Vec<u64>, u64)> = filters.iter().map(|f| index.pass(f.bits())).collect();
+        for size in [1, 2, 16] {
+            let members: Vec<&BloomFilter> = filters[..size].iter().collect();
+            let chunk = QueryChunk::new(&members);
+            assert_eq!(
+                chunk.table().is_some(),
+                size > 1,
+                "one filter builds no table"
+            );
+            let (hits, tested) = match chunk.table() {
+                Some(table) => index.chunk_pass(table),
+                None => {
+                    let (hits, tested) = index.pass(members[0].bits());
+                    (vec![hits], vec![tested])
+                }
+            };
+            assert_eq!((hits.len(), tested.len()), (size, size));
+            for (f, (hits, tested)) in hits.into_iter().zip(tested).enumerate() {
+                assert_eq!((hits, tested), own[f], "chunk of {size}, filter {f}");
+            }
+        }
+        own.iter().map(|(hits, _)| hits.len()).sum()
+    }
+
+    /// The chunk pass at `m` bits, `k` probes and `n` ids, on a built
+    /// index and on one kept in step through removals and re-inserts.
+    fn check_chunk_pass(m: usize, k: usize, n: u64, shifted: bool) {
+        let rows = spread_rows(m, k, n);
+        let ids: Vec<u64> = rows.iter().map(|(x, _)| *x).collect();
+        let table: Vec<u32> = rows.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+        let mut index = FirstProbeIndex::build(m, k, &[(&ids, &table)]);
+        assert_eq!(index.shift() > 0, shifted, "m = {m}, n = {n}");
+        let filters = sixteen_filters(m, k);
+        assert!(
+            check_chunks(&index, &filters) > 100,
+            "m = {m}, k = {k}, n = {n}"
+        );
+        let churned = rows.iter().filter(|(x, _)| x % 7 == 0);
+        for (x, row) in churned.clone() {
+            index.remove(*x, row);
+        }
+        assert!(check_chunks(&index, &filters) > 100);
+        for (x, row) in churned.step_by(2) {
+            index.insert(*x, row);
+        }
+        assert!(check_chunks(&index, &filters) > 100);
+    }
+
+    #[test]
+    fn chunk_pass_equals_the_per_filter_passes() {
+        for k in [1, 3] {
+            // Narrow probes; one-bit buckets, then wider ones.
+            check_chunk_pass(1 << 16, k, 80_000, false);
+            check_chunk_pass(1 << 16, k, 3_000, true);
+            // Wide probes.
+            check_chunk_pass((1 << 16) + 1, k, 80_000, false);
+            check_chunk_pass((1 << 16) + 1, k, 3_000, true);
+        }
+    }
+
+    #[test]
+    fn sliced_masks_name_their_filters() {
+        let mut seen = Vec::new();
+        0b1000_0000_0010_0101u16.for_each(|f| seen.push(f));
+        assert_eq!(seen, [0, 2, 5, 15]);
+        true.for_each(|f| assert_eq!(f, 0));
+        false.for_each(|_| panic!("an empty mask names no filter"));
+        let filters = sixteen_filters(4096, 3);
+        let members: Vec<&BloomFilter> = filters.iter().collect();
+        let chunk = QueryChunk::new(&members);
+        let table = chunk.table().expect("sixteen filters are sliced");
+        for p in [0, 1, 777, 4095] {
+            let want = filters
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.bits().get(p))
+                .fold(0u16, |m, (i, _)| m | 1 << i);
+            assert_eq!(table.at(p), want, "position {p}");
+        }
+        let union: Vec<usize> = table.ones().map(|(p, _)| p).collect();
+        let mut want = BitVec::new(4096);
+        for f in &filters {
+            want.union_with(f.bits());
+        }
+        assert_eq!(union, want.iter_ones().collect::<Vec<_>>());
+        assert!(table.ones().all(|(p, set)| set == table.at(p) && set != 0));
+        assert_eq!(
+            table.gather(0, 0, 4096),
+            u16::MAX,
+            "every filter sets a bit"
+        );
+        let last = table.at(4095);
+        assert_eq!(
+            table.gather(4090, 0, 5000),
+            table.gather(4090, 0, 4095) | last,
+            "clipped at m"
+        );
+    }
+
     /// At `m` bits, `k` probes and `n` ids: the probes take the width
     /// `narrow` names, the pass equals the table test, and removing and
     /// re-inserting every 101st id equals a rebuild.
@@ -441,8 +781,7 @@ mod tests {
                 "m = {m}, k = {k}, n = {n}: {} hits",
                 expect.len()
             );
-            let mut got = Vec::new();
-            let tested = full.for_each_member(&bits, |x| got.push(x));
+            let (mut got, tested) = full.pass(&bits);
             got.sort_unstable();
             assert_eq!(got, expect, "m = {m}, k = {k}, n = {n}");
             let shift = full.shift();

@@ -47,7 +47,10 @@
 //! the ids whose first probe the query sets, and the hits, sorted and
 //! grouped by leaf, equal what the per-leaf table scans would return
 //! element for element (the predicate, "all `k` probe bits set", is the
-//! same). The index is derived state like the tables: `build` fills it,
+//! same). A chunk of up to 16 query filters shares one pass
+//! ([`SampleTree::index_passes`]): the pass walks the chunk's bit-sliced
+//! table and hands each filter the hits and tested count of its own
+//! pass. The index is derived state like the tables: `build` fills it,
 //! `insert`/`remove` keep it exact, and
 //! [`PrunedBloomSampleTree::verify_index`] rebuilds it for the test
 //! suites.
@@ -74,7 +77,7 @@ use bst_bloom::hash::BloomHasher;
 use bst_bloom::params::TreePlan;
 
 use crate::probe_index::{shift_for, FirstProbeIndex};
-use crate::tree::{split, IndexPass, NodeId, SampleTree};
+use crate::tree::{split, IndexPass, NodeId, QueryChunk, SampleTree};
 
 struct PrunedNode {
     range: Range<u64>,
@@ -747,25 +750,43 @@ impl SampleTree for PrunedBloomSampleTree {
         )
     }
 
-    /// Tests only the occupied ids whose first probe `query` sets (see
-    /// module docs); the hits are sorted and cut into one list per
-    /// reachable leaf, empty lists included.
-    fn index_pass(&self, query: &BloomFilter) -> Option<IndexPass> {
-        let family = query.hasher();
+    /// Tests only the occupied ids whose first probe a filter of `chunk`
+    /// sets, in one pass for the whole chunk (see module docs); each
+    /// filter's hits are sorted and cut into one list per reachable leaf,
+    /// empty lists included.
+    fn index_passes(&self, chunk: &QueryChunk<'_>) -> Option<Vec<IndexPass>> {
+        let family = chunk.hasher();
         if !(Arc::ptr_eq(family, &self.hasher) || **family == *self.hasher) {
             return None;
         }
-        let mut hits = Vec::new();
-        let tested = self.index.for_each_member(query.bits(), |x| hits.push(x));
-        hits.sort_unstable();
-        let mut leaves = Vec::new();
-        let mut rest = hits.as_slice();
-        self.for_each_leaf(|node, n| {
-            let cut = rest.partition_point(|&x| x < n.range.end);
-            leaves.push((node, rest[..cut].to_vec()));
-            rest = &rest[cut..];
-        });
-        Some(IndexPass { leaves, tested })
+        let (mut hits, tested) = match chunk.table() {
+            Some(table) => self.index.chunk_pass(table),
+            None => {
+                let (hits, tested) = self.index.pass(chunk.filters()[0].bits());
+                (vec![hits], vec![tested])
+            }
+        };
+        let mut ends: Vec<(NodeId, u64)> = Vec::new();
+        self.for_each_leaf(|node, n| ends.push((node, n.range.end)));
+        let passes = hits
+            .iter_mut()
+            .zip(tested)
+            .map(|(hits, tested)| {
+                hits.sort_unstable();
+                let mut rest = hits.as_slice();
+                let leaves = ends
+                    .iter()
+                    .map(|&(node, end)| {
+                        let cut = rest.partition_point(|&x| x < end);
+                        let (list, tail) = rest.split_at(cut);
+                        rest = tail;
+                        (node, list.to_vec())
+                    })
+                    .collect();
+                IndexPass { leaves, tested }
+            })
+            .collect();
+        Some(passes)
     }
 
     fn census(&self) -> Option<&[u64]> {

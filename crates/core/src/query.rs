@@ -64,7 +64,7 @@ use crate::reconstruct::BstReconstructor;
 use crate::sampler::{BstSampler, QueryMemo};
 use crate::store::FilterId;
 use crate::system::BstSystem;
-use crate::tree::SampleTree;
+use crate::tree::{QueryChunk, SampleTree};
 
 /// Where a handle's filter came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,6 +155,62 @@ impl Query {
             }),
             stats: Mutex::new(OpStats::new()),
         }
+    }
+
+    /// One detached handle per filter of `chunk`, in chunk order, each
+    /// memo filled from its share of one index pass over the chunk
+    /// ([`SampleTree::index_passes`]) and the share's tested candidates
+    /// charged to its stats as memberships, as the first full-range count
+    /// of a [`crate::system::BstSystem::query`] handle fills them; a later
+    /// [`Self::live_weight`] reads the lists. A tree without an index, or
+    /// of another hash family, fills nothing. The pass is one span,
+    /// `bst.core.index_pass`.
+    pub(crate) fn new_chunk(system: &BstSystem, chunk: &QueryChunk<'_>) -> Vec<Self> {
+        let span = system.tracer().start();
+        let view = system.tree().read();
+        let mut passes = view.index_passes(chunk).map(Vec::into_iter);
+        let tree_generation = view.generation();
+        let compatible: Vec<bool> = chunk
+            .filters()
+            .iter()
+            .map(|f| Self::compatible(&view, f))
+            .collect();
+        drop(view);
+        let mut memberships = 0;
+        let handles = chunk
+            .filters()
+            .iter()
+            .zip(compatible)
+            .map(|(filter, compatible)| {
+                let mut memo = QueryMemo::new();
+                let mut stats = OpStats::new();
+                if let Some(pass) = passes.as_mut().and_then(Iterator::next) {
+                    memo.fill_from_pass(pass, &mut stats);
+                }
+                memberships += stats.memberships;
+                Query {
+                    system: system.clone(),
+                    source: QuerySource::Detached,
+                    state: Mutex::new(QueryState {
+                        filter: BloomFilter::clone(filter),
+                        compatible,
+                        generation: 0,
+                        tree_generation,
+                        memo,
+                    }),
+                    stats: Mutex::new(stats),
+                }
+            })
+            .collect();
+        system.tracer().record(
+            "bst.core.index_pass",
+            span,
+            &[
+                ("filters", chunk.filters().len() as u64),
+                ("memberships", memberships),
+            ],
+        );
+        handles
     }
 
     fn compatible(view: &TreeView<'_>, filter: &BloomFilter) -> bool {

@@ -94,7 +94,7 @@ use rand::Rng;
 use crate::error::BstError;
 use crate::metrics::OpStats;
 use crate::reconstruct::{BstReconstructor, ReconstructConfig};
-use crate::tree::{NodeId, SampleTree};
+use crate::tree::{IndexPass, NodeId, SampleTree};
 
 /// Default emptiness threshold τ for the paper's §5.6 pruning rule.
 pub const DEFAULT_THRESHOLD: f64 = 0.5;
@@ -364,11 +364,18 @@ impl QueryMemo {
         let Some(pass) = tree.index_pass(query) else {
             return false;
         };
+        self.fill_from_pass(pass, stats);
+        true
+    }
+
+    /// Stores every leaf's matches from a pass already run (one filter's
+    /// share of a chunk's pass, [`SampleTree::index_passes`]), counting
+    /// its tested candidates as memberships.
+    pub(crate) fn fill_from_pass(&mut self, pass: IndexPass, stats: &mut OpStats) {
         stats.memberships += pass.tested;
         let lists = pass.leaves.into_iter();
         self.leaves
             .extend(lists.map(|(leaf, matches)| (leaf, Arc::new(matches))));
-        true
     }
 
     /// The query's popcount, the estimators' `t₂`: counted on first use,

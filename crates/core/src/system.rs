@@ -55,7 +55,7 @@ use crate::query::Query;
 use crate::reconstruct::ReconstructConfig;
 use crate::sampler::SamplerConfig;
 use crate::store::{BstStore, FilterId};
-use crate::tree::BloomSampleTree;
+use crate::tree::{BloomSampleTree, QueryChunk};
 
 /// Magic bytes of a whole-system snapshot.
 const SYSTEM_MAGIC: &[u8; 4] = b"BSTS";
@@ -399,6 +399,17 @@ impl BstSystem {
     /// filter skips already-evaluated tree intersections.
     pub fn query(&self, filter: &BloomFilter) -> Query {
         Query::new(self.clone(), filter.clone())
+    }
+
+    /// Opens one detached handle per filter of `chunk`, in chunk order,
+    /// from one index pass for the whole chunk: each handle's memo holds
+    /// its filter's leaf lists and its stats the candidates its share of
+    /// the pass tested, as a [`Self::query`] handle's first full-range
+    /// count would fill them. A [`Query::live_weight`] on it is then a
+    /// list read, and its answers and summed stats equal the cold
+    /// handle's. On a complete tree the handles open cold.
+    pub fn query_chunk(&self, chunk: &QueryChunk<'_>) -> Vec<Query> {
+        Query::new_chunk(self, chunk)
     }
 
     // ------------------------------------------------------------------

@@ -16,6 +16,8 @@ use bst_bloom::filter::BloomFilter;
 use bst_bloom::hash::BloomHasher;
 use bst_bloom::params::TreePlan;
 
+pub use crate::probe_index::QueryChunk;
+
 /// Node handle within a tree (index into the tree's arena).
 pub type NodeId = u32;
 
@@ -51,8 +53,16 @@ pub trait SampleTree {
     /// bits, each list equal to that leaf's [`Self::scan_leaf`] over its
     /// whole range. `None` when the tree keeps no first-probe index (a
     /// complete tree) or `query` is not of the tree's hash family; the
-    /// caller then scans leaf by leaf.
-    fn index_pass(&self, _query: &BloomFilter) -> Option<IndexPass> {
+    /// caller then scans leaf by leaf. The one-filter case of
+    /// [`Self::index_passes`].
+    fn index_pass(&self, query: &BloomFilter) -> Option<IndexPass> {
+        self.index_passes(&QueryChunk::new(&[query]))?.pop()
+    }
+    /// [`Self::index_pass`] for every filter of `chunk` from one pass
+    /// over the chunk's bit-sliced table: one [`IndexPass`] per filter,
+    /// in chunk order, each equal to that filter's own pass. `None` under
+    /// the same conditions.
+    fn index_passes(&self, _chunk: &QueryChunk<'_>) -> Option<Vec<IndexPass>> {
         None
     }
     /// The collision census of a tree that keeps a first-probe index:

@@ -36,7 +36,9 @@
 //! * **Batches** ([`ShardedBstSystem::query_batch`]): a two-phase
 //!   scatter over a crossbeam worker pool — weigh every (shard, filter)
 //!   cell, pick one shard per filter ∝ the weights, sample only the
-//!   chosen cells. Per-(shard, filter) RNG seeding keeps results
+//!   chosen cells. Ad-hoc filters are weighed in chunks of up to 16, one
+//!   bit-sliced first-probe index pass per (shard, chunk)
+//!   ([`bst_core::tree::QueryChunk`]). Per-(shard, filter) RNG seeding keeps results
 //!   deterministic for a fixed seed regardless of thread count. The
 //!   handle and batch paths share one soft-error merge and one weighted
 //!   shard pick.

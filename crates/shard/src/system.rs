@@ -13,6 +13,7 @@ use bst_core::persistence::{self, PersistError};
 use bst_core::query::Query;
 use bst_core::store::{BstStore, FilterId};
 use bst_core::system::{BstConfig, BstSystem};
+use bst_core::tree::QueryChunk;
 use bst_obs::{AtomicHistogram, Counter, Recorder, Tracer};
 use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::RwLock;
@@ -552,39 +553,45 @@ impl ShardedBstSystem {
 
     /// Draws one sample per query filter via a **two-phase** scatter over
     /// a crossbeam worker pool (`threads` workers; 0 = one per CPU,
-    /// capped at the `shards × filters` cell count — so a low-shard
-    /// engine still spreads a wide batch across every requested worker).
-    /// Each filter gets a detached handle ([`Self::query`]) for the life
-    /// of the batch and is never pooled: an ad-hoc filter is the one-shot
-    /// case. Phase 1 weighs every (shard, filter) cell — a count on the
-    /// cold handle (one index pass under the sound default); the gather
-    /// step picks one shard per filter proportionally to the weights;
-    /// phase 2 then samples **only the chosen cells**, on the same
-    /// handles — ~S× less sampling work than sampling speculatively on
-    /// every shard. Phase 2 runs on the calling thread; under the sound
-    /// default a phase-2 draw is an exact prefix-sum lookup over the
-    /// lists phase 1 filled. Results align with `filters`; per-cell RNG
-    /// seeding keeps the output deterministic for a fixed `seed`
-    /// regardless of `threads`.
+    /// capped at the number of passes). Phase 1 weighs every filter on
+    /// every shard. A filter is the same on every shard, so the batch is
+    /// cut into chunks of up to [`QueryChunk::WIDTH`] filters, each
+    /// bit-sliced once and shared by all shards, and each (shard, chunk)
+    /// is one index pass on a worker ([`BstSystem::query_chunk`]); the
+    /// chunks are sized evenly, and cut finer when there are fewer
+    /// (shard, chunk) passes than workers. Each filter's count on a shard
+    /// is then a list read on a batch-local detached handle, never
+    /// pooled: an ad-hoc filter is the one-shot case. A filter that is
+    /// empty or of another hash family weighs on cold handles
+    /// ([`Self::query`]), which fail its slot with the typed error. The
+    /// gather step picks one shard per filter proportionally to the
+    /// weights; phase 2 then samples **only the chosen cells**, on the
+    /// same handles — ~S× less sampling work than sampling speculatively
+    /// on every shard. Phase 2 runs on the calling thread; under the
+    /// sound default a phase-2 draw is an exact prefix-sum lookup over
+    /// the lists phase 1 filled. Results and summed stats equal weighing
+    /// every (shard, filter) cell on its own cold handle; they align with
+    /// `filters`, and per-cell RNG seeding keeps them deterministic for a
+    /// fixed `seed` regardless of `threads`.
     pub fn query_batch(
         &self,
         filters: &[BloomFilter],
         seed: u64,
         threads: usize,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        let handles: Vec<_> = filters
-            .iter()
-            .map(|f| Ok(Arc::new(self.query(f))))
-            .collect();
-        self.scatter_gather(&handles, seed, threads)
+        self.scatter_gather(filters.len(), seed, threads, |workers| {
+            self.weigh_filters(filters, workers)
+        })
     }
 
     /// [`Self::query_batch`] addressed by sharded store id, on the
-    /// pooled handles of [`Self::pooled_query_id`]: phase 1 is an O(1)
-    /// memo read on a warm handle, and results are bit-identical whether
-    /// the handles were warm or cold. An unknown/dropped id yields
-    /// `Err(UnknownFilterId)` for its slot without failing the rest of
-    /// the batch.
+    /// pooled handles of [`Self::pooled_query_id`]: phase 1 weighs every
+    /// (shard, slot) cell on its handle, the workers chunked over the
+    /// flattened cell list, so even an S=1 engine parallelises a wide
+    /// cold batch; a warm handle's weight is an O(1) memo read, and
+    /// results are bit-identical whether the handles were warm or cold.
+    /// An unknown/dropped id yields `Err(UnknownFilterId)` for its slot
+    /// without failing the rest of the batch.
     pub fn query_batch_ids(
         &self,
         ids: &[FilterId],
@@ -592,27 +599,99 @@ impl ShardedBstSystem {
         threads: usize,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
         let handles: Vec<_> = ids.iter().map(|&id| self.pooled_query_id(id)).collect();
-        self.scatter_gather(&handles, seed, threads)
+        self.scatter_gather(ids.len(), seed, threads, |workers| {
+            weigh_cells(handles, workers)
+        })
+    }
+
+    /// Phase 1 of [`Self::query_batch`]: one bit-sliced index pass per
+    /// (shard, chunk) for the filters of the engine's hash family that
+    /// set a bit, cold handles for the rest.
+    fn weigh_filters(
+        &self,
+        filters: &[BloomFilter],
+        workers: usize,
+    ) -> Vec<Result<Weighed, BstError>> {
+        let shards = &self.shared.shards;
+        let family = shards[0].tree().hasher();
+        let fused: Vec<bool> = filters
+            .iter()
+            .map(|f| !f.is_empty() && (Arc::ptr_eq(f.hasher(), family) || f.hasher() == family))
+            .collect();
+        let members: Vec<&BloomFilter> = filters
+            .iter()
+            .zip(&fused)
+            .filter(|(_, &fused)| fused)
+            .map(|(f, _)| f)
+            .collect();
+        let n = members.len();
+        let count = n
+            .div_ceil(QueryChunk::WIDTH)
+            .max(workers.div_ceil(shards.len()))
+            .min(n);
+        let bounds: Vec<(usize, usize)> = (0..count)
+            .map(|c| (c * n / count, (c + 1) * n / count))
+            .collect();
+        let chunks = par_map(&bounds, workers, |&(lo, hi)| {
+            QueryChunk::new(&members[lo..hi])
+        });
+        let passes: Vec<(usize, usize)> = (0..count)
+            .flat_map(|c| (0..shards.len()).map(move |s| (c, s)))
+            .collect();
+        let weighed = par_map(&passes, workers, |&(c, s)| {
+            let handles = shards[s].query_chunk(&chunks[c]).into_iter();
+            handles
+                .map(|q| {
+                    let weight = q.live_weight();
+                    let stats = q.take_stats();
+                    (q, (weight, stats))
+                })
+                .collect::<Vec<_>>()
+        });
+        // Regroup the (chunk, shard) passes into one row per filter.
+        let mut weighed = weighed.into_iter();
+        let mut rows = Vec::with_capacity(n);
+        for &(lo, hi) in &bounds {
+            let mut columns: Vec<_> = weighed
+                .by_ref()
+                .take(shards.len())
+                .map(Vec::into_iter)
+                .collect();
+            for _ in lo..hi {
+                let (handles, row): (Vec<Query>, Vec<_>) =
+                    columns.iter_mut().filter_map(Iterator::next).unzip();
+                let q = ShardQuery::new(None, self.boundaries().to_vec(), handles);
+                rows.push((Arc::new(q), row));
+            }
+        }
+        let mut rows = rows.into_iter();
+        filters
+            .iter()
+            .zip(fused)
+            .filter_map(|(f, fused)| match fused {
+                true => rows.next(),
+                false => Some(weigh_cold(Arc::new(self.query(f)))),
+            })
+            .map(Ok)
+            .collect()
     }
 
     /// The shared **two-phase** scatter behind both batch entry points,
-    /// over one handle per slot (`Err` fails that slot alone).
+    /// over `slots` slots that `weigh` runs phase 1 for on the workers it
+    /// is given (an `Err` slot fails alone).
     ///
-    /// Phase 1 weighs every (shard, slot) cell of the live slots, the
-    /// worker threads chunked over the flattened cell list, so even an S=1
-    /// engine parallelises a wide cold batch. The gather step merges
-    /// each slot's row and picks one shard, through the same two helpers
-    /// as the [`ShardQuery`] handle path; phase 2 samples only the chosen
-    /// cells, on the calling thread. Per-cell seeding makes the result
-    /// independent of worker placement and of how warm the handles were.
+    /// The gather step merges each live slot's row and picks one shard,
+    /// through the same two helpers as the [`ShardQuery`] handle path;
+    /// phase 2 samples only the chosen cells, on the calling thread.
+    /// Per-cell seeding makes the result independent of worker placement
+    /// and of how warm the handles were.
     fn scatter_gather(
         &self,
-        handles: &[Result<Arc<ShardQuery>, BstError>],
+        slots: usize,
         seed: u64,
         threads: usize,
+        weigh: impl FnOnce(usize) -> Vec<Result<Weighed, BstError>>,
     ) -> (Vec<Result<u64, BstError>>, OpStats) {
-        let shard_count = self.shard_count();
-        let slots = handles.len();
         if slots == 0 {
             return (Vec::new(), OpStats::new());
         }
@@ -627,31 +706,30 @@ impl ShardedBstSystem {
         } else {
             threads
         };
-        // A dead slot's error is final; a live slot's placeholder is
-        // overwritten by the gather step or phase 2.
-        let mut results: Vec<Result<u64, BstError>> = handles
-            .iter()
-            .map(|h| h.as_ref().map(|_| 0).map_err(|e| *e))
-            .collect();
-        let live: Vec<(usize, &ShardQuery)> = handles
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, h)| h.as_ref().ok().map(|h| (slot, &**h)))
-            .collect();
 
-        // Phase 1: weigh every live cell, slot-major, so each slot's row
-        // is one contiguous run of `S` outcomes.
+        // Phase 1: weigh every live slot on every shard.
         let weigh_started = obs.as_ref().map(|_| std::time::Instant::now());
-        let cells: Vec<&Query> = live.iter().flat_map(|(_, q)| q.shard_handles()).collect();
-        let weighed = par_map(&cells, workers, |q| (q.live_weight(), q.take_stats()));
+        let weighed = weigh(workers);
         if let (Some(obs), Some(t0)) = (obs.as_ref(), weigh_started) {
             obs.weigh_us.record(t0.elapsed().as_secs_f64() * 1e6);
         }
 
-        // Gather: per slot, merge the row and pick a shard.
+        // Gather: per live slot, merge the row and pick a shard. A dead
+        // slot's error is final; a live slot's placeholder is
+        // overwritten by phase 2.
         let mut stats = OpStats::new();
+        let mut results = Vec::with_capacity(slots);
         let mut chosen: Vec<(usize, usize, &Query)> = Vec::new();
-        for (&(slot, q), row) in live.iter().zip(weighed.chunks(shard_count)) {
+        let mut weighed_cells = 0;
+        for (slot, cell) in weighed.iter().enumerate() {
+            let (q, row) = match cell {
+                Ok(cell) => cell,
+                Err(e) => {
+                    results.push(Err(*e));
+                    continue;
+                }
+            };
+            weighed_cells += row.len();
             for (_, cell_stats) in row {
                 stats += *cell_stats;
             }
@@ -659,10 +737,10 @@ impl ShardedBstSystem {
                 let mut rng = StdRng::seed_from_u64(cell_seed(seed, u64::MAX, slot as u64));
                 pick_shard(&weights, &mut rng).ok_or(BstError::NoLiveLeaf)
             });
-            match picked {
-                Ok(shard) => chosen.push((slot, shard, &q.shard_handles()[shard])),
-                Err(e) => results[slot] = Err(e),
-            }
+            results.push(picked.map(|shard| {
+                chosen.push((slot, shard, &q.shard_handles()[shard]));
+                0
+            }));
         }
 
         // Phase 2: sample only the chosen cells, on this thread. Under the
@@ -672,16 +750,10 @@ impl ShardedBstSystem {
         // depends on its (shard, slot) coordinates alone, so results do
         // not depend on `threads`.
         let sample_started = obs.as_ref().map(|_| std::time::Instant::now());
-        let sampled: Vec<_> = chosen
-            .iter()
-            .map(|&(slot, shard, q)| {
-                let mut rng = StdRng::seed_from_u64(cell_seed(seed, shard as u64, slot as u64));
-                (q.sample(&mut rng), q.take_stats())
-            })
-            .collect();
-        for (&(slot, _, _), (out, sample_stats)) in chosen.iter().zip(sampled) {
-            results[slot] = out;
-            stats += sample_stats;
+        for &(slot, shard, q) in &chosen {
+            let mut rng = StdRng::seed_from_u64(cell_seed(seed, shard as u64, slot as u64));
+            results[slot] = q.sample(&mut rng);
+            stats += q.take_stats();
         }
         if let Some(obs) = obs.as_ref() {
             if let Some(t0) = sample_started {
@@ -694,7 +766,7 @@ impl ShardedBstSystem {
             span,
             &[
                 ("slots", slots as u64),
-                ("weighed_cells", cells.len() as u64),
+                ("weighed_cells", weighed_cells as u64),
                 ("sampled_cells", chosen.len() as u64),
                 ("intersections", stats.intersections),
                 ("memberships", stats.memberships),
@@ -827,6 +899,45 @@ impl ShardedBstSystem {
         // cold and unobserved until its installer re-attaches.
         Ok(ShardedBstSystem::assemble(store, shards))
     }
+}
+
+/// A live batch slot after phase 1: its handle and, in shard order,
+/// each shard's weight with the work weighing it took.
+type Weighed = (Arc<ShardQuery>, Vec<(Result<u64, BstError>, OpStats)>);
+
+/// Phase 1 of [`ShardedBstSystem::query_batch_ids`]: every (shard, slot)
+/// cell of the live slots weighed on its own handle, the workers chunked
+/// over the flattened cell list.
+fn weigh_cells(
+    handles: Vec<Result<Arc<ShardQuery>, BstError>>,
+    workers: usize,
+) -> Vec<Result<Weighed, BstError>> {
+    let cells: Vec<&Query> = handles
+        .iter()
+        .flatten()
+        .flat_map(|q| q.shard_handles())
+        .collect();
+    let weighed = par_map(&cells, workers, |q| (q.live_weight(), q.take_stats()));
+    let mut rows = weighed.into_iter();
+    handles
+        .into_iter()
+        .map(|h| {
+            h.map(|q| {
+                let row = rows.by_ref().take(q.shard_handles().len()).collect();
+                (q, row)
+            })
+        })
+        .collect()
+}
+
+/// One slot weighed on its own handles, shard by shard, on this thread.
+fn weigh_cold(q: Arc<ShardQuery>) -> Weighed {
+    let row = q
+        .shard_handles()
+        .iter()
+        .map(|h| (h.live_weight(), h.take_stats()))
+        .collect();
+    (q, row)
 }
 
 /// Maps `f` over `items` in up to `workers` contiguous chunks, with
@@ -1140,6 +1251,67 @@ mod tests {
                 let (many, many_stats) = sys.query_batch(&filters, 21, threads);
                 assert_eq!(one, many, "S = {shards}, threads = {threads}");
                 assert_eq!(one_stats, many_stats, "S = {shards}, threads = {threads}");
+            }
+        }
+    }
+
+    /// The oracle for the fused phase 1: `query_batch` answers, and
+    /// sums its stats, exactly as weighing every (shard, slot) cell on a
+    /// cold handle of its own (`ShardedBstSystem::query`) does, for every batch
+    /// width around the 16-filter chunk, at every thread count, on both
+    /// layouts, with an empty filter and a filter of another `m` each
+    /// keeping its own error.
+    #[test]
+    fn fused_batch_equals_per_cell_weighing() {
+        for kind in [HashKind::Murmur3, HashKind::DeltaBlocked] {
+            let sys = ShardedBstSystem::builder(16_384)
+                .shards(4)
+                .expected_set_size(200)
+                .hash_kind(kind)
+                .seed(13)
+                .occupied((0..16_384u64).filter(|x| x % 3 != 1))
+                .build();
+            let plan = sys.shard_systems()[0].tree().plan().clone();
+            let other_m = BloomFilter::from_keys(
+                Arc::new(bst_bloom::hash::BloomHasher::new(
+                    plan.kind,
+                    plan.k,
+                    plan.m + 512,
+                    plan.namespace,
+                    plan.seed,
+                )),
+                0..50u64,
+            );
+            let all: Vec<BloomFilter> = (0..40u64)
+                .map(|i| match i {
+                    16 => sys.store(std::iter::empty()),
+                    30 => other_m.clone(),
+                    _ => sys.store((0..20 + 7 * i).map(|j| (i * 3_181 + j * 37) % 16_384)),
+                })
+                .collect();
+            for width in [1, 15, 16, 17, 40] {
+                let filters = &all[..width];
+                let cold = |threads| {
+                    sys.scatter_gather(width, 77, threads, |workers| {
+                        let handles = filters.iter().map(|f| Ok(Arc::new(sys.query(f))));
+                        weigh_cells(handles.collect(), workers)
+                    })
+                };
+                let (want, want_stats) = cold(1);
+                assert!(want_stats.memberships > 0);
+                if width > 16 {
+                    assert_eq!(want[16], Err(BstError::EmptyFilter));
+                }
+                if width > 30 {
+                    assert_eq!(want[30], Err(BstError::IncompatibleFilter));
+                }
+                for threads in [0, 1, 2, 3, 16] {
+                    let (got, got_stats) = sys.query_batch(filters, 77, threads);
+                    let at = format!("{}, {width} filters, {threads} threads", kind.name());
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(got_stats, want_stats, "{at}");
+                    assert_eq!(cold(threads), (want.clone(), want_stats), "{at}");
+                }
             }
         }
     }
