@@ -165,29 +165,22 @@ pub(crate) trait Mask:
 {
     /// No filter.
     const NONE: Self;
-    /// Calls `f` with every filter in the set, ascending.
-    fn for_each(self, f: impl FnMut(usize));
 }
 
 impl Mask for bool {
     const NONE: Self = false;
-
-    fn for_each(self, mut f: impl FnMut(usize)) {
-        if self {
-            f(0);
-        }
-    }
 }
 
 impl Mask for u16 {
     const NONE: Self = 0;
+}
 
-    fn for_each(self, mut f: impl FnMut(usize)) {
-        let mut rest = self;
-        while rest != 0 {
-            f(rest.trailing_zeros() as usize);
-            rest &= rest - 1;
-        }
+/// Calls `f` with every filter in a chunk's `mask`, ascending.
+fn for_each_filter(mask: u16, mut f: impl FnMut(usize)) {
+    let mut rest = mask;
+    while rest != 0 {
+        f(rest.trailing_zeros() as usize);
+        rest &= rest - 1;
     }
 }
 
@@ -464,8 +457,8 @@ impl FirstProbeIndex {
     pub(crate) fn chunk_pass(&self, table: &SliceTable) -> (Vec<Vec<u64>>, Vec<u64>) {
         let mut hits = vec![Vec::new(); table.filters()];
         let mut tested = vec![0; table.filters()];
-        let bucket = |seen: u16, size| seen.for_each(|f| tested[f] += size);
-        let hit = |holds: u16, id| holds.for_each(|f| hits[f].push(id));
+        let bucket = |seen, size| for_each_filter(seen, |f| tested[f] += size);
+        let hit = |holds, id| for_each_filter(holds, |f| hits[f].push(id));
         match &self.probes {
             Probes::Narrow(probes) => self.scan(probes, table, bucket, hit),
             Probes::Wide(probes) => self.scan(probes, table, bucket, hit),
@@ -714,10 +707,9 @@ mod tests {
     #[test]
     fn sliced_masks_name_their_filters() {
         let mut seen = Vec::new();
-        0b1000_0000_0010_0101u16.for_each(|f| seen.push(f));
+        for_each_filter(0b1000_0000_0010_0101, |f| seen.push(f));
         assert_eq!(seen, [0, 2, 5, 15]);
-        true.for_each(|f| assert_eq!(f, 0));
-        false.for_each(|_| panic!("an empty mask names no filter"));
+        for_each_filter(0, |_| panic!("an empty mask names no filter"));
         let filters = sixteen_filters(4096, 3);
         let members: Vec<&BloomFilter> = filters.iter().collect();
         let chunk = QueryChunk::new(&members);
