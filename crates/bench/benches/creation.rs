@@ -1,5 +1,6 @@
-//! Criterion benches for tree construction (Tables 2–4): sequential vs
-//! parallel BloomSampleTree builds and pruned-tree builds.
+//! Criterion benches for tree construction (Tables 2–4): complete
+//! BloomSampleTree builds (leaves on one worker per CPU) and pruned-tree
+//! builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -16,11 +17,8 @@ fn bench_creation(c: &mut Criterion) {
     group.sample_size(10);
     for m_ns in [100_000u64, 1_000_000] {
         let plan = plan_for(m_ns, 0.9, HashKind::Murmur3, 1);
-        group.bench_with_input(BenchmarkId::new("sequential", m_ns), &plan, |b, plan| {
+        group.bench_with_input(BenchmarkId::new("dense", m_ns), &plan, |b, plan| {
             b.iter(|| BloomSampleTree::build(plan))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", m_ns), &plan, |b, plan| {
-            b.iter(|| BloomSampleTree::build_with_threads(plan, 0))
         });
     }
     group.finish();

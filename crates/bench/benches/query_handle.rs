@@ -34,7 +34,7 @@ fn print_ops_ratio(label: &str, system: &BstSystem, filter: &bst_bloom::filter::
     let mut rng = rng_for(99);
     let mut per_call = OpStats::new();
     let view = system.tree().read();
-    let sampler = BstSampler::with_config(&view, system.config().sampler);
+    let sampler = BstSampler::with_config(&view, system.config());
     for _ in 0..OPS_PROBE_SAMPLES {
         let _ = sampler.sample(filter, &mut rng, &mut per_call);
     }
@@ -67,7 +67,7 @@ fn bench_query_handle(c: &mut Criterion) {
                 // The old facade shape: a stateless sampler invocation per
                 // request, no reusable per-filter state.
                 let view = system.tree().read();
-                let sampler = BstSampler::with_config(&view, system.config().sampler);
+                let sampler = BstSampler::with_config(&view, system.config());
                 let mut rng = rng_for(7);
                 let mut stats = OpStats::new();
                 b.iter(|| sampler.sample(&filter, &mut rng, &mut stats))
@@ -94,10 +94,7 @@ fn bench_query_handle(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("per-call", |b| {
         let view = system.tree().read();
-        let recon = bst_core::reconstruct::BstReconstructor::with_config(
-            &view,
-            system.config().reconstruct,
-        );
+        let recon = bst_core::reconstruct::BstReconstructor::with_config(&view, system.config());
         let mut stats = OpStats::new();
         b.iter(|| recon.reconstruct(&filter, &mut stats))
     });

@@ -8,7 +8,8 @@ use bst_bloom::hash::HashKind;
 use bst_core::baselines::dictionary::da_reconstruct;
 use bst_core::baselines::hashinvert::hi_reconstruct;
 use bst_core::metrics::OpStats;
-use bst_core::reconstruct::{BstReconstructor, ReconstructConfig};
+use bst_core::reconstruct::BstReconstructor;
+use bst_core::sampler::BstConfig;
 
 const NAMESPACE: u64 = 100_000;
 
@@ -29,7 +30,7 @@ fn bench_reconstruction(c: &mut Criterion) {
             b.iter(|| recon.reconstruct(&q, &mut stats))
         });
         group.bench_with_input(BenchmarkId::new("bst-paper", n), &n, |b, _| {
-            let recon = BstReconstructor::with_config(&tree, ReconstructConfig::paper());
+            let recon = BstReconstructor::with_config(&tree, BstConfig::paper());
             let mut stats = OpStats::new();
             b.iter(|| recon.reconstruct(&q, &mut stats))
         });

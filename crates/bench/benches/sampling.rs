@@ -8,7 +8,7 @@ use bst_bench::common::{build_query, build_tree, gen_set, plan_for, rng_for, Set
 use bst_bloom::hash::HashKind;
 use bst_core::baselines::dictionary::da_sample;
 use bst_core::metrics::OpStats;
-use bst_core::sampler::{BstSampler, SamplerConfig};
+use bst_core::sampler::{BstConfig, BstSampler};
 
 const NAMESPACE: u64 = 100_000;
 
@@ -28,12 +28,12 @@ fn bench_sampling(c: &mut Criterion) {
             b.iter(|| sampler.sample(&q, &mut rng, &mut stats))
         });
         group.bench_with_input(BenchmarkId::new("bst-paper", n), &n, |b, _| {
-            let sampler = BstSampler::with_config(&tree, SamplerConfig::paper());
+            let sampler = BstSampler::with_config(&tree, BstConfig::paper());
             let mut stats = OpStats::new();
             b.iter(|| sampler.sample(&q, &mut rng, &mut stats))
         });
         group.bench_with_input(BenchmarkId::new("bst-corrected", n), &n, |b, _| {
-            let sampler = BstSampler::with_config(&tree, SamplerConfig::corrected());
+            let sampler = BstSampler::with_config(&tree, BstConfig::corrected());
             let mut stats = OpStats::new();
             b.iter(|| sampler.sample(&q, &mut rng, &mut stats))
         });

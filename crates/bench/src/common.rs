@@ -77,7 +77,7 @@ pub fn plan_for(namespace: u64, accuracy: f64, kind: HashKind, seed: u64) -> Tre
 
 /// Builds the tree for a plan with all cores.
 pub fn build_tree(plan: &TreePlan) -> BloomSampleTree {
-    BloomSampleTree::build_with_threads(plan, 0)
+    BloomSampleTree::build(plan)
 }
 
 /// Builds a query filter over `keys` compatible with `tree`.

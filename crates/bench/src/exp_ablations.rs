@@ -7,8 +7,8 @@ use std::time::Instant;
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::{leaf_size, TreePlan};
 use bst_core::metrics::OpStats;
-use bst_core::reconstruct::{BstReconstructor, ReconstructConfig};
-use bst_core::sampler::{BstSampler, Correction, Liveness, RatioEstimator, SamplerConfig};
+use bst_core::reconstruct::BstReconstructor;
+use bst_core::sampler::{BstConfig, BstSampler, Correction, Liveness, RatioEstimator};
 use bst_stats::chi2_uniform_test;
 
 use crate::common::{build_query, build_tree, gen_set, plan_for, rng_for, SetKind};
@@ -33,8 +33,9 @@ pub fn ablate_threshold(scale: &Scale) -> Table {
     for tau in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
         let recon = BstReconstructor::with_config(
             &tree,
-            ReconstructConfig {
+            BstConfig {
                 liveness: Liveness::EstimateThreshold(tau),
+                ..BstConfig::paper()
             },
         );
         let mut stats = OpStats::new();
@@ -84,7 +85,7 @@ pub fn ablate_estimator(scale: &Scale) -> Table {
             ("bit-overlap", Liveness::BitOverlap),
             ("tau=0.5", Liveness::EstimateThreshold(0.5)),
         ] {
-            let cfg = SamplerConfig {
+            let cfg = BstConfig {
                 liveness,
                 ratio,
                 correction: Correction::None,
@@ -207,9 +208,9 @@ pub fn ablate_correction(scale: &Scale) -> Table {
     for gamma in [1.0, 2.0, 4.0, 8.0, 16.0] {
         let sampler = BstSampler::with_config(
             &tree,
-            SamplerConfig {
+            BstConfig {
                 correction: Correction::Rejection { gamma },
-                ..SamplerConfig::default()
+                ..BstConfig::default()
             },
         );
         let mut counts = vec![0u64; N];

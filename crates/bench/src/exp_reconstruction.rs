@@ -11,7 +11,8 @@ use bst_bloom::hash::HashKind;
 use bst_core::baselines::dictionary::da_reconstruct;
 use bst_core::baselines::hashinvert::hi_reconstruct;
 use bst_core::metrics::OpStats;
-use bst_core::reconstruct::{BstReconstructor, ReconstructConfig};
+use bst_core::reconstruct::BstReconstructor;
+use bst_core::sampler::BstConfig;
 
 use crate::common::{build_query, build_tree, gen_set, plan_for, rng_for, SetKind};
 use crate::scale::Scale;
@@ -43,7 +44,7 @@ pub fn fig_recon_ops(namespace: u64, kind: SetKind, scale: &Scale) -> Table {
     for &acc in &scale.accuracies {
         let plan = plan_for(namespace, acc, HashKind::Simple, crate::common::SEED);
         let tree = build_tree(&plan);
-        let recon = BstReconstructor::with_config(&tree, ReconstructConfig::paper());
+        let recon = BstReconstructor::with_config(&tree, BstConfig::paper());
         for &n in &scale.set_sizes {
             if n as u64 >= namespace {
                 continue;
@@ -98,7 +99,7 @@ pub fn fig_recon_time(namespace: u64, kind: SetKind, scale: &Scale) -> Table {
     for &acc in &scale.accuracies {
         let plan = plan_for(namespace, acc, HashKind::Simple, crate::common::SEED);
         let tree = build_tree(&plan);
-        let recon = BstReconstructor::with_config(&tree, ReconstructConfig::paper());
+        let recon = BstReconstructor::with_config(&tree, BstConfig::paper());
         for &n in &sizes {
             if n as u64 >= namespace {
                 continue;

@@ -6,7 +6,7 @@ use std::time::Instant;
 use bst_bloom::hash::HashKind;
 use bst_core::baselines::dictionary::da_sample;
 use bst_core::metrics::OpStats;
-use bst_core::sampler::{BstSampler, SamplerConfig};
+use bst_core::sampler::{BstConfig, BstSampler};
 
 use crate::common::{build_query, build_tree, gen_set, plan_for, rng_for, SetKind};
 use crate::scale::Scale;
@@ -33,7 +33,7 @@ pub fn fig_ops(namespace: u64, kind: SetKind, scale: &Scale) -> Table {
     for &acc in &scale.accuracies {
         let plan = plan_for(namespace, acc, HashKind::Murmur3, crate::common::SEED);
         let tree = build_tree(&plan);
-        let sampler = BstSampler::with_config(&tree, SamplerConfig::paper());
+        let sampler = BstSampler::with_config(&tree, BstConfig::paper());
         for &n in &scale.set_sizes {
             if n as u64 >= namespace {
                 continue;
@@ -72,7 +72,7 @@ pub fn fig_time(namespace: u64, kind: SetKind, scale: &Scale) -> Table {
     for &acc in &scale.accuracies {
         let plan = plan_for(namespace, acc, HashKind::Murmur3, crate::common::SEED);
         let tree = build_tree(&plan);
-        let sampler = BstSampler::with_config(&tree, SamplerConfig::paper());
+        let sampler = BstSampler::with_config(&tree, BstConfig::paper());
         for &n in &scale.set_sizes {
             if n as u64 >= namespace {
                 continue;
@@ -118,7 +118,7 @@ pub fn fig7(scale: &Scale) -> Table {
         for kind in HashKind::ALL {
             let plan = plan_for(namespace, acc, kind, crate::common::SEED);
             let tree = build_tree(&plan);
-            let sampler = BstSampler::with_config(&tree, SamplerConfig::paper());
+            let sampler = BstSampler::with_config(&tree, BstConfig::paper());
             let mut rng = rng_for(70 + kind as u64);
             let keys = gen_set(&mut rng, SetKind::Uniform, namespace, n);
             let q = build_query(&tree, &keys);

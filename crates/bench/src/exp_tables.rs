@@ -6,7 +6,7 @@ use std::time::Instant;
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::{paper_plan, TreePlan};
 use bst_core::metrics::OpStats;
-use bst_core::sampler::{BstSampler, SamplerConfig};
+use bst_core::sampler::{BstConfig, BstSampler};
 use bst_stats::chi2_uniform_test;
 
 use crate::common::{build_query, build_tree, gen_set, plan_for, rng_for, SetKind};
@@ -121,7 +121,7 @@ pub fn table5(scale: &Scale) -> Table {
             let rounds = (130 * n).min(scale.chi2_cap);
             let mut row_p = Vec::new();
             let mut measured_acc = 0.0;
-            for cfg in [SamplerConfig::corrected(), SamplerConfig::paper()] {
+            for cfg in [BstConfig::corrected(), BstConfig::paper()] {
                 let sampler = BstSampler::with_config(&tree, cfg);
                 let mut counts = vec![0u64; n];
                 let mut fp = 0u64;

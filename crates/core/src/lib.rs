@@ -11,6 +11,9 @@
 //! * [`sampler::BstSampler`] — BSTSample (Algorithm 1) plus the one-pass
 //!   multi-sampler (§5.3);
 //! * [`reconstruct::BstReconstructor`] — set reconstruction (§6);
+//! * [`sampler::BstConfig`] — the one behaviour configuration both take:
+//!   the liveness rule they prune by, plus the sampler's ratio estimator
+//!   and correction;
 //! * [`baselines`] — DictionaryAttack and HashInvert (§4);
 //! * [`metrics::OpStats`] — the intersection/membership accounting behind
 //!   Figures 3–4 and 8–12;
@@ -74,9 +77,9 @@ pub use metrics::OpStats;
 pub use persistence::PersistError;
 pub use pruned::PrunedBloomSampleTree;
 pub use query::Query;
-pub use reconstruct::{BstReconstructor, ReconstructConfig};
-pub use sampler::{BstSampler, QueryMemo, SamplerConfig};
+pub use reconstruct::BstReconstructor;
+pub use sampler::{BstConfig, BstSampler, QueryMemo};
 pub use store::{BstStore, FilterId};
-pub use system::{BstConfig, BstSystem};
+pub use system::BstSystem;
 pub use tree::{BloomSampleTree, QueryChunk, SampleTree};
 pub use wal::{FsyncPolicy, Wal, WalRecord};

@@ -11,19 +11,17 @@
 //! Layouts (little-endian):
 //!
 //! ```text
-//! complete: "BSTC" v5 | plan | node words × node_count
-//! pruned:   "BSTP" v5 | plan | version u64 (mutation counter, resumed
+//! complete: "BSTC" v6 | plan | node words × node_count
+//! pruned:   "BSTP" v6 | plan | version u64 (mutation counter, resumed
 //!           on decode) | id count u64 | occupied ids u64…, ascending
-//! system:   "BSTS" v5 | config | backend | store (one slice)
+//! system:   "BSTS" v6 | config | backend | store (one slice)
 //! backend:  tag u8 (0 dense, 1 pruned) | len u64 | "BSTC" or "BSTP" bytes
 //! store:    next_id u64 | set count u32
 //!           | per set: id u64, generation u64 per slice, key count u64,
 //!             keys u64…, non-decreasing
-//! config:   sampler cfg | reconstruct cfg
+//! config:   liveness | ratio u8 | correction
 //! plan:     namespace u64 | m u64 | k u16 | kind u8 | seed u64
 //!           | depth u32 | leaf_capacity u64 | target_accuracy f64
-//! sampler cfg:     liveness | ratio u8 | correction
-//! reconstruct cfg: liveness
 //! cfg tags: liveness 0=BitOverlap 1=EstimateThreshold(+f64)
 //!           | ratio 0=MeanCorrectedBits 1=AndCardinality 2=Papapetrou
 //!           | correction 0=None 1=Rejection(+f64) 2=RejectionAuto
@@ -33,23 +31,22 @@
 //! its ids' probe rows, so decode rebuilds the tree from the ids and no
 //! byte sequence can describe a filter that disagrees with them.
 //!
-//! `bst-shard`'s sharded snapshot, `"BSTH" v5 | boundaries | config |
+//! `bst-shard`'s sharded snapshot, `"BSTH" v6 | boundaries | config |
 //! store | S × backend`, frames the same pieces around its partition
 //! ([`put_boundaries`]); its store carries one generation per shard.
 //!
 //! Version 2 dropped three config bytes and the system's journal cap;
 //! version 3 cut the pruned body to its plan, version and ids; version 4
 //! stores each set as its keys instead of a counting filter; version 5
-//! writes a sharded engine's config and store once, not once per shard.
-//! Older inputs are refused as [`PersistError::BadVersion`].
+//! writes a sharded engine's config and store once, not once per shard;
+//! version 6 writes the config's liveness rule once, not once per
+//! algorithm. Older inputs are refused as [`PersistError::BadVersion`].
 
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::{depth_for, TreePlan};
 use bytes::{Buf, BufMut, BytesMut};
 
-use crate::reconstruct::ReconstructConfig;
-use crate::sampler::{Correction, Liveness, RatioEstimator, SamplerConfig};
-use crate::system::BstConfig;
+use crate::sampler::{BstConfig, Correction, Liveness, RatioEstimator};
 
 /// Errors from decoding a persisted tree, store, or system snapshot.
 ///
@@ -86,7 +83,7 @@ impl std::error::Error for PersistError {}
 
 /// Snapshot format version shared by every structure in this module (and
 /// by the `bst-shard` sharded-system snapshot, which embeds its pieces).
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 
 pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_u64_le(plan.namespace);
@@ -173,7 +170,8 @@ fn get_liveness(input: &mut &[u8]) -> Result<Liveness, PersistError> {
     }
 }
 
-fn put_sampler_config(buf: &mut BytesMut, cfg: &SamplerConfig) {
+/// Appends a behaviour configuration: `liveness | ratio u8 | correction`.
+pub fn put_config(buf: &mut BytesMut, cfg: &BstConfig) {
     put_liveness(buf, cfg.liveness);
     buf.put_u8(match cfg.ratio {
         RatioEstimator::MeanCorrectedBits => 0,
@@ -190,7 +188,9 @@ fn put_sampler_config(buf: &mut BytesMut, cfg: &SamplerConfig) {
     }
 }
 
-fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, PersistError> {
+/// Decodes a configuration written by [`put_config`], refusing one that
+/// [`BstConfig::validate`] refuses.
+pub fn get_config(input: &mut &[u8]) -> Result<BstConfig, PersistError> {
     let liveness = get_liveness(input)?;
     if input.remaining() < 2 {
         return Err(PersistError::Truncated);
@@ -214,35 +214,10 @@ fn get_sampler_config(input: &mut &[u8]) -> Result<SamplerConfig, PersistError> 
         2 => Correction::RejectionAuto,
         _ => return Err(PersistError::Corrupt("unknown correction tag")),
     };
-    Ok(SamplerConfig {
+    let cfg = BstConfig {
         liveness,
         ratio,
         correction,
-    })
-}
-
-fn put_reconstruct_config(buf: &mut BytesMut, cfg: &ReconstructConfig) {
-    put_liveness(buf, cfg.liveness);
-}
-
-fn get_reconstruct_config(input: &mut &[u8]) -> Result<ReconstructConfig, PersistError> {
-    Ok(ReconstructConfig {
-        liveness: get_liveness(input)?,
-    })
-}
-
-/// Appends a behaviour configuration: sampler cfg, then reconstruct cfg.
-pub fn put_config(buf: &mut BytesMut, cfg: &BstConfig) {
-    put_sampler_config(buf, &cfg.sampler);
-    put_reconstruct_config(buf, &cfg.reconstruct);
-}
-
-/// Decodes a configuration written by [`put_config`], refusing one that
-/// [`BstConfig::validate`] refuses.
-pub fn get_config(input: &mut &[u8]) -> Result<BstConfig, PersistError> {
-    let cfg = BstConfig {
-        sampler: get_sampler_config(input)?,
-        reconstruct: get_reconstruct_config(input)?,
     };
     cfg.validate()
         .map_err(|_| PersistError::Corrupt("snapshot configuration invalid"))?;
@@ -367,23 +342,18 @@ mod tests {
                     Correction::Rejection { gamma: 7.0 },
                     Correction::RejectionAuto,
                 ] {
-                    let cfg = SamplerConfig {
+                    let cfg = BstConfig {
                         liveness,
                         ratio,
                         correction,
                     };
                     let mut buf = BytesMut::new();
-                    put_sampler_config(&mut buf, &cfg);
+                    put_config(&mut buf, &cfg);
                     let mut s: &[u8] = &buf;
-                    assert_eq!(get_sampler_config(&mut s).unwrap(), cfg);
+                    assert_eq!(get_config(&mut s).unwrap(), cfg);
                     assert!(s.is_empty());
                 }
             }
-            let rcfg = ReconstructConfig { liveness };
-            let mut buf = BytesMut::new();
-            put_reconstruct_config(&mut buf, &rcfg);
-            let mut s: &[u8] = &buf;
-            assert_eq!(get_reconstruct_config(&mut s).unwrap(), rcfg);
         }
     }
 

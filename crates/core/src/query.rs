@@ -386,16 +386,14 @@ impl Query {
     }
 
     /// Draws one sample from the stored set: exactly uniform over
-    /// [`Self::reconstruct`]'s output when the sampler and reconstructor
-    /// both run the sound rule on a pruned tree (the sampler's exact
-    /// path), near-uniform BSTSample otherwise.
+    /// [`Self::reconstruct`]'s output under the sound rule on a pruned
+    /// tree (the sampler's exact path), near-uniform BSTSample otherwise.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<u64, BstError> {
         let span = self.system.tracer().start();
         let view = self.system.tree().read();
         let mut guard = self.state.lock();
         self.sync(&mut guard, &view)?;
-        let cfg = self.system.config();
-        let sampler = BstSampler::with_config(&view, cfg.sampler).exact_draws(&cfg.reconstruct);
+        let sampler = BstSampler::with_config(&view, self.system.config()).exact_draws();
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = sampler.try_sample_memo(&state.filter, &mut state.memo, rng, &mut local);
@@ -417,8 +415,7 @@ impl Query {
         let view = self.system.tree().read();
         let mut guard = self.state.lock();
         self.sync(&mut guard, &view)?;
-        let cfg = self.system.config();
-        let sampler = BstSampler::with_config(&view, cfg.sampler).exact_draws(&cfg.reconstruct);
+        let sampler = BstSampler::with_config(&view, self.system.config()).exact_draws();
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = sampler.try_sample_many_memo(&state.filter, r, &mut state.memo, rng, &mut local);
@@ -434,7 +431,7 @@ impl Query {
         let view = self.system.tree().read();
         let mut guard = self.state.lock();
         self.sync(&mut guard, &view)?;
-        let recon = BstReconstructor::with_config(&view, self.system.config().reconstruct);
+        let recon = BstReconstructor::with_config(&view, self.system.config());
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = recon.try_reconstruct_memo(&state.filter, &mut state.memo, &mut local);
@@ -474,7 +471,7 @@ impl Query {
         // records no stats and no span: a sharded sample reads one per
         // shard, which would otherwise flood the trace ring.
         let counts = guard.memo.cached_count().is_none();
-        let recon = BstReconstructor::with_config(&view, self.system.config().reconstruct);
+        let recon = BstReconstructor::with_config(&view, self.system.config());
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out = recon.try_count_memo(&state.filter, &mut state.memo, &mut local);
@@ -494,7 +491,7 @@ impl Query {
         let view = self.system.tree().read();
         let mut guard = self.state.lock();
         self.sync(&mut guard, &view)?;
-        let recon = BstReconstructor::with_config(&view, self.system.config().reconstruct);
+        let recon = BstReconstructor::with_config(&view, self.system.config());
         let state = &mut *guard;
         let mut local = OpStats::new();
         let out =

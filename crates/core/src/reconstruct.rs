@@ -7,8 +7,9 @@
 //! sorted. Under the sound rule on a tree that keeps a first-probe index
 //! the traversal is not entered at all (see below).
 //!
-//! Two pruning disciplines are offered (see `sampler` module docs for the
-//! full rationale):
+//! Two pruning disciplines are offered, chosen by [`BstConfig`]'s
+//! liveness rule, the one the sampler prunes by too (see `sampler` module
+//! docs for the full rationale):
 //!
 //! * **Sound** (default): a branch is pruned only when its filter's
 //!   intersection with the query has fewer than `k` set bits — provably
@@ -58,74 +59,33 @@ use bst_bloom::filter::BloomFilter;
 
 use crate::error::BstError;
 use crate::metrics::OpStats;
-use crate::sampler::{DrawTable, Liveness, QueryMemo, DEFAULT_THRESHOLD};
+use crate::sampler::{BstConfig, DrawTable, Liveness, QueryMemo};
 use crate::tree::{NodeId, SampleTree};
-
-/// Reconstruction configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReconstructConfig {
-    /// Branch-emptiness rule.
-    pub liveness: Liveness,
-}
-
-impl Default for ReconstructConfig {
-    fn default() -> Self {
-        ReconstructConfig {
-            liveness: Liveness::BitOverlap,
-        }
-    }
-}
-
-impl ReconstructConfig {
-    /// The paper's §5.6 pruning: estimate threshold, `t₂` from the
-    /// query itself.
-    pub fn paper() -> Self {
-        ReconstructConfig {
-            liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
-        }
-    }
-
-    /// Checks the configuration's numeric invariants, naming the broken
-    /// one. [`BstReconstructor::with_config`] asserts the same invariants.
-    pub fn validate(&self) -> Result<(), BstError> {
-        if let Liveness::EstimateThreshold(tau) = self.liveness {
-            if !(tau.is_finite() && tau >= 0.0) {
-                return Err(BstError::InvalidConfig(
-                    "liveness threshold must be finite and non-negative",
-                ));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Reconstructor bound to a tree.
 pub struct BstReconstructor<'t, T: SampleTree> {
     tree: &'t T,
-    cfg: ReconstructConfig,
+    /// The configuration's pruning rule, the only part reconstruction
+    /// reads.
+    liveness: Liveness,
 }
 
 impl<'t, T: SampleTree> BstReconstructor<'t, T> {
     /// Creates a reconstructor with the sound default configuration.
     pub fn new(tree: &'t T) -> Self {
-        BstReconstructor {
-            tree,
-            cfg: ReconstructConfig::default(),
-        }
+        Self::with_config(tree, BstConfig::default())
     }
 
-    /// Creates a reconstructor with explicit configuration.
+    /// Creates a reconstructor that prunes by `cfg`'s liveness rule.
     ///
     /// # Panics
-    /// Panics when [`ReconstructConfig::validate`] rejects `cfg`.
-    pub fn with_config(tree: &'t T, cfg: ReconstructConfig) -> Self {
+    /// Panics when [`BstConfig::validate`] rejects `cfg`.
+    pub fn with_config(tree: &'t T, cfg: BstConfig) -> Self {
         assert_eq!(cfg.validate(), Ok(()), "reconstruct config");
-        BstReconstructor { tree, cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ReconstructConfig {
-        &self.cfg
+        BstReconstructor {
+            tree,
+            liveness: cfg.liveness,
+        }
     }
 
     /// Reconstructs the set stored in `query` — every namespace element all
@@ -288,7 +248,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         memo: &mut QueryMemo,
         stats: &mut OpStats,
     ) -> bool {
-        if !matches!(self.cfg.liveness, Liveness::BitOverlap) || self.tree.census().is_none() {
+        if !matches!(self.liveness, Liveness::BitOverlap) || self.tree.census().is_none() {
             return false;
         }
         if memo.holds_leaves() {
@@ -402,7 +362,7 @@ impl<'t, T: SampleTree> BstReconstructor<'t, T> {
         }
         stats.intersections += 1;
         let f = self.tree.filter(child);
-        let live = match self.cfg.liveness {
+        let live = match self.liveness {
             // Only the threshold matters, so the count stops at `k`.
             Liveness::BitOverlap => f.and_count_reaches(query, f.k()),
             Liveness::EstimateThreshold(tau) => {
@@ -558,8 +518,8 @@ mod tests {
         let mut sound_stats = OpStats::new();
         let sound = BstReconstructor::new(&t).reconstruct(&q, &mut sound_stats);
         let mut paper_stats = OpStats::new();
-        let paper = BstReconstructor::with_config(&t, ReconstructConfig::paper())
-            .reconstruct(&q, &mut paper_stats);
+        let paper =
+            BstReconstructor::with_config(&t, BstConfig::paper()).reconstruct(&q, &mut paper_stats);
         // Paper mode prunes at least as aggressively.
         assert!(paper_stats.memberships <= sound_stats.memberships);
         // Sound result contains everything paper mode found.
@@ -620,8 +580,9 @@ mod tests {
         let mut stats = OpStats::new();
         let rec = BstReconstructor::with_config(
             &t,
-            ReconstructConfig {
+            BstConfig {
                 liveness: Liveness::EstimateThreshold(1e12),
+                ..BstConfig::paper()
             },
         )
         .reconstruct(&q, &mut stats);
@@ -647,8 +608,8 @@ mod tests {
         let (t, q) = op_count_fixture();
         // (config, len, memberships, nodes, leaves, intersections)
         for (cfg, len, memberships, nodes, leaves, intersections) in [
-            (ReconstructConfig::default(), 42, 1280, 24, 10, 28),
-            (ReconstructConfig::paper(), 41, 1024, 20, 8, 24),
+            (BstConfig::default(), 42, 1280, 24, 10, 28),
+            (BstConfig::paper(), 41, 1024, 20, 8, 24),
         ] {
             let mut memo = QueryMemo::new();
             let mut stats = OpStats::new();
@@ -682,7 +643,7 @@ mod tests {
             let t = tree(m, 2048, 4);
             let keys: Vec<u64> = (0..n).map(|i| 300 + i * 11).chain([1500, 1777]).collect();
             let q = t.query_filter(keys.iter().copied());
-            let r = BstReconstructor::with_config(&t, ReconstructConfig::paper());
+            let r = BstReconstructor::with_config(&t, BstConfig::paper());
             let cold = r
                 .try_reconstruct_memo(&q, &mut QueryMemo::new(), &mut OpStats::new())
                 .unwrap();
@@ -703,8 +664,9 @@ mod tests {
         let t = tree(1 << 12, 2048, 4);
         let _ = BstReconstructor::with_config(
             &t,
-            ReconstructConfig {
+            BstConfig {
                 liveness: Liveness::EstimateThreshold(f64::INFINITY),
+                ..BstConfig::paper()
             },
         );
     }

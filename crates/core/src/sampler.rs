@@ -11,7 +11,10 @@
 //!
 //! ## Configuration space (and why it exists)
 //!
-//! The paper leaves two decisions under-specified, and both matter:
+//! One [`BstConfig`] drives this module and the `reconstruct` module:
+//! its liveness rule prunes for both, and its ratio estimator and
+//! correction steer BSTSample. The paper leaves two decisions
+//! under-specified, and both matter:
 //!
 //! * **Liveness** (when is a branch "empty"?). [`Liveness::EstimateThreshold`]
 //!   is the paper's §5.6 rule: prune when the estimated intersection size is
@@ -56,12 +59,11 @@
 //! index and a census (every pruned tree), a sound count and a
 //! reconstruction read the leaves' match lists without a walk (see the
 //! `reconstruct` module docs), so the memo already holds every element
-//! a draw can return. When the reconstructor's rule is the sound one
-//! too, a query handle ([`crate::query::Query`], which keeps its memo)
-//! draws exactly: the first draw walks the leaves with the same
-//! traversal the count uses (a census-only leaf counts only when its
-//! root path is live) and keeps the non-empty lists with the prefix
-//! sums of their lengths in the memo; each draw is one
+//! a draw can return, and a query handle ([`crate::query::Query`],
+//! which keeps its memo) draws exactly: the first draw walks the leaves
+//! with the same traversal the count uses (a census-only leaf counts
+//! only when its root path is live) and keeps the non-empty lists with
+//! the prefix sums of their lengths in the memo; each draw is one
 //! `gen_range(0..total)`, one binary search and one list read. A draw
 //! is therefore element `i` of `reconstruct()`'s output for a uniform
 //! `i`, `sample_many(r)` returns `r` draws, and warm and cold memos
@@ -93,7 +95,7 @@ use rand::Rng;
 
 use crate::error::BstError;
 use crate::metrics::OpStats;
-use crate::reconstruct::{BstReconstructor, ReconstructConfig};
+use crate::reconstruct::BstReconstructor;
 use crate::tree::{IndexPass, NodeId, SampleTree};
 
 /// Default emptiness threshold τ for the paper's §5.6 pruning rule.
@@ -148,9 +150,13 @@ pub enum Correction {
     RejectionAuto,
 }
 
-/// Tunable sampling behaviour.
+/// The one behaviour configuration of both algorithms, set once per
+/// system (or per bare sampler or reconstructor). The liveness rule
+/// prunes for sampling and reconstruction alike, so a system's counts,
+/// shard weights, reconstructions and draws follow one rule; the ratio
+/// estimator and the correction steer BSTSample only.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SamplerConfig {
+pub struct BstConfig {
     /// Branch-emptiness rule.
     pub liveness: Liveness,
     /// Descent-ratio estimator.
@@ -159,12 +165,12 @@ pub struct SamplerConfig {
     pub correction: Correction,
 }
 
-impl Default for SamplerConfig {
+impl Default for BstConfig {
     /// Sound and fast: bit-overlap liveness, mean-corrected bit-overlap
     /// descent ratios, no correction (exact draws on pruned trees, where
     /// the ratio and correction do not apply).
     fn default() -> Self {
-        SamplerConfig {
+        BstConfig {
             liveness: Liveness::BitOverlap,
             ratio: RatioEstimator::MeanCorrectedBits,
             correction: Correction::None,
@@ -172,12 +178,12 @@ impl Default for SamplerConfig {
     }
 }
 
-impl SamplerConfig {
-    /// The algorithm exactly as the paper describes it: §5.6 threshold
-    /// pruning, §5.3 Papapetrou estimates, no correction. Use for
-    /// reproducing the paper's operation counts.
+impl BstConfig {
+    /// Both algorithms exactly as the paper describes them: §5.6
+    /// threshold pruning, §5.3 Papapetrou estimates, no correction. Use
+    /// for reproducing the paper's operation counts.
     pub fn paper() -> Self {
-        SamplerConfig {
+        BstConfig {
             liveness: Liveness::EstimateThreshold(DEFAULT_THRESHOLD),
             ratio: RatioEstimator::Papapetrou,
             correction: Correction::None,
@@ -185,18 +191,20 @@ impl SamplerConfig {
     }
 
     /// Provably near-uniform output (χ²-passing at the paper's Table 5
-    /// operating points): defaults plus auto-tuned rejection correction.
-    /// On pruned trees the sound rule draws exactly (module docs), so the
-    /// correction applies to complete trees only.
+    /// operating points): defaults plus auto-tuned rejection correction,
+    /// at ~γ walks per sample. On pruned trees the sound rule draws
+    /// exactly (module docs), so the correction applies to complete
+    /// trees only.
     pub fn corrected() -> Self {
-        SamplerConfig {
+        BstConfig {
             correction: Correction::RejectionAuto,
             ..Self::default()
         }
     }
 
     /// Checks the configuration's numeric invariants, naming the broken
-    /// one. [`BstSampler::with_config`] asserts the same invariants.
+    /// one. [`BstSampler::with_config`] and
+    /// [`BstReconstructor::with_config`] assert the same invariants.
     pub fn validate(&self) -> Result<(), BstError> {
         if let Liveness::EstimateThreshold(tau) = self.liveness {
             if !(tau.is_finite() && tau >= 0.0) {
@@ -261,9 +269,9 @@ pub struct QueryMemo {
     /// for every materialised leaf at once by an index pass, or leaf by
     /// leaf by table scans (see [`QueryMemo::leaf_matches`]).
     leaves: HashMap<NodeId, Arc<Vec<u64>>>,
-    /// Reconstruction liveness per node (the reconstructor's pruning rule
-    /// can differ from the sampler's, so it gets its own map). Filled by
-    /// the walk, and by the root-path tests of a walk-free sound count.
+    /// Reconstruction liveness per node (the walk's test needs no
+    /// descent weight, so it gets its own map). Filled by the walk, and
+    /// by the root-path tests of a walk-free sound count.
     pub(crate) recon_live: HashMap<NodeId, bool>,
     /// The full-range live-leaf weight of the last count or full
     /// reconstruction: repeated `live_weight` calls are O(1) until a
@@ -497,7 +505,7 @@ impl DrawTable {
 /// Sampler bound to a tree.
 pub struct BstSampler<'t, T: SampleTree> {
     tree: &'t T,
-    cfg: SamplerConfig,
+    cfg: BstConfig,
     /// Whether the exact draw path (module docs) is on; see
     /// [`Self::exact_draws`].
     exact: bool,
@@ -506,14 +514,14 @@ pub struct BstSampler<'t, T: SampleTree> {
 impl<'t, T: SampleTree> BstSampler<'t, T> {
     /// Creates a sampler with the default (sound) configuration.
     pub fn new(tree: &'t T) -> Self {
-        Self::with_config(tree, SamplerConfig::default())
+        Self::with_config(tree, BstConfig::default())
     }
 
     /// Creates a sampler with explicit configuration.
     ///
     /// # Panics
-    /// Panics when [`SamplerConfig::validate`] rejects `cfg`.
-    pub fn with_config(tree: &'t T, cfg: SamplerConfig) -> Self {
+    /// Panics when [`BstConfig::validate`] rejects `cfg`.
+    pub fn with_config(tree: &'t T, cfg: BstConfig) -> Self {
         assert_eq!(cfg.validate(), Ok(()), "sampler config");
         BstSampler {
             tree,
@@ -523,18 +531,12 @@ impl<'t, T: SampleTree> BstSampler<'t, T> {
     }
 
     /// Turns the exact draw path (module docs) on for a caller that keeps
-    /// its memo across draws and reconstructs under `recon`. It applies
-    /// when both rules are the sound one, so counts, shard weights,
-    /// reconstructions and draws all read the same leaf lists.
-    pub(crate) fn exact_draws(mut self, recon: &ReconstructConfig) -> Self {
-        self.exact =
-            self.cfg.liveness == Liveness::BitOverlap && recon.liveness == Liveness::BitOverlap;
+    /// its memo across draws. It applies under the sound rule, where
+    /// counts, shard weights, reconstructions and draws all read the same
+    /// leaf lists.
+    pub(crate) fn exact_draws(mut self) -> Self {
+        self.exact = self.cfg.liveness == Liveness::BitOverlap;
         self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
     }
 
     /// Evaluates one child: liveness + descent weight. One intersection op
@@ -1151,7 +1153,7 @@ mod tests {
         let n = 40usize;
         let keys: Vec<u64> = (0..n as u64).map(|i| i * 101 + 7).collect();
         let q = t.query_filter(keys.iter().copied());
-        let sampler = BstSampler::with_config(&t, SamplerConfig::corrected());
+        let sampler = BstSampler::with_config(&t, BstConfig::corrected());
         let mut rng = StdRng::seed_from_u64(6);
         let mut stats = OpStats::new();
         let rounds = bst_stats::chi2::PAPER_ROUNDS_PER_ELEMENT * n;
@@ -1181,7 +1183,7 @@ mod tests {
         let n = 40usize;
         let keys: Vec<u64> = (0..n as u64).map(|i| i * 101 + 7).collect();
         let q = t.query_filter(keys.iter().copied());
-        let sampler = BstSampler::with_config(&t, SamplerConfig::corrected());
+        let sampler = BstSampler::with_config(&t, BstConfig::corrected());
         let mut rng = StdRng::seed_from_u64(61);
         let mut stats = OpStats::new();
         let mut memo = QueryMemo::new();
@@ -1209,7 +1211,7 @@ mod tests {
         let t = tree(1 << 16);
         let keys: Vec<u64> = (100..120u64).collect(); // one tight cluster
         let q = t.query_filter(keys.iter().copied());
-        let sampler = BstSampler::with_config(&t, SamplerConfig::paper());
+        let sampler = BstSampler::with_config(&t, BstConfig::paper());
         let mut rng = StdRng::seed_from_u64(7);
         let mut stats = OpStats::new();
         let s = sampler.sample(&q, &mut rng, &mut stats).expect("sample");
@@ -1324,9 +1326,9 @@ mod tests {
         let q = t.query_filter([5u64, 6, 7]);
         let sampler = BstSampler::with_config(
             &t,
-            SamplerConfig {
+            BstConfig {
                 liveness: Liveness::EstimateThreshold(1e9),
-                ..SamplerConfig::paper()
+                ..BstConfig::paper()
             },
         );
         let mut rng = StdRng::seed_from_u64(12);
@@ -1353,7 +1355,7 @@ mod tests {
                     Correction::Rejection { gamma: 4.0 },
                     Correction::RejectionAuto,
                 ] {
-                    let cfg = SamplerConfig {
+                    let cfg = BstConfig {
                         liveness,
                         ratio,
                         correction,
@@ -1375,7 +1377,7 @@ mod tests {
         let t = tree(1 << 16);
         let keys: Vec<u64> = (0..120u64).map(|i| i * 31 + 2).collect();
         let q = t.query_filter(keys.iter().copied());
-        for cfg in [SamplerConfig::default(), SamplerConfig::corrected()] {
+        for cfg in [BstConfig::default(), BstConfig::corrected()] {
             let sampler = BstSampler::with_config(&t, cfg);
             let mut warm_memo = QueryMemo::new();
             let mut warm_rng = StdRng::seed_from_u64(14);
@@ -1396,9 +1398,9 @@ mod tests {
         let t = tree(1 << 12);
         let _ = BstSampler::with_config(
             &t,
-            SamplerConfig {
+            BstConfig {
                 liveness: Liveness::EstimateThreshold(f64::INFINITY),
-                ..SamplerConfig::paper()
+                ..BstConfig::paper()
             },
         );
     }
@@ -1409,11 +1411,11 @@ mod tests {
         let t = tree(1 << 12);
         let _ = BstSampler::with_config(
             &t,
-            SamplerConfig {
+            BstConfig {
                 correction: Correction::Rejection {
                     gamma: f64::INFINITY,
                 },
-                ..SamplerConfig::default()
+                ..BstConfig::default()
             },
         );
     }

@@ -52,58 +52,12 @@ use crate::error::BstError;
 use crate::persistence::{self, PersistError};
 use crate::pruned::PrunedBloomSampleTree;
 use crate::query::Query;
-use crate::reconstruct::ReconstructConfig;
-use crate::sampler::SamplerConfig;
+pub use crate::sampler::BstConfig;
 use crate::store::{BstStore, FilterId};
 use crate::tree::{BloomSampleTree, QueryChunk};
 
 /// Magic bytes of a whole-system snapshot.
 const SYSTEM_MAGIC: &[u8; 4] = b"BSTS";
-
-/// Unified behaviour configuration for a [`BstSystem`]: the sampling and
-/// reconstruction knobs in one place, set once at build time.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct BstConfig {
-    /// Sampling behaviour (liveness rule, ratio estimator, correction).
-    pub sampler: SamplerConfig,
-    /// Reconstruction behaviour (pruning discipline).
-    pub reconstruct: ReconstructConfig,
-}
-
-impl BstConfig {
-    /// Both algorithms exactly as the paper describes them (§5.3, §5.6):
-    /// threshold pruning and Papapetrou estimates. Use for reproducing
-    /// the paper's operation counts.
-    pub fn paper() -> Self {
-        BstConfig {
-            sampler: SamplerConfig::paper(),
-            reconstruct: ReconstructConfig::paper(),
-        }
-    }
-
-    /// Sound defaults plus auto-tuned rejection correction: provably
-    /// near-uniform samples at the cost of ~γ walks per sample on a
-    /// complete tree. Pruned trees draw exactly under the sound rule
-    /// either way, so the correction does not apply there.
-    pub fn corrected() -> Self {
-        BstConfig {
-            sampler: SamplerConfig::corrected(),
-            ..Self::default()
-        }
-    }
-
-    /// Replaces the sampling configuration.
-    pub fn with_sampler(mut self, sampler: SamplerConfig) -> Self {
-        self.sampler = sampler;
-        self
-    }
-
-    /// Checks both algorithm configurations, naming the broken invariant.
-    pub fn validate(&self) -> Result<(), BstError> {
-        self.sampler.validate()?;
-        self.reconstruct.validate()
-    }
-}
 
 /// Builder for a [`BstSystem`].
 pub struct BstSystemBuilder {
@@ -166,12 +120,6 @@ impl BstSystemBuilder {
     /// The full behaviour configuration in one call.
     pub fn config(mut self, cfg: BstConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Sampling behaviour (liveness rule, ratio estimator, correction).
-    pub fn sampler(mut self, cfg: SamplerConfig) -> Self {
-        self.cfg.sampler = cfg;
         self
     }
 
@@ -261,10 +209,7 @@ impl BstSystemBuilder {
         bst_bloom::codec::check_params(plan.kind, plan.k, plan.m, plan.namespace)
             .map_err(BstError::InvalidConfig)?;
         match occupied {
-            // 0 threads: the dense build uses every CPU.
-            None => Ok(TreeBackend::dense(BloomSampleTree::build_with_threads(
-                &plan, 0,
-            ))),
+            None => Ok(TreeBackend::dense(BloomSampleTree::build(&plan))),
             Some(occ) => {
                 if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
                     return Err(BstError::InvalidConfig(
@@ -710,35 +655,30 @@ mod tests {
         let sys = BstSystem::builder(10_000)
             .config(BstConfig::paper())
             .build();
-        assert_eq!(sys.config().sampler, SamplerConfig::paper());
-        assert_eq!(sys.config().reconstruct, ReconstructConfig::paper());
-        // Partial setters keep the rest of the config intact.
-        let sys2 = BstSystem::builder(10_000)
-            .sampler(SamplerConfig::corrected())
-            .build();
-        assert_eq!(sys2.config().sampler, SamplerConfig::corrected());
-        assert_eq!(sys2.config().reconstruct, ReconstructConfig::default());
+        assert_eq!(sys.config(), BstConfig::paper());
+        assert_eq!(
+            BstSystem::builder(10_000).build().config(),
+            BstConfig::default()
+        );
     }
 
     #[test]
     fn try_build_rejects_invalid_configs() {
-        use crate::sampler::Correction;
-        let bad_gamma = BstConfig::default().with_sampler(SamplerConfig {
+        use crate::sampler::{Correction, Liveness};
+        let bad_gamma = BstConfig {
             correction: Correction::Rejection { gamma: 0.5 },
-            ..SamplerConfig::default()
-        });
-        assert!(matches!(
-            BstSystem::builder(10_000).config(bad_gamma).try_build(),
-            Err(crate::error::BstError::InvalidConfig(_))
-        ));
-        let bad_tau = BstConfig::default().with_sampler(SamplerConfig {
-            liveness: crate::sampler::Liveness::EstimateThreshold(-1.0),
-            ..SamplerConfig::default()
-        });
-        assert!(matches!(
-            BstSystem::builder(10_000).config(bad_tau).try_build(),
-            Err(crate::error::BstError::InvalidConfig(_))
-        ));
+            ..BstConfig::default()
+        };
+        let bad_tau = BstConfig {
+            liveness: Liveness::EstimateThreshold(-1.0),
+            ..BstConfig::default()
+        };
+        for bad in [bad_gamma, bad_tau] {
+            assert!(matches!(
+                BstSystem::builder(10_000).config(bad).try_build(),
+                Err(crate::error::BstError::InvalidConfig(_))
+            ));
+        }
         assert!(BstSystem::builder(10_000).try_build().is_ok());
     }
 

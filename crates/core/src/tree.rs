@@ -7,7 +7,7 @@
 //! internal nodes as unions of their children — bit-identical to inserting
 //! every covered element directly (because `B(A ∪ B) = B(A) | B(B)`, §3.1)
 //! but `O(M·k + #nodes·m/64)` instead of `O(M·k·depth)`. Leaf construction
-//! is parallelised with crossbeam scoped threads.
+//! runs on one crossbeam scoped thread per available CPU.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -130,21 +130,10 @@ pub(crate) fn split(r: &Range<u64>) -> (Range<u64>, Range<u64>) {
 }
 
 impl BloomSampleTree {
-    /// Builds the tree sequentially.
+    /// Builds the tree, inserting the leaves' ranges on one worker per
+    /// available CPU.
     pub fn build(plan: &TreePlan) -> Self {
-        Self::build_with_threads(plan, 1)
-    }
-
-    /// Builds the tree using `threads` worker threads for leaf insertion
-    /// (0 means one thread per available CPU).
-    pub fn build_with_threads(plan: &TreePlan, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let depth = plan.depth;
         let hasher = Arc::new(plan.build_hasher());
         let node_count = (1usize << (depth + 1)) - 1;
@@ -161,44 +150,30 @@ impl BloomSampleTree {
             }
         }
 
-        // Leaf filters, in parallel chunks.
+        // Leaf filters, one contiguous chunk of leaves per worker.
         let first_leaf = (1usize << depth) - 1;
-        let leaf_count = 1usize << depth;
-        let mut leaves: Vec<BloomFilter> = Vec::with_capacity(leaf_count);
-        if threads <= 1 || leaf_count < 2 * threads {
-            for li in 0..leaf_count {
-                leaves.push(Self::build_leaf(&hasher, &ranges[first_leaf + li]));
-            }
-        } else {
-            let chunk = leaf_count.div_ceil(threads);
-            let mut parts: Vec<Vec<BloomFilter>> = Vec::with_capacity(threads);
-            crossbeam::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(leaf_count);
-                    if lo >= hi {
-                        break;
-                    }
+        let leaf_ranges = &ranges[first_leaf..];
+        let chunk = leaf_ranges.len().div_ceil(threads);
+        let leaves: Vec<BloomFilter> = crossbeam::scope(|scope| {
+            let workers: Vec<_> = leaf_ranges
+                .chunks(chunk)
+                .map(|part| {
                     let hasher = &hasher;
-                    let ranges = &ranges;
-                    handles.push(scope.spawn(move |_| {
-                        (lo..hi)
-                            .map(|li| Self::build_leaf(hasher, &ranges[first_leaf + li]))
+                    scope.spawn(move |_| {
+                        part.iter()
+                            .map(|r| Self::build_leaf(hasher, r))
                             .collect::<Vec<_>>()
-                    }));
-                }
-                for h in handles {
-                    // bst-lint: allow(L001) — a worker panic must propagate, not be swallowed
-                    parts.push(h.join().expect("leaf builder panicked"));
-                }
-            })
-            // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
-            .expect("crossbeam scope failed");
-            for p in parts {
-                leaves.extend(p);
-            }
-        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                // bst-lint: allow(L001) — a worker panic must propagate, not be swallowed
+                .flat_map(|w| w.join().expect("leaf builder panicked"))
+                .collect()
+        })
+        // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
+        .expect("crossbeam scope failed");
 
         // Assemble: internal nodes as unions, bottom-up.
         let mut nodes: Vec<Option<BloomFilter>> = vec![None; node_count];
@@ -446,16 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_identical() {
+    fn every_node_is_its_range_inserted() {
         let plan = small_plan();
-        let seq = BloomSampleTree::build(&plan);
-        let par = BloomSampleTree::build_with_threads(&plan, 4);
-        for i in 0..seq.node_count() {
-            assert_eq!(
-                seq.filter(i as NodeId).bits(),
-                par.filter(i as NodeId).bits(),
-                "node {i} differs between sequential and parallel builds"
-            );
+        let t = BloomSampleTree::build(&plan);
+        let hasher = Arc::new(plan.build_hasher());
+        for i in 0..t.node_count() as NodeId {
+            let mut direct = BloomFilter::new(Arc::clone(&hasher));
+            for x in t.range(i) {
+                direct.insert(x);
+            }
+            assert_eq!(t.filter(i).bits(), direct.bits(), "node {i}");
         }
     }
 

@@ -6,7 +6,7 @@ use bst_bloom::params::{leaf_size, TreePlan};
 use bst_core::metrics::OpStats;
 use bst_core::pruned::PrunedBloomSampleTree;
 use bst_core::reconstruct::BstReconstructor;
-use bst_core::sampler::{BstSampler, QueryMemo, SamplerConfig};
+use bst_core::sampler::{BstConfig, BstSampler, QueryMemo};
 use bst_core::tree::{BloomSampleTree, SampleTree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,16 +104,17 @@ fn decode_rejects_corruption() {
 
 /// Format version 2 dropped three config bytes and the journal cap from
 /// the system snapshot, version 3 cut the pruned tree to its plan,
-/// version and ids, version 4 stores sets as their keys, and version 5
-/// writes a sharded engine's store once; an older snapshot is refused,
-/// not migrated.
+/// version and ids, version 4 stores sets as their keys, version 5
+/// writes a sharded engine's store once, and version 6 writes the
+/// config's liveness rule once; an older snapshot is refused, not
+/// migrated.
 #[test]
 fn older_version_snapshots_are_refused() {
     use bst_core::error::BstError;
     use bst_core::persistence::PersistError;
     use bst_core::system::BstSystem;
     use bst_shard::ShardedBstSystem;
-    for old in [1u8, 2, 3, 4] {
+    for old in [1u8, 2, 3, 4, 5] {
         let as_old = |mut bytes: Vec<u8>| {
             assert_eq!(bytes[4], bst_core::persistence::VERSION);
             bytes[4] = old;
@@ -267,7 +268,7 @@ fn memoized_sampling_matches_unmemoized_distribution() {
         .into_iter()
         .collect();
     let q = tree.query_filter(keys.iter().copied());
-    let sampler = BstSampler::with_config(&tree, SamplerConfig::corrected());
+    let sampler = BstSampler::with_config(&tree, BstConfig::corrected());
     let mut rng = StdRng::seed_from_u64(42);
     let mut stats = OpStats::new();
     let mut memo = QueryMemo::new();

@@ -12,10 +12,10 @@ use bst_bloom::params::{leaf_size, TreePlan};
 use bst_core::baselines::{dictionary, hashinvert};
 use bst_core::error::BstError;
 use bst_core::metrics::OpStats;
-use bst_core::persistence::PersistError;
+use bst_core::persistence::{get_config, put_config, PersistError};
 use bst_core::pruned::PrunedBloomSampleTree;
 use bst_core::reconstruct::BstReconstructor;
-use bst_core::sampler::BstSampler;
+use bst_core::sampler::{BstConfig, BstSampler, Correction, Liveness, RatioEstimator};
 use bst_core::system::BstSystem;
 use bst_core::tree::{BloomSampleTree, SampleTree};
 use proptest::prelude::*;
@@ -50,6 +50,18 @@ fn store_body(next_id: u64, sets: &[(u64, u64, &[u64])]) -> Vec<u8> {
         }
     }
     out
+}
+
+/// Decodes `bytes` as a config; whatever the decoder accepts must
+/// re-encode to exactly the bytes it consumed.
+fn assert_config_reencodes(bytes: &[u8]) {
+    let mut input = bytes;
+    if let Ok(cfg) = get_config(&mut input) {
+        let consumed = bytes.len() - input.len();
+        let mut again = bytes::BytesMut::new();
+        put_config(&mut again, &cfg);
+        assert_eq!(&again[..], &bytes[..consumed], "{cfg:?}");
+    }
 }
 
 proptest! {
@@ -556,5 +568,49 @@ proptest! {
         for s in out {
             prop_assert!(q.contains(s));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The config codec never panics, and accepts only canonical
+    /// encodings: on arbitrary bytes, and on a valid encoding with one
+    /// byte overwritten, whatever `get_config` accepts re-encodes to the
+    /// bytes it consumed.
+    #[test]
+    fn config_codec_accepts_only_what_it_reencodes(
+        noise in prop::collection::vec(0u16..256, 0..28),
+        tags in (0u8..2, 0u8..3, 0u8..3),
+        values in (0.0f64..16.0, 1.0f64..64.0),
+        edit in (0usize..64, 0u16..256),
+    ) {
+        let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+        assert_config_reencodes(&noise);
+
+        let (liveness, ratio, correction) = tags;
+        let (tau, gamma) = values;
+        let cfg = BstConfig {
+            liveness: [Liveness::BitOverlap, Liveness::EstimateThreshold(tau)][liveness as usize],
+            ratio: [
+                RatioEstimator::MeanCorrectedBits,
+                RatioEstimator::AndCardinality,
+                RatioEstimator::Papapetrou,
+            ][ratio as usize],
+            correction: [
+                Correction::None,
+                Correction::Rejection { gamma },
+                Correction::RejectionAuto,
+            ][correction as usize],
+        };
+        let mut valid = bytes::BytesMut::new();
+        put_config(&mut valid, &cfg);
+        let mut input: &[u8] = &valid;
+        prop_assert_eq!(get_config(&mut input), Ok(cfg));
+        prop_assert!(input.is_empty());
+        let mut edited = valid.to_vec();
+        let (at, byte) = edit;
+        edited[at % valid.len()] = byte as u8;
+        assert_config_reencodes(&edited);
     }
 }

@@ -223,8 +223,8 @@ fn hostile_tree_snapshots_are_refused_and_the_engine_is_untouched() {
     assert_eq!(client.save().unwrap(), before, "no hostile LOAD landed");
 }
 
-/// `LOAD` carries a client's bytes into the store decoder too. A v5
-/// sharded snapshot holds each set once, in its one store body; a body
+/// `LOAD` carries a client's bytes into the store decoder too. A
+/// sharded snapshot (since v5) holds each set once, in its one store body; a body
 /// with a key past the namespace, a repeated set id, or an id at or past
 /// `next_id` gets a typed `Persist` verdict and the served engine is left
 /// exactly as it was.

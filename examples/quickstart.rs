@@ -5,8 +5,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use bloomsampletree::core::sampler::SamplerConfig;
-use bloomsampletree::BstSystem;
+use bloomsampletree::{BstConfig, BstSystem};
 use bst_stats::chi2_uniform_test;
 use bst_stats::histogram::Histogram;
 use rand::rngs::StdRng;
@@ -86,10 +85,10 @@ fn main() {
     //    element (the paper's Table 5 protocol, corrected sampler).
     // ------------------------------------------------------------------
     let subset: Vec<u64> = secret_set.iter().copied().take(50).collect();
-    // A different sampler config on the *same* shared tree: drop to the
+    // A different config on the *same* shared tree: drop to the
     // sampler layer with a persistent memo (no second tree build).
     let view = system.tree().read();
-    let sampler = bloomsampletree::BstSampler::with_config(&view, SamplerConfig::corrected());
+    let sampler = bloomsampletree::BstSampler::with_config(&view, BstConfig::corrected());
     let small = system.store(subset.iter().copied());
     let mut memo = bloomsampletree::QueryMemo::new();
     let mut stats = bloomsampletree::OpStats::new();

@@ -124,7 +124,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`bloom`] (re-export of `bst-bloom`) | bit vectors, hash families (Simple affine / Murmur3 / MD5), the Bloom filter, estimators, parameter planning, codec |
-//! | [`core`] (re-export of `bst-core`) | the BloomSampleTree, pruned variant (mutable occupancy via tree generations), BSTSample, reconstruction, the `Query` handle facade, DictionaryAttack and HashInvert baselines, cost model |
+//! | [`core`] (re-export of `bst-core`) | the BloomSampleTree, pruned variant (mutable occupancy via tree generations), BSTSample and reconstruction under one `BstConfig`, the `Query` handle facade, DictionaryAttack and HashInvert baselines, cost model |
 //! | [`shard`] (re-export of `bst-shard`) | `ShardedBstSystem`: the namespace split into contiguous shards, scatter-gather sampling/reconstruction, crossbeam batch fan-out |
 //! | [`workloads`] (re-export of `bst-workloads`) | uniform/clustered query sets, namespace occupancy, the synthetic social stream |
 //! | [`stats`] (re-export of `bst-stats`) | chi-squared testing, summaries, binomial sampling |
@@ -144,8 +144,8 @@ pub use bst_workloads as workloads;
 pub use bst_bloom::{BloomFilter, BloomHasher, HashKind, TreePlan};
 pub use bst_core::{
     BloomSampleTree, BstConfig, BstError, BstReconstructor, BstSampler, BstStore, BstSystem,
-    FilterId, OpStats, PersistError, PrunedBloomSampleTree, Query, QueryMemo, ReconstructConfig,
-    SampleTree, SamplerConfig, TreeBackend, TreeView,
+    FilterId, OpStats, PersistError, PrunedBloomSampleTree, Query, QueryMemo, SampleTree,
+    TreeBackend, TreeView,
 };
 pub use bst_shard::{HandlePoolStats, ShardQuery, ShardedBstSystem};
 

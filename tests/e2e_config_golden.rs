@@ -284,7 +284,7 @@ fn corrected_outputs_match_capture() {
 #[test]
 fn paper_corrected_outputs_match_capture() {
     let mut cfg = BstConfig::paper();
-    cfg.sampler.correction = Correction::RejectionAuto;
+    cfg.correction = Correction::RejectionAuto;
     assert_eq!(
         capture(NOISY, cfg, true),
         Capture {

@@ -9,9 +9,8 @@
 //!   same RNG stream, on a single pruned tree and on every shard of the
 //!   sharded engine, and `sample_many(r)` is `r` such draws (never
 //!   short);
-//! * the path needs the sound rule in the sampler and the reconstructor
-//!   and a handle that keeps its memo; other handles and a bare sampler
-//!   descend;
+//! * the path needs the sound rule and a handle that keeps its memo;
+//!   handles under the paper's rule and a bare sampler descend;
 //! * warm handles, repaired ones included, draw what cold ones draw;
 //! * a batch's draws do not depend on the worker count, and stay equal
 //!   when its handles were warm;
@@ -26,8 +25,7 @@ use bloomsampletree::stats::conformance::{sample_counts, DEFAULT_ALPHA};
 use bloomsampletree::workloads::querysets::{clustered_set, PAPER_CLUSTERING_PCT};
 use bloomsampletree::workloads::sampling::sample_distinct;
 use bloomsampletree::{
-    BstConfig, BstSampler, BstSystem, HashKind, OpStats, QueryMemo, ReconstructConfig,
-    SamplerConfig, ShardedBstSystem,
+    BstConfig, BstSampler, BstSystem, HashKind, OpStats, QueryMemo, ShardedBstSystem,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,11 +98,11 @@ fn a_draw_is_one_index_into_the_reconstruction() {
     }
 }
 
-/// The exact path needs the sound rule in the sampler and in the
-/// reconstructor, so that counts, weights, reconstructions and draws read
-/// one answer, and a query handle, which keeps its memo. A handle whose
-/// reconstructor runs the paper's threshold rule, and a bare sampler,
-/// descend: BSTSample evaluates nodes, an exact draw evaluates none.
+/// The exact path needs the sound rule, under which counts, weights,
+/// reconstructions and draws read one answer, and a query handle, which
+/// keeps its memo. A handle under the paper's threshold rule, and a bare
+/// sampler, descend: BSTSample evaluates nodes, an exact draw evaluates
+/// none.
 #[test]
 fn only_sound_handles_draw_exactly() {
     let occupied = small_occupancy();
@@ -117,13 +115,9 @@ fn only_sound_handles_draw_exactly() {
             .pruned(occupied.iter().copied())
             .build()
     };
-    let mixed = BstConfig {
-        sampler: SamplerConfig::default(),
-        reconstruct: ReconstructConfig::paper(),
-    };
     for (name, cfg, exact) in [
         ("sound", BstConfig::default(), true),
-        ("mixed", mixed, false),
+        ("paper", BstConfig::paper(), false),
     ] {
         let sys = build(cfg);
         let q = sys.query(&sys.store(keys.iter().copied()));

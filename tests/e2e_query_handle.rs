@@ -2,7 +2,7 @@
 //! with one-shot calls, every `BstError` variant is reachable, and the
 //! `Arc`-shared system serves multiple threads.
 
-use bloomsampletree::core::sampler::{BstSampler, Correction, SamplerConfig};
+use bloomsampletree::core::sampler::{BstSampler, Correction};
 use bloomsampletree::{
     BloomFilter, BstConfig, BstError, BstSystem, OpStats, PrunedBloomSampleTree, SampleTree,
     ShardedBstSystem,
@@ -28,7 +28,7 @@ fn handle_reuse_matches_one_shot_calls() {
     // `sample_many` and a windowed reconstruction before its draws, so
     // its memo is partly warm when the draws begin.
     let mut paper_corrected = BstConfig::paper();
-    paper_corrected.sampler.correction = Correction::RejectionAuto;
+    paper_corrected.correction = Correction::RejectionAuto;
     for cfg in [
         BstConfig::default(),
         BstConfig::corrected(),
@@ -223,10 +223,10 @@ fn error_empty_tree() {
 #[test]
 fn error_invalid_config() {
     // The typed path: try_build reports the broken invariant by name.
-    let bad = BstConfig::default().with_sampler(SamplerConfig {
+    let bad = BstConfig {
         correction: Correction::Rejection { gamma: 0.5 },
-        ..SamplerConfig::default()
-    });
+        ..BstConfig::default()
+    };
     match BstSystem::builder(50_000).config(bad).try_build() {
         Err(BstError::InvalidConfig(what)) => assert!(what.contains("gamma")),
         other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
@@ -236,13 +236,7 @@ fn error_invalid_config() {
     let sys = system();
     let result = std::panic::catch_unwind(|| {
         let view = sys.tree().read();
-        let _ = BstSampler::with_config(
-            &view,
-            SamplerConfig {
-                correction: Correction::Rejection { gamma: 0.5 },
-                ..SamplerConfig::default()
-            },
-        );
+        let _ = BstSampler::with_config(&view, bad);
     });
     assert!(result.is_err(), "gamma < 1 must be rejected");
 }

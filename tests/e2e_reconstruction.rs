@@ -2,8 +2,7 @@
 //! set, and the accuracy model must predict the false-positive volume.
 
 use bloomsampletree::core::baselines::{dictionary, hashinvert};
-use bloomsampletree::core::reconstruct::ReconstructConfig;
-use bloomsampletree::{BstReconstructor, BstSystem, HashKind, OpStats};
+use bloomsampletree::{BstConfig, BstReconstructor, BstSystem, HashKind, OpStats};
 use bst_workloads::querysets::{clustered_set, uniform_set};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,7 +66,7 @@ fn paper_pruning_trades_recall_for_work() {
     let mut sound_stats = OpStats::new();
     let sound = BstReconstructor::new(&system.tree().read()).reconstruct(&q, &mut sound_stats);
     let mut paper_stats = OpStats::new();
-    let paper = BstReconstructor::with_config(&system.tree().read(), ReconstructConfig::paper())
+    let paper = BstReconstructor::with_config(&system.tree().read(), BstConfig::paper())
         .reconstruct(&q, &mut paper_stats);
 
     // Sound mode recovers everything.

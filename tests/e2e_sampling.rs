@@ -1,9 +1,8 @@
 //! End-to-end sampling: workload generators → filters → BloomSampleTree →
 //! sample quality, spanning all four crates.
 
-use bloomsampletree::core::sampler::SamplerConfig;
 use bloomsampletree::shard::slot_seed;
-use bloomsampletree::{BstSampler, BstSystem, OpStats, ShardedBstSystem};
+use bloomsampletree::{BstConfig, BstSampler, BstSystem, OpStats, ShardedBstSystem};
 use bst_stats::chi2_uniform_test;
 use bst_workloads::querysets::{clustered_set, uniform_set};
 use rand::rngs::StdRng;
@@ -21,7 +20,7 @@ fn corrected_sampling_is_uniform_on_uniform_sets() {
     let keys = uniform_set(&mut rng, 100_000, 200);
     let q = system.store(keys.iter().copied());
     let view = system.tree().read();
-    let sampler = BstSampler::with_config(&view, SamplerConfig::corrected());
+    let sampler = BstSampler::with_config(&view, BstConfig::corrected());
     let mut counts = vec![0u64; keys.len()];
     let mut stats = OpStats::new();
     for _ in 0..130 * keys.len() {
@@ -54,7 +53,7 @@ fn corrected_sampling_is_uniform_on_clustered_sets() {
     let keys = clustered_set(&mut rng, 100_000, 200, 10.0);
     let q = system.store(keys.iter().copied());
     let view = system.tree().read();
-    let sampler = BstSampler::with_config(&view, SamplerConfig::corrected());
+    let sampler = BstSampler::with_config(&view, BstConfig::corrected());
     let mut counts = vec![0u64; keys.len()];
     let mut stats = OpStats::new();
     for _ in 0..130 * keys.len() {
