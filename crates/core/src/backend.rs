@@ -275,12 +275,17 @@ impl TreeBackend {
     }
 
     /// Decodes a backend serialized with [`Self::put_bytes`], advancing
-    /// `input` past the payload.
-    pub fn get_bytes(input: &mut &[u8]) -> Result<Self, PersistError> {
+    /// `input` past the payload. With `pruned_only`, as for a sharded
+    /// snapshot's shard trees, a dense tag is refused before its payload
+    /// is decoded.
+    pub fn get_bytes(input: &mut &[u8], pruned_only: bool) -> Result<Self, PersistError> {
         if input.remaining() < 1 + 8 {
             return Err(PersistError::Truncated);
         }
         let tag = input.get_u8();
+        if pruned_only && tag == TAG_DENSE {
+            return Err(PersistError::Corrupt("tree backend is not pruned"));
+        }
         let len = input.get_u64_le() as usize;
         if input.remaining() < len {
             return Err(PersistError::Truncated);
@@ -505,7 +510,7 @@ mod tests {
             let mut buf = bytes::BytesMut::new();
             backend.put_bytes(&mut buf);
             let mut slice: &[u8] = &buf;
-            let back = TreeBackend::get_bytes(&mut slice).expect("decode");
+            let back = TreeBackend::get_bytes(&mut slice, false).expect("decode");
             assert!(slice.is_empty(), "payload fully consumed");
             assert_eq!(back.is_pruned(), backend.is_pruned());
             assert_eq!(back.node_count(), backend.node_count());
@@ -523,12 +528,12 @@ mod tests {
         buf.put_u64_le(0);
         let mut s: &[u8] = &buf;
         assert_eq!(
-            TreeBackend::get_bytes(&mut s).unwrap_err(),
+            TreeBackend::get_bytes(&mut s, false).unwrap_err(),
             PersistError::Corrupt("unknown tree backend tag")
         );
         let mut short: &[u8] = &[TAG_DENSE];
         assert_eq!(
-            TreeBackend::get_bytes(&mut short).unwrap_err(),
+            TreeBackend::get_bytes(&mut short, false).unwrap_err(),
             PersistError::Truncated
         );
     }

@@ -3,22 +3,23 @@
 //! and whole-system snapshots.
 //!
 //! The framework builds the tree once and reuses it "repeatedly for
-//! different query Bloom filters" (§5); persisting it turns the multi-
-//! second construction at large `M` into a single mmap-friendly read.
-//! Hash families are *not* serialised bit by bit — they rebuild
+//! different query Bloom filters" (§5). A snapshot holds only what the
+//! tree cannot derive, and decode builds the tree again: a complete tree
+//! is a function of its plan, and a pruned tree of its plan and its ids.
+//! Hash families are *not* serialised bit by bit either — they rebuild
 //! deterministically from the plan, exactly like the filter codec.
 //!
 //! Layouts (little-endian):
 //!
 //! ```text
-//! complete: "BSTC" v6 | plan | node words × node_count
-//! pruned:   "BSTP" v6 | plan | version u64 (mutation counter, resumed
+//! complete: "BSTC" v7 | plan                         (52 bytes)
+//! pruned:   "BSTP" v7 | plan | version u64 (mutation counter, resumed
 //!           on decode) | id count u64 | occupied ids u64…, ascending
-//! system:   "BSTS" v6 | config | backend | store (one slice)
+//! system:   "BSTS" v7 | config | backend | store (one slice)
 //! backend:  tag u8 (0 dense, 1 pruned) | len u64 | "BSTC" or "BSTP" bytes
 //! store:    next_id u64 | set count u32
-//!           | per set: id u64, generation u64 per slice, key count u64,
-//!             keys u64…, non-decreasing
+//!           | per set, ids ascending: id u64, generation u64 per slice,
+//!             key count u64, keys u64…, non-decreasing
 //! config:   liveness | ratio u8 | correction
 //! plan:     namespace u64 | m u64 | k u16 | kind u8 | seed u64
 //!           | depth u32 | leaf_capacity u64 | target_accuracy f64
@@ -27,11 +28,13 @@
 //!           | correction 0=None 1=Rejection(+f64) 2=RejectionAuto
 //! ```
 //!
-//! A pruned snapshot holds no filter: every node filter is the union of
-//! its ids' probe rows, so decode rebuilds the tree from the ids and no
-//! byte sequence can describe a filter that disagrees with them.
+//! No snapshot holds a filter, so no byte sequence can describe a node
+//! that disagrees with its range or its ids. A few plan bytes can name a
+//! tree of any size, so both tree decoders and the system builder pass
+//! the plan through `check_plan` before anything is sized from it.
+//! Every decoder accepts only what its encoder writes.
 //!
-//! `bst-shard`'s sharded snapshot, `"BSTH" v6 | boundaries | config |
+//! `bst-shard`'s sharded snapshot, `"BSTH" v7 | boundaries | config |
 //! store | S × backend`, frames the same pieces around its partition
 //! ([`put_boundaries`]); its store carries one generation per shard.
 //!
@@ -40,7 +43,8 @@
 //! stores each set as its keys instead of a counting filter; version 5
 //! writes a sharded engine's config and store once, not once per shard;
 //! version 6 writes the config's liveness rule once, not once per
-//! algorithm. Older inputs are refused as [`PersistError::BadVersion`].
+//! algorithm; version 7 cuts the complete tree's body to its plan. Older
+//! inputs are refused as [`PersistError::BadVersion`].
 
 use bst_bloom::hash::HashKind;
 use bst_bloom::params::{depth_for, TreePlan};
@@ -83,7 +87,7 @@ impl std::error::Error for PersistError {}
 
 /// Snapshot format version shared by every structure in this module (and
 /// by the `bst-shard` sharded-system snapshot, which embeds its pieces).
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 
 pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_u64_le(plan.namespace);
@@ -101,10 +105,19 @@ pub(crate) fn put_plan(buf: &mut BytesMut, plan: &TreePlan) {
     buf.put_f64_le(plan.target_accuracy);
 }
 
-/// Decodes a plan written by [`put_plan`], refusing one no builder makes
-/// and no hash family accepts: bad `(kind, k, m, namespace)`, an empty namespace,
-/// or a depth past `⌈log₂ M⌉`. Every tree decoder builds its hasher and
-/// sizes its arena from the plan, so these fail typed here.
+/// The most bytes of node filters a tree may hold: `2^(depth+1) − 1`
+/// filters for a complete tree, and at most `min(2^(depth+1) − 1,
+/// ids · (depth + 1))` for a pruned one. The largest tree in the
+/// paper's tables (Table 3: `M = 10⁷`, depth 13, `m = 101,090`) holds
+/// 0.21 GB.
+pub(crate) const MAX_TREE_BYTES: u64 = 1 << 30;
+
+/// The largest namespace a complete tree may cover: its build hashes
+/// every id `k` times, so the plan alone must not name more.
+pub(crate) const MAX_DENSE_NAMESPACE: u64 = 1 << 24;
+
+/// Decodes a plan written by [`put_plan`]. It checks only the hash-kind
+/// tag; the tree decoders pass the plan through [`check_plan`].
 pub(crate) fn get_plan(input: &mut &[u8]) -> Result<TreePlan, PersistError> {
     if input.remaining() < 8 + 8 + 2 + 1 + 8 + 4 + 8 + 8 {
         return Err(PersistError::Truncated);
@@ -119,29 +132,50 @@ pub(crate) fn get_plan(input: &mut &[u8]) -> Result<TreePlan, PersistError> {
         3 => HashKind::DeltaBlocked,
         other => return Err(PersistError::BadKind(other)),
     };
-    let seed = input.get_u64_le();
-    let depth = input.get_u32_le();
-    let leaf_capacity = input.get_u64_le();
-    let target_accuracy = input.get_f64_le();
-    bst_bloom::codec::check_params(kind, k, m, namespace).map_err(PersistError::Corrupt)?;
-    if namespace == 0 {
-        return Err(PersistError::Corrupt("empty namespace"));
-    }
-    // Below one id per leaf the ranges are empty and the levels only
-    // multiply nodes: no builder makes such a plan.
-    if depth > depth_for(namespace, 1) {
-        return Err(PersistError::Corrupt("depth beyond ceil(log2 M)"));
-    }
     Ok(TreePlan {
         namespace,
         m,
         k,
         kind,
-        seed,
-        depth,
-        leaf_capacity,
-        target_accuracy,
+        seed: input.get_u64_le(),
+        depth: input.get_u32_le(),
+        leaf_capacity: input.get_u64_le(),
+        target_accuracy: input.get_f64_le(),
     })
+}
+
+/// The one rule for which plans make a tree: a complete tree when `ids`
+/// is `None`, a pruned tree over `ids` occupied ids otherwise. The
+/// system builder and both tree decoders call it before building a hash
+/// family or sizing anything, so every tree the builder makes reloads.
+/// It refuses bad `(kind, k, m, namespace)`, an empty namespace, a depth
+/// past `⌈log₂ M⌉` (leaves would hold no ids), a pruned `m` past 2³²
+/// (probe positions are `u32`), a complete namespace past
+/// [`MAX_DENSE_NAMESPACE`], and node filters past [`MAX_TREE_BYTES`].
+pub(crate) fn check_plan(plan: &TreePlan, ids: Option<u64>) -> Result<(), &'static str> {
+    bst_bloom::codec::check_params(plan.kind, plan.k, plan.m, plan.namespace)?;
+    if plan.namespace == 0 {
+        return Err("empty namespace");
+    }
+    if plan.depth > depth_for(plan.namespace, 1) {
+        return Err("depth beyond ceil(log2 M)");
+    }
+    // The depth is at most 64 here, so the counts fit u128.
+    let complete = (2u128 << plan.depth) - 1;
+    let nodes = match ids {
+        None if plan.namespace > MAX_DENSE_NAMESPACE => {
+            return Err("complete tree namespace above 2^24");
+        }
+        None => complete,
+        Some(_) if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS => {
+            return Err("m exceeds the 2^32-bit probe-table limit");
+        }
+        Some(ids) => complete.min(u128::from(ids) * u128::from(plan.depth + 1)),
+    };
+    if nodes * plan.m.div_ceil(64) as u128 * 8 > u128::from(MAX_TREE_BYTES) {
+        return Err("node filters exceed the 1 GiB tree budget");
+    }
+    Ok(())
 }
 
 fn put_liveness(buf: &mut BytesMut, liveness: Liveness) {
@@ -224,12 +258,6 @@ pub fn get_config(input: &mut &[u8]) -> Result<BstConfig, PersistError> {
     Ok(cfg)
 }
 
-pub(crate) fn put_words(buf: &mut BytesMut, words: &[u64]) {
-    for &w in words {
-        buf.put_u64_le(w);
-    }
-}
-
 /// Appends a `len u64` prefix followed by whatever `put` writes, then
 /// patches the length in place: a nested payload is encoded straight
 /// into the enclosing buffer, never into a buffer of its own.
@@ -241,14 +269,12 @@ pub(crate) fn put_len_prefixed(buf: &mut BytesMut, put: impl FnOnce(&mut BytesMu
     buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
+/// Decodes `count` little-endian words, advancing `input`.
 pub(crate) fn get_words(input: &mut &[u8], count: usize) -> Result<Vec<u64>, PersistError> {
-    if input.remaining() < count * 8 {
-        return Err(PersistError::Truncated);
-    }
-    let mut words = Vec::with_capacity(count);
-    for _ in 0..count {
-        words.push(input.get_u64_le());
-    }
+    let len = count.checked_mul(8).filter(|&len| len <= input.len());
+    let len = len.ok_or(PersistError::Truncated)?;
+    let words = bst_bloom::codec::le_u64s(&input[..len]);
+    input.advance(len);
     Ok(words)
 }
 
@@ -275,7 +301,7 @@ pub fn check_header(input: &mut &[u8], magic: &[u8; 4]) -> Result<(), PersistErr
 /// (shard_count + 1) × u64`.
 pub fn put_boundaries(buf: &mut BytesMut, boundaries: &[u64]) {
     buf.put_u32_le(boundaries.len().saturating_sub(1) as u32);
-    put_words(buf, boundaries);
+    bst_bloom::codec::put_u64s(buf, boundaries);
 }
 
 /// Decodes a partition written by [`put_boundaries`], advancing `input`:
@@ -319,6 +345,25 @@ mod tests {
         let mut slice: &[u8] = &buf;
         let back = get_plan(&mut slice).unwrap();
         assert_eq!(back, plan);
+    }
+
+    #[test]
+    fn every_paper_table_plan_passes_the_plan_check() {
+        use bst_bloom::params::{paper_plan, PAPER_TABLE2, PAPER_TABLE3};
+        for (namespace, table) in [(1_000_000, PAPER_TABLE2), (10_000_000, PAPER_TABLE3)] {
+            for row in table {
+                for kind in [
+                    HashKind::Simple,
+                    HashKind::Murmur3,
+                    HashKind::Md5,
+                    HashKind::DeltaBlocked,
+                ] {
+                    let plan = paper_plan(namespace, row.accuracy, kind, 0).unwrap();
+                    assert_eq!(check_plan(&plan, None), Ok(()), "{plan:?}");
+                    assert_eq!(check_plan(&plan, Some(namespace)), Ok(()), "{plan:?}");
+                }
+            }
+        }
     }
 
     #[test]

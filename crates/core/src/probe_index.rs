@@ -397,7 +397,9 @@ impl FirstProbeIndex {
 
     /// The bucket of a probe row's first probe.
     fn bucket(&self, row: &[u32]) -> usize {
-        (row[0] >> self.shift) as usize
+        // The shift reaches 32 for m > 2^31 and one id: shift the
+        // position as a usize.
+        row[0] as usize >> self.shift
     }
 
     /// Where `id` sits, or would sit, in its bucket: `Ok` at an entry
@@ -534,6 +536,16 @@ mod tests {
                 assert!((m as u64).div_ceil(1 << (s - 1)) > n.max(1) as u64);
             }
         }
+    }
+
+    #[test]
+    fn one_id_over_more_than_2_pow_31_bits_is_one_bucket() {
+        // The shift is 32 here, past the width of a u32 position.
+        let row = [u32::MAX, 5];
+        let index = FirstProbeIndex::build(1 << 32, 2, &[(&[7][..], &row[..])]);
+        assert_eq!(index.shift(), 32);
+        assert_eq!(index.offsets, [0, 1]);
+        assert_eq!(index.ids, [7]);
     }
 
     #[test]

@@ -63,10 +63,11 @@
 //! in, `remove` rebuilds the path from the survivors), and the tables,
 //! census and index are built from the rows. A snapshot is therefore the
 //! plan, the version and the ascending ids, and
-//! [`PrunedBloomSampleTree::from_bytes`] checks the ids and runs
-//! [`PrunedBloomSampleTree::build`]: no byte sequence can describe a
+//! [`PrunedBloomSampleTree::from_bytes`] checks the plan and the ids and
+//! runs [`PrunedBloomSampleTree::build`]: no byte sequence can describe a
 //! filter that disagrees with its ids, and a decoded arena holds no
-//! removal tombstones.
+//! removal tombstones. The plan check bounds the build by the node
+//! filters the ids can materialise, at most `ids · (depth + 1)`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -665,21 +666,18 @@ impl PrunedBloomSampleTree {
     }
 
     /// Reconstructs a tree serialized with [`Self::to_bytes`]: checks the
-    /// ids, [`Self::build`]s over them and resumes the encoded version.
+    /// plan (`persistence::check_plan`, which bounds the build's work)
+    /// and the ids, [`Self::build`]s over them and resumes the encoded
+    /// version.
     /// The journal is not persisted: a decoded tree starts with empty
     /// history, so a reader stamped before the snapshot falls back to a
     /// full reset (past-horizon) rather than silently replaying a hole.
     pub fn from_bytes(input: &[u8]) -> Result<Self, crate::persistence::PersistError> {
-        use crate::persistence::{check_header, get_plan, PersistError};
+        use crate::persistence::{check_header, check_plan, get_plan, PersistError};
         use bytes::Buf;
         let mut input = input;
         check_header(&mut input, b"BSTP")?;
         let plan = get_plan(&mut input)?;
-        if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
-            return Err(PersistError::Corrupt(
-                "m exceeds the 2^32-bit probe-table limit",
-            ));
-        }
         if input.remaining() < 16 {
             return Err(PersistError::Truncated);
         }
@@ -688,7 +686,11 @@ impl PrunedBloomSampleTree {
         if ((input.remaining() / 8) as u64) < count {
             return Err(PersistError::Truncated);
         }
+        check_plan(&plan, Some(count)).map_err(PersistError::Corrupt)?;
         let ids: Vec<u64> = (0..count).map(|_| input.get_u64_le()).collect();
+        if !input.is_empty() {
+            return Err(PersistError::Corrupt("trailing bytes after the tree"));
+        }
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(PersistError::Corrupt("ids not strictly ascending"));
         }

@@ -388,7 +388,7 @@ impl BstStore {
             buf.put_u64_le(id);
             let keys = match only {
                 None => {
-                    crate::persistence::put_words(buf, &set.generations);
+                    bst_bloom::codec::put_u64s(buf, &set.generations);
                     &set.keys[..]
                 }
                 Some(slice) => {
@@ -397,7 +397,7 @@ impl BstStore {
                 }
             };
             buf.put_u64_le(keys.len() as u64);
-            crate::persistence::put_words(buf, keys);
+            bst_bloom::codec::put_u64s(buf, keys);
         }
     }
 
@@ -413,7 +413,8 @@ impl BstStore {
     /// Decodes a store serialized with [`Self::put_bytes`], read through
     /// `boundaries` (which the caller has validated). Every set's keys
     /// must ascend (repeats allowed) and lie inside the namespace, and
-    /// every id must be distinct and below `next_id`.
+    /// the ids must ascend strictly, as written, and stay below
+    /// `next_id`.
     pub fn get_bytes(input: &mut &[u8], boundaries: Vec<u64>) -> Result<Self, PersistError> {
         let store = BstStore::new(boundaries);
         let (slices, namespace) = (store.slices(), store.namespace());
@@ -427,6 +428,7 @@ impl BstStore {
         // (each set needs its header bytes): a corrupt count field must
         // fail as Truncated below, not abort in the allocator here.
         let mut sets = HashMap::with_capacity(count.min(input.remaining() / header));
+        let mut last = None;
         for _ in 0..count {
             if input.remaining() < header {
                 return Err(PersistError::Truncated);
@@ -435,6 +437,10 @@ impl BstStore {
             if id >= next_id {
                 return Err(PersistError::Corrupt("stored id beyond next_id"));
             }
+            if last.is_some_and(|last| id <= last) {
+                return Err(PersistError::Corrupt("stored ids not strictly ascending"));
+            }
+            last = Some(id);
             let generations = crate::persistence::get_words(input, slices)?.into_boxed_slice();
             let len = input.get_u64_le();
             if len > (input.remaining() / 8) as u64 {
@@ -447,9 +453,7 @@ impl BstStore {
             if keys.last().is_some_and(|&x| x >= namespace) {
                 return Err(PersistError::Corrupt("stored key outside the namespace"));
             }
-            if sets.insert(id, StoredSet { keys, generations }).is_some() {
-                return Err(PersistError::Corrupt("duplicate stored id"));
-            }
+            sets.insert(id, StoredSet { keys, generations });
         }
         *store.inner.write() = StoreInner { sets, next_id };
         Ok(store)
@@ -688,7 +692,7 @@ mod tests {
         buf.put_u64_le(0);
         buf.put_u64_le(0);
         buf.put_u64_le(keys.len() as u64);
-        crate::persistence::put_words(&mut buf, keys);
+        bst_bloom::codec::put_u64s(&mut buf, keys);
         buf
     }
 

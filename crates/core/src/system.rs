@@ -197,30 +197,14 @@ impl BstSystemBuilder {
             }
             (None, None) => plan,
         };
-        // One id per leaf is as deep as a tree goes; the snapshot decoder
-        // refuses anything deeper, so the builder does too.
-        if plan.depth > params::depth_for(plan.namespace, 1) {
-            return Err(BstError::InvalidConfig(
-                "depth beyond ceil(log2 M): leaves would hold no ids",
-            ));
-        }
-        // The hash-family rule the snapshot decoders apply, so every tree
-        // the builder makes reloads.
-        bst_bloom::codec::check_params(plan.kind, plan.k, plan.m, plan.namespace)
-            .map_err(BstError::InvalidConfig)?;
-        match occupied {
-            None => Ok(TreeBackend::dense(BloomSampleTree::build(&plan))),
-            Some(occ) => {
-                if plan.m as u64 > bst_bloom::MAX_PROBE_TABLE_BITS {
-                    return Err(BstError::InvalidConfig(
-                        "pruned trees need m <= 2^32 bits (u32 probe tables); lower accuracy or set size",
-                    ));
-                }
-                Ok(TreeBackend::pruned(PrunedBloomSampleTree::build(
-                    &plan, &occ,
-                )))
-            }
-        }
+        // The rule the snapshot decoders apply, so every tree the
+        // builder makes reloads.
+        let ids = occupied.as_ref().map(|occ| occ.len() as u64);
+        persistence::check_plan(&plan, ids).map_err(BstError::InvalidConfig)?;
+        Ok(match occupied {
+            None => TreeBackend::dense(BloomSampleTree::build(&plan)),
+            Some(occ) => TreeBackend::pruned(PrunedBloomSampleTree::build(&plan, &occ)),
+        })
     }
 }
 
@@ -451,7 +435,7 @@ impl BstSystem {
         let mut input = input;
         persistence::check_header(&mut input, SYSTEM_MAGIC)?;
         let cfg = persistence::get_config(&mut input)?;
-        let tree = TreeBackend::get_bytes(&mut input)?;
+        let tree = TreeBackend::get_bytes(&mut input, false)?;
         let store = BstStore::get_bytes(&mut input, vec![0, tree.namespace()])?;
         if !input.is_empty() {
             return Err(BstError::Persist(PersistError::Corrupt(
@@ -564,6 +548,29 @@ mod tests {
                 Err(crate::error::BstError::InvalidConfig(_))
             ));
         }
+    }
+
+    #[test]
+    fn plans_the_decoders_refuse_are_refused_before_building() {
+        // A complete tree past 2^24 ids, and a pruned one whose two ids
+        // at full depth would need 2 · 34 filters of about 16 MiB each.
+        let refused = |builder: BstSystemBuilder, what| {
+            assert_eq!(
+                builder.try_build().err(),
+                Some(crate::error::BstError::InvalidConfig(what))
+            );
+        };
+        refused(
+            BstSystem::builder((1 << 24) + 1),
+            "complete tree namespace above 2^24",
+        );
+        refused(
+            BstSystem::builder(1 << 33)
+                .expected_set_size(1 << 20)
+                .depth(33)
+                .pruned([1, 2]),
+            "node filters exceed the 1 GiB tree budget",
+        );
     }
 
     #[test]

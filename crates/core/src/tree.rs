@@ -8,6 +8,12 @@
 //! every covered element directly (because `B(A ∪ B) = B(A) | B(B)`, §3.1)
 //! but `O(M·k + #nodes·m/64)` instead of `O(M·k·depth)`. Leaf construction
 //! runs on one crossbeam scoped thread per available CPU.
+//!
+//! Each node is therefore a pure function of the plan: the filter of its
+//! fixed namespace range. A snapshot is the plan alone (52 bytes), and
+//! decode is the build, so no snapshot can describe a node that
+//! disagrees with its range. The plan check (`persistence::check_plan`)
+//! bounds that build: at most 2²⁴ ids and 1 GiB of node filters.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -175,24 +181,21 @@ impl BloomSampleTree {
         // bst-lint: allow(L001) — scope fails only if a child panicked; propagate
         .expect("crossbeam scope failed");
 
-        // Assemble: internal nodes as unions, bottom-up.
-        let mut nodes: Vec<Option<BloomFilter>> = vec![None; node_count];
-        for (li, leaf) in leaves.into_iter().enumerate() {
-            nodes[first_leaf + li] = Some(leaf);
-        }
-        for i in (0..first_leaf).rev() {
-            // bst-lint: allow(L001) — heap-array complete tree: every internal i has children
-            let mut merged = nodes[2 * i + 1].clone().expect("child built");
-            // bst-lint: allow(L001) — heap-array complete tree: every internal i has children
-            merged.union_with(nodes[2 * i + 2].as_ref().expect("child built"));
-            nodes[i] = Some(merged);
+        // Internal nodes as unions of their children, level by level up
+        // to the root; the heap layout is the levels top-down.
+        let mut levels = vec![leaves];
+        while let Some(level) = levels.last().filter(|level| level.len() > 1) {
+            let parents = level
+                .chunks_exact(2)
+                .map(|pair| BloomFilter::union(&pair[0], &pair[1]))
+                .collect();
+            levels.push(parents);
         }
 
         BloomSampleTree {
             plan: plan.clone(),
             hasher,
-            // bst-lint: allow(L001) — the bottom-up pass above fills every slot
-            nodes: nodes.into_iter().map(|n| n.expect("all built")).collect(),
+            nodes: levels.into_iter().rev().flatten().collect(),
             ranges,
             depth,
         }
@@ -236,11 +239,10 @@ impl BloomSampleTree {
         self.nodes.iter().map(|f| f.heap_bytes()).sum()
     }
 
-    /// Serializes the tree (plan + all node bit arrays) into a compact
-    /// binary buffer; see `persistence` module docs for the layout.
+    /// Serializes the tree as its plan, `"BSTC" v | plan`: every node is
+    /// a function of the plan (see module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let words_per_node = self.plan.m.div_ceil(64);
-        let mut buf = bytes::BytesMut::with_capacity(64 + self.nodes.len() * words_per_node * 8);
+        let mut buf = bytes::BytesMut::new();
         self.put_bytes(&mut buf);
         buf.into()
     }
@@ -251,53 +253,21 @@ impl BloomSampleTree {
         buf.put_slice(b"BSTC");
         buf.put_u8(crate::persistence::VERSION);
         crate::persistence::put_plan(buf, &self.plan);
-        for node in &self.nodes {
-            crate::persistence::put_words(buf, node.bits().words());
-        }
     }
 
-    /// Reconstructs a tree serialized with [`Self::to_bytes`]. The hash
-    /// family rebuilds deterministically from the stored plan.
+    /// Rebuilds a tree serialized with [`Self::to_bytes`]: checks the
+    /// plan (`persistence::check_plan`, which bounds the build's work)
+    /// and [`Self::build`]s it.
     pub fn from_bytes(input: &[u8]) -> Result<Self, crate::persistence::PersistError> {
-        use crate::persistence::{check_header, get_plan, get_words, PersistError};
-        use bytes::Buf;
+        use crate::persistence::{check_header, check_plan, get_plan, PersistError};
         let mut input = input;
         check_header(&mut input, b"BSTC")?;
         let plan = get_plan(&mut input)?;
-        let words_per_node = plan.m.div_ceil(64);
-        // `get_plan` bounds the depth by ⌈log₂ M⌉ ≤ 64, so the node count
-        // and the byte size it declares fit u128; both are checked
-        // against the input before anything is sized from them.
-        let node_count = (2u128 << plan.depth) - 1;
-        if (input.remaining() as u128) < node_count * words_per_node as u128 * 8 {
-            return Err(PersistError::Truncated);
+        check_plan(&plan, None).map_err(PersistError::Corrupt)?;
+        if !input.is_empty() {
+            return Err(PersistError::Corrupt("trailing bytes after the tree"));
         }
-        let node_count = node_count as usize;
-        let hasher = Arc::new(plan.build_hasher());
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let words = get_words(&mut input, words_per_node)?;
-            let bits = bst_bloom::bitvec::BitVec::from_words(words, plan.m);
-            nodes.push(BloomFilter::from_parts(bits, Arc::clone(&hasher)));
-        }
-        // Recompute ranges exactly as build() does.
-        let mut ranges: Vec<Range<u64>> = Vec::with_capacity(node_count);
-        ranges.push(0..plan.namespace);
-        for i in 0..node_count {
-            if Self::is_internal_index(i, plan.depth) {
-                let (l, r) = split(&ranges[i]);
-                ranges.push(l);
-                ranges.push(r);
-            }
-        }
-        let depth = plan.depth;
-        Ok(BloomSampleTree {
-            plan,
-            hasher,
-            nodes,
-            ranges,
-            depth,
-        })
+        Ok(Self::build(&plan))
     }
 }
 
@@ -486,22 +456,32 @@ mod tests {
 
     #[test]
     fn deep_snapshot_is_refused_before_sizing_its_arena() {
-        // Plan offsets: namespace [5..13], depth [32..36]. At depth 40 the
-        // declared arena is 2^41 nodes of 32 words: far past the input,
-        // so decode reports truncation instead of allocating it.
+        // Plan offsets: namespace [5..13], depth [32..36]. The plan check
+        // refuses each patched plan before the build hashes anything.
         use crate::persistence::PersistError;
         let good = BloomSampleTree::build(&small_plan()).to_bytes();
+        assert_eq!(good.len(), 52);
         let patched = |namespace: u64, depth: u32| {
             let mut bytes = good.clone();
             bytes[5..13].copy_from_slice(&namespace.to_le_bytes());
             bytes[32..36].copy_from_slice(&depth.to_le_bytes());
             BloomSampleTree::from_bytes(&bytes).err()
         };
-        assert_eq!(patched(1 << 41, 40), Some(PersistError::Truncated));
-        assert_eq!(patched(u64::MAX, 64), Some(PersistError::Truncated));
+        let corrupt = |what| Some(PersistError::Corrupt(what));
+        let too_wide = corrupt("complete tree namespace above 2^24");
+        assert_eq!(patched(1 << 41, 40), too_wide);
+        assert_eq!(patched(u64::MAX, 64), too_wide);
+        assert_eq!(patched(1000, 40), corrupt("depth beyond ceil(log2 M)"));
+        // 2^25 - 1 nodes of 256 bytes: past the byte budget.
         assert_eq!(
-            patched(1000, 40),
-            Some(PersistError::Corrupt("depth beyond ceil(log2 M)"))
+            patched(1 << 24, 24),
+            corrupt("node filters exceed the 1 GiB tree budget")
+        );
+        let mut longer = good.clone();
+        longer.push(0);
+        assert_eq!(
+            BloomSampleTree::from_bytes(&longer).err(),
+            corrupt("trailing bytes after the tree")
         );
     }
 }

@@ -105,16 +105,16 @@ fn decode_rejects_corruption() {
 /// Format version 2 dropped three config bytes and the journal cap from
 /// the system snapshot, version 3 cut the pruned tree to its plan,
 /// version and ids, version 4 stores sets as their keys, version 5
-/// writes a sharded engine's store once, and version 6 writes the
-/// config's liveness rule once; an older snapshot is refused, not
-/// migrated.
+/// writes a sharded engine's store once, version 6 writes the config's
+/// liveness rule once, and version 7 cuts the complete tree to its plan;
+/// an older snapshot is refused, not migrated.
 #[test]
 fn older_version_snapshots_are_refused() {
     use bst_core::error::BstError;
     use bst_core::persistence::PersistError;
     use bst_core::system::BstSystem;
     use bst_shard::ShardedBstSystem;
-    for old in [1u8, 2, 3, 4, 5] {
+    for old in [1u8, 2, 3, 4, 5, 6] {
         let as_old = |mut bytes: Vec<u8>| {
             assert_eq!(bytes[4], bst_core::persistence::VERSION);
             bytes[4] = old;

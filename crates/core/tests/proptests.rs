@@ -1,7 +1,8 @@
 //! Property-based tests for the BloomSampleTree core: soundness of
 //! sampling and reconstruction under arbitrary sets, agreement between
-//! methods, pruned-tree/full-tree equivalence, and the stored sets'
-//! multiset semantics and codec.
+//! methods, pruned-tree/full-tree equivalence, the stored sets'
+//! multiset semantics and codec, and the decoders, which accept only
+//! what their encoders write.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,6 +19,7 @@ use bst_core::reconstruct::BstReconstructor;
 use bst_core::sampler::{BstConfig, BstSampler, Correction, Liveness, RatioEstimator};
 use bst_core::system::BstSystem;
 use bst_core::tree::{BloomSampleTree, SampleTree};
+use bst_core::wal::{self, WalRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,6 +63,46 @@ fn assert_config_reencodes(bytes: &[u8]) {
         let mut again = bytes::BytesMut::new();
         put_config(&mut again, &cfg);
         assert_eq!(&again[..], &bytes[..consumed], "{cfg:?}");
+    }
+}
+
+/// A decoder paired with its encoder: the re-encoding of whatever the
+/// decoder accepts.
+type Reencode = fn(&[u8]) -> Option<Vec<u8>>;
+
+/// Every decoder of this crate with its encoder: the three snapshot
+/// layouts, the WAL payload and the checkpoint header.
+const DECODERS: [(&str, Reencode); 5] = [
+    ("BSTC", |b| {
+        BloomSampleTree::from_bytes(b).ok().map(|t| t.to_bytes())
+    }),
+    ("BSTP", |b| {
+        PrunedBloomSampleTree::from_bytes(b)
+            .ok()
+            .map(|t| t.to_bytes())
+    }),
+    ("BSTS", |b| {
+        BstSystem::from_bytes(b).ok().map(|s| s.to_bytes())
+    }),
+    ("WAL payload", |b| {
+        let record = wal::decode_payload(b)?;
+        let mut buf = bytes::BytesMut::new();
+        wal::encode_payload(&mut buf, &record).expect("encode");
+        Some(buf.to_vec())
+    }),
+    ("checkpoint", |b| {
+        let (covered, snapshot) = wal::decode_checkpoint(b).ok()?;
+        Some([&wal::checkpoint_header(covered)[..], snapshot].concat())
+    }),
+];
+
+/// Feeds `input` to every decoder: none panics, and whatever one accepts
+/// re-encodes to exactly `input`.
+fn assert_decoders_canonical(input: &[u8]) {
+    for (what, reencode) in DECODERS {
+        if let Some(again) = reencode(input) {
+            assert_eq!(again, input, "{what} accepted bytes it does not write");
+        }
     }
 }
 
@@ -164,10 +206,16 @@ proptest! {
                 Some(BstError::Persist(PersistError::Truncated))
             );
         }
-        prop_assert_eq!(
-            decode(store_body(1, &[(0, n, &keys), (0, n, &keys)])),
-            Some(BstError::Persist(PersistError::Corrupt("duplicate stored id")))
-        );
+        // Ids ascend strictly, as `put_bytes` writes them.
+        let unsorted = Some(BstError::Persist(PersistError::Corrupt(
+            "stored ids not strictly ascending",
+        )));
+        for (next_id, first, second) in [(1, 0, 0), (2, 1, 0)] {
+            prop_assert_eq!(
+                decode(store_body(next_id, &[(first, n, &keys), (second, n, &keys)])),
+                unsorted.clone()
+            );
+        }
         // Any one byte of the store changed: decoded or refused, no panic.
         let mut body = bytes[bytes.len() - store_len..].to_vec();
         let at = (poke % store_len as u64) as usize;
@@ -612,5 +660,93 @@ proptest! {
         let (at, byte) = edit;
         edited[at % valid.len()] = byte as u8;
         assert_config_reencodes(&edited);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The snapshot and log decoders accept only what their encoders
+    /// write. Each gets arbitrary bytes (bare, and behind each snapshot
+    /// magic and the current version), small valid encodings, those with
+    /// one byte overwritten (anywhere, in the header and plan, and in the
+    /// body after the plan: the ids, the store, the record), and those
+    /// with one byte appended: no decoder panics, and an accepted input
+    /// re-encodes to exactly its bytes.
+    #[test]
+    fn decoders_accept_only_what_they_write(
+        noise in prop::collection::vec(0u16..256, 0..120),
+        shape in (32u64..2048, 128usize..2048, 0u32..12, any::<bool>()),
+        dense in any::<bool>(),
+        ids in prop::collection::vec(0u64..2048, 0..40),
+        record in (0u8..6, any::<u64>(), prop::collection::vec(any::<u64>(), 0..6)),
+        edit in (any::<usize>(), 0usize..68, any::<usize>(), 0u16..256),
+        appended in 0u16..256,
+    ) {
+        let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+        assert_decoders_canonical(&noise);
+        for magic in [b"BSTC", b"BSTP", b"BSTS"] {
+            let mut framed = magic.to_vec();
+            framed.push(bst_core::persistence::VERSION);
+            framed.extend_from_slice(&noise);
+            assert_decoders_canonical(&framed);
+        }
+
+        let (namespace, m, depth, blocked) = shape;
+        let kind = if blocked { HashKind::DeltaBlocked } else { HashKind::Murmur3 };
+        let depth = depth.min(bst_bloom::params::depth_for(namespace, 1));
+        let tree_plan = plan(namespace, m, depth, kind);
+        let mut ids: Vec<u64> = ids.into_iter().map(|x| x % namespace).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        // Two sets, 0 and 1, below a `next_id` of 256: an edit of set 0's
+        // id can put the ids out of order.
+        let system = {
+            let builder = BstSystem::builder(namespace).expected_set_size(20);
+            let sys = if dense {
+                builder.build()
+            } else {
+                builder.pruned(ids.iter().copied()).build()
+            };
+            sys.create([]).expect("create");
+            sys.create(ids.iter().copied()).expect("create");
+            for _ in 2..256 {
+                sys.drop_set(sys.create([]).expect("create")).expect("drop");
+            }
+            sys
+        };
+        let store_len = system.filters().encoded_len_hint();
+        let (op, id, keys) = record;
+        let record = match op {
+            0 => WalRecord::Create { id, keys },
+            1 => WalRecord::InsertKeys { id, keys },
+            2 => WalRecord::RemoveKeys { id, keys },
+            3 => WalRecord::DropSet { id },
+            4 => WalRecord::OccInsert { id },
+            _ => WalRecord::OccRemove { id },
+        };
+        let mut payload = bytes::BytesMut::new();
+        wal::encode_payload(&mut payload, &record).expect("encode");
+        let checkpoint = [&wal::checkpoint_header(id)[..], &noise[..]].concat();
+
+        let (anywhere, in_header, in_tail, byte) = edit;
+        for (valid, tail) in [
+            (BloomSampleTree::build(&tree_plan).to_bytes(), 52),
+            (PrunedBloomSampleTree::build(&tree_plan, &ids).to_bytes(), 8 * ids.len() + 16),
+            (system.to_bytes(), store_len),
+            (payload.to_vec(), payload.len()),
+            (checkpoint, noise.len() + 8),
+        ] {
+            assert_decoders_canonical(&valid);
+            let tail_at = valid.len() - tail + in_tail % tail;
+            for at in [anywhere % valid.len(), in_header % valid.len(), tail_at] {
+                let mut edited = valid.clone();
+                edited[at] = byte as u8;
+                assert_decoders_canonical(&edited);
+            }
+            let mut longer = valid.clone();
+            longer.push(appended as u8);
+            assert_decoders_canonical(&longer);
+        }
     }
 }

@@ -176,8 +176,8 @@ fn hostile_tree_snapshots_are_refused_and_the_engine_is_untouched() {
     let (a, b) = unsorted[ids..ids + 16].split_at_mut(8);
     a.swap_with_slice(b);
     // Shard 0 as a dense tree whose plan claims a 2^41-id namespace and
-    // depth 40: 2^41 nodes of filter words the body cannot hold. A tree
-    // backend is `tag u8 | len u64 | tree bytes`.
+    // depth 40: shard trees must be pruned, and the plan check refuses
+    // it too. A tree backend is `tag u8 | len u64 | tree bytes`.
     let dense = {
         let system = bst_core::system::BstSystem::builder(NAMESPACE)
             .expected_set_size(NAMESPACE / 8)
@@ -322,6 +322,43 @@ fn simple_namespaces_past_the_largest_prime_are_refused_typed() {
     client.ping().expect("the server still answers");
     assert_eq!(client.sample(Target::Stored(set), 3).unwrap(), draw);
     assert_eq!(client.save().unwrap(), before, "the LOAD did not land");
+}
+
+/// `LOAD` reaches the plan check. A shard tree whose plan names
+/// m = 2^32 bits at full depth for its one id, 21 filters of 512 MiB, is
+/// refused typed before any filter is sized, and the next `SAMPLE` is
+/// served.
+#[test]
+fn oversized_tree_plans_are_refused_before_sizing() {
+    const NAMESPACE: u64 = 2_048;
+    let (handle, _reference) = spawn(NAMESPACE, 2, ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let set = client.create(member_keys(40, NAMESPACE)).unwrap();
+    let draw = client.sample(Target::Stored(set), 3).unwrap();
+
+    // One shard over 2^20 ids holding one: the snapshot ends with its
+    // tree, `"BSTP" v | plan (m [13..21], depth [32..36]) | version |
+    // count | id`, 76 bytes.
+    let mut oversized = ShardedBstSystem::builder(1 << 20)
+        .shards(1)
+        .expected_set_size(50)
+        .occupied([12_345u64])
+        .build()
+        .to_bytes();
+    let tree = oversized.len() - 76;
+    assert_eq!(&oversized[tree..tree + 4], b"BSTP");
+    oversized[tree + 13..tree + 21].copy_from_slice(&(1u64 << 32).to_le_bytes());
+    oversized[tree + 32..tree + 36].copy_from_slice(&20u32.to_le_bytes());
+    let verdict = client.load(oversized);
+    assert!(
+        matches!(
+            &verdict,
+            Err(ClientError::Wire(WireError::Persist { message })) if message.contains("budget")
+        ),
+        "{verdict:?}"
+    );
+
+    assert_eq!(client.sample(Target::Stored(set), 3).unwrap(), draw);
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Property tests for the wire codec in `protocol.rs`: arbitrary bytes
-//! never panic either decoder; every `Request` and `Response` variant,
-//! built from drawn primitives, round-trips through encode → decode; and
-//! one appended byte turns a valid frame into `Malformed`.
+//! never panic either decoder, and whatever a decoder accepts, edited
+//! frames included, re-encodes to exactly its bytes; every `Request` and
+//! `Response` variant, built from drawn primitives, round-trips through
+//! encode → decode; and one appended byte turns a valid frame into
+//! `Malformed`.
 //!
 //! The vendored proptest draws primitives and collections only, so the
 //! values are assembled in the test bodies from a drawn variant index.
@@ -195,11 +197,30 @@ fn encode(frame: &Result<Response, WireError>) -> Vec<u8> {
     }
 }
 
+/// Feeds `bytes` to both decoders: whatever one accepts re-encodes to
+/// exactly `bytes`.
+fn assert_decoders_canonical(bytes: &[u8]) {
+    if let Ok(req) = decode_request(bytes) {
+        assert_eq!(encode_request(&req), bytes, "accepted {req:?}");
+    }
+    if let Ok(frame) = decode_response(bytes) {
+        assert_eq!(encode(&frame), bytes, "accepted {frame:?}");
+    }
+}
+
+/// `bytes` with the byte at `at` (modulo the length) overwritten.
+fn edited(bytes: &[u8], at: usize, byte: u16) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at % bytes.len()] = byte as u8;
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Neither decoder panics on arbitrary bytes — raw, or behind a
-    /// valid header so the body decoders see them too.
+    /// valid header so the body decoders see them too — and whatever one
+    /// accepts re-encodes to exactly its bytes.
     #[test]
     fn arbitrary_bytes_never_panic(
         raw in prop::collection::vec(0u16..256, 0..200),
@@ -207,18 +228,17 @@ proptest! {
         status in 0u8..3,
     ) {
         let body = bytes_of(&raw);
-        let _ = decode_request(&body);
-        let _ = decode_response(&body);
+        assert_decoders_canonical(&body);
         let mut request = vec![PROTO_VERSION, op];
         request.extend_from_slice(&body);
-        let _ = decode_request(&request);
+        assert_decoders_canonical(&request);
         let mut response = vec![PROTO_VERSION, status];
         response.extend_from_slice(&body);
-        let _ = decode_response(&response);
+        assert_decoders_canonical(&response);
     }
 
-    /// Every request variant round-trips; one appended byte is
-    /// `Malformed`.
+    /// Every request variant round-trips; one overwritten byte decodes
+    /// only to what re-encodes to it; one appended byte is `Malformed`.
     #[test]
     fn requests_round_trip_and_reject_a_trailing_byte(
         variant in 0u8..REQUESTS,
@@ -228,10 +248,12 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 0..24),
         raw in prop::collection::vec(0u16..256, 0..64),
         extra in 0u16..256,
+        edit in (any::<usize>(), 0u16..256),
     ) {
         let req = request(variant, a, b, c, &keys, &raw);
         let mut bytes = encode_request(&req);
         prop_assert_eq!(decode_request(&bytes), Ok(req));
+        assert_decoders_canonical(&edited(&bytes, edit.0, edit.1));
         bytes.push(extra as u8);
         prop_assert!(
             matches!(decode_request(&bytes), Err(WireError::Malformed { .. })),
@@ -240,7 +262,8 @@ proptest! {
     }
 
     /// Every response variant and every typed error frame round-trips;
-    /// one appended byte is `Malformed`.
+    /// one overwritten byte decodes only to what re-encodes to it; one
+    /// appended byte is `Malformed`.
     #[test]
     fn responses_round_trip_and_reject_a_trailing_byte(
         variant in 0u8..RESPONSES,
@@ -249,10 +272,12 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 0..24),
         raw in prop::collection::vec(0u16..256, 0..64),
         extra in 0u16..256,
+        edit in (any::<usize>(), 0u16..256),
     ) {
         let frame = response(variant, a, b, &keys, &raw);
         let mut bytes = encode(&frame);
         prop_assert_eq!(decode_response(&bytes), Ok(frame));
+        assert_decoders_canonical(&edited(&bytes, edit.0, edit.1));
         bytes.push(extra as u8);
         prop_assert!(
             matches!(decode_response(&bytes), Err(WireError::Malformed { .. })),

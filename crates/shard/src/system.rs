@@ -853,8 +853,9 @@ impl ShardedBstSystem {
     /// Restores an engine serialized with [`Self::to_bytes`]: the same
     /// boundaries, configuration, stored sets, ids and shard trees, so
     /// scatter-gather results match the original for the same RNG state.
-    /// Every shard tree must be pruned, share one plan over the
-    /// namespace, and occupy only its own range.
+    /// Every shard tree must be pruned (a dense tag is refused before
+    /// its payload is decoded), share one plan over the namespace, and
+    /// occupy only its own range.
     pub fn from_bytes(input: &[u8]) -> Result<Self, BstError> {
         let corrupt = |what| Err(BstError::Persist(PersistError::Corrupt(what)));
         let mut input = input;
@@ -867,8 +868,8 @@ impl ShardedBstSystem {
         // A tree backend takes at least its tag and length bytes.
         let mut shards: Vec<BstSystem> = Vec::with_capacity(shard_count.min(input.remaining() / 9));
         for slice in 0..shard_count {
-            let tree = TreeBackend::get_bytes(&mut input)?;
-            if tree.namespace() != store.namespace() || !tree.is_pruned() {
+            let tree = TreeBackend::get_bytes(&mut input, true)?;
+            if tree.namespace() != store.namespace() {
                 return corrupt("shard tree does not match the partition");
             }
             if shards
@@ -1449,6 +1450,41 @@ mod tests {
             ShardedBstSystem::from_bytes(&trailing).err(),
             Some(BstError::Persist(PersistError::Corrupt(_)))
         ));
+    }
+
+    #[test]
+    fn snapshot_refuses_dense_and_oversized_shard_trees() {
+        // One shard holding one id: the snapshot ends with its tree
+        // backend, `tag u8 | len u64 | "BSTP" v | plan | version u64 |
+        // count u64 | id u64`, whose tree is the last 76 bytes.
+        let sys = ShardedBstSystem::builder(1 << 20)
+            .shards(1)
+            .expected_set_size(50)
+            .occupied([12_345u64])
+            .build();
+        let bytes = sys.to_bytes();
+        let tree = bytes.len() - 76;
+        assert_eq!(&bytes[tree..tree + 4], b"BSTP");
+        let refused = |what| Some(BstError::Persist(PersistError::Corrupt(what)));
+        // A dense tag over a garbage payload: the tag is refused before
+        // the payload is read.
+        let mut dense = bytes.clone();
+        dense[tree - 9] = 0;
+        dense[tree..].fill(0xA5);
+        assert_eq!(
+            ShardedBstSystem::from_bytes(&dense).err(),
+            refused("tree backend is not pruned")
+        );
+        // m = 2^32 at full depth: 21 filters of 512 MiB for the one id,
+        // refused before any is sized. Plan offsets: m [13..21], depth
+        // [32..36].
+        let mut oversized = bytes.clone();
+        oversized[tree + 13..tree + 21].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        oversized[tree + 32..tree + 36].copy_from_slice(&20u32.to_le_bytes());
+        assert_eq!(
+            ShardedBstSystem::from_bytes(&oversized).err(),
+            refused("node filters exceed the 1 GiB tree budget")
+        );
     }
 
     #[test]

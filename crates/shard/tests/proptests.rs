@@ -2,11 +2,25 @@
 //! the boundaries partition `[0, M)` exactly — every key maps to exactly
 //! one shard, no gaps, no overlaps — and a sharded engine reconstructs
 //! exactly what a single pruned system over the same occupancy does.
+//! The sharded snapshot decoder accepts only what the encoder writes.
 
 use bst_bloom::hash::HashKind;
+use bst_core::persistence::{put_config, VERSION};
 use bst_core::system::BstSystem;
 use bst_shard::{shard_boundaries, ShardedBstSystem};
 use proptest::prelude::*;
+
+/// Decodes `input` as a sharded snapshot: no panic, and whatever the
+/// decoder accepts re-encodes to exactly `input`.
+fn assert_sharded_canonical(input: &[u8]) {
+    if let Ok(engine) = ShardedBstSystem::from_bytes(input) {
+        assert_eq!(
+            engine.to_bytes(),
+            input,
+            "BSTH accepted bytes it does not write"
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -254,5 +268,71 @@ proptest! {
             let s = q.sample(&mut rng).expect("sample");
             prop_assert!(positives.binary_search(&s).is_ok(), "non-positive {}", s);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `BSTH` accepts only what it writes. The decoder gets arbitrary
+    /// bytes (bare, and behind the magic and the current version), small
+    /// valid snapshots, those with one byte overwritten (each byte of the
+    /// store, and drawn bytes anywhere, in the header and in the shard
+    /// trees), and those with one byte appended: it never panics, and an
+    /// accepted input re-encodes to exactly its bytes.
+    #[test]
+    fn sharded_snapshots_accept_only_what_they_write(
+        noise in prop::collection::vec(0u16..256, 0..120),
+        occupied in prop::collection::btree_set(0u64..1_024, 0..40),
+        shards in 1usize..4,
+        sets in prop::collection::vec(prop::collection::vec(0u64..1_024, 0..8), 0..3),
+        edit in (any::<usize>(), 0usize..96, any::<usize>(), 0u16..256),
+        appended in 0u16..256,
+    ) {
+        let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+        assert_sharded_canonical(&noise);
+        assert_sharded_canonical(&[&b"BSTH"[..], &[VERSION], &noise].concat());
+
+        let engine = ShardedBstSystem::builder(1_024)
+            .shards(shards)
+            .expected_set_size(32)
+            .seed(3)
+            .occupied(occupied.iter().copied())
+            .build();
+        for keys in &sets {
+            engine.create(keys.iter().copied()).expect("create");
+        }
+        // Dropped sets leave `next_id` far past the ids, so an edited id
+        // can fall out of order.
+        for _ in 0..250 {
+            engine.drop_set(engine.create([]).expect("create")).expect("drop");
+        }
+        let valid = engine.to_bytes();
+        assert_sharded_canonical(&valid);
+
+        // "BSTH" v | boundaries | config | store | S × tree backend. Every
+        // byte of the store is edited; the rest at drawn positions.
+        let mut config = bytes::BytesMut::new();
+        put_config(&mut config, &engine.config());
+        let store = 5 + 4 + 8 * (shards + 1) + config.len();
+        let mut trees = bytes::BytesMut::new();
+        for sys in engine.shard_systems() {
+            sys.tree().put_bytes(&mut trees);
+        }
+        let trees_at = valid.len() - trees.len();
+        let (anywhere, in_header, in_trees, byte) = edit;
+        let drawn = [
+            anywhere % valid.len(),
+            in_header % store,
+            trees_at + in_trees % trees.len(),
+        ];
+        for at in (store..trees_at).chain(drawn) {
+            let mut edited = valid.clone();
+            edited[at] = byte as u8;
+            assert_sharded_canonical(&edited);
+        }
+        let mut longer = valid.clone();
+        longer.push(appended as u8);
+        assert_sharded_canonical(&longer);
     }
 }
